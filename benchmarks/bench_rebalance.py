@@ -1,15 +1,16 @@
 """Live rebalancing: a skewed workload, a triggered move, converging lag.
 
-The process executor (:mod:`repro.conflicts.executor`) rebalances by
-moving one hot topic between live OS-process workers through the
-checkpoint -> transfer -> resume handoff.  This benchmark prices that
+The shard coordinator, run over one OS process per worker
+(:class:`~repro.conflicts.executor.ProcessShardExecutor`), rebalances
+by moving one hot topic between live workers through the checkpoint ->
+transfer -> resume handoff.  This benchmark prices that
 claim on a 4-topic workload where one topic carries most of the
 records and the initial assignment piles three topics onto worker 0:
 
 * ``before``: the drain with the skewed assignment -- worker 0 does
   almost all the work;
-* ``rebalance``: the executor's own trigger
-  (:meth:`~repro.conflicts.executor.ProcessShardExecutor.rebalance`)
+* ``rebalance``: the coordinator's own trigger
+  (:meth:`~repro.conflicts.shard.ShardCoordinator.rebalance`)
   picks the move from live lag skew and performs the handoff while the
   writer keeps appending;
 * ``after``: the post-move drain -- the per-worker shares converge.
@@ -82,13 +83,14 @@ def run_once(directory: Path, db, constraints):
         assignment=SKEWED,
         mp_context="fork",
     ) as executor:
-        rows = executor.drain()
+        executor.drain()
         report["before_s"] = time.perf_counter() - started
+        rows = executor.status()
         report["before_applied"] = [
             sum(row.applied_records.values()) for row in rows
         ]
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-        assert executor.merged_graph().as_dict() == expected
+        assert executor.graph.as_dict() == expected
 
         # The writer keeps appending hot records, then the executor's
         # own trigger picks and performs the move from live lag skew.
@@ -105,11 +107,11 @@ def run_once(directory: Path, db, constraints):
         report["skew"] = (move.skew_before, move.skew_after)
 
         started = time.perf_counter()
-        rows = executor.drain()
+        executor.drain()
         report["after_s"] = time.perf_counter() - started
-        assert all(row.lag == 0 for row in rows)  # lag converged
+        assert executor.lag == 0  # lag converged
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-        assert executor.merged_graph().as_dict() == expected
+        assert executor.graph.as_dict() == expected
         assert executor.feed.transfers() == {}  # packet adopted + swept
         ownership = load_ownership(directory)
         assert ownership is not None and ownership.owner["hot"] == move.target

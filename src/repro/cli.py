@@ -543,24 +543,21 @@ class HippoShell:
             ends = feed.end_offsets()
             recovery = feed.recovery_points()
             for index in range(ownership.workers):
-                groups = [
-                    g for g in sorted(recovery) if g.endswith(f"-{index}")
-                ]
-                for group_name in groups:
-                    point = recovery[group_name]
-                    lag = sum(
-                        max(end - point.committed.get(name, 0), 0)
-                        for name, end in ends.items()
-                        if point.topics is None or name in point.topics
-                    )
-                    owned = sorted(
-                        t for t, w in ownership.owner.items() if w == index
-                    )
-                    self._print(
-                        f"  worker {index} ({group_name}):"
-                        f" lag {lag}, owns [{', '.join(owned) or '-'}],"
-                        f" recovery {point.source}"
-                    )
+                # Exactly the manifest's group: an unrelated consumer
+                # whose name merely ends in "-N" is not a shard worker.
+                group_name = f"{ownership.group_prefix}-{index}"
+                point = recovery.get(group_name)
+                if point is None:
+                    continue
+                owned = sorted(
+                    t for t, w in ownership.owner.items() if w == index
+                )
+                self._print(
+                    f"  worker {index} ({group_name}):"
+                    f" lag {point.lag(ends)},"
+                    f" owns [{', '.join(owned) or '-'}],"
+                    f" recovery {point.source}"
+                )
             for name, cut in sorted(feed.transfers().items()):
                 self._print(
                     f"  transfer packet {name} @ {cut}"
@@ -577,12 +574,12 @@ class HippoShell:
         Computes the single topic move
         :func:`repro.conflicts.shard.choose_move` would make from the
         registered per-worker lag skew -- the same pure chooser the
-        in-process coordinator and the process executor call, so the
-        advice here is exactly the move a live ``rebalance()`` would
-        perform.  With ``DIR``, reads that executor's manifest and
-        feed; otherwise uses this shell's durable feed.  Constraints
-        come from the shell (declare them first for a faithful plan).
-        Nothing is moved: this only prints the advice.
+        shard coordinator calls, so the advice here is exactly the
+        move a live ``rebalance()`` would perform.  With ``DIR``, reads
+        that executor's manifest and feed; otherwise uses this shell's
+        durable feed.  Constraints come from the shell (declare them
+        first for a faithful plan).  Nothing is moved: this only prints
+        the advice.
         """
         from repro.conflicts.executor import load_ownership
         from repro.conflicts.shard import choose_move, plan_assignment
@@ -626,13 +623,11 @@ class HippoShell:
             )
             ends = feed.end_offsets()
             recovery = feed.recovery_points()
+            prefix = ownership.group_prefix if ownership else "shard"
             committed: list[dict[str, int]] = []
             for index in range(workers):
-                merged: dict[str, int] = {}
-                for group_name in sorted(recovery):
-                    if group_name.endswith(f"-{index}"):
-                        merged.update(recovery[group_name].committed)
-                committed.append(merged)
+                point = recovery.get(f"{prefix}-{index}")
+                committed.append(dict(point.committed) if point else {})
             move = choose_move(plan, committed, ends)
             if move is None:
                 self._print(

@@ -2,12 +2,7 @@
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts, violations_of
 from repro.conflicts.executor import (
-    ChaosPlan,
-    HandoffReport,
-    Ownership,
     ProcessShardExecutor,
-    WorkerEvent,
-    WorkerStatus,
     load_ownership,
     store_ownership,
 )
@@ -20,7 +15,8 @@ from repro.conflicts.hypergraph import (
 from repro.conflicts.incremental import DeltaStats, IncrementalDetector
 from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
 from repro.conflicts.shard import (
-    MergedHypergraph,
+    HandoffReport,
+    Ownership,
     RebalanceMove,
     ShardCoordinator,
     ShardPlan,
@@ -29,6 +25,7 @@ from repro.conflicts.shard import (
     ShardStatus,
     ShardWorker,
     TopicResume,
+    WorkerEvent,
     choose_move,
     merge_graphs,
     plan_assignment,
@@ -38,12 +35,7 @@ __all__ = [
     "DetectionReport",
     "detect_conflicts",
     "violations_of",
-    "ChaosPlan",
-    "HandoffReport",
-    "Ownership",
     "ProcessShardExecutor",
-    "WorkerEvent",
-    "WorkerStatus",
     "load_ownership",
     "store_ownership",
     "ConflictHypergraph",
@@ -54,7 +46,8 @@ __all__ = [
     "IncrementalDetector",
     "ReplicaHypergraph",
     "ReplicaSync",
-    "MergedHypergraph",
+    "HandoffReport",
+    "Ownership",
     "RebalanceMove",
     "ShardCoordinator",
     "ShardPlan",
@@ -63,6 +56,7 @@ __all__ = [
     "ShardStatus",
     "ShardWorker",
     "TopicResume",
+    "WorkerEvent",
     "choose_move",
     "merge_graphs",
     "plan_assignment",

@@ -1,59 +1,52 @@
-"""Multi-process shard execution with live topic rebalancing.
+"""One OS process per shard worker: the pipe transport.
 
-:class:`~repro.conflicts.shard.ShardCoordinator` proved the sharded
-hypergraph correct in-process; this module runs the same workers as
-real OS processes.  Each :class:`~repro.conflicts.shard.ShardWorker`
-lives in its own ``multiprocessing`` process (spawn-safe: workers
-attach to the durable feed *by directory path* and rebuild everything
-from disk), and talks to the coordinating
-:class:`ProcessShardExecutor` over a small control-message protocol:
+:class:`~repro.conflicts.shard.ShardCoordinator` owns the whole shard
+protocol -- plan, handoff, rebalance, status, supervision -- and reaches
+its workers through a
+:class:`~repro.conflicts.shard.WorkerTransport`.  This module is the
+out-of-process implementation of that seam: :class:`PipeTransport` runs
+each :class:`~repro.conflicts.shard.ShardWorker` in its own
+``multiprocessing`` process (spawn-safe: workers attach to the durable
+feed *by directory path* and rebuild everything from disk) and carries
+the coordinator's requests over a small control-message protocol:
 
-* **Heartbeats** -- each worker periodically sends its status (lag,
-  edge count, committed offsets, pid) over its pipe; the parent drains
-  them opportunistically while waiting for replies.
-* **Requests** -- ``status`` / ``drain`` / ``sync`` / ``checkpoint`` /
-  ``export`` / ``reshape`` / ``graph`` / ``stop``, matched to replies
-  by request id.  ``reshape`` carries the pickled
+* **Heartbeats** -- each worker periodically sends a beat over its
+  pipe; the parent drains them opportunistically while waiting for
+  replies.  A live process silent past the timeout counts as hung.
+* **Requests** -- the ops of :func:`~repro.conflicts.shard.serve`,
+  matched to replies by request id.  ``reshape`` carries the pickled
   :class:`~repro.conflicts.shard.ShardSpec` /
   :class:`~repro.conflicts.shard.ShardPlan`, so ownership grants ride
   the same channel.
 
-**Ownership.**  The executor persists the topic -> worker assignment
-in ``shards.json`` inside the feed directory (atomic write, fsync
-before rename).  The persisted map -- not the constructor arguments --
-is authoritative on re-attach, and bumping it is the *commit point* of
-the five-step handoff protocol (see
-:meth:`~repro.conflicts.shard.ShardCoordinator.handoff`; the executor
-drives the same steps over the control channel).  A worker's own
-durable half is its consumer-group registration: resubscribing pins
+**Ownership.**  The transport persists the coordinator's topic ->
+worker assignment in ``shards.json`` inside the feed directory (atomic
+write, fsync before rename).  The persisted map -- not the constructor
+arguments -- is authoritative on re-attach, and writing it is the
+*commit point* of the handoff protocol (see
+:meth:`~repro.conflicts.shard.ShardCoordinator.handoff`).  A worker's
+own durable half is its consumer-group registration: resubscribing pins
 the adopted topic at the handoff cut, so retention floors follow
 ownership automatically.
 
-**Supervision.**  :meth:`ProcessShardExecutor.supervise` detects dead
-workers (exit code) and hung ones (no heartbeat within the timeout),
-SIGKILLs the hung, and respawns both kinds.  A respawned worker
-bootstraps ``bootstrap="snapshot"`` -- its group snapshot plus the
-retained suffix, cost proportional to what it missed -- then
-*reconciles*: it re-attaches under the subscription its group actually
-has on disk (a crash mid-handoff leaves the registration ahead of or
-behind the plan) and reshapes to the plan's spec, adopting any pending
-transfer packets.  Every crash point of the handoff protocol therefore
-converges to the planned state after one supervision pass.
+**Respawn.**  A respawned worker bootstraps ``bootstrap="snapshot"`` --
+its group snapshot plus the retained suffix, cost proportional to what
+it missed -- then *reconciles*: it re-attaches under the subscription
+its group actually has on disk (a crash mid-handoff leaves the
+registration ahead of or behind the plan) and reshapes to the plan's
+spec, adopting any pending transfer packets.  Every crash point of the
+handoff protocol therefore converges to the planned state after one
+:meth:`~repro.conflicts.shard.ShardCoordinator.supervise` pass.
 
-**Rebalancing.**  :meth:`ProcessShardExecutor.rebalance` feeds live
-per-worker status into the pure
-:func:`~repro.conflicts.shard.choose_move` chooser (owned-topic lag
-plus hypergraph edge counts) and executes the chosen move as a live
-handoff.  The CLI's ``.rebalance`` runs the same chooser as a dry-run
-advisor against the persisted state.
-
-**Chaos.**  A :class:`ChaosPlan` arms a worker process to SIGKILL
-*itself* at a named pipeline phase (``apply`` after records hit the
-database but before the offset commit, ``checkpoint`` just before the
-snapshot store, ``release`` / ``adopt`` inside the handoff) -- the
-fault-injection seam ``tests/chaos/`` drives.  Parent-side kill points
-(before/after the ownership commit) use :meth:`ProcessShardExecutor.kill`
-from a handoff ``on_step`` callback instead.
+**Fault injection.**  ``fault_hooks`` hands a worker process a callable
+bound to its crash-phase seam
+(:meth:`~repro.conflicts.replica.ReplicaHypergraph._mark`: ``apply``
+after records hit the database but before the offset commit,
+``checkpoint`` just before the snapshot store, ``release`` / ``adopt``
+inside the handoff) -- ``tests/chaos/`` uses it to SIGKILL a worker at
+a named phase.  Parent-side kill points (before/after the ownership
+commit) use :meth:`~repro.conflicts.shard.ShardCoordinator.kill` from a
+handoff ``on_step`` callback instead.
 """
 
 from __future__ import annotations
@@ -62,121 +55,39 @@ import contextlib
 import json
 import multiprocessing
 import os
-import signal
 import time
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional
 
-from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.conflicts.shard import (
-    RebalanceMove,
+    Ownership,
+    ShardCoordinator,
     ShardPlan,
-    ShardReshape,
     ShardSpec,
     ShardWorker,
-    choose_move,
-    merge_graphs,
-    plan_assignment,
+    serve,
 )
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
 from repro.errors import ExecutorError, FeedError
 
 #: The ownership manifest inside the feed directory.
 OWNERSHIP_FILE = "shards.json"
+#: Worker heartbeat cadence, seconds.
+HEARTBEAT_INTERVAL = 0.25
+#: Records per bounded worker sync between control-channel polls.
+SYNC_LIMIT = 512
 
-
-@dataclass(frozen=True)
-class ChaosPlan:
-    """Fault-injection arming for one worker process.
-
-    The worker SIGKILLs *itself* when the pipeline reaches the armed
-    phase -- a real mid-syscall death, not an exception -- so the
-    recovery paths the chaos suite pins are the ones production would
-    take.
-
-    Attributes:
-        phase: the crash-seam name (``"apply"``, ``"checkpoint"``,
-            ``"release"``, ``"adopt"`` -- see
-            :meth:`repro.conflicts.replica.ReplicaHypergraph._mark`).
-        topic: only match when the phase concerns this topic (None =
-            any; ``apply``/``checkpoint`` phases carry no topic and
-            only match a plan without one).
-        after: skip this many matching hits first -- kill the Nth
-            checkpoint, not the first.
-    """
-
-    phase: str
-    topic: Optional[str] = None
-    after: int = 0
-
-
-@dataclass(frozen=True)
-class WorkerEvent:
-    """One supervision action: why a worker was respawned."""
-
-    index: int
-    reason: str
-    respawns: int
-
-
-@dataclass(frozen=True)
-class WorkerStatus:
-    """One worker's row in :meth:`ProcessShardExecutor.status`.
-
-    A dead worker (process exited, or request failed) is reported with
-    ``alive=False`` and its lag computed from its group's *registered*
-    offsets against the feed end -- lagging, never silently absent.
-    """
-
-    index: int
-    group: str
-    pid: Optional[int]
-    alive: bool
-    ready: bool
-    lag: int
-    edges: int
-    committed: dict[str, int]
-    owned: tuple[str, ...]
-    restore_mode: str
-    applied_records: dict[str, int]
-    respawns: int
-    exitcode: Optional[int]
-
-
-@dataclass(frozen=True)
-class HandoffReport:
-    """What one :meth:`ProcessShardExecutor.handoff` did: the new plan
-    plus each reshaped worker's :class:`ShardReshape` (the adopting
-    entries carry the resume cuts for the no-re-bootstrap assertion)."""
-
-    plan: ShardPlan
-    reshapes: Dict[int, ShardReshape]
-
-
-@dataclass(frozen=True)
-class Ownership:
-    """The persisted topic -> worker assignment (``shards.json``)."""
-
-    workers: int
-    owner: dict[str, int]
-    epoch: int
-
-
-def _atomic_json(path: Path, payload: dict) -> None:
-    temp = path.with_suffix(path.suffix + ".tmp")
-    with open(temp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"), allow_nan=False)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+#: A worker's crash-phase hook: ``hook(phase, topic)``.
+FaultHook = Callable[[str, Optional[str]], None]
 
 
 def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
     """The persisted ownership manifest under ``directory``, or None
-    when no executor ever ran there.
+    when no process executor ever ran there.  A manifest written before
+    the group prefix was recorded loads with the default ``"shard"``.
 
     Raises:
         ExecutorError: when the manifest is corrupt.
@@ -190,6 +101,7 @@ def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
             workers=int(data["workers"]),
             owner={str(k): int(v) for k, v in data["owner"].items()},
             epoch=int(data.get("epoch", 0)),
+            group_prefix=str(data.get("group_prefix", "shard")),
         )
     except (ValueError, KeyError) as exc:
         raise ExecutorError(f"corrupt ownership manifest {path}") from exc
@@ -198,12 +110,13 @@ def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
 def store_ownership(directory: str | os.PathLike, ownership: Ownership) -> None:
     """Atomically persist the ownership manifest (fsync before rename:
     the grant must never be half-visible to a re-attaching executor)."""
-    _atomic_json(
+    ChangeFeed._atomic_json(
         Path(directory) / OWNERSHIP_FILE,
         {
             "workers": ownership.workers,
             "owner": dict(sorted(ownership.owner.items())),
             "epoch": ownership.epoch,
+            "group_prefix": ownership.group_prefix,
         },
     )
 
@@ -211,58 +124,17 @@ def store_ownership(directory: str | os.PathLike, ownership: Ownership) -> None:
 # --------------------------------------------------------------- worker side
 
 
-class _ProcessWorker(ShardWorker):
-    """A shard worker whose crash seam is wired to the chaos plan."""
-
-    chaos: Optional[ChaosPlan] = None
-    chaos_hits: int = 0
-
-    def _mark(self, phase: str, topic: Optional[str] = None) -> None:
-        plan = self.chaos
-        if plan is None or plan.phase != phase:
-            return
-        if plan.topic is not None and plan.topic != topic:
-            return
-        self.chaos_hits += 1
-        if self.chaos_hits > plan.after:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _status_payload(worker: ShardWorker) -> dict:
-    return {
-        "group": worker.group,
-        "pid": os.getpid(),
-        "ready": worker.ready,
-        "lag": worker.lag,
-        "edges": len(worker.graph.edges) if worker.ready else 0,
-        "committed": worker.committed,
-        "owned": list(worker.spec.owned),
-        "subscribed": sorted(worker.topics or ()),
-        "restore_mode": worker.restore_mode,
-        "restore_records": worker.restore_records,
-        "applied_records": dict(worker.applied_records),
-    }
-
-
 def _construct(
     feed: ChangeFeed,
     spec: ShardSpec,
     plan: ShardPlan,
     group: str,
-    options: dict,
-    chaos: Optional[ChaosPlan],
+    fault: Optional[FaultHook],
 ) -> ShardWorker:
-    worker = _ProcessWorker(
-        feed,
-        spec,
-        plan,
-        group=group,
-        snapshots=True,
-        checkpoint_records=options.get("checkpoint_records"),
-        bootstrap="snapshot",
-    )
-    worker.chaos = chaos
-    worker.chaos_hits = 0
+    worker = ShardWorker(feed, spec, plan, group=group, bootstrap="snapshot")
+    if fault is not None:
+        # Rebind this instance's (no-op) crash-phase seam to the hook.
+        worker._mark = fault  # type: ignore[method-assign]
     return worker
 
 
@@ -271,7 +143,8 @@ def _attach_worker(
     spec: ShardSpec,
     plan: ShardPlan,
     group: str,
-    options: dict,
+    fault: Optional[FaultHook],
+    respawn: bool,
 ) -> ShardWorker:
     """Attach (or re-attach) the shard worker, reconciling a respawn.
 
@@ -284,17 +157,14 @@ def _attach_worker(
     checkpoint) is dropped from the registration and re-adopted from
     its still-pending packet, which has pinned the suffix all along.
     """
-    chaos = options.get("chaos")
-    target = frozenset(
-        {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
-    )
+    target = frozenset(spec.subscribed)
     point = feed.recovery_points().get(group)
     boot_topics = target
     if point is not None and point.topics is not None:
         boot_topics = frozenset(point.topics) | {SCHEMA_TOPIC}
     boot_spec = replace(spec, subscribed=tuple(sorted(boot_topics)))
     try:
-        worker = _construct(feed, boot_spec, plan, group, options, chaos)
+        worker = _construct(feed, boot_spec, plan, group, fault)
     except FeedError:
         pending = set(feed.transfers())
         reduced = frozenset(
@@ -304,82 +174,46 @@ def _attach_worker(
             raise  # nothing in flight explains the failure
         feed.update_subscription(group, reduced)
         boot_spec = replace(spec, subscribed=tuple(sorted(reduced)))
-        worker = _construct(feed, boot_spec, plan, group, options, chaos)
+        worker = _construct(feed, boot_spec, plan, group, fault)
     if frozenset(worker.topics or ()) != target:
         worker.reshape(spec, plan)
-    elif options.get("checkpoint_on_attach"):
+        return worker
+    worker.spec = spec
+    worker.constraints = list(spec.constraints)
+    if respawn:
         # A respawn that needed no reshape still re-establishes its
         # floor: the fresh checkpoint covers topics adopted by a
         # crashed handoff, letting the supervisor sweep their packets.
-        worker.spec = spec
-        worker.constraints = list(spec.constraints)
         worker.checkpoint()
-    else:
-        worker.spec = spec
-        worker.constraints = list(spec.constraints)
     return worker
 
 
 def _handle(worker: ShardWorker, conn: Connection, message: dict) -> bool:
-    """Serve one control message; returns False on ``stop``."""
-    op = message.get("op")
-    ident = message.get("id")
+    """Serve one control message; returns False after ``stop``."""
+    reply: dict[str, Any] = {"kind": "reply", "id": message.pop("id")}
+    op = message.pop("op")
     try:
-        value: object = None
-        if op == "stop":
-            worker.close()
-            conn.send({"kind": "reply", "id": ident, "ok": True, "value": None})
-            return False
-        if op == "status":
-            value = _status_payload(worker)
-        elif op == "sync":
-            sync = worker.sync(message.get("limit"))
-            value = {"records": sync.records, "lag": sync.lag, "mode": sync.mode}
-        elif op == "drain":
-            while worker.lag:
-                worker.sync()
-            value = _status_payload(worker)
-        elif op == "checkpoint":
-            worker.checkpoint()
-            value = worker.committed
-        elif op == "export":
-            value = worker.export_topic(str(message["topic"]))
-        elif op == "reshape":
-            value = worker.reshape(message["spec"], message["plan"])
-        elif op == "graph":
-            value = worker.graph if worker.ready else None
-        else:
-            raise ExecutorError(f"unknown control op {op!r}")
-        conn.send({"kind": "reply", "id": ident, "ok": True, "value": value})
+        conn.send({**reply, "ok": True, "value": serve(worker, op, **message)})
     except Exception as exc:
-        conn.send(
-            {
-                "kind": "reply",
-                "id": ident,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        )
-    return True
+        conn.send({**reply, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
+    return op != "stop"
 
 
-def _serve(worker: ShardWorker, conn: Connection, options: dict) -> None:
+def _serve_loop(worker: ShardWorker, conn: Connection) -> None:
     """The worker loop: control messages, bounded syncs, heartbeats."""
-    interval = float(options.get("heartbeat_interval", 0.25))
-    limit = options.get("sync_limit", 512)
     last_beat = 0.0
     while True:
         while conn.poll(0):
             if not _handle(worker, conn, conn.recv()):
                 return
-        sync = worker.sync(limit)
+        sync = worker.sync(SYNC_LIMIT)
         now = time.monotonic()
-        if sync.records or now - last_beat >= interval:
-            conn.send({"kind": "heartbeat", "status": _status_payload(worker)})
+        if sync.records or now - last_beat >= HEARTBEAT_INTERVAL:
+            conn.send({"kind": "heartbeat"})
             last_beat = now
         if not sync.records and sync.lag == 0:
             # Idle: block on the control channel instead of spinning.
-            conn.poll(interval)
+            conn.poll(HEARTBEAT_INTERVAL)
 
 
 def _worker_main(
@@ -388,16 +222,17 @@ def _worker_main(
     plan: ShardPlan,
     group: str,
     conn: Connection,
-    options: dict,
+    fault: Optional[FaultHook],
+    respawn: bool,
 ) -> None:
     """Entry point of one shard worker process (spawn-safe: everything
     it needs arrives as arguments; state rebuilds from the feed
     directory)."""
     feed = ChangeFeed(directory)
     try:
-        worker = _attach_worker(feed, spec, plan, group, options)
-        conn.send({"kind": "heartbeat", "status": _status_payload(worker)})
-        _serve(worker, conn, options)
+        worker = _attach_worker(feed, spec, plan, group, fault, respawn)
+        conn.send({"kind": "heartbeat"})
+        _serve_loop(worker, conn)
     except (EOFError, BrokenPipeError):
         return  # the parent went away; nothing to report to
     except Exception as exc:
@@ -415,270 +250,122 @@ def _worker_main(
 
 @dataclass
 class _WorkerHandle:
-    index: int
-    group: str
     process: BaseProcess
     conn: Connection
-    last_beat: float
-    last_status: dict = field(default_factory=dict)
-    respawns: int = 0
+    last_beat: float = field(default_factory=time.monotonic)
 
 
-class ProcessShardExecutor:
-    """Run each shard worker in its own OS process, with supervision,
-    live topic handoff and lag-driven rebalancing.
+class PipeTransport:
+    """Each worker in its own OS process, reached over a pipe.
 
-    Args:
-        directory: the durable feed directory; workers attach to it by
-            path with their own reader instances.
-        constraints: the full constraint set.
-        workers: worker-process count.  Ignored when ``shards.json``
-            already exists in the directory -- the persisted ownership
-            (and its worker count) is authoritative on re-attach.
-        relations / assignment: initial plan inputs (see
-            :func:`~repro.conflicts.shard.plan_assignment`); ignored on
-            re-attach for the same reason.
-        group_prefix: consumer groups are named ``{prefix}-{index}``.
-        mp_context: ``"spawn"`` (default; the production shape) or
-            ``"fork"`` (cheap starts for respawn-heavy test schedules).
-        heartbeat_interval: worker status cadence, seconds.
-        heartbeat_timeout: a live process silent this long is declared
-            hung, SIGKILLed and respawned by :meth:`supervise`.
-        sync_limit: records per bounded worker sync.
-        checkpoint_records: auto-checkpoint cadence per worker.
-        request_timeout: parent-side deadline per control request
-            (covers bootstrap: the first request blocks until the
-            worker finishes attaching).
-        chaos: ``{worker index: ChaosPlan}`` armed at first spawn only
-            (respawns come up clean, so a kill schedule terminates).
-
-    The constructor blocks until every worker answered its first
-    status request -- i.e. finished bootstrapping -- then sweeps any
-    transfer packets a crashed previous run left behind.
+    The :class:`~repro.conflicts.shard.WorkerTransport` whose workers
+    attach to the durable feed directory with their own reader
+    instances; it persists the ownership map in ``shards.json`` and
+    owns (and closes) the coordinator-side feed handle.
     """
+
+    #: No worker object lives in this process.
+    workers: tuple[ShardWorker, ...] = ()
 
     def __init__(
         self,
         directory: str | os.PathLike,
-        constraints: Iterable[object],
-        workers: int = 2,
-        relations: Iterable[str] = (),
-        assignment: Optional[Dict[str, int]] = None,
-        group_prefix: str = "shard",
-        mp_context: str = "spawn",
-        heartbeat_interval: float = 0.25,
-        heartbeat_timeout: float = 10.0,
-        sync_limit: int = 512,
-        checkpoint_records: Optional[int] = None,
-        request_timeout: float = 60.0,
-        chaos: Optional[Dict[int, ChaosPlan]] = None,
+        mp_context: str,
+        heartbeat_timeout: float,
+        request_timeout: float,
+        fault_hooks: Mapping[int, FaultHook],
     ) -> None:
         self.directory = Path(directory)
-        self.constraints = list(constraints)
-        self.group_prefix = group_prefix
-        self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
-        self.sync_limit = sync_limit
-        self.checkpoint_records = checkpoint_records
         self.request_timeout = request_timeout
-        self.chaos = dict(chaos or {})
+        self._fault_hooks = dict(fault_hooks)
         self._ctx = multiprocessing.get_context(mp_context)
         self._next_request = 0
         self._handles: dict[int, _WorkerHandle] = {}
-        self._closed = False
         self.feed = ChangeFeed(self.directory)
-        try:
-            ownership = load_ownership(self.directory)
-            if ownership is not None:
-                self.workers = ownership.workers
-                self._assignment = dict(ownership.owner)
-                self.epoch = ownership.epoch
-            else:
-                self.feed.refresh()
-                discovered = [
-                    t.name
-                    for t in self.feed.topics()
-                    if t.name != SCHEMA_TOPIC
-                ]
-                seeded = plan_assignment(
-                    self.constraints,
-                    workers,
-                    relations=[*discovered, *relations],
-                    assignment=assignment,
-                )
-                self.workers = workers
-                self._assignment = dict(seeded.topic_owner)
-                self.epoch = 0
-                self._store_ownership()
-            self.plan = self._replan()
-            for spec in self.plan.shards:
-                self._spawn(spec.index)
-            self.status()  # block until every worker bootstrapped
-            self.sweep_transfers()
-        except BaseException:
-            self.close()
-            raise
 
-    # ----------------------------------------------------------- lifecycle
+    def ownership(self) -> Optional[Ownership]:
+        return load_ownership(self.directory)
 
-    def __enter__(self) -> "ProcessShardExecutor":
-        return self
+    def grant(self, ownership: Ownership) -> None:
+        store_ownership(self.directory, ownership)
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Stop every worker (each checkpoints and detaches) and close
-        the parent's feed handle.  Workers that refuse to stop within
-        the request timeout are killed."""
-        if self._closed:
-            return
-        self._closed = True
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            if handle.process.is_alive():
-                try:
-                    self._request(handle, "stop")
-                except ExecutorError:
-                    handle.process.kill()
-            handle.process.join(5)
-            handle.conn.close()
-        self._handles.clear()
-        self.feed.close()
-
-    # ------------------------------------------------------------ plumbing
-
-    def _store_ownership(self) -> None:
-        store_ownership(
-            self.directory,
-            Ownership(
-                workers=self.workers,
-                owner=self._assignment,
-                epoch=self.epoch,
-            ),
-        )
-
-    def _replan(self) -> ShardPlan:
-        """The current plan from the persisted assignment, newly
-        discovered topics assigned and persisted."""
-        self.feed.refresh()
-        discovered = [
-            t.name for t in self.feed.topics() if t.name != SCHEMA_TOPIC
-        ]
-        plan = plan_assignment(
-            self.constraints,
-            self.workers,
-            relations=discovered,
-            assignment=self._assignment,
-        )
-        if plan.topic_owner != self._assignment:
-            self._assignment = dict(plan.topic_owner)
-            self._store_ownership()
-        return plan
-
-    def _spawn(
-        self,
-        index: int,
-        chaos_armed: bool = True,
-        checkpoint_on_attach: bool = False,
-    ) -> _WorkerHandle:
-        spec = self.plan.shards[index]
-        group = f"{self.group_prefix}-{index}"
+    def start(
+        self, spec: ShardSpec, plan: ShardPlan, group: str, respawn: bool = False
+    ) -> None:
+        previous = self._handles.get(spec.index)
+        if previous is not None:
+            previous.conn.close()
         parent_conn, child_conn = self._ctx.Pipe()
-        options = {
-            "heartbeat_interval": self.heartbeat_interval,
-            "sync_limit": self.sync_limit,
-            "checkpoint_records": self.checkpoint_records,
-            "chaos": self.chaos.get(index) if chaos_armed else None,
-            "checkpoint_on_attach": checkpoint_on_attach,
-        }
+        # Fault hooks arm the first spawn only: respawns come up clean,
+        # so a kill schedule terminates.
+        fault = None if respawn else self._fault_hooks.get(spec.index)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(str(self.directory), spec, self.plan, group, child_conn,
-                  options),
+            args=(str(self.directory), spec, plan, group, child_conn, fault, respawn),
             name=group,
             daemon=True,
         )
         process.start()
         child_conn.close()
-        previous = self._handles.get(index)
-        handle = _WorkerHandle(
-            index=index,
-            group=group,
-            process=process,
-            conn=parent_conn,
-            last_beat=time.monotonic(),
-            respawns=previous.respawns if previous is not None else 0,
-        )
-        self._handles[index] = handle
-        return handle
+        self._handles[spec.index] = _WorkerHandle(process, parent_conn)
 
-    def _request(
-        self,
-        handle: _WorkerHandle,
-        op: str,
-        timeout: Optional[float] = None,
-        **payload: object,
-    ) -> object:
+    def request(self, index: int, op: str, **payload: Any) -> Any:
         """Send one control request and wait for its reply, draining
         heartbeats (and stale replies of timed-out requests) on the
-        way.
+        way.  The first request to a worker blocks until it finished
+        attaching, so the deadline also covers bootstrap.
 
         Raises:
             ExecutorError: when the worker is dead, dies mid-request,
                 reports a failure, or the deadline passes.
         """
+        handle = self._handles[index]
         ident = self._next_request
         self._next_request += 1
         try:
             handle.conn.send({"id": ident, "op": op, **payload})
         except (BrokenPipeError, OSError) as exc:
             raise ExecutorError(
-                f"worker {handle.index} is dead (cannot send {op!r})"
+                f"worker {index} is dead (cannot send {op!r})"
             ) from exc
-        deadline = time.monotonic() + (
-            timeout if timeout is not None else self.request_timeout
-        )
+        deadline = time.monotonic() + self.request_timeout
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ExecutorError(
-                    f"worker {handle.index} timed out on {op!r}"
-                )
+                raise ExecutorError(f"worker {index} timed out on {op!r}")
             try:
                 ready = handle.conn.poll(min(remaining, 0.1))
                 message = handle.conn.recv() if ready else None
             except (EOFError, OSError) as exc:
                 raise ExecutorError(
-                    f"worker {handle.index} died during {op!r}"
+                    f"worker {index} died during {op!r}"
                     f" (exit {handle.process.exitcode})"
                 ) from exc
             if message is None:
                 if not handle.process.is_alive():
                     raise ExecutorError(
-                        f"worker {handle.index} died during {op!r}"
+                        f"worker {index} died during {op!r}"
                         f" (exit {handle.process.exitcode})"
                     )
                 continue
             kind = message.get("kind")
             if kind == "heartbeat":
                 handle.last_beat = time.monotonic()
-                handle.last_status = message.get("status", {})
                 continue
             if kind == "fatal":
                 raise ExecutorError(
-                    f"worker {handle.index} failed: {message.get('error')}"
+                    f"worker {index} failed: {message.get('error')}"
                 )
             if kind == "reply" and message.get("id") == ident:
                 if not message.get("ok"):
                     raise ExecutorError(
-                        f"worker {handle.index} {op!r} failed:"
-                        f" {message.get('error')}"
+                        f"worker {index} {op!r} failed: {message.get('error')}"
                     )
                 return message.get("value")
             # A stale reply for an earlier timed-out request: drop it.
 
-    def _drain_messages(self, handle: _WorkerHandle) -> bool:
+    def _drain_heartbeats(self, handle: _WorkerHandle) -> bool:
         """Non-blocking heartbeat drain (the supervisor's read path).
         Returns False when the pipe hit EOF -- the worker is gone even
         if the kernel has not reaped the process yet."""
@@ -691,343 +378,99 @@ class ProcessShardExecutor:
                 return False
             if message.get("kind") == "heartbeat":
                 handle.last_beat = time.monotonic()
-                handle.last_status = message.get("status", {})
 
-    def _dead_status(self, handle: _WorkerHandle) -> WorkerStatus:
-        """Status for a dead worker from its group's *registered* state
-        -- it must show up lagging, never silently absent."""
-        self.feed.refresh()
-        ends = self.feed.end_offsets()
-        point = self.feed.recovery_points().get(handle.group)
-        committed = dict(point.committed) if point is not None else {}
-        topics = point.topics if point is not None else None
-        lag = sum(
-            max(end - committed.get(name, 0), 0)
-            for name, end in ends.items()
-            if topics is None or name in topics
-        )
-        last = handle.last_status
-        return WorkerStatus(
-            index=handle.index,
-            group=handle.group,
-            pid=handle.process.pid,
-            alive=False,
-            ready=False,
-            lag=lag,
-            edges=int(last.get("edges", 0)),
-            committed=committed,
-            owned=tuple(self.plan.shards[handle.index].owned),
-            restore_mode=str(last.get("restore_mode", "replay")),
-            applied_records=dict(last.get("applied_records", {})),
-            respawns=handle.respawns,
-            exitcode=handle.process.exitcode,
-        )
+    def _hung(self, handle: _WorkerHandle) -> bool:
+        return time.monotonic() - handle.last_beat > self.heartbeat_timeout
 
-    # -------------------------------------------------------------- status
-
-    def status(self) -> list[WorkerStatus]:
-        """Live per-worker status over the control channel; dead
-        workers are reported lagging from their registered offsets."""
-        rows: list[WorkerStatus] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            try:
-                payload = self._request(handle, "status")
-            except ExecutorError:
-                rows.append(self._dead_status(handle))
-                continue
-            assert isinstance(payload, dict)
-            rows.append(
-                WorkerStatus(
-                    index=index,
-                    group=handle.group,
-                    pid=int(payload["pid"]),
-                    alive=True,
-                    ready=bool(payload["ready"]),
-                    lag=int(payload["lag"]),
-                    edges=int(payload["edges"]),
-                    committed=dict(payload["committed"]),
-                    owned=tuple(payload["owned"]),
-                    restore_mode=str(payload["restore_mode"]),
-                    applied_records=dict(payload["applied_records"]),
-                    respawns=handle.respawns,
-                    exitcode=None,
-                )
-            )
-        return rows
-
-    @property
-    def lag(self) -> int:
-        """Pending records across all workers (dead ones included)."""
-        return sum(row.lag for row in self.status())
-
-    def drain(self, timeout: Optional[float] = None) -> list[WorkerStatus]:
-        """Ask every worker to sync until its lag is zero.  With a
-        quiescent, flushed writer the workers then sit at an aligned
-        cut.  Returns their statuses at the cut.
-
-        Raises:
-            ExecutorError: when a worker is dead or hangs past the
-                timeout -- run :meth:`supervise` and retry.
-        """
-        rows: list[WorkerStatus] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            payload = self._request(handle, "drain", timeout=timeout)
-            assert isinstance(payload, dict)
-            rows.append(
-                WorkerStatus(
-                    index=index,
-                    group=handle.group,
-                    pid=int(payload["pid"]),
-                    alive=True,
-                    ready=bool(payload["ready"]),
-                    lag=int(payload["lag"]),
-                    edges=int(payload["edges"]),
-                    committed=dict(payload["committed"]),
-                    owned=tuple(payload["owned"]),
-                    restore_mode=str(payload["restore_mode"]),
-                    applied_records=dict(payload["applied_records"]),
-                    respawns=handle.respawns,
-                    exitcode=None,
-                )
-            )
-        return rows
-
-    def merged_graph(self) -> ConflictHypergraph:
-        """The merged shard view, assembled from the workers' graphs
-        over the control channel (workers still deferred contribute
-        nothing)."""
-        graphs: list[ConflictHypergraph] = []
-        for index in sorted(self._handles):
-            value = self._request(self._handles[index], "graph")
-            if value is not None:
-                assert isinstance(value, ConflictHypergraph)
-                graphs.append(value)
-        return merge_graphs(graphs, self.plan.constraint_names)
-
-    def checkpoint(self) -> None:
-        """Checkpoint every worker's shard at its committed cut."""
-        for index in sorted(self._handles):
-            self._request(self._handles[index], "checkpoint")
-
-    # ------------------------------------------------------------- handoff
-
-    def handoff(
-        self,
-        topic: str,
-        to: int,
-        on_step: Optional[Callable[[str], None]] = None,
-    ) -> HandoffReport:
-        """Move ``topic``'s ownership between live worker processes.
-
-        The five-step protocol of
-        :meth:`~repro.conflicts.shard.ShardCoordinator.handoff`, driven
-        over the control channel; step 2 (``granted``) persists the new
-        assignment to ``shards.json`` -- the commit point.  A crash at
-        any step converges after :meth:`supervise`: the packets pin the
-        suffix, the registrations carry each worker's durable half, and
-        respawned workers reconcile against the persisted plan.
-
-        Raises:
-            ExecutorError: unknown topic / worker index, or a worker
-                died mid-protocol (supervise and re-check; the handoff
-                itself needs no retry once ``granted`` was reached).
-        """
-        step = on_step if on_step is not None else (lambda name: None)
-        name = str(topic).lower()
-        if name not in self.plan.topic_owner:
-            raise ExecutorError(f"unknown topic {name!r}")
-        if not 0 <= to < self.workers:
-            raise ExecutorError(
-                f"worker {to} out of range ({self.workers} workers)"
-            )
-        old_plan = self.plan
-        if old_plan.topic_owner[name] == to:
-            return HandoffReport(plan=old_plan, reshapes={})
-        assignment = dict(self._assignment)
-        assignment[name] = to
-        new_plan = plan_assignment(
-            self.constraints, self.workers, assignment=assignment
-        )
-        old_subs = [
-            frozenset(spec.subscribed) for spec in old_plan.shards
-        ]
-        new_subs = [
-            frozenset(spec.subscribed) for spec in new_plan.shards
-        ]
-        needed: set[str] = set()
-        for index in range(self.workers):
-            needed |= new_subs[index] - old_subs[index]
-        needed.discard(SCHEMA_TOPIC)
-        # 1) Release: the current owners export packets at their cuts.
-        for moved in sorted(needed):
-            exporter = old_plan.topic_owner.get(moved)
-            if exporter is not None and moved in old_subs[exporter]:
-                self._request(
-                    self._handles[exporter], "export", topic=moved
-                )
-        step("released")
-        # 2) Grant: persist the new assignment -- the commit point.
-        self._assignment = assignment
-        self.epoch += 1
-        self._store_ownership()
-        self.plan = new_plan
-        step("granted")
-        # 3) Adopt before 4) prune, so retention floors never gap.
-        reshapes: Dict[int, ShardReshape] = {}
-        adopters = [
-            index
-            for index in range(self.workers)
-            if new_subs[index] - old_subs[index]
-        ]
-        for index in adopters:
-            value = self._request(
-                self._handles[index],
-                "reshape",
-                spec=new_plan.shards[index],
-                plan=new_plan,
-            )
-            assert isinstance(value, ShardReshape)
-            reshapes[index] = value
-        step("adopted")
-        for index in range(self.workers):
-            if index not in adopters and (
-                new_subs[index] != old_subs[index]
-                or new_plan.shards[index] != old_plan.shards[index]
-            ):
-                value = self._request(
-                    self._handles[index],
-                    "reshape",
-                    spec=new_plan.shards[index],
-                    plan=new_plan,
-                )
-                assert isinstance(value, ShardReshape)
-                reshapes[index] = value
-        step("pruned")
-        # 5) The adopters checkpointed past their cuts; the packets are
-        #    spent.
-        for moved in sorted(needed):
-            self.feed.clear_transfer(moved)
-        step("cleared")
-        return HandoffReport(plan=new_plan, reshapes=reshapes)
-
-    def rebalance(
-        self,
-        threshold: int = 0,
-        on_step: Optional[Callable[[str], None]] = None,
-    ) -> Optional[RebalanceMove]:
-        """Trigger at most one live handoff when per-worker load skew
-        (owned-topic lag plus hypergraph edge counts, from live status)
-        exceeds ``threshold``.  Returns the move made, or None when
-        balanced (see :func:`~repro.conflicts.shard.choose_move`)."""
-        statuses = {row.index: row for row in self.status()}
-        self.feed.refresh()
-        ends = self.feed.end_offsets()
-        committed = [
-            statuses[index].committed if index in statuses else {}
-            for index in range(self.workers)
-        ]
-        edges = [
-            statuses[index].edges if index in statuses else 0
-            for index in range(self.workers)
-        ]
-        move = choose_move(
-            self.plan, committed, ends, threshold=threshold, edges=edges
-        )
-        if move is None:
-            return None
-        self.handoff(move.topic, move.target, on_step=on_step)
-        return move
-
-    def sweep_transfers(self) -> list[str]:
-        """Clear transfer packets whose adopting owner already
-        checkpointed at or past the handoff cut -- the leftovers of a
-        handoff that crashed between ``adopted`` and ``cleared``.
-        Packets still covering an un-adopted topic stay."""
-        cleared: list[str] = []
-        points = self.feed.recovery_points()
-        for name, cut in sorted(self.feed.transfers().items()):
-            owner = self._assignment.get(name)
-            if owner is None:
-                continue
-            point = points.get(f"{self.group_prefix}-{owner}")
-            if (
-                point is not None
-                and point.snapshot is not None
-                and point.snapshot.get(name, -1) >= cut
-            ):
-                self.feed.clear_transfer(name)
-                cleared.append(name)
-        return cleared
-
-    # ---------------------------------------------------------- supervisor
-
-    def kill(self, index: int) -> None:
-        """SIGKILL one worker process (the chaos suite's parent-side
-        kill switch).  The worker's group registration survives, so it
-        shows up lagging in :meth:`status` until :meth:`supervise`
-        respawns it."""
+    def alive(self, index: int) -> bool:
         handle = self._handles[index]
+        return (
+            self._drain_heartbeats(handle)
+            and handle.process.is_alive()
+            and not self._hung(handle)
+        )
+
+    def kill(self, index: int) -> str:
+        handle = self._handles[index]
+        if not handle.process.is_alive():
+            return f"exit:{handle.process.exitcode}"
+        hung = self._hung(handle)
         handle.process.kill()
         handle.process.join(5)
+        return "heartbeat-timeout" if hung else f"exit:{handle.process.exitcode}"
 
-    def supervise(self) -> list[WorkerEvent]:
-        """One supervision pass: drain heartbeats, SIGKILL hung workers
-        (no heartbeat within the timeout), respawn dead ones from their
-        last shard checkpoint, and reconcile survivors whose
-        subscriptions drifted from the plan (a handoff that died
-        mid-protocol).  Returns the actions taken."""
-        events: list[WorkerEvent] = []
+    def stop(self) -> None:
+        """Ask every live worker to stop (each checkpoints and
+        detaches), killing those that refuse within the request
+        timeout, then close the parent's feed handle."""
         for index in sorted(self._handles):
             handle = self._handles[index]
-            usable = self._drain_messages(handle)
-            alive = usable and handle.process.is_alive()
-            age = time.monotonic() - handle.last_beat
-            if alive and age <= self.heartbeat_timeout:
-                continue
-            if alive:
-                handle.process.kill()
-                handle.process.join(5)
-                reason = "heartbeat-timeout"
-            else:
-                reason = f"exit:{handle.process.exitcode}"
+            if handle.process.is_alive():
+                try:
+                    self.request(index, "stop")
+                except ExecutorError:
+                    handle.process.kill()
+            handle.process.join(5)
             handle.conn.close()
-            replacement = self._spawn(
-                index, chaos_armed=False, checkpoint_on_attach=True
-            )
-            replacement.respawns += 1
-            events.append(
-                WorkerEvent(
-                    index=index,
-                    reason=reason,
-                    respawns=replacement.respawns,
-                )
-            )
-        if events:
-            self.reconcile()
-            self.sweep_transfers()
-        return events
+        self._handles.clear()
+        self.feed.close()
 
-    def reconcile(self) -> list[int]:
-        """Reshape live workers whose subscription drifted from the
-        plan (the survivors of a handoff that died mid-protocol).
-        Returns the reshaped worker indexes."""
-        reshaped: list[int] = []
-        for index in sorted(self._handles):
-            handle = self._handles[index]
-            spec = self.plan.shards[index]
-            try:
-                payload = self._request(handle, "status")
-            except ExecutorError:
-                continue  # dead; the next supervise pass respawns it
-            assert isinstance(payload, dict)
-            target = sorted(
-                {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
-            )
-            if list(payload.get("subscribed", [])) != target:
-                self._request(
-                    handle, "reshape", spec=spec, plan=self.plan
-                )
-                reshaped.append(index)
-        return reshaped
+
+class ProcessShardExecutor(ShardCoordinator):
+    """The :class:`~repro.conflicts.shard.ShardCoordinator` over a
+    :class:`PipeTransport`: one OS process per shard worker, with the
+    coordinator's supervision, live topic handoff and lag-driven
+    rebalancing.  Only the constructor differs -- every protocol method
+    is the coordinator's.
+
+    Args:
+        directory: the durable feed directory; workers attach to it by
+            path with their own reader instances.
+        constraints: the full constraint set.
+        workers: worker-process count.  Ignored when ``shards.json``
+            already exists in the directory -- the persisted ownership
+            (its worker count and group prefix included) is
+            authoritative on re-attach.
+        relations / assignment: initial plan inputs (see
+            :func:`~repro.conflicts.shard.plan_assignment`); ignored on
+            re-attach for the same reason.
+        group_prefix: consumer groups are named ``{prefix}-{index}``.
+        mp_context: ``"spawn"`` (default; the production shape) or
+            ``"fork"`` (cheap starts for respawn-heavy test schedules).
+        heartbeat_timeout: a live process silent this long is declared
+            hung, SIGKILLed and respawned by ``supervise()``.
+        request_timeout: parent-side deadline per control request
+            (covers bootstrap: the first request blocks until the
+            worker finishes attaching).
+        fault_hooks: ``{worker index: hook(phase, topic)}``, each a
+            picklable callable bound to that worker's crash-phase seam
+            at first spawn only (respawns come up clean).
+    """
+
+    def __init__(
+        self,
+        directory: str | os.PathLike,
+        constraints: Iterable[object],
+        workers: int = 2,
+        relations: Iterable[str] = (),
+        assignment: Optional[Dict[str, int]] = None,
+        group_prefix: str = "shard",
+        mp_context: str = "spawn",
+        heartbeat_timeout: float = 10.0,
+        request_timeout: float = 60.0,
+        fault_hooks: Optional[Mapping[int, FaultHook]] = None,
+    ) -> None:
+        self._open(
+            PipeTransport(
+                directory,
+                mp_context,
+                heartbeat_timeout,
+                request_timeout,
+                fault_hooks or {},
+            ),
+            constraints,
+            workers,
+            relations,
+            assignment,
+            group_prefix,
+        )

@@ -356,8 +356,8 @@ class ReplicaHypergraph:
         the pipeline (``"apply"`` after records hit the database but
         before the offset commit, ``"checkpoint"`` just before the
         snapshot store, and the shard handoff phases ``"release"`` /
-        ``"adopt"``).  A no-op here; the process executor's chaos layer
-        overrides it to SIGKILL the worker at an armed phase, so the
+        ``"adopt"``).  A no-op here; the pipe transport rebinds it per
+        worker process to a caller-supplied fault hook, so the
         fault-injection suite can pin recovery at every boundary."""
         return None
 

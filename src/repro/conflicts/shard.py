@@ -33,17 +33,23 @@ body mentions.  So:
   exactly the way the writer checkpoints the whole database -- its
   retention floor pins only its subscribed topics.
 
-* :func:`merge_graphs` / :class:`MergedHypergraph` union the shard
-  graphs back into one view: duplicate edges (the same violation
-  derived by constraints on two workers) are deduplicated by edge key
-  with the label resolved by global constraint order, and subsumption
-  is re-checked -- only across shard boundaries, since each shard
-  graph is already minimal among its own edges.
+* :func:`merge_graphs` unions the shard graphs back into one view:
+  duplicate edges (the same violation derived by constraints on two
+  workers) are deduplicated by edge key with the label resolved by
+  global constraint order, and subsumption is re-checked -- only
+  across shard boundaries, since each shard graph is already minimal
+  among its own edges.
 
-* :class:`ShardCoordinator` owns the plan and the workers, drains them,
-  assembles a full database from the workers' owned slices, and hands
-  :class:`~repro.core.hippo.HippoEngine` a merged view so consistent
-  query answering runs off the shards transparently.
+* :class:`ShardCoordinator` is the *one* orchestrator: it owns the
+  plan and the ownership map, drives the five-step topic handoff,
+  rebalances, supervises, merges the shard graphs, assembles a full
+  database from the workers' owned slices, and hands
+  :class:`~repro.core.hippo.HippoEngine` the merged view so consistent
+  query answering runs off the shards transparently.  It reaches its
+  workers only through a :class:`WorkerTransport` -- requests against
+  the op table :func:`serve` -- so the same state machine runs over
+  in-process workers (:class:`LocalTransport`, here) and one OS process
+  per worker (:class:`~repro.conflicts.executor.PipeTransport`).
 
 The maintained invariant -- pinned by
 ``tests/property/test_shard_equivalence.py`` -- is that at every
@@ -55,14 +61,17 @@ cross-shard edge produced exactly once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Iterable,
     Mapping,
     Optional,
+    Protocol,
     Sequence,
 )
 
@@ -74,9 +83,9 @@ from repro.constraints.foreign_key import (
     topological_fk_order,
 )
 from repro.engine.database import Database
-from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
+from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, GroupRecovery
 from repro.engine.snapshot import restore_database, snapshot_database
-from repro.errors import CatalogError, ConstraintError, FeedError
+from repro.errors import CatalogError, ConstraintError, ExecutorError, FeedError
 
 if TYPE_CHECKING:
     from repro.core.hippo import HippoEngine
@@ -206,10 +215,10 @@ class ShardReshape:
 class ShardStatus:
     """One worker's row in :meth:`ShardCoordinator.status`.
 
-    A worker whose consumer is closed or abandoned (it died somewhere
-    in the apply/commit/checkpoint pipeline) is reported with
-    ``alive=False`` and its lag computed from the group's *registered*
-    offsets -- lagging, never silently absent."""
+    A dead worker (its process exited, its consumer was abandoned, or
+    the request failed) is reported with ``alive=False`` and its lag
+    computed from the group's *registered* offsets against the feed
+    end -- lagging, never silently absent."""
 
     index: int
     group: str
@@ -219,6 +228,42 @@ class ShardStatus:
     edges: int
     owned: tuple[str, ...]
     committed: dict[str, int]
+    subscribed: tuple[str, ...] = ()
+    pid: Optional[int] = None
+    restore_mode: str = "replay"
+    applied_records: dict[str, int] = field(default_factory=dict)
+    respawns: int = 0
+
+
+@dataclass(frozen=True)
+class WorkerEvent:
+    """One supervision action: why a worker was restarted."""
+
+    index: int
+    reason: str
+    respawns: int
+
+
+@dataclass(frozen=True)
+class HandoffReport:
+    """What one :meth:`ShardCoordinator.handoff` did: the new plan plus
+    each reshaped worker's :class:`ShardReshape` (the adopting entries
+    carry the resume cuts for the no-re-bootstrap assertion)."""
+
+    plan: ShardPlan
+    reshapes: Dict[int, ShardReshape]
+
+
+@dataclass(frozen=True)
+class Ownership:
+    """The topic -> worker assignment a transport may persist
+    (``shards.json``).  ``group_prefix`` names the worker groups
+    (``{prefix}-{index}``) so an operator view can match them exactly."""
+
+    workers: int
+    owner: dict[str, int]
+    epoch: int
+    group_prefix: str = "shard"
 
 
 @dataclass(frozen=True)
@@ -249,8 +294,8 @@ def choose_move(
     owned topics; the move minimizing the resulting skew wins (ties
     break on topic name), and None is returned when the skew is within
     threshold or no single move strictly improves it.  Pure and
-    deterministic, so the in-process coordinator, the process executor
-    and the CLI's dry-run advisor all agree on the same move.
+    deterministic, so the coordinator and the CLI's dry-run advisor
+    agree on the same move.
     """
     workers = len(plan.shards)
     if workers < 2:
@@ -455,42 +500,6 @@ def merge_graphs(
     return merged
 
 
-class MergedHypergraph:
-    """A live union view over a set of shard workers' graphs.
-
-    Recomputed from the current shard graphs on every access, so worker
-    syncs, retractions and cross-boundary resurrections are always
-    reflected; workers whose detection is still deferred (constraint
-    tables not replicated yet) contribute nothing.
-    """
-
-    def __init__(
-        self,
-        workers: Sequence["ShardWorker"],
-        constraint_names: Sequence[str] = (),
-    ) -> None:
-        self.workers = workers
-        self.constraint_names = tuple(constraint_names)
-
-    @property
-    def graph(self) -> ConflictHypergraph:
-        """The merged graph, rebuilt from the shard graphs *now*.
-
-        Never cached: each access re-merges, so it is always consistent
-        with the workers' latest synced cuts (callers wanting a stable
-        view across several reads should bind the property once).
-        """
-        return merge_graphs(
-            (worker.graph for worker in self.workers if worker.ready),
-            self.constraint_names,
-        )
-
-    def as_dict(self) -> dict[frozenset[Vertex], str]:
-        """Edge -> constraint-name mapping of the merged graph (built
-        fresh per call, like :attr:`graph`)."""
-        return self.graph.as_dict()
-
-
 class ShardWorker(ReplicaHypergraph):
     """One consumer group maintaining one shard of the hypergraph.
 
@@ -511,8 +520,6 @@ class ShardWorker(ReplicaHypergraph):
         plan: ShardPlan,
         group: Optional[str] = None,
         snapshots: bool = True,
-        checkpoint_records: Optional[int] = None,
-        batch_apply: bool = True,
         bootstrap: str = "replay",
     ) -> None:
         self.spec = spec
@@ -521,10 +528,8 @@ class ShardWorker(ReplicaHypergraph):
             spec.constraints,
             group=group if group is not None else f"shard-{spec.index}",
             snapshots=snapshots,
-            checkpoint_records=checkpoint_records,
             topics=spec.subscribed,
             extra_referenced=plan.referenced,
-            batch_apply=batch_apply,
             bootstrap=bootstrap,
         )
 
@@ -567,7 +572,9 @@ class ShardWorker(ReplicaHypergraph):
         the releasing worker's state at the handoff cut, restored
         directly into the partial database -- so only the retained
         suffix past the cut replays through ordinary syncs: no full
-        re-bootstrap.  (With no packet pending, a new topic replays
+        re-bootstrap.  The worker first drains what it already
+        subscribes, so the restored catalog never runs ahead of its
+        ``_schema`` position.  (With no packet pending, a new topic replays
         its retained history from offset 0.)  Topics dropped from the
         subscription release their rows and their retention hold.  The
         worker's constraint slice and detector are rebuilt for the new
@@ -588,6 +595,13 @@ class ShardWorker(ReplicaHypergraph):
         )
         added = sorted(new_topics - old_topics)
         dropped = sorted(old_topics - new_topics)
+        if added:
+            # Adopt from a caught-up position.  A packet restores the
+            # releasing worker's whole catalog; an adopter still behind
+            # on ``_schema`` would then replay CREATE TABLE records for
+            # tables the packet already brought, and die on each retry.
+            while self.lag:
+                self.sync()
         self.feed.refresh()
         starts = {t.name: t.start for t in self.feed.topics()}
         ends = self.feed.end_offsets()
@@ -651,6 +665,183 @@ class ShardWorker(ReplicaHypergraph):
             table.delete(tid)
 
 
+def _status_payload(worker: ShardWorker) -> dict[str, Any]:
+    """The worker-side fields of a :class:`ShardStatus` row."""
+    return {
+        "group": worker.group,
+        "pid": os.getpid(),
+        "ready": worker.ready,
+        "lag": worker.lag,
+        "edges": len(worker.graph.edges) if worker.ready else 0,
+        "committed": worker.committed,
+        "owned": worker.spec.owned,
+        "subscribed": tuple(sorted(worker.topics or ())),
+        "restore_mode": worker.restore_mode,
+        "applied_records": dict(worker.applied_records),
+    }
+
+
+def serve(worker: ShardWorker, op: str, **payload: Any) -> Any:
+    """The worker op table: what a coordinator can ask of one worker.
+
+    Every transport dispatches here -- the local one by calling it, the
+    pipe one from the worker process's control loop -- so both shapes
+    run the same operations against the same :class:`ShardWorker`
+    methods (looked up on the instance: the per-layer tracer shims
+    ``ShardWorker.sync``).
+
+    Raises:
+        ExecutorError: for an op outside the table.
+    """
+    if op == "status":
+        return _status_payload(worker)
+    if op == "sync":
+        return worker.sync(payload.get("limit"))
+    if op == "drain":
+        records = 0
+        while worker.lag:
+            records += worker.sync().records
+        return records
+    if op == "checkpoint":
+        worker.checkpoint()
+        return worker.committed
+    if op == "export":
+        return worker.export_topic(str(payload["topic"]))
+    if op == "reshape":
+        return worker.reshape(payload["spec"], payload["plan"])
+    if op == "graph":
+        return worker.graph if worker.ready else None
+    if op == "slice":
+        # The rows this worker is authoritative for (foreign
+        # subscriptions are read-only copies).
+        return snapshot_database(worker.db, tables=worker.spec.owned)
+    if op == "stop":
+        worker.close()
+        return None
+    raise ExecutorError(f"unknown control op {op!r}")
+
+
+class WorkerTransport(Protocol):
+    """How a :class:`ShardCoordinator` reaches its workers.
+
+    The coordinator never touches a worker directly: it starts one per
+    plan slice, sends it ops from the :func:`serve` table, asks whether
+    it is alive, kills it, and stops them all.  A transport also holds
+    the coordinator-side feed handle and says whether (and where) the
+    ownership map is persisted.
+    """
+
+    @property
+    def feed(self) -> ChangeFeed:
+        """The coordinator-side handle on the sharded feed."""
+
+    @property
+    def workers(self) -> Sequence[ShardWorker]:
+        """The in-process worker objects, by index (empty when the
+        workers live in other processes)."""
+
+    def ownership(self) -> Optional[Ownership]:
+        """The persisted ownership map, or None when this transport
+        keeps none (then the constructor arguments seed the plan)."""
+
+    def grant(self, ownership: Ownership) -> None:
+        """Commit ``ownership`` -- the handoff's step 2.  Must be
+        atomic and durable where the transport persists it at all."""
+
+    def start(
+        self, spec: ShardSpec, plan: ShardPlan, group: str, respawn: bool = False
+    ) -> None:
+        """Start (or, after a death, re-attach) worker ``spec.index``
+        from its group's durable state."""
+
+    def request(self, index: int, op: str, **payload: Any) -> Any:
+        """Run one :func:`serve` op on a worker and return its value.
+
+        Raises:
+            ExecutorError: when the worker is dead, dies or hangs
+                mid-request, or (out of process) the op failed.
+        """
+
+    def alive(self, index: int) -> bool:
+        """Whether the worker is running and responsive."""
+
+    def kill(self, index: int) -> str:
+        """Kill the worker *without* deregistering its group -- the
+        registration (offsets, subscription, retention floor) survives
+        as after a crash.  Idempotent; returns why the worker is down
+        (the supervision event's reason)."""
+
+    def stop(self) -> None:
+        """Stop every worker cleanly (each checkpoints and detaches)
+        and release what the transport itself opened."""
+
+
+class LocalTransport:
+    """Workers as :class:`ShardWorker` objects in this process, all
+    attached to the caller's feed instance (never closed here -- the
+    caller owns it).  Persists no ownership map: the in-process shape
+    leaves nothing on disk beyond the workers' own registrations."""
+
+    def __init__(self, feed: ChangeFeed, snapshots: bool = True) -> None:
+        self.feed = feed
+        self.workers: list[ShardWorker] = []
+        self._snapshots = snapshots
+
+    def ownership(self) -> Optional[Ownership]:
+        """None: nothing is persisted, the constructor seeds the plan."""
+        return None
+
+    def grant(self, ownership: Ownership) -> None:
+        """A no-op: the coordinator's in-memory plan swap is the commit."""
+
+    def start(
+        self, spec: ShardSpec, plan: ShardPlan, group: str, respawn: bool = False
+    ) -> None:
+        """Attach a fresh worker under ``group``; it bootstraps from
+        the group's registration (snapshot / committed cut)."""
+        worker = ShardWorker(
+            self.feed, spec, plan, group=group, snapshots=self._snapshots
+        )
+        if spec.index < len(self.workers):
+            self.workers[spec.index] = worker
+        else:
+            self.workers.append(worker)
+
+    def request(self, index: int, op: str, **payload: Any) -> Any:
+        """Run the op synchronously; worker-side errors propagate as
+        raised.
+
+        Raises:
+            ExecutorError: when the worker was killed.
+        """
+        if not self.alive(index):
+            raise ExecutorError(f"worker {index} is dead (cannot serve {op!r})")
+        return serve(self.workers[index], op, **payload)
+
+    def alive(self, index: int) -> bool:
+        """Whether the worker's consumer is still attached."""
+        return not self.workers[index]._consumer.closed
+
+    def kill(self, index: int) -> str:
+        """Abandon the worker's consumer -- abandoned, not closed: the
+        registration survives exactly as if a process had been killed,
+        so a failed re-attach still shows the group lagging instead of
+        vanishing.  (In-memory feeds have no registration to resume
+        from; there the consumer deregisters and a restart replays from
+        the beginning.)"""
+        consumer = self.workers[index]._consumer
+        if self.feed.durable:
+            consumer.abandon()
+        else:
+            consumer.close()
+        return "abandoned"
+
+    def stop(self) -> None:
+        """Close every worker; the caller's feed stays open."""
+        for worker in self.workers:
+            serve(worker, "stop")
+
+
 class ShardCoordinator:
     """Plans the assignment, runs the workers, merges the shards.
 
@@ -659,8 +850,7 @@ class ShardCoordinator:
             :class:`~repro.engine.feed.ChangeFeed` instance on the
             writer's directory (the coordinator never closes it; the
             caller owns it).  All workers attach to this instance under
-            their own consumer groups, so they also run one-per-process
-            against separate reader instances unchanged.
+            their own consumer groups.
         constraints: the full constraint set (split across workers by
             the plan).
         workers: number of shard workers.
@@ -670,7 +860,14 @@ class ShardCoordinator:
         assignment: explicit relation -> worker pinning (see
             :func:`plan_assignment`).
         group_prefix: consumer groups are named ``{prefix}-{index}``.
-        snapshots / checkpoint_records: forwarded to every worker.
+        snapshots: forwarded to every worker.
+
+    This constructor runs the workers in-process (a
+    :class:`LocalTransport`);
+    :class:`~repro.conflicts.executor.ProcessShardExecutor` builds the
+    same coordinator over one OS process per worker.  Either way it
+    returns once every worker finished bootstrapping and any transfer
+    packets a crashed previous run left behind are swept.
     """
 
     def __init__(
@@ -682,142 +879,187 @@ class ShardCoordinator:
         assignment: Optional[Dict[str, int]] = None,
         group_prefix: str = "shard",
         snapshots: bool = True,
-        checkpoint_records: Optional[int] = None,
     ) -> None:
-        self.feed = feed
-        self.constraints = list(constraints)
-        self._snapshots = snapshots
-        self._checkpoint_records = checkpoint_records
-        feed.refresh()
-        discovered = [
-            t.name for t in feed.topics() if t.name != SCHEMA_TOPIC
-        ]
-        self.plan = plan_assignment(
-            self.constraints,
+        self._open(
+            LocalTransport(feed, snapshots),
+            constraints,
             workers,
-            relations=[*discovered, *relations],
-            assignment=assignment,
+            relations,
+            assignment,
+            group_prefix,
         )
-        self.workers: list[ShardWorker] = [
-            ShardWorker(
-                feed,
-                spec,
-                self.plan,
-                group=f"{group_prefix}-{spec.index}",
-                snapshots=snapshots,
-                checkpoint_records=checkpoint_records,
+
+    def _open(
+        self,
+        transport: WorkerTransport,
+        constraints: Iterable[object],
+        workers: int,
+        relations: Iterable[str],
+        assignment: Optional[Dict[str, int]],
+        group_prefix: str,
+    ) -> None:
+        self.transport = transport
+        self.feed = transport.feed
+        self.constraints = list(constraints)
+        self._closed = False
+        try:
+            self.feed.refresh()
+            discovered = [
+                t.name for t in self.feed.topics() if t.name != SCHEMA_TOPIC
+            ]
+            # A persisted map -- not the constructor arguments -- is
+            # authoritative on re-attach; topics discovered since are
+            # assigned around it.
+            persisted = transport.ownership()
+            seed = persisted or Ownership(
+                workers, dict(assignment or {}), 0, group_prefix
             )
+            self.group_prefix, self.epoch = seed.group_prefix, seed.epoch
+            self.plan = plan_assignment(
+                self.constraints,
+                seed.workers,
+                relations=[*discovered, *(() if persisted else relations)],
+                assignment=seed.owner,
+            )
+            self._respawns = [0] * seed.workers
+            if persisted is None or persisted.owner != self.plan.topic_owner:
+                transport.grant(self._ownership(self.plan, self.epoch))
+            for spec in self.plan.shards:
+                transport.start(spec, self.plan, self._group(spec.index))
+            self.status()  # block until every worker bootstrapped
+            self.sweep_transfers()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "ShardCoordinator":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop every worker (checkpointing durable shards).  A feed the
+        caller passed in stays open -- the caller owns it."""
+        if not self._closed:
+            self._closed = True
+            self.transport.stop()
+
+    def _group(self, index: int) -> str:
+        return f"{self.group_prefix}-{index}"
+
+    def _ownership(self, plan: ShardPlan, epoch: int) -> Ownership:
+        return Ownership(
+            workers=len(plan.shards),
+            owner=dict(plan.topic_owner),
+            epoch=epoch,
+            group_prefix=self.group_prefix,
+        )
+
+    def _each(self, op: str, **payload: Any) -> list[Any]:
+        """One request per worker, in index order; the values."""
+        return [
+            self.transport.request(spec.index, op, **payload)
             for spec in self.plan.shards
         ]
-        self.merged = MergedHypergraph(self.workers, self.plan.constraint_names)
 
     # ------------------------------------------------------------- running
 
     @property
-    def lag(self) -> int:
-        """Feed records pending across all shards."""
-        return sum(worker.lag for worker in self.workers)
+    def workers(self) -> Sequence[ShardWorker]:
+        """The in-process worker objects (see
+        :attr:`WorkerTransport.workers`)."""
+        return self.transport.workers
 
     @property
-    def ready(self) -> bool:
-        """Whether every worker maintains a graph (none deferred)."""
-        return all(worker.ready for worker in self.workers)
+    def lag(self) -> int:
+        """Feed records pending across all shards (dead workers
+        included, from their registered offsets)."""
+        return sum(row.lag for row in self.status())
 
     @property
     def graph(self) -> ConflictHypergraph:
-        """The merged shard view (see :class:`MergedHypergraph`)."""
-        return self.merged.graph
+        """The merged shard view, rebuilt from the shard graphs *now*.
+
+        Never cached: each access re-merges (see :func:`merge_graphs`),
+        so worker syncs, retractions and cross-boundary resurrections
+        are always reflected; workers whose detection is still deferred
+        (constraint tables not replicated yet) contribute nothing.
+        Callers wanting a stable view across several reads should bind
+        the property once.
+        """
+        return merge_graphs(
+            (graph for graph in self._each("graph") if graph is not None),
+            self.plan.constraint_names,
+        )
 
     def sync(self, limit: Optional[int] = None) -> list[ReplicaSync]:
         """One bounded sync per worker (round-robin fairness)."""
-        return [worker.sync(limit) for worker in self.workers]
+        return self._each("sync", limit=limit)
 
     def drain(self) -> int:
         """Sync every worker until its lag is zero; returns records
         consumed.  After a drain the shards sit at an *aligned* cut --
         the precondition for comparing the merged view against a
-        monolith (the writer must be quiescent and flushed)."""
-        total = 0
-        for worker in self.workers:
-            while worker.lag:
-                total += worker.sync().records
-        return total
+        monolith (the writer must be quiescent and flushed).
+
+        Raises:
+            ExecutorError: when a worker is dead or hangs -- run
+                :meth:`supervise` and retry.
+        """
+        return sum(self._each("drain"))
 
     def checkpoint(self) -> None:
         """Checkpoint every worker's shard at its committed cut."""
-        for worker in self.workers:
-            worker.checkpoint()
+        self._each("checkpoint")
 
     def status(self) -> list[ShardStatus]:
         """Live per-worker status, dead workers included.
 
-        A worker whose consumer is closed or abandoned -- it died
-        somewhere between applying records, committing and
-        checkpointing -- must show up *lagging* (its group's registered
-        offsets against the feed end), never silently absent or
-        caught-up-at-zero: an operator reading this view decides what
-        to restart from it.
+        A worker that died somewhere between applying records,
+        committing and checkpointing must show up *lagging* (its
+        group's registered offsets against the feed end), never
+        silently absent or caught-up-at-zero: an operator reading this
+        view decides what to restart from it.
         """
-        self.feed.refresh()
-        ends = self.feed.end_offsets()
-        registered = self.feed.recovery_points()
         rows: list[ShardStatus] = []
-        for worker in self.workers:
-            alive = not worker._consumer.closed
-            if alive:
-                lag = worker.lag
-                committed = worker._consumer.committed
-            else:
-                point = registered.get(worker.group)
-                committed = dict(point.committed) if point else {}
-                topics = point.topics if point else worker.topics
-                lag = sum(
-                    max(end - committed.get(name, 0), 0)
-                    for name, end in ends.items()
-                    if topics is None or name in topics
-                )
+        for spec in self.plan.shards:
+            index = spec.index
+            try:
+                live = self.transport.request(index, "status")
+            except ExecutorError:
+                rows.append(self._dead_status(spec))
+                continue
             rows.append(
                 ShardStatus(
-                    index=worker.spec.index,
-                    group=worker.group,
-                    alive=alive,
-                    ready=worker.ready,
-                    lag=lag,
-                    edges=len(worker.graph.edges) if worker.ready else 0,
-                    owned=worker.spec.owned,
-                    committed=committed,
+                    index=index,
+                    alive=True,
+                    respawns=self._respawns[index],
+                    **live,
                 )
             )
         return rows
 
-    def restart(self, index: int) -> ShardWorker:
-        """Kill one worker and re-attach it from its durable state.
-
-        The old worker's consumer is *abandoned*, not closed: its group
-        registration -- committed offsets, subscription, retention
-        floor -- survives exactly as if the process had been killed, so
-        if the re-attach itself fails the group still shows up lagging
-        in :meth:`status` and the ``.feed`` view instead of vanishing.
-        (In-memory feeds have no registration to resume from; there the
-        old consumer deregisters and the fresh worker replays from the
-        beginning, as before.)  The fresh worker bootstraps from the
-        group's snapshot / committed cut and resumes.  Returns the
-        replacement.
-        """
-        old = self.workers[index]
-        if self.feed.durable:
-            old._consumer.abandon()
-        else:
-            old._consumer.close()
-        self.workers[index] = ShardWorker(
-            self.feed,
-            self.plan.shards[index],
-            self.plan,
-            group=old.group,
-            snapshots=self._snapshots,
-            checkpoint_records=self._checkpoint_records,
+    def _dead_status(self, spec: ShardSpec) -> ShardStatus:
+        """Status for a dead worker from its group's *registered*
+        state (what it subscribed and committed before it died)."""
+        group = self._group(spec.index)
+        self.feed.refresh()
+        point = self.feed.recovery_points().get(group) or GroupRecovery(
+            group, {}, topics=frozenset(spec.subscribed)
         )
-        return self.workers[index]
+        return ShardStatus(
+            index=spec.index,
+            group=group,
+            alive=False,
+            ready=False,
+            lag=point.lag(self.feed.end_offsets()),
+            edges=0,
+            owned=spec.owned,
+            committed=dict(point.committed),
+            subscribed=tuple(sorted(point.topics or ())),
+            respawns=self._respawns[spec.index],
+        )
 
     # ------------------------------------------------------------- handoff
 
@@ -826,7 +1068,7 @@ class ShardCoordinator:
         topic: str,
         to: int,
         on_step: Optional[Callable[[str], None]] = None,
-    ) -> ShardPlan:
+    ) -> HandoffReport:
         """Move ``topic``'s ownership to worker ``to``, live.
 
         The five-step protocol (each step leaves a recoverable state;
@@ -835,8 +1077,9 @@ class ShardCoordinator:
 
         1. ``released`` -- the owning worker checkpoints the topic into
            a transfer packet at its committed cut (it keeps serving).
-        2. ``granted``  -- the coordinator commits the new ownership
-           (here: the plan swap; the process executor persists it).
+        2. ``granted``  -- the coordinator commits the new ownership:
+           the plan swap, which the transport persists where it keeps
+           an ownership manifest.  The commit point.
         3. ``adopted``  -- workers gaining topics resubscribe: restore
            the packet at the cut, pin their floors, re-detect,
            checkpoint.
@@ -847,28 +1090,34 @@ class ShardCoordinator:
         Constraints follow their anchor relations: the new plan is
         recomputed with the full ownership map pinned, so cross-shard
         flags, foreign subscriptions and each worker's constraint slice
-        all move consistently.  Returns the new plan.
+        all move consistently.  A worker death at any step converges
+        after :meth:`supervise`: the packets pin the suffix, the
+        registrations carry each worker's durable half, and restarted
+        workers reconcile against the committed plan.
 
         Raises:
             ConstraintError: for an unknown topic or worker index.
+            ExecutorError: when a worker died mid-protocol (supervise
+                and re-check; the handoff itself needs no retry once
+                ``granted`` was reached).
         """
         name = str(topic).lower()
+        count = len(self.plan.shards)
         if name not in self.plan.topic_owner:
             raise ConstraintError(f"unknown topic {name!r}")
-        if not 0 <= to < len(self.workers):
+        if not 0 <= to < count:
             raise ConstraintError(
-                f"worker {to} out of range (plan has"
-                f" {len(self.workers)} workers)"
+                f"worker {to} out of range (plan has {count} workers)"
             )
-        if self.plan.topic_owner[name] == to:
-            return self.plan
-        assignment = dict(self.plan.topic_owner)
-        assignment[name] = to
-        new_plan = plan_assignment(
-            self.constraints, len(self.workers), assignment=assignment
-        )
-        self._transition(new_plan, on_step or (lambda step: None))
-        return self.plan
+        reshapes: Dict[int, ShardReshape] = {}
+        if self.plan.topic_owner[name] != to:
+            assignment = dict(self.plan.topic_owner)
+            assignment[name] = to
+            new_plan = plan_assignment(
+                self.constraints, count, assignment=assignment
+            )
+            reshapes = self._transition(new_plan, on_step or (lambda step: None))
+        return HandoffReport(plan=self.plan, reshapes=reshapes)
 
     def rebalance(
         self,
@@ -877,51 +1126,44 @@ class ShardCoordinator:
     ) -> Optional[RebalanceMove]:
         """Trigger at most one ownership move when per-worker load skew
         (pending records over owned topics, plus hypergraph edge
-        counts) exceeds ``threshold``.  Returns the move made, or None
-        when the shards are balanced (see :func:`choose_move`)."""
+        counts, from live status) exceeds ``threshold``.  Returns the
+        move made, or None when the shards are balanced (see
+        :func:`choose_move`)."""
+        rows = self.status()
         self.feed.refresh()
-        ends = self.feed.end_offsets()
-        committed = [worker._consumer.committed for worker in self.workers]
-        edges = [
-            len(worker.graph.edges) if worker.ready else 0
-            for worker in self.workers
-        ]
         move = choose_move(
-            self.plan, committed, ends, threshold=threshold, edges=edges
+            self.plan,
+            [row.committed for row in rows],
+            self.feed.end_offsets(),
+            threshold=threshold,
+            edges=[row.edges for row in rows],
         )
-        if move is None:
-            return None
-        self.handoff(move.topic, move.target, on_step=on_step)
+        if move is not None:
+            self.handoff(move.topic, move.target, on_step=on_step)
         return move
 
     def _transition(
         self, new_plan: ShardPlan, on_step: Callable[[str], None]
-    ) -> None:
+    ) -> Dict[int, ShardReshape]:
         """Drive every worker from the current plan to ``new_plan``
         through the handoff protocol (see :meth:`handoff`)."""
         old_plan = self.plan
-        count = len(self.workers)
-        old_subs = [
-            frozenset(worker.topics or ()) for worker in self.workers
-        ]
-        new_subs = [
-            frozenset(
-                {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
-            )
-            for spec in new_plan.shards
-        ]
+        old_subs = [frozenset(spec.subscribed) for spec in old_plan.shards]
+        new_subs = [frozenset(spec.subscribed) for spec in new_plan.shards]
         needed: set[str] = set()
-        for index in range(count):
-            needed |= new_subs[index] - old_subs[index]
+        for old, new in zip(old_subs, new_subs):
+            needed |= new - old
         needed.discard(SCHEMA_TOPIC)
         # 1) Release: every topic someone must acquire gets a transfer
         #    packet from the worker currently serving it as owner.
         for name in sorted(needed):
             exporter = old_plan.topic_owner.get(name)
             if exporter is not None and name in old_subs[exporter]:
-                self.workers[exporter].export_topic(name)
+                self.transport.request(exporter, "export", topic=name)
         on_step("released")
-        # 2) Grant: the plan swap is the in-process ownership commit.
+        # 2) Grant: the ownership commit.
+        self.transport.grant(self._ownership(new_plan, self.epoch + 1))
+        self.epoch += 1
         self.plan = new_plan
         on_step("granted")
         # 3) Adopt before 4) prune: an adopter's registration pins its
@@ -929,23 +1171,104 @@ class ShardCoordinator:
         #    the retention floor never gaps (the packets cover the
         #    window in between anyway).
         adopters = [
-            index for index in range(count) if new_subs[index] - old_subs[index]
+            spec.index
+            for spec in new_plan.shards
+            if new_subs[spec.index] - old_subs[spec.index]
         ]
+        reshapes: Dict[int, ShardReshape] = {}
         for index in adopters:
-            self.workers[index].reshape(new_plan.shards[index], new_plan)
+            reshapes[index] = self._reshape(index)
         on_step("adopted")
-        for index in range(count):
-            if index not in adopters and (
-                new_subs[index] != old_subs[index]
-                or new_plan.shards[index] != old_plan.shards[index]
-            ):
-                self.workers[index].reshape(new_plan.shards[index], new_plan)
+        for spec in new_plan.shards:
+            if spec.index not in adopters and spec != old_plan.shards[spec.index]:
+                reshapes[spec.index] = self._reshape(spec.index)
         on_step("pruned")
         # 5) The adopters checkpointed past their cuts; the packets no
         #    longer pin anything anyone needs.
         for name in sorted(needed):
             self.feed.clear_transfer(name)
         on_step("cleared")
+        return reshapes
+
+    def _reshape(self, index: int) -> ShardReshape:
+        """Move one worker onto its slice of the current plan."""
+        return self.transport.request(
+            index, "reshape", spec=self.plan.shards[index], plan=self.plan
+        )
+
+    def sweep_transfers(self) -> list[str]:
+        """Clear transfer packets whose adopting owner already
+        checkpointed at or past the handoff cut -- the leftovers of a
+        handoff that crashed between ``adopted`` and ``cleared``.
+        Packets still covering an un-adopted topic stay."""
+        cleared: list[str] = []
+        pending = self.feed.transfers()
+        if not pending:
+            return cleared
+        points = self.feed.recovery_points()
+        for name, cut in sorted(pending.items()):
+            owner = self.plan.topic_owner.get(name)
+            if owner is None:
+                continue
+            point = points.get(self._group(owner))
+            if (
+                point is not None
+                and point.snapshot is not None
+                and point.snapshot.get(name, -1) >= cut
+            ):
+                self.feed.clear_transfer(name)
+                cleared.append(name)
+        return cleared
+
+    # ---------------------------------------------------------- supervisor
+
+    def kill(self, index: int) -> None:
+        """Kill one worker as a crash would (the chaos suite's
+        coordinator-side kill switch).  Its group registration
+        survives, so it shows up lagging in :meth:`status` until
+        :meth:`supervise` or :meth:`restart` brings it back."""
+        self.transport.kill(index)
+
+    def restart(self, index: int) -> WorkerEvent:
+        """Kill one worker and re-attach it from its durable state: the
+        group's snapshot / committed cut, then forward through the
+        retained suffix -- cost proportional to what it missed.  The
+        kill leaves the registration in place, so if the re-attach
+        itself fails the group still shows up lagging in
+        :meth:`status` and the ``.feed`` view instead of vanishing."""
+        reason = self.transport.kill(index)
+        self._respawns[index] += 1
+        self.transport.start(
+            self.plan.shards[index], self.plan, self._group(index), respawn=True
+        )
+        return WorkerEvent(index, reason, self._respawns[index])
+
+    def supervise(self) -> list[WorkerEvent]:
+        """One supervision pass: restart every worker that is dead or
+        hung, then reconcile survivors whose subscriptions drifted from
+        the plan (a handoff that died mid-protocol) and sweep spent
+        transfer packets.  Returns the actions taken."""
+        events: list[WorkerEvent] = []
+        for spec in self.plan.shards:
+            if not self.transport.alive(spec.index):
+                events.append(self.restart(spec.index))
+        if events:
+            self.reconcile()
+            self.sweep_transfers()
+        return events
+
+    def reconcile(self) -> list[int]:
+        """Reshape live workers whose subscription drifted from the
+        plan (the survivors of a handoff that died mid-protocol).
+        Returns the reshaped worker indexes."""
+        reshaped: list[int] = []
+        for row in self.status():
+            target = tuple(sorted(self.plan.shards[row.index].subscribed))
+            # A dead worker is left to the next supervise pass.
+            if row.alive and row.subscribed != target:
+                self._reshape(row.index)
+                reshaped.append(row.index)
+        return reshaped
 
     # ------------------------------------------------------------ querying
 
@@ -959,12 +1282,8 @@ class ShardCoordinator:
         Call after :meth:`drain`.
         """
         db = Database()
-        for worker in self.workers:
-            restore_database(
-                db,
-                snapshot_database(worker.db, tables=worker.spec.owned),
-                merge=True,
-            )
+        for owned_slice in self._each("slice"):
+            restore_database(db, owned_slice, merge=True)
         return db
 
     def engine(self, **kwargs: object) -> HippoEngine:
@@ -978,9 +1297,3 @@ class ShardCoordinator:
         return HippoEngine(
             self.database(), self.constraints, hypergraph=self.graph, **kwargs
         )
-
-    def close(self) -> None:
-        """Close every worker (checkpointing durable shards); the feed
-        stays open -- the caller owns it."""
-        for worker in self.workers:
-            worker.close()

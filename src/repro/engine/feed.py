@@ -96,7 +96,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from repro.errors import FeedError, FeedRetentionError
 
@@ -280,6 +280,16 @@ class GroupRecovery:
     def source(self) -> str:
         """Where the floor comes from: ``"snapshot"`` or ``"committed"``."""
         return "snapshot" if self.snapshot is not None else "committed"
+
+    def lag(self, ends: Mapping[str, int]) -> int:
+        """Records between the group's *committed* offsets and the feed
+        ``ends`` over its subscribed topics -- what a dead group still
+        owes, computable from its registration alone."""
+        return sum(
+            max(end - self.committed.get(name, 0), 0)
+            for name, end in ends.items()
+            if self.topics is None or name in self.topics
+        )
 
 
 def _floor_of(

@@ -73,10 +73,11 @@ class FeedRetentionError(FeedError):
 
 
 class ExecutorError(ReproError):
-    """Raised by the multi-process shard executor: a worker process
-    died or hung mid-request, a control message failed on the worker
-    side, or a handoff/rebalance could not be driven to completion.
-    The supervisor loop treats dead workers as respawnable; callers
+    """Raised when a shard worker cannot serve a request: it is dead,
+    it died or hung mid-request, or the op failed on the worker side.
+    Reserved for worker failures -- bad *input* to the coordinator
+    (an unknown topic, a worker index out of range) raises
+    :class:`ConstraintError`.  Dead workers are respawnable: callers
     seeing this error should run a supervision pass and retry."""
 
 

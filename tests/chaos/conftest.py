@@ -1,12 +1,17 @@
 """Chaos-tier fixtures: fault injection for the process shard executor.
 
 The suite runs a real writer feeding a durable feed, a monolithic
-full-detection oracle, and a :class:`ProcessShardExecutor` whose worker
-processes can be SIGKILLed at named pipeline phases (:func:`kill_at`) or
-from the parent (:meth:`ProcessShardExecutor.kill`).  Every test drives
-the system to an *aligned cut* -- writer flushed, every worker drained
--- and asserts the merged shard view equals full re-detection on the
-writer's database.
+full-detection oracle, and a :class:`ProcessShardExecutor` -- the shard
+coordinator over one OS process per worker -- whose worker processes
+can be SIGKILLed at named pipeline phases (:func:`kill_at`) or from the
+parent (:meth:`ShardCoordinator.kill`).  Every test drives the system
+to an *aligned cut* -- writer flushed, every worker drained -- and
+asserts the merged shard view equals full re-detection on the writer's
+database.
+
+The fault injector itself (:class:`ChaosPlan`) lives here, not in
+``src/``: the pipe transport only offers the generic ``fault_hooks``
+seam, and this suite is what arms it.
 
 Everything here is ``slow``-tier (excluded from tier-1); schedules are
 derived from the session seed, so a CI failure replays locally with the
@@ -15,15 +20,14 @@ printed ``--seed`` command.
 
 from __future__ import annotations
 
+import os
+import signal
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional
 
 import pytest
 
-from repro.conflicts import (
-    ChaosPlan,
-    ProcessShardExecutor,
-    detect_conflicts,
-)
+from repro.conflicts import ProcessShardExecutor, detect_conflicts
 from repro.constraints import FunctionalDependency
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.database import Database
@@ -36,12 +40,48 @@ pytestmark = pytest.mark.slow
 PHASES = ("apply", "checkpoint", "release", "adopt")
 
 
+@dataclass
+class ChaosPlan:
+    """Fault-injection arming for one worker process: a picklable
+    ``hook(phase, topic)`` for the pipe transport's ``fault_hooks``.
+
+    The worker SIGKILLs *itself* when its pipeline reaches the armed
+    phase -- a real mid-syscall death, not an exception -- so the
+    recovery paths the suite pins are the ones production would take.
+
+    Attributes:
+        phase: the crash-seam name (``"apply"``, ``"checkpoint"``,
+            ``"release"``, ``"adopt"`` -- see
+            :meth:`repro.conflicts.replica.ReplicaHypergraph._mark`).
+        topic: only match when the phase concerns this topic (None =
+            any; ``apply``/``checkpoint`` phases carry no topic and
+            only match a plan without one).
+        after: skip this many matching hits first -- kill the Nth
+            checkpoint, not the first.
+        hits: matching hits so far (worker-process state).
+    """
+
+    phase: str
+    topic: Optional[str] = None
+    after: int = 0
+    hits: int = 0
+
+    def __call__(self, phase: str, topic: Optional[str] = None) -> None:
+        if phase != self.phase:
+            return
+        if self.topic is not None and self.topic != topic:
+            return
+        self.hits += 1
+        if self.hits > self.after:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+
 def kill_at(
     worker: int, phase: str, topic: Optional[str] = None, after: int = 0
 ) -> Dict[int, ChaosPlan]:
     """Arm ``worker`` to SIGKILL itself at ``phase``.
 
-    Returns the ``chaos=`` mapping for
+    Returns the ``fault_hooks=`` mapping for
     :class:`ProcessShardExecutor` -- merge several with ``|`` to arm
     multiple workers.
     """
@@ -81,13 +121,17 @@ def monolith_edges(db: Database) -> dict:
 
 def settle(ex: ProcessShardExecutor, rounds: int = 10) -> list:
     """Supervise-and-drain until the executor reaches an aligned cut
-    (bounded; chaos-killed workers need a respawn before draining)."""
+    (bounded; chaos-killed workers need a respawn before draining).
+    Returns the workers' status rows at the cut."""
     for _ in range(rounds):
         ex.supervise()
         try:
-            return ex.drain()
+            ex.drain()
+            rows = ex.status()
         except ExecutorError:
             continue
+        if all(row.alive and row.lag == 0 for row in rows):
+            return rows
     raise AssertionError("executor failed to settle after chaos")
 
 

@@ -58,9 +58,9 @@ def random_fault(ex, rng: random.Random) -> None:
     roll = rng.randrange(5)
     try:
         if roll == 0:
-            ex.kill(rng.randrange(ex.workers))
+            ex.kill(rng.randrange(len(ex.plan.shards)))
         elif roll == 1:
-            ex.handoff(rng.choice(TOPICS), rng.randrange(ex.workers))
+            ex.handoff(rng.choice(TOPICS), rng.randrange(len(ex.plan.shards)))
         elif roll == 2:
             ex.rebalance(threshold=rng.choice((0, 4)))
         elif roll == 3:
@@ -82,10 +82,10 @@ def test_crash_schedule_reaches_every_aligned_cut(
         feed.flush()
         random_fault(ex, rng)
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
     # Converged: no packets pending, ownership manifest consistent.
     assert ex.feed.transfers() == {}
-    ownership = load_ownership(ex.directory)
+    ownership = load_ownership(ex.feed.directory)
     assert ownership is not None
     assert set(ownership.owner) == set(TOPICS)
 
@@ -101,7 +101,7 @@ def test_chaos_armed_schedule_survives_phase_kills(
     phase = rng.choice(("apply", "checkpoint", "release", "adopt"))
     victim = rng.randrange(2)
     topic = "u" if phase in ("release", "adopt") else None
-    ex = make_executor(chaos=kill_at(victim, phase, topic=topic))
+    ex = make_executor(fault_hooks=kill_at(victim, phase, topic=topic))
     for _ in range(6):
         for _ in range(rng.randrange(1, 5)):
             random_write(db, rng)
@@ -115,7 +115,7 @@ def test_chaos_armed_schedule_survives_phase_kills(
         except ExecutorError:
             pass
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
 
 
 @pytest.mark.deadline(90)

@@ -32,20 +32,20 @@ class TestPipelineKills:
         # Records are applied to the victim's database, then it dies
         # *before* committing the offsets.  The respawned worker must
         # not double-count them: it rebuilds from its checkpoint cut.
-        ex = make_executor(chaos=kill_at(0, "apply"))
+        ex = make_executor(fault_hooks=kill_at(0, "apply"))
         with pytest.raises(ExecutorError):
             ex.drain()
         events = ex.supervise()
         assert [e.index for e in events] == [0]
-        rows = ex.drain()
-        assert all(r.lag == 0 for r in rows)
-        assert ex.merged_graph().as_dict() == monolith()
+        ex.drain()
+        assert all(r.lag == 0 for r in ex.status())
+        assert ex.graph.as_dict() == monolith()
 
     def test_kill_mid_checkpoint_keeps_previous_checkpoint(
         self, writer, make_executor, kill_at, monolith, settle
     ):
         feed, db = writer
-        ex = make_executor(chaos=kill_at(0, "checkpoint", after=1))
+        ex = make_executor(fault_hooks=kill_at(0, "checkpoint", after=1))
         ex.drain()
         ex.checkpoint()  # first checkpoint survives (after=1)
         write_more(db, feed)
@@ -59,7 +59,7 @@ class TestPipelineKills:
         # Respawned from the surviving (first) checkpoint, not replayed
         # from scratch.
         assert victim.restore_mode == "snapshot"
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
 
 
 class TestHandoffKills:
@@ -69,25 +69,25 @@ class TestHandoffKills:
         feed, db = writer
         # The exporter dies right after storing the transfer packet --
         # before the grant.  Ownership must NOT move.
-        ex = make_executor(chaos=kill_at(0, "release", topic="u"))
+        ex = make_executor(fault_hooks=kill_at(0, "release", topic="u"))
         ex.drain()
         with pytest.raises(ExecutorError):
             ex.handoff("u", 1)
-        ownership = load_ownership(ex.directory)
+        ownership = load_ownership(ex.feed.directory)
         assert ownership is not None and ownership.owner["u"] == 0
         assert ownership.epoch == 0
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         # The respawned releaser retries the handoff successfully.
         report = ex.handoff("u", 1)
-        assert load_ownership(ex.directory).owner["u"] == 1
+        assert load_ownership(ex.feed.directory).owner["u"] == 1
         assert any(
             resume.topic == "u"
             for reshape in report.reshapes.values()
             for resume in reshape.added
         )
         ex.drain()
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}
 
     def test_kill_adopter_after_ownership_commit(
@@ -106,14 +106,14 @@ class TestHandoffKills:
 
         with pytest.raises(ExecutorError):
             ex.handoff("u", 1, on_step=on_step)
-        assert load_ownership(ex.directory).owner["u"] == 1
+        assert load_ownership(ex.feed.directory).owner["u"] == 1
         assert "u" in ex.feed.transfers()  # the packet pins the suffix
         events = ex.supervise()
         assert [e.index for e in events] == [1]
         rows = settle(ex)
         adopter = [r for r in rows if r.index == 1][0]
         assert "u" in adopter.committed
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}  # swept once adoption stuck
 
     def test_kill_adopter_mid_adopt_after_resubscribe(
@@ -124,16 +124,16 @@ class TestHandoffKills:
         # resubscription but before its first checkpoint of the topic:
         # the nastiest interleaving -- its registration already claims
         # the topic, its snapshot does not cover it.
-        ex = make_executor(chaos=kill_at(1, "adopt", topic="u"))
+        ex = make_executor(fault_hooks=kill_at(1, "adopt", topic="u"))
         ex.drain()
         with pytest.raises(ExecutorError):
             ex.handoff("u", 1)
-        assert load_ownership(ex.directory).owner["u"] == 1
+        assert load_ownership(ex.feed.directory).owner["u"] == 1
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         write_more(db, feed)
         settle(ex)
-        assert ex.merged_graph().as_dict() == monolith()
+        assert ex.graph.as_dict() == monolith()
         assert ex.feed.transfers() == {}
 
     def test_survivor_prune_completes_after_adopter_crash(
@@ -142,7 +142,7 @@ class TestHandoffKills:
         feed, db = writer
         # After the crashed handoff converges, the old owner must have
         # pruned the moved topic: rows dropped, floor released.
-        ex = make_executor(chaos=kill_at(1, "adopt", topic="u"))
+        ex = make_executor(fault_hooks=kill_at(1, "adopt", topic="u"))
         ex.drain()
         with pytest.raises(ExecutorError):
             ex.handoff("u", 1)

@@ -1,10 +1,16 @@
-"""Tests for the multi-process shard executor: ownership manifest,
-live handoff over real OS processes, dead-worker accounting, and
-supervisor respawn.  Uses the ``fork`` start method to keep worker
-startup cheap enough for tier 1; the chaos tier exercises ``spawn``
-paths and kill schedules."""
+"""Tests for what only the pipe transport does: the persisted
+ownership manifest, respawn from the shard checkpoint, and the
+heartbeat-timeout supervisor branch.  The protocol itself (handoff
+steps, validation, rebalance, dead-worker status, restart) is proved
+once for both transports in ``test_handoff.py``.  Uses the ``fork``
+start method to keep worker startup cheap; the chaos tier drives kill
+schedules."""
 
 from __future__ import annotations
+
+import os
+import signal
+import time
 
 import pytest
 
@@ -71,9 +77,20 @@ def make_executor(tmp_path):
 
 class TestOwnershipManifest:
     def test_roundtrip(self, tmp_path):
-        ownership = Ownership(workers=3, owner={"a": 0, "b": 2}, epoch=7)
+        ownership = Ownership(
+            workers=3, owner={"a": 0, "b": 2}, epoch=7, group_prefix="pool"
+        )
         store_ownership(tmp_path, ownership)
         assert load_ownership(tmp_path) == ownership
+
+    def test_manifest_without_a_group_prefix_still_loads(self, tmp_path):
+        # Manifests written before the prefix was recorded.
+        (tmp_path / "shards.json").write_text(
+            '{"workers":2,"owner":{"a":0},"epoch":4}', encoding="utf-8"
+        )
+        assert load_ownership(tmp_path) == Ownership(
+            workers=2, owner={"a": 0}, epoch=4, group_prefix="shard"
+        )
 
     def test_missing_manifest_is_none(self, tmp_path):
         assert load_ownership(tmp_path) is None
@@ -87,10 +104,11 @@ class TestOwnershipManifest:
         self, writer, make_executor
     ):
         ex = make_executor()
-        ownership = load_ownership(ex.directory)
+        ownership = load_ownership(ex.feed.directory)
         assert ownership is not None
         assert ownership.workers == 2 and ownership.epoch == 0
         assert ownership.owner["u"] == 0 and ownership.owner["w"] == 1
+        assert ownership.group_prefix == "shard"
 
     def test_reattach_prefers_the_manifest_over_ctor_args(
         self, writer, make_executor
@@ -101,82 +119,13 @@ class TestOwnershipManifest:
         # A fresh executor with *different* ctor hints must follow the
         # persisted manifest: workers stays 2, u stays with worker 1.
         again = make_executor(workers=7, assignment=None)
-        assert again.workers == 2
+        assert len(again.plan.shards) == 2
         assert again.plan.topic_owner["u"] == 1
-        assert load_ownership(again.directory).epoch == 1
-
-
-class TestLiveExecution:
-    def test_drain_matches_the_monolith(self, writer, make_executor):
-        feed, db = writer
-        ex = make_executor()
-        ex.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
-        rows = ex.status()
-        assert all(row.alive and row.lag == 0 for row in rows)
-        assert {t for row in rows for t in row.owned} == set(TOPICS)
-
-    def test_handoff_moves_ownership_between_live_processes(
-        self, writer, make_executor
-    ):
-        feed, db = writer
-        ex = make_executor()
-        ex.drain()
-        for i in range(4):  # a suffix the adopter must NOT re-bootstrap
-            db.execute(f"INSERT INTO u VALUES ({i}, {40 + i})")
-        feed.flush()
-        steps = []
-        report = ex.handoff("u", 1, on_step=steps.append)
-        assert steps == [
-            "released", "granted", "adopted", "pruned", "cleared",
-        ]
-        (resume,) = [
-            r for r in report.reshapes[1].added if r.topic == "u"
-        ]
-        assert resume.mode == "packet"
-        assert resume.end - resume.cut == 4  # only the retained suffix
-        ex.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
-        assert ex.feed.transfers() == {}  # packet swept after adoption
-        assert load_ownership(ex.directory).owner["u"] == 1
-
-    def test_handoff_validates_inputs(self, writer, make_executor):
-        ex = make_executor()
-        with pytest.raises(ExecutorError):
-            ex.handoff("nope", 1)
-        with pytest.raises(ExecutorError):
-            ex.handoff("u", 9)
-
-    def test_handoff_to_current_owner_is_a_no_op(
-        self, writer, make_executor
-    ):
-        ex = make_executor()
-        steps = []
-        report = ex.handoff("u", 0, on_step=steps.append)
-        assert steps == [] and report.reshapes == {}
+        assert load_ownership(again.feed.directory).epoch == 1
 
 
 @pytest.mark.slow
-class TestFailureAccounting:
-    def test_dead_worker_reports_lagging_not_absent(
-        self, writer, make_executor
-    ):
-        feed, db = writer
-        ex = make_executor()
-        ex.drain()
-        ex.checkpoint()
-        ex.kill(1)
-        for i in range(5):
-            db.execute(f"INSERT INTO w VALUES ({i}, {70 + i})")
-        feed.flush()
-        rows = ex.status()
-        dead = [row for row in rows if not row.alive]
-        assert [row.index for row in dead] == [1]
-        assert dead[0].lag == 5  # from the registered offsets
-        assert dead[0].committed  # registration survives the kill
-
+class TestSupervision:
     def test_supervise_respawns_from_the_checkpoint(
         self, writer, make_executor
     ):
@@ -190,10 +139,43 @@ class TestFailureAccounting:
         ex.kill(1)
         events = ex.supervise()
         assert [e.index for e in events] == [1]
-        rows = ex.drain()
-        respawned = [row for row in rows if row.index == 1][0]
+        ex.drain()
+        respawned = [row for row in ex.status() if row.index == 1][0]
         assert respawned.alive and respawned.respawns == 1
         assert respawned.restore_mode == "snapshot"
         assert respawned.applied_records.get("w", 0) == 3
         expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert ex.merged_graph().as_dict() == expected
+        assert ex.graph.as_dict() == expected
+
+    def test_supervise_kills_and_respawns_a_hung_worker(
+        self, writer, make_executor
+    ):
+        # A live process that stopped heartbeating (SIGSTOP: it neither
+        # exits nor answers) is declared hung, SIGKILLed and respawned.
+        feed, db = writer
+        ex = make_executor(heartbeat_timeout=0.5)
+        ex.drain()
+        ex.checkpoint()
+        hung = ex.status()[1].pid
+        os.kill(hung, signal.SIGSTOP)
+        try:
+            for i in range(3):
+                db.execute(f"INSERT INTO w VALUES ({i}, {90 + i})")
+            feed.flush()
+            ex.supervise()  # consumes the beats queued before the stop
+            time.sleep(0.7)
+            events = ex.supervise()
+        finally:
+            try:
+                os.kill(hung, signal.SIGCONT)
+            except ProcessLookupError:
+                pass  # already SIGKILLed and reaped: the expected path
+        assert [(e.index, e.reason) for e in events] == [
+            (1, "heartbeat-timeout")
+        ]
+        ex.drain()
+        respawned = ex.status()[1]
+        assert respawned.alive and respawned.respawns == 1
+        assert respawned.pid != hung
+        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
+        assert ex.graph.as_dict() == expected

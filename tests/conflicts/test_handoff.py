@@ -1,11 +1,18 @@
-"""Tests for in-process topic handoff: export/reshape, the coordinator
-protocol, the rebalance chooser, and dead-worker status accounting."""
+"""Tests for topic handoff: worker export/reshape, the rebalance
+chooser, and -- over *both* worker transports -- the coordinator's
+five-step protocol, rebalance, dead-worker status accounting and
+restart.  The ``coordinator`` fixture builds the same
+:class:`ShardCoordinator` state machine over in-process workers
+(tier-1) and over one OS process per worker (``slow`` tier), so every
+case below proves one protocol, not one copy of it."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.conflicts import (
+    HandoffReport,
+    ProcessShardExecutor,
     ShardCoordinator,
     choose_move,
     detect_conflicts,
@@ -14,7 +21,7 @@ from repro.conflicts import (
 from repro.constraints import FunctionalDependency
 from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed
-from repro.errors import ConstraintError, FeedError
+from repro.errors import ConstraintError, ExecutorError, FeedError
 
 
 def fd(relation):
@@ -41,13 +48,65 @@ def constraints():
     return [fd(name) for name in FOUR_TOPICS]
 
 
+SKEWED = {"r": 0, "s": 0, "u": 0, "w": 1}
+
+
 def skewed_coordinator(feed):
-    return ShardCoordinator(
-        feed,
-        constraints(),
-        workers=2,
-        assignment={"r": 0, "s": 0, "u": 0, "w": 1},
-    )
+    return ShardCoordinator(feed, constraints(), workers=2, assignment=SKEWED)
+
+
+def monolith(db):
+    return detect_conflicts(db, constraints()).hypergraph.as_dict()
+
+
+@pytest.fixture(
+    params=["local", pytest.param("pipe", marks=pytest.mark.slow)]
+)
+def transport(request):
+    return request.param
+
+
+@pytest.fixture
+def primary(tmp_path):
+    """Builds the writer (feed, db) under ``tmp_path / "f"`` on demand
+    (so a test picks the skew) and closes the feed at teardown."""
+    feeds = []
+
+    def build(**kwargs):
+        feed, db = build_primary(tmp_path / "f", **kwargs)
+        feeds.append(feed)
+        return feed, db
+
+    yield build
+    for feed in feeds:
+        feed.close()
+
+
+@pytest.fixture
+def coordinator(tmp_path, transport):
+    """Factory for the skewed 2-worker coordinator over the writer's
+    feed, on the transport under test; closed at teardown."""
+    made = []
+
+    def build(feed):
+        if transport == "local":
+            made.append(skewed_coordinator(feed))
+        else:
+            made.append(
+                ProcessShardExecutor(
+                    tmp_path / "f",
+                    constraints(),
+                    workers=2,
+                    assignment=SKEWED,
+                    mp_context="fork",
+                    request_timeout=30.0,
+                )
+            )
+        return made[-1]
+
+    yield build
+    for built in made:
+        built.close()
 
 
 class TestChooseMove:
@@ -154,100 +213,195 @@ class TestWorkerExportReshape:
         feed.close()
 
 
-class TestCoordinatorHandoff:
-    def test_five_step_protocol_preserves_equivalence(self, tmp_path):
+    def test_adopter_behind_on_schema_catches_up_before_adopting(
+        self, tmp_path
+    ):
+        # Regression: the packet restores the releaser's whole catalog.
+        # An adopter that had not consumed ``_schema`` yet (here: never
+        # synced; in the chaos tier: respawned after dying before its
+        # first commit) then replayed CREATE TABLE for tables it
+        # already had and crash-looped.
         feed, db = build_primary(tmp_path / "f")
         coordinator = skewed_coordinator(feed)
+        releaser = coordinator.workers[0]
+        while releaser.lag:
+            releaser.sync()
+        assert coordinator.workers[1].lag > 0  # the adopter lags
+        coordinator.handoff("u", 1)
         coordinator.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert coordinator.graph.as_dict() == expected
+        assert coordinator.graph.as_dict() == monolith(db)
+        coordinator.close()
+        feed.close()
+
+
+class TestCoordinatorHandoff:
+    def test_drain_reaches_an_aligned_cut(self, primary, coordinator):
+        feed, db = primary()
+        shards = coordinator(feed)
+        # Records consumed, on both shapes.  In-process workers attach
+        # undrained; worker processes sync on their own, so the explicit
+        # drain may find nothing left.
+        consumed = shards.drain()
+        assert consumed > 0 if shards.workers else consumed >= 0
+        assert shards.lag == 0
+        assert shards.graph.as_dict() == monolith(db)
+        rows = shards.status()
+        assert all(row.alive and row.lag == 0 for row in rows)
+        assert {t for row in rows for t in row.owned} == set(FOUR_TOPICS)
+        assert [row.group for row in rows] == ["shard-0", "shard-1"]
+
+    def test_five_step_protocol_preserves_equivalence(
+        self, primary, coordinator
+    ):
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
+        assert shards.graph.as_dict() == monolith(db)
+        for i in range(4):  # a suffix the adopter must NOT re-bootstrap
+            db.execute(f"INSERT INTO u VALUES ({i}, {40 + i})")
+        feed.flush()
         steps = []
-        coordinator.handoff("u", 1, on_step=steps.append)
+        report = shards.handoff("u", 1, on_step=steps.append)
         assert steps == [
             "released", "granted", "adopted", "pruned", "cleared",
         ]
-        assert coordinator.plan.topic_owner["u"] == 1
-        coordinator.drain()
-        assert coordinator.graph.as_dict() == expected
-        assert feed.transfers() == {}  # packets are spent
+        assert isinstance(report, HandoffReport)
+        assert report.plan is shards.plan
+        assert shards.plan.topic_owner["u"] == 1
+        (resume,) = [r for r in report.reshapes[1].added if r.topic == "u"]
+        assert resume.mode == "packet"
+        assert resume.end - resume.cut == 4  # only the retained suffix
+        assert report.reshapes[0].dropped == ("u",)
+        shards.drain()
+        assert shards.graph.as_dict() == monolith(db)
+        assert shards.feed.transfers() == {}  # packets are spent
         # The old owner's rows and floor are gone.
-        assert not dict(coordinator.workers[0].db.table("u").items())
+        for worker in shards.workers[:1]:  # in-process workers only
+            assert not dict(worker.db.table("u").items())
+        old_owner, new_owner = shards.status()
+        assert "u" not in old_owner.committed
+        assert "u" in new_owner.committed
         points = feed.recovery_points()
         assert "u" not in points["shard-0"].floor
         assert "u" in points["shard-1"].floor
-        coordinator.close()
-        feed.close()
 
-    def test_handoff_to_current_owner_is_a_no_op(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
-        coordinator.drain()
+    def test_handoff_to_current_owner_is_a_no_op(self, primary, coordinator):
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
         steps = []
-        coordinator.handoff("u", 0, on_step=steps.append)
-        assert steps == []
-        coordinator.close()
-        feed.close()
+        report = shards.handoff("u", 0, on_step=steps.append)
+        assert steps == [] and report.reshapes == {}
+        assert report.plan is shards.plan
 
-    def test_handoff_validates_inputs(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
-        coordinator.drain()
+    def test_handoff_validates_inputs(self, primary, coordinator):
+        # Bad *input* is a ConstraintError on both shapes; ExecutorError
+        # stays reserved for dead, hung or failed workers.
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
         with pytest.raises(ConstraintError):
-            coordinator.handoff("nope", 1)
+            shards.handoff("nope", 1)
         with pytest.raises(ConstraintError):
-            coordinator.handoff("u", 9)
-        coordinator.close()
-        feed.close()
+            shards.handoff("u", 9)
+        assert shards.epoch == 0  # nothing was granted
 
-    def test_rebalance_moves_the_hot_topic(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f", hot=30, quiet_w=True)
-        coordinator = skewed_coordinator(feed)
-        # Workers attached but NOT drained: topic u's lag dominates.
-        move = coordinator.rebalance()
+    def test_rebalance_moves_the_hot_topic(self, primary, coordinator):
+        feed, db = primary(hot=30, quiet_w=True)
+        shards = coordinator(feed)
+        if shards.workers:
+            # In-process workers are attached but NOT drained: topic
+            # u's lag dominates.
+            assert shards.lag > 0
+        move = shards.rebalance()
+        for _ in range(5):
+            if move is not None:
+                break
+            # Worker processes sync on their own, so the boot-time skew
+            # may be gone already: append fresh skew until the trigger
+            # observes it before the owner consumes it.
+            for i in range(30):
+                db.execute(f"INSERT INTO u VALUES ({i % 3}, {100 + i})")
+            feed.flush()
+            move = shards.rebalance()
         assert move is not None and move.topic == "u"
-        assert coordinator.plan.topic_owner["u"] == move.target
-        coordinator.drain()
-        expected = detect_conflicts(db, constraints()).hypergraph.as_dict()
-        assert coordinator.graph.as_dict() == expected
-        coordinator.close()
-        feed.close()
+        assert (move.source, move.target) == (0, 1)
+        assert shards.plan.topic_owner["u"] == move.target
+        shards.drain()
+        assert shards.graph.as_dict() == monolith(db)
+
+    def test_database_and_engine_answer_from_the_shards(
+        self, primary, coordinator
+    ):
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
+        assembled = shards.database()
+        for name in FOUR_TOPICS:
+            assert dict(assembled.table(name).items()) == dict(
+                db.table(name).items()
+            )
+        engine = shards.engine()
+        assert engine.hypergraph.as_dict() == monolith(db)
 
 
 class TestDeadWorkerStatus:
-    def test_status_surfaces_a_dead_worker_as_lagging(self, tmp_path):
+    def test_status_surfaces_a_dead_worker_as_lagging(
+        self, primary, coordinator
+    ):
         # The regression pin: a worker that died between checkpoint and
         # commit shows up *lagging* from its registered offsets -- not
         # silently absent.
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
-        coordinator.drain()
-        coordinator.checkpoint()
-        coordinator.workers[0]._consumer.abandon()  # crash, not close
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
+        shards.checkpoint()
+        shards.kill(0)  # crash, not close
         for i in range(5):
             db.execute(f"INSERT INTO u VALUES ({i}, {70 + i})")
         feed.flush()
-        rows = coordinator.status()
+        rows = shards.status()
         dead = [row for row in rows if not row.alive]
         assert len(dead) == 1
         assert dead[0].index == 0
         assert dead[0].lag == 5  # pending records, from registration
         assert dead[0].committed  # the registered offsets survive
-        coordinator.close()
-        feed.close()
+        assert dead[0].owned == ("r", "s", "u")
+        assert shards.lag == 5  # dead workers count
+        # A dead worker fails loudly instead of being merged around.
+        with pytest.raises(ExecutorError):
+            shards.drain()
 
     def test_restart_preserves_registration_of_the_dead_worker(
-        self, tmp_path
+        self, primary, coordinator
     ):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
-        coordinator.drain()
-        coordinator.checkpoint()
-        committed_before = dict(coordinator.workers[0].committed)
-        restarted = coordinator.restart(0)
-        # The restart abandons (not closes) the old consumer: had the
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
+        shards.checkpoint()
+        committed_before = shards.status()[0].committed
+        event = shards.restart(0)
+        assert (event.index, event.respawns) == (0, 1)
+        # The restart kills (never deregisters) the old worker: had the
         # re-attach died too, the group would still be registered and
         # visible as lagging.  The restarted worker resumes exactly.
+        restarted = shards.status()[0]
+        assert restarted.alive and restarted.respawns == 1
         assert restarted.committed == committed_before
         assert restarted.lag == 0
-        coordinator.close()
-        feed.close()
+        assert shards.graph.as_dict() == monolith(db)
+
+    def test_supervise_restarts_only_the_dead(self, primary, coordinator):
+        feed, db = primary()
+        shards = coordinator(feed)
+        shards.drain()
+        shards.checkpoint()
+        assert shards.supervise() == []  # everyone healthy
+        shards.kill(1)
+        for i in range(3):
+            db.execute(f"INSERT INTO w VALUES ({i}, {80 + i})")
+        feed.flush()
+        events = shards.supervise()
+        assert [(e.index, e.respawns) for e in events] == [(1, 1)]
+        shards.drain()
+        assert shards.graph.as_dict() == monolith(db)

@@ -436,6 +436,52 @@ class TestDurableShell:
         assert "worker 1 (shard-1): lag 1" in output
         assert "transfer packet a @ 2" in output
 
+    def test_shards_live_ignores_lookalike_groups(self, tmp_path):
+        # Regression: worker groups were matched by a "-N" suffix, so an
+        # unrelated consumer group such as "bench-replica-1" was listed
+        # as shard worker 1.  The manifest records the group prefix and
+        # the listing matches "{prefix}-{index}" exactly.
+        from repro.conflicts import (
+            Ownership,
+            ReplicaHypergraph,
+            ShardCoordinator,
+            store_ownership,
+        )
+        from repro.constraints import FunctionalDependency
+        from repro.engine.database import Database
+        from repro.engine.feed import ChangeFeed
+
+        directory = str(tmp_path / "db")
+        constraints = [FunctionalDependency("a", ["id"], ["v"])]
+        feed = ChangeFeed(directory)
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE a (id INTEGER, v INTEGER)")
+        db.execute("CREATE TABLE b (id INTEGER, v INTEGER)")
+        db.execute("INSERT INTO a VALUES (1, 1), (1, 2)")
+        feed.flush()
+        coordinator = ShardCoordinator(
+            feed,
+            constraints,
+            workers=2,
+            assignment={"a": 0, "b": 1},
+            group_prefix="pool",
+        )
+        coordinator.drain()
+        coordinator.close()
+        decoy = ReplicaHypergraph(feed, constraints, group="bench-replica-1")
+        decoy.close()
+        store_ownership(
+            directory,
+            Ownership(
+                workers=2, owner={"a": 0, "b": 1}, epoch=0, group_prefix="pool"
+            ),
+        )
+        feed.close()
+        output = run_shell(f".shards --live {directory}")
+        assert "worker 0 (pool-0): lag 0" in output
+        assert "worker 1 (pool-1): lag 0" in output
+        assert "bench-replica-1" not in output
+
     def test_shards_live_without_manifest(self, tmp_path):
         output = run_shell(f".shards --live {tmp_path}")
         assert "no ownership manifest" in output

@@ -9,7 +9,10 @@ partial graph must equal full re-detection over its partial database at
 every *worker-local* cut.  The invariant survives killing a worker and
 restarting it from its shard checkpoint, and -- in the second test --
 retention truncation with checkpoint-based recovery (mirroring the
-twin-feed pattern from ``test_replica_equivalence.py``).
+twin-feed pattern from ``test_replica_equivalence.py``).  The third
+test holds the aligned-cut invariant across live handoffs for the one
+coordinator over *both* worker transports: in-process workers (tier-1)
+and one OS process per worker (``slow``).
 """
 
 from __future__ import annotations
@@ -165,7 +168,8 @@ def test_shard_union_equals_monolith_at_every_aligned_cut(
                     before = (
                         worker.graph.as_dict() if worker.ready else None
                     )
-                    worker = coordinator.restart(index)
+                    coordinator.restart(index)
+                    worker = coordinator.workers[index]
                     if before is not None:
                         assert worker.graph.as_dict() == before
                     assert_worker_exact(worker, coordinator.plan)
@@ -245,7 +249,9 @@ def test_shards_survive_truncation_and_restart_from_checkpoints(
     feed.close()
 
 
-@pytest.mark.slow
+@pytest.mark.parametrize(
+    "transport", ["local", pytest.param("pipe", marks=pytest.mark.slow)]
+)
 @pytest.mark.deadline(120)
 @settings(max_examples=5, deadline=None)
 @given(
@@ -259,11 +265,11 @@ def test_shards_survive_truncation_and_restart_from_checkpoints(
         max_size=3,
     ),
 )
-def test_process_executor_matches_monolith_across_handoffs(
-    tmp_path_factory, sequence, assignment, moves
+def test_coordinator_matches_monolith_across_handoffs(
+    tmp_path_factory, transport, sequence, assignment, moves
 ):
-    """The in-process invariant, over real OS processes: for random
-    workloads, assignments and live handoffs, the executor's merged
+    """The aligned-cut invariant over either transport: for random
+    workloads, assignments and live handoffs, the coordinator's merged
     graph equals full re-detection on the writer at every aligned cut."""
     directory = tmp_path_factory.mktemp("feed") / "segments"
     constraints = constraint_set()
@@ -271,30 +277,40 @@ def test_process_executor_matches_monolith_across_handoffs(
     db = Database(feed=feed)
     seed(db)
     feed.flush()
-    executor = ProcessShardExecutor(
-        directory,
-        constraints,
-        workers=2,
-        assignment={"p": assignment[0], "c": assignment[1], "u": assignment[2]},
-        mp_context="fork",
-        request_timeout=30.0,
-    )
+    pinned = {"p": assignment[0], "c": assignment[1], "u": assignment[2]}
+    reader = None
+    if transport == "local":
+        reader = ChangeFeed(directory, segment_records=8)
+        coordinator = ShardCoordinator(
+            reader, constraints, workers=2, assignment=pinned
+        )
+    else:
+        coordinator = ProcessShardExecutor(
+            directory,
+            constraints,
+            workers=2,
+            assignment=pinned,
+            mp_context="fork",
+            request_timeout=30.0,
+        )
     try:
         for step in sequence:
             run_step(db, step)
         feed.flush()
-        executor.drain()
+        coordinator.drain()
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-        assert executor.merged_graph().as_dict() == expected
+        assert coordinator.graph.as_dict() == expected
         for topic, target in moves:
-            executor.handoff(topic, target)
+            coordinator.handoff(topic, target)
             for step in sequence[:3]:
                 run_step(db, step)
             feed.flush()
-            executor.drain()
+            coordinator.drain()
             expected = detect_conflicts(db, constraints).hypergraph.as_dict()
-            assert executor.merged_graph().as_dict() == expected
-        assert executor.feed.transfers() == {}
+            assert coordinator.graph.as_dict() == expected
+        assert coordinator.feed.transfers() == {}
     finally:
-        executor.close()
+        coordinator.close()
+        if reader is not None:
+            reader.close()
         feed.close()

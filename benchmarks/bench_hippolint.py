@@ -3,7 +3,8 @@
 The flow-sensitive rules (HL013-HL016) build CFGs and run dataflow to
 fixpoint; lexical pre-filters keep that work bounded to the handful of
 functions that can actually produce findings.  This gate pins the
-property: a cold (``--no-cache``) run over the whole tree must finish
+property: a run over the whole tree (every run is cold -- there is no
+result cache) must finish
 inside the budget, or the analyzer has stopped being something people
 run on every change.
 """

@@ -70,7 +70,7 @@ from repro.conflicts.shard import (
     ShardWorker,
     serve,
 )
-from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
+from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, atomic_json
 from repro.errors import ExecutorError, FeedError
 
 #: The ownership manifest inside the feed directory.
@@ -110,7 +110,7 @@ def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
 def store_ownership(directory: str | os.PathLike, ownership: Ownership) -> None:
     """Atomically persist the ownership manifest (fsync before rename:
     the grant must never be half-visible to a re-attaching executor)."""
-    ChangeFeed._atomic_json(
+    atomic_json(
         Path(directory) / OWNERSHIP_FILE,
         {
             "workers": ownership.workers,

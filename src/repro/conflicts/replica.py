@@ -53,17 +53,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.conflicts.detection import detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.conflicts.incremental import DeltaStats, IncrementalDetector
 from repro.engine.database import (
-    REPLAY_BATCH_RECORDS,
     WRITER_GROUP,
     Database,
-    apply_feed_record,
-    apply_feed_records,
+    replay_feed_records,
 )
 from repro.engine.feed import (
     RECORD_CHANGE,
@@ -134,11 +132,6 @@ class ReplicaHypergraph:
         extra_referenced: FK-referenced relations protected by
             constraints *outside* this replica's list (other shards');
             forwarded into detection's restricted-class check.
-        batch_apply: apply polled records to the replica database through
-            the batched :func:`~repro.engine.database.apply_feed_records`
-            (the default) instead of record-at-a-time; the final state is
-            identical either way -- the switch exists so benchmarks can
-            measure the per-record baseline.
         bootstrap: ``"replay"`` (default) streams the committed prefix
             and falls back to the group snapshot only when retention
             truncated it; ``"snapshot"`` restores the group snapshot
@@ -164,14 +157,12 @@ class ReplicaHypergraph:
         checkpoint_records: Optional[int] = None,
         topics: Optional[Iterable[str]] = None,
         extra_referenced: Iterable[str] = (),
-        batch_apply: bool = True,
         bootstrap: str = "replay",
     ) -> None:
         if bootstrap not in ("replay", "snapshot"):
             raise FeedError(f"unknown bootstrap mode {bootstrap!r}")
         self.feed = feed
         self.group = group
-        self.batch_apply = batch_apply
         self._prefer_snapshot = bootstrap == "snapshot"
         #: how the last bootstrap rebuilt the database: ``"replay"``
         #: (committed prefix streamed), ``"snapshot"`` (group snapshot
@@ -264,39 +255,18 @@ class ReplicaHypergraph:
             self._needs_full = True
 
     def _apply_stream(self, records: Iterable[FeedRecord]) -> int:
-        """Apply a record stream to the replica database in batches.
+        """Apply a record stream to the replica database (in bounded
+        batches, see :func:`~repro.engine.database.replay_feed_records`),
+        counting it per topic into ``applied_records``.  Returns the
+        number of records applied."""
 
-        Bootstrap replays feed segments lazily (one resident per topic),
-        so batching must be bounded: records accumulate up to the replay
-        batch size, then one batched apply folds them in.  With
-        ``batch_apply`` off, falls back to record-at-a-time (the
-        benchmark baseline); the resulting state is identical.  Returns
-        the number of records applied (and counts them per topic into
-        ``applied_records``).
-        """
-        applied = 0
-        if not self.batch_apply:
+        def counted() -> Iterator[FeedRecord]:
+            applied = self.applied_records
             for record in records:
-                apply_feed_record(self.db, record)
-                applied += 1
-                self.applied_records[record.topic] = (
-                    self.applied_records.get(record.topic, 0) + 1
-                )
-            return applied
-        batch: list[FeedRecord] = []
-        for record in records:
-            batch.append(record)
-            self.applied_records[record.topic] = (
-                self.applied_records.get(record.topic, 0) + 1
-            )
-            if len(batch) >= REPLAY_BATCH_RECORDS:
-                apply_feed_records(self.db, batch)
-                applied += len(batch)
-                batch.clear()
-        if batch:
-            apply_feed_records(self.db, batch)
-            applied += len(batch)
-        return applied
+                applied[record.topic] = applied.get(record.topic, 0) + 1
+                yield record
+
+        return replay_feed_records(self.db, counted())
 
     def _restore_from_snapshot(self, committed: dict[str, int]) -> bool:
         """Restore the group's snapshot into the (fresh) database and

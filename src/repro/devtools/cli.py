@@ -5,10 +5,6 @@ Exit status 0 means no diagnostics; 1 means findings (or parse errors);
 ``path:line:col: ID [name] message`` line per finding; ``--format=json``
 emits a single machine-readable document on stdout and
 ``--format=github`` emits GitHub Actions workflow annotations.
-
-Results are cached per file under ``.hippolint_cache/`` (keyed by
-analyzer fingerprint, file digest and rule selection); ``--no-cache``
-bypasses the cache entirely.
 """
 
 from __future__ import annotations
@@ -17,22 +13,10 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.devtools.cache import (
-    ResultCache,
-    content_digest,
-    select_key,
-)
 from repro.devtools.diagnostics import Diagnostic
-from repro.devtools.framework import (
-    PARSE_ERROR_ID,
-    all_rules,
-    analyze_source,
-    analyze_paths,
-    iter_python_files,
-)
+from repro.devtools.framework import all_rules, analyze_paths
 
 FORMATS = ("text", "json", "github")
 
@@ -66,11 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the .hippolint_cache directory",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="describe every registered rule and exit",
@@ -81,43 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suppress the summary line on success",
     )
     return parser
-
-
-def _analyze_cached(
-    paths: Iterable[str], select: Optional[Iterable[str]]
-) -> tuple[list[Diagnostic], int, ResultCache]:
-    """Like :func:`analyze_paths`, but reusing per-file cached results."""
-    cache = ResultCache()
-    selection = select_key(select)
-    diagnostics: list[Diagnostic] = []
-    checked = 0
-    for file_path in iter_python_files(paths):
-        checked += 1
-        try:
-            data = Path(file_path).read_bytes()
-            source = data.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as error:
-            diagnostics.append(
-                Diagnostic(
-                    file_path,
-                    1,
-                    0,
-                    PARSE_ERROR_ID,
-                    "parse-error",
-                    f"cannot read file: {error}",
-                )
-            )
-            continue
-        digest = content_digest(data)
-        cached = cache.get(file_path, digest, selection)
-        if cached is not None:
-            diagnostics.extend(cached)
-            continue
-        fresh = analyze_source(source, file_path, select)
-        cache.put(file_path, digest, selection, fresh)
-        diagnostics.extend(fresh)
-    cache.save()
-    return diagnostics, checked, cache
 
 
 def _emit_text(diagnostics: list[Diagnostic]) -> None:
@@ -168,12 +110,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"    rationale: {rule.rationale}")
         return 0
     started = time.perf_counter()
-    if options.no_cache:
-        diagnostics, checked = analyze_paths(options.paths, options.select)
-    else:
-        diagnostics, checked, _ = _analyze_cached(
-            options.paths, options.select
-        )
+    diagnostics, checked = analyze_paths(options.paths, options.select)
     elapsed = time.perf_counter() - started
     if options.output_format == "json":
         _emit_json(diagnostics, checked, elapsed)

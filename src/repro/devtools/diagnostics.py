@@ -3,9 +3,9 @@
 A diagnostic pins a rule violation to ``path:line:col``.  Suppressions are
 ordinary comments so they survive formatting and show up in review:
 
-* ``# hippolint: disable=HL001`` -- suppress the listed rules on this line;
-* ``# hippolint: disable-next-line=HL001`` -- same, for the following line;
-* ``# hippolint: disable-file=HL001`` -- suppress for the whole file.
+* ``# hippolint: disable=HL003`` -- suppress the listed rules on this line;
+* ``# hippolint: disable-next-line=HL003`` -- same, for the following line;
+* ``# hippolint: disable-file=HL003`` -- suppress for the whole file.
 
 Several ids may be given separated by commas, and free-form justification
 text may follow after ``--``; reviewers should insist on it::

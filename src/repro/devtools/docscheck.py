@@ -6,9 +6,9 @@ Two guarantees keep the docs tree honest as the code grows:
   ``docs/**/*.md`` resolves -- the target file exists relative to the
   linking file, and a ``#fragment`` on a markdown target names a real
   heading in it (GitHub anchor slugging);
-* the **rule table** in ``CONTRIBUTING.md`` lists every rule id the
-  live hippolint registry exposes, so a newly registered rule cannot
-  ship undocumented.
+* the **rule table** in ``CONTRIBUTING.md`` lists exactly the rule ids
+  the live hippolint registry exposes, so a newly registered rule
+  cannot ship undocumented and a deleted one cannot linger.
 
 Run: ``python -m repro.devtools.docscheck [root]`` -- exit status 0
 means clean, 1 means findings (one ``path: message`` line each), 2 bad
@@ -87,19 +87,25 @@ def check_file_links(path: Path, root: Path) -> list[str]:
 
 
 def check_rule_table(root: Path) -> list[str]:
-    """Findings for registry rule ids missing from CONTRIBUTING.md."""
+    """Findings for registry rule ids missing from CONTRIBUTING.md,
+    and for table rows naming a rule the registry no longer has."""
     contributing = root / "CONTRIBUTING.md"
     if not contributing.is_file():
         return ["CONTRIBUTING.md: missing (the rule table lives here)"]
-    documented = set(
-        re.findall(r"`(HL\d{3})`", contributing.read_text(encoding="utf-8"))
-    )
-    findings: list[str] = []
-    for rule in all_rules():
-        if rule.id not in documented:
+    text = contributing.read_text(encoding="utf-8")
+    documented = set(re.findall(r"`(HL\d{3})`", text))
+    rules = all_rules()
+    findings = [
+        f"CONTRIBUTING.md: rule table lacks a row for {rule.id} [{rule.name}]"
+        for rule in rules
+        if rule.id not in documented
+    ]
+    registered = {rule.id for rule in rules}
+    for rule_id in re.findall(r"^\| `(HL\d{3})` ", text, re.MULTILINE):
+        if rule_id not in registered:
             findings.append(
-                f"CONTRIBUTING.md: rule table lacks a row for"
-                f" {rule.id} [{rule.name}]"
+                f"CONTRIBUTING.md: rule table has a row for {rule_id},"
+                " which is not a registered rule"
             )
     return findings
 

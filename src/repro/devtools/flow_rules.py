@@ -107,29 +107,33 @@ class ResourceLeakRule(Rule):
 class LockStateRule(Rule):
     """HL014: manifest mutations see the lock *held*, not just nearby.
 
-    HL001 checks that guarded calls are lexically inside ``with
-    self._manifest_lock():``; this rule runs a must-held analysis over
-    the CFG instead, so a lock context laundered through a variable
-    still counts, and a path that reaches the mutation with the lock
-    released (early return, conditional acquisition, exception edge
-    past the ``with``) is caught.
+    PR 4's crash tests found torn manifests when retention merged
+    segment lists outside the flock; every call in the segment log
+    (``engine/feed/segments.py``) that folds or rewrites manifest state
+    must run with ``self.manifest_lock()`` held.  The rule runs a
+    must-held analysis over the CFG, so a lock context laundered
+    through a variable still counts, and a path that reaches the
+    mutation with the lock released (early return, conditional
+    acquisition, exception edge past the ``with``) is caught -- as is
+    the plain case of a guarded call with no ``with`` around it at all.
     """
 
     id = "HL014"
     name = "lock-state"
     summary = (
-        "manifest-state helpers must execute with self._manifest_lock()"
+        "manifest-state helpers in engine/feed/segments.py must execute with"
+        " self.manifest_lock()"
         " definitely held on every CFG path, not merely lexically nearby"
     )
     rationale = (
-        "PR 9 flow analysis; dynamic twin: tests/engine/test_feed.py"
-        " multi-writer crash-recovery suite"
+        "PR 4 writer-side checkpoints, PR 9 flow analysis; dynamic twin:"
+        " tests/engine/test_feed.py crash-recovery and multi-writer tests"
     )
 
     GUARDED = ("_merge_disk_retention", "_sweep_orphans")
 
     def applies_to(self, module: SourceModule) -> bool:
-        return module.is_module("engine/feed.py")
+        return module.is_module("engine/feed/segments.py")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         for func in _functions(module.tree):
@@ -154,7 +158,7 @@ class LockStateRule(Rule):
                                 node.lineno,
                                 node.col_offset,
                                 f"{reason} can execute with"
-                                " self._manifest_lock() not held on some"
+                                " self.manifest_lock() not held on some"
                                 " path into this call",
                             )
 
@@ -162,10 +166,10 @@ class LockStateRule(Rule):
         target = terminal_name(call.func)
         if target in self.GUARDED:
             return f"{target}() mutates manifest/segment state and"
-        if target == "_atomic_json" and any(
+        if target == "atomic_json" and any(
             "MANIFEST" in ast.unparse(argument) for argument in call.args
         ):
-            return "the manifest write via _atomic_json()"
+            return "the manifest write via atomic_json()"
         return None
 
 

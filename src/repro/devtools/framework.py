@@ -1,12 +1,12 @@
 """The hippolint rule framework: registry, module model, file driver.
 
 A :class:`Rule` inspects one parsed module and yields findings.  Rules are
-registered by id (``HL001`` ...) in a module-level registry; the driver
+registered by id (``HL002`` ...) in a module-level registry; the driver
 parses each file once, asks every applicable rule for findings, and drops
 those covered by suppression comments.
 
 Paths are normalised to a *package path* -- the part under the ``repro``
-package (``engine/feed.py``, ``conflicts/shard.py``) -- so rules can scope
+package (``engine/planner.py``, ``conflicts/shard.py``) -- so rules can scope
 themselves to the modules whose invariants they encode regardless of where
 the tree is checked out.  Files outside the package (tests, fixtures run
 through :func:`analyze_source`) get an empty package path and are only
@@ -139,7 +139,7 @@ def analyze_source(
     """Analyze source text as though it lived at ``path``.
 
     This is how fixture tests exercise path-scoped rules: the fixture text
-    is analyzed under a virtual path such as ``src/repro/engine/feed.py``.
+    is analyzed under a virtual path such as ``src/repro/engine/planner.py``.
     """
     try:
         tree = ast.parse(source)

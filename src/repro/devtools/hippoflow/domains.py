@@ -9,7 +9,7 @@ Three families of analyses run over per-function CFGs:
   block, or an ownership escape (returned, passed on, stored) on every
   path, including exception edges (rule HL013).
 * :class:`LockDomain` -- a must-held lock counter for
-  ``with self._manifest_lock():`` scopes, tracking lock context
+  ``with self.manifest_lock():`` scopes, tracking lock context
   objects laundered through local variables (rule HL014).
 * :class:`TaintDomain` -- may-taint over local string variables built
   by f-string/%/``+``/``.format()`` interpolation (rule HL015).
@@ -500,15 +500,15 @@ class LockState:
 
 
 class LockDomain(Domain):
-    """Must-analysis of ``with self._manifest_lock():`` scopes (HL014).
+    """Must-analysis of ``with self.manifest_lock():`` scopes (HL014).
 
     ``depth`` counts definitely-held acquisitions along *every* path
     into a point (join takes the minimum).  A lock context laundered
-    through a variable (``lock = self._manifest_lock()`` ...
-    ``with lock:``) still counts, which the lexical HL001 cannot see.
+    through a variable (``lock = self.manifest_lock()`` ...
+    ``with lock:``) still counts, which a lexical check cannot see.
     """
 
-    def __init__(self, lock_call: str = "_manifest_lock") -> None:
+    def __init__(self, lock_call: str = "manifest_lock") -> None:
         self.lock_call = lock_call
 
     def initial(self) -> LockState:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, Optional
 
 from repro.engine.changelog import ChangeLog
+from repro.engine.feed import SCHEMA_TOPIC
 from repro.engine.schema import TableSchema
 from repro.engine.storage import Table
 from repro.errors import CatalogError
@@ -28,9 +29,17 @@ class Catalog:
         """Create and register an empty table.
 
         Raises:
-            CatalogError: if a table with that name already exists.
+            CatalogError: if a table with that name already exists, or
+                the name is the feed's reserved DDL topic (a relation
+                is its own topic; sharing the DDL topic would interleave
+                its rows with schema records).
         """
         key = schema.name.lower()
+        if key == SCHEMA_TOPIC:
+            raise CatalogError(
+                f"table name {schema.name!r} is reserved for the feed's"
+                " DDL topic"
+            )
         if key in self._tables:
             raise CatalogError(f"table {schema.name!r} already exists")
         table = Table(schema, changelog=self._changelog)

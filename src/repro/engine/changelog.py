@@ -1,41 +1,14 @@
-"""The database change log: the feed incremental conflict detection reads.
+"""The database change log: what storage publishes row mutations to.
 
-Hippo's Figure-1 data flow runs Conflict Detection once, up front; every
-later consistent-answer computation reuses the conflict hypergraph.  For
-that to survive update traffic, the storage layer publishes every row
-mutation as a :class:`Change` -- ``(relation, tid, row, op)`` -- and the
-Hippo engine consumes the stream through a :class:`ChangeCursor`,
-re-deriving only the hyperedges that touch changed tuples.
-
-Since PR 2 the log is a facade over the partitioned
-:class:`~repro.engine.feed.ChangeFeed`: every relation is its own topic
-with monotonic offsets, cursors are consumer groups, and attaching a
-durable feed (:class:`~repro.engine.feed.ChangeFeed` with a directory)
-makes the whole stream crash-safe and replayable by other processes
-(see :mod:`repro.conflicts.replica`).  The original semantics survive:
-
-* **Zero cost when unused.**  An in-memory feed buffers nothing until at
-  least one cursor/consumer group is open, so a plain
-  :class:`~repro.engine.database.Database` never accumulates history.
-* **Updates are delete + insert.**  An UPDATE keeps its tid but changes
-  the row, so it is published as a ``delete`` of the old row followed by
-  an ``insert`` of the new one under the same tid; consumers treat the
-  pair as "retract everything incident to the tuple, then re-derive".
-* **Bounded memory, verified fallback.**  In-memory retention is capped;
-  on overflow it is dropped wholesale and lagging cursors report
-  ``lost=True``, telling the consumer to fall back to full re-detection
-  (the escape hatch is always correct, just slower).  Durable feeds
-  never lose an unconsumed record: segments are the retention, only the
-  active tail stays resident, and with ``retention="truncate"`` (or
-  ``"compact"``, which additionally rewrites partially-consumed sealed
-  segments down to their surviving records) sealed history is reclaimed
-  once every registered recovery participant -- the durable writer's
-  checkpoint included -- has passed it; cursors whose history was
-  reclaimed report ``lost`` and fall back the same way.
-* **DDL rides the feed.**  CREATE/DROP TABLE bump ``schema_version``
-  and (when anyone is listening) publish serialized schemas on the
-  ``_schema`` topic, which is what lets a replica rebuild the database
-  without sharing memory.
+A :class:`Change` is one row mutation -- ``(relation, tid, row, op)``.
+An UPDATE keeps its tid but changes the row, so storage publishes it as
+a ``delete`` of the old row followed by an ``insert`` of the new one
+under the same tid; consumers treat the pair as "retract everything
+incident to the tuple, then re-derive".  :class:`ChangeLog` binds one
+database to one :class:`~repro.engine.feed.ChangeFeed` (which owns
+topics, consumer groups, retention and durability -- see its package
+docstring) and adds the one epoch the feed does not carry:
+``plan_epoch``.
 """
 
 from __future__ import annotations
@@ -43,12 +16,12 @@ from __future__ import annotations
 from typing import NamedTuple, Optional, Tuple
 
 from repro.engine.feed import (
-    RECORD_CHANGE,
     RECORD_CREATE_TABLE,
     RECORD_DROP_TABLE,
     ChangeFeed,
     serialize_schema,
 )
+from repro.engine.schema import TableSchema
 
 #: Ops a change can carry.  UPDATE is published as DELETE + INSERT.
 OP_INSERT = "insert"
@@ -71,19 +44,14 @@ class Change(NamedTuple):
 class ChangeLog:
     """The mutation stream of one database, backed by a change feed.
 
-    Writers call :meth:`record`; readers open a :class:`ChangeCursor`
-    and drain it with :meth:`ChangeCursor.read`.  Entries consumed by
-    every open cursor are compacted away (in-memory feeds); when
-    retention exceeds ``max_pending`` the buffer is dropped and lagging
-    cursors become *lost*.
+    Writers call :meth:`record`; readers attach to :attr:`feed` with
+    :meth:`~repro.engine.feed.ChangeFeed.consumer`.  Without an explicit
+    ``feed`` the log owns an in-memory one, which buffers nothing until
+    a consumer group exists.
     """
 
-    def __init__(
-        self, max_pending: int = 100_000, feed: Optional[ChangeFeed] = None
-    ) -> None:
-        self.feed = (
-            feed if feed is not None else ChangeFeed(max_retained=max_pending)
-        )
+    def __init__(self, feed: Optional[ChangeFeed] = None) -> None:
+        self.feed = feed if feed is not None else ChangeFeed()
         #: Planner-visible epoch for changes ``schema_version`` does not
         #: cover (index creation, constraint attach/drop): bumping it
         #: invalidates every cached statement plan keyed against it.
@@ -101,8 +69,6 @@ class ChangeLog:
         """
         self.plan_epoch += 1
 
-    # ------------------------------------------------------------- writing
-
     @property
     def schema_version(self) -> int:
         """Bumped by DDL; consumers with schema-derived state rebuild."""
@@ -113,14 +79,6 @@ class ChangeLog:
         """The global sequence number one past the newest record."""
         return self.feed.next_seq
 
-    @property
-    def _max_pending(self) -> int:
-        return self.feed.max_retained
-
-    @_max_pending.setter
-    def _max_pending(self, value: int) -> None:
-        self.feed.max_retained = value
-
     def record(self, change: Change) -> None:
         """Publish one mutation (dropped when nobody is listening and
         the feed is not durable)."""
@@ -128,75 +86,12 @@ class ChangeLog:
             change.relation, change.tid, change.row, change.op
         )
 
-    def schema_created(self, schema: object) -> None:
+    def schema_created(self, schema: TableSchema) -> None:
         """Publish a CREATE TABLE (serialized schema rides the feed)."""
         self.feed.publish_schema(
-            RECORD_CREATE_TABLE,
-            schema.name.lower(),  # type: ignore[attr-defined]
-            serialize_schema(schema),
+            RECORD_CREATE_TABLE, schema.name.lower(), serialize_schema(schema)
         )
 
     def schema_dropped(self, name: str) -> None:
         """Publish a DROP TABLE."""
         self.feed.publish_schema(RECORD_DROP_TABLE, name.lower())
-
-    # ------------------------------------------------------------- reading
-
-    def open_cursor(self, group: Optional[str] = None) -> "ChangeCursor":
-        """Open a cursor positioned at the current end of the log.
-
-        With a ``group`` name the cursor is a named consumer group whose
-        committed offsets are durable when the feed is; it then resumes
-        from where that group last committed instead of the end.
-        """
-        return ChangeCursor(self.feed, group)
-
-
-class ChangeCursor:
-    """One consumer's position in the change stream (auto-committing).
-
-    A thin adapter over :class:`~repro.engine.feed.FeedConsumer`:
-    :meth:`read` polls, converts change records to :class:`Change` and
-    commits in one step -- the contract the in-process engine wants.
-    """
-
-    def __init__(
-        self, feed: ChangeFeed, group: Optional[str] = None
-    ) -> None:
-        self._consumer = feed.consumer(group)
-
-    @property
-    def pending(self) -> int:
-        """Number of unread records (an overflow also makes this > 0)."""
-        return self._consumer.pending
-
-    @property
-    def lost(self) -> bool:
-        """Whether the feed dropped records past this cursor (history gone)."""
-        return self._consumer.lost
-
-    def read(self) -> tuple[list[Change], bool]:
-        """Drain unread changes; returns ``(changes, lost)``.
-
-        When ``lost`` is True the returned list is empty and the consumer
-        must rebuild its derived state from scratch; either way the
-        cursor is repositioned at the current end of the log.  Schema
-        records are skipped (the engine watches ``schema_version``).
-        """
-        records, lost = self._consumer.poll()
-        # Auto-committing by contract: this cursor feeds the *in-process*
-        # engine, which on any failure rebuilds derived state from the
-        # database rather than replaying records, so the committed offset
-        # is not a durability boundary here (unlike replica consumers).
-        # hippolint: disable-next-line=HL003 -- in-process auto-commit cursor
-        self._consumer.commit()
-        changes = [
-            Change(record.topic, record.tid, record.row, record.op)
-            for record in records
-            if record.kind == RECORD_CHANGE
-        ]
-        return changes, lost
-
-    def close(self) -> None:
-        """Release the cursor (its unread entries may be compacted)."""
-        self._consumer.close()

@@ -258,10 +258,9 @@ class Database:
         """Apply the feed (past ``snapshot``'s cut, when given); returns
         the number of records replayed.
 
-        Records are applied in bounded batches through
-        :func:`apply_feed_records`, so replay amortizes per-record
-        overhead while keeping recovery memory proportional to the
-        database plus one batch, not the feed history.
+        The stream goes through :func:`replay_feed_records`, so recovery
+        memory stays proportional to the database plus one batch, not
+        the feed history.
         """
         feed = self.changes.feed
         start = None
@@ -269,18 +268,8 @@ class Database:
             committed, payload = snapshot
             restore_database(self, payload)
             start = committed
-        count = 0
-        batch: list[FeedRecord] = []
         with feed.suspended():
-            for record in feed.iter_records(start=start):
-                batch.append(record)
-                count += 1
-                if len(batch) >= REPLAY_BATCH_RECORDS:
-                    apply_feed_records(self, batch)
-                    batch.clear()
-            if batch:
-                apply_feed_records(self, batch)
-        return count
+            return replay_feed_records(self, feed.iter_records(start=start))
 
     # ------------------------------------------------------------- execution
 
@@ -668,3 +657,27 @@ def apply_feed_records(db: Database, records: Sequence[FeedRecord]) -> None:
             [(r.tid, r.row, r.op) for r in records[start:stop]]
         )
         start = stop
+
+
+def replay_feed_records(db: Database, records: Iterable[FeedRecord]) -> int:
+    """Apply a record *stream* in bounded batches; returns the number
+    of records applied.
+
+    The one replay loop (durable-database recovery, replica bootstrap
+    and replica sync all call it): records accumulate up to
+    :data:`REPLAY_BATCH_RECORDS`, then one :func:`apply_feed_records`
+    folds them in -- amortized per-record overhead, and a lazy stream
+    (feed segments read one at a time) is never materialized whole.
+    """
+    count = 0
+    batch: list[FeedRecord] = []
+    for record in records:
+        batch.append(record)
+        if len(batch) >= REPLAY_BATCH_RECORDS:
+            apply_feed_records(db, batch)
+            count += len(batch)
+            batch.clear()
+    if batch:
+        apply_feed_records(db, batch)
+        count += len(batch)
+    return count

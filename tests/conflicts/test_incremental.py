@@ -22,6 +22,7 @@ from repro.constraints import (
 )
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.changelog import Change, ChangeLog
+from repro.engine.feed import ChangeFeed
 from repro.errors import ConstraintError
 from repro.sql.parser import parse_expression
 
@@ -48,41 +49,42 @@ class TestChangeLog:
         log.record(Change("r", 0, (1,), "insert"))
         assert log.end == 0
 
-    def test_cursor_sees_changes_once(self):
+    def test_consumer_sees_changes_once(self):
         log = ChangeLog()
-        cursor = log.open_cursor()
+        consumer = log.feed.consumer()
         log.record(Change("r", 0, (1,), "insert"))
-        assert cursor.pending == 1
-        changes, lost = cursor.read()
-        assert not lost and [c.tid for c in changes] == [0]
-        assert cursor.read() == ([], False)
+        assert consumer.pending == 1
+        records, lost = consumer.poll()
+        assert not lost and [r.tid for r in records] == [0]
+        assert consumer.poll() == ([], False)
 
-    def test_two_cursors_compact_at_slowest(self):
+    def test_two_consumers_compact_at_slowest(self):
         log = ChangeLog()
-        fast, slow = log.open_cursor(), log.open_cursor()
+        fast, slow = log.feed.consumer(), log.feed.consumer()
         log.record(Change("r", 0, (1,), "insert"))
-        fast.read()
+        fast.poll()
+        fast.commit()
         assert slow.pending == 1
-        changes, lost = slow.read()
-        assert [c.tid for c in changes] == [0] and not lost
+        records, lost = slow.poll()
+        assert [r.tid for r in records] == [0] and not lost
 
-    def test_overflow_marks_cursor_lost(self):
-        log = ChangeLog(max_pending=2)
-        cursor = log.open_cursor()
+    def test_overflow_marks_consumer_lost(self):
+        log = ChangeLog(ChangeFeed(max_retained=2))
+        consumer = log.feed.consumer()
         for tid in range(4):
             log.record(Change("r", tid, (tid,), "insert"))
-        assert cursor.lost
-        changes, lost = cursor.read()
-        assert lost and changes == []
-        assert not cursor.lost  # repositioned at the end
+        assert consumer.lost
+        records, lost = consumer.poll()
+        assert lost and records == []
+        assert not consumer.lost  # repositioned at the end
 
     def test_update_emits_delete_then_insert(self):
         db = Database()
         db.execute("CREATE TABLE r (a INTEGER)")
-        cursor = db.changes.open_cursor()
+        consumer = db.changes.feed.consumer()
         tid = db.insert_rows("r", [(1,)])[0]
         db.execute("UPDATE r SET a = 2")
-        ops = [(c.op, c.tid, c.row) for c in cursor.read()[0]]
+        ops = [(r.op, r.tid, r.row) for r in consumer.poll()[0]]
         assert ops == [
             ("insert", tid, (1,)),
             ("delete", tid, (1,)),
@@ -211,8 +213,10 @@ class TestIncrementalDenials:
         assert_equivalent(engine, db, constraints)
 
     def test_overflow_falls_back_to_full(self):
-        db, engine, constraints = self.fd_engine()
-        db.changes._max_pending = 3
+        db = Database(feed=ChangeFeed(max_retained=3))
+        db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        engine, constraints = HippoEngine(db, [fd]), [fd]
         for salary in range(100, 110):
             db.execute(f"INSERT INTO emp VALUES ('x{salary}', {salary})")
         engine.refresh()

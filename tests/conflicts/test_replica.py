@@ -235,7 +235,7 @@ class TestRetentionRecovery:
         (emp,) = [t for t in feed.topics() if t.name == "emp"]
         assert emp.start > 0  # sealed prefix actually reclaimed
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto(feed.end_offsets())
+            list(feed.iter_records(upto=feed.end_offsets()))
         feed.close()
 
         # Re-attach: replay is impossible, the snapshot takes over.

@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Bad: rename without fsync, and manifest commit before the segment seal."""
 import json
 import os
@@ -11,7 +11,7 @@ def atomic_json(path, payload) -> None:
     os.replace(temp, path)  # published bytes were never fsync'ed
 
 
-class ChangeFeed:
+class SegmentLog:
     def _rotate(self) -> None:
         self._store_manifest()  # names a segment that is not on disk yet
         self._write_sealed()

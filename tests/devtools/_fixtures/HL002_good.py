@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Good: fsync before the publishing rename; seal before the manifest."""
 import json
 import os
@@ -13,7 +13,7 @@ def atomic_json(path, payload) -> None:
     os.replace(temp, path)
 
 
-class ChangeFeed:
+class SegmentLog:
     def _rotate(self) -> None:
         self._write_sealed()
         self._store_manifest()

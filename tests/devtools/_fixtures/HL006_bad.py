@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Bad: swallowed durability errors hide torn segments from operators."""
 import contextlib
 

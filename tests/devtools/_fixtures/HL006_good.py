@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Good: specific exceptions, and failures are surfaced or re-raised."""
 import contextlib
 

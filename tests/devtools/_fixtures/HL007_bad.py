@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Bad: default json emit silently writes NaN/Infinity the decoder rejects."""
 import json
 

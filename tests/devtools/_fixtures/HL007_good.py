@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Good: every wire emit pins allow_nan=False so floats round-trip."""
 import json
 

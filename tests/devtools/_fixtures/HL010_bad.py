@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Bad: library code printing to stdout corrupts shell/pipe consumers."""
 
 

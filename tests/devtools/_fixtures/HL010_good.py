@@ -1,4 +1,4 @@
-# hippolint-fixture: src/repro/engine/feed.py
+# hippolint-fixture: src/repro/engine/feed/segments.py
 """Good: library code reports through logging, not stdout."""
 import logging
 

@@ -1,17 +1,27 @@
-# hippolint-fixture: src/repro/engine/feed.py
-"""Good: the lock context flows through a variable; the must-analysis
-still proves it held at every mutation (a purely lexical check cannot).
+# hippolint-fixture: src/repro/engine/feed/segments.py
+"""Good: every manifest mutation runs with the lock held -- lexically
+inside the ``with``, or with the lock context flowing through a variable
+(the must-analysis still proves it held; a purely lexical check cannot).
 """
 
 
-class Feed:
+class SegmentLog:
+    def reclaim(self) -> None:
+        with self.manifest_lock():
+            self._merge_disk_retention()
+            self._sweep_orphans()
+            atomic_json(self.directory / MANIFEST, {"segments": []})
+
+    def offsets(self) -> None:
+        # Non-manifest writes need no lock.
+        atomic_json(self.directory / COMMITS, {"offsets": {}})
+
     def compact(self) -> None:
-        guard = self._manifest_lock()
-        # hippolint: disable-next-line=HL001 -- held via `guard`; HL014 proves it
+        guard = self.manifest_lock()
         with guard:
             self._merge_disk_retention()
             self._sweep_orphans()
 
     def store(self) -> None:
-        with self._manifest_lock():
+        with self.manifest_lock():
             self._merge_disk_retention()

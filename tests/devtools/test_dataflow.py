@@ -296,7 +296,7 @@ def test_direct_with_lock_is_held():
     assert guarded_call_held(
         """
 def f(self):
-    with self._manifest_lock():
+    with self.manifest_lock():
         self._sweep_orphans()
 """,
         "_sweep_orphans",
@@ -307,7 +307,7 @@ def test_laundered_lock_variable_is_held():
     assert guarded_call_held(
         """
 def f(self):
-    guard = self._manifest_lock()
+    guard = self.manifest_lock()
     with guard:
         self._sweep_orphans()
 """,
@@ -319,7 +319,7 @@ def test_call_after_with_is_not_held():
     assert not guarded_call_held(
         """
 def f(self):
-    with self._manifest_lock():
+    with self.manifest_lock():
         pass
     self._sweep_orphans()
 """,
@@ -332,7 +332,7 @@ def test_conditionally_held_joins_to_not_held():
         """
 def f(self, fast):
     if fast:
-        self._lock_token = self._manifest_lock().__enter__()
+        self._lock_token = self.manifest_lock().__enter__()
     self._sweep_orphans()
 """,
         "_sweep_orphans",

@@ -109,6 +109,17 @@ class TestRuleTable:
             f" {victim.id} [{victim.name}]"
         ]
 
+    def test_row_for_an_unregistered_rule_is_a_finding(self, tmp_path):
+        rule_table(tmp_path)
+        with open(tmp_path / "CONTRIBUTING.md", "a") as handle:
+            handle.write("| `HL001` manifest-lock | gone | gone |\n")
+            # Prose may still mention a retired id; only rows count.
+            handle.write("\n`HL001` was absorbed by `HL014`.\n")
+        assert check_rule_table(tmp_path) == [
+            "CONTRIBUTING.md: rule table has a row for HL001,"
+            " which is not a registered rule"
+        ]
+
     def test_missing_contributing_is_a_finding(self, tmp_path):
         assert check_rule_table(tmp_path) == [
             "CONTRIBUTING.md: missing (the rule table lives here)"

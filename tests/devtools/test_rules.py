@@ -71,8 +71,17 @@ def test_no_orphan_fixtures():
         assert suffix in ("bad", "good"), f"bad fixture suffix: {fixture.name}"
 
 
+def test_lock_state_covers_the_plain_unlocked_call():
+    """HL014 absorbed the lexical manifest-lock rule: a guarded call with
+    no ``with self.manifest_lock():`` around it at all is flagged line by
+    line, as is the conditional-acquisition case only a CFG can see."""
+    source, path = load_fixture("HL014_bad")
+    lines = sorted(d.line for d in findings_for("HL014", source, path))
+    assert lines == [7, 8, 9, 17]
+
+
 def test_registry_is_complete():
-    assert len(RULE_IDS) == 16
+    assert len(RULE_IDS) == 15
     assert RULE_IDS == sorted(RULE_IDS)
     for rule in all_rules():
         assert rule.summary, f"{rule.id} lacks a summary"
@@ -112,7 +121,7 @@ def test_next_line_suppression_only_covers_next_line():
 
 def test_suppression_is_rule_specific():
     path = "src/repro/engine/util.py"
-    source = "print('x')  # hippolint: disable=HL001\n"
+    source = "print('x')  # hippolint: disable=HL002\n"
     assert findings_for("HL010", source, path)
 
 

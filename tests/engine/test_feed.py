@@ -19,10 +19,10 @@ from hypothesis import given, settings, strategies as st
 from repro.engine.database import WRITER_GROUP, Database
 from repro.engine.feed import (
     MANIFEST,
-    SCHEMA_TOPIC,
     ChangeFeed,
     FeedRecord,
 )
+from repro.engine.feed.segments import SEGMENT_CACHE_CAPACITY
 from repro.errors import FeedError, FeedRetentionError
 
 
@@ -31,94 +31,14 @@ def publish(feed: ChangeFeed, relation: str, tid: int, value: int, op: str = "in
 
 
 class TestPartitioning:
-    def test_offsets_are_per_topic_and_seq_is_global(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        publish(feed, "r", 0, 10)
-        publish(feed, "s", 0, 20)
-        publish(feed, "r", 1, 11)
-        records, lost = consumer.poll()
-        assert not lost
-        assert [(r.topic, r.offset, r.seq) for r in records] == [
-            ("r", 0, 0),
-            ("s", 0, 1),
-            ("r", 1, 2),
-        ]
+    # Seq/offset order, DDL topic, suspended(), consumer-group and
+    # poll-merge behaviour shared by both kinds: test_feed_contract.py.
 
     def test_nothing_buffered_without_consumers(self):
         feed = ChangeFeed()
         publish(feed, "r", 0, 1)
         assert feed.next_seq == 0 and feed.topics() == []
-
-    def test_schema_records_ride_their_own_topic(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        feed.publish_schema("create_table", "r", {"name": "r", "columns": []})
-        publish(feed, "r", 0, 1)
-        records, _ = consumer.poll()
-        assert [r.topic for r in records] == [SCHEMA_TOPIC, "r"]
-        assert feed.schema_version == 1
-
-    def test_suspended_publishing_drops_everything(self):
-        feed = ChangeFeed()
-        feed.consumer("g")
-        with feed.suspended():
-            publish(feed, "r", 0, 1)
-            feed.publish_schema("drop_table", "r")
-        assert feed.next_seq == 0 and feed.schema_version == 0
-
-
-class TestConsumerGroups:
-    def test_poll_without_commit_redelivers_on_reattach(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        publish(feed, "r", 0, 1)
-        records, _ = consumer.poll()
-        assert len(records) == 1
-        # A new consumer of the same group starts at the *committed*
-        # offsets -- the uncommitted poll is redelivered.
-        again = feed.consumer("g")
-        redelivered, _ = again.poll()
-        assert [r.seq for r in redelivered] == [r.seq for r in records]
-
-    def test_commit_advances_the_group(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        publish(feed, "r", 0, 1)
-        consumer.poll()
-        consumer.commit()
-        assert consumer.committed == {"r": 1}
-        assert feed.consumer("g").poll() == ([], False)
-
-    def test_groups_are_independent(self):
-        feed = ChangeFeed()
-        fast, slow = feed.consumer("fast"), feed.consumer("slow")
-        publish(feed, "r", 0, 1)
-        fast.poll()
-        fast.commit()
-        records, _ = slow.poll()
-        assert len(records) == 1
-
-    def test_poll_limit_stops_at_an_intermediate_cut(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        for tid in range(5):
-            publish(feed, "r", tid, tid)
-        first, _ = consumer.poll(limit=2)
-        rest, _ = consumer.poll()
-        assert [r.tid for r in first] == [0, 1]
-        assert [r.tid for r in rest] == [2, 3, 4]
-
-    def test_lag_counts_from_committed(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        for tid in range(3):
-            publish(feed, "r", tid, tid)
-        consumer.poll(limit=1)
-        assert consumer.pending == 2  # past the read position
-        assert consumer.lag == 3  # past the committed position
-        consumer.commit()
-        assert consumer.lag == 2
+        assert feed.dropped == 1
 
 
 class TestRetention:
@@ -148,13 +68,13 @@ class TestRetention:
         records, lost = consumer.poll()
         assert not lost and [r.tid for r in records] == [9]
 
-    def test_records_upto_raises_past_retention(self):
+    def test_iter_records_raises_past_retention(self):
         feed = ChangeFeed(max_retained=2)
         feed.consumer("g")
         for tid in range(4):
             publish(feed, "r", tid, tid)
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 3})
+            list(feed.iter_records(upto={"r": 3}))
 
     def test_subscribed_groups_compact_their_own_topics_only(self):
         feed = ChangeFeed()
@@ -347,39 +267,7 @@ class TestCommitDurabilityOrdering:
             publish(feed, "r", 0, 0)
         reopened = ChangeFeed(directory)
         with pytest.raises(FeedError, match="past the end"):
-            reopened.records_upto({"r": 5})
-
-
-class TestPollMerging:
-    """``_poll`` is a bounded k-way merge, not slice-of-everything."""
-
-    def test_poll_limit_materializes_a_bounded_batch(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        for tid in range(100):
-            publish(feed, "r" if tid % 2 else "s", tid, tid)
-        records, _ = consumer.poll(limit=5)
-        assert [r.seq for r in records] == [0, 1, 2, 3, 4]
-        # The regression this pins: the old implementation materialized
-        # the *entire* remaining backlog (100 records) and sliced to 5.
-        # The merge may look one record ahead per topic, nothing more.
-        assert feed.last_poll_materialized <= 5 + 2
-        rest, _ = consumer.poll()
-        assert [r.seq for r in rest] == list(range(5, 100))
-
-    def test_small_batches_interleave_topics_in_seq_order(self):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        for tid in range(9):
-            publish(feed, f"t{tid % 3}", tid // 3, tid)
-        seen: list[int] = []
-        while True:
-            records, _ = consumer.poll(limit=2)
-            if not records:
-                break
-            assert feed.last_poll_materialized <= 2 + 3
-            seen.extend(r.seq for r in records)
-        assert seen == list(range(9))
+            list(reopened.iter_records(upto={"r": 5}))
 
 
 class TestValueRoundTrip:
@@ -390,7 +278,7 @@ class TestValueRoundTrip:
         with ChangeFeed(directory) as feed:
             feed.publish_change("r", 0, row, "insert")
         reopened = ChangeFeed(directory)
-        (record,) = reopened.records_upto(reopened.end_offsets())
+        (record,) = list(reopened.iter_records(upto=reopened.end_offsets()))
         return record.row
 
     def test_non_finite_reals_round_trip(self, tmp_path):
@@ -459,7 +347,7 @@ class TestLazyOpen:
         records, _ = consumer.poll()
         assert [r.tid for r in records] == list(range(10))
         # Tail (1 record) + the sealed-segment LRU; never the full 10.
-        assert reopened.resident_records() <= 1 + 3 * reopened._cache.capacity
+        assert reopened.resident_records() <= 1 + 3 * SEGMENT_CACHE_CAPACITY
 
     def test_streaming_replay_is_segment_bounded(self, tmp_path):
         # The acceptance bar: over a history of >= 16 sealed segments,
@@ -621,7 +509,7 @@ class TestRetentionTruncation:
         consumer.poll()
         consumer.commit()
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 6})
+            list(feed.iter_records(upto={"r": 6}))
         feed.close()
 
     def test_keep_policy_never_deletes(self, tmp_path):
@@ -664,7 +552,7 @@ class TestRetentionTruncation:
         records, lost = late.poll()
         assert lost and records == []
         with pytest.raises(FeedError, match="no longer retained"):
-            reader.records_upto({"r": 6})
+            list(reader.iter_records(upto={"r": 6}))
         feed.close()
         reader.close()
 
@@ -761,7 +649,7 @@ class TestRetentionTruncation:
         writer.flush()
         # Age the writer's resident copies out so the poll must go to
         # disk: the LRU holds the rotation-time segments.
-        writer._cache.clear()
+        writer._log._cache.clear()
         foreign = ChangeFeed(directory, retention="truncate")
         consumer = foreign.consumer("g", start="beginning")
         consumer.poll()
@@ -869,7 +757,7 @@ class TestSegmentCompaction:
             6, 7, 8, 9, 10, 11,
         ]
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto({"r": 6})
+            list(feed.iter_records(upto={"r": 6}))
         # The feed keeps appending and consuming past the rewrite.
         publish(feed, "r", 12, 12)
         records, lost = consumer.poll()
@@ -902,7 +790,7 @@ class TestSegmentCompaction:
     def test_explicit_compact_reclaims_any_amount(self, tmp_path):
         # compact() on demand (the CLI's `.feed compact`) works on any
         # durable feed -- whatever its configured retention policy --
-        # and takes min_reclaim=0: a single reclaimable record counts.
+        # and has no hysteresis: a single reclaimable record counts.
         directory = tmp_path / "feed"
         feed = ChangeFeed(directory, segment_records=4)  # retention="keep"
         consumer = feed.consumer("g", start="beginning")
@@ -1007,7 +895,7 @@ class TestCompactionCrashSafety:
         def boom() -> None:
             raise RuntimeError("crash before the manifest commit")
 
-        feed._store_manifest = boom  # the rewrite happened, the commit dies
+        feed._log._store_manifest = boom  # the rewrite happened, the commit dies
         with pytest.raises(RuntimeError):
             feed.compact()
         # The failed commit rolled the instance's memory back: it keeps
@@ -1084,7 +972,7 @@ class TestCompactionCrashSafety:
             def boom() -> None:
                 raise RuntimeError("crash")
 
-            feed._store_manifest = boom
+            feed._log._store_manifest = boom
             try:
                 feed.compact()
             except RuntimeError:
@@ -1152,7 +1040,7 @@ class TestWriterRecovery:
         (emp,) = [t for t in feed.topics() if t.name == "emp"]
         assert emp.start > 0  # a full replay is genuinely impossible now
         with pytest.raises(FeedError, match="no longer retained"):
-            feed.records_upto(feed.end_offsets())
+            list(feed.iter_records(upto=feed.end_offsets()))
         expected = dict(db.table("emp").items())
         end = db.changes.end
         feed.close()

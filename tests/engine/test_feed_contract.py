@@ -1,0 +1,256 @@
+"""One feed contract, two logs.
+
+Everything a consumer may rely on without knowing where the records
+live -- seq-ordered polls, ``limit``, commit / re-delivery, topic-subset
+subscriptions, resubscription, transfer packets, ``suspended()``, lag
+and pending -- runs here against the memory log and against the segment
+log (at two records per segment, so every multi-record case crosses a
+rotation).  What is kind-specific stays in ``test_feed.py`` (overflow ->
+``lost``; torn tails, rotation, tailing, truncation / compaction crash
+safety) and ``test_feed_transfer.py`` (what survives a fresh instance).
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
+from repro.errors import FeedError
+
+
+@pytest.fixture(params=["memory", "segments"])
+def feed(request, tmp_path):
+    if request.param == "memory":
+        built = ChangeFeed()
+    else:
+        built = ChangeFeed(tmp_path / "feed", segment_records=2)
+    assert built.durable == (request.param == "segments")
+    yield built
+    built.close()
+
+
+def publish(feed: ChangeFeed, relation: str, tid: int, value: int) -> None:
+    feed.publish_change(relation, tid, (value,), "insert")
+
+
+class TestPublishPoll:
+    def test_offsets_are_per_topic_and_seq_is_global(self, feed):
+        consumer = feed.consumer("g")
+        publish(feed, "r", 0, 10)
+        publish(feed, "s", 0, 20)
+        publish(feed, "r", 1, 11)
+        records, lost = consumer.poll()
+        assert not lost
+        assert [(r.topic, r.offset, r.seq) for r in records] == [
+            ("r", 0, 0),
+            ("s", 0, 1),
+            ("r", 1, 2),
+        ]
+        assert feed.next_seq == 3
+        assert feed.end_offsets() == {"r": 2, "s": 1}
+
+    def test_schema_records_ride_their_own_topic(self, feed):
+        consumer = feed.consumer("g")
+        feed.publish_schema("create_table", "r", {"name": "r", "columns": []})
+        publish(feed, "r", 0, 1)
+        records, _ = consumer.poll()
+        assert [r.topic for r in records] == [SCHEMA_TOPIC, "r"]
+        assert feed.schema_version == 1
+
+    def test_suspended_publishing_drops_everything(self, feed):
+        feed.consumer("g")
+        with feed.suspended():
+            with feed.suspended():  # nests
+                publish(feed, "r", 0, 1)
+            feed.publish_schema("drop_table", "r")
+        assert feed.next_seq == 0 and feed.schema_version == 0
+        assert not feed.has_history
+        publish(feed, "r", 0, 1)  # and lifts again
+        assert feed.next_seq == 1 and feed.has_history
+
+    def test_poll_limit_stops_at_an_intermediate_cut(self, feed):
+        consumer = feed.consumer("g")
+        for tid in range(5):
+            publish(feed, "r", tid, tid)
+        first, _ = consumer.poll(limit=2)
+        rest, _ = consumer.poll()
+        assert [r.tid for r in first] == [0, 1]
+        assert [r.tid for r in rest] == [2, 3, 4]
+
+    def test_poll_limit_materializes_a_bounded_batch(self, feed):
+        """``_poll`` is a bounded k-way merge, not slice-of-everything."""
+        consumer = feed.consumer("g")
+        for tid in range(100):
+            publish(feed, "r" if tid % 2 else "s", tid, tid)
+        records, _ = consumer.poll(limit=5)
+        assert [r.seq for r in records] == [0, 1, 2, 3, 4]
+        # The regression this pins: the old implementation materialized
+        # the *entire* remaining backlog (100 records) and sliced to 5.
+        # The merge may look one record ahead per topic, nothing more.
+        assert feed.last_poll_materialized <= 5 + 2
+        rest, _ = consumer.poll()
+        assert [r.seq for r in rest] == list(range(5, 100))
+
+    def test_small_batches_interleave_topics_in_seq_order(self, feed):
+        consumer = feed.consumer("g")
+        for tid in range(9):
+            publish(feed, f"t{tid % 3}", tid // 3, tid)
+        seen: list[int] = []
+        while True:
+            records, _ = consumer.poll(limit=2)
+            if not records:
+                break
+            assert feed.last_poll_materialized <= 2 + 3
+            seen.extend(r.seq for r in records)
+        assert seen == list(range(9))
+
+    def test_iter_records_replays_a_range_in_seq_order(self, feed):
+        feed.consumer("g")
+        for tid in range(6):
+            publish(feed, "r" if tid % 2 else "s", tid, tid)
+        assert [r.seq for r in feed.iter_records()] == list(range(6))
+        middle = feed.iter_records(start={"r": 1, "s": 1}, upto={"r": 2, "s": 3})
+        assert [(r.topic, r.offset) for r in middle] == [
+            ("s", 1),
+            ("r", 1),
+            ("s", 2),
+        ]
+        with pytest.raises(FeedError, match="past the end"):
+            feed.iter_records(upto={"r": 9})
+
+
+class TestCommit:
+    def test_poll_without_commit_redelivers_on_reattach(self, feed):
+        consumer = feed.consumer("g")
+        publish(feed, "r", 0, 1)
+        records, _ = consumer.poll()
+        assert len(records) == 1
+        # A new consumer of the same group starts at the *committed*
+        # offsets -- the uncommitted poll is redelivered.
+        again = feed.consumer("g")
+        redelivered, _ = again.poll()
+        assert [r.seq for r in redelivered] == [r.seq for r in records]
+
+    def test_commit_advances_the_group(self, feed):
+        consumer = feed.consumer("g")
+        publish(feed, "r", 0, 1)
+        consumer.poll()
+        consumer.commit()
+        assert consumer.committed == {"r": 1}
+        assert feed.groups() == {"g": {"r": 1}}
+        assert feed.consumer("g").poll() == ([], False)
+
+    def test_groups_are_independent(self, feed):
+        fast, slow = feed.consumer("fast"), feed.consumer("slow")
+        publish(feed, "r", 0, 1)
+        fast.poll()
+        fast.commit()
+        records, _ = slow.poll()
+        assert len(records) == 1
+
+    def test_lag_counts_from_committed(self, feed):
+        consumer = feed.consumer("g")
+        for tid in range(3):
+            publish(feed, "r", tid, tid)
+        consumer.poll(limit=1)
+        assert consumer.pending == 2  # past the read position
+        assert consumer.lag == 3  # past the committed position
+        consumer.commit()
+        assert consumer.lag == 2 and not consumer.lost
+
+    def test_new_groups_start_at_the_end_or_the_beginning(self, feed):
+        feed.consumer("early")
+        publish(feed, "r", 0, 1)
+        assert feed.consumer("late").poll() == ([], False)
+        records, _ = feed.consumer("replay", start="beginning").poll()
+        assert [r.tid for r in records] == [0]
+
+    def test_closed_and_abandoned_consumers_go_quiet(self, feed):
+        closed, abandoned = feed.consumer("c"), feed.consumer("a")
+        publish(feed, "r", 0, 1)
+        closed.close()
+        abandoned.abandon()
+        for consumer in (closed, abandoned):
+            assert consumer.closed
+            assert consumer.poll() == ([], False)
+            assert (consumer.lag, consumer.pending, consumer.lost) == (0, 0, False)
+        # close() deregisters; abandon() is the crash: still registered.
+        assert "c" not in feed.groups() and "a" in feed.groups()
+
+
+class TestSubscriptions:
+    def test_polls_and_lag_see_only_subscribed_topics(self, feed):
+        subscribed = feed.consumer("r-only", topics=["R"])  # lower-cased
+        everything = feed.consumer("all")
+        publish(feed, "r", 0, 1)
+        publish(feed, "s", 0, 2)
+        assert subscribed.topics == frozenset({"r"})
+        assert subscribed.lag == 1  # s is invisible to the subscription
+        assert everything.lag == 2
+        records, lost = subscribed.poll()
+        assert not lost and [r.topic for r in records] == ["r"]
+        subscribed.commit()
+        assert subscribed.committed == {"r": 1}
+        point = feed.recovery_points()["r-only"]
+        assert point.topics == frozenset({"r"}) and point.floor == {"r": 1}
+
+    def test_adding_a_topic_pins_it_at_the_given_position(self, feed):
+        consumer = feed.consumer("g", topics=("a",))
+        publish(feed, "a", 0, 1)
+        publish(feed, "b", 0, 1)
+        publish(feed, "b", 1, 2)
+        consumer.poll()
+        consumer.commit()
+        merged = consumer.resubscribe(("a", "b"), {"b": 1})
+        assert merged == {"a": 1, "b": 1}
+        assert consumer.topics == frozenset({"a", "b"})
+        records, _ = consumer.poll()  # resumes b from the given cut
+        assert [(r.topic, r.offset) for r in records] == [("b", 1)]
+        point = feed.recovery_points()["g"]
+        assert point.topics == frozenset({"a", "b"})
+        assert point.committed == {"a": 1, "b": 1}
+
+    def test_dropping_a_topic_releases_its_registration(self, feed):
+        consumer = feed.consumer("g", topics=("a", "b"))
+        publish(feed, "a", 0, 1)
+        publish(feed, "b", 0, 1)
+        consumer.poll()
+        consumer.commit()
+        merged = feed.update_subscription("g", ("a",))
+        assert merged == {"a": 1}
+        point = feed.recovery_points()["g"]
+        assert point.topics == frozenset({"a"}) and "b" not in point.committed
+
+    def test_existing_committed_wins_over_fresh_position(self, feed):
+        # Re-applying a resubscription must be idempotent: the group's
+        # own committed offset is never rewound by the fresh position.
+        consumer = feed.consumer("g", topics=("a", "b"))
+        publish(feed, "a", 0, 1)
+        consumer.poll()
+        consumer.commit()
+        merged = consumer.resubscribe(("a", "b"), {"a": 0})
+        assert merged["a"] == 1
+
+    def test_ephemeral_groups_cannot_resubscribe_or_snapshot(self, feed):
+        consumer = feed.consumer()
+        with pytest.raises(FeedError):
+            consumer.resubscribe(("a",))
+        with pytest.raises(FeedError):
+            consumer.store_snapshot({})
+        closed = feed.consumer("named")
+        closed.close()
+        with pytest.raises(FeedError, match="closed"):
+            closed.resubscribe(("a",))
+
+
+class TestTransferPackets:
+    def test_roundtrip_and_clear(self, feed):
+        assert feed.transfers() == {} and feed.load_transfer("a") is None
+        feed.store_transfer("A", 2, {"rows": [1, 2]})  # topic lower-cased
+        feed.store_transfer("b", 5, {})
+        assert feed.transfers() == {"a": 2, "b": 5}
+        assert feed.load_transfer("a") == (2, {"rows": [1, 2]})
+        feed.clear_transfer("a")
+        feed.clear_transfer("a")  # idempotent
+        assert feed.transfers() == {"b": 5}
+        assert feed.load_transfer("a") is None

@@ -6,8 +6,6 @@ exactly the step that used to strand the resource and the tests assert
 the resource is released anyway.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.conflicts import ReplicaHypergraph
@@ -38,36 +36,36 @@ class FakeWriter:
 # --------------------------------------------------- feed writer handles
 
 
-def test_close_still_closes_writer_when_flush_fails():
-    feed = ChangeFeed()
+def test_close_still_closes_writer_when_flush_fails(tmp_path):
+    feed = ChangeFeed(tmp_path)
     writer = FakeWriter(fail="flush")
-    feed._writers["changes"] = writer
+    feed._log._writers["changes"] = writer
     with pytest.raises(OSError):
         feed.close()
     assert writer.closed
-    assert feed._writers == {}
+    assert feed._log._writers == {}
 
 
-def test_close_still_closes_writer_when_fsync_fails():
-    feed = ChangeFeed()
+def test_close_still_closes_writer_when_fsync_fails(tmp_path):
+    feed = ChangeFeed(tmp_path)
     writer = FakeWriter(fail="fsync")
-    feed._writers["changes"] = writer
+    feed._log._writers["changes"] = writer
     with pytest.raises((OSError, ValueError)):
         feed.close()
     assert writer.closed
 
 
-def test_rotate_still_closes_popped_writer_when_flush_fails():
-    # _rotate pops the writer first; a failed flush/fsync used to
+def test_rotate_still_closes_popped_writer_when_flush_fails(tmp_path):
+    # _seal pops the writer first; a failed flush/fsync used to
     # strand the popped handle with nothing referencing it.
-    feed = ChangeFeed()
+    log = ChangeFeed(tmp_path)._log
     writer = FakeWriter(fail="flush")
-    feed._writers["changes"] = writer
+    log._writers["changes"] = writer
     with pytest.raises(OSError):
-        feed._rotate(SimpleNamespace(name="changes"))
+        log._seal("changes")
     assert writer.closed
-    assert "changes" not in feed._writers
-    assert "changes" not in feed._active_counts
+    assert "changes" not in log._writers
+    assert "changes" not in log._active_counts
 
 
 # ----------------------------------------------- consumer registrations

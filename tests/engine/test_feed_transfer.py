@@ -5,16 +5,15 @@ These are the feed-level halves of shard handoff: a topic moves between
 consumer groups as a *resubscription pair* (the adopter pins the topic
 at the handoff cut before the releaser drops it), and the suffix in
 between is protected by a transfer packet whose pseudo-group snapshot
-pins the topic for the packet's lifetime.
+pins the topic for the packet's lifetime.  The kind-independent half
+(resubscription semantics, packet round trip) is in
+``test_feed_contract.py``; here is what needs a directory.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.engine.database import Database
 from repro.engine.feed import TRANSFER_PREFIX, ChangeFeed
-from repro.errors import FeedError
 
 
 def build(directory, statements):
@@ -76,12 +75,6 @@ class TestUpdateSubscription:
         reader.close()
         feed.close()
 
-    def test_ephemeral_groups_cannot_resubscribe(self):
-        db = Database()
-        consumer = db.changes.feed.consumer()
-        with pytest.raises(FeedError):
-            consumer.resubscribe(("a",))
-
     def test_survives_a_fresh_feed_instance(self, tmp_path):
         # The durable half: a foreign process's retention scan sees the
         # updated registration.
@@ -100,17 +93,6 @@ class TestUpdateSubscription:
 
 
 class TestTransferPackets:
-    def test_roundtrip_and_clear(self, tmp_path):
-        feed, db = build(tmp_path / "f", SETUP)
-        feed.store_transfer("a", 2, {"rows": [1, 2]})
-        assert feed.transfers() == {"a": 2}
-        cut, payload = feed.load_transfer("a")
-        assert cut == 2 and payload == {"rows": [1, 2]}
-        feed.clear_transfer("a")
-        assert feed.transfers() == {}
-        assert feed.load_transfer("a") is None
-        feed.close()
-
     def test_packet_pins_only_its_topic(self, tmp_path):
         feed, db = build(tmp_path / "f", SETUP)
         feed.store_transfer("a", 2, {})
@@ -127,15 +109,6 @@ class TestTransferPackets:
         assert fresh.transfers() == {"a": 2}
         assert fresh.load_transfer("a") == (2, {"x": 1})
         fresh.close()
-
-    def test_in_memory_packets(self):
-        db = Database()
-        feed = db.changes.feed
-        feed.store_transfer("a", 3, {"x": 1})
-        assert feed.transfers() == {"a": 3}
-        assert feed.load_transfer("a") == (3, {"x": 1})
-        feed.clear_transfer("a")
-        assert feed.load_transfer("a") is None
 
 
 class TestAbandonedConsumers:

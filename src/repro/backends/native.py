@@ -1,10 +1,9 @@
 """The native backend: today's planner / plan executor behind the seam.
 
 This is the reference implementation every other backend is measured
-against (the *differential oracle*): it evaluates SJUD trees through
-:mod:`repro.ra.compile`, SELECT ASTs through the database's planner, and
-residual joins through the same compiled-core machinery conflict
-detection has always used.  It needs no mirroring -- it reads the
+against (the *differential oracle*): SJUD trees, SELECT ASTs and
+residual joins all reach the engine's one planner (trees and joins via
+:mod:`repro.ra.compile`).  It needs no mirroring -- it reads the
 attached database's storage directly.
 """
 

@@ -40,7 +40,8 @@ Meta-commands (everything else is executed as SQL):
 ``.backend [NAME]``    show or switch the execution backend (native /
                        sqlite / duckdb); pushdown falls back to native
 ``.explain SQL``       show the envelope query handed to the RDBMS
-                       (parameterized, with its bound arguments)
+                       (parameterized, with its bound arguments) and the
+                       plan it gets per core (``up`` / ``down``)
 ``.why SQL ; TUPLE``   explain why a tuple is / is not consistent
 ``.repairs``           exact repair count (component factorization)
 ``.stats``             execution counters + statement/plan cache
@@ -56,11 +57,18 @@ from typing import IO, Iterable, Optional
 
 from repro.backends import Backend, available_backends, create_backend
 from repro.constraints.parser import parse_constraint
+from repro.core.envelope import Enveloper
 from repro.core.hippo import AnswerSet, HippoEngine
 from repro.engine.database import Database
 from repro.engine.types import format_value, literal_sql
 from repro.errors import ReproError
-from repro.ra import CatalogSchemaProvider, render_tree
+from repro.ra import (
+    CatalogSchemaProvider,
+    compile_core,
+    cores_of,
+    render_tree,
+    unrestricted,
+)
 from repro.repairs import TooManyRepairsError, count_repairs_exact
 from repro.rewriting import RewritingEngine, classify
 
@@ -398,11 +406,17 @@ class HippoShell:
                 self._print(f"  {name}: {cache[name]}")
             return True
         if command == ".explain":
-            tree, _ = self._hippo().parse(argument)
+            hippo = self._hippo()
+            tree, _ = hippo.parse(argument)
             rendered = render_tree(tree)
             self._print("envelope: " + rendered.text)
             bound = ", ".join(literal_sql(v) for v in rendered.params)
             self._print("bound arguments: " + (bound or "(none)"))
+            clean = Enveloper(self.db, hippo.hypergraph).conflict_free_tids
+            for core in cores_of(tree):
+                for label, tids in (("up", unrestricted), ("down", clean)):
+                    plan = compile_core(core, self.db, tids).explain()
+                    self._print(f"{label} plan:\n{plan}")
             return True
         if command == ".why":
             query_text, _, tuple_text = argument.partition(";")

@@ -3,11 +3,12 @@
 The paper's data flow (Figure 1) runs Conflict Detection once, before any
 query is processed: for every denial constraint, the tuples jointly
 violating it are found and stored as hyperedges.  A denial constraint's
-body is structurally an SJ query over its atoms, so detection compiles
-each constraint through the same plan machinery as ordinary queries
-(self-joins become hash joins on the equality conjuncts -- e.g. an FD's
-``t1.X = t2.X`` -- which keeps detection near-linear when conflicts are
-sparse).
+body is structurally an SJ query over its atoms, so detection hands it
+to the very planner ordinary queries go through
+(:func:`~repro.ra.compile.compile_core`: self-joins become hash joins on
+the equality conjuncts -- e.g. an FD's ``t1.X = t2.X`` -- and constant
+conjuncts pick index or column-equality scans, which keeps detection
+near-linear when conflicts are sparse).
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def violations_of(
 
     The constraint body is structurally an SJ query; with a ``backend``
     its residual join is pushed down there (falling back to native
-    evaluation if the backend declines), otherwise it is compiled
-    through the native plan machinery as always.
+    evaluation if the backend declines), otherwise it is planned
+    natively like any other query.
     """
     core = SJUDCore(
         atoms=tuple(Atom(a.alias, a.relation) for a in constraint.atoms),

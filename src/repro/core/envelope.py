@@ -91,9 +91,6 @@ class Enveloper:
             self._clean_tids[key] = cached
         return cached
 
-    def _restrict_clean(self, relation: str) -> Optional[frozenset[int]]:
-        return self.conflict_free_tids(relation)
-
     # ---------------------------------------------------------- evaluation
 
     def evaluate(self, tree: SJUDTree, compute_core: bool = True) -> EnvelopeEvaluation:
@@ -125,7 +122,7 @@ class Enveloper:
     def _down(self, tree: SJUDTree) -> frozenset[tuple]:
         if isinstance(tree, SJUDCore):
             return frozenset(
-                evaluate_core(tree, self._db, self._restrict_clean).keys()
+                evaluate_core(tree, self._db, self.conflict_free_tids).keys()
             )
         if isinstance(tree, Union_):
             return self._down(tree.left) | self._down(tree.right)

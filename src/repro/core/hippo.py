@@ -246,13 +246,7 @@ class HippoEngine:
         records, lost = (
             self._consumer.poll() if self._consumer is not None else ([], True)
         )
-        if (
-            full
-            or lost
-            or self._incremental is None
-            or self.db.changes.schema_version != self._schema_version
-            or tuple(self.constraints) != self._constraints_snapshot
-        ):
+        if full or lost or self._needs_full_detection():
             # Forget the old maintainer first: if detection raises (e.g.
             # a constraint now references a dropped table), the next
             # refresh must retry full detection -- not resume applying
@@ -296,11 +290,18 @@ class HippoEngine:
         if (
             self._consumer.pending
             or self._consumer.lost
-            or self._incremental is None
-            or self.db.changes.schema_version != self._schema_version
-            or tuple(self.constraints) != self._constraints_snapshot
+            or self._needs_full_detection()
         ):
             self.refresh()
+
+    def _needs_full_detection(self) -> bool:
+        """Whether deltas cannot update the graph: no maintainer (first
+        run, a failed application), DDL, or an edited constraint list."""
+        return (
+            self._incremental is None
+            or self.db.changes.schema_version != self._schema_version
+            or tuple(self.constraints) != self._constraints_snapshot
+        )
 
     def detach(self) -> None:
         """Stop consuming the change feed (the engine becomes static).
@@ -340,6 +341,20 @@ class HippoEngine:
         ``prover_checked``, ``prover_rejected``, membership-check counts,
         and per-stage wall-clock times.
         """
+        return self._proved_answers(query, possible=False)
+
+    def possible_answers(self, query: QueryLike) -> AnswerSet:
+        """Tuples true in *some* repair (the dual of consistent answers).
+
+        Together the two sets bracket the inconsistent database's
+        information: ``consistent <= any-resolution <= possible``.
+        Carries the same statistics as :meth:`consistent_answers`.
+        """
+        return self._proved_answers(query, possible=True)
+
+    def _proved_answers(self, query: QueryLike, possible: bool) -> AnswerSet:
+        """Envelope, then the Prover on every candidate outside the core
+        (certain implies possible, so the core short-cuts both modes)."""
         self._sync()
         started = time.perf_counter()
         tree, order_by = self.parse(query)
@@ -356,6 +371,9 @@ class HippoEngine:
         )
         prover = Prover(self.hypergraph, membership)
         grounder = GroundQuery(tree, self._schema)
+        decide = (
+            prover.is_possible_answer if possible else prover.is_consistent_answer
+        )
 
         answers: list[tuple] = []
         skipped_by_core = 0
@@ -367,8 +385,7 @@ class HippoEngine:
                 continue
             if self.membership_strategy == "provenance":
                 membership.prime(provenance_hints(self.db, provenance))
-            phi = grounder.formula_for(candidate)
-            if prover.is_consistent_answer(phi):
+            if decide(grounder.formula_for(candidate)):
                 answers.append(candidate)
         prover_seconds = time.perf_counter() - prover_started
 
@@ -387,46 +404,6 @@ class HippoEngine:
             "hypergraph": self.hypergraph.summary(),
         }
         return AnswerSet(columns, rows, stats)
-
-    def possible_answers(self, query: QueryLike) -> AnswerSet:
-        """Tuples true in *some* repair (the dual of consistent answers).
-
-        Together the two sets bracket the inconsistent database's
-        information: ``consistent <= any-resolution <= possible``.
-        """
-        self._sync()
-        started = time.perf_counter()
-        tree, order_by = self.parse(query)
-        columns = list(output_names_of(tree))
-        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
-        duplicate_free = not any(
-            self.db.catalog.table(name).has_duplicates()
-            for name in self.db.catalog.table_names()
-        )
-        membership = make_membership(
-            self.membership_strategy, self.db, duplicate_free
-        )
-        prover = Prover(self.hypergraph, membership)
-        grounder = GroundQuery(tree, self._schema)
-        answers = []
-        for candidate, provenance in envelope.candidates.items():
-            if self.use_core and candidate in envelope.certain:
-                answers.append(candidate)  # certain implies possible
-                continue
-            if self.membership_strategy == "provenance":
-                membership.prime(provenance_hints(self.db, provenance))
-            if prover.is_possible_answer(grounder.formula_for(candidate)):
-                answers.append(candidate)
-        rows = self._order(answers, columns, order_by)
-        return AnswerSet(
-            columns,
-            rows,
-            {
-                "candidates": envelope.candidate_count,
-                "answers": len(rows),
-                "total_seconds": time.perf_counter() - started,
-            },
-        )
 
     def explain_candidate(self, query: QueryLike, candidate: tuple) -> dict:
         """Why a tuple is / is not a consistent answer.
@@ -506,9 +483,7 @@ class HippoEngine:
         started = time.perf_counter()
         tree, order_by = self.parse(query)
         columns = list(output_names_of(tree))
-        rows = evaluate_tree(
-            tree, self.db, self._enveloper._restrict_clean
-        )
+        rows = evaluate_tree(tree, self.db, self._enveloper.conflict_free_tids)
         ordered = self._order(rows, columns, order_by)
         return AnswerSet(
             columns, ordered, {"total_seconds": time.perf_counter() - started}

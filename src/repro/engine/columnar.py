@@ -75,7 +75,9 @@ class ColumnStore:
             ]
         return self._tid_rows
 
-    def select_equals(self, positions: Tuple[int, ...], values: Row) -> List[Row]:
+    def select_equals(
+        self, positions: Tuple[int, ...], values: Row, include_tid: bool = False
+    ) -> List[Row]:
         """Rows whose columns at ``positions`` equal ``values``.
 
         A vectorized constant-equality filter: the comparison runs over
@@ -83,10 +85,11 @@ class ColumnStore:
         row.  Matches hash-index lookup semantics (``=`` with NULL
         matches nothing), so the planner may use it interchangeably with
         an :class:`~repro.engine.plan.IndexScan` when no index exists.
+        ``include_tid`` returns the matches from :meth:`tid_rows`.
         """
         if any(value is None for value in values):
             return []
-        rows = self.rows
+        rows = self.tid_rows() if include_tid else self.rows
         if len(positions) == 1:
             column = self.column(positions[0])
             wanted = values[0]

@@ -21,7 +21,7 @@ from repro.engine.feed import (
     FeedRecord,
     deserialize_schema,
 )
-from repro.engine.expressions import ExpressionCompiler, Scope
+from repro.engine.expressions import ExpressionCompiler, Scope, bound_entries
 from repro.engine.plan import Filter, Scan, run_plan
 from repro.engine.planner import PlanCache, PlannedQuery, Planner
 from repro.engine.schema import Column, TableSchema
@@ -553,15 +553,15 @@ class Database:
         scan = Scan(table, self.stats, include_tid=True)
         node = scan
         if where is not None:
-            scope = Scope(
-                [(table.schema.name, c.lower()) for c in table.schema.column_names],
-                None,
-                0,
-            )
-            planner = Planner(self.catalog, self.stats)
-            compiler = planner._compiler(scope)
-            node = Filter(scan, compiler.compile_predicate(where))
+            predicate = self._row_compiler(table).compile_predicate(where)
+            node = Filter(scan, predicate)
         return [(row[-1], row[:-1]) for row in run_plan(node)]
+
+    def _row_compiler(self, table: Table) -> ExpressionCompiler:
+        """Compiles DML expressions over one row of ``table``."""
+        schema = table.schema
+        scope = Scope(bound_entries(schema.name, schema.column_names), None, 0)
+        return Planner(self.catalog, self.stats)._compiler(scope)
 
     def _execute_delete(self, statement: ast.Delete) -> Result:
         table = self.catalog.table(statement.table)
@@ -573,11 +573,7 @@ class Database:
     def _execute_update(self, statement: ast.Update) -> Result:
         table = self.catalog.table(statement.table)
         schema = table.schema
-        scope = Scope(
-            [(schema.name, c.lower()) for c in schema.column_names], None, 0
-        )
-        planner = Planner(self.catalog, self.stats)
-        compiler = planner._compiler(scope)
+        compiler = self._row_compiler(table)
         compiled = [
             (schema.index_of(column), compiler.compile(value))
             for column, value in statement.assignments

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 from repro.engine import functions
 from repro.engine.types import (
@@ -35,6 +35,20 @@ from repro.sql import ast
 
 Env = tuple
 Evaluator = Callable[[Env], SQLValue]
+
+
+def bound_entries(
+    binding: Optional[str], columns: Iterable[str]
+) -> list[tuple[Optional[str], str]]:
+    """:class:`Scope` entries for ``columns`` reachable through ``binding``.
+
+    The one place names are folded to the lower-case form
+    :meth:`Scope.resolve` compares references against: every table name,
+    alias and column enters a scope through here, so ``FROM t T`` /
+    ``T.a`` resolve however either side was typed.
+    """
+    key = binding.lower() if binding else None
+    return [(key, column.lower()) for column in columns]
 
 
 @dataclass
@@ -53,12 +67,6 @@ class Scope:
     entries: list[tuple[Optional[str], str]] = field(default_factory=list)
     parent: Optional["Scope"] = None
     level: int = 0
-
-    def add(self, binding: Optional[str], column: str) -> None:
-        """Append a visible column (order defines slot indexes)."""
-        self.entries.append(
-            (binding.lower() if binding else None, column.lower())
-        )
 
     def resolve(self, table: Optional[str], name: str) -> tuple[int, int]:
         """Resolve a column reference to ``(depth, index)``.

@@ -109,7 +109,8 @@ class IndexScan(PlanNode):
     Produced by the planner when equality-with-constant conjuncts cover
     an index's columns; only the matching rows are touched (and counted),
     which is how the engine models the index scans a disk-based RDBMS
-    would use for selective predicates.
+    would use for selective predicates.  ``include_tid`` appends the tid
+    as a trailing column, exactly as :class:`Scan` does.
     """
 
     def __init__(
@@ -118,27 +119,28 @@ class IndexScan(PlanNode):
         stats: ExecutionStats,
         positions: Sequence[int],
         values: Sequence[SQLValue],
+        include_tid: bool = False,
     ) -> None:
         self.table = table
         self.stats = stats
         self.positions = tuple(positions)
         self.values = tuple(values)
-        self.width = table.schema.arity
+        self.include_tid = include_tid
+        self.width = table.schema.arity + (1 if include_tid else 0)
 
     def rows(self, env: Env) -> Iterator[Row]:
         if any(value is None for value in self.values):
             return  # '=' with NULL matches nothing
+        include_tid = self.include_tid
         tids = self.table.index_lookup(self.positions, self.values)
         for tid in sorted(tids):
             if self.table.has_tid(tid):
                 self.stats.rows_scanned += 1
-                yield self.table.get(tid)
+                row = self.table.get(tid)
+                yield row + (tid,) if include_tid else row
 
     def describe(self) -> str:
-        columns = ", ".join(
-            self.table.schema.column_names[p] for p in self.positions
-        )
-        return f"IndexScan({self.table.schema.name} on [{columns}])"
+        return _lookup_description(self)
 
 
 class ColumnEqScan(PlanNode):
@@ -152,6 +154,7 @@ class ColumnEqScan(PlanNode):
     Matching :class:`IndexScan`, ``=`` with NULL produces nothing, and
     ``rows_scanned`` counts the rows *inspected* -- the full batch, since
     a column filter reads every value of the filtered column.
+    ``include_tid`` selects from the tid-suffixed batch instead.
     """
 
     def __init__(
@@ -160,23 +163,32 @@ class ColumnEqScan(PlanNode):
         stats: ExecutionStats,
         positions: Sequence[int],
         values: Sequence[SQLValue],
+        include_tid: bool = False,
     ) -> None:
         self.table = table
         self.stats = stats
         self.positions = tuple(positions)
         self.values = tuple(values)
-        self.width = table.schema.arity
+        self.include_tid = include_tid
+        self.width = table.schema.arity + (1 if include_tid else 0)
 
     def rows(self, env: Env) -> Iterator[Row]:
         store = self.table.columnar()
         self.stats.rows_scanned += len(store)
-        return iter(store.select_equals(self.positions, self.values))
+        return iter(
+            store.select_equals(self.positions, self.values, self.include_tid)
+        )
 
     def describe(self) -> str:
-        columns = ", ".join(
-            self.table.schema.column_names[p] for p in self.positions
-        )
-        return f"ColumnEqScan({self.table.schema.name} on [{columns}])"
+        return _lookup_description(self)
+
+
+def _lookup_description(node: "IndexScan | ColumnEqScan") -> str:
+    """``Kind(table on [columns] +tid)`` -- the marker :class:`Scan` uses."""
+    names = node.table.schema.column_names
+    columns = ", ".join(names[p] for p in node.positions)
+    extra = " +tid" if node.include_tid else ""
+    return f"{type(node).__name__}({node.table.schema.name} on [{columns}]{extra})"
 
 
 class Values(PlanNode):

@@ -8,11 +8,17 @@ needs to make the Hippo experiments meaningful:
   paper's conflict-detection self-joins and the envelope queries rely on
   this to run in linear time, exactly as PostgreSQL would execute them);
 * remaining conjuncts become filters at the earliest point where all of
-  their columns are available;
+  their columns are available -- single-table ones directly under their
+  FROM item, where constant equalities pick an index or column-equality
+  scan instead;
 * correlated EXISTS / IN subqueries are compiled into subplans with a memo
   cache keyed on the captured outer values, which stands in for the index
   scans an RDBMS would use when executing the rewriting baseline's
   ``NOT EXISTS`` residues.
+
+This is the only planner: SJUD cores (envelope, ``Q-down``, detection's
+residual joins) are rendered to SELECT blocks by
+:mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from repro.engine.expressions import (
     Evaluator,
     ExpressionCompiler,
     Scope,
+    bound_entries,
 )
 from repro.engine.stats import ExecutionStats
 from repro.engine.types import SQLType, SQLValue, infer_type
@@ -36,6 +43,12 @@ from repro.sql import ast
 _SENTINEL = object()
 
 _NUMERIC = frozenset({SQLType.INTEGER, SQLType.REAL})
+
+#: Maps a relation name to the tids a scan of it may produce (None = all).
+Restriction = Callable[[str], Optional[frozenset[int]]]
+
+#: The tuple-id pseudo-column of a tid-carrying scan (``Planner(tids=...)``).
+TID = "#tid"
 
 
 def _eq_types_compatible(column_type: SQLType, value: SQLValue) -> bool:
@@ -384,11 +397,32 @@ def _resolvable(expr: ast.Expression, entries: list[tuple[Optional[str], str]]) 
 
 
 class Planner:
-    """Plans queries against a catalog, producing physical plans."""
+    """Plans queries against a catalog, producing physical plans.
 
-    def __init__(self, catalog: Catalog, stats: ExecutionStats) -> None:
+    Args:
+        catalog: the tables FROM items resolve against.
+        stats: counter sink wired into every scan.
+        tids: the *provenance mode* switch.  ``None`` (the default) plans
+            exactly as SQL always was: plain scans, no pseudo-column.
+            With a :data:`Restriction`, every table reference scans with
+            its tuple id appended and exposes it as a trailing
+            ``<binding>.#tid`` column (:data:`TID`; unquoted ``#`` does
+            not lex, so only ASTs built in code reach it, and ``*`` skips
+            it), and ``tids(relation)`` names the tids that scan may
+            produce (``None`` = all).  A restricted source never takes an
+            index or column-equality path -- it stays
+            ``Filter(Scan restricted)``, which touches only the kept rows.
+    """
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        stats: ExecutionStats,
+        tids: Optional[Restriction] = None,
+    ) -> None:
         self.catalog = catalog
         self.stats = stats
+        self.tids = tids
         # Active capture collectors: (site_level, set of (level, index)).
         self._collectors: list[tuple[int, set[tuple[int, int]]]] = []
         #: Whether the produced plan may be reused by later statements.
@@ -504,7 +538,7 @@ class Planner:
             compiler = self._compiler(from_scope)
             evaluators = [compiler.compile(item.expr) for item in select_items]
             node = plan.Project(node, evaluators)
-            entries, displays = self._output_columns(select_items)
+            entries, displays = self._output_columns(select_items, from_scope)
 
         if core.distinct:
             node = plan.Distinct(node)
@@ -524,10 +558,11 @@ class Planner:
         combined: Optional[_Source] = None
         for item in from_items:
             source = self._plan_from_item(item, outer_scope, level)
+            # Single-source conjuncts go under their own FROM item
+            # (pushdown), where they can also pick its access path.
+            unused = self._apply_local_filters(source, unused, outer_scope, level)
             if combined is None:
                 combined = source
-                # Apply single-source conjuncts immediately (pushdown).
-                unused = self._apply_local_filters(combined, unused, outer_scope, level)
                 continue
             usable = [
                 c
@@ -592,11 +627,7 @@ class Planner:
         conjuncts are recorded on the source so callers drop them.
         """
         node = source.node
-        if (
-            not isinstance(node, plan.Scan)
-            or node.include_tid
-            or node.keep_tids is not None
-        ):
+        if not isinstance(node, plan.Scan) or node.keep_tids is not None:
             return local
         table = node.table
         by_position: dict[int, tuple[ast.Expression, object]] = {}
@@ -635,13 +666,15 @@ class Planner:
             consumed = [by_position[p][0] for p in positions_eq]
             values = [by_position[p][1] for p in positions_eq]
             source.node = plan.ColumnEqScan(
-                table, self.stats, positions_eq, values
+                table, self.stats, positions_eq, values, node.include_tid
             )
             source.consumed.extend(consumed)
             return [c for c in local if c not in consumed]
         consumed = [by_position[p][0] for p in best]
         values = [by_position[p][1] for p in best]
-        source.node = plan.IndexScan(table, self.stats, best, values)
+        source.node = plan.IndexScan(
+            table, self.stats, best, values, node.include_tid
+        )
         source.consumed.extend(consumed)
         return [c for c in local if c not in consumed]
 
@@ -650,15 +683,18 @@ class Planner:
     ) -> _Source:
         if isinstance(item, ast.TableRef):
             table = self.catalog.table(item.name)
-            binding = item.binding
-            entries = [
-                (binding, column.lower()) for column in table.schema.column_names
-            ]
             displays = list(table.schema.column_names)
-            return _Source(plan.Scan(table, self.stats), entries, displays)
+            if self.tids is None:
+                scan = plan.Scan(table, self.stats)
+            else:
+                displays.append(TID)
+                scan = plan.Scan(
+                    table, self.stats, include_tid=True, keep_tids=self.tids(item.name)
+                )
+            return _Source(scan, bound_entries(item.binding, displays), displays)
         if isinstance(item, ast.DerivedTable):
             planned = self.plan_query(item.query, outer_scope)
-            entries = [(item.alias, name.lower()) for name in planned.columns]
+            entries = bound_entries(item.alias, planned.columns)
             return _Source(planned.plan, entries, list(planned.columns))
         if isinstance(item, ast.Join):
             left = self._plan_from_item(item.left, outer_scope, level)
@@ -812,7 +848,7 @@ class Planner:
             node = plan.Filter(node, post_compiler.compile_predicate(having_expr))
 
         node = plan.Project(node, evaluators)
-        entries, displays = self._output_columns(select_items)
+        entries, displays = self._output_columns(select_items, from_scope)
         return node, entries, displays
 
     def _canonicalize(self, expr: ast.Expression, scope: Scope) -> ast.Expression:
@@ -898,8 +934,8 @@ class Planner:
                 continue
             matched = False
             for (binding, column), display in zip(source.entries, source.displays):
-                if item.table is None or (
-                    binding is not None and binding == item.table.lower()
+                if column != TID and (
+                    item.table is None or binding == item.table.lower()
                 ):
                     matched = True
                     expanded.append(
@@ -913,20 +949,29 @@ class Planner:
 
     @staticmethod
     def _output_columns(
-        select_items: Sequence[ast.SelectItem],
+        select_items: Sequence[ast.SelectItem], from_scope: Scope
     ) -> tuple[list[tuple[Optional[str], str]], list[str]]:
+        """Output scope entries + display names of a select list.
+
+        A bare column keeps the binding of the FROM source it resolved
+        to (however the select list spelled it), so ORDER BY may qualify
+        it; aliased and computed items are addressable by name only.
+        """
         entries: list[tuple[Optional[str], str]] = []
         displays: list[str] = []
         for index, item in enumerate(select_items):
+            binding = None
             if item.alias:
                 name = item.alias
-                binding = None
             elif isinstance(item.expr, ast.ColumnRef):
                 name = item.expr.name
-                binding = item.expr.table
+                depth, slot = from_scope.resolve(item.expr.table, name)
+                scope = from_scope
+                for _ in range(depth):
+                    scope = scope.parent  # type: ignore[assignment]
+                binding = scope.entries[slot][0]
             else:
                 name = f"col{index}"
-                binding = None
             entries.append((binding, name.lower()))
             displays.append(name)
         return entries, displays
@@ -980,11 +1025,7 @@ class Planner:
                 if not catalog.has_table(item.name):
                     return False
                 table = catalog.table(item.name)
-                binding = item.binding.lower()
-                entries.extend(
-                    (binding, column.lower())
-                    for column in table.schema.column_names
-                )
+                entries.extend(bound_entries(item.binding, table.schema.column_names))
                 return True
             if isinstance(item, ast.Join):
                 return visit(item.left) and visit(item.right)

@@ -2,14 +2,20 @@
 
 * :mod:`repro.ra.sjud` -- Hippo's supported query class (normalized form,
   SQL conversion, the projection restriction).
-* :mod:`repro.ra.compile` -- compilation of SJUD trees to engine plans
-  with tid provenance and per-relation restrictions.
+* :mod:`repro.ra.compile` -- evaluation of SJUD trees through the
+  engine's planner, with tid provenance and per-relation restrictions.
 * :mod:`repro.ra.to_sql` -- rendering SJUD trees back to SQL.
 * :mod:`repro.ra.algebra` -- textbook named-attribute algebra with a naive
   evaluator (test oracle / programmatic API).
 """
 
-from repro.ra.compile import evaluate_core, evaluate_tree, compile_core, unrestricted
+from repro.ra.compile import (
+    Restriction,
+    compile_core,
+    evaluate_core,
+    evaluate_tree,
+    unrestricted,
+)
 from repro.ra.sjud import (
     Atom,
     CatalogSchemaProvider,
@@ -41,6 +47,7 @@ __all__ = [
     "CatalogSchemaProvider",
     "Difference",
     "OutputColumn",
+    "Restriction",
     "SJUDCore",
     "SJUDTree",
     "Union_",

@@ -111,11 +111,14 @@ class RewritingEngine:
         """The rewritten query ``Q'`` as a SQL AST.
 
         Raises:
-            RewritingError: when the query or constraints are outside the
-                method's scope (unions; non-binary constraints touching the
-                query's relations).
+            RewritingError: when :func:`classify` finds the query or
+                constraints outside the method's scope (its first reason
+                is the message).
         """
         tree = self._as_tree(query)
+        verdict = classify(tree, self.denials)
+        if not verdict.rewritable:
+            raise RewritingError(verdict.reasons[0])
         return ast.Query(self._rewrite_tree(tree))
 
     def rewrite_sql(self, query: QueryLike) -> str:
@@ -171,17 +174,16 @@ class RewritingEngine:
         return query
 
     def _rewrite_tree(self, tree: SJUDTree) -> Union[ast.SelectCore, ast.SetOperation]:
-        if isinstance(tree, Union_):
-            raise RewritingError(
-                "query rewriting cannot express unions: consistent answers"
-                " to UNION queries carry indefinite disjunctive information"
-                " (this is Hippo's demonstrated advantage)"
-            )
-        if isinstance(tree, Difference):
-            left = self._rewrite_tree(tree.left)
-            right = self._possibly_true(tree.right)
-            return ast.SetOperation("except", left, right)
-        return self._rewrite_core(tree)
+        """Rewrite a tree :func:`classify` accepted: cores and differences."""
+        if isinstance(tree, SJUDCore):
+            return self._rewrite_core(tree)
+        # The negative side of a difference is its tuples true in *some*
+        # repair -- for the single-atom core classify() insists on, every
+        # stored tuple (no constraint here produces singleton violations).
+        assert isinstance(tree, Difference) and isinstance(tree.right, SJUDCore)
+        return ast.SetOperation(
+            "except", self._rewrite_tree(tree.left), core_to_select(tree.right)
+        )
 
     def _rewrite_core(self, core: SJUDCore) -> ast.SelectCore:
         base = core_to_select(core)
@@ -213,28 +215,16 @@ class RewritingEngine:
             if not positions:
                 continue
             if constraint.arity == 1:
-                # Unary denial: the residue is the negated condition.
-                if constraint.condition is not None:
-                    mapping = {constraint.atoms[0].alias.lower(): atom.alias}
-                    residues.append(
-                        ast.UnaryOp(
-                            "NOT",
-                            _substitute_aliases(constraint.condition, mapping),
-                        )
+                # Unary denial: the residue is the negated condition
+                # (classify() refused the condition-less, empty-query case).
+                assert constraint.condition is not None
+                mapping = {constraint.atoms[0].alias.lower(): atom.alias}
+                residues.append(
+                    ast.UnaryOp(
+                        "NOT", _substitute_aliases(constraint.condition, mapping)
                     )
-                else:
-                    raise RewritingError(
-                        f"constraint {constraint.name} forbids every"
-                        f" {relation} tuple; the rewritten query is empty"
-                    )
-                continue
-            if not constraint.is_binary:
-                raise RewritingError(
-                    f"constraint {constraint.name} relates"
-                    f" {constraint.arity} tuples; query rewriting supports"
-                    " only binary universal constraints (Hippo does not"
-                    " have this restriction)"
                 )
+                continue
             for position in positions:
                 other = constraint.atoms[1 - position]
                 this = constraint.atoms[position]
@@ -257,26 +247,6 @@ class RewritingEngine:
                 )
                 residues.append(ast.Exists(subquery, negated=True))
         return residues
-
-    def _possibly_true(self, tree: SJUDTree) -> ast.SelectCore:
-        """The negative side of a difference: tuples true in *some* repair.
-
-        Exact for single-atom cores (every database tuple survives in some
-        repair when no constraint produces singleton violations); larger
-        negative sides are outside the classical rewriting's scope.
-        """
-        if not isinstance(tree, SJUDCore):
-            raise RewritingError(
-                "rewriting supports difference only with a simple"
-                " single-block right-hand side"
-            )
-        if len(tree.atoms) != 1:
-            raise RewritingError(
-                "rewriting supports difference only when the right-hand"
-                " side has a single relation atom (its 'possibly true'"
-                " semantics is not first-order expressible otherwise)"
-            )
-        return core_to_select(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,16 @@ import pytest
 
 from repro.backends import create_backend, duckdb_available
 from repro.conflicts.detection import detect_conflicts
-from repro.constraints import FunctionalDependency
+from repro.constraints import (
+    ConstraintAtom,
+    DenialConstraint,
+    FunctionalDependency,
+)
 from repro.core.hippo import HippoEngine
 from repro.engine.database import Database
 from repro.ra import CatalogSchemaProvider, evaluate_tree, from_sql_query
-from repro.rewriting.rewrite import RewritingEngine
-from repro.sql.parser import parse_query
+from repro.rewriting.rewrite import RewritingEngine, classify
+from repro.sql.parser import parse_expression, parse_query
 
 BACKEND_NAMES = [
     "sqlite",
@@ -36,6 +40,11 @@ BACKEND_NAMES = [
 NAMES = ["ann", "bob", "carol", "dave", "eve", "fay"]
 DEPTS = ["eng", "ops", "hr"]
 
+_JOIN = (
+    "SELECT e.name, e.dept, e.salary, M.name, M.dept, M.level"
+    " FROM emp e, mgr M WHERE e.dept = M.dept"
+)
+
 #: Queries evaluated at every cut (full-column: SJUD's projection
 #: restriction forbids dropping undetermined attributes).
 CHECK_QUERIES = [
@@ -47,14 +56,33 @@ CHECK_QUERIES = [
     "SELECT name, dept, salary FROM emp"
     " EXCEPT SELECT name, dept, salary FROM emp WHERE salary BETWEEN 40 AND 60",
     "SELECT name, dept, salary FROM emp WHERE name LIKE '%a%'",
+    # One per access path the planner picks for a core (emp.dept is
+    # indexed, nothing else is; mgr is bound through an upper-case alias):
+    "SELECT name, dept, salary FROM emp WHERE dept = 'hr'",  # index lookup
+    "SELECT name, dept, salary FROM emp WHERE name = 'ann'",  # column equality
+    _JOIN + " AND M.dept = 'ops'",  # single-table predicate on the 2nd FROM item
+    _JOIN + " AND e.salary > M.level",  # equi-join + non-equi residual
+    _JOIN + " AND M.level > 70 UNION " + _JOIN + " AND e.dept = 'eng'",
+    _JOIN + " EXCEPT " + _JOIN + " AND e.salary <= M.level",
 ]
 
-FDS = [FunctionalDependency("emp", ["name"], ["salary"])]
+CONSTRAINTS = [
+    FunctionalDependency("emp", ["name"], ["salary"]),
+    # Nobody out-earns a manager of their department: the residual join
+    # is a hash join on dept with a non-equi residual.
+    DenialConstraint(
+        "cap",
+        (ConstraintAtom("e", "emp"), ConstraintAtom("m", "mgr")),
+        parse_expression("e.dept = m.dept AND e.salary > m.level"),
+    ),
+]
 
 
 def fresh_db(rng, rows=24):
     db = Database()
     db.execute("CREATE TABLE emp (name TEXT, dept TEXT, salary INTEGER)")
+    db.execute("CREATE TABLE mgr (name TEXT, dept TEXT, level INTEGER)")
+    db.execute("CREATE INDEX emp_dept ON emp (dept)")
     db.insert_rows(
         "emp",
         [
@@ -62,14 +90,26 @@ def fresh_db(rng, rows=24):
             for _ in range(rows)
         ],
     )
+    db.insert_rows(
+        "mgr",
+        [
+            (rng.choice(NAMES), rng.choice(DEPTS), rng.randrange(50, 95))
+            for _ in range(rows // 4)
+        ],
+    )
     return db
 
 
 def random_dml(db, rng):
     """One random mutation drawn from insert / delete / update."""
-    kind = rng.choice(["insert", "insert", "delete", "update"])
+    kind = rng.choice(["insert", "insert", "delete", "update", "manager"])
     name = rng.choice(NAMES)
-    if kind == "insert":
+    if kind == "manager":
+        db.execute(f"DELETE FROM mgr WHERE Mgr.level < {rng.randrange(50, 70)}")
+        db.insert_rows(
+            "mgr", [(name, rng.choice(DEPTS), rng.randrange(50, 95))]
+        )
+    elif kind == "insert":
         db.insert_rows(
             "emp", [(name, rng.choice(DEPTS), rng.randrange(30, 90))]
         )
@@ -95,15 +135,21 @@ def assert_cut_equal(db, backend):
         tree = tree_of(db, text)
         assert backend.execute_tree(tree) == evaluate_tree(tree, db), text
 
-    rewriting = RewritingEngine(db, FDS)
-    for text in CHECK_QUERIES[:3]:
+    rewriting = RewritingEngine(db, CONSTRAINTS)
+    rewritable = [
+        text
+        for text in CHECK_QUERIES
+        if classify(text, CONSTRAINTS, schema=db).rewritable
+    ]
+    assert rewritable[:3] == CHECK_QUERIES[:3] and len(rewritable) == 9
+    for text in rewritable:
         pushed = rewriting.consistent_answers(text, backend=backend)
         native = rewriting.consistent_answers(text)
         assert pushed.columns == native.columns, text
         assert pushed.rows == native.rows, text
 
-    pushed_report = detect_conflicts(db, FDS, backend=backend)
-    native_report = detect_conflicts(db, FDS)
+    pushed_report = detect_conflicts(db, CONSTRAINTS, backend=backend)
+    native_report = detect_conflicts(db, CONSTRAINTS)
     assert set(pushed_report.hypergraph.edges) == set(
         native_report.hypergraph.edges
     )
@@ -128,8 +174,8 @@ class TestRandomWorkloads:
         """The full pipeline agrees regardless of the attached backend."""
         rng = random.Random(seed)
         db = fresh_db(rng)
-        native = HippoEngine(db, FDS).consistent_answers(CHECK_QUERIES[1])
-        pushed_engine = HippoEngine(db, FDS, backend=backend_name)
+        native = HippoEngine(db, CONSTRAINTS).consistent_answers(CHECK_QUERIES[1])
+        pushed_engine = HippoEngine(db, CONSTRAINTS, backend=backend_name)
         pushed = pushed_engine.consistent_answers(CHECK_QUERIES[1])
         assert pushed.columns == native.columns
         assert pushed.rows == native.rows
@@ -145,7 +191,7 @@ def test_rewriting_pushdown_counts(backend_name):
     backend = create_backend(backend_name, db)
     try:
         before = db.stats.backend_pushdowns
-        RewritingEngine(db, FDS).consistent_answers(
+        RewritingEngine(db, CONSTRAINTS).consistent_answers(
             CHECK_QUERIES[0], backend=backend
         )
         assert db.stats.backend_pushdowns == before + 1

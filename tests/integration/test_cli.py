@@ -684,6 +684,18 @@ class TestExplainParameterized:
         )
         assert "bound arguments: 'ann'" in output
 
+    def test_explain_prints_the_plan_the_envelope_gets(self):
+        output = run_shell(
+            SETUP
+            + "CREATE INDEX emp_salary ON emp (salary);\n"
+            + ".explain SELECT * FROM emp WHERE salary = 5;"
+        )
+        assert "up plan:\nProject\n  IndexScan(emp on [salary] +tid)" in output
+        assert (
+            "down plan:\nProject\n  Filter\n    Scan(emp +tid restricted)"
+            in output
+        )
+
 
 class TestScriptedDemo:
     def test_edbt_demo_session(self):

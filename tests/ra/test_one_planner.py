@@ -1,0 +1,161 @@
+"""SJUD cores and SQL text meet one planner.
+
+``compile_core`` renders a core as a SELECT block and hands it to
+:class:`repro.engine.planner.Planner`; these tests pin what follows from
+that: the two entries produce the same operator tree, a restriction
+composes with every access path, and no other module builds joins or
+picks access paths.
+"""
+
+import ast as python_ast
+import random
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.engine.database import Database
+from repro.errors import AlgebraError
+from repro.ra import (
+    CatalogSchemaProvider,
+    Restriction,
+    compile_core,
+    evaluate_core,
+    from_sql_query,
+    unrestricted,
+)
+from repro.sql import ast
+from repro.sql.parser import parse_query
+
+
+def tree_of(db, text):
+    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+
+
+@pytest.fixture
+def lr_db():
+    """``l(a, b)`` and ``r(a, b)`` with a secondary index on ``r(b)``."""
+    db = Database()
+    db.execute("CREATE TABLE l (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE INDEX r_b ON r (b)")
+    rng = random.Random(16)
+    for name in ("l", "r"):
+        db.insert_rows(
+            name, [(rng.randrange(12), rng.randrange(6)) for _ in range(60)]
+        )
+    return db
+
+
+PARITY_QUERIES = [
+    # The two queries whose plans differed between the planners.
+    "SELECT l.a, l.b, r.a, r.b FROM l, r WHERE l.a = r.a AND r.b = 3 AND l.b < 4",
+    "SELECT * FROM r WHERE r.b = 3",
+    "SELECT * FROM l WHERE b = 3",  # no index: column equality
+    "SELECT * FROM l WHERE b < 3",
+    "SELECT x.a, x.b, Y.a, Y.b FROM l x, l Y WHERE x.a = Y.a AND x.b < Y.b",
+    "SELECT l.a, l.b, r.a, r.b FROM l, r WHERE l.b < r.b",  # no equi key
+    "SELECT l.a, l.b, r.a, r.b FROM l, r",
+]
+
+
+@pytest.mark.parametrize("text", PARITY_QUERIES)
+def test_sql_and_core_get_the_same_plan(lr_db, text):
+    core_plan = compile_core(tree_of(lr_db, text), lr_db).explain()
+    assert core_plan.replace(" +tid", "") == lr_db.explain(text)
+    assert " +tid" in core_plan
+
+
+def test_the_join_reaches_the_index_on_both_entries(lr_db):
+    text = PARITY_QUERIES[0]
+    shape = r"HashJoin.*\n\s+Filter\n\s+Scan\(l.*\n\s+IndexScan\(r on \[b\]"
+    assert re.search(shape, lr_db.explain(text))
+    assert re.search(shape, compile_core(tree_of(lr_db, text), lr_db).explain())
+
+
+@pytest.mark.parametrize("text", PARITY_QUERIES)
+def test_restriction_filters_the_unrestricted_result(lr_db, text):
+    tree = tree_of(lr_db, text)
+    # A tid deleted after the index was built must not resurface.
+    victim = next(iter(lr_db.table("r").index_lookup((1,), (3,))))
+    lr_db.table("r").delete(victim)
+    rng = random.Random(text)
+    keep = {
+        name: frozenset(t for t in lr_db.table(name).tids() if rng.random() < 0.6)
+        | {victim}
+        for name in ("l", "r")
+    }
+    restrict: Restriction = lambda relation: keep[relation.lower()]
+    arity = len(tree.outputs)
+    relations = [atom.relation.lower() for atom in tree.atoms]
+
+    def witnesses(node):
+        return {
+            (row[:arity], tuple(zip(relations, row[arity:])))
+            for row in node.rows(())
+        }
+
+    everything = witnesses(compile_core(tree, lr_db, unrestricted))
+    expected = {
+        (value, provenance)
+        for value, provenance in everything
+        if all(tid in keep[relation] for relation, tid in provenance)
+    }
+    assert ("r", victim) not in {p for _v, prov in everything for p in prov}
+    restricted = compile_core(tree, lr_db, restrict)
+    assert witnesses(restricted) == expected
+    assert "IndexScan" not in restricted.explain()
+    assert set(evaluate_core(tree, lr_db, restrict)) == {v for v, _p in expected}
+
+
+def test_unknown_column_in_a_core_condition_is_an_algebra_error(lr_db):
+    tree = tree_of(lr_db, "SELECT * FROM l")
+    broken = type(tree)(
+        atoms=tree.atoms,
+        condition=ast.BinaryOp("=", ast.ColumnRef("l", "nope"), ast.Literal(1)),
+        outputs=tree.outputs,
+    )
+    with pytest.raises(AlgebraError, match="unknown column"):
+        compile_core(broken, lr_db)
+
+
+def test_tid_pseudo_column_exists_only_in_provenance_mode(lr_db):
+    from repro.engine.planner import TID, Planner
+    from repro.errors import PlanError
+
+    query = ast.Query(
+        ast.SelectCore(
+            (ast.SelectItem(ast.ColumnRef("l", TID), None),),
+            (ast.TableRef("l", None),),
+        )
+    )
+    with pytest.raises(PlanError, match="unknown column"):
+        Planner(lr_db.catalog, lr_db.stats).plan_query(query)
+    planned = Planner(lr_db.catalog, lr_db.stats, tids=unrestricted).plan_query(query)
+    assert sorted(row[0] for row in planned.plan.rows(())) == sorted(
+        lr_db.table("l").tids()
+    )
+    star = ast.Query(ast.SelectCore((ast.Star(None),), (ast.TableRef("l", None),)))
+    planned = Planner(lr_db.catalog, lr_db.stats, tids=unrestricted).plan_query(star)
+    assert planned.columns == ["a", "b"]
+
+
+JOIN_AND_ACCESS_PATH_NODES = {"HashJoin", "NestedLoopJoin", "IndexScan", "ColumnEqScan"}
+
+
+def test_only_the_planner_builds_joins_and_access_paths():
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative == "engine/planner.py":
+            continue
+        for node in python_ast.walk(python_ast.parse(path.read_text())):
+            if not isinstance(node, python_ast.Call):
+                continue
+            callee = node.func
+            name = getattr(callee, "attr", getattr(callee, "id", None))
+            if name in JOIN_AND_ACCESS_PATH_NODES:
+                offenders.append(f"{relative}:{node.lineno}: {name}(...)")
+    assert offenders == []

@@ -214,3 +214,58 @@ class TestClassify:
         report = classify("SELECT * FROM emp", [emp_fd], schema=emp_db).describe()
         assert "path: first-order-rewriting" in report
         assert "relations: emp" in report
+
+
+def _denial(name, relations, condition):
+    atoms = tuple(
+        ConstraintAtom(alias, relation)
+        for alias, relation in zip("xyz", relations)
+    )
+    return DenialConstraint(
+        name, atoms, parse_expression(condition) if condition else None
+    )
+
+
+SCOPE_QUERIES = [
+    "SELECT * FROM r WHERE a > 1",
+    "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a",
+    "SELECT * FROM r UNION SELECT * FROM s",
+    "SELECT * FROM r EXCEPT SELECT * FROM s",
+    "SELECT * FROM r EXCEPT SELECT * FROM t",
+    "SELECT * FROM r EXCEPT SELECT * FROM s EXCEPT SELECT * FROM t WHERE a = 1",
+    "SELECT * FROM r EXCEPT SELECT s.a, s.b FROM s, t WHERE t.a = s.a AND t.b = s.b",
+    "SELECT * FROM r EXCEPT (SELECT * FROM s UNION SELECT * FROM t)",
+    "SELECT * FROM r EXCEPT (SELECT * FROM s EXCEPT SELECT * FROM t)",
+    "SELECT * FROM r WHERE a = 1 UNION SELECT * FROM s EXCEPT SELECT * FROM t",
+]
+
+SCOPE_CONSTRAINTS = {
+    "none": [],
+    "fd": [FunctionalDependency("r", ["a"], ["b"])],
+    "exclusion": [ExclusionConstraint("r", "s", [("a", "a"), ("b", "b")])],
+    "unary": [_denial("pos", ["r"], "x.a < 0")],
+    "unary-unconditional": [_denial("none", ["s"], None)],
+    "ternary": [_denial("t3", ["r", "r", "s"], "x.a = y.a AND y.a = z.a")],
+    "ternary-elsewhere": [_denial("t3", ["t", "t", "t"], "x.a = y.a AND y.a = z.a")],
+    "mixed": [
+        FunctionalDependency("s", ["a"], ["b"]),
+        _denial("t3", ["t", "t", "t"], "x.a = y.a AND y.a = z.a"),
+    ],
+}
+
+
+@pytest.mark.parametrize("constraints", sorted(SCOPE_CONSTRAINTS))
+@pytest.mark.parametrize("text", SCOPE_QUERIES)
+def test_classify_is_the_scope_of_rewrite(two_table_db, text, constraints):
+    """``classify(q, ics).rewritable`` iff ``rewrite(q)`` does not raise,
+    and a refusal carries classify's first reason."""
+    two_table_db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    ics = SCOPE_CONSTRAINTS[constraints]
+    verdict = classify(text, ics, schema=two_table_db)
+    engine = RewritingEngine(two_table_db, ics)
+    if verdict.rewritable:
+        two_table_db.query(engine.rewrite_sql(text))  # and the result executes
+    else:
+        with pytest.raises(RewritingError) as refusal:
+            engine.rewrite(text)
+        assert str(refusal.value) == verdict.reasons[0]

@@ -41,7 +41,8 @@ Meta-commands (everything else is executed as SQL):
                        sqlite / duckdb); pushdown falls back to native
 ``.explain SQL``       show the envelope query handed to the RDBMS
                        (parameterized, with its bound arguments) and the
-                       plan it gets per core (``up`` / ``down``)
+                       plan it gets per core (``up`` / ``down``); for an
+                       UPDATE / DELETE, the ``match plan`` of its WHERE
 ``.why SQL ; TUPLE``   explain why a tuple is / is not consistent
 ``.repairs``           exact repair count (component factorization)
 ``.stats``             execution counters + statement/plan cache
@@ -406,6 +407,9 @@ class HippoShell:
                 self._print(f"  {name}: {cache[name]}")
             return True
         if command == ".explain":
+            if argument[:6].upper() in ("UPDATE", "DELETE"):
+                self._print("match plan:\n" + self.db.explain(argument))
+                return True
             hippo = self._hippo()
             tree, _ = hippo.parse(argument)
             rendered = render_tree(tree)

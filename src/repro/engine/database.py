@@ -22,7 +22,6 @@ from repro.engine.feed import (
     deserialize_schema,
 )
 from repro.engine.expressions import ExpressionCompiler, Scope, bound_entries
-from repro.engine.plan import Filter, Scan, run_plan
 from repro.engine.planner import PlanCache, PlannedQuery, Planner
 from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import restore_database, snapshot_database
@@ -370,7 +369,7 @@ class Database:
         if planned is None:
             return None
         self.stats.statements += 1
-        rows = run_plan(planned.plan)
+        rows = planned.run()
         self._maybe_checkpoint()
         return Result(planned.columns, rows, len(rows))
 
@@ -387,7 +386,7 @@ class Database:
             self.plan_cache.put(
                 sql, self._plan_epoch(), planned, backend=self.backend_id
             )
-        rows = run_plan(planned.plan)
+        rows = planned.run()
         self._maybe_checkpoint()
         return Result(planned.columns, rows, len(rows))
 
@@ -426,10 +425,15 @@ class Database:
         return Planner(self.catalog, self.stats).plan_query(query)
 
     def explain(self, sql: str) -> str:
-        """The physical plan of a query, as an indented tree."""
+        """The physical plan of a query -- or, for an UPDATE / DELETE,
+        of its ``WHERE`` matching -- as an indented tree."""
         statement = parse_statement(sql)
+        if isinstance(statement, (ast.Update, ast.Delete)):
+            return self._plan_matching(statement).plan.explain()
         if not isinstance(statement, ast.SelectStatement):
-            raise ExecutionError("explain() requires a SELECT statement")
+            raise ExecutionError(
+                "explain() requires a SELECT, UPDATE or DELETE statement"
+            )
         return self.plan(statement.query).plan.explain()
 
     # ----------------------------------------------------- programmatic API
@@ -478,7 +482,7 @@ class Database:
         if pushed is not None:
             return pushed
         planned = self.plan(query)
-        rows = run_plan(planned.plan)
+        rows = planned.run()
         return Result(planned.columns, rows, len(rows))
 
     def _execute_create(self, statement: ast.CreateTable) -> Result:
@@ -546,16 +550,10 @@ class Database:
             count += 1
         return Result([], [], count)
 
-    def _matching_tids(
-        self, table: Table, where: Optional[ast.Expression]
-    ) -> list[tuple[int, tuple]]:
-        """(tid, row) pairs of rows satisfying ``where``."""
-        scan = Scan(table, self.stats, include_tid=True)
-        node = scan
-        if where is not None:
-            predicate = self._row_compiler(table).compile_predicate(where)
-            node = Filter(scan, predicate)
-        return [(row[-1], row[:-1]) for row in run_plan(node)]
+    def _plan_matching(self, statement: ast.Update | ast.Delete) -> PlannedQuery:
+        """The plan producing the rows (tid last) the statement hits."""
+        planner = Planner(self.catalog, self.stats)
+        return planner.plan_matching(statement.table, statement.where)
 
     def _row_compiler(self, table: Table) -> ExpressionCompiler:
         """Compiles DML expressions over one row of ``table``."""
@@ -565,9 +563,10 @@ class Database:
 
     def _execute_delete(self, statement: ast.Delete) -> Result:
         table = self.catalog.table(statement.table)
-        matches = self._matching_tids(table, statement.where)
-        for tid, _row in matches:
-            table.delete(tid)
+        # Matches are materialised before the first mutation.
+        matches = self._plan_matching(statement).run()
+        for row in matches:
+            table.delete(row[-1])
         return Result([], [], len(matches))
 
     def _execute_update(self, statement: ast.Update) -> Result:
@@ -578,12 +577,12 @@ class Database:
             (schema.index_of(column), compiler.compile(value))
             for column, value in statement.assignments
         ]
-        matches = self._matching_tids(table, statement.where)
-        for tid, row in matches:
-            new_row = list(row)
+        matches = self._plan_matching(statement).run()
+        for row in matches:
+            new_row = list(row[:-1])
             for index, evaluator in compiled:
                 new_row[index] = evaluator((row,))
-            table.update(tid, new_row)
+            table.update(row[-1], new_row)
         return Result([], [], len(matches))
 
 

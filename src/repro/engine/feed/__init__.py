@@ -403,7 +403,8 @@ class ChangeFeed:
     def resident_records(self) -> int:
         """Feed records currently resident in this instance's memory
         (durable: active tails + the sealed-segment LRU + in-flight
-        stream chunks)."""
+        stream chunks); every commit releases what all of this
+        instance's groups have passed."""
         return self._log.resident_records()
 
     @property

@@ -11,8 +11,10 @@ The *only* code that touches ``topics/<topic>/*.jsonl``,
 Every record is appended to its topic's active segment; at
 ``segment_records`` records the segment is fsync'd and sealed and a
 fresh one becomes active.  Only the **active tail** of each topic is
-resident: sealed segments are read back lazily through a small LRU, and
-opening a log parses nothing (:meth:`SegmentLog._open`).  A torn final
+resident, and of it only what some group attached to this instance has
+yet to commit (:meth:`SegmentLog.release`): sealed segments are read
+back lazily through a small LRU, and opening a log parses nothing
+(:meth:`SegmentLog._open`).  A torn final
 line (crash mid append) is ignored on read and truncated away when a
 writer re-opens the segment, so replay converges on the longest durable
 prefix.  One process writes, any number tail
@@ -121,9 +123,12 @@ def _parse_lines(
 class SegmentTopic:
     """One partition: the resident tail plus the durable segment chain.
 
-    ``records`` holds the contiguous offsets ``[tail_start, end)`` -- at
-    most the newest (active) segment, parsed lazily; everything below
-    ``tail_start`` is read back from the sealed segment files on demand.
+    ``records`` holds the contiguous offsets ``[resident_start, end)``:
+    the newest (active) segment ``[tail_start, end)``, parsed lazily,
+    minus what :meth:`release` dropped -- plus, on a writer, the part
+    of the segment sealed last that was still unreleased at the
+    rotation.  Everything below ``resident_start`` is read back from
+    the segment files on demand.
     """
 
     def __init__(self, name: str, directory: Path) -> None:
@@ -131,7 +136,8 @@ class SegmentTopic:
         self.directory = directory  # topics/<name>/
         self.records: list[FeedRecord] = []
         self.base = 0  # oldest retained offset (truncation point)
-        self.tail_start = 0  # offset of records[0]
+        self.tail_start = 0  # first offset of the newest segment
+        self.resident_start = 0  # offset of records[0]
         self.end = 0  # one past the newest offset
         self.segments: list[str] = []  # file names, oldest first
         self.tail_loaded = True  # False: tail not parsed yet
@@ -141,7 +147,7 @@ class SegmentTopic:
         """Point the topic at its newest segment without parsing bodies."""
         self.records = []
         if not self.segments:
-            self.tail_start = self.end = self.base
+            self.tail_start = self.resident_start = self.end = self.base
             self.tail_loaded = True
             self.tail_bytes = 0
             return
@@ -151,10 +157,17 @@ class SegmentTopic:
         except FileNotFoundError:
             data = b""  # rotation crashed before the first append
         count, good = _count_lines(data)
-        self.tail_start = first
+        self.tail_start = self.resident_start = first
         self.end = first + count
         self.tail_bytes = good
         self.tail_loaded = False
+
+    def release(self, floor: int) -> None:
+        """Drop the resident records below ``floor`` (they stay on disk)."""
+        drop = min(floor, self.end) - self.resident_start
+        if self.tail_loaded and drop > 0:
+            del self.records[:drop]
+            self.resident_start += drop
 
     def repair_tail(self) -> None:
         """Truncate torn bytes off the newest segment (writer open)."""
@@ -193,6 +206,7 @@ class SegmentLog:
         self._next_seq: Optional[int] = 0
         self._writers: dict[str, io.TextIOWrapper] = {}  # topic -> active file
         self._active_counts: dict[str, int] = {}  # records in active segment
+        self._unsynced: set[str] = set()  # topics appended to since their fsync
         #: whether this instance ever appended -- an instance that never
         #: did is a *reader* and re-scans the directory on refresh (live
         #: tailing); the single writer's memory is authoritative, so
@@ -270,6 +284,8 @@ class SegmentLog:
         if self.fsync == "always":
             writer.flush()
             os.fsync(writer.fileno())
+        else:
+            self._unsynced.add(topic.name)
         # Under the "rotate" policy appends stay in the userspace buffer
         # until rotation / flush() / close(): a crash can cost the tail
         # of the active segment, never a sealed one -- and the next
@@ -290,16 +306,21 @@ class SegmentLog:
             last = topic.segments[-1]
             held = next_offset - _segment_start(last)
             if 0 <= held < self.segment_records:
-                # Resume the newest segment while it still has room; the
-                # resident tail must hold it in full before we append.
+                # Resume the newest segment while it still has room; its
+                # tail must be parsed (and repaired) before we append.
                 name = last
                 self._load_tail(topic)
             else:
-                # The previous newest segment is sealed by this cut;
-                # keep its parsed records around for in-process readers.
-                if topic.tail_loaded and topic.records:
-                    self._cache_put((topic.name, last), topic.records)
-                topic.records = []
+                # The previous newest segment is sealed by this cut.
+                # Resident in full, it moves to the LRU for in-process
+                # readers; partly released, what is left of it stays in
+                # ``records`` until its readers commit past it.
+                whole = topic.tail_start - topic.resident_start
+                if whole >= 0:
+                    if topic.records:
+                        self._cache_put((topic.name, last), topic.records[whole:])
+                    topic.records = []
+                    topic.resident_start = next_offset
                 topic.tail_loaded = True
                 topic.tail_start = next_offset
                 topic.tail_bytes = 0
@@ -323,18 +344,25 @@ class SegmentLog:
             # nothing references it once it leaves self._writers.
             writer.close()
             self._active_counts.pop(name, None)
+            self._unsynced.discard(name)
 
     def flush(self) -> None:
-        """Flush + fsync every active segment writer."""
-        for writer in self._writers.values():
-            writer.flush()
-            os.fsync(writer.fileno())
+        """Flush + fsync every active segment writer appended to since
+        its last fsync (a commit right behind the acknowledging flush
+        finds nothing to sync)."""
+        for name, writer in self._writers.items():
+            if name in self._unsynced:
+                writer.flush()
+                os.fsync(writer.fileno())
+        self._unsynced.clear()
 
     def close(self) -> None:
         """Flush and close the segment writers (idempotent)."""
         for name in list(self._writers):
             self._seal(name)
         self._cache.clear()
+        for topic in self.topics.values():
+            topic.release(topic.end)
 
     # --------------------------------------------------------------- reading
 
@@ -368,7 +396,7 @@ class SegmentLog:
         end = topic.end
         position = max(start, topic.base)
         index: Optional[int] = None
-        while position < min(topic.tail_start, end):
+        while position < min(topic.tail_start, topic.resident_start, end):
             # The walk is strictly sequential: bisect once, then carry
             # the segment index forward (catch-up over S sealed
             # segments is O(S), not O(S^2) name re-parses).
@@ -388,8 +416,13 @@ class SegmentLog:
             return
         self._load_tail(topic)
         end = min(end, topic.end)  # a torn tail may shrink on parse
-        for index in range(position - topic.tail_start, len(topic.records)):
-            record = topic.records[index]
+        records, first = topic.records, topic.resident_start
+        if position < first:
+            # Released (every local group committed past it): the
+            # file still has it.
+            records, first = self._read_active(topic), topic.tail_start
+        for index in range(position - first, len(records)):
+            record = records[index]
             if record.offset >= end:
                 return
             self.materialized += 1
@@ -416,10 +449,10 @@ class SegmentLog:
                 continue
             if first >= upto:
                 return
-            if last and topic.tail_loaded:
+            if last and topic.tail_loaded and position >= topic.resident_start:
                 # The tail is already resident (writer, or a prior
                 # poll): serve it from memory.
-                for i in range(position - topic.tail_start, len(topic.records)):
+                for i in range(position - topic.resident_start, len(topic.records)):
                     record = topic.records[i]
                     if record.offset >= upto:
                         return
@@ -469,6 +502,8 @@ class SegmentLog:
         sealed: bool,
     ) -> list[FeedRecord]:
         path = topic.directory / name
+        if not sealed and topic.name in self._writers:
+            self._writers[topic.name].flush()  # the file lags our appends
         try:
             data = path.read_bytes()
         except FileNotFoundError:
@@ -499,6 +534,13 @@ class SegmentLog:
                 )
         return records
 
+    def _read_active(self, topic: SegmentTopic) -> list[FeedRecord]:
+        """The newest segment parsed from its file, ``tail_start`` on:
+        what a read below ``resident_start`` costs.  Not kept resident."""
+        return self._read_segment(
+            topic, topic.segments[-1], topic.tail_start, 0, sealed=False
+        )
+
     def _load_tail(self, topic: SegmentTopic) -> None:
         """Parse the newest segment into the resident tail (idempotent)."""
         if topic.tail_loaded:
@@ -526,8 +568,11 @@ class SegmentLog:
 
     def _last_record(self, topic: SegmentTopic) -> Optional[FeedRecord]:
         self._load_tail(topic)
-        if topic.records:
-            return topic.records[-1]
+        records = topic.records
+        if not records and topic.end > topic.tail_start:
+            records = self._read_active(topic)  # released, not absent
+        if records:
+            return records[-1]
         for index in range(len(topic.segments) - 2, -1, -1):
             records = self._segment_records(topic, index)
             if records:
@@ -541,20 +586,32 @@ class SegmentLog:
         local: Callable[[], list[Contribution]],
         floors: Callable[[], Mapping[str, GroupRecovery]],
     ) -> None:
-        """Apply the retention policy after a group moved.
+        """Bound residency by consumer lag, then apply the retention
+        policy, after a group moved.
 
-        Runs :meth:`reclaim` only when this instance's own groups
-        (``local``) already allow reclaiming something: the full scan
-        behind ``floors`` reads every consumer/snapshot file, so it is
-        not paid on every commit.
+        Residency follows :meth:`MemoryLog.release
+        <repro.engine.feed.memory.MemoryLog.release>`: tail records and
+        cached sealed segments below the lowest committed offset of this
+        instance's groups (``local``) are dropped from memory -- with no
+        group at all, everything is; the files keep them, so a later
+        read below that floor re-reads its segment.  :meth:`reclaim`
+        then runs only when those groups already allow reclaiming
+        something: the full scan behind ``floors`` reads every
+        consumer/snapshot file, so it is not paid on every commit.
         """
+        groups = local()
+        for name, topic in self.topics.items():
+            floor = floor_of(name, groups) if groups else topic.end
+            topic.release(floor)
+            for (owner, segment), records in list(self._cache.items()):
+                if owner == name and _segment_start(segment) + len(records) <= floor:
+                    del self._cache[owner, segment]
         if self.retention == "keep":
             return
         rewrite = self.retention == "compact"
         # Hysteresis for automatic compaction: a group inching through a
         # segment must not trigger an O(segment) rewrite on every commit.
         min_reclaim = max(self.segment_records // 2, 1) if rewrite else 0
-        groups = local()
         if groups:
             for name, topic in self.topics.items():
                 if len(topic.segments) < 2:
@@ -779,7 +836,7 @@ class SegmentLog:
         if topic.tail_loaded:
             records, good = _parse_lines(data, repair=True, where=path)
             topic.records.extend(records)
-            topic.end = topic.tail_start + len(topic.records)
+            topic.end = topic.resident_start + len(topic.records)
             topic.tail_bytes += good
             self._note_peak()
             return bool(records)

@@ -18,7 +18,8 @@ needs to make the Hippo experiments meaningful:
 
 This is the only planner: SJUD cores (envelope, ``Q-down``, detection's
 residual joins) are rendered to SELECT blocks by
-:mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``.
+:mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``, and
+UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`.
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class PlannedQuery:
 
     plan: plan.PlanNode
     columns: list[str]
+
+    def run(self) -> list[tuple]:
+        """Execute the plan with an empty outer environment."""
+        return plan.run_plan(self.plan)
 
 
 def normalize_statement(sql: str) -> str:
@@ -458,6 +463,24 @@ class Planner:
             node = plan.Limit(node, query.limit, query.offset)
         return PlannedQuery(node, displays)
 
+    def plan_matching(
+        self, table: str, where: Optional[ast.Expression]
+    ) -> PlannedQuery:
+        """Plan which rows of ``table`` an UPDATE / DELETE ``WHERE`` hits.
+
+        The rows come back whole with their tid appended (the trailing
+        :data:`TID` column).  The access path is chosen exactly as under
+        a SELECT's FROM item; callers run the plan to completion before
+        the first mutation, so a statement never revisits a row it moved.
+        """
+        source = self._table_source(ast.TableRef(table), True)
+        conjuncts = ast.split_conjuncts(where)
+        late = [c for c in conjuncts if contains_subquery(c)]
+        early = [c for c in conjuncts if not contains_subquery(c)]
+        leftovers = self._apply_local_filters(source, early, None, 0)
+        self._filter(source, leftovers + late, None, 0)
+        return PlannedQuery(source.node, source.displays)
+
     # ----------------------------------------------------------- query body
 
     def _plan_body(
@@ -513,14 +536,8 @@ class Planner:
             leftovers = join_candidates
 
         from_scope = Scope(list(source.entries), outer_scope, level)
+        self._filter(source, leftovers + late_conjuncts, outer_scope, level)
         node = source.node
-        remaining = leftovers + late_conjuncts
-        if remaining:
-            compiler = self._compiler(from_scope)
-            predicate = compiler.compile_predicate(
-                ast.conjunction(remaining)  # type: ignore[arg-type]
-            )
-            node = plan.Filter(node, predicate)
 
         select_items = self._expand_stars(core.items, source)
 
@@ -592,14 +609,24 @@ class Planner:
         """
         local = [c for c in conjuncts if _resolvable(c, source.entries)]
         local = self._try_index_scan(source, local)
-        if local:
+        self._filter(source, local, outer_scope, level)
+        return [c for c in conjuncts if c not in local and c not in source.consumed]
+
+    def _filter(
+        self,
+        source: _Source,
+        conjuncts: list[ast.Expression],
+        outer_scope: Optional[Scope],
+        level: int,
+    ) -> None:
+        """Put a :class:`~repro.engine.plan.Filter` for ``conjuncts`` (when
+        any) over ``source``, compiled against the source's own columns."""
+        if conjuncts:
             scope = Scope(list(source.entries), outer_scope, level)
-            compiler = self._compiler(scope)
-            predicate = compiler.compile_predicate(
-                ast.conjunction(local)  # type: ignore[arg-type]
+            predicate = self._compiler(scope).compile_predicate(
+                ast.conjunction(conjuncts)  # type: ignore[arg-type]
             )
             source.node = plan.Filter(source.node, predicate)
-        return [c for c in conjuncts if c not in local and c not in source.consumed]
 
     @staticmethod
     def _constant_equality(
@@ -638,60 +665,47 @@ class Planner:
             ref, value = match
             if not table.schema.has_column(ref.name):
                 continue
-            by_position.setdefault(
-                table.schema.index_of(ref.name), (conjunct, value)
-            )
+            position = table.schema.index_of(ref.name)
+            # Only where SQL comparison rules would not raise: a Filter
+            # rejects TEXT = INTEGER, so a lookup must too -- it leaves
+            # incomparable conjuncts to the compiled predicate.
+            if _eq_types_compatible(table.schema.columns[position].sql_type, value):
+                by_position.setdefault(position, (conjunct, value))
         best: Optional[tuple[int, ...]] = None
         for positions in table.indexed_column_sets():
             if all(p in by_position for p in positions):
                 if best is None or len(positions) > len(best):
                     best = positions
+        if not by_position:
+            return local
+        lookup: type[Union[plan.IndexScan, plan.ColumnEqScan]] = plan.IndexScan
         if best is None:
             # No covering index: vectorized equality over the columnar
-            # batch still beats a per-row compiled predicate -- but only
-            # where SQL comparison rules would not raise (a Filter
-            # rejects TEXT = INTEGER; the batch path must too, so it
-            # leaves incomparable conjuncts to the compiled predicate).
-            positions_eq = tuple(
-                sorted(
-                    p
-                    for p, (_conjunct, value) in by_position.items()
-                    if _eq_types_compatible(
-                        table.schema.columns[p].sql_type, value
-                    )
-                )
-            )
-            if not positions_eq:
-                return local
-            consumed = [by_position[p][0] for p in positions_eq]
-            values = [by_position[p][1] for p in positions_eq]
-            source.node = plan.ColumnEqScan(
-                table, self.stats, positions_eq, values, node.include_tid
-            )
-            source.consumed.extend(consumed)
-            return [c for c in local if c not in consumed]
+            # batch still beats a per-row compiled predicate.
+            lookup, best = plan.ColumnEqScan, tuple(sorted(by_position))
         consumed = [by_position[p][0] for p in best]
         values = [by_position[p][1] for p in best]
-        source.node = plan.IndexScan(
-            table, self.stats, best, values, node.include_tid
-        )
+        source.node = lookup(table, self.stats, best, values, node.include_tid)
         source.consumed.extend(consumed)
         return [c for c in local if c not in consumed]
+
+    def _table_source(self, item: ast.TableRef, with_tid: bool) -> _Source:
+        """A scan of one stored table; ``with_tid`` appends :data:`TID`."""
+        table = self.catalog.table(item.name)
+        displays = list(table.schema.column_names)
+        if not with_tid:
+            scan = plan.Scan(table, self.stats)
+        else:
+            displays.append(TID)
+            keep = None if self.tids is None else self.tids(item.name)
+            scan = plan.Scan(table, self.stats, include_tid=True, keep_tids=keep)
+        return _Source(scan, bound_entries(item.binding, displays), displays)
 
     def _plan_from_item(
         self, item: ast.FromItem, outer_scope: Optional[Scope], level: int
     ) -> _Source:
         if isinstance(item, ast.TableRef):
-            table = self.catalog.table(item.name)
-            displays = list(table.schema.column_names)
-            if self.tids is None:
-                scan = plan.Scan(table, self.stats)
-            else:
-                displays.append(TID)
-                scan = plan.Scan(
-                    table, self.stats, include_tid=True, keep_tids=self.tids(item.name)
-                )
-            return _Source(scan, bound_entries(item.binding, displays), displays)
+            return self._table_source(item, self.tids is not None)
         if isinstance(item, ast.DerivedTable):
             planned = self.plan_query(item.query, outer_scope)
             entries = bound_entries(item.alias, planned.columns)

@@ -7,15 +7,15 @@ detection emits sets of tids, the Prover reasons about tids, and membership
 checks translate value tuples back to tids through the value index kept
 here.
 
-The value index (value tuple -> set of tids) also serves the engine's point
-membership lookups, which is how the paper's base system answers the
-Prover's membership checks "by simply executing the appropriate membership
-queries on the database".
+The value index (value tuple -> tids, see :data:`Postings`) also serves
+the engine's point membership lookups, which is how the paper's base
+system answers the Prover's membership checks "by simply executing the
+appropriate membership queries on the database".
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple, Union
 
 from repro.engine.changelog import OP_DELETE, OP_INSERT, Change, ChangeLog
 from repro.engine.columnar import ColumnStore
@@ -24,6 +24,40 @@ from repro.engine.types import SQLValue
 from repro.errors import ExecutionError
 
 Row = Tuple[SQLValue, ...]
+
+#: A posting list: key -> the tids stored under it.  The common single
+#: owner is a bare tid; only a key with several owners pays for a set.
+Postings = Dict[Tuple, Union[int, Set[int]]]
+
+
+def _post(postings: Postings, key: Tuple, tid: int) -> None:
+    """Make ``tid`` an owner of ``key`` (idempotent, like ``set.add``)."""
+    owners = postings.get(key)
+    if owners is None:
+        postings[key] = tid
+    elif isinstance(owners, set):
+        owners.add(tid)
+    elif owners != tid:
+        postings[key] = {owners, tid}
+
+
+def _unpost(postings: Postings, key: Tuple, tid: int) -> None:
+    """Stop ``tid`` owning ``key``; the last owner out removes the key."""
+    owners = postings.get(key)
+    if isinstance(owners, set):
+        owners.discard(tid)
+        if len(owners) == 1:
+            postings[key] = owners.pop()
+    elif owners == tid:
+        del postings[key]
+
+
+def _owners(postings: Postings, key: Tuple) -> frozenset[int]:
+    """The tids stored under ``key`` (empty when absent)."""
+    owners = postings.get(key)
+    if owners is None:
+        return frozenset()
+    return frozenset(owners if isinstance(owners, set) else (owners,))
 
 
 class Table:
@@ -44,9 +78,9 @@ class Table:
     ) -> None:
         self.schema = schema
         self._rows: Dict[int, Row] = {}
-        self._by_value: Dict[Row, Set[int]] = {}
+        self._by_value: Postings = {}
         # Secondary hash indexes: column positions -> (key values -> tids).
-        self._indexes: Dict[Tuple[int, ...], Dict[Tuple, Set[int]]] = {}
+        self._indexes: Dict[Tuple[int, ...], Postings] = {}
         self._next_tid = 0
         self._changelog = changelog
         self._key = schema.name.lower()
@@ -68,9 +102,9 @@ class Table:
             )
         if key in self._indexes:
             return
-        index: Dict[Tuple, Set[int]] = {}
+        index: Postings = {}
         for tid, row in self._rows.items():
-            index.setdefault(tuple(row[p] for p in key), set()).add(tid)
+            _post(index, tuple(row[p] for p in key), tid)
         self._indexes[key] = index
         # A new access path can change which plan the planner would pick;
         # force cached statement plans to be rebuilt.
@@ -98,20 +132,18 @@ class Table:
             raise ExecutionError(
                 f"table {self.schema.name!r} has no index on {tuple(positions)}"
             )
-        return frozenset(index.get(tuple(values), frozenset()))
+        return _owners(index, tuple(values))
 
-    def _index_add(self, tid: int, row: Row) -> None:
+    def _post_row(self, tid: int, row: Row) -> None:
+        """Enter ``row`` into the value index and every secondary index."""
+        _post(self._by_value, row, tid)
         for positions, index in self._indexes.items():
-            index.setdefault(tuple(row[p] for p in positions), set()).add(tid)
+            _post(index, tuple(row[p] for p in positions), tid)
 
-    def _index_remove(self, tid: int, row: Row) -> None:
+    def _unpost_row(self, tid: int, row: Row) -> None:
+        _unpost(self._by_value, row, tid)
         for positions, index in self._indexes.items():
-            key = tuple(row[p] for p in positions)
-            owners = index.get(key)
-            if owners is not None:
-                owners.discard(tid)
-                if not owners:
-                    del index[key]
+            _unpost(index, tuple(row[p] for p in positions), tid)
 
     # ------------------------------------------------------------------ DML
 
@@ -121,8 +153,7 @@ class Table:
         tid = self._next_tid
         self._next_tid += 1
         self._rows[tid] = row
-        self._by_value.setdefault(row, set()).add(tid)
-        self._index_add(tid, row)
+        self._post_row(tid, row)
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
@@ -166,8 +197,7 @@ class Table:
         row = self.schema.coerce_row(values)
         self._next_tid = max(self._next_tid, tid + 1)
         self._rows[tid] = row
-        self._by_value.setdefault(row, set()).add(tid)
-        self._index_add(tid, row)
+        self._post_row(tid, row)
         self._columnar = None
         self.version += 1
 
@@ -188,8 +218,6 @@ class Table:
                 failing one, matching the record-at-a-time replay.
         """
         rows = self._rows
-        by_value = self._by_value
-        indexes = self._indexes
         coerce = self.schema.coerce_row
         next_tid = self._next_tid
         self._columnar = None
@@ -205,9 +233,7 @@ class Table:
                 if tid >= next_tid:
                     next_tid = tid + 1
                 rows[tid] = row
-                by_value.setdefault(row, set()).add(tid)
-                if indexes:
-                    self._index_add(tid, row)
+                self._post_row(tid, row)
             else:
                 old = rows.pop(tid, None)
                 if old is None:
@@ -215,12 +241,7 @@ class Table:
                     raise ExecutionError(
                         f"table {self.schema.name!r} has no tuple with tid {tid}"
                     )
-                owners = by_value[old]
-                owners.discard(tid)
-                if not owners:
-                    del by_value[old]
-                if indexes:
-                    self._index_remove(tid, old)
+                self._unpost_row(tid, old)
         self._next_tid = next_tid
 
     def delete(self, tid: int) -> None:
@@ -234,11 +255,7 @@ class Table:
             raise ExecutionError(
                 f"table {self.schema.name!r} has no tuple with tid {tid}"
             )
-        owners = self._by_value[row]
-        owners.discard(tid)
-        if not owners:
-            del self._by_value[row]
-        self._index_remove(tid, row)
+        self._unpost_row(tid, row)
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
@@ -256,14 +273,9 @@ class Table:
                 f"table {self.schema.name!r} has no tuple with tid {tid}"
             )
         new_row = self.schema.coerce_row(values)
-        owners = self._by_value[old_row]
-        owners.discard(tid)
-        if not owners:
-            del self._by_value[old_row]
-        self._index_remove(tid, old_row)
+        self._unpost_row(tid, old_row)
         self._rows[tid] = new_row
-        self._by_value.setdefault(new_row, set()).add(tid)
-        self._index_add(tid, new_row)
+        self._post_row(tid, new_row)
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
@@ -312,11 +324,11 @@ class Table:
 
         This is the engine-level *membership query* primitive.
         """
-        return frozenset(self._by_value.get(tuple(row), frozenset()))
+        return _owners(self._by_value, tuple(row))
 
     def has_duplicates(self) -> bool:
         """Whether any row value occurs more than once (bag, not set)."""
-        return any(len(owners) > 1 for owners in self._by_value.values())
+        return any(isinstance(owners, set) for owners in self._by_value.values())
 
     def columnar(self) -> ColumnStore:
         """The column-major batch snapshot of the current rows.

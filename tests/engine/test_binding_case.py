@@ -57,11 +57,3 @@ def test_delete(db):
     assert db.execute("DELETE FROM Emp WHERE emp.salary = 3").rowcount == 1
     assert db.query("SELECT Name FROM Emp").rows == [("ann",)]
 
-
-def test_dml_matching_still_plans_filter_over_scan(db):
-    # DML WHERE matching deliberately stays off the index / column-equality
-    # paths (ROADMAP "One access-path layer": the deferred write side).
-    db.execute("CREATE INDEX emp_salary ON Emp (Salary)")
-    before = db.stats.rows_scanned
-    db.execute("DELETE FROM Emp WHERE Salary = 3")
-    assert db.stats.rows_scanned - before == 2

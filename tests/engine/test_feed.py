@@ -202,6 +202,34 @@ class TestDurability:
         with pytest.raises(FeedError, match="fsync"):
             ChangeFeed(tmp_path / "other", fsync="sometimes")
 
+    def test_flush_syncs_only_writers_appended_to_since(self, tmp_path, monkeypatch):
+        import os
+
+        synced = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real(fd)))
+
+        def syncs(action) -> int:
+            before = len(synced)
+            action()
+            return len(synced) - before
+
+        directory = tmp_path / "feed"
+        feed = ChangeFeed(directory)
+        consumer = feed.consumer("g", start="beginning")
+        publish(feed, "r", 0, 1)
+        publish(feed, "s", 0, 1)
+        assert syncs(feed.flush) == 2  # one per appended topic
+        assert syncs(feed.flush) == 0  # nothing appended since
+        consumer.poll()
+        assert syncs(consumer.commit) == 1  # a clean flush + the offsets file
+        publish(feed, "r", 1, 2)
+        assert syncs(feed.flush) == 1  # only r's writer
+        publish(feed, "s", 1, 2)
+        feed.close()  # sealing syncs whatever flush() has not
+        with ChangeFeed(directory) as reopened:
+            assert reopened.end_offsets() == {"r": 2, "s": 2}
+
 
 class TestDurableDatabase:
     def test_database_restores_from_its_feed(self, tmp_path):
@@ -371,6 +399,110 @@ class TestLazyOpen:
         publish(reopened, "r", 9, 9)
         assert reopened.end_offsets() == {"r": 6}
         reopened.close()
+
+
+class TestReleasedHistory:
+    """Released records left memory, not the log: a read below the
+    resident floor goes back to the segment files (the shared residency
+    rules are in ``test_feed_contract.py``)."""
+
+    def lines(self, directory, topic="r"):
+        files = sorted((directory / "topics" / topic).glob("*.jsonl"))
+        return b"".join(path.read_bytes() for path in files).decode().splitlines()
+
+    def test_writer_rereads_through_its_unflushed_buffer(self, tmp_path):
+        directory = tmp_path / "feed"
+        feed = ChangeFeed(directory, segment_records=4)
+        cursor = feed.consumer()  # ephemeral: its commits flush nothing
+        seen = []
+        for tid in range(7):
+            publish(feed, "r", tid, tid)
+            records, _ = cursor.poll()
+            seen.extend(r.to_json() for r in records)
+            cursor.commit()
+        assert feed.resident_records() == 0
+        assert len(self.lines(directory)) < 7  # the tail is still buffered
+        late, lost = feed.consumer("late", start="beginning").poll()
+        assert not lost and [r.to_json() for r in late] == seen
+        assert [r.to_json() for r in feed.iter_records()] == seen
+        feed.flush()
+        assert self.lines(directory) == seen
+        feed.close()
+
+    def test_reader_instance_rereads_and_keeps_tailing(self, tmp_path):
+        directory = tmp_path / "feed"
+        writer = ChangeFeed(directory, segment_records=4)
+        reader = ChangeFeed(directory, segment_records=4)
+        follower = reader.consumer("follower", start="beginning")
+        seen = []
+        for tid in range(7):
+            publish(writer, "r", tid, tid)
+            writer.flush()
+            records, _ = follower.poll()  # extends a partly released tail
+            assert [r.tid for r in records] == [tid]
+            seen.extend(r.to_json() for r in records)
+            follower.commit()
+            assert reader.resident_records() == 0
+        assert reader.next_seq == writer.next_seq == 7
+        late, lost = reader.consumer("late", start="beginning").poll()
+        assert not lost and [r.to_json() for r in late] == seen
+        assert self.lines(directory) == seen
+        writer.close()
+        reader.close()
+
+    def test_rotation_keeps_the_unreleased_rest_of_the_sealed_segment(
+        self, tmp_path
+    ):
+        feed = ChangeFeed(tmp_path / "feed", segment_records=4)
+        consumer = feed.consumer("g")
+        for tid in range(3):
+            publish(feed, "r", tid, tid)
+        consumer.poll()
+        consumer.commit()  # the floor now lies inside the first segment
+        for tid in range(3, 6):
+            publish(feed, "r", tid, tid)
+        # Offset 3 outlived its segment's rotation in memory: serving it
+        # reads nothing back.
+        assert feed.resident_records() == 3
+        assert [r.tid for r in consumer.poll()[0]] == [3, 4, 5]
+        assert feed.peak_resident_records == 3
+        # A consumer that then stalls for a whole segment gets the usual
+        # bound (the full segment moves to the LRU, the older rest goes).
+        for tid in range(6, 10):
+            publish(feed, "r", tid, tid)
+        assert feed.resident_records() <= 2 * 4
+        consumer.seek(consumer.committed)
+        assert [r.tid for r in consumer.poll()[0]] == list(range(3, 10))
+        feed.close()
+
+    def test_commit_before_the_tail_was_ever_parsed(self, tmp_path):
+        directory = tmp_path / "feed"
+        writer = ChangeFeed(directory, segment_records=4)
+        publish(writer, "r", 0, 0)
+        publish(writer, "r", 1, 1)
+        writer.flush()
+        reader = ChangeFeed(directory, segment_records=4)
+        follower = reader.consumer("follower")  # attaches at the end
+        follower.commit()  # nothing resident, nothing to release
+        publish(writer, "r", 2, 2)
+        writer.flush()
+        assert [r.tid for r in follower.poll()[0]] == [2]
+        writer.close()
+        reader.close()
+
+    def test_close_drops_the_resident_tail(self, tmp_path):
+        feed = ChangeFeed(tmp_path / "feed", segment_records=4)
+        consumer = feed.consumer("g")
+        for tid in range(6):
+            publish(feed, "r", tid, tid)
+        assert feed.resident_records() == 6
+        feed.close()
+        assert feed.resident_records() == 0
+        records, _ = consumer.poll()
+        assert [r.tid for r in records] == list(range(6))
+        publish(feed, "r", 6, 6)  # and the instance still appends in place
+        assert [r.tid for r in consumer.poll()[0]] == [6]
+        feed.close()
 
 
 class TestLiveTailing:

@@ -18,12 +18,15 @@ from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
 from repro.errors import FeedError
 
 
+SEGMENT_RECORDS = 2
+
+
 @pytest.fixture(params=["memory", "segments"])
 def feed(request, tmp_path):
     if request.param == "memory":
         built = ChangeFeed()
     else:
-        built = ChangeFeed(tmp_path / "feed", segment_records=2)
+        built = ChangeFeed(tmp_path / "feed", segment_records=SEGMENT_RECORDS)
     assert built.durable == (request.param == "segments")
     yield built
     built.close()
@@ -176,6 +179,50 @@ class TestCommit:
             assert (consumer.lag, consumer.pending, consumer.lost) == (0, 0, False)
         # close() deregisters; abandon() is the crash: still registered.
         assert "c" not in feed.groups() and "a" in feed.groups()
+
+
+class TestResidency:
+    """What a feed keeps in memory is what some group attached to this
+    instance has yet to commit -- on disk or not, however long it runs."""
+
+    def test_every_commit_releases_what_all_local_groups_passed(self, feed):
+        fast, slow = feed.consumer("fast"), feed.consumer("slow")
+        for round_ in range(3 * SEGMENT_RECORDS):
+            for tid in range(3):
+                publish(feed, "rs"[tid % 2], 3 * round_ + tid, tid)
+            committers = (fast, slow) if round_ % 3 == 2 else (fast,)
+            for consumer in committers:
+                consumer.poll()
+                consumer.commit()
+                floor = slow.committed
+                unreleased = sum(
+                    end - floor.get(name, 0)
+                    for name, end in feed.end_offsets().items()
+                )
+                assert feed.resident_records() <= unreleased
+        assert feed.resident_records() == 0
+
+    @pytest.mark.parametrize("batch", [SEGMENT_RECORDS, SEGMENT_RECORDS + 1])
+    def test_a_lag_zero_consumer_bounds_the_peak(self, feed, batch):
+        consumer = feed.consumer("g")
+        for round_ in range(3 * SEGMENT_RECORDS):
+            for tid in range(batch):
+                publish(feed, "r", batch * round_ + tid, tid)
+            records, _ = consumer.poll()
+            assert len(records) == batch
+            consumer.commit()
+            assert feed.resident_records() == 0
+        # Lag 0 plus the batch in flight -- also when commits fall inside
+        # a segment that sealed since (no whole-segment read-back).
+        assert feed.peak_resident_records <= batch
+
+    def test_a_feed_without_local_groups_releases_everything(self, feed):
+        consumer = feed.consumer("g")
+        for tid in range(2 * SEGMENT_RECORDS + 1):
+            publish(feed, "r", tid, tid)
+        assert feed.resident_records() == 2 * SEGMENT_RECORDS + 1
+        consumer.close()
+        assert feed.resident_records() == 0
 
 
 class TestSubscriptions:

@@ -58,6 +58,78 @@ class TestStorageIndexes:
         assert len(table.index_lookup([0], [None])) == 1
 
 
+class TestPostings:
+    """One key going 0 -> 1 -> 2 -> 1 -> 0 owners: a single owner is
+    stored bare, several as a set, and no reader can tell."""
+
+    def test_the_trio(self):
+        from repro.engine.storage import _owners, _post, _unpost
+
+        postings = {}
+        assert _owners(postings, ("k",)) == frozenset()
+        _post(postings, ("k",), 0)  # tid 0 is an owner, not "absent"
+        assert postings == {("k",): 0}
+        assert _owners(postings, ("k",)) == {0}
+        _post(postings, ("k",), 0)  # idempotent, like set.add
+        assert postings == {("k",): 0}
+        _post(postings, ("k",), 7)
+        assert postings == {("k",): {0, 7}}
+        assert _owners(postings, ("k",)) == {0, 7}
+        _unpost(postings, ("k",), 3)  # not an owner: like set.discard
+        _unpost(postings, ("k",), 0)
+        assert postings == {("k",): 7}
+        _unpost(postings, ("k",), 0)  # no longer an owner
+        assert _owners(postings, ("k",)) == {7}
+        _unpost(postings, ("k",), 7)
+        assert postings == {}
+        _unpost(postings, ("k",), 7)  # absent key
+
+    @pytest.mark.parametrize("replayed", [False, True])
+    def test_readers_across_the_owner_counts(self, replayed):
+        database = Database()
+        database.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        table = database.table("t")
+        table.create_index([0])
+        row = (1, 2)
+
+        def step(tid, op):
+            if replayed:
+                table.apply_changes([(tid, row if op == "insert" else None, op)])
+            elif op == "insert":
+                table.restore(tid, row)
+            else:
+                table.delete(tid)
+
+        def check(owners):
+            from repro.engine.snapshot import restore_database, snapshot_database
+
+            assert table.lookup(row) == owners
+            assert table.index_lookup([0], [1]) == owners
+            assert (row in table) == bool(owners)
+            assert table.has_duplicates() == (len(owners) > 1)
+            copy = Database()
+            restore_database(copy, snapshot_database(database))
+            assert copy.table("t").lookup(row) == owners
+            copy.table("t").create_index([0])  # built over the stored rows
+            assert copy.table("t").index_lookup([0], [1]) == owners
+            rows = database.query("SELECT * FROM t WHERE a = 1").rows
+            assert rows == [row] * len(owners)
+
+        check(frozenset())
+        step(0, "insert")
+        check({0})
+        step(5, "insert")
+        check({0, 5})
+        step(0, "delete")
+        check({5})
+        table.update(5, (1, 3))  # leaves the value posting, stays in the index
+        assert table.lookup(row) == frozenset()
+        assert table.index_lookup([0], [1]) == {5}
+        table.update(5, row)
+        step(5, "delete")
+        check(frozenset())
+
+
 class TestCreateIndexSQL:
     def test_create_and_registry(self, db):
         db.execute("CREATE INDEX idx_a ON t (a)")

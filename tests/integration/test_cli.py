@@ -63,6 +63,15 @@ class TestShellCommands:
         output = run_shell(SETUP + ".explain SELECT * FROM emp WHERE salary > 1;")
         assert "envelope: SELECT DISTINCT" in output
 
+    def test_explain_shows_the_match_plan_of_dml(self):
+        output = run_shell(
+            SETUP
+            + "CREATE INDEX emp_name ON emp (name);\n"
+            + ".explain DELETE FROM emp WHERE name = 'ann' AND salary > 10;"
+        )
+        assert "match plan:\nFilter\n  IndexScan(emp on [name] +tid)" in output
+        assert "envelope" not in output
+
     def test_why_consistent(self):
         output = run_shell(SETUP + ".why SELECT * FROM emp ; 'bob', 5")
         assert "consistent" in output

@@ -141,7 +141,16 @@ def test_tid_pseudo_column_exists_only_in_provenance_mode(lr_db):
     assert planned.columns == ["a", "b"]
 
 
-JOIN_AND_ACCESS_PATH_NODES = {"HashJoin", "NestedLoopJoin", "IndexScan", "ColumnEqScan"}
+JOIN_AND_ACCESS_PATH_NODES = {
+    "HashJoin",
+    "NestedLoopJoin",
+    "IndexScan",
+    "ColumnEqScan",
+    # A private ``Filter(Scan)`` is an access path too: DML WHERE
+    # matching had one until it moved to ``Planner.plan_matching``.
+    "Scan",
+    "Filter",
+}
 
 
 def test_only_the_planner_builds_joins_and_access_paths():

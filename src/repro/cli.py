@@ -58,7 +58,6 @@ from typing import IO, Iterable, Optional
 
 from repro.backends import Backend, available_backends, create_backend
 from repro.constraints.parser import parse_constraint
-from repro.core.envelope import Enveloper
 from repro.core.hippo import AnswerSet, HippoEngine
 from repro.engine.database import Database
 from repro.engine.types import format_value, literal_sql
@@ -68,7 +67,6 @@ from repro.ra import (
     compile_core,
     cores_of,
     render_tree,
-    unrestricted,
 )
 from repro.repairs import TooManyRepairsError, count_repairs_exact
 from repro.rewriting import RewritingEngine, classify
@@ -416,11 +414,16 @@ class HippoShell:
             self._print("envelope: " + rendered.text)
             bound = ", ".join(literal_sql(v) for v in rendered.params)
             self._print("bound arguments: " + (bound or "(none)"))
-            clean = Enveloper(self.db, hippo.hypergraph).conflict_free_tids
             for core in cores_of(tree):
-                for label, tids in (("up", unrestricted), ("down", clean)):
-                    plan = compile_core(core, self.db, tids).explain()
-                    self._print(f"{label} plan:\n{plan}")
+                self._print("plan:\n" + compile_core(core, self.db).explain())
+                conflicting = ", ".join(
+                    f"{name} {len(hippo.hypergraph.conflicting_tids(name))}"
+                    for name in sorted({a.relation.lower() for a in core.atoms})
+                )
+                self._print(
+                    "down: this plan's rows whose every tid is conflict-free"
+                    f" (conflicting tuples: {conflicting})"
+                )
             return True
         if command == ".why":
             query_text, _, tuple_text = argument.partition(";")

@@ -22,6 +22,11 @@ Rules (C a conjunctive core, evaluated by the engine):
     up(A ∪ B)  = up(A) ∪ up(B)              down(A ∪ B) = down(A) ∪ down(B)
     up(A − B)  = up(A) − down(B)            down(A − B) = down(A) − up(B)
 
+Both are computed in one recursion returning ``(up, down)`` per node, and a
+core is evaluated once: every row of ``C(DB)`` carries one tid per atom, and
+``C(conflict-free DB)`` is exactly the rows none of whose tids is
+conflicting -- any witness of a value counts, not only the first one kept.
+
 Soundness is proved by induction: ``up`` over-approximates possible truth
 and ``down`` under-approximates certain truth, with the difference rules
 swapping the two (a tuple certainly in ``B`` is certainly not in
@@ -96,39 +101,32 @@ class Enveloper:
     def evaluate(self, tree: SJUDTree, compute_core: bool = True) -> EnvelopeEvaluation:
         """Evaluate ``Q-up`` (with provenance) and optionally ``Q-down``."""
         started = time.perf_counter()
-        candidates = self._up(tree)
-        certain = self._down(tree) if compute_core else frozenset()
+        candidates, certain = self._evaluate(tree)
         elapsed = time.perf_counter() - started
-        return EnvelopeEvaluation(candidates, certain, elapsed)
+        return EnvelopeEvaluation(
+            candidates, frozenset(certain if compute_core else ()), elapsed
+        )
 
-    def _up(self, tree: SJUDTree) -> dict[tuple, Provenance]:
+    def _evaluate(self, tree: SJUDTree) -> tuple[dict[tuple, Provenance], set[tuple]]:
+        """``(up, down)`` of one node; every core is evaluated once."""
         if isinstance(tree, SJUDCore):
-            return dict(evaluate_core(tree, self._db))
-        if isinstance(tree, Union_):
-            merged = self._up(tree.left)
-            for value, provenance in self._up(tree.right).items():
-                merged.setdefault(value, provenance)
-            return merged
-        if isinstance(tree, Difference):
-            left = self._up(tree.left)
-            removed = self._down(tree.right)
-            return {
-                value: provenance
-                for value, provenance in left.items()
-                if value not in removed
-            }
-        raise TypeError(f"cannot envelope {type(tree).__name__}")
-
-    def _down(self, tree: SJUDTree) -> frozenset[tuple]:
-        if isinstance(tree, SJUDCore):
-            return frozenset(
-                evaluate_core(tree, self._db, self.conflict_free_tids).keys()
+            return evaluate_core(
+                tree, self._db, conflicting=self._hypergraph.conflicting_tids
             )
+        if not isinstance(tree, (Union_, Difference)):
+            raise TypeError(f"cannot envelope {type(tree).__name__}")
+        up, down = self._evaluate(tree.left)
+        right_up, right_down = self._evaluate(tree.right)
         if isinstance(tree, Union_):
-            return self._down(tree.left) | self._down(tree.right)
-        if isinstance(tree, Difference):
-            return self._down(tree.left) - frozenset(self._up(tree.right).keys())
-        raise TypeError(f"cannot envelope {type(tree).__name__}")
+            for value, provenance in right_up.items():
+                up.setdefault(value, provenance)
+            return up, down | right_down
+        kept = {
+            value: provenance
+            for value, provenance in up.items()
+            if value not in right_down
+        }
+        return kept, down.difference(right_up)
 
 
 def provenance_hints(

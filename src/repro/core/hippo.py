@@ -16,8 +16,8 @@ constructor flags:
   (``"query"``: the base system's per-check point queries;
   ``"cached"``: batched; ``"provenance"``: the extended-envelope
   optimization answering checks without database queries);
-* ``use_core`` -- evaluate the certain-answer core ``Q-down`` and skip
-  the Prover for candidates found there.
+* ``use_core`` -- skip the Prover for candidates found in the
+  certain-answer core ``Q-down`` (read off the same pass as ``Q-up``).
 """
 
 from __future__ import annotations
@@ -414,7 +414,6 @@ class HippoEngine:
         which a repair falsifying the formula exists.
         """
         from repro.core import formula as fm
-        from repro.sql.formatter import format_expression  # noqa: F401
 
         self._sync()
         tree, _ = self.parse(query)
@@ -500,7 +499,15 @@ class HippoEngine:
         """Apply top-level ORDER BY (or a deterministic default order)."""
         materialized = list(rows)
         if not order_by:
-            materialized.sort(key=lambda row: tuple(sort_key(v) for v in row))
+            # A column of only numbers (bool is its own type) or only text,
+            # never NULL, orders exactly as its sort_key tuples do.
+            if all(
+                kinds <= {int, float} or kinds == {str}
+                for kinds in (set(map(type, col)) for col in zip(*materialized))
+            ):
+                materialized.sort()
+            else:
+                materialized.sort(key=lambda row: tuple(sort_key(v) for v in row))
             return materialized
         lowered = [column.lower() for column in columns]
         for item in reversed(order_by):

@@ -256,6 +256,8 @@ class ExpressionCompiler:
         def local_ref(env: Env) -> SQLValue:
             return env[0][index]
 
+        # A plain column pick: Project maps rows of these with one itemgetter.
+        local_ref.column_index = index  # type: ignore[attr-defined]
         return local_ref
 
     # ------------------------------------------------------------ operators

@@ -11,6 +11,7 @@ themselves are independent of the SQL AST.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import functions
@@ -66,7 +67,7 @@ class Scan(PlanNode):
             column -- used by conflict detection and provenance tracking.
         keep_tids: when not None, only rows whose tid is in this set are
             produced -- used to evaluate queries over a repair or over the
-            conflict-free core without copying data.
+            conflict-free database (``cleaned_answers``) without copying data.
     """
 
     def __init__(
@@ -233,14 +234,29 @@ class Filter(PlanNode):
 
 
 class Project(PlanNode):
-    """Computes a new row from expression evaluators."""
+    """Computes a new row from expression evaluators.
+
+    When every evaluator is a plain local column reference (the compiler
+    marks those with ``column_index``; SJUD cores always are), the rows
+    are picked by one ``itemgetter`` mapped over the child.
+    """
 
     def __init__(self, child: PlanNode, evaluators: Sequence[Evaluator]) -> None:
         self.child = child
         self.evaluators = list(evaluators)
         self.width = len(self.evaluators)
+        picks = [getattr(e, "column_index", None) for e in self.evaluators]
+        self._picks = picks if picks and None not in picks else None
 
     def rows(self, env: Env) -> Iterator[Row]:
+        picks = self._picks
+        if picks is None:
+            return self._interpreted(env)
+        picked = map(itemgetter(*picks), self.child.rows(env))
+        # itemgetter with one index yields the bare value, not a 1-tuple.
+        return picked if len(picks) > 1 else zip(picked)
+
+    def _interpreted(self, env: Env) -> Iterator[Row]:
         evaluators = self.evaluators
         for row in self.child.rows(env):
             inner_env = (row,) + env

@@ -16,8 +16,8 @@ needs to make the Hippo experiments meaningful:
   scans an RDBMS would use when executing the rewriting baseline's
   ``NOT EXISTS`` residues.
 
-This is the only planner: SJUD cores (envelope, ``Q-down``, detection's
-residual joins) are rendered to SELECT blocks by
+This is the only planner: SJUD cores (the envelope, cleaned answers,
+detection's residual joins) are rendered to SELECT blocks by
 :mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``, and
 UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`.
 """

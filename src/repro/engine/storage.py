@@ -327,8 +327,9 @@ class Table:
         return _owners(self._by_value, tuple(row))
 
     def has_duplicates(self) -> bool:
-        """Whether any row value occurs more than once (bag, not set)."""
-        return any(isinstance(owners, set) for owners in self._by_value.values())
+        """Whether any row value occurs more than once (bag, not set):
+        every row is posted under its value, so fewer keys than rows."""
+        return len(self._by_value) < len(self._rows)
 
     def columnar(self) -> ColumnStore:
         """The column-major batch snapshot of the current rows.

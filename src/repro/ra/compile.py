@@ -11,16 +11,18 @@ provenance the extended-envelope optimization uses to answer membership
 checks without further queries.
 
 Every scan can also be *restricted* to a tid set: evaluating a query over
-a repair, over the conflict-free core of the database (``Q-down``), or over
-the full instance (``Q-up``) all go through the same code path.  Both the
-tid column and the restriction are planner inputs (``Planner(tids=...)``):
+a repair, over the conflict-free database (``cleaned_answers``), or over
+the full instance all go through the same code path.  Both the tid column
+and the restriction are planner inputs (``Planner(tids=...)``):
 unrestricted sources run over the table's cached columnar batch or an
-index, restricted ones stay ``Filter(Scan restricted)``.
+index, restricted ones stay ``Filter(Scan restricted)``.  The envelope
+never restricts: it reads ``Q-down`` off the tids of the unrestricted rows
+(:func:`evaluate_core`, ``conflicting=``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Collection, Optional, Union
 
 from repro.engine import plan as physical
 from repro.engine.database import Database
@@ -29,6 +31,10 @@ from repro.errors import AlgebraError, PlanError
 from repro.sql import ast
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 from repro.ra.to_sql import core_to_select
+
+#: A core's answers: value -> the (relation, tid) pairs of its first witness.
+CoreWitnesses = dict[tuple, tuple[tuple[str, int], ...]]
+
 
 def unrestricted(_relation: str) -> Optional[frozenset[int]]:
     """The identity restriction: scan everything."""
@@ -61,23 +67,46 @@ def evaluate_core(
     core: SJUDCore,
     db: Database,
     restrict: Restriction = unrestricted,
-) -> dict[tuple, tuple[tuple[str, int], ...]]:
+    conflicting: Optional[Callable[[str], Collection[int]]] = None,
+) -> Union[CoreWitnesses, tuple[CoreWitnesses, set[tuple]]]:
     """Evaluate a core, returning ``answer -> witness provenance``.
 
     Provenance is a tuple of ``(relation, tid)`` pairs, one per atom, of
     the *first* witness found for that answer value (set semantics keeps
     one witness; the Prover only needs facts known to be in the database).
+
+    With ``conflicting`` (relation -> its tids in some conflict) the result
+    is the pair ``(witnesses, certain)``: ``certain`` holds the answers with
+    *a* witness -- any, not only the first -- free of conflicting tids, i.e.
+    the core over the conflict-free database, from the same pass.
     """
     node = compile_core(core, db, restrict)
     arity = len(core.outputs)
-    results: dict[tuple, tuple[tuple[str, int], ...]] = {}
+    results: CoreWitnesses = {}
     relations = [atom.relation.lower() for atom in core.atoms]
+    if conflicting is None:
+        for row in node.rows(()):
+            value = row[:arity]
+            if value not in results:
+                results[value] = tuple(zip(relations, row[arity:]))
+        return results
+    # Only atoms over a relation that has conflicts can disqualify a row.
+    dirty = [
+        (arity + slot, tids)
+        for slot, tids in enumerate(map(conflicting, relations))
+        if tids
+    ]
+    certain: set[tuple] = set()
     for row in node.rows(()):
         value = row[:arity]
         if value not in results:
-            tids = row[arity:]
-            results[value] = tuple(zip(relations, tids))
-    return results
+            results[value] = tuple(zip(relations, row[arity:]))
+        for slot, tids in dirty:
+            if row[slot] in tids:
+                break
+        else:
+            certain.add(value)
+    return results, certain
 
 
 def evaluate_tree(

@@ -179,7 +179,8 @@ class RewritingEngine:
             return self._rewrite_core(tree)
         # The negative side of a difference is its tuples true in *some*
         # repair -- for the single-atom core classify() insists on, every
-        # stored tuple (no constraint here produces singleton violations).
+        # stored tuple (classify() refuses a right-hand relation under a
+        # unary denial, the one constraint with singleton violations).
         assert isinstance(tree, Difference) and isinstance(tree.right, SJUDCore)
         return ast.SetOperation(
             "except", self._rewrite_tree(tree.left), core_to_select(tree.right)
@@ -400,6 +401,20 @@ def classify(
                 "a difference's right-hand side is not a single-atom"
                 " core, so its 'possibly true' semantics is not"
                 " first-order expressible"
+            )
+            break
+    culled = {c.atoms[0].relation.lower() for c in denials if c.arity == 1}
+    for node in nodes:
+        if isinstance(node, Difference) and any(
+            atom.relation.lower() in culled
+            for core in cores_of(node.right)
+            for atom in core.atoms
+        ):
+            reasons.append(
+                "a difference's right-hand relation carries a unary denial"
+                " constraint: its violating tuples are in no repair, so they"
+                " must not be subtracted, and the rewriting subtracts every"
+                " stored tuple"
             )
             break
     if foreign_keys:

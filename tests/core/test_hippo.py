@@ -203,3 +203,44 @@ class TestRefresh:
         )
         stats = hippo.consistent_answers(text).stats
         assert stats["skipped_by_core"] == stats["candidates"]
+
+
+class TestDefaultOrderPinnedToSortKey:
+    """The default answer order may skip the per-value ``sort_key`` tuples
+    only where a plain sort is identical by construction."""
+
+    COLUMNS = {
+        "ints": [3, -1, 2, 2, 10],
+        "floats": [2.5, -0.5, 2.5, 1e9],
+        "numbers": [2, 1.5, -3, 2.0, 7],  # int and float compare numerically
+        "text": ["b", "a", "", "B", "ab"],
+        # bool is an int to Python (True == 1, sorts between 0 and 2) but
+        # its own type to sort_key, ordered before every number
+        "bool-vs-int": [2, True, 0, False, 1],
+        "bools": [True, False, True],
+        "with-null": [3, None, 1],
+        "text-with-null": ["x", None, "a"],
+        "everything": [1, "a", None, True, 2.5, "", 0, False],
+    }
+
+    @staticmethod
+    def reference(rows):
+        from repro.engine.types import sort_key
+
+        return sorted(rows, key=lambda row: tuple(sort_key(v) for v in row))
+
+    @pytest.mark.parametrize("first", sorted(COLUMNS))
+    @pytest.mark.parametrize("second", sorted(COLUMNS))
+    def test_equals_the_sort_key_order(self, hippo, first, second):
+        rows = [(a, b) for a in self.COLUMNS[first] for b in self.COLUMNS[second]]
+        rows += rows[:3]  # duplicates keep their relative order (stable)
+        assert hippo._order(iter(rows), ["a", "b"], ()) == self.reference(rows)
+
+    def test_bool_among_ints_is_where_a_naive_sort_differs(self, hippo):
+        rows = [(2,), (True,), (0,)]
+        assert sorted(rows) == [(0,), (True,), (2,)]
+        assert hippo._order(rows, ["a"], ()) == [(True,), (0,), (2,)]
+
+    def test_empty_and_zero_width(self, hippo):
+        assert hippo._order([], ["a"], ()) == []
+        assert hippo._order([(), ()], [], ()) == [(), ()]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.database import Database
 from repro.engine.plan import (
     Aggregate,
     Distinct,
@@ -23,6 +24,7 @@ from repro.engine.schema import make_schema
 from repro.engine.stats import ExecutionStats
 from repro.engine.storage import Table
 from repro.engine.types import SQLType
+from repro.sql.parser import parse_query
 
 
 def table_ab(rows):
@@ -64,6 +66,39 @@ class TestFilterProject:
         source = Values([(1, 2)], 2)
         node = Project(source, [col(1), col(0), lambda env: 9])
         assert run_plan(node) == [(2, 1, 9)]
+
+    def test_project_of_plain_columns_picks_without_calling_them(self):
+        """All-column-reference projections (what the compiler marks with
+        ``column_index``) never call the evaluators."""
+
+        def marked(index):
+            def never_called(env):
+                raise AssertionError("a marked column must be picked, not called")
+
+            never_called.column_index = index
+            return never_called
+
+        source = Values([(1, 2, 3), (4, 5, 6)], 3)
+        assert run_plan(Project(source, [marked(2), marked(0)])) == [(3, 1), (6, 4)]
+        assert run_plan(Project(source, [marked(1)])) == [(2,), (5,)]
+        assert all(type(r) is tuple for r in run_plan(Project(source, [marked(1)])))
+
+    def test_project_with_any_expression_takes_the_generic_path(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        db.insert_rows("t", [(1, 2), (3, 4)])
+        picked = db.plan(parse_query("SELECT b, a FROM t")).plan
+        computed = db.plan(parse_query("SELECT b, a + 1 FROM t")).plan
+        assert isinstance(picked, Project) and picked._picks == [1, 0]
+        assert isinstance(computed, Project) and computed._picks is None
+        assert run_plan(picked) == [(2, 1), (4, 3)]
+        assert run_plan(computed) == [(2, 2), (4, 4)]
+        # An outer (correlated) reference is not a local pick either.
+        rows = db.query(
+            "SELECT a FROM t o WHERE EXISTS (SELECT o.a FROM t i WHERE i.b > o.b)"
+        ).rows
+        assert rows == [(1,)]
+        assert run_plan(Project(Values([(1,)], 1), [])) == [()]
 
     def test_single_row(self):
         assert run_plan(SingleRow()) == [()]

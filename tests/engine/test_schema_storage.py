@@ -136,3 +136,62 @@ class TestCatalog:
         catalog.create_table(make_schema("x", [("a", SQLType.INTEGER)]))
         catalog.create_table(make_schema("y", [("a", SQLType.INTEGER)]))
         assert catalog.table_names() == ["x", "y"]
+
+
+class TestHasDuplicatesPinned:
+    """``has_duplicates()`` is ``len(value index) < len(rows)``; pin it to
+    counting the stored rows across every kind of mutation."""
+
+    @staticmethod
+    def check(table):
+        stored = list(table.rows())
+        assert table.has_duplicates() == (len(set(stored)) < len(stored))
+        return table.has_duplicates()
+
+    def test_insert_delete_update(self):
+        table = Table(r_schema())
+        assert not self.check(table)
+        first = table.insert((1, "x"))
+        other = table.insert((2, "y"))
+        assert not self.check(table)
+        copy = table.insert((1, "x"))  # insert a duplicate
+        assert self.check(table)
+        third = table.insert((1, "x"))  # three owners of one value
+        table.delete(third)
+        assert self.check(table)
+        table.delete(copy)  # delete one copy: back to a set
+        assert not self.check(table)
+        table.update(other, (1, "x"))  # update *into* a duplicate
+        assert self.check(table)
+        table.update(first, (3, "z"))  # update *out of* it
+        assert not self.check(table)
+        table.update(first, (3, "z"))  # a no-op update changes nothing
+        assert not self.check(table)
+
+    def test_feed_replay(self):
+        table = Table(r_schema())
+        table.apply_changes(
+            [(0, (1, "x"), "insert"), (5, (1, "x"), "insert"), (2, (2, "y"), "insert")]
+        )
+        assert self.check(table)
+        table.apply_changes([(5, None, "delete"), (7, (2, "y"), "insert")])
+        assert self.check(table)
+        table.apply_changes([(7, None, "delete")])
+        assert not self.check(table)
+        table.restore(9, (2, "y"))
+        assert self.check(table)
+
+    def test_reopened_durable_database_agrees(self, tmp_path):
+        from repro.engine.database import Database
+
+        writer = Database(durable=str(tmp_path / "feed"))
+        writer.execute("CREATE TABLE r (a INTEGER, b TEXT)")
+        writer.execute("INSERT INTO r VALUES (1, 'x'), (1, 'x'), (2, 'y')")
+        writer.execute("UPDATE r SET b = 'y' WHERE a = 1")
+        writer.execute("DELETE FROM r WHERE a = 2")
+        writer.changes.feed.close()
+        reopened = Database(durable=str(tmp_path / "feed"))  # rebuilt by replay
+        assert self.check(reopened.table("r"))
+        reopened.execute("DELETE FROM r WHERE a = 1")
+        assert not self.check(reopened.table("r"))
+        reopened.changes.feed.close()

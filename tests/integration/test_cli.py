@@ -699,10 +699,12 @@ class TestExplainParameterized:
             + "CREATE INDEX emp_salary ON emp (salary);\n"
             + ".explain SELECT * FROM emp WHERE salary = 5;"
         )
-        assert "up plan:\nProject\n  IndexScan(emp on [salary] +tid)" in output
+        # One plan per core: Q-down is read off the same rows' tids.
+        assert "\nplan:\nProject\n  IndexScan(emp on [salary] +tid)" in output
+        assert output.count("plan:") == 1 and "restricted" not in output
         assert (
-            "down plan:\nProject\n  Filter\n    Scan(emp +tid restricted)"
-            in output
+            "down: this plan's rows whose every tid is conflict-free"
+            " (conflicting tuples: emp 2)" in output
         )
 
 

@@ -1,0 +1,244 @@
+"""The single-pass envelope against its reference.
+
+``Enveloper.evaluate`` runs every core once and reads ``Q-down`` off the
+tids of the ``Q-up`` rows.  The reference is what the code did before: a
+second, tid-restricted evaluation of every core over the conflict-free
+database, folded by the ``down`` rules (and ``Q-up`` folded by the ``up``
+rules).  Restricted evaluation is still in the tree -- repairs and
+``cleaned_answers`` use it -- which is what makes it an oracle here.
+
+Two layers are checked on random trees x instances:
+
+* envelope level, on *arbitrary* cores (existential projections and
+  self-joins included: a value whose first witness is dirty and a later
+  one clean must still land in ``certain``);
+* engine level, on valid SJUD trees: ``consistent_answers`` == repair
+  enumeration, with and without ``use_core``.
+"""
+
+from __future__ import annotations
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro import Database, HippoEngine
+from repro.conflicts import detect_conflicts
+from repro.constraints import FunctionalDependency
+from repro.constraints.parser import parse_constraint
+from repro.core.envelope import Enveloper
+from repro.ra import (
+    Atom,
+    Difference,
+    OutputColumn,
+    SJUDCore,
+    Union_,
+    evaluate_core,
+)
+from repro.repairs import ground_truth_consistent_answers
+from repro.sql import ast
+
+value = st.integers(min_value=0, max_value=3)
+# max_size 6 over a 4x4 domain: duplicate rows are common.
+rows = st.lists(st.tuples(value, value), min_size=0, max_size=6)
+
+CONSTRAINT_SETS = [
+    [FunctionalDependency("r", ["a"], ["b"]), FunctionalDependency("s", ["a"], ["b"])],
+    # unary self-conflicts: every s tuple with b > 1 is in no repair
+    [
+        FunctionalDependency("r", ["a"], ["b"]),
+        parse_constraint("DENIAL x IN s WHERE x.b > 1"),
+    ],
+    [parse_constraint("DENIAL x IN r, y IN s WHERE x.a = y.a AND x.b <> y.b")],
+]
+constraint_sets = st.sampled_from(CONSTRAINT_SETS)
+
+
+def build_db(r_rows, s_rows) -> Database:
+    db = Database()
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+    db.insert_rows("r", r_rows)
+    db.insert_rows("s", s_rows)
+    return db
+
+
+def _ref(alias: str, column: str) -> ast.ColumnRef:
+    return ast.ColumnRef(alias, column)
+
+
+def _eq(left: ast.Expression, right: ast.Expression) -> ast.Expression:
+    return ast.BinaryOp("=", left, right)
+
+
+def _core(atoms, conjuncts, outputs) -> SJUDCore:
+    return SJUDCore(
+        tuple(atoms),
+        ast.conjunction(conjuncts),
+        tuple(OutputColumn(name, source) for name, source in zip("ab", outputs)),
+    )
+
+
+@st.composite
+def selections(draw):
+    """sigma over r or s, both columns kept (valid SJUD)."""
+    relation = draw(st.sampled_from(["r", "s"]))
+    conjuncts = [
+        ast.BinaryOp(
+            draw(st.sampled_from(["<", "=", "<>", ">="])),
+            _ref("t", column),
+            ast.Literal(draw(value)),
+        )
+        for column in "ab"
+        if draw(st.booleans())
+    ]
+    return _core([Atom("t", relation)], conjuncts, [_ref("t", "a"), _ref("t", "b")])
+
+
+@st.composite
+def determined_joins(draw):
+    """``t1(x, x), t2(x, y)`` -- a (self-)join whose output fixes both atoms."""
+    second = draw(st.sampled_from(["r", "s"]))
+    conjuncts = [
+        _eq(_ref("t1", "b"), _ref("t2", "a")),
+        _eq(_ref("t1", "a"), _ref("t2", "a")),
+    ]
+    return _core(
+        [Atom("t1", "r"), Atom("t2", second)],
+        conjuncts,
+        [_ref("t1", "a"), _ref("t2", "b")],
+    )
+
+
+@st.composite
+def existential_cores(draw):
+    """Cores outside the SJUD class: one value, many differing witnesses."""
+    relation = draw(st.sampled_from(["r", "s"]))
+    if draw(st.booleans()):
+        column = draw(st.sampled_from("ab"))  # pi_{c,c}: drops the other column
+        return _core(
+            [Atom("t", relation)], [], [_ref("t", column), _ref("t", column)]
+        )
+    return _core(  # pi_{t1.a, t2.b}(t1 join t2 on t1.b = t2.a)
+        [Atom("t1", "r"), Atom("t2", relation)],
+        [_eq(_ref("t1", "b"), _ref("t2", "a"))],
+        [_ref("t1", "a"), _ref("t2", "b")],
+    )
+
+
+def trees(cores, depth: int = 3):
+    """Nested UNION / EXCEPT over ``cores``."""
+    return st.recursive(
+        cores,
+        lambda sub: st.builds(
+            lambda op, left, right: op(left, right),
+            st.sampled_from([Union_, Difference]),
+            sub,
+            sub,
+        ),
+        max_leaves=2**depth,
+    )
+
+
+valid_trees = trees(st.one_of(selections(), determined_joins()))
+any_trees = trees(st.one_of(selections(), determined_joins(), existential_cores()))
+
+
+# ------------------------------------------------- the two-pass reference
+
+
+def reference_up(tree, db, clean):
+    if isinstance(tree, SJUDCore):
+        return dict(evaluate_core(tree, db))
+    left = reference_up(tree.left, db, clean)
+    if isinstance(tree, Union_):
+        for answer, provenance in reference_up(tree.right, db, clean).items():
+            left.setdefault(answer, provenance)
+        return left
+    removed = reference_down(tree.right, db, clean)
+    return {a: p for a, p in left.items() if a not in removed}
+
+
+def reference_down(tree, db, clean):
+    if isinstance(tree, SJUDCore):
+        return frozenset(evaluate_core(tree, db, clean))
+    left = reference_down(tree.left, db, clean)
+    if isinstance(tree, Union_):
+        return left | reference_down(tree.right, db, clean)
+    return left - frozenset(reference_up(tree.right, db, clean))
+
+
+# dirty first witness (tid 0, conflicts with tid 1), clean later one (tid 2)
+_B_ONLY = _core([Atom("t", "r")], [], [_ref("t", "b"), _ref("t", "b")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows, rows, constraint_sets, any_trees)
+@example([(1, 2), (1, 3), (0, 2)], [], CONSTRAINT_SETS[0], _B_ONLY)
+@example([(1, 2), (1, 3), (0, 2)], [(2, 2)], CONSTRAINT_SETS[0], Difference(
+    _core([Atom("t", "s")], [], [_ref("t", "a"), _ref("t", "b")]), _B_ONLY
+))
+def test_single_pass_equals_restricted_second_pass(r_rows, s_rows, ics, tree):
+    db = build_db(r_rows, s_rows)
+    enveloper = Enveloper(db, detect_conflicts(db, ics).hypergraph)
+    clean = enveloper.conflict_free_tids
+    up, down = reference_up(tree, db, clean), reference_down(tree, db, clean)
+
+    evaluation = enveloper.evaluate(tree)
+    assert evaluation.certain == down
+    assert evaluation.candidates == up  # same first witnesses too
+    assert list(evaluation.candidates) == list(up)  # and the Prover's order
+
+    without_core = enveloper.evaluate(tree, compute_core=False)
+    assert without_core.certain == frozenset()
+    assert without_core.candidates == up
+
+
+def test_dirty_first_witness_clean_later_is_certain():
+    db = build_db([(1, 2), (1, 3), (0, 2)], [])
+    graph = detect_conflicts(db, CONSTRAINT_SETS[0]).hypergraph
+    evaluation = Enveloper(db, graph).evaluate(_B_ONLY)
+    assert evaluation.candidates[(2, 2)] == (("r", 0),)  # first witness: dirty
+    assert evaluation.certain == {(2, 2)}  # tid 2 vouches for it
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, rows, constraint_sets, valid_trees, st.booleans())
+def test_consistent_answers_match_enumeration(r_rows, s_rows, ics, tree, use_core):
+    db = build_db(r_rows, s_rows)
+    hippo = HippoEngine(db, ics, use_core=use_core)
+    truth = ground_truth_consistent_answers(db, hippo.hypergraph, tree)
+    assert hippo.consistent_answers(tree).as_set() == truth
+
+
+# ------------------------------------------------------------ exact counts
+
+
+def test_a_scan_query_reads_each_row_once():
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+    db.insert_rows("t", [(i // 2, i) for i in range(40)])  # 20 conflicting pairs
+    hippo = HippoEngine(db, [FunctionalDependency("t", ["a"], ["b"])])
+    before = db.stats.rows_scanned
+    hippo.consistent_answers("SELECT * FROM t")
+    assert db.stats.rows_scanned - before == 40  # N, not 2N
+
+
+def test_every_core_is_planned_once(monkeypatch):
+    from repro.engine.planner import Planner
+
+    planned = []
+    plan_query = Planner.plan_query
+    monkeypatch.setattr(
+        Planner,
+        "plan_query",
+        lambda self, query: planned.append(query) or plan_query(self, query),
+    )
+    db = build_db([(1, 1), (1, 2)], [(1, 1)])
+    hippo = HippoEngine(db, CONSTRAINT_SETS[0])
+    planned.clear()
+    hippo.consistent_answers(
+        "SELECT * FROM r EXCEPT (SELECT * FROM s UNION SELECT * FROM r WHERE a > 1)"
+    )
+    assert len(planned) == 3
+    planned.clear()
+    hippo.possible_answers("SELECT * FROM r UNION SELECT * FROM s")
+    assert len(planned) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import HippoEngine
+from repro import Database, HippoEngine
 from repro.constraints import (
     ConstraintAtom,
     DenialConstraint,
@@ -269,3 +269,31 @@ def test_classify_is_the_scope_of_rewrite(two_table_db, text, constraints):
         with pytest.raises(RewritingError) as refusal:
             engine.rewrite(text)
         assert str(refusal.value) == verdict.reasons[0]
+
+
+def test_unary_denial_on_difference_right_is_not_rewritable():
+    """A tuple violating a unary denial is in no repair, so it is never
+    subtracted -- but the rewriting subtracts every stored right-hand
+    tuple.  classify() must route this to the hypergraph path."""
+    db = Database()
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+    db.insert_rows("r", [(1, 1), (2, 2)])
+    db.insert_rows("s", [(1, 1), (2, -2)])
+    ics = [_denial("pos", ["s"], "x.b > 0")]
+    text = "SELECT a, b FROM r EXCEPT SELECT a, b FROM s"
+
+    hippo = HippoEngine(db, ics)
+    truth = ground_truth_consistent_answers(db, hippo.hypergraph, hippo.parse(text)[0])
+    assert truth == {(1, 1), (2, 2)}
+    assert hippo.consistent_answers(text).as_set() == truth
+
+    verdict = classify(text, ics, schema=db)
+    assert not verdict.rewritable and verdict.path == "conflict-hypergraph"
+    assert "unary denial" in verdict.reasons[0]
+    with pytest.raises(RewritingError, match="unary denial"):
+        RewritingEngine(db, ics).rewrite(text)
+    # The same constraint on the *left* relation stays rewritable.
+    assert classify(
+        "SELECT a, b FROM s EXCEPT SELECT a, b FROM r", ics, schema=db
+    ).rewritable

@@ -54,6 +54,8 @@ class ConflictHypergraph:
         self.edge_labels: list[str] = []
         self._position: dict[frozenset[Vertex], int] = {}
         self._incidence: dict[Vertex, list[int]] = {}
+        #: relation -> conflicting tids, dropped whenever an edge changes
+        self._conflicting_tids: dict[str, frozenset[int]] = {}
         labels = list(edge_labels) if edge_labels is not None else None
         for position, edge in enumerate(edges):
             self.add_edge(edge, labels[position] if labels else "")
@@ -71,6 +73,7 @@ class ConflictHypergraph:
             raise ValueError("hyperedges must be non-empty")
         if edge in self._position:
             return False
+        self._conflicting_tids.clear()
         index = len(self.edges)
         self._position[edge] = index
         self.edges.append(edge)
@@ -90,6 +93,7 @@ class ConflictHypergraph:
         index = self._position.pop(edge, None)
         if index is None:
             return False
+        self._conflicting_tids.clear()
         for v in edge:
             incident = self._incidence[v]
             incident.remove(index)
@@ -198,11 +202,15 @@ class ConflictHypergraph:
         return True
 
     def conflicting_tids(self, relation: str) -> frozenset[int]:
-        """Tids of the conflicting tuples of one relation."""
+        """Tids of the conflicting tuples of one relation (memoized until
+        the next :meth:`add_edge` / :meth:`remove_edge`)."""
         key = relation.lower()
-        return frozenset(
-            v.tid for v in self._incidence.keys() if v.relation == key
-        )
+        cached = self._conflicting_tids.get(key)
+        if cached is None:
+            cached = self._conflicting_tids[key] = frozenset(
+                v.tid for v in self._incidence if v.relation == key
+            )
+        return cached
 
     def always_deleted(self) -> frozenset[Vertex]:
         """Tuples in a singleton hyperedge: they belong to *no* repair.

@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
 from repro.core.facts import Fact
 from repro.engine.database import Database
+from repro.engine.storage import Table
 from repro.ra.compile import evaluate_core
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 
@@ -130,20 +131,21 @@ class Enveloper:
 
 
 def provenance_hints(
-    db: Database, provenance: Provenance
+    tables: Mapping[str, Table], provenance: Provenance
 ) -> dict[Fact, Vertex]:
     """Translate a candidate's provenance into membership hints.
 
     Each witness tid is turned into the fact it stores, so the Prover's
-    positive membership checks about those facts are answered for free.
+    positive membership checks about those facts are answered for free;
+    a tid that has vanished since the envelope ran gives no hint.
+    ``tables`` maps lower-case relation names to their tables (resolved
+    once per query by the caller, this runs once per candidate).
     """
-    if not provenance:
-        return {}
     hints: dict[Fact, Vertex] = {}
-    for relation, tid in provenance:
-        table = db.catalog.table(relation)
-        if table.has_tid(tid):
+    for relation, tid in provenance or ():
+        row = tables[relation].find(tid)
+        if row is not None:
             # Provenance relations are lower-cased by evaluate_core.
             # hippolint: disable-next-line=HL005 -- relation already lower-case
-            hints[Fact(relation, table.get(tid))] = Vertex(relation, tid)
+            hints[Fact(relation, row)] = Vertex(relation, tid)
     return hints

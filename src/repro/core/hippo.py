@@ -34,6 +34,7 @@ from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.conflicts.incremental import IncrementalDetector
 from repro.core.envelope import Enveloper, provenance_hints
+from repro.core.formula import atoms_of
 from repro.core.grounding import GroundQuery
 from repro.core.membership import make_membership
 from repro.core.prover import Prover
@@ -362,9 +363,9 @@ class HippoEngine:
 
         envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
 
+        tables = {table.schema.name.lower(): table for table in self.db.catalog}
         duplicate_free = not any(
-            self.db.catalog.table(name).has_duplicates()
-            for name in self.db.catalog.table_names()
+            table.has_duplicates() for table in tables.values()
         )
         membership = make_membership(
             self.membership_strategy, self.db, duplicate_free
@@ -375,16 +376,19 @@ class HippoEngine:
             prover.is_possible_answer if possible else prover.is_consistent_answer
         )
 
+        certain = envelope.certain  # empty without use_core
+        primed = self.membership_strategy == "provenance"
+
         answers: list[tuple] = []
         skipped_by_core = 0
         prover_started = time.perf_counter()
         for candidate, provenance in envelope.candidates.items():
-            if self.use_core and candidate in envelope.certain:
+            if candidate in certain:
                 skipped_by_core += 1
                 answers.append(candidate)
                 continue
-            if self.membership_strategy == "provenance":
-                membership.prime(provenance_hints(self.db, provenance))
+            if primed:
+                membership.prime(provenance_hints(tables, provenance))
             if decide(grounder.formula_for(candidate)):
                 answers.append(candidate)
         prover_seconds = time.perf_counter() - prover_started
@@ -413,33 +417,31 @@ class HippoEngine:
         one counterexample requirement: a (require, forbid) fact pair for
         which a repair falsifying the formula exists.
         """
-        from repro.core import formula as fm
-
         self._sync()
         tree, _ = self.parse(query)
-        grounder = GroundQuery(tree, self._schema)
+        candidate = tuple(candidate)
+        columns = output_names_of(tree)
+        if len(candidate) != len(columns):
+            raise UnsupportedQueryError(
+                f"candidate {candidate!r} has {len(candidate)} value(s); the"
+                f" query returns {len(columns)}: ({', '.join(columns)})"
+            )
         membership = make_membership("cached", self.db)
         prover = Prover(self.hypergraph, membership)
-        phi = grounder.formula_for(tuple(candidate))
-        consistent = prover.is_consistent_answer(phi)
-        possible = prover.is_possible_answer(phi)
+        phi = GroundQuery(tree, self._schema).formula_for(candidate)
+        falsifier = prover.satisfying_disjunct(phi, negated=True)
+        formula = phi.formula
         report: dict[str, object] = {
-            "candidate": tuple(candidate),
-            "formula": phi,
-            "facts": sorted(str(f) for f in fm.atoms_of(phi)),
-            "consistent": consistent,
-            "possible": possible,
+            "candidate": candidate,
+            "formula": formula,
+            "facts": sorted(str(f) for f in atoms_of(formula)),
+            "consistent": falsifier is None,
+            "possible": prover.is_possible_answer(phi),
         }
-        if not consistent:
-            for require, forbid in fm.to_dnf(fm.negate(phi)):
-                if prover.exists_repair(require, forbid):
-                    report["falsifying_repair_requires"] = sorted(
-                        str(f) for f in require
-                    )
-                    report["falsifying_repair_excludes"] = sorted(
-                        str(f) for f in forbid
-                    )
-                    break
+        if falsifier is not None:
+            require, forbid = falsifier
+            report["falsifying_repair_requires"] = sorted({str(f) for f in require})
+            report["falsifying_repair_excludes"] = sorted({str(f) for f in forbid})
         return report
 
     # ------------------------------------------------------------ baselines

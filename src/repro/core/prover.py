@@ -17,14 +17,17 @@ tuple's candidate edges are polynomial in the data, so the check is
 polynomial-time in the data.
 
 A candidate ``t`` with ground formula ``Phi`` is a consistent answer iff
-*no* repair satisfies ``not Phi``; the Prover converts ``not Phi`` to DNF
-and runs the repair-existence check on every disjunct.
+*no* repair satisfies ``not Phi``; the Prover runs the repair-existence
+check on every disjunct of the DNF of ``not Phi``.  That DNF belongs to the
+query, not the candidate: it is computed once per
+:class:`~repro.core.formula.Template` and only the candidate's facts are
+substituted into it here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional, Union
 
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
 from repro.core import formula as fm
@@ -65,30 +68,41 @@ class Prover:
 
     # ----------------------------------------------------------- entrypoint
 
-    def is_consistent_answer(self, phi: fm.Formula) -> bool:
+    def is_consistent_answer(self, phi: Union[fm.Ground, fm.Formula[Fact]]) -> bool:
         """Whether ``Phi`` holds in *every* repair."""
-        self.stats.candidates_checked += 1
-        negated = fm.negate(phi)
-        for require, forbid in fm.to_dnf(negated):
-            self.stats.disjuncts_checked += 1
-            if self.exists_repair(require, forbid):
-                return False
+        if self.satisfying_disjunct(phi, negated=True) is not None:
+            return False
         self.stats.consistent += 1
         return True
 
-    def is_possible_answer(self, phi: fm.Formula) -> bool:
+    def is_possible_answer(self, phi: Union[fm.Ground, fm.Formula[Fact]]) -> bool:
         """Whether ``Phi`` holds in *some* repair (the certainty dual).
 
         Possible answers bound what any way of resolving the conflicts
         could yield; together with the consistent answers they bracket
         the information content of the inconsistent database.
         """
+        return self.satisfying_disjunct(phi, negated=False) is not None
+
+    def satisfying_disjunct(
+        self, phi: Union[fm.Ground, fm.Formula[Fact]], negated: bool
+    ) -> Optional[tuple[list[Fact], list[Fact]]]:
+        """The first ``(require, forbid)`` disjunct of ``Phi`` -- ``negated``:
+        of ``not Phi`` -- that some repair satisfies, or None.
+
+        The disjuncts are the template's cached ones with the candidate's
+        facts substituted (a fact filling two slots is listed twice); a
+        hand-built tree is compiled here, once.
+        """
         self.stats.candidates_checked += 1
-        for require, forbid in fm.to_dnf(phi):
+        template, facts = fm.Ground.of(phi) if isinstance(phi, fm.Formula) else phi
+        for require_slots, forbid_slots in template.dnf(negated):
             self.stats.disjuncts_checked += 1
+            require = [facts[slot] for slot in require_slots]
+            forbid = [facts[slot] for slot in forbid_slots]
             if self.exists_repair(require, forbid):
-                return True
-        return False
+                return require, forbid
+        return None
 
     # ------------------------------------------------------- repair search
 
@@ -105,43 +119,48 @@ class Prover:
                 return False  # the fact is not even in the database
             required_vertices.add(witness)
 
-        if not self._independent(required_vertices):
+        # (No edge is empty, so the empty set needs no test.)
+        if required_vertices and not self._independent(required_vertices):
             return False
 
         forbidden_vertices: set[Vertex] = set()
         for fact in forbid:
             forbidden_vertices |= self.membership.all_vertices(fact)
         # Facts absent from the database are trivially avoided.
+        if not forbidden_vertices:
+            return True
 
         if required_vertices & forbidden_vertices:
             return False
 
         # For every forbidden tuple, collect the hyperedges that can block
-        # it: edges through it whose remainder avoids the forbidden set.
-        blockers: list[tuple[Vertex, list[frozenset[Vertex]]]] = []
+        # it -- edges through it whose remainder avoids the forbidden set
+        # -- as those remainders.
+        blockers: list[list[frozenset[Vertex]]] = []
         for target in forbidden_vertices:
-            candidate_edges = [
-                edge
+            remainders = [
+                remainder
                 for edge in self.hypergraph.edges_of(target)
-                if not ((edge - {target}) & forbidden_vertices)
+                if not ((remainder := edge - {target}) & forbidden_vertices)
             ]
-            if not candidate_edges:
+            if not remainders:
                 # The tuple is in every repair (e.g. conflict-free): no
                 # repair can avoid it.
                 return False
             # Prefer small remainders: cheaper and more likely independent.
-            candidate_edges.sort(key=len)
-            blockers.append((target, candidate_edges))
+            remainders.sort(key=len)
+            blockers.append(remainders)
 
-        return self._choose_blockers(blockers, 0, set(required_vertices))
+        return self._choose_blockers(blockers, 0, required_vertices)
 
     def _choose_blockers(
         self,
-        blockers: list[tuple[Vertex, list[frozenset[Vertex]]]],
+        blockers: list[list[frozenset[Vertex]]],
         position: int,
         chosen: set[Vertex],
     ) -> bool:
-        """Backtracking search over covering-edge choices.
+        """Backtracking search over covering-edge choices: one remainder
+        per forbidden tuple, added to ``chosen`` (never mutated).
 
         Independence is antitone (supersets of dependent sets stay
         dependent), so pruning at every level is sound; checking at every
@@ -149,10 +168,8 @@ class Prover:
         """
         if position == len(blockers):
             return True
-        target, edges = blockers[position]
-        for edge in edges:
+        for remainder in blockers[position]:
             self.stats.witness_combinations += 1
-            remainder = edge - {target}
             extended = chosen | remainder
             if self._independent(extended):
                 if self._choose_blockers(blockers, position + 1, extended):

@@ -303,6 +303,10 @@ class Table:
                 f"table {self.schema.name!r} has no tuple with tid {tid}"
             ) from None
 
+    def find(self, tid: int) -> Optional[Row]:
+        """The row stored under ``tid``, or None when there is none."""
+        return self._rows.get(tid)
+
     def has_tid(self, tid: int) -> bool:
         """Whether a row with this tid is currently stored."""
         return tid in self._rows

@@ -15,6 +15,8 @@ from repro.constraints import (
     ExclusionConstraint,
     FunctionalDependency,
 )
+from repro.core import HippoEngine
+from repro.engine import Database
 from repro.sql.parser import parse_expression
 
 
@@ -134,6 +136,36 @@ class TestHypergraph:
         assert graph.conflicting_tids("R") == frozenset({1})
         assert graph.conflicting_tids("s") == frozenset({2})
         assert graph.conflicting_tids("t") == frozenset()
+
+    def test_conflicting_tids_follow_adds_and_retractions(self):
+        """The per-relation memo is dropped by every edge change -- also
+        through an engine maintaining the graph incrementally."""
+        a, b, c = vertex("r", 1), vertex("r", 2), vertex("r", 3)
+        graph = ConflictHypergraph([frozenset({a, b})])
+        first = graph.conflicting_tids("r")
+        assert first == frozenset({1, 2})
+        assert graph.conflicting_tids("r") is first  # memoized, not re-derived
+        assert not graph.add_edge({a, b})  # a duplicate changes nothing
+        graph.add_edge({b, c})
+        assert graph.conflicting_tids("r") == frozenset({1, 2, 3})
+        assert first == frozenset({1, 2})  # the old value was not mutated
+        graph.remove_edge({a, b})
+        assert graph.conflicting_tids("r") == frozenset({2, 3})
+        graph.remove_edge({b, c})
+        assert graph.conflicting_tids("r") == frozenset()
+
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 1), (2, 2)")
+        engine = HippoEngine(db, [FunctionalDependency("t", ["k"], ["v"])])
+        assert engine.consistent_answers("SELECT * FROM t").rows == [(1, 1), (2, 2)]
+        db.execute("INSERT INTO t VALUES (1, 9)")
+        assert engine.consistent_answers("SELECT * FROM t").rows == [(2, 2)]
+        assert engine.detection.mode == "incremental"
+        assert len(engine.hypergraph.conflicting_tids("t")) == 2
+        db.execute("DELETE FROM t WHERE v = 9")
+        assert engine.consistent_answers("SELECT * FROM t").rows == [(1, 1), (2, 2)]
+        assert engine.hypergraph.conflicting_tids("t") == frozenset()
 
     def test_summary(self):
         graph = ConflictHypergraph(

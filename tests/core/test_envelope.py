@@ -101,10 +101,22 @@ class TestProvenance:
     def test_provenance_hints_translation(self, setup):
         db, _graph, _enveloper = setup
         tid = next(iter(db.table("emp").lookup(("bob", "ee", 20))))
-        hints = provenance_hints(db, (("emp", tid),))
+        hints = provenance_hints({"emp": db.table("emp")}, (("emp", tid),))
         assert hints == {fact("emp", ("bob", "ee", 20)): vertex("emp", tid)}
 
     def test_provenance_hints_empty(self, setup):
         db, _graph, _enveloper = setup
-        assert provenance_hints(db, None) == {}
-        assert provenance_hints(db, ()) == {}
+        tables = {"emp": db.table("emp")}
+        assert provenance_hints(tables, None) == {}
+        assert provenance_hints(tables, ()) == {}
+
+    def test_provenance_hints_skip_a_deleted_witness(self, setup):
+        """A witness tid deleted after the envelope ran gives no hint (the
+        Prover then looks the fact up and finds it absent)."""
+        db, _graph, _enveloper = setup
+        emp = db.table("emp")
+        gone = next(iter(emp.lookup(("bob", "ee", 20))))
+        kept = next(iter(emp.lookup(("dave", "ee", 18))))
+        db.execute("DELETE FROM emp WHERE name = 'bob'")
+        hints = provenance_hints({"emp": emp}, (("emp", gone), ("emp", kept)))
+        assert hints == {fact("emp", ("dave", "ee", 18)): vertex("emp", kept)}

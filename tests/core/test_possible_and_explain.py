@@ -5,6 +5,7 @@ import pytest
 from repro import Database, HippoEngine
 from repro.conflicts import ConflictHypergraph, detect_conflicts, vertex
 from repro.constraints import FunctionalDependency
+from repro.errors import UnsupportedQueryError
 from repro.ra import evaluate_tree
 from repro.repairs import (
     all_repairs,
@@ -75,6 +76,31 @@ class TestExplainCandidate:
         report = hippo.explain_candidate("SELECT * FROM emp", ("zoe", "cs", 1))
         assert not report["possible"]
         assert not report["consistent"]
+
+    @pytest.mark.parametrize("candidate", [(2, 5, 6), (2,), ()])
+    def test_wrong_arity_is_refused_naming_the_columns(
+        self, two_table_db, candidate
+    ):
+        """An extra value used to be ignored silently ("(2, 5, 6):
+        consistent"); a missing one died with a bare IndexError."""
+        engine = HippoEngine(two_table_db, [])
+        with pytest.raises(UnsupportedQueryError, match=r"returns 2: \(a, b\)"):
+            engine.explain_candidate("SELECT * FROM r", candidate)
+        # The same check covers set operations (arity of the left branch).
+        with pytest.raises(UnsupportedQueryError, match="returns 2"):
+            engine.explain_candidate(
+                "SELECT * FROM r EXCEPT SELECT * FROM s", candidate
+            )
+        assert engine.explain_candidate("SELECT * FROM r", (2, 5))["consistent"]
+
+    def test_report_dedupes_a_fact_filling_two_slots(self, two_table_db):
+        """``r EXCEPT r``: both slots carry r(2, 5); the report names it once."""
+        engine = HippoEngine(two_table_db, [])
+        report = engine.explain_candidate(
+            "SELECT * FROM r EXCEPT SELECT * FROM r WHERE a > 0", (2, 5)
+        )
+        assert not report["consistent"] and not report["possible"]
+        assert report["facts"] == ["r(2, 5)"]
 
 
 class TestConflictComponents:

@@ -81,6 +81,12 @@ class TestShellCommands:
         assert "possible but not consistent" in output
         assert "excluding" in output
 
+    def test_why_refuses_a_tuple_of_the_wrong_arity(self):
+        for candidate in ("'bob', 5, 6", "'bob'"):
+            output = run_shell(SETUP + f".why SELECT * FROM emp ; {candidate}")
+            assert "error:" in output and "returns 2: (name, salary)" in output
+            assert "consistent" not in output
+
     def test_repair_count(self):
         output = run_shell(SETUP + ".repairs")
         assert "2 repairs" in output

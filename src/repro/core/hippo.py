@@ -40,7 +40,7 @@ from repro.core.membership import make_membership
 from repro.core.prover import Prover
 from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed, FeedConsumer
-from repro.engine.types import sort_key
+from repro.engine.types import default_order, sort_key
 from repro.errors import BackendError, UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
 from repro.ra.sjud import (
@@ -499,18 +499,9 @@ class HippoEngine:
         order_by: tuple[ast.OrderItem, ...],
     ) -> list[tuple]:
         """Apply top-level ORDER BY (or a deterministic default order)."""
-        materialized = list(rows)
         if not order_by:
-            # A column of only numbers (bool is its own type) or only text,
-            # never NULL, orders exactly as its sort_key tuples do.
-            if all(
-                kinds <= {int, float} or kinds == {str}
-                for kinds in (set(map(type, col)) for col in zip(*materialized))
-            ):
-                materialized.sort()
-            else:
-                materialized.sort(key=lambda row: tuple(sort_key(v) for v in row))
-            return materialized
+            return default_order(rows)
+        materialized = list(rows)
         lowered = [column.lower() for column in columns]
         for item in reversed(order_by):
             index = self._order_index(item.expr, lowered)

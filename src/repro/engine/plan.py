@@ -12,7 +12,7 @@ themselves are independent of the SQL AST.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 from repro.engine import functions
 from repro.engine.expressions import Env, Evaluator
@@ -365,6 +365,86 @@ class HashJoin(PlanNode):
 
     def describe(self) -> str:
         return f"HashJoin({self.kind}, {len(self.left_keys)} keys)"
+
+
+class SemiJoinBuild(Protocol):
+    """The build side of a :class:`HashSemiJoin` (the planner's
+    ``_DecorrelatedSubplan``): a subquery stripped of its correlating
+    equalities, hashed once per statement."""
+
+    inner_plan: PlanNode
+    #: The conjuncts still correlated with the outer row, over
+    #: ``(inner row, outer row) + env``; None when there are none.
+    residual: Optional[Predicate]
+
+    def buckets(self) -> dict:
+        """Inner rows by key: the bare value for one key column, a tuple
+        for several (what ``itemgetter`` returns); no key holds a NULL."""
+
+
+class HashSemiJoin(PlanNode):
+    """A top-level ``[NOT] EXISTS`` conjunct as a hash semi / anti join.
+
+    Keeps the child rows that have (``anti``: have no) partner in the
+    build's buckets passing its residual.  Per row that is one
+    ``itemgetter`` and one ``dict.get``; the residual runs only on
+    non-empty buckets.  A NULL in the child's key finds no bucket, so the
+    row has no partner -- ``=`` with NULL never matches.
+
+    ``subquery_cache_hits`` counts one probe per child row consumed, added
+    once per pass; the build counts its own ``subquery_evaluations``.
+    """
+
+    def __init__(
+        self,
+        child: PlanNode,
+        build: SemiJoinBuild,
+        key_positions: Sequence[int],
+        anti: bool,
+        stats: ExecutionStats,
+    ) -> None:
+        if not key_positions:
+            raise ValueError("hash semi-join requires at least one key")
+        self.child = child
+        self.build = build
+        self.key_positions = tuple(key_positions)
+        self.anti = anti
+        self.stats = stats
+        self.width = child.width
+        self._key_of = itemgetter(*self.key_positions)
+
+    def rows(self, env: Env) -> Iterator[Row]:
+        lookup = self.build.buckets().get
+        residual = self.build.residual
+        key_of = self._key_of
+        anti = self.anti
+        probes = 0
+        try:
+            for row in self.child.rows(env):
+                probes += 1
+                bucket = lookup(key_of(row))
+                if bucket is None:
+                    found = False
+                elif residual is None:
+                    found = True
+                else:
+                    outer = (row,) + env
+                    found = False
+                    for inner in bucket:
+                        if residual((inner,) + outer):
+                            found = True
+                            break
+                if found is not anti:
+                    yield row
+        finally:
+            self.stats.subquery_cache_hits += probes
+
+    def children(self) -> Sequence[PlanNode]:
+        return (self.child, self.build.inner_plan)
+
+    def describe(self) -> str:
+        kind = "anti" if self.anti else "semi"
+        return f"HashSemiJoin({kind}, {len(self.key_positions)} keys)"
 
 
 class UnionAll(PlanNode):

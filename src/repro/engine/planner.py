@@ -11,10 +11,12 @@ needs to make the Hippo experiments meaningful:
   their columns are available -- single-table ones directly under their
   FROM item, where constant equalities pick an index or column-equality
   scan instead;
-* correlated EXISTS / IN subqueries are compiled into subplans with a memo
-  cache keyed on the captured outer values, which stands in for the index
-  scans an RDBMS would use when executing the rewriting baseline's
-  ``NOT EXISTS`` residues.
+* correlated EXISTS / IN subqueries are decorrelated into a hash table
+  where an equality binds them to the outer row -- a top-level ``[NOT]
+  EXISTS`` conjunct then runs as a hash semi / anti join under the FROM
+  item it is correlated with, which is how an RDBMS executes the rewriting
+  baseline's ``NOT EXISTS`` residues -- and otherwise compiled into
+  subplans with a memo cache keyed on the captured outer values.
 
 This is the only planner: SJUD cores (the envelope, cleaned answers,
 detection's residual joins) are rendered to SELECT blocks by
@@ -25,6 +27,7 @@ UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.engine import functions, plan
@@ -281,66 +284,91 @@ class _Subplan:
 
 
 class _DecorrelatedSubplan:
-    """A correlated EXISTS / IN subquery executed as a hash semi-join.
+    """A correlated EXISTS / IN subquery decorrelated into a hash table.
 
     A real RDBMS answers a correlated ``NOT EXISTS`` residue with an index
     scan per outer row; the equivalent here is decorrelation: the equality
     conjuncts binding inner expressions to outer references are stripped
-    from the subquery, the remainder is evaluated **once**, its rows are
-    hashed on the inner sides of those equalities, and each outer row
-    probes the hash table (applying any remaining correlated conjuncts to
-    the bucket's rows).  Without this, the rewriting baseline would
-    degrade to a quadratic nested loop no real system would exhibit,
-    skewing the paper's part-3 comparison in Hippo's favour.
+    from the subquery, the remainder is evaluated **once** per statement
+    and its rows are hashed on the inner sides of those equalities.
+    Without this, the rewriting baseline would degrade to a quadratic
+    nested loop no real system would exhibit, skewing the paper's part-3
+    comparison in Hippo's favour.
+
+    The table is probed in one of two forms:
+
+    * **set-at-a-time** -- a top-level ``[NOT] EXISTS`` conjunct of a
+      WHERE clause whose outer references are all plain columns of one
+      FROM source becomes a :class:`~repro.engine.plan.HashSemiJoin` over
+      that source (``Planner._semi_join``), which reads :meth:`buckets`
+      and :attr:`residual` directly: the shape of every residue the
+      rewriting emits.
+    * **per row** -- every other use (``EXISTS`` under ``OR`` / ``NOT`` or
+      in a select list, ``IN (subquery)``, outer keys that are computed or
+      belong to an enclosing query, UPDATE / DELETE conditions) is a
+      closure in a ``Filter`` / ``Project`` calling :meth:`has_rows` or
+      :meth:`first_column_values` with the row's environment.
+
+    Either way ``subquery_evaluations`` counts the one build and
+    ``subquery_cache_hits`` one per probe.
     """
 
     def __init__(
         self,
         inner_plan: plan.PlanNode,
         n_keys: int,
-        outer_keys: list,
-        residual_predicate: Optional[Callable[[Env], bool]],
+        outer_keys: list[Evaluator],
+        residual: Optional[Callable[[Env], bool]],
         value_evaluator: Evaluator,
         stats: ExecutionStats,
     ) -> None:
-        self._inner_plan = inner_plan
+        self.inner_plan = inner_plan
+        self.outer_keys = outer_keys
+        self.residual = residual
         self._n_keys = n_keys
-        self._outer_keys = outer_keys
-        self._residual = residual_predicate
         self._value = value_evaluator
         self._stats = stats
-        self._index: Optional[dict[tuple, list[tuple]]] = None
+        self._index: Optional[dict] = None
 
-    def _buckets(self) -> dict[tuple, list[tuple]]:
+    def buckets(self) -> dict:
+        """Inner rows (minus the key columns) by key, built on first use.
+
+        A key is what ``itemgetter`` makes of the key columns -- the bare
+        value for one, a tuple for several -- and never holds a NULL
+        (``=`` with NULL never matches), so probing with one finds nothing.
+        """
         if self._index is None:
             self._stats.subquery_evaluations += 1
-            index: dict[tuple, list[tuple]] = {}
+            index: dict = {}
             n_keys = self._n_keys
-            for row in self._inner_plan.rows(()):
-                key = row[:n_keys]
-                if any(part is None for part in key):
-                    continue  # '=' with NULL never matches
-                index.setdefault(key, []).append(row[n_keys:])
+            key_of = itemgetter(*range(n_keys))
+            for row in self.inner_plan.rows(()):
+                index.setdefault(key_of(row), []).append(row[n_keys:])
+            if n_keys == 1:
+                index.pop(None, None)
+            else:
+                for key in [key for key in index if None in key]:
+                    del index[key]
             self._index = index
         return self._index
 
-    def _probe(self, env: Env) -> list[tuple]:
-        buckets = self._buckets()
+    def _probe(self, env: Env) -> Sequence[tuple]:
+        buckets = self.buckets()
         self._stats.subquery_cache_hits += 1
-        key = tuple(evaluator(env) for evaluator in self._outer_keys)
-        if any(part is None for part in key):
-            return []
-        return buckets.get(key, [])
+        outer_keys = self.outer_keys
+        if len(outer_keys) == 1:
+            return buckets.get(outer_keys[0](env), ())
+        return buckets.get(tuple(evaluator(env) for evaluator in outer_keys), ())
 
     def has_rows(self, env: Env) -> bool:
-        residual = self._residual
+        residual = self.residual
         for local_row in self._probe(env):
             if residual is None or residual((local_row,) + env):
                 return True
         return False
 
     def first_column_values(self, env: Env) -> list:
-        residual = self._residual
+        residual = self.residual
         return [
             self._value((local_row,) + env)
             for local_row in self._probe(env)
@@ -365,6 +393,34 @@ def _walk_expressions(node: ast.Node) -> Iterator[ast.Node]:
                     for sub in item:
                         if isinstance(sub, ast.Node):
                             yield from _walk_expressions(sub)
+
+
+def map_children(
+    node: ast.Expression,
+    transform: Callable[[ast.Expression], ast.Expression],
+) -> ast.Expression:
+    """``node`` rebuilt with ``transform`` applied to each child expression
+    (nested subqueries are not entered)."""
+    updates = {}
+    for field_info in fields(node):  # type: ignore[arg-type]
+        value = getattr(node, field_info.name)
+        if isinstance(value, ast.Expression):
+            updates[field_info.name] = transform(value)
+        elif (
+            isinstance(value, tuple)
+            and value
+            and isinstance(value[0], ast.Expression)
+        ):
+            updates[field_info.name] = tuple(transform(item) for item in value)
+        elif (
+            isinstance(value, tuple)
+            and value
+            and isinstance(value[0], tuple)
+        ):
+            updates[field_info.name] = tuple(
+                tuple(transform(sub) for sub in item) for item in value
+            )
+    return replace(node, **updates) if updates else node
 
 
 def column_refs(expr: ast.Expression) -> list[ast.ColumnRef]:
@@ -523,13 +579,15 @@ class Planner:
 
         conjuncts = ast.split_conjuncts(core.where)
         # Conjuncts containing subqueries are applied at the end, after the
-        # full row scope exists (they may be correlated with anything).
+        # full row scope exists (they may be correlated with anything) --
+        # except a bare [NOT] EXISTS, which the FROM list runs as a semi
+        # join under the lowest source it is correlated with, if it can.
         join_candidates = [c for c in conjuncts if not contains_subquery(c)]
         late_conjuncts = [c for c in conjuncts if contains_subquery(c)]
 
         if core.from_items:
-            source, leftovers = self._plan_from_list(
-                core.from_items, join_candidates, outer_scope, level
+            source, leftovers, late_conjuncts = self._plan_from_list(
+                core.from_items, join_candidates, late_conjuncts, outer_scope, level
             )
         else:
             source = _Source(plan.SingleRow(), [], [])
@@ -567,10 +625,16 @@ class Planner:
         self,
         from_items: Sequence[ast.FromItem],
         candidates: list[ast.Expression],
+        late: list[ast.Expression],
         outer_scope: Optional[Scope],
         level: int,
-    ) -> tuple[_Source, list[ast.Expression]]:
-        """Combine comma-separated FROM items, consuming join conjuncts."""
+    ) -> tuple[_Source, list[ast.Expression], list[ast.Expression]]:
+        """Combine comma-separated FROM items, consuming join conjuncts.
+
+        ``late`` are the conjuncts holding subqueries; those that become
+        semi joins on the way are consumed too.  Returns the combined
+        source and what is left of both lists.
+        """
         unused = list(candidates)
         combined: Optional[_Source] = None
         for item in from_items:
@@ -578,6 +642,7 @@ class Planner:
             # Single-source conjuncts go under their own FROM item
             # (pushdown), where they can also pick its access path.
             unused = self._apply_local_filters(source, unused, outer_scope, level)
+            late = self._apply_semi_joins(source, late, level)
             if combined is None:
                 combined = source
                 continue
@@ -591,8 +656,9 @@ class Planner:
             )
             unused = [c for c in unused if c not in usable]
             unused = self._apply_local_filters(combined, unused, outer_scope, level)
+            late = self._apply_semi_joins(combined, late, level)
         assert combined is not None
-        return combined, unused
+        return combined, unused, late
 
     def _apply_local_filters(
         self,
@@ -627,6 +693,45 @@ class Planner:
                 ast.conjunction(conjuncts)  # type: ignore[arg-type]
             )
             source.node = plan.Filter(source.node, predicate)
+
+    def _apply_semi_joins(
+        self, source: _Source, conjuncts: list[ast.Expression], level: int
+    ) -> list[ast.Expression]:
+        """Put a :class:`~repro.engine.plan.HashSemiJoin` over ``source`` for
+        each ``[NOT] EXISTS`` conjunct correlated with it alone; returns
+        the conjuncts that stay."""
+        rest = []
+        for conjunct in conjuncts:
+            node = self._semi_join(source, conjunct, level)
+            if node is None:
+                rest.append(conjunct)
+            else:
+                source.node = node
+        return rest
+
+    def _semi_join(
+        self, source: _Source, conjunct: ast.Expression, level: int
+    ) -> Optional[plan.HashSemiJoin]:
+        """``conjunct`` as a semi / anti join over ``source``, or None when it
+        is not a ``[NOT] EXISTS`` that ``source``'s own columns decorrelate."""
+        anti = False
+        if isinstance(conjunct, ast.UnaryOp) and conjunct.op == "NOT":
+            # The parser's NOT EXISTS (...); ASTs built in code set negated.
+            conjunct, anti = conjunct.operand, True
+        if not isinstance(conjunct, ast.Exists):
+            return None
+        anti ^= conjunct.negated
+        # No parent scope: a reference to a sibling source or an enclosing
+        # query fails to compile, so the conjunct waits for a wider source
+        # (in the end, the per-row Filter over the whole FROM list).
+        site_scope = Scope(list(source.entries), None, level)
+        subplan = self._try_decorrelate(conjunct.query, site_scope)
+        if subplan is None:
+            return None
+        self.cacheable = False  # the buckets belong to one statement
+        # Every outer key resolved in the source itself: a plain column.
+        positions = [getattr(key, "column_index") for key in subplan.outer_keys]
+        return plan.HashSemiJoin(source.node, subplan, positions, anti, self.stats)
 
     @staticmethod
     def _constant_equality(
@@ -872,7 +977,7 @@ class Planner:
             if isinstance(node, ast.ColumnRef):
                 depth, index = scope.resolve(node.table, node.name)
                 return ast.ColumnRef("#resolved", f"{scope.level - depth}:{index}")
-            return self._map_children(node, transform)
+            return map_children(node, transform)
 
         return transform(expr)
 
@@ -903,36 +1008,9 @@ class Planner:
                 raise PlanError(
                     f"column {node} must appear in GROUP BY or inside an aggregate"
                 )
-            return self._map_children(node, transform)
+            return map_children(node, transform)
 
         return transform(expr)
-
-    @staticmethod
-    def _map_children(
-        node: ast.Expression,
-        transform: Callable[[ast.Expression], ast.Expression],
-    ) -> ast.Expression:
-        """Rebuild a dataclass expression node with transformed children."""
-        updates = {}
-        for field_info in fields(node):  # type: ignore[arg-type]
-            value = getattr(node, field_info.name)
-            if isinstance(value, ast.Expression):
-                updates[field_info.name] = transform(value)
-            elif (
-                isinstance(value, tuple)
-                and value
-                and isinstance(value[0], ast.Expression)
-            ):
-                updates[field_info.name] = tuple(transform(item) for item in value)
-            elif (
-                isinstance(value, tuple)
-                and value
-                and isinstance(value[0], tuple)
-            ):
-                updates[field_info.name] = tuple(
-                    tuple(transform(sub) for sub in item) for item in value
-                )
-        return replace(node, **updates) if updates else node
 
     # --------------------------------------------------------------- helpers
 
@@ -1164,9 +1242,11 @@ class Planner:
         )
         local_scope = Scope(list(entries), site_scope, site_scope.level + 1)
         try:
-            planned = self.plan_query(modified, outer_scope=None)
+            # The keys first: they are what fails, cheaply, when the site
+            # cannot see the outer columns (see _semi_join).
             site_compiler = self._compiler(site_scope)
             outer_keys = [site_compiler.compile(ref) for ref in outer_refs]
+            planned = self.plan_query(modified, outer_scope=None)
             local_compiler = self._compiler(local_scope)
             residual_predicate = (
                 local_compiler.compile_predicate(

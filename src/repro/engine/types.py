@@ -18,7 +18,7 @@ requires.  A WHERE clause keeps a row only when its condition evaluates to
 from __future__ import annotations
 
 import enum
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.errors import TypeError_
 
@@ -192,6 +192,24 @@ def sort_key(value: SQLValue) -> tuple:
     if isinstance(value, (int, float)):
         return (2, "", value)
     return (3, value, 0)
+
+
+def default_order(rows: Iterable[tuple]) -> list[tuple]:
+    """``rows`` in the deterministic default order of an answer set.
+
+    The order is that of each row's :func:`sort_key` tuples.  A column of
+    only numbers (bool is its own type) or only text, never NULL, orders
+    exactly as those keys do, so homogeneous rows sort on themselves.
+    """
+    ordered = list(rows)
+    if all(
+        kinds <= {int, float} or kinds == {str}
+        for kinds in (set(map(type, column)) for column in zip(*ordered))
+    ):
+        ordered.sort()
+    else:
+        ordered.sort(key=lambda row: tuple(sort_key(v) for v in row))
+    return ordered
 
 
 def format_value(value: SQLValue) -> str:

@@ -26,8 +26,16 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.base import Backend
@@ -36,7 +44,8 @@ from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.core.hippo import AnswerSet
 from repro.engine.database import Database
-from repro.engine.types import sort_key
+from repro.engine.planner import map_children
+from repro.engine.types import default_order
 from repro.errors import BackendError, RewritingError, UnsupportedQueryError
 from repro.ra.sjud import (
     Atom,
@@ -57,33 +66,54 @@ from repro.sql.parser import parse_query
 QueryLike = Union[str, ast.Query, SJUDTree]
 
 
+def _rebuild(
+    expr: ast.Expression, visit: Callable[[ast.Expression], ast.Expression]
+) -> ast.Expression:
+    """``expr`` with ``visit`` applied bottom-up to every sub-expression."""
+    return visit(map_children(expr, lambda child: _rebuild(child, visit)))
+
+
 def _substitute_aliases(
     expr: ast.Expression, mapping: dict[str, str]
 ) -> ast.Expression:
     """Rename the table qualifiers of column references."""
-    if isinstance(expr, ast.ColumnRef):
-        if expr.table is not None and expr.table.lower() in mapping:
-            return ast.ColumnRef(mapping[expr.table.lower()], expr.name)
-        return expr
-    updates = {}
-    for field_info in fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, field_info.name)
-        if isinstance(value, ast.Expression):
-            updates[field_info.name] = _substitute_aliases(value, mapping)
-        elif (
-            isinstance(value, tuple)
-            and value
-            and isinstance(value[0], ast.Expression)
+
+    def rename(node: ast.Expression) -> ast.Expression:
+        if (
+            isinstance(node, ast.ColumnRef)
+            and node.table is not None
+            and node.table.lower() in mapping
         ):
-            updates[field_info.name] = tuple(
-                _substitute_aliases(item, mapping) for item in value
-            )
-        elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
-            updates[field_info.name] = tuple(
-                tuple(_substitute_aliases(sub, mapping) for sub in item)
-                for item in value
-            )
-    return replace(expr, **updates) if updates else expr
+            return ast.ColumnRef(mapping[node.table.lower()], node.name)
+        return node
+
+    return _rebuild(expr, rename)
+
+
+_COMMUTATIVE = frozenset({"=", "<>", "AND", "OR"})
+
+#: Stands for the fresh alias in a residue's identity; ``#`` does not lex,
+#: so no query alias can collide with it.
+_PARTNER = "#rw"
+
+
+def _canonical(expr: ast.Expression) -> ast.Expression:
+    """``expr`` with the operands of commutative operators in a fixed order.
+
+    Two conditions with the same canonical form are logically equivalent,
+    which is what lets :meth:`RewritingEngine._residues_for` keep one of
+    the two mirror-image residues a symmetric constraint over one relation
+    (a key, an FD) produces; ``<`` and ``<=`` are not reordered, so an
+    asymmetric constraint keeps both.
+    """
+
+    def order(node: ast.Expression) -> ast.Expression:
+        if isinstance(node, ast.BinaryOp) and node.op in _COMMUTATIVE:
+            left, right = sorted((node.left, node.right), key=repr)
+            return ast.BinaryOp(node.op, left, right)
+        return node
+
+    return _rebuild(expr, order)
 
 
 @dataclass
@@ -100,7 +130,6 @@ class RewritingEngine:
         self.db = db
         self.denials: list[DenialConstraint] = to_denial_constraints(constraints)
         self._schema = CatalogSchemaProvider(db.catalog)
-        self._fresh = itertools.count()
         # Same contract as HippoEngine: binding a constraint set drops
         # cached statement plans, so classify-then-execute replans.
         db.invalidate_plans()
@@ -119,7 +148,18 @@ class RewritingEngine:
         verdict = classify(tree, self.denials)
         if not verdict.rewritable:
             raise RewritingError(verdict.reasons[0])
-        return ast.Query(self._rewrite_tree(tree))
+        # Numbered from zero on every call (the rewriting is a function of
+        # its inputs: equal queries give equal text), skipping the names
+        # the query itself binds.
+        taken = {
+            atom.alias.lower() for core in cores_of(tree) for atom in core.atoms
+        }
+        fresh = (
+            alias
+            for alias in map("rw{}".format, itertools.count())
+            if alias not in taken
+        )
+        return ast.Query(self._rewrite_tree(tree, fresh))
 
     def rewrite_sql(self, query: QueryLike) -> str:
         """The rewritten query as SQL text (for display and logging)."""
@@ -154,9 +194,7 @@ class RewritingEngine:
         else:
             result = self.db.execute_statement(ast.SelectStatement(rewritten))
             columns, result_rows = result.columns, result.rows
-        rows = sorted(
-            set(result_rows), key=lambda row: tuple(sort_key(v) for v in row)
-        )
+        rows = default_order(set(result_rows))
         elapsed = time.perf_counter() - started
         return AnswerSet(
             list(columns),
@@ -173,39 +211,42 @@ class RewritingEngine:
             return from_sql_query(query, self._schema)
         return query
 
-    def _rewrite_tree(self, tree: SJUDTree) -> Union[ast.SelectCore, ast.SetOperation]:
+    def _rewrite_tree(
+        self, tree: SJUDTree, fresh: Iterator[str]
+    ) -> Union[ast.SelectCore, ast.SetOperation]:
         """Rewrite a tree :func:`classify` accepted: cores and differences."""
         if isinstance(tree, SJUDCore):
-            return self._rewrite_core(tree)
+            return self._rewrite_core(tree, fresh)
         # The negative side of a difference is its tuples true in *some*
         # repair -- for the single-atom core classify() insists on, every
         # stored tuple (classify() refuses a right-hand relation under a
         # unary denial, the one constraint with singleton violations).
         assert isinstance(tree, Difference) and isinstance(tree.right, SJUDCore)
         return ast.SetOperation(
-            "except", self._rewrite_tree(tree.left), core_to_select(tree.right)
+            "except", self._rewrite_tree(tree.left, fresh), core_to_select(tree.right)
         )
 
-    def _rewrite_core(self, core: SJUDCore) -> ast.SelectCore:
+    def _rewrite_core(self, core: SJUDCore, fresh: Iterator[str]) -> ast.SelectCore:
         base = core_to_select(core)
-        residues: list[ast.Expression] = []
-        seen: set[str] = set()
-        for atom in core.atoms:
-            for residue in self._residues_for(atom):
-                key = format_query(
-                    ast.Query(ast.SelectCore((ast.SelectItem(residue, None),), ()))
-                )
-                if key not in seen:
-                    seen.add(key)
-                    residues.append(residue)
+        residues = [
+            residue
+            for atom in core.atoms
+            for residue in self._residues_for(atom, fresh)
+        ]
         where = ast.conjunction(
             ([base.where] if base.where is not None else []) + residues
         )
         return replace(base, where=where)
 
-    def _residues_for(self, atom: Atom) -> list[ast.Expression]:
-        """All residues for one positive literal."""
+    def _residues_for(self, atom: Atom, fresh: Iterator[str]) -> list[ast.Expression]:
+        """The residues for one positive literal, one per distinct condition.
+
+        A residue's identity is structural: the partner relation plus the
+        :func:`_canonical` condition with :data:`_PARTNER` for the fresh
+        alias.  ``fresh`` is drawn from only for the residues kept.
+        """
         residues: list[ast.Expression] = []
+        seen: set[tuple[Optional[str], Optional[ast.Expression]]] = set()
         relation = atom.relation.lower()
         for constraint in self.denials:
             positions = [
@@ -220,25 +261,34 @@ class RewritingEngine:
                 # (classify() refused the condition-less, empty-query case).
                 assert constraint.condition is not None
                 mapping = {constraint.atoms[0].alias.lower(): atom.alias}
-                residues.append(
-                    ast.UnaryOp(
-                        "NOT", _substitute_aliases(constraint.condition, mapping)
-                    )
-                )
+                condition = _substitute_aliases(constraint.condition, mapping)
+                identity = (None, _canonical(condition))
+                if identity not in seen:
+                    seen.add(identity)
+                    residues.append(ast.UnaryOp("NOT", condition))
                 continue
             for position in positions:
                 other = constraint.atoms[1 - position]
                 this = constraint.atoms[position]
-                fresh_alias = f"rw{next(self._fresh)}"
                 mapping = {
                     this.alias.lower(): atom.alias,
-                    other.alias.lower(): fresh_alias,
+                    other.alias.lower(): _PARTNER,
                 }
                 condition = (
                     _substitute_aliases(constraint.condition, mapping)
                     if constraint.condition is not None
                     else None
                 )
+                identity = (
+                    other.relation.lower(),
+                    _canonical(condition) if condition is not None else None,
+                )
+                if identity in seen:
+                    continue
+                seen.add(identity)
+                fresh_alias = next(fresh)
+                if condition is not None:
+                    condition = _substitute_aliases(condition, {_PARTNER: fresh_alias})
                 subquery = ast.Query(
                     ast.SelectCore(
                         (ast.Star(None),),

@@ -6,6 +6,7 @@ from repro.engine.types import (
     SQLType,
     coerce_value,
     compare_values,
+    default_order,
     format_value,
     infer_type,
     is_true,
@@ -129,6 +130,20 @@ class TestRendering:
         assert ordered[1:3] == [False, True]
         assert ordered[3:5] == [1.5, 2]
         assert ordered[5:] == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(2, "b"), (1, "z"), (2, "a"), (1.5, "m")],  # sorts on itself
+            [(2, None), (None, 1), (1, 2)],  # a NULL
+            [(True, 1), (0, 2), (False, 3), (1, 0)],  # bool is not a number
+            [(1, "a"), ("a", 1)],  # mixed kinds in one column
+            [],
+        ],
+    )
+    def test_default_order_is_the_sort_key_order(self, rows):
+        by_key = sorted(rows, key=lambda row: tuple(sort_key(v) for v in row))
+        assert default_order(iter(rows)) == by_key
 
     def test_format_value(self):
         assert format_value(None) == "NULL"

@@ -1,5 +1,7 @@
 """Tests for the PODS'99 query-rewriting baseline."""
 
+import re
+
 import pytest
 
 from repro import Database, HippoEngine
@@ -42,6 +44,95 @@ class TestRewrittenSQL:
         emp_db.query(sql)  # must parse and execute
 
 
+def _binary(name, left, right, condition):
+    """``NOT (left(t1) AND right(t2) AND condition)``."""
+    return DenialConstraint(
+        name,
+        (ConstraintAtom("t1", left), ConstraintAtom("t2", right)),
+        parse_expression(condition),
+    )
+
+
+class TestResidueIdentity:
+    """One residue per *distinct* condition: the two positions of a
+    symmetric constraint are one, those of an asymmetric one are two."""
+
+    KEY = FunctionalDependency("r", ["a"], ["b"])
+
+    def residues(self, db, constraints, query):
+        return RewritingEngine(db, constraints).rewrite_sql(query).count("NOT EXISTS")
+
+    def test_key_fd_gives_one_residue_per_atom(self, two_table_db):
+        key_s = FunctionalDependency("s", ["a"], ["b"])
+        assert self.residues(two_table_db, [self.KEY], "SELECT * FROM r") == 1
+        join = "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a"
+        assert self.residues(two_table_db, [self.KEY, key_s], join) == 2
+
+    def test_explicit_symmetric_denial_is_merged_whatever_the_spelling(
+        self, two_table_db
+    ):
+        denial = _binary("fd", "r", "r", "t2.b <> t1.b AND t1.a = t2.a")
+        assert self.residues(two_table_db, [denial], "SELECT * FROM r") == 1
+
+    def test_asymmetric_condition_keeps_both_positions(self, two_table_db):
+        denial = _binary("lt", "r", "r", "t1.a = t2.a AND t1.b < t2.b")
+        engine = RewritingEngine(two_table_db, [denial])
+        sql = engine.rewrite_sql("SELECT * FROM r")
+        # "no partner above me" and "no partner below me".
+        assert "(r.b < rw0.b)" in sql and "(rw1.b < r.b)" in sql
+        hippo = HippoEngine(two_table_db, [denial])
+        truth = ground_truth_consistent_answers(
+            two_table_db, hippo.hypergraph, hippo.parse("SELECT * FROM r")[0]
+        )
+        assert engine.consistent_answers("SELECT * FROM r").as_set() == truth
+        assert truth == {(2, 5), (3, 7), (4, 4)}
+
+    def test_exclusion_constraint_gives_one_residue_per_side(self, two_table_db):
+        exclusion = [ExclusionConstraint("r", "s", [("a", "a")])]
+        assert self.residues(two_table_db, exclusion, "SELECT * FROM r") == 1
+        assert self.residues(two_table_db, exclusion, "SELECT * FROM s") == 1
+        join = "SELECT r.a, r.b, s.a FROM r, s WHERE r.b = s.b"
+        sql = RewritingEngine(two_table_db, exclusion).rewrite_sql(join)
+        assert "FROM s AS rw0" in sql and "FROM r AS rw1" in sql
+        assert sql.count("NOT EXISTS") == 2
+
+    def test_self_join_keeps_a_residue_per_alias(self, two_table_db):
+        query = "SELECT u1.a, u1.b, u2.b FROM r u1, r u2 WHERE u1.a = u2.a"
+        sql = RewritingEngine(two_table_db, [self.KEY]).rewrite_sql(query)
+        assert sql.count("NOT EXISTS") == 2
+        assert "u1.b <> rw0.b" in sql and "u2.b <> rw1.b" in sql
+
+
+class TestRewritingIsAFunctionOfItsInputs:
+    def test_same_query_same_text(self, emp_db, emp_fd):
+        engine = RewritingEngine(emp_db, [emp_fd])
+        query = "SELECT * FROM emp WHERE salary > 10"
+        assert engine.rewrite_sql(query) == engine.rewrite_sql(query)
+        first = engine.consistent_answers(query).stats["rewritten_sql"]
+        assert engine.consistent_answers(query).stats["rewritten_sql"] == first
+
+    def test_residues_of_one_rewrite_get_distinct_aliases(self, emp_db, emp_fd):
+        emp_db.execute("CREATE TABLE former (name TEXT, dept TEXT, salary INTEGER)")
+        constraints = [
+            emp_fd,
+            FunctionalDependency("former", ["name"], ["dept", "salary"]),
+        ]
+        sql = RewritingEngine(emp_db, constraints).rewrite_sql(
+            "SELECT e.name, e.dept, e.salary, f.dept, f.salary FROM emp e, former f"
+            " WHERE e.name = f.name"
+        )
+        aliases = re.findall(r"AS (rw\d+)", sql)
+        assert aliases == ["rw0", "rw1", "rw2", "rw3"]
+
+    def test_fresh_aliases_skip_the_query_own(self, two_table_db):
+        engine = RewritingEngine(
+            two_table_db, [FunctionalDependency("r", ["a"], ["b"])]
+        )
+        query = "SELECT * FROM r rw0"
+        assert "FROM r AS rw1" in engine.rewrite_sql(query)
+        assert engine.consistent_answers(query).as_set() == {(2, 5), (3, 7), (4, 4)}
+
+
 class TestCorrectness:
     def test_selection_matches_ground_truth(self, emp_db, emp_fd):
         engine = RewritingEngine(emp_db, [emp_fd])
@@ -55,6 +146,13 @@ class TestCorrectness:
                 emp_db, hippo.hypergraph, hippo.parse(text)[0]
             )
             assert engine.consistent_answers(text).as_set() == truth, text
+
+    def test_rows_come_in_hippos_default_order(self, emp_db, emp_fd):
+        text = "SELECT * FROM emp"
+        expected = HippoEngine(emp_db, [emp_fd]).consistent_answers(text).rows
+        assert RewritingEngine(emp_db, [emp_fd]).consistent_answers(text).rows == (
+            expected
+        )
 
     def test_join_matches_ground_truth(self, emp_db, emp_fd):
         emp_db.execute("CREATE TABLE mgr (name TEXT, dept TEXT)")

@@ -29,9 +29,10 @@ own durable half is its consumer-group registration: resubscribing pins
 the adopted topic at the handoff cut, so retention floors follow
 ownership automatically.
 
-**Respawn.**  A respawned worker bootstraps ``bootstrap="snapshot"`` --
-its group snapshot plus the retained suffix, cost proportional to what
-it missed -- then *reconciles*: it re-attaches under the subscription
+**Respawn.**  A respawned worker recovers like every other feed
+participant (:func:`~repro.engine.database.recover_database`: its group
+snapshot plus the retained suffix, cost proportional to what it missed)
+and then *reconciles*: it re-attaches under the subscription
 its group actually has on disk (a crash mid-handoff leaves the
 registration ahead of or behind the plan) and reshapes to the plan's
 spec, adopting any pending transfer packets.  Every crash point of the
@@ -131,7 +132,7 @@ def _construct(
     group: str,
     fault: Optional[FaultHook],
 ) -> ShardWorker:
-    worker = ShardWorker(feed, spec, plan, group=group, bootstrap="snapshot")
+    worker = ShardWorker(feed, spec, plan, group=group)
     if fault is not None:
         # Rebind this instance's (no-op) crash-phase seam to the hook.
         worker._mark = fault  # type: ignore[method-assign]

@@ -47,10 +47,10 @@ The shadow is indexed by constraint label, and per-constraint
 stored/found counters are maintained through every mutation path --
 surfacing statistics costs O(constraints), not O(current violations).
 
-Deltas arrive as :class:`~repro.engine.changelog.Change` batches (the
-in-process engine's path) or as raw change-feed records via
-:meth:`IncrementalDetector.apply_records` -- the consumer-side entry
-point :mod:`repro.conflicts.replica` builds on.
+Deltas arrive in one shape, the change-feed record
+(:class:`~repro.engine.feed.FeedRecord`), through one entry point,
+:meth:`IncrementalDetector.apply_records` -- the in-process engine and
+:mod:`repro.conflicts.replica` both hand it their poll batches.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.conflicts.detection import (
     ensure_edge_in_restricted_class,
 )
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex, vertex
-from repro.engine.changelog import OP_INSERT, Change
+from repro.engine.changelog import OP_INSERT
 from repro.engine.feed import RECORD_CHANGE, FeedRecord
 from repro.engine.database import Database
 from repro.engine.expressions import ExpressionCompiler, Scope
@@ -278,13 +278,12 @@ class IncrementalDetector:
     """Maintains a conflict hypergraph under a stream of row deltas.
 
     Bootstrap from a full :func:`~repro.conflicts.detection.detect_conflicts`
-    run (with ``keep_raw=True``), then feed batches of
-    :class:`~repro.engine.changelog.Change` through :meth:`apply`.  The
-    maintained :attr:`graph` is always equal to what full re-detection
-    would produce on the current database state (the equivalence suite
-    asserts exactly that).
+    run (with ``keep_raw=True``), then feed poll batches of change
+    records through :meth:`apply_records`.  The maintained :attr:`graph`
+    is always equal to what full re-detection would produce on the
+    current database state (the equivalence suite asserts exactly that).
 
-    Raises (from :meth:`apply`):
+    Raises (from :meth:`apply_records`):
         ConstraintError: when a delta pushes the database outside the
             restricted foreign-key class -- exactly when full
             re-detection on the new state would raise.
@@ -380,43 +379,32 @@ class IncrementalDetector:
     def apply_records(self, records: Sequence[FeedRecord]) -> DeltaStats:
         """Fold a batch of change-feed records into the hypergraph.
 
-        This is the consumer-side entry point: records come straight
-        from :meth:`~repro.engine.feed.FeedConsumer.poll`.  The caller
-        is responsible for schema records (DDL means full re-detection,
-        not delta maintenance) -- they are rejected here.
+        Records come straight from
+        :meth:`~repro.engine.feed.FeedConsumer.poll`.  The caller is
+        responsible for schema records (DDL means full re-detection,
+        not delta maintenance) -- they are rejected here, before
+        anything is touched.
 
         Raises:
             ValueError: when a non-change record is in the batch.
         """
-        # Validate in one pass, then convert in a comprehension: the
-        # conversion is the per-record hot loop of every replica sync.
+        assert self.graph is not None, "bootstrap before apply_records"
+        started = time.perf_counter()
+        stats = DeltaStats(deltas=len(records))
+
+        # Net effect per tuple: only the last change matters (an UPDATE
+        # arrives as delete + insert under the same tid, so its final
+        # state is the inserted row; tids are never reused).
+        last: dict[Vertex, FeedRecord] = {}
         for record in records:
             if record.kind != RECORD_CHANGE:
                 raise ValueError(
                     f"cannot apply {record.kind!r} record incrementally"
                 )
-        return self.apply(
-            [
-                Change(record.topic, record.tid, record.row, record.op)
-                for record in records
-            ]
-        )
-
-    def apply(self, changes: Sequence[Change]) -> DeltaStats:
-        """Fold a batch of deltas into the maintained hypergraph."""
-        assert self.graph is not None, "bootstrap before apply"
-        started = time.perf_counter()
-        stats = DeltaStats(deltas=len(changes))
-
-        # Net effect per tuple: only the last change matters (an UPDATE
-        # arrives as delete + insert under the same tid, so its final
-        # state is the inserted row; tids are never reused).
-        last: dict[Vertex, Change] = {}
-        for change in changes:
             # Feed topics are lower-cased at publish time (storage lowers
             # schema names), and this is the per-delta hot path.
             # hippolint: disable-next-line=HL005 -- topic already lower-case
-            last[Vertex(change.relation, change.tid)] = change
+            last[Vertex(record.topic, record.tid)] = record
         stats.vertices = len(last)
 
         # 1) Retract everything incident to a changed tuple.  This keeps
@@ -430,14 +418,14 @@ class IncrementalDetector:
                     stats.retracted += 1
 
         # 2) Re-derive denial violations around inserted/updated tuples.
-        for v, change in last.items():
-            if change.op != OP_INSERT:
+        for v, record in last.items():
+            if record.op != OP_INSERT:
                 continue
             for constraint in self._by_relation.get(v.relation, ()):
                 matcher = self._matcher(constraint)
                 for bound_index in matcher.atom_positions(v.relation):
                     for edge in matcher.new_edges(
-                        bound_index, v.tid, change.row
+                        bound_index, v.tid, record.row
                     ):
                         self._check_restricted(edge)
                         outcome = self._add_raw(edge, constraint.name)

@@ -12,10 +12,11 @@ three things in lock-step:
    matters because tids are the hypergraph's vertices.
 2. **A committed offset per topic.**  The group's committed offsets mark
    the *cut* the replica has durably reached; on re-attach (e.g. after a
-   process restart) the replica *streams* the committed prefix of the
-   feed to rebuild its database (bounded memory: one segment per topic
-   resident at a time), runs full conflict detection on it, and resumes
-   consuming from the cut.
+   process restart) the replica rebuilds its database at that cut with
+   :func:`~repro.engine.database.recover_database` -- the routine the
+   durable writer reopens with, here under the replica's own group --
+   runs full conflict detection on it, and resumes consuming from the
+   cut.
 3. **The conflict hypergraph.**  Past bootstrap, records are folded in
    through :class:`~repro.conflicts.incremental.IncrementalDetector`, so
    a replica tracks the primary at delta cost.  The maintained invariant
@@ -38,14 +39,14 @@ state and is never written to disk).
 
 **Retention.**  When the feed truncates sealed segments
 (``retention="truncate"``), a re-attaching replica may find its
-committed prefix gone.  Its escape hatch is the group *snapshot*: a
-serialized copy of the replica database stored at a committed cut
-(:meth:`ReplicaHypergraph.checkpoint`, and automatically on
-:meth:`ReplicaHypergraph.close`).  Bootstrap then restores the snapshot
-and replays only the still-retained gap -- the feed never truncates
-past a group's snapshot, so the gap is always readable.  The snapshot
-wire format lives in :mod:`repro.engine.snapshot` and is shared with
-the durable writer's own checkpoints
+committed prefix gone.  What keeps it recoverable is the group
+*snapshot*: a serialized copy of the replica database stored at a
+committed cut (:meth:`ReplicaHypergraph.checkpoint`, and automatically
+on :meth:`ReplicaHypergraph.close`).  Recovery restores it and replays
+only the still-retained gap -- the feed never truncates past a group's
+snapshot, so the gap is always readable.  The snapshot wire format
+lives in :mod:`repro.engine.snapshot` and is shared with the durable
+writer's own checkpoints
 (:meth:`repro.engine.database.Database.checkpoint`).
 """
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.conflicts.detection import detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
@@ -61,14 +62,10 @@ from repro.conflicts.incremental import DeltaStats, IncrementalDetector
 from repro.engine.database import (
     WRITER_GROUP,
     Database,
+    recover_database,
     replay_feed_records,
 )
-from repro.engine.feed import (
-    RECORD_CHANGE,
-    SCHEMA_TOPIC,
-    ChangeFeed,
-    FeedRecord,
-)
+from repro.engine.feed import RECORD_CHANGE, SCHEMA_TOPIC, ChangeFeed
 from repro.engine.snapshot import restore_database, snapshot_database
 from repro.errors import CatalogError, FeedError
 
@@ -132,14 +129,6 @@ class ReplicaHypergraph:
         extra_referenced: FK-referenced relations protected by
             constraints *outside* this replica's list (other shards');
             forwarded into detection's restricted-class check.
-        bootstrap: ``"replay"`` (default) streams the committed prefix
-            and falls back to the group snapshot only when retention
-            truncated it; ``"snapshot"`` restores the group snapshot
-            first whenever one exists and replays only the gap -- what
-            a supervisor respawning a crashed shard worker wants, since
-            it makes restart cost proportional to the suffix, not the
-            history.  ``restore_mode`` / ``restore_records`` record
-            what actually happened.
 
     Raises:
         FeedError: when the committed prefix is no longer retained and
@@ -157,21 +146,17 @@ class ReplicaHypergraph:
         checkpoint_records: Optional[int] = None,
         topics: Optional[Iterable[str]] = None,
         extra_referenced: Iterable[str] = (),
-        bootstrap: str = "replay",
     ) -> None:
-        if bootstrap not in ("replay", "snapshot"):
-            raise FeedError(f"unknown bootstrap mode {bootstrap!r}")
         self.feed = feed
         self.group = group
-        self._prefer_snapshot = bootstrap == "snapshot"
-        #: how the last bootstrap rebuilt the database: ``"replay"``
-        #: (committed prefix streamed), ``"snapshot"`` (group snapshot
-        #: restored + gap replayed) or ``"seeded"`` (writer checkpoint).
+        #: how attaching rebuilt the database: ``"replay"`` (committed
+        #: prefix streamed), ``"snapshot"`` (group snapshot restored +
+        #: gap replayed) or ``"seeded"`` (writer checkpoint).
         self.restore_mode = "replay"
-        #: feed records replayed by the last bootstrap.
+        #: feed records that recovery replayed.
         self.restore_records = 0
         #: per-topic records applied over this replica's lifetime
-        #: (bootstrap replay included) -- what lets a handoff assert
+        #: (recovery replay included) -- what lets a handoff assert
         #: "resumed from the cut, replayed exactly the retained suffix".
         self.applied_records: dict[str, int] = {}
         self.constraints = list(constraints)
@@ -215,36 +200,22 @@ class ReplicaHypergraph:
     # ------------------------------------------------------------ bootstrap
 
     def _bootstrap(self) -> None:
-        """Stream the committed prefix, then full-detect on it.
+        """Recover the database at the committed cut, then full-detect.
 
-        The prefix is consumed record-by-record (one feed segment per
-        topic resident at a time), so bootstrap memory is bounded by the
-        replica database, not the feed history.  When retention
-        truncated the prefix, the group's snapshot is restored first and
-        only the still-retained gap is replayed; a *fresh* group on a
-        feed whose prefix is already gone (it has no snapshot of its
-        own) seeds itself from the writer's checkpoint instead.
+        A *fresh* group on a feed whose prefix is already gone (it has
+        no snapshot of its own) seeds itself from the writer's
+        checkpoint; every other attach is
+        :func:`~repro.engine.database.recover_database` under this
+        group, up to its committed offsets.
         """
         committed = self._consumer.committed
         if not committed and self._seed_from_writer_checkpoint():
             self.restore_mode = "seeded"
-        elif self._prefer_snapshot and self._restore_from_snapshot(committed):
-            pass  # snapshot + gap replay, done
         else:
-            try:
-                # iter_records validates retention eagerly, but segment
-                # files are read lazily -- a truncation racing us can
-                # still surface as a FeedError mid-replay, so the whole
-                # replay is inside the fallback's try.
-                with self.db.changes.feed.suspended():
-                    self.restore_records = self._apply_stream(
-                        self.feed.iter_records(upto=committed)
-                    )
-                self.restore_mode = "replay"
-            except FeedError:
-                self.db = Database()  # discard the half-applied replay
-                if not self._restore_from_snapshot(committed):
-                    raise
+            self.restore_mode, self.applied_records = recover_database(
+                self.db, self.feed, self.group, upto=committed
+            )
+            self.restore_records = sum(self.applied_records.values())
         try:
             self._full_detect()
         except CatalogError:
@@ -253,37 +224,6 @@ class ReplicaHypergraph:
             # carries that DDL) runs the deferred full detection.
             self._detector = None
             self._needs_full = True
-
-    def _apply_stream(self, records: Iterable[FeedRecord]) -> int:
-        """Apply a record stream to the replica database (in bounded
-        batches, see :func:`~repro.engine.database.replay_feed_records`),
-        counting it per topic into ``applied_records``.  Returns the
-        number of records applied."""
-
-        def counted() -> Iterator[FeedRecord]:
-            applied = self.applied_records
-            for record in records:
-                applied[record.topic] = applied.get(record.topic, 0) + 1
-                yield record
-
-        return replay_feed_records(self.db, counted())
-
-    def _restore_from_snapshot(self, committed: dict[str, int]) -> bool:
-        """Restore the group's snapshot into the (fresh) database and
-        replay the retained gap up to ``committed``.  Returns False when
-        the group never stored a snapshot."""
-        snapshot = self._consumer.load_snapshot()
-        if snapshot is None:
-            return False
-        snap_committed, payload = snapshot
-        self.applied_records = {}
-        with self.db.changes.feed.suspended():
-            restore_database(self.db, payload)
-            self.restore_records = self._apply_stream(
-                self.feed.iter_records(start=snap_committed, upto=committed)
-            )
-        self.restore_mode = "snapshot"
-        return True
 
     def _seed_from_writer_checkpoint(self) -> bool:
         """Bootstrap a brand-new group over an already-reclaimed feed.
@@ -434,7 +374,7 @@ class ReplicaHypergraph:
         #    batched so a big poll amortizes per-record overhead.
         ddl = any(record.kind != RECORD_CHANGE for record in records)
         with self.db.changes.feed.suspended():
-            self._apply_stream(records)
+            replay_feed_records(self.db, records, self.applied_records)
         self._mark("apply")
         # 2) Commit the cut: a crash from here on re-attaches *after*
         #    these records, and full detection rebuilds the graph.
@@ -466,7 +406,9 @@ class ReplicaHypergraph:
                 sync.mode = "deferred"
         else:
             try:
-                sync.delta = self._apply_incremental(records)
+                # No DDL in the batch: every record is a change record.
+                assert self._detector is not None
+                sync.delta = self._detector.apply_records(records)
             except Exception:
                 # The database already advanced; make the next sync (or
                 # the caller's retry) rebuild the graph from it.
@@ -526,12 +468,6 @@ class ReplicaHypergraph:
                 time.sleep(max(min(poll_interval, remaining), 0.0))
         summary.seconds = time.perf_counter() - started
         return summary
-
-    def _apply_incremental(self, records: Sequence[FeedRecord]) -> DeltaStats:
-        assert self._detector is not None
-        return self._detector.apply_records(
-            [record for record in records if record.kind == RECORD_CHANGE]
-        )
 
     def close(self) -> None:
         """Checkpoint (durable feeds) and detach from the feed.

@@ -520,7 +520,6 @@ class ShardWorker(ReplicaHypergraph):
         plan: ShardPlan,
         group: Optional[str] = None,
         snapshots: bool = True,
-        bootstrap: str = "replay",
     ) -> None:
         self.spec = spec
         super().__init__(
@@ -530,7 +529,6 @@ class ShardWorker(ReplicaHypergraph):
             snapshots=snapshots,
             topics=spec.subscribed,
             extra_referenced=plan.referenced,
-            bootstrap=bootstrap,
         )
 
     # ------------------------------------------------------------- handoff

@@ -228,10 +228,3 @@ class GroundQuery:
         if template is None:
             template = self._templates[live] = self._template(live)
         return fm.Ground(template, facts)
-
-    def witness_facts(self, candidate: tuple) -> frozenset[Fact]:
-        """All facts the formula for ``candidate`` could mention.
-
-        Used by the prefetch membership strategy to batch lookups.
-        """
-        return fm.atoms_of(self.formula_for(candidate).formula)

@@ -5,7 +5,7 @@ the equivalent substrate, providing SQL execution, point membership
 lookups and execution statistics.
 """
 
-from repro.engine.changelog import Change, ChangeLog
+from repro.engine.changelog import ChangeLog
 from repro.engine.database import Database, Result, apply_feed_record
 from repro.engine.feed import ChangeFeed, FeedConsumer, FeedRecord, TopicInfo
 from repro.engine.io import dump_csv, dump_sql, load_csv, restore_sql
@@ -15,7 +15,6 @@ from repro.engine.storage import Table
 from repro.engine.types import NULL, SQLType, SQLValue
 
 __all__ = [
-    "Change",
     "ChangeFeed",
     "ChangeLog",
     "Database",

@@ -1,19 +1,20 @@
 """The database change log: what storage publishes row mutations to.
 
-A :class:`Change` is one row mutation -- ``(relation, tid, row, op)``.
-An UPDATE keeps its tid but changes the row, so storage publishes it as
-a ``delete`` of the old row followed by an ``insert`` of the new one
-under the same tid; consumers treat the pair as "retract everything
-incident to the tuple, then re-derive".  :class:`ChangeLog` binds one
-database to one :class:`~repro.engine.feed.ChangeFeed` (which owns
-topics, consumer groups, retention and durability -- see its package
-docstring) and adds the one epoch the feed does not carry:
+One row mutation is ``(relation, tid, row, op)`` -- the change fields
+of a :class:`~repro.engine.feed.FeedRecord`, the one delta shape every
+consumer reads.  An UPDATE keeps its tid but changes the row, so storage
+publishes it as a ``delete`` of the old row followed by an ``insert`` of
+the new one under the same tid; consumers treat the pair as "retract
+everything incident to the tuple, then re-derive".  :class:`ChangeLog`
+binds one database to one :class:`~repro.engine.feed.ChangeFeed` (which
+owns topics, consumer groups, retention and durability -- see its
+package docstring) and adds the one epoch the feed does not carry:
 ``plan_epoch``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional
 
 from repro.engine.feed import (
     RECORD_CREATE_TABLE,
@@ -26,19 +27,6 @@ from repro.engine.schema import TableSchema
 #: Ops a change can carry.  UPDATE is published as DELETE + INSERT.
 OP_INSERT = "insert"
 OP_DELETE = "delete"
-
-
-class Change(NamedTuple):
-    """One row mutation: ``(relation, tid, row, op)``.
-
-    ``relation`` is lower-cased; ``row`` is the inserted row for
-    ``insert`` and the row as it was stored for ``delete``.
-    """
-
-    relation: str
-    tid: int
-    row: Tuple
-    op: str
 
 
 class ChangeLog:
@@ -79,12 +67,12 @@ class ChangeLog:
         """The global sequence number one past the newest record."""
         return self.feed.next_seq
 
-    def record(self, change: Change) -> None:
+    def record(self, relation: str, tid: int, row: tuple, op: str) -> None:
         """Publish one mutation (dropped when nobody is listening and
-        the feed is not durable)."""
-        self.feed.publish_change(
-            change.relation, change.tid, change.row, change.op
-        )
+        the feed is not durable).  ``relation`` is lower-cased; ``row``
+        is the inserted row for ``insert`` and the row as it was stored
+        for ``delete``."""
+        self.feed.publish_change(relation, tid, row, op)
 
     def schema_created(self, schema: TableSchema) -> None:
         """Publish a CREATE TABLE (serialized schema rides the feed)."""

@@ -32,6 +32,7 @@ from repro.errors import (
     BackendError,
     CatalogError,
     ExecutionError,
+    FeedError,
     FeedRetentionError,
 )
 from repro.sql import ast
@@ -210,16 +211,9 @@ class Database:
             self.checkpoint()
 
     def _restore_from_feed(self) -> None:
-        """Rebuild catalog + tables from the feed's durable history.
-
-        With a writer checkpoint on disk, recovery restores the snapshot
-        and replays only the suffix published after it; otherwise the
-        whole history is replayed.  Either way the replay is *streamed*
-        (one segment per topic resident at a time), so restoring a
-        database over a long feed costs memory proportional to the
-        database, not to every write ever made.  Publishing is suspended
-        during replay: recovery must not append its own history back
-        onto the feed.
+        """Rebuild catalog + tables from the feed's durable history:
+        :func:`recover_database` under :data:`WRITER_GROUP`, up to the
+        feed's end.
 
         Raises:
             FeedRetentionError: when retention reclaimed part of the
@@ -230,45 +224,18 @@ class Database:
                 the feed.
         """
         feed = self.changes.feed
-        snapshot = feed.load_snapshot(WRITER_GROUP)
-        if snapshot is None:
-            try:
-                self.restore_records = self._replay(None)
-                self.restore_mode = "replay"
-                return
-            except FeedRetentionError as exc:
-                # A reclaim can race the replay (another process's
-                # retention); re-check for a checkpoint before giving
-                # up, on a fresh catalog (the replay half-applied).
-                snapshot = feed.load_snapshot(WRITER_GROUP)
-                if snapshot is None:
-                    raise FeedRetentionError(
-                        f"cannot restore the database at {feed.directory}:"
-                        " retention reclaimed part of its history and no"
-                        " writer checkpoint covers it (see"
-                        " Database.checkpoint())"
-                    ) from exc
-                self.catalog = Catalog(self.changes)
-                self._indexes.clear()
-        self.restore_records = self._replay(snapshot)
-        self.restore_mode = "snapshot"
-
-    def _replay(self, snapshot: Optional[tuple[dict[str, int], dict]]) -> int:
-        """Apply the feed (past ``snapshot``'s cut, when given); returns
-        the number of records replayed.
-
-        The stream goes through :func:`replay_feed_records`, so recovery
-        memory stays proportional to the database plus one batch, not
-        the feed history.
-        """
-        feed = self.changes.feed
-        start = None
-        if snapshot is not None:
-            committed, payload = snapshot
-            restore_database(self, payload)
-            start = committed
-        with feed.suspended():
-            return replay_feed_records(self, feed.iter_records(start=start))
+        try:
+            self.restore_mode, applied = recover_database(
+                self, feed, WRITER_GROUP
+            )
+        except FeedRetentionError as exc:
+            raise FeedRetentionError(
+                f"cannot restore the database at {feed.directory}:"
+                " retention reclaimed part of its history and no"
+                " writer checkpoint covers it (see"
+                " Database.checkpoint())"
+            ) from exc
+        self.restore_records = sum(applied.values())
 
     # ------------------------------------------------------------- execution
 
@@ -597,8 +564,6 @@ def apply_feed_record(db: Database, record: FeedRecord) -> None:
     Raises:
         FeedError: for an unknown record kind.
     """
-    from repro.errors import FeedError
-
     if record.kind == RECORD_CHANGE:
         table = db.catalog.table(record.topic)
         if record.op == "insert":
@@ -654,25 +619,75 @@ def apply_feed_records(db: Database, records: Sequence[FeedRecord]) -> None:
         start = stop
 
 
-def replay_feed_records(db: Database, records: Iterable[FeedRecord]) -> int:
-    """Apply a record *stream* in bounded batches; returns the number
-    of records applied.
+def replay_feed_records(
+    db: Database, records: Iterable[FeedRecord], applied: dict[str, int]
+) -> None:
+    """Apply a record *stream* in bounded batches, counting the records
+    per topic into ``applied``.
 
-    The one replay loop (durable-database recovery, replica bootstrap
-    and replica sync all call it): records accumulate up to
-    :data:`REPLAY_BATCH_RECORDS`, then one :func:`apply_feed_records`
-    folds them in -- amortized per-record overhead, and a lazy stream
-    (feed segments read one at a time) is never materialized whole.
+    The one replay loop (recovery and replica sync both call it):
+    records accumulate up to :data:`REPLAY_BATCH_RECORDS`, then one
+    :func:`apply_feed_records` folds them in -- amortized per-record
+    overhead, and a lazy stream (feed segments read one at a time) is
+    never materialized whole.
     """
-    count = 0
     batch: list[FeedRecord] = []
     for record in records:
+        applied[record.topic] = applied.get(record.topic, 0) + 1
         batch.append(record)
         if len(batch) >= REPLAY_BATCH_RECORDS:
             apply_feed_records(db, batch)
-            count += len(batch)
             batch.clear()
     if batch:
         apply_feed_records(db, batch)
-        count += len(batch)
-    return count
+
+
+def recover_database(
+    db: Database,
+    feed: ChangeFeed,
+    group: str,
+    upto: Optional[dict[str, int]] = None,
+) -> tuple[str, dict[str, int]]:
+    """Rebuild the (empty) ``db`` as ``group`` last saw ``feed``.
+
+    The one recovery rule, for every participant: when the group stored
+    a snapshot, restore it and replay only the retained records past its
+    cut (``"snapshot"``); otherwise replay the history from offset 0
+    (``"replay"``).  Either way the replay stops at ``upto`` (default:
+    the feed's end) and is *streamed* -- one segment per topic resident
+    at a time -- so recovery costs memory proportional to the database,
+    not to every write ever made.  ``db``'s own publishing is suspended
+    throughout: recovery must not append its history back onto a feed.
+
+    Returns ``(mode, records applied per topic)``.
+
+    Raises:
+        FeedRetentionError: when retention reclaimed part of the range
+            and no snapshot of the group covers it.
+        FeedError: for any other unreadable history.
+    """
+    snapshot = feed.load_snapshot(group)
+    start = None
+    applied: dict[str, int] = {}
+    with db.changes.feed.suspended():
+        if snapshot is not None:
+            start, payload = snapshot
+            restore_database(db, payload)
+        try:
+            # iter_records validates retention eagerly, but segment
+            # files are read lazily -- a reclaim racing us (another
+            # process's retention) can still surface mid-replay, so the
+            # whole replay is inside the try.
+            replay_feed_records(
+                db, feed.iter_records(start=start, upto=upto), applied
+            )
+        except FeedError:
+            # Whoever reclaimed the history may have stored a snapshot
+            # first: look again before giving up, on an emptied
+            # database (the replay half-applied).
+            if snapshot is not None or feed.load_snapshot(group) is None:
+                raise
+            db.catalog = Catalog(db.changes)
+            db._indexes.clear()
+            return recover_database(db, feed, group, upto)
+    return ("replay" if snapshot is None else "snapshot"), applied

@@ -3,15 +3,17 @@
 A snapshot is a JSON-safe serialization of a whole database -- every
 table's schema plus its rows *under their original tids* (tids are the
 conflict hypergraph's vertices, so recovery must reproduce them
-exactly).  Three recovery participants share the format:
+exactly).  Three recovery participants share the format, and one routine
+(:func:`~repro.engine.database.recover_database`) restores it for all of
+them -- the group's snapshot plus the retained records past its cut:
 
 * **Replicas** (:class:`~repro.conflicts.replica.ReplicaHypergraph`)
-  store one as their consumer group's snapshot so they can re-bootstrap
-  after feed retention truncated their committed prefix.
+  store one as their consumer group's snapshot, so re-attaching costs
+  what they missed and survives retention truncating their prefix.
 * **The durable writer itself** (:class:`~repro.engine.database.Database`
   with a durable feed) checkpoints one so ``Database(durable=dir)`` can
-  reopen as *snapshot + retained-suffix replay* even after its own
-  retention policy deleted the sealed segments a full replay would need.
+  reopen even after its own retention policy deleted the sealed
+  segments a full replay would need.
 * **Shard workers** (:class:`~repro.conflicts.shard.ShardWorker`)
   checkpoint *partial* snapshots -- every schema, but rows only for the
   relations their topic subscription covers -- and the shard merge
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.engine.changelog import OP_INSERT
 from repro.engine.feed import (
     decode_value,
     deserialize_schema,
@@ -108,6 +111,8 @@ def restore_database(
                 table = db.catalog.create_table(schema)
             if include is not None and schema.name.lower() not in include:
                 continue  # partial restore: schema only
-            for tid, row in entry.get("rows", []):
-                table.restore(int(tid), tuple(decode_value(v) for v in row))
+            table.apply_changes(
+                (int(tid), tuple(decode_value(v) for v in row), OP_INSERT)
+                for tid, row in entry.get("rows", [])
+            )
             table.reserve_tids(int(entry.get("next_tid", 0)))

@@ -15,9 +15,9 @@ appropriate membership queries on the database".
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple, Union
 
-from repro.engine.changelog import OP_DELETE, OP_INSERT, Change, ChangeLog
+from repro.engine.changelog import OP_DELETE, OP_INSERT, ChangeLog
 from repro.engine.columnar import ColumnStore
 from repro.engine.schema import TableSchema
 from repro.engine.types import SQLValue
@@ -157,7 +157,7 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, row, OP_INSERT))
+            self._changelog.record(self._key, tid, row, OP_INSERT)
         return tid
 
     def insert_many(self, rows: Sequence[Sequence[SQLValue]]) -> list[int]:
@@ -202,7 +202,7 @@ class Table:
         self.version += 1
 
     def apply_changes(
-        self, changes: Sequence[tuple[int, Optional[Sequence[SQLValue]], str]]
+        self, changes: Iterable[tuple[int, Optional[Sequence[SQLValue]], str]]
     ) -> None:
         """Replay a batch of feed change records as ``(tid, row, op)``.
 
@@ -259,7 +259,7 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, row, OP_DELETE))
+            self._changelog.record(self._key, tid, row, OP_DELETE)
 
     def update(self, tid: int, values: Sequence[SQLValue]) -> None:
         """Replace the row stored under ``tid``, keeping the tid stable.
@@ -279,8 +279,8 @@ class Table:
         self._columnar = None
         self.version += 1
         if self._changelog is not None:
-            self._changelog.record(Change(self._key, tid, old_row, OP_DELETE))
-            self._changelog.record(Change(self._key, tid, new_row, OP_INSERT))
+            self._changelog.record(self._key, tid, old_row, OP_DELETE)
+            self._changelog.record(self._key, tid, new_row, OP_INSERT)
 
     # --------------------------------------------------------------- access
 

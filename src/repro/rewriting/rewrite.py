@@ -360,6 +360,25 @@ def _tree_nodes(tree: SJUDTree) -> Iterator[SJUDTree]:
         yield from _tree_nodes(tree.right)
 
 
+def _violable_alone(constraint: DenialConstraint) -> bool:
+    """Whether one tuple, standing for every atom, can violate the
+    constraint -- and so be in no repair: the atoms range over one
+    relation (trivially so for a unary denial) and no ``<>`` / ``<`` /
+    ``>`` conjunct compares the same column of two of them (as every FD
+    and key has)."""
+    if len(constraint.relations()) != 1:
+        return False
+    return not any(
+        isinstance(conjunct, ast.BinaryOp)
+        and conjunct.op in ("<>", "<", ">")
+        and isinstance(conjunct.left, ast.ColumnRef)
+        and isinstance(conjunct.right, ast.ColumnRef)
+        and conjunct.left.table != conjunct.right.table
+        and conjunct.left.name.lower() == conjunct.right.name.lower()
+        for conjunct in ast.split_conjuncts(constraint.condition)
+    )
+
+
 def classify(
     query: QueryLike,
     constraints: Iterable[object],
@@ -369,9 +388,11 @@ def classify(
 
     This is the rewriting scope test of :class:`RewritingEngine` turned
     into a pure function of the query and constraint *shapes*: unions,
-    wide difference right-hand sides, non-binary denial constraints and
-    foreign keys each force the conflict-hypergraph path; everything else
-    is answerable by the PODS'99 first-order rewriting.  (It is also the
+    wide difference right-hand sides, non-binary denial constraints,
+    binary ones whose conflict partner may be in no repair (one tuple
+    alone violates a unary denial, or a constraint against itself) and
+    foreign keys each force the conflict-hypergraph path; everything
+    else is answerable by the PODS'99 first-order rewriting.  (It is also the
     stepping stone to a dichotomy-aware router: the same inspection point
     can grow finer tractability tests without touching the engines.)
 
@@ -453,7 +474,13 @@ def classify(
                 " first-order expressible"
             )
             break
-    culled = {c.atoms[0].relation.lower() for c in denials if c.arity == 1}
+    # relation -> a constraint one of its tuples can violate alone: the
+    # relations whose stored tuples are not all in some repair.
+    culled = {
+        c.atoms[0].relation.lower(): c.name
+        for c in reversed(denials)
+        if _violable_alone(c)
+    }
     for node in nodes:
         if isinstance(node, Difference) and any(
             atom.relation.lower() in culled
@@ -461,10 +488,11 @@ def classify(
             for atom in core.atoms
         ):
             reasons.append(
-                "a difference's right-hand relation carries a unary denial"
-                " constraint: its violating tuples are in no repair, so they"
-                " must not be subtracted, and the rewriting subtracts every"
-                " stored tuple"
+                "a difference's right-hand relation carries a constraint one"
+                " tuple violates alone (a unary denial, or one it violates"
+                " against itself): such tuples are in no repair, so they must"
+                " not be subtracted, and the rewriting subtracts every stored"
+                " tuple"
             )
             break
     if foreign_keys:
@@ -488,11 +516,23 @@ def classify(
                 f" {constraint.atoms[0].relation} tuple, so the rewriting"
                 " degenerates to the empty query"
             )
-        elif not constraint.is_binary and constraint.arity != 1:
+        elif constraint.arity > 2:
             reasons.append(
                 f"constraint {constraint.name} relates {constraint.arity}"
                 " tuples; rewriting supports only binary universal"
                 " constraints"
+            )
+        # A residue tests its partner against the stored relation, not
+        # against "the partner is in some repair": exact only while
+        # every stored tuple of the constraint's relations is in one.
+        elif constraint.is_binary and (
+            shared := sorted(culled.keys() & constraint.relations())
+        ):
+            reasons.append(
+                f"one {shared[0]} tuple alone can violate"
+                f" {culled[shared[0]]}: it is then in no repair and removes"
+                f" nothing, but the residues of {constraint.name} count"
+                " every stored conflict partner"
             )
 
     rewritable = not reasons

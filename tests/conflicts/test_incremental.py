@@ -21,7 +21,7 @@ from repro.constraints import (
     FunctionalDependency,
 )
 from repro.constraints.foreign_key import ForeignKeyConstraint
-from repro.engine.changelog import Change, ChangeLog
+from repro.engine.changelog import ChangeLog
 from repro.engine.feed import ChangeFeed
 from repro.errors import ConstraintError
 from repro.sql.parser import parse_expression
@@ -46,13 +46,13 @@ def assert_equivalent(engine: HippoEngine, db: Database, constraints) -> None:
 class TestChangeLog:
     def test_nothing_buffered_without_cursor(self):
         log = ChangeLog()
-        log.record(Change("r", 0, (1,), "insert"))
+        log.record("r", 0, (1,), "insert")
         assert log.end == 0
 
     def test_consumer_sees_changes_once(self):
         log = ChangeLog()
         consumer = log.feed.consumer()
-        log.record(Change("r", 0, (1,), "insert"))
+        log.record("r", 0, (1,), "insert")
         assert consumer.pending == 1
         records, lost = consumer.poll()
         assert not lost and [r.tid for r in records] == [0]
@@ -61,7 +61,7 @@ class TestChangeLog:
     def test_two_consumers_compact_at_slowest(self):
         log = ChangeLog()
         fast, slow = log.feed.consumer(), log.feed.consumer()
-        log.record(Change("r", 0, (1,), "insert"))
+        log.record("r", 0, (1,), "insert")
         fast.poll()
         fast.commit()
         assert slow.pending == 1
@@ -72,7 +72,7 @@ class TestChangeLog:
         log = ChangeLog(ChangeFeed(max_retained=2))
         consumer = log.feed.consumer()
         for tid in range(4):
-            log.record(Change("r", tid, (tid,), "insert"))
+            log.record("r", tid, (tid,), "insert")
         assert consumer.lost
         records, lost = consumer.poll()
         assert lost and records == []

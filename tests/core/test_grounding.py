@@ -113,13 +113,6 @@ class TestSetOperations:
 
 
 class TestWitnessFacts:
-    def test_witness_facts_cover_all_branches(self, two_table_db):
-        grounder = grounder_for(
-            two_table_db, "SELECT * FROM r UNION SELECT * FROM s"
-        )
-        facts = grounder.witness_facts((2, 5))
-        assert facts == {fact("r", (2, 5)), fact("s", (2, 5))}
-
     def test_formula_size_independent_of_data(self, two_table_db):
         """The polynomial-data-complexity linchpin: |Phi| ~ query size."""
         grounder = grounder_for(two_table_db, "SELECT * FROM r")

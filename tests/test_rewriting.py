@@ -349,6 +349,15 @@ SCOPE_CONSTRAINTS = {
         FunctionalDependency("s", ["a"], ["b"]),
         _denial("t3", ["t", "t", "t"], "x.a = y.a AND y.a = z.a"),
     ],
+    "fd+unary": [
+        FunctionalDependency("r", ["a"], ["b"]),
+        _denial("five", ["r"], "x.b = 5"),
+    ],
+    "exclusion+unary-partner": [
+        ExclusionConstraint("r", "s", [("a", "a"), ("b", "b")]),
+        _denial("five", ["s"], "x.b = 5"),
+    ],
+    "self-pair": [_denial("loop", ["r", "r"], "x.a = y.b")],
 }
 
 
@@ -395,3 +404,66 @@ def test_unary_denial_on_difference_right_is_not_rewritable():
     assert classify(
         "SELECT a, b FROM s EXCEPT SELECT a, b FROM r", ics, schema=db
     ).rewritable
+
+
+@pytest.mark.parametrize(
+    "ics, r_rows, text, certain, reason",
+    [
+        (
+            # (3,5) violates the unary denial, so it is in no repair and
+            # its FD partner (3,6) is in every one.
+            [
+                FunctionalDependency("r", ["a"], ["b"]),
+                _denial("five", ["r"], "x.b = 5"),
+            ],
+            [(3, 5), (3, 6), (9, 9)],
+            "SELECT * FROM r",
+            {(3, 6), (9, 9)},
+            "alone can violate five",
+        ),
+        (
+            # (1,1) pairs with itself, so it is in no repair and (2,1),
+            # which conflicts with nothing else, is in every one.
+            [_denial("loop", ["r", "r"], "x.a = y.b")],
+            [(1, 1), (2, 1)],
+            "SELECT * FROM r",
+            {(2, 1)},
+            "alone can violate loop",
+        ),
+        (
+            # The query never reads r, but s(1,1)'s only conflict partner
+            # r(1,1) pairs with itself.
+            [
+                ExclusionConstraint("r", "s", [("a", "a")]),
+                _denial("loop", ["r", "r"], "x.a = y.b"),
+            ],
+            [(1, 1)],
+            "SELECT * FROM s",
+            {(1, 1)},
+            "alone can violate loop",
+        ),
+    ],
+    ids=["fd+unary", "self-pair", "self-pair-partner"],
+)
+def test_partner_in_no_repair_is_not_rewritable(
+    ics, r_rows, text, certain, reason
+):
+    """A residue counts every *stored* conflict partner; one that is in
+    no repair removes nothing.  The rewriting used to answer these
+    shapes (dropping the certain tuple) -- classify() must refuse them."""
+    db = Database()
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+    db.insert_rows("r", r_rows)
+    db.insert_rows("s", [(1, 1)])
+
+    hippo = HippoEngine(db, ics)
+    truth = ground_truth_consistent_answers(db, hippo.hypergraph, hippo.parse(text)[0])
+    assert truth == certain
+    assert hippo.consistent_answers(text).as_set() == truth
+
+    verdict = classify(text, ics, schema=db)
+    assert not verdict.rewritable and verdict.path == "conflict-hypergraph"
+    assert reason in verdict.reasons[0]
+    with pytest.raises(RewritingError, match=reason):
+        RewritingEngine(db, ics).rewrite(text)

@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro import Database
-from repro.backends import NativeBackend, SQLiteBackend
+from repro.backends import SQLiteBackend
 from repro.conflicts import detect_conflicts
 from repro.rewriting import RewritingEngine
 from repro.workloads import generate_key_conflict_table
@@ -46,9 +46,7 @@ def setup():
     rewriting = RewritingEngine(db, [table.fd])
     sqlite = SQLiteBackend()
     sqlite.attach(db)
-    native = NativeBackend()
-    native.attach(db)
-    yield db, table, rewriting, sqlite, native
+    yield db, table, rewriting, sqlite
     sqlite.close()
 
 
@@ -66,8 +64,9 @@ def min_of_trials(run):
 
 def test_gate_consistent_answers_match_oracle(setup):
     """SQLite's rewritten-CQA answers equal the native oracle's at 16k."""
-    _db, _table, rewriting, sqlite, _native = setup
+    db, _table, rewriting, sqlite = setup
     pushed = rewriting.consistent_answers(CQA_SQL, backend=sqlite)
+    assert db.stats.backend_fallbacks == 0  # a real pushdown, not the oracle
     native = rewriting.consistent_answers(CQA_SQL)
     assert pushed.columns == native.columns
     assert pushed.rows == native.rows
@@ -76,8 +75,9 @@ def test_gate_consistent_answers_match_oracle(setup):
 
 def test_gate_conflict_edges_match_oracle(setup):
     """SQLite's residual-join edges equal the native oracle's at 16k."""
-    db, table, _rewriting, sqlite, _native = setup
+    db, table, _rewriting, sqlite = setup
     pushed = detect_conflicts(db, [table.fd], backend=sqlite)
+    assert db.stats.backend_fallbacks == 0
     native = detect_conflicts(db, [table.fd])
     assert set(pushed.hypergraph.edges) == set(native.hypergraph.edges)
     assert len(native.hypergraph.edges) > 0
@@ -88,14 +88,14 @@ def test_gate_conflict_edges_match_oracle(setup):
 
 @pytest.mark.benchmark(group="pushdown-cqa")
 def test_cqa_native(benchmark, setup):
-    _db, _table, rewriting, _sqlite, _native = setup
+    _db, _table, rewriting, _sqlite = setup
     result = benchmark(lambda: rewriting.consistent_answers(CQA_SQL))
     benchmark.extra_info["rows"] = len(result.rows)
 
 
 @pytest.mark.benchmark(group="pushdown-cqa")
 def test_cqa_sqlite(benchmark, setup):
-    _db, _table, rewriting, sqlite, _native = setup
+    _db, _table, rewriting, sqlite = setup
     result = benchmark(
         lambda: rewriting.consistent_answers(CQA_SQL, backend=sqlite)
     )
@@ -104,14 +104,14 @@ def test_cqa_sqlite(benchmark, setup):
 
 @pytest.mark.benchmark(group="pushdown-detection")
 def test_detection_native(benchmark, setup):
-    db, table, _rewriting, _sqlite, _native = setup
+    db, table, _rewriting, _sqlite = setup
     report = benchmark(lambda: detect_conflicts(db, [table.fd]))
     benchmark.extra_info["edges"] = len(report.hypergraph)
 
 
 @pytest.mark.benchmark(group="pushdown-detection")
 def test_detection_sqlite(benchmark, setup):
-    db, table, _rewriting, sqlite, _native = setup
+    db, table, _rewriting, sqlite = setup
     report = benchmark(
         lambda: detect_conflicts(db, [table.fd], backend=sqlite)
     )
@@ -120,7 +120,7 @@ def test_detection_sqlite(benchmark, setup):
 
 def test_report_min_of_trials(setup, capsys):
     """A one-line native-vs-SQLite summary, independent of the plugin."""
-    db, table, rewriting, sqlite, _native = setup
+    db, table, rewriting, sqlite = setup
     sqlite.sync()  # exclude the first mirror build from the timings
     native_cqa = min_of_trials(lambda: rewriting.consistent_answers(CQA_SQL))
     sqlite_cqa = min_of_trials(

@@ -17,14 +17,9 @@ from __future__ import annotations
 import importlib
 from typing import Any, Optional
 
-from repro.backends.base import BackendCapabilities
 from repro.backends.mirror import MirrorBackend
 from repro.engine.types import SQLType
 from repro.errors import BackendError
-
-_CAPABILITIES = BackendCapabilities(
-    param_style="qmark", pushes_sql=True, requires_sync=True
-)
 
 _TYPE_NAMES = {
     SQLType.INTEGER: "BIGINT",
@@ -67,11 +62,6 @@ class DuckDBBackend(MirrorBackend):
             )
         self._duckdb = module
         super().__init__()
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """qmark parameters; pushes SQL; mirrors must be synced."""
-        return _CAPABILITIES
 
     def _connect(self) -> Any:
         """An in-memory DuckDB database."""

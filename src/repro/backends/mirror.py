@@ -1,14 +1,34 @@
-"""Shared machinery for SQL backends that mirror native relations.
+"""The pushdown backend: native relations mirrored into a SQL engine.
 
-A mirror backend owns a DB-API connection and keeps one mirror table
-per native relation.  Sync is lazy and versioned: every execution entry
-point first compares each native table's monotone mutation counter
-(:attr:`repro.engine.storage.Table.version`, plus its schema and index
-signature) against what the mirror last copied, and rebuilds only the
-relations that changed.  Tids survive the crossing -- subclasses either
-pin them into the engine's ``rowid`` (SQLite) or store them in an
-explicit leading column (DuckDB) -- so residual-join results are
-directly usable as conflict-hypergraph vertices.
+The paper's point about the rewriting approach is that consistent
+queries are *first-order*, hence runnable on any ordinary RDBMS; this
+package makes that concrete.  A :class:`MirrorBackend` is the one
+executor the CQA layers hand relational work to -- an SJUD tree (a
+query's raw answers), a SELECT AST (a rewritten consistent query) or a
+denial constraint's residual join.  Where a layer takes a backend,
+``None`` means the native engine: there is no native backend object.
+Subclasses differ only by driver
+(:class:`~repro.backends.sqlite.SQLiteBackend`,
+:class:`~repro.backends.duckdb.DuckDBBackend`).
+
+Ownership rules: a backend never owns the data.  The native
+:class:`~repro.engine.database.Database` is the single source of truth;
+the backend keeps one mirror table per native relation and syncs
+lazily: every execution entry point first compares each native table's
+monotone mutation counter (:attr:`repro.engine.storage.Table.version`,
+plus its schema and index signature) against what the mirror last
+copied, and rebuilds only the relations that changed.  Tids survive the
+crossing -- subclasses either pin them into the engine's ``rowid``
+(SQLite) or store them in an explicit leading column (DuckDB) -- so
+residual-join results are directly usable as conflict-hypergraph
+vertices.  Answers flow back coerced to the native type system
+(booleans in particular), so every backend is exchangeable under the
+differential oracle suite (``tests/backends/test_differential.py``).
+
+Every pushdown goes through :meth:`MirrorBackend.pushdown`: a call the
+backend declines (:class:`~repro.errors.BackendError`) is counted in
+``db.stats.backend_fallbacks`` and re-run natively -- a fallback is
+never silent.
 
 All SQL text handed to the driver comes from
 :mod:`repro.ra.to_sql` (parameterized rendering and quoting helpers);
@@ -17,18 +37,15 @@ no interpolated SQL is built here (hippolint HL012).
 
 from __future__ import annotations
 
-from abc import abstractmethod
-from typing import Any, Iterator, Optional, Sequence
+from abc import ABC, abstractmethod
+from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 
-from repro.backends.base import (
-    Backend,
-    query_output_types,
-    tree_output_types,
-)
+from repro.engine.catalog import Catalog
+from repro.engine.database import Database
 from repro.engine.storage import Table
-from repro.engine.types import SQLType, SQLValue
+from repro.engine.types import SQLType, SQLValue, infer_type
 from repro.errors import AlgebraError, BackendError
-from repro.ra.sjud import SJUDCore, SJUDTree
+from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 from repro.ra.to_sql import (
     ParameterizedSQL,
     create_index_sql,
@@ -45,12 +62,22 @@ from repro.sql import ast
 #: schema/index shape.  Any component changing forces a rebuild.
 MirrorSignature = tuple
 
+T = TypeVar("T")
+
 _MAX_EDGE_ARITY = 64
 
 
-class MirrorBackend(Backend):
-    """Base class for backends that copy relations into a SQL engine."""
+class MirrorBackend(ABC):
+    """A SQL engine holding mirrors of one attached database's relations.
 
+    Lifecycle: construct, :meth:`attach` to a database, execute any
+    number of trees / queries / residual joins, :meth:`close`.  A
+    backend is bound to at most one database at a time; attaching a
+    second one replaces the first.
+    """
+
+    #: Registry name (``"sqlite"``, ``"duckdb"``).
+    name: str = "abstract"
     #: The column (or pseudo-column) carrying native tids in mirrors.
     tid_column: str = "_tid"
     #: Whether :attr:`tid_column` is the engine's rowid (not a real
@@ -58,7 +85,7 @@ class MirrorBackend(Backend):
     tid_is_rowid: bool = False
 
     def __init__(self) -> None:
-        super().__init__()
+        self._db: Optional[Database] = None
         self._conn: Optional[Any] = None
         self._mirrored: dict[str, MirrorSignature] = {}
 
@@ -76,6 +103,21 @@ class MirrorBackend(Backend):
     def type_name(self, sql_type: SQLType) -> str:
         """The backend's column type name for a native :class:`SQLType`."""
 
+    def attach(self, db: Database) -> None:
+        """Bind the backend to ``db`` (the oracle and source of truth)."""
+        self._db = db
+
+    @property
+    def db(self) -> Database:
+        """The attached database.
+
+        Raises:
+            BackendError: when no database is attached.
+        """
+        if self._db is None:
+            raise BackendError(f"backend {self.name!r} is not attached")
+        return self._db
+
     @property
     def connection(self) -> Any:
         """The live driver connection (opened on first use)."""
@@ -84,7 +126,7 @@ class MirrorBackend(Backend):
         return self._conn
 
     def close(self) -> None:
-        """Drop mirrors state and close the driver connection."""
+        """Release the database, drop mirror state, close the driver."""
         try:
             if self._conn is not None:
                 self._conn.close()
@@ -94,7 +136,21 @@ class MirrorBackend(Backend):
             # signatures over a dead connection.
             self._conn = None
             self._mirrored.clear()
-            super().close()
+            self._db = None
+
+    def pushdown(self, pushed: Callable[[], T], native: Callable[[], T]) -> T:
+        """Run ``pushed`` here; if the backend declines, count a fallback
+        on the attached database and run ``native`` instead.
+
+        The one place a pushdown may fall back: every caller offering
+        work to a backend goes through it, so ``backend_fallbacks``
+        sees every decline.
+        """
+        try:
+            return pushed()
+        except BackendError:
+            self.db.stats.backend_fallbacks += 1
+            return native()
 
     # ----------------------------------------------------------------- sync
 
@@ -159,10 +215,7 @@ class MirrorBackend(Backend):
         conn.execute(drop_table_sql(key))
         conn.execute(create_table_sql(key, columns))
         insert = insert_sql(
-            key,
-            schema.arity + 1,
-            style=self.capabilities.param_style,
-            columns=(self.tid_column,) + names,
+            key, schema.arity + 1, columns=(self.tid_column,) + names
         )
         conn.executemany(insert, self._mirror_rows(table))
         for number, positions in enumerate(table.indexed_column_sets()):
@@ -212,7 +265,7 @@ class MirrorBackend(Backend):
         """Render the tree to parameterized SQL and push it down."""
         self.sync()
         try:
-            rendered = render_tree(tree, self.capabilities.param_style)
+            rendered = render_tree(tree)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower tree: {exc}") from exc
         _, rows = self._run(rendered)
@@ -222,10 +275,16 @@ class MirrorBackend(Backend):
     def execute_query(
         self, query: ast.Query
     ) -> tuple[tuple[str, ...], list[tuple]]:
-        """Render the SELECT to parameterized SQL and push it down."""
+        """Render the SELECT to parameterized SQL and push it down.
+
+        Raises:
+            BackendError: when the query cannot be lowered or executed
+                here (:meth:`pushdown` turns that into a counted native
+                fallback).
+        """
         self.sync()
         try:
-            rendered = render_query(query, self.capabilities.param_style)
+            rendered = render_query(query)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower query: {exc}") from exc
         columns, rows = self._run(rendered)
@@ -235,7 +294,12 @@ class MirrorBackend(Backend):
         return columns, self._coerce_rows(rows, types)
 
     def residual_join(self, core: SJUDCore) -> list[tuple[int, ...]]:
-        """Push the constraint body down, reading one tid per atom."""
+        """Evaluate a denial constraint's residual join here.
+
+        ``core`` is the constraint body (atoms + condition, no outputs);
+        the result rows carry one native tid per atom, in atom order.
+        Conflict detection turns each row into a hyperedge.
+        """
         if len(core.atoms) > _MAX_EDGE_ARITY:
             raise BackendError(
                 f"residual join over {len(core.atoms)} atoms exceeds the"
@@ -243,10 +307,88 @@ class MirrorBackend(Backend):
             )
         self.sync()
         try:
-            rendered = render_core_tids(
-                core, self.tid_column, self.capabilities.param_style
-            )
+            rendered = render_core_tids(core, self.tid_column)
         except AlgebraError as exc:
             raise BackendError(f"cannot lower residual join: {exc}") from exc
         _, rows = self._run(rendered)
         return [tuple(int(tid) for tid in row) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# Output typing (read-side coercion contract)
+# ---------------------------------------------------------------------------
+
+
+def _alias_map(from_items: Sequence[ast.FromItem]) -> dict[str, str]:
+    mapping: dict[str, str] = {}
+    for item in from_items:
+        if isinstance(item, ast.TableRef):
+            mapping[(item.alias or item.name).lower()] = item.name
+    return mapping
+
+
+def _column_type(
+    expr: ast.Expression, aliases: dict[str, str], catalog: Catalog
+) -> Optional[SQLType]:
+    if isinstance(expr, ast.Literal):
+        return None if expr.value is None else infer_type(expr.value)
+    if isinstance(expr, ast.ColumnRef):
+        candidates = (
+            [aliases[expr.table.lower()]]
+            if expr.table is not None and expr.table.lower() in aliases
+            else list(aliases.values())
+        )
+        for relation in candidates:
+            if not catalog.has_table(relation):
+                continue
+            schema = catalog.table(relation).schema
+            if schema.has_column(expr.name):
+                return schema.column(expr.name).sql_type
+    return None
+
+
+def query_output_types(
+    query: ast.Query, catalog: Catalog
+) -> tuple[Optional[SQLType], ...]:
+    """Declared types of a query's output columns, where derivable.
+
+    ``None`` marks a column whose type cannot be resolved statically (an
+    expression, or an unresolvable reference); backends leave those
+    values as the driver returned them.  Set operations take the left
+    branch's types (both sides are union-compatible by construction).
+    """
+    body = query.body
+    while isinstance(body, ast.SetOperation):
+        body = body.left
+    aliases = _alias_map(body.from_items)
+    types: list[Optional[SQLType]] = []
+    for item in body.items:
+        if isinstance(item, ast.Star):
+            relations = (
+                [aliases[item.table.lower()]]
+                if item.table is not None and item.table.lower() in aliases
+                else list(aliases.values())
+            )
+            for relation in relations:
+                if catalog.has_table(relation):
+                    schema = catalog.table(relation).schema
+                    types.extend(c.sql_type for c in schema.columns)
+            continue
+        types.append(_column_type(item.expr, aliases, catalog))
+    return tuple(types)
+
+
+def tree_output_types(
+    tree: SJUDTree, catalog: Catalog
+) -> tuple[Optional[SQLType], ...]:
+    """Declared types of an SJUD tree's output columns, where derivable."""
+    core = tree
+    while isinstance(core, (Union_, Difference)):
+        core = core.left
+    aliases = {
+        atom.alias.lower(): atom.relation for atom in core.atoms
+    }
+    return tuple(
+        _column_type(column.source, aliases, catalog)
+        for column in core.outputs
+    )

@@ -18,13 +18,8 @@ from __future__ import annotations
 
 import sqlite3
 
-from repro.backends.base import BackendCapabilities
 from repro.backends.mirror import MirrorBackend
 from repro.engine.types import SQLType
-
-_CAPABILITIES = BackendCapabilities(
-    param_style="qmark", pushes_sql=True, requires_sync=True
-)
 
 _TYPE_NAMES = {
     SQLType.INTEGER: "INTEGER",
@@ -40,11 +35,6 @@ class SQLiteBackend(MirrorBackend):
     name = "sqlite"
     tid_column = "rowid"
     tid_is_rowid = True
-
-    @property
-    def capabilities(self) -> BackendCapabilities:
-        """qmark parameters; pushes SQL; mirrors must be synced."""
-        return _CAPABILITIES
 
     def _connect(self) -> sqlite3.Connection:
         """An in-memory database aligned with native semantics."""

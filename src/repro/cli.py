@@ -37,8 +37,9 @@ Meta-commands (everything else is executed as SQL):
 ``.raw SQL``           evaluate ignoring inconsistency
 ``.rewrite SQL``       show the PODS'99 rewritten SQL and its answers
 ``.classify SQL``      which CQA path applies (rewriting vs. hypergraph)
-``.backend [NAME]``    show or switch the execution backend (native /
-                       sqlite / duckdb); pushdown falls back to native
+``.backend [NAME]``    show or switch the execution backend (native = none /
+                       sqlite / duckdb); a declined pushdown runs natively
+                       and counts in ``.stats`` as ``backend_fallbacks``
 ``.explain SQL``       show the envelope query handed to the RDBMS
                        (parameterized, with its bound arguments) and the
                        plan it gets per core (``up`` / ``down``); for an
@@ -56,7 +57,7 @@ from __future__ import annotations
 import sys
 from typing import IO, Iterable, Optional
 
-from repro.backends import Backend, available_backends, create_backend
+from repro.backends import available_backends, create_backend
 from repro.constraints.parser import parse_constraint
 from repro.core.hippo import AnswerSet, HippoEngine
 from repro.engine.database import Database
@@ -89,7 +90,6 @@ class HippoShell:
         self.db = Database(durable=durable)
         self.constraints: list = []
         self._engine: Optional[HippoEngine] = None
-        self._backend: Optional[Backend] = None
         self._out = out if out is not None else sys.stdout
         self._buffer: list[str] = []
 
@@ -110,7 +110,7 @@ class HippoShell:
                 self.db,
                 self.constraints,
                 group="hippo-cli",
-                backend=self._backend,
+                backend=self.db.backend,
             )
         return self._engine
 
@@ -356,7 +356,9 @@ class HippoShell:
             rewriting = RewritingEngine(self.db, self.constraints)
             self._print(rewriting.rewrite_sql(argument))
             self._print_answers(
-                rewriting.consistent_answers(argument, backend=self._backend),
+                # The database pushes the rewritten SELECT to an attached
+                # backend itself.
+                rewriting.consistent_answers(argument),
                 "answer",
             )
             return True
@@ -366,14 +368,12 @@ class HippoShell:
                 self._print("available: " + ", ".join(available_backends()))
                 return True
             backend = create_backend(argument, self.db)
-            if backend.capabilities.pushes_sql:
-                self.db.attach_backend(backend)
-                self._backend = backend
-            else:
+            if backend is None:
                 self.db.detach_backend()
-                self._backend = None
+            else:
+                self.db.attach_backend(backend)
             self._invalidate()
-            self._print(f"backend: {backend.name}")
+            self._print(f"backend: {self.db.backend_id}")
             return True
         if command == ".classify":
             result = classify(argument, self.constraints, schema=self.db)

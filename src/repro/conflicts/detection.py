@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backends.base import Backend
+    from repro.backends.mirror import MirrorBackend
 
 from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import ForeignKeyConstraint, topological_fk_order
@@ -29,7 +29,7 @@ from repro.conflicts.hypergraph import (
     vertex,
 )
 from repro.engine.database import Database
-from repro.errors import BackendError, ConstraintError
+from repro.errors import ConstraintError
 from repro.ra.compile import compile_core
 from repro.ra.sjud import Atom, SJUDCore
 
@@ -79,14 +79,14 @@ class DetectionReport:
 def violations_of(
     db: Database,
     constraint: DenialConstraint,
-    backend: Optional["Backend"] = None,
+    backend: Optional["MirrorBackend"] = None,
 ) -> list[frozenset[Vertex]]:
     """All violation sets of one denial constraint (not yet minimized).
 
     The constraint body is structurally an SJ query; with a ``backend``
-    its residual join is pushed down there (falling back to native
-    evaluation if the backend declines), otherwise it is planned
-    natively like any other query.
+    its residual join is pushed down there (a decline falls back to
+    native evaluation, counted), otherwise it is planned natively like
+    any other query.
     """
     core = SJUDCore(
         atoms=tuple(Atom(a.alias, a.relation) for a in constraint.atoms),
@@ -94,14 +94,15 @@ def violations_of(
         outputs=(),
     )
     relations = [a.relation.lower() for a in constraint.atoms]
-    rows: Iterable[tuple]
-    if backend is not None:
-        try:
-            rows = backend.residual_join(core)
-        except BackendError:
-            rows = compile_core(core, db).rows(())
-    else:
-        rows = compile_core(core, db).rows(())
+
+    def native() -> Iterable[tuple]:
+        return compile_core(core, db).rows(())
+
+    rows = (
+        native()
+        if backend is None
+        else backend.pushdown(lambda: backend.residual_join(core), native)
+    )
     results: list[frozenset[Vertex]] = []
     seen: set[frozenset[Vertex]] = set()
     for row in rows:
@@ -119,7 +120,7 @@ def detect_conflicts(
     constraints: Iterable[object],
     keep_raw: bool = False,
     extra_referenced: Iterable[str] = (),
-    backend: Optional["Backend"] = None,
+    backend: Optional["MirrorBackend"] = None,
 ) -> DetectionReport:
     """Run Conflict Detection for a set of constraints.
 
@@ -140,8 +141,8 @@ def detect_conflicts(
             raises exactly like monolithic detection would.
         backend: an execution backend to push each denial constraint's
             residual join to (see :mod:`repro.backends`); the FK
-            dangling pass always runs natively, and a backend that
-            declines a join falls back to native evaluation.
+            dangling pass always runs natively, and a join the backend
+            declines falls back to native evaluation (counted).
 
     Raises:
         ConstraintError: when a foreign key falls outside the restricted

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backends.base import Backend
+    from repro.backends.mirror import MirrorBackend
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
@@ -39,9 +39,9 @@ from repro.core.grounding import GroundQuery
 from repro.core.membership import make_membership
 from repro.core.prover import Prover
 from repro.engine.database import Database
-from repro.engine.feed import ChangeFeed, FeedConsumer
+from repro.engine.feed import FeedConsumer
 from repro.engine.types import default_order, sort_key
-from repro.errors import BackendError, UnsupportedQueryError
+from repro.errors import UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
 from repro.ra.sjud import (
     CatalogSchemaProvider,
@@ -88,9 +88,6 @@ class HippoEngine:
         constraints: denial constraints / FDs / keys / exclusions.
         membership: Prover membership strategy (``"provenance"`` default).
         use_core: skip the Prover for candidates in the certain core.
-        feed: the change feed to consume (defaults to the database's
-            own; pass explicitly when the database publishes to a shared
-            or durable feed the engine should subscribe to).
         group: consumer-group name for the engine's subscription.  With
             a named group the engine's position is visible (and, on a
             durable feed, persistent) under that name -- the CLI's
@@ -105,12 +102,13 @@ class HippoEngine:
             detection.
         backend: an execution backend (a registry name like
             ``"sqlite"``, or a constructed
-            :class:`~repro.backends.base.Backend`) that full detection
-            pushes residual joins to and :meth:`raw_answers` evaluates
-            on.  The envelope/Prover pipeline itself stays native -- its
-            restriction-driven evaluation is not SQL-expressible.  A
-            pushing backend that declines work falls back to native
-            execution; None (default) runs everything natively.
+            :class:`~repro.backends.mirror.MirrorBackend`) that full
+            detection pushes residual joins to and :meth:`raw_answers`
+            evaluates on.  The envelope/Prover pipeline itself stays
+            native -- its restriction-driven evaluation is not
+            SQL-expressible.  Work the backend declines falls back to
+            native execution and counts a ``backend_fallbacks``; None or
+            ``"native"`` (default None) runs everything natively.
 
     The conflict hypergraph is built eagerly and then maintained
     *incrementally*: the engine is a consumer group of the database's
@@ -124,10 +122,8 @@ class HippoEngine:
     (in-memory overflow, or a durable feed's retention truncating past
     the engine's cursor) all fall back to full detection on their own.
 
-    On a durable feed, the engine's pending-delta checks go through the
-    consumer, which re-scans the feed directory on *reader* instances --
-    so an engine subscribed to another process's feed keeps its
-    hypergraph live as that process appends.
+    The engine always consumes its database's own feed: deltas from any
+    other feed would describe another database's tables.
     """
 
     def __init__(
@@ -136,10 +132,9 @@ class HippoEngine:
         constraints: Iterable[object],
         membership: str = "provenance",
         use_core: bool = True,
-        feed: Optional[ChangeFeed] = None,
         group: Optional[str] = None,
         hypergraph: Optional[ConflictHypergraph] = None,
-        backend: Optional[Union["Backend", str]] = None,
+        backend: Optional[Union["MirrorBackend", str]] = None,
     ) -> None:
         self.db = db
         self.constraints = list(constraints)
@@ -164,8 +159,7 @@ class HippoEngine:
             )
             self._enveloper = Enveloper(db, self.hypergraph)
             return
-        source = feed if feed is not None else db.changes.feed
-        self._consumer: Optional[FeedConsumer] = source.consumer(group)
+        self._consumer: Optional[FeedConsumer] = db.changes.feed.consumer(group)
         try:
             # The engine is about to run full detection on the *current*
             # state: history before that (e.g. a resumed named group's
@@ -191,9 +185,10 @@ class HippoEngine:
 
     @staticmethod
     def _resolve_backend(
-        spec: Optional[Union["Backend", str]], db: Database
-    ) -> Optional["Backend"]:
-        """Resolve a ``backend=`` argument and attach it to ``db``."""
+        spec: Optional[Union["MirrorBackend", str]], db: Database
+    ) -> Optional["MirrorBackend"]:
+        """Resolve a ``backend=`` argument (``"native"`` is None) and
+        attach it to ``db``."""
         if spec is None:
             return None
         if isinstance(spec, str):
@@ -451,22 +446,22 @@ class HippoEngine:
 
         This is the paper's "execution time of this query by the RDBMS
         backend ... the approach when we ignore the fact that the database
-        is inconsistent".  With a pushing ``backend=`` bound to the
-        engine, that RDBMS is literal: the tree is rendered to
-        parameterized SQL and executed there (native fallback on
-        decline).
+        is inconsistent".  With a ``backend=`` bound to the engine, that
+        RDBMS is literal: the tree is rendered to parameterized SQL and
+        executed there (a decline falls back natively, counted).
         """
         started = time.perf_counter()
         tree, order_by = self.parse(query)
         columns = list(output_names_of(tree))
-        rows: Iterable[tuple]
-        if self.backend is not None and self.backend.capabilities.pushes_sql:
-            try:
-                rows = self.backend.execute_tree(tree)
-            except BackendError:
-                rows = evaluate_tree(tree, self.db)
-        else:
-            rows = evaluate_tree(tree, self.db)
+        backend = self.backend
+        rows = (
+            evaluate_tree(tree, self.db)
+            if backend is None
+            else backend.pushdown(
+                lambda: backend.execute_tree(tree),
+                lambda: evaluate_tree(tree, self.db),
+            )
+        )
         ordered = self._order(rows, columns, order_by)
         return AnswerSet(
             columns, ordered, {"total_seconds": time.perf_counter() - started}

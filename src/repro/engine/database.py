@@ -29,7 +29,6 @@ from repro.engine.stats import ExecutionStats
 from repro.engine.storage import Table
 from repro.engine.types import SQLType, SQLValue, type_from_name
 from repro.errors import (
-    BackendError,
     CatalogError,
     ExecutionError,
     FeedError,
@@ -39,7 +38,7 @@ from repro.sql import ast
 from repro.sql.parser import parse_script, parse_statement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backends.base import Backend
+    from repro.backends.mirror import MirrorBackend
 
 #: The consumer-group name under which a durable database's writer
 #: registers itself as a retention participant.  Its latest checkpoint
@@ -169,7 +168,7 @@ class Database:
         )
         #: optional execution backend SELECTs are routed through (see
         #: :meth:`attach_backend`); None means native execution.
-        self._backend: Optional["Backend"] = None
+        self._backend: Optional["MirrorBackend"] = None
 
     # ------------------------------------------------------------ durability
 
@@ -286,15 +285,14 @@ class Database:
 
     # ------------------------------------------------------------- backends
 
-    def attach_backend(self, backend: "Backend") -> None:
+    def attach_backend(self, backend: "MirrorBackend") -> None:
         """Route SELECT execution through ``backend``.
 
         The database stays the source of truth (DML and DDL always run
-        natively); SELECTs are offered to the backend first when it
-        pushes SQL, falling back to the native executor on
-        :class:`~repro.errors.BackendError`.  Plan-cache entries are
-        keyed on the backend id, so switching backends never replays a
-        plan compiled for another executor.
+        natively); SELECTs are pushed to the backend, and one it
+        declines runs natively and counts a ``backend_fallbacks``.  The
+        plan cache serves native execution only: while a backend is
+        attached, every SELECT is offered to it afresh.
         """
         backend.attach(self)
         self._backend = backend
@@ -304,35 +302,24 @@ class Database:
         self._backend = None
 
     @property
-    def backend(self) -> Optional["Backend"]:
+    def backend(self) -> Optional["MirrorBackend"]:
         """The attached execution backend, if any."""
         return self._backend
 
     @property
     def backend_id(self) -> str:
-        """The plan-cache key component naming the current executor."""
+        """The name of the current executor (``"native"`` without a
+        backend)."""
         return self._backend.name if self._backend is not None else "native"
-
-    def _push_select(self, query: ast.Query) -> Optional[Result]:
-        """Offer a SELECT to the attached backend; None means run natively."""
-        backend = self._backend
-        if backend is None or not backend.capabilities.pushes_sql:
-            return None
-        try:
-            columns, rows = backend.execute_query(query)
-        except BackendError:
-            self.stats.backend_fallbacks += 1
-            return None
-        self._maybe_checkpoint()
-        return Result(list(columns), rows, len(rows))
 
     # ------------------------------------------------------------- execution
 
     def _run_cached(self, sql: str) -> Optional[Result]:
-        """Execute ``sql`` from the plan cache; None on a cache miss."""
-        planned = self.plan_cache.get(
-            sql, self._plan_epoch(), backend=self.backend_id
-        )
+        """Execute ``sql`` from the plan cache; None on a cache miss or
+        while a backend is attached."""
+        if self._backend is not None:
+            return None
+        planned = self.plan_cache.get(sql, self._plan_epoch())
         if planned is None:
             return None
         self.stats.statements += 1
@@ -341,21 +328,16 @@ class Database:
         return Result(planned.columns, rows, len(rows))
 
     def _run_select(self, sql: str, query: ast.Query) -> Result:
-        """Plan, cache (when safe) and execute a SELECT."""
+        """Execute a SELECT given as text: pushed down when a backend is
+        attached, otherwise planned natively and cached (when safe)."""
         self.stats.statements += 1
-        pushed = self._push_select(query)
-        if pushed is not None:
-            return pushed
-        self.stats.plan_cache_misses += 1
-        planner = Planner(self.catalog, self.stats)
-        planned = planner.plan_query(query)
-        if planner.cacheable:
-            self.plan_cache.put(
-                sql, self._plan_epoch(), planned, backend=self.backend_id
-            )
-        rows = planned.run()
+        if self._backend is not None:
+            result = self._execute_select(query)
+        else:
+            self.stats.plan_cache_misses += 1
+            result = self._native_select(query, sql)
         self._maybe_checkpoint()
-        return Result(planned.columns, rows, len(rows))
+        return result
 
     def execute_statement(self, statement: ast.Statement) -> Result:
         """Execute an already-parsed statement."""
@@ -445,10 +427,27 @@ class Database:
     # ------------------------------------------------------------- internals
 
     def _execute_select(self, query: ast.Query) -> Result:
-        pushed = self._push_select(query)
-        if pushed is not None:
-            return pushed
-        planned = self.plan(query)
+        """Run a SELECT on the attached backend (a decline falls back,
+        counted), natively when there is none."""
+        backend = self._backend
+        if backend is None:
+            return self._native_select(query)
+
+        def pushed() -> Result:
+            columns, rows = backend.execute_query(query)
+            return Result(list(columns), rows, len(rows))
+
+        return backend.pushdown(pushed, lambda: self._native_select(query))
+
+    def _native_select(
+        self, query: ast.Query, sql: Optional[str] = None
+    ) -> Result:
+        """Plan and run a SELECT natively; with its ``sql`` text, a
+        cacheable plan is stored in the plan cache."""
+        planner = Planner(self.catalog, self.stats)
+        planned = planner.plan_query(query)
+        if sql is not None and planner.cacheable:
+            self.plan_cache.put(sql, self._plan_epoch(), planned)
         rows = planned.run()
         return Result(planned.columns, rows, len(rows))
 

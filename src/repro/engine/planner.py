@@ -155,25 +155,19 @@ class PlanCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(
-        self,
-        sql: str,
-        epoch: tuple[int, int],
-        backend: str = "native",
-    ) -> Optional[PlannedQuery]:
+    def get(self, sql: str, epoch: tuple[int, int]) -> Optional[PlannedQuery]:
         """The cached plan for ``sql`` at ``epoch``, or None.
 
         A stale entry (cached under an older epoch) is evicted and
         counted as an invalidation -- the caller replans.  Misses are
         *not* counted here: the database counts one when it actually
         plans a SELECT, so DML/DDL statements passing through the lookup
-        do not pollute the miss counter.  Entries are keyed on the
-        executing ``backend`` id as well as the statement text, so a
-        plan compiled for one executor is never replayed on another.
+        do not pollute the miss counter.  Plans are native plans: the
+        database consults the cache only while no backend is attached.
         """
         if not self.enabled:
             return None
-        key = f"{backend}::{normalize_statement(sql)}"
+        key = normalize_statement(sql)
         entry = self._entries.get(key)
         if entry is None:
             return None
@@ -189,16 +183,12 @@ class PlanCache:
         return planned
 
     def put(
-        self,
-        sql: str,
-        epoch: tuple[int, int],
-        planned: PlannedQuery,
-        backend: str = "native",
+        self, sql: str, epoch: tuple[int, int], planned: PlannedQuery
     ) -> None:
         """Store a freshly compiled plan under the current epoch."""
         if not self.enabled:
             return
-        key = f"{backend}::{normalize_statement(sql)}"
+        key = normalize_statement(sql)
         self._entries.pop(key, None)
         if len(self._entries) >= self.max_entries:
             oldest = next(iter(self._entries))

@@ -30,9 +30,10 @@ class ExecutionStats:
         backend_pushdowns: statements a pushdown backend executed
             (routed SELECTs, pushed rewritten queries and residual
             joins alike).
-        backend_fallbacks: SELECTs a pushdown backend declined
+        backend_fallbacks: pushdowns a backend declined
             (:class:`~repro.errors.BackendError`) that fell back to
-            native execution.
+            native execution -- routed SELECTs, rewritten queries,
+            residual joins and raw-answer trees alike.
     """
 
     rows_scanned: int = 0

@@ -110,8 +110,7 @@ class BackendError(ReproError):
     """Raised when an execution backend cannot honour a pushdown request.
 
     Covers driver-level failures (connection lost, dialect rejection),
-    unsupported capabilities (a backend asked to push SQL it cannot
-    lower), and sync failures while mirroring relations.  Callers that
-    hold a native fallback treat this error as "run it on the native
-    engine instead"; callers that do not re-raise it.
+    SQL the backend cannot lower, and sync failures while mirroring
+    relations.  ``MirrorBackend.pushdown`` is its one handler: it
+    counts the decline and runs the native engine instead.
     """

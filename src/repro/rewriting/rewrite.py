@@ -38,7 +38,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backends.base import Backend
+    from repro.backends.mirror import MirrorBackend
 
 from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import ForeignKeyConstraint
@@ -46,7 +46,7 @@ from repro.core.hippo import AnswerSet
 from repro.engine.database import Database
 from repro.engine.planner import map_children
 from repro.engine.types import default_order
-from repro.errors import BackendError, RewritingError, UnsupportedQueryError
+from repro.errors import RewritingError, UnsupportedQueryError
 from repro.ra.sjud import (
     Atom,
     CatalogSchemaProvider,
@@ -166,7 +166,7 @@ class RewritingEngine:
         return format_query(self.rewrite(query))
 
     def consistent_answers(
-        self, query: QueryLike, backend: Optional["Backend"] = None
+        self, query: QueryLike, backend: Optional["MirrorBackend"] = None
     ) -> AnswerSet:
         """Evaluate the rewritten query on the RDBMS.
 
@@ -176,24 +176,22 @@ class RewritingEngine:
         Args:
             backend: an execution backend to push the rewritten SQL to
                 (see :mod:`repro.backends`) -- the rewriting method's
-                "any RDBMS can evaluate Q'" claim made literal.  A
-                backend that declines the query falls back to native
-                execution; None always runs natively.
+                "any RDBMS can evaluate Q'" claim made literal.  A query
+                the backend declines falls back to native execution
+                (counted); None always runs natively.
         """
         started = time.perf_counter()
         rewritten = self.rewrite(query)
-        columns: Sequence[str]
-        if backend is not None:
-            try:
-                columns, result_rows = backend.execute_query(rewritten)
-            except BackendError:
-                result = self.db.execute_statement(
-                    ast.SelectStatement(rewritten)
-                )
-                columns, result_rows = result.columns, result.rows
-        else:
+
+        def native() -> tuple[Sequence[str], list[tuple]]:
             result = self.db.execute_statement(ast.SelectStatement(rewritten))
-            columns, result_rows = result.columns, result.rows
+            return result.columns, result.rows
+
+        columns, result_rows = (
+            native()
+            if backend is None
+            else backend.pushdown(lambda: backend.execute_query(rewritten), native)
+        )
         rows = default_order(set(result_rows))
         elapsed = time.perf_counter() - started
         return AnswerSet(

@@ -1,33 +1,48 @@
 """Unit tests for the execution-backend layer.
 
-Covers the registry, capability flags, attach/close lifecycle, the
-versioned mirror sync, read-side type coercion, tid pinning, and the
-Database routing seam (pushdown, fallback accounting, backend-keyed
-plan cache).  Cross-backend answer equality on randomized workloads
-lives in :mod:`test_differential`.
+Covers the registry ("native" is no backend), the attach/close
+lifecycle, the versioned mirror sync, read-side type coercion, tid
+pinning, the Database routing seam (pushdown, native-only plan cache)
+and fallback accounting at every pushdown entry point.  The native
+engine itself (``evaluate_tree``, ``db.execute_statement``,
+``compile_core``) is the oracle; cross-backend answer equality on
+randomized workloads lives in :mod:`test_differential`.
 """
+
+import ast as python_ast
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.backends import (
     BACKENDS,
-    NativeBackend,
     SQLiteBackend,
     available_backends,
     create_backend,
     duckdb_available,
 )
 from repro.backends.duckdb import DuckDBBackend
+from repro.conflicts.detection import detect_conflicts, violations_of
+from repro.constraints import (
+    ConstraintAtom,
+    DenialConstraint,
+    FunctionalDependency,
+)
+from repro.core.hippo import HippoEngine
 from repro.errors import BackendError
 from repro.ra import (
     Atom,
     CatalogSchemaProvider,
     SJUDCore,
+    compile_core,
+    evaluate_tree,
     from_sql_query,
     tree_to_query,
 )
+from repro.rewriting.rewrite import RewritingEngine
 from repro.sql import ast
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_expression, parse_query
 
 
 def tree_of(db, text):
@@ -42,16 +57,9 @@ def sqlite_backend(two_table_db):
     backend.close()
 
 
-@pytest.fixture
-def native_backend(two_table_db):
-    backend = NativeBackend()
-    backend.attach(two_table_db)
-    return backend
-
-
 class TestRegistry:
     def test_known_names(self):
-        assert set(BACKENDS) == {"native", "sqlite", "duckdb"}
+        assert set(BACKENDS) == {"sqlite", "duckdb"}
 
     def test_create_by_name(self, db):
         backend = create_backend("sqlite", db)
@@ -59,7 +67,11 @@ class TestRegistry:
         assert backend.db is db
 
     def test_create_is_case_insensitive(self):
-        assert isinstance(create_backend("Native"), NativeBackend)
+        assert isinstance(create_backend("SQLite"), SQLiteBackend)
+
+    def test_native_means_no_backend(self, db):
+        assert create_backend("native") is None
+        assert create_backend("Native", db) is None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(BackendError, match="unknown backend"):
@@ -79,16 +91,9 @@ class TestRegistry:
 
 
 class TestProtocol:
-    def test_capability_flags(self):
-        native = NativeBackend().capabilities
-        assert not native.pushes_sql and not native.requires_sync
-        sqlite = SQLiteBackend().capabilities
-        assert sqlite.pushes_sql and sqlite.requires_sync
-        assert sqlite.param_style == "qmark"
-
     def test_unattached_db_raises(self):
         with pytest.raises(BackendError, match="not attached"):
-            NativeBackend().db
+            SQLiteBackend().db
 
     def test_close_releases_database(self, two_table_db):
         backend = SQLiteBackend()
@@ -115,36 +120,42 @@ class TestAnswerEquality:
     ]
 
     @pytest.mark.parametrize("text", QUERIES)
-    def test_execute_tree_matches_native(
-        self, two_table_db, sqlite_backend, native_backend, text
-    ):
+    def test_execute_tree_matches_native(self, two_table_db, sqlite_backend, text):
         tree = tree_of(two_table_db, text)
-        assert sqlite_backend.execute_tree(tree) == native_backend.execute_tree(
-            tree
-        )
+        assert sqlite_backend.execute_tree(tree) == evaluate_tree(tree, two_table_db)
 
     @pytest.mark.parametrize("text", QUERIES)
-    def test_execute_query_matches_native(
-        self, two_table_db, sqlite_backend, native_backend, text
-    ):
+    def test_execute_query_matches_native(self, two_table_db, sqlite_backend, text):
         query = tree_to_query(tree_of(two_table_db, text))
         columns, rows = sqlite_backend.execute_query(query)
-        native_columns, native_rows = native_backend.execute_query(query)
-        assert columns == native_columns
-        assert set(rows) == set(native_rows)
+        native = two_table_db.execute_statement(ast.SelectStatement(query))
+        assert columns == tuple(native.columns)
+        assert set(rows) == set(native.rows)
 
-    def test_residual_join_matches_native(
-        self, two_table_db, sqlite_backend, native_backend
-    ):
+    def test_residual_join_matches_native(self, two_table_db, sqlite_backend):
         condition = ast.BinaryOp(
             "AND",
             ast.BinaryOp("=", ast.ColumnRef("t0", "a"), ast.ColumnRef("t1", "a")),
             ast.BinaryOp("<>", ast.ColumnRef("t0", "b"), ast.ColumnRef("t1", "b")),
         )
         core = SJUDCore((Atom("t0", "r"), Atom("t1", "r")), condition, ())
-        native_edges = native_backend.residual_join(core)
+        native_edges = set(compile_core(core, two_table_db).rows(()))
         assert native_edges  # r has the key-violating pairs (1,1)/(1,2)
-        assert set(sqlite_backend.residual_join(core)) == set(native_edges)
+        pushed = sqlite_backend.residual_join(core)
+        assert len(pushed) == len(set(pushed))  # one row per edge
+        assert set(pushed) == native_edges
+
+    def test_violations_match_native(self, two_table_db, sqlite_backend):
+        key = DenialConstraint(
+            "key_r",
+            (ConstraintAtom("t0", "r"), ConstraintAtom("t1", "r")),
+            parse_expression("t0.a = t1.a AND t0.b <> t1.b"),
+        )
+        native = violations_of(two_table_db, key)
+        assert native
+        pushed = violations_of(two_table_db, key, backend=sqlite_backend)
+        assert set(pushed) == set(native)
+        assert two_table_db.stats.backend_fallbacks == 0
 
     def test_boolean_round_trip(self, db):
         db.execute("CREATE TABLE t (a INTEGER, ok BOOLEAN)")
@@ -152,10 +163,8 @@ class TestAnswerEquality:
         backend = SQLiteBackend()
         backend.attach(db)
         tree = tree_of(db, "SELECT * FROM t WHERE ok = TRUE")
-        native = NativeBackend()
-        native.attach(db)
         answers = backend.execute_tree(tree)
-        assert answers == native.execute_tree(tree)
+        assert answers == evaluate_tree(tree, db)
         assert all(isinstance(row[1], bool) for row in answers)
         backend.close()
 
@@ -191,9 +200,7 @@ class TestMirrorSync:
         tree = tree_of(two_table_db, "SELECT * FROM r")
         two_table_db.execute("DELETE FROM r WHERE a = 1")
         two_table_db.execute("UPDATE r SET b = 0 WHERE a = 2")
-        native = NativeBackend()
-        native.attach(two_table_db)
-        assert sqlite_backend.execute_tree(tree) == native.execute_tree(tree)
+        assert sqlite_backend.execute_tree(tree) == evaluate_tree(tree, two_table_db)
 
     def test_drop_create_resync(self, two_table_db, sqlite_backend):
         tree = tree_of(two_table_db, "SELECT * FROM r")
@@ -254,8 +261,10 @@ class TestDatabaseSeam:
         assert pushed.columns == native.columns
         assert set(pushed.rows) == set(native.rows)
 
-    def test_native_backend_does_not_push(self, two_table_db):
-        two_table_db.attach_backend(NativeBackend())
+    def test_native_engine_does_not_push(self, two_table_db):
+        engine = HippoEngine(two_table_db, [], backend="native")
+        assert engine.backend is None
+        engine.raw_answers("SELECT * FROM r")
         two_table_db.query("SELECT a, b FROM r")
         assert two_table_db.stats.backend_pushdowns == 0
 
@@ -274,9 +283,92 @@ class TestDatabaseSeam:
 
     def test_plan_cache_keys_are_backend_scoped(self, two_table_db):
         sql = "SELECT a, b FROM r WHERE b = 4"
-        two_table_db.query(sql)  # cached under the native backend id
+        two_table_db.query(sql)  # cached as a native plan
         two_table_db.attach_backend(SQLiteBackend())
         before = two_table_db.stats.backend_pushdowns
         two_table_db.query(sql)
-        # a native-keyed cache hit would have skipped the pushdown
+        # a native cache hit would have skipped the pushdown
         assert two_table_db.stats.backend_pushdowns == before + 1
+
+    def test_fallen_back_select_is_never_cached(self, two_table_db):
+        """A declined SELECT is offered to the backend again on every
+        run, and every run counts its fallback."""
+        two_table_db.insert_rows("r", [(3, 2**70)])
+        two_table_db.attach_backend(SQLiteBackend())
+        for _ in range(3):
+            result = two_table_db.query("SELECT a, b FROM r WHERE a > 0")
+            assert len(result.rows) == 6
+        assert two_table_db.stats.backend_fallbacks == 3
+        assert two_table_db.stats.plan_cache_hits == 0
+        two_table_db.detach_backend()
+        two_table_db.query("SELECT a, b FROM r WHERE a > 0")
+        two_table_db.query("SELECT a, b FROM r WHERE a > 0")
+        assert two_table_db.stats.plan_cache_hits == 1
+
+
+class TestCountedFallbacks:
+    """Every pushdown entry point counts a decline before running natively.
+
+    A value outside SQLite's integer range makes the mirror sync fail,
+    so each pushed call raises and falls back.
+    """
+
+    FD = FunctionalDependency("r", ["a"], ["b"])
+
+    @pytest.fixture
+    def huge_db(self, two_table_db):
+        two_table_db.insert_rows("r", [(3, 2**70)])
+        return two_table_db
+
+    @pytest.fixture
+    def backend(self, huge_db):
+        backend = create_backend("sqlite", huge_db)
+        yield backend
+        backend.close()
+
+    def test_detection_fallback_is_counted(self, huge_db, backend):
+        native = detect_conflicts(huge_db, [self.FD])
+        before = huge_db.stats.backend_fallbacks
+        pushed = detect_conflicts(huge_db, [self.FD], backend=backend)
+        assert huge_db.stats.backend_fallbacks == before + 1
+        assert set(pushed.hypergraph.edges) == set(native.hypergraph.edges)
+
+    def test_rewriting_fallback_is_counted(self, huge_db, backend):
+        rewriting = RewritingEngine(huge_db, [self.FD])
+        native = rewriting.consistent_answers("SELECT * FROM r")
+        before = huge_db.stats.backend_fallbacks
+        pushed = rewriting.consistent_answers("SELECT * FROM r", backend=backend)
+        assert huge_db.stats.backend_fallbacks == before + 1
+        assert pushed.rows == native.rows
+
+    def test_raw_answers_fallback_is_counted(self, huge_db, backend):
+        engine = HippoEngine(huge_db, [self.FD], backend=backend)
+        before = huge_db.stats.backend_fallbacks
+        pushed = engine.raw_answers("SELECT * FROM r")
+        assert huge_db.stats.backend_fallbacks == before + 1
+        assert pushed.rows == HippoEngine(huge_db, [self.FD]).raw_answers(
+            "SELECT * FROM r"
+        ).rows
+
+
+def _caught_names(handler):
+    caught = handler.type
+    elements = caught.elts if isinstance(caught, python_ast.Tuple) else [caught]
+    return {getattr(e, "attr", getattr(e, "id", None)) for e in elements}
+
+
+def test_only_the_backend_layer_handles_backend_errors():
+    """Outside ``repro/backends/`` nobody catches :class:`BackendError`:
+    every fallback goes through ``MirrorBackend.pushdown``, which counts
+    it."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative.startswith("backends/"):
+            continue
+        for node in python_ast.walk(python_ast.parse(path.read_text())):
+            if isinstance(node, python_ast.ExceptHandler) and node.type is not None:
+                if "BackendError" in _caught_names(node):
+                    offenders.append(f"{relative}:{node.lineno}")
+    assert offenders == []

@@ -46,8 +46,8 @@ Meta-commands (everything else is executed as SQL):
                        UPDATE / DELETE, the ``match plan`` of its WHERE
 ``.why SQL ; TUPLE``   explain why a tuple is / is not consistent
 ``.repairs``           exact repair count (component factorization)
-``.stats``             execution counters + statement/plan cache
-                       hits, misses and invalidations
+``.stats``             execution counters (statements, rows scanned,
+                       subquery memo hits, backend pushdowns/fallbacks)
 ``.help`` / ``.quit``  the obvious
 =====================  ====================================================
 """
@@ -169,19 +169,11 @@ class HippoShell:
 
         ddl = False
         try:
-            statements = parse_script(text)
-            for statement in statements:
+            for statement in parse_script(text):
                 ddl = ddl or isinstance(
                     statement, (sql_ast.CreateTable, sql_ast.DropTable)
                 )
-                if len(statements) == 1 and isinstance(
-                    statement, sql_ast.SelectStatement
-                ):
-                    # Single SELECTs go through the text-keyed statement
-                    # cache: a repeated query skips parse + plan.
-                    result = self.db.execute(text)
-                else:
-                    result = self.db.execute_statement(statement)
+                result = self.db.execute_statement(statement)
                 if result.columns:
                     self._print("  ".join(result.columns))
                     for row in result.rows:
@@ -377,15 +369,10 @@ class HippoShell:
             return True
         if command == ".classify":
             result = classify(argument, self.constraints, schema=self.db)
-            # Classification decides how later statements are evaluated
-            # (rewriting vs hypergraph); drop cached plans so an execute
-            # of the same text observes a fresh plan under that decision.
-            self.db.invalidate_plans()
             self._print(result.describe())
             return True
         if command == ".stats":
             counters = self.db.stats.snapshot()
-            cache = self.db.plan_cache.snapshot()
             self._print("execution:")
             for name in (
                 "statements",
@@ -397,12 +384,6 @@ class HippoShell:
                 "backend_fallbacks",
             ):
                 self._print(f"  {name}: {counters[name]}")
-            self._print(
-                "plan cache"
-                + (" (disabled):" if not self.db.plan_cache.enabled else ":")
-            )
-            for name in ("entries", "hits", "misses", "invalidations"):
-                self._print(f"  {name}: {cache[name]}")
             return True
         if command == ".explain":
             if argument[:6].upper() in ("UPDATE", "DELETE"):

@@ -364,7 +364,8 @@ def plan_assignment(
 
     Raises:
         ConstraintError: on ``workers < 1``, a pinned worker index out
-            of range, or a cyclic FK reference graph (validated
+            of range, two spellings of one relation pinned to different
+            workers, or a cyclic FK reference graph (validated
             globally here -- no single worker may see all of a
             cross-shard cycle).
     """
@@ -382,6 +383,7 @@ def plan_assignment(
     for relation in relations:
         known.setdefault(str(relation).lower())
     pinned: dict[str, int] = {}
+    spelled: dict[str, str] = {}
     for relation, worker in (assignment or {}).items():
         if not 0 <= worker < workers:
             raise ConstraintError(
@@ -389,8 +391,15 @@ def plan_assignment(
                 f" but the plan has {workers} workers"
             )
         key = str(relation).lower()
+        if pinned.get(key, worker) != worker:
+            raise ConstraintError(
+                f"assignment pins {spelled[key]!r} to worker {pinned[key]}"
+                f" and {relation!r} to worker {worker}: one relation,"
+                " two workers"
+            )
         known.setdefault(key)
         pinned[key] = worker
+        spelled.setdefault(key, relation)
 
     # Union-find over co-referenced relations: components place whole.
     parent = {relation: relation for relation in known}

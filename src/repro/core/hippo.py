@@ -142,10 +142,6 @@ class HippoEngine:
         self.use_core = use_core
         self._schema = CatalogSchemaProvider(db.catalog)
         self.backend = self._resolve_backend(backend, db)
-        # Binding a constraint set changes planner-relevant state (e.g.
-        # detection creates indexes): cached statement plans must not
-        # survive the transition.
-        db.invalidate_plans()
         if hypergraph is not None:
             # Externally-maintained detection (e.g. a merged shard
             # view): the engine answers from it statically -- detached,
@@ -400,7 +396,6 @@ class HippoEngine:
             "envelope_seconds": envelope.seconds,
             "prover_seconds": prover_seconds,
             "total_seconds": total_seconds,
-            "hypergraph": self.hypergraph.summary(),
         }
         return AnswerSet(columns, rows, stats)
 

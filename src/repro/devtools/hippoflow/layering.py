@@ -5,7 +5,7 @@ Two checks live here:
 * **Layer contract** -- :data:`LAYERS` pins, for every top-level
   package under ``repro``, the set of sibling packages it may import
   at module level.  The contract is checked per module (rule HL016
-  wires it into hippolint) so the result is cacheable file-by-file.
+  wires it into hippolint) so the result can be reused file-by-file.
 * **Cycle detection** -- the full module-level import graph must be
   acyclic.  ``from repro.pkg import name`` resolves through package
   facades to ``repro.pkg.name`` when that is a real module, and edges

@@ -655,12 +655,11 @@ class NoPrintRule(Rule):
 class PublicDocstringsRule(Rule):
     """HL011: contract-bearing modules document every public def.
 
-    The feed, the planner (statement/plan cache), the shard merge view
-    and the rewriting facade all carry concurrency or invalidation
-    contracts that are invisible in signatures -- when may a cached plan
-    be reused, who may mutate under which lock, how fresh a merged graph
-    is.  A public def without a docstring in these modules is a contract
-    nobody wrote down.
+    The feed, the planner, the shard merge view and the rewriting facade
+    all carry concurrency or lifetime contracts that are invisible in
+    signatures -- how long a subquery memo lives, who may mutate under
+    which lock, how fresh a merged graph is.  A public def without a
+    docstring in these modules is a contract nobody wrote down.
     """
 
     id = "HL011"
@@ -670,9 +669,9 @@ class PublicDocstringsRule(Rule):
         " conflicts/shard.py and rewriting/__init__.py has a docstring"
     )
     rationale = (
-        "docs/ARCHITECTURE.md cites these contracts; dynamic twin: the"
-        " plan-cache invalidation suite in tests/engine/test_plan_cache.py"
-        " exercises what the docstrings promise"
+        "docs/ARCHITECTURE.md cites these contracts; dynamic twin:"
+        " tests/engine/test_statement_text.py (text == AST execution,"
+        " per-statement memos) exercises what the docstrings promise"
     )
 
     MODULES = (

@@ -6,10 +6,9 @@ consumer reads.  An UPDATE keeps its tid but changes the row, so storage
 publishes it as a ``delete`` of the old row followed by an ``insert`` of
 the new one under the same tid; consumers treat the pair as "retract
 everything incident to the tuple, then re-derive".  :class:`ChangeLog`
-binds one database to one :class:`~repro.engine.feed.ChangeFeed` (which
+binds one database to one :class:`~repro.engine.feed.ChangeFeed`, which
 owns topics, consumer groups, retention and durability -- see its
-package docstring) and adds the one epoch the feed does not carry:
-``plan_epoch``.
+package docstring.
 """
 
 from __future__ import annotations
@@ -40,22 +39,6 @@ class ChangeLog:
 
     def __init__(self, feed: Optional[ChangeFeed] = None) -> None:
         self.feed = feed if feed is not None else ChangeFeed()
-        #: Planner-visible epoch for changes ``schema_version`` does not
-        #: cover (index creation, constraint attach/drop): bumping it
-        #: invalidates every cached statement plan keyed against it.
-        #: In-process only -- unlike ``schema_version`` it does not ride
-        #: the feed, since access paths are a per-process choice.
-        self.plan_epoch = 0
-
-    def invalidate_plans(self) -> None:
-        """Bump :attr:`plan_epoch`, forcing fresh plans for all cached
-        statements of every database bound to this log.
-
-        Called by the storage layer when an index appears and by the CQA
-        engines when the constraint set changes -- anything that can
-        alter which physical plan the planner would pick.
-        """
-        self.plan_epoch += 1
 
     @property
     def schema_version(self) -> int:

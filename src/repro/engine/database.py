@@ -22,7 +22,7 @@ from repro.engine.feed import (
     deserialize_schema,
 )
 from repro.engine.expressions import ExpressionCompiler, Scope, bound_entries
-from repro.engine.planner import PlanCache, PlannedQuery, Planner
+from repro.engine.planner import PlannedQuery, Planner
 from repro.engine.schema import Column, TableSchema
 from repro.engine.snapshot import restore_database, snapshot_database
 from repro.engine.stats import ExecutionStats
@@ -111,10 +111,6 @@ class Database:
             once at least this many new feed records have been published
             since the last one (checked after each executed statement
             and bulk insert); needs a durable feed.
-        plan_cache: whether :meth:`execute` / :meth:`query` reuse plans
-            for repeated statement texts (see
-            :class:`~repro.engine.planner.PlanCache`); disabling it is
-            for benchmarking the uncached baseline.
     """
 
     def __init__(
@@ -123,7 +119,6 @@ class Database:
         feed: Optional[ChangeFeed] = None,
         retention: Optional[str] = None,
         checkpoint_records: Optional[int] = None,
-        plan_cache: bool = True,
     ) -> None:
         if durable is not None and feed is not None:
             raise ExecutionError("pass either durable= or feed=, not both")
@@ -141,8 +136,6 @@ class Database:
             raise ExecutionError("checkpoint_records= needs a durable feed")
         self.catalog = Catalog(self.changes)
         self.stats = ExecutionStats()
-        #: statement→plan cache keyed on normalized text + catalog epoch.
-        self.plan_cache = PlanCache(self.stats, enabled=plan_cache)
         # index name (lower) -> (table name, column names) for diagnostics.
         self._indexes: dict[str, tuple[str, tuple[str, ...]]] = {}
         self.checkpoint_records = checkpoint_records
@@ -239,49 +232,19 @@ class Database:
     # ------------------------------------------------------------- execution
 
     def execute(self, sql: str) -> Result:
-        """Parse and execute a single SQL statement.
-
-        Repeated SELECT texts skip parsing and planning entirely when
-        the statement→plan cache holds a plan compiled under the current
-        catalog epoch (see :meth:`invalidate_plans`).
-        """
-        cached = self._run_cached(sql)
-        if cached is not None:
-            return cached
-        statement = parse_statement(sql)
-        if isinstance(statement, ast.SelectStatement):
-            return self._run_select(sql, statement.query)
-        return self.execute_statement(statement)
+        """Parse and execute a single SQL statement."""
+        return self.execute_statement(parse_statement(sql))
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a ``;``-separated script, returning one result each."""
         return [self.execute_statement(stmt) for stmt in parse_script(sql)]
 
     def query(self, sql: str) -> Result:
-        """Execute a statement that must be a query (plan-cached like
-        :meth:`execute`)."""
-        cached = self._run_cached(sql)
-        if cached is not None:
-            return cached
+        """Execute a statement that must be a query."""
         statement = parse_statement(sql)
         if not isinstance(statement, ast.SelectStatement):
             raise ExecutionError("query() requires a SELECT statement")
-        return self._run_select(sql, statement.query)
-
-    def _plan_epoch(self) -> tuple[int, int]:
-        """The catalog epoch cached plans are stamped with: DDL bumps
-        the first component, index/constraint changes the second."""
-        return (self.changes.schema_version, self.changes.plan_epoch)
-
-    def invalidate_plans(self) -> None:
-        """Force fresh plans for every statement from now on.
-
-        Bumps the change log's plan epoch, so the invalidation reaches
-        every database bound to the same log.  Called automatically when
-        indexes appear and when a CQA engine (re)binds a constraint set;
-        exposed for anything else that changes planner-relevant state.
-        """
-        self.changes.invalidate_plans()
+        return self.execute_statement(statement)
 
     # ------------------------------------------------------------- backends
 
@@ -290,9 +253,7 @@ class Database:
 
         The database stays the source of truth (DML and DDL always run
         natively); SELECTs are pushed to the backend, and one it
-        declines runs natively and counts a ``backend_fallbacks``.  The
-        plan cache serves native execution only: while a backend is
-        attached, every SELECT is offered to it afresh.
+        declines runs natively and counts a ``backend_fallbacks``.
         """
         backend.attach(self)
         self._backend = backend
@@ -313,31 +274,6 @@ class Database:
         return self._backend.name if self._backend is not None else "native"
 
     # ------------------------------------------------------------- execution
-
-    def _run_cached(self, sql: str) -> Optional[Result]:
-        """Execute ``sql`` from the plan cache; None on a cache miss or
-        while a backend is attached."""
-        if self._backend is not None:
-            return None
-        planned = self.plan_cache.get(sql, self._plan_epoch())
-        if planned is None:
-            return None
-        self.stats.statements += 1
-        rows = planned.run()
-        self._maybe_checkpoint()
-        return Result(planned.columns, rows, len(rows))
-
-    def _run_select(self, sql: str, query: ast.Query) -> Result:
-        """Execute a SELECT given as text: pushed down when a backend is
-        attached, otherwise planned natively and cached (when safe)."""
-        self.stats.statements += 1
-        if self._backend is not None:
-            result = self._execute_select(query)
-        else:
-            self.stats.plan_cache_misses += 1
-            result = self._native_select(query, sql)
-        self._maybe_checkpoint()
-        return result
 
     def execute_statement(self, statement: ast.Statement) -> Result:
         """Execute an already-parsed statement."""
@@ -428,7 +364,8 @@ class Database:
 
     def _execute_select(self, query: ast.Query) -> Result:
         """Run a SELECT on the attached backend (a decline falls back,
-        counted), natively when there is none."""
+        counted), natively when there is none -- the one path every
+        SELECT takes, text or AST."""
         backend = self._backend
         if backend is None:
             return self._native_select(query)
@@ -439,15 +376,9 @@ class Database:
 
         return backend.pushdown(pushed, lambda: self._native_select(query))
 
-    def _native_select(
-        self, query: ast.Query, sql: Optional[str] = None
-    ) -> Result:
-        """Plan and run a SELECT natively; with its ``sql`` text, a
-        cacheable plan is stored in the plan cache."""
-        planner = Planner(self.catalog, self.stats)
-        planned = planner.plan_query(query)
-        if sql is not None and planner.cacheable:
-            self.plan_cache.put(sql, self._plan_epoch(), planned)
+    def _native_select(self, query: ast.Query) -> Result:
+        """Plan and run a SELECT natively."""
+        planned = self.plan(query)
         rows = planned.run()
         return Result(planned.columns, rows, len(rows))
 

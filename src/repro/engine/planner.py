@@ -104,112 +104,6 @@ class PlannedQuery:
         return plan.run_plan(self.plan)
 
 
-def normalize_statement(sql: str) -> str:
-    """The statement-cache key form of a SQL text.
-
-    Only the *outside* of the statement is normalized (surrounding
-    whitespace, a trailing ``;``): anything heavier -- collapsing inner
-    whitespace, case folding -- could merge statements that differ inside
-    string literals, silently sharing a plan between distinct queries.
-    """
-    return sql.strip().rstrip(";").rstrip()
-
-
-class PlanCache:
-    """A keyed statement→plan cache with epoch-based invalidation.
-
-    Maps :func:`normalize_statement` text to the :class:`PlannedQuery`
-    compiled for it, stamped with the *catalog epoch* the plan was built
-    under -- ``(schema_version, plan_epoch)`` from the database's
-    :class:`~repro.engine.changelog.ChangeLog`.  DDL bumps
-    ``schema_version``; index creation and constraint attach/drop bump
-    ``plan_epoch`` -- either makes every older entry stale.  A lookup
-    that finds a stale entry drops it and counts an invalidation, so
-    statements never observe a plan from a previous schema.
-
-    Concurrency contract: the cache is bound to one database and shares
-    its single-threaded execution discipline; entries are immutable
-    (plan, columns) pairs, and the stats sink is the caller's
-    :class:`~repro.engine.stats.ExecutionStats`.
-
-    Args:
-        stats: counter sink for hit/miss/invalidation counters.
-        max_entries: LRU bound; the least recently used entry is evicted
-            (not counted as an invalidation) when the cache is full.
-        enabled: an off switch (used by benchmarks to measure the
-            uncached baseline); a disabled cache misses on every lookup
-            and stores nothing.
-    """
-
-    def __init__(
-        self,
-        stats: ExecutionStats,
-        max_entries: int = 256,
-        enabled: bool = True,
-    ) -> None:
-        self.stats = stats
-        self.max_entries = max_entries
-        self.enabled = enabled
-        self._entries: dict[str, tuple[tuple[int, int], PlannedQuery]] = {}
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, sql: str, epoch: tuple[int, int]) -> Optional[PlannedQuery]:
-        """The cached plan for ``sql`` at ``epoch``, or None.
-
-        A stale entry (cached under an older epoch) is evicted and
-        counted as an invalidation -- the caller replans.  Misses are
-        *not* counted here: the database counts one when it actually
-        plans a SELECT, so DML/DDL statements passing through the lookup
-        do not pollute the miss counter.  Plans are native plans: the
-        database consults the cache only while no backend is attached.
-        """
-        if not self.enabled:
-            return None
-        key = normalize_statement(sql)
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        cached_epoch, planned = entry
-        if cached_epoch != epoch:
-            del self._entries[key]
-            self.stats.plan_cache_invalidations += 1
-            return None
-        # Refresh LRU recency (dicts preserve insertion order).
-        del self._entries[key]
-        self._entries[key] = entry
-        self.stats.plan_cache_hits += 1
-        return planned
-
-    def put(
-        self, sql: str, epoch: tuple[int, int], planned: PlannedQuery
-    ) -> None:
-        """Store a freshly compiled plan under the current epoch."""
-        if not self.enabled:
-            return
-        key = normalize_statement(sql)
-        self._entries.pop(key, None)
-        if len(self._entries) >= self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
-        self._entries[key] = (epoch, planned)
-
-    def clear(self) -> None:
-        """Drop every entry, counting each as an invalidation."""
-        self.stats.plan_cache_invalidations += len(self._entries)
-        self._entries.clear()
-
-    def snapshot(self) -> dict[str, int]:
-        """Counter snapshot for the CLI ``.stats`` report."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.stats.plan_cache_hits,
-            "misses": self.stats.plan_cache_misses,
-            "invalidations": self.stats.plan_cache_invalidations,
-        }
-
-
 @dataclass
 class _Source:
     """A planned FROM item: its plan plus visible columns.
@@ -225,11 +119,12 @@ class _Source:
 
 
 class _Subplan:
-    """A compiled, cacheable subquery (implements ``CompiledSubquery``).
+    """A compiled, memoized subquery (implements ``CompiledSubquery``).
 
-    The cache key is the tuple of outer values the subquery actually
+    The memo key is the tuple of outer values the subquery actually
     references (its *captures*).  Uncorrelated subqueries therefore run
-    exactly once per statement.
+    exactly once per statement: every statement plans afresh, so a memo
+    never outlives the data it was filled from.
     """
 
     def __init__(
@@ -476,10 +371,6 @@ class Planner:
         self.tids = tids
         # Active capture collectors: (site_level, set of (level, index)).
         self._collectors: list[tuple[int, set[tuple[int, int]]]] = []
-        #: Whether the produced plan may be reused by later statements.
-        #: Cleared when planning compiles a subplan, whose memo caches
-        #: are only valid within the statement that populated them.
-        self.cacheable = True
 
     # --------------------------------------------------------------- public
 
@@ -718,7 +609,6 @@ class Planner:
         subplan = self._try_decorrelate(conjunct.query, site_scope)
         if subplan is None:
             return None
-        self.cacheable = False  # the buckets belong to one statement
         # Every outer key resolved in the source itself: a plain column.
         positions = [getattr(key, "column_index") for key in subplan.outer_keys]
         return plan.HashSemiJoin(source.node, subplan, positions, anti, self.stats)
@@ -1072,11 +962,6 @@ class Planner:
     def _plan_subquery(
         self, query: ast.Query, site_scope: Scope
     ) -> Union[_Subplan, _DecorrelatedSubplan]:
-        # Subplans memoize results across the *statement* they belong to
-        # (exists/values caches, the decorrelated hash table), so a plan
-        # containing one must not be reused by a later statement that may
-        # observe different data.  Mark the whole plan non-cacheable.
-        self.cacheable = False
         decorrelated = self._try_decorrelate(query, site_scope)
         if decorrelated is not None:
             return decorrelated

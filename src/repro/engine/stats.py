@@ -8,7 +8,7 @@ alongside wall-clock time, the way the demonstration compares approaches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 
 @dataclass
@@ -22,11 +22,6 @@ class ExecutionStats:
         statements: SQL statements executed.
         subquery_evaluations: correlated-subquery executions.
         subquery_cache_hits: correlated-subquery results served from cache.
-        plan_cache_hits: statements served from the statement→plan cache.
-        plan_cache_misses: statements that had to be parsed and planned.
-        plan_cache_invalidations: cached plans discarded because the
-            catalog epoch moved past them (DDL, index or constraint
-            changes).
         backend_pushdowns: statements a pushdown backend executed
             (routed SELECTs, pushed rewritten queries and residual
             joins alike).
@@ -41,36 +36,14 @@ class ExecutionStats:
     statements: int = 0
     subquery_evaluations: int = 0
     subquery_cache_hits: int = 0
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_invalidations: int = 0
     backend_pushdowns: int = 0
     backend_fallbacks: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
-        self.rows_scanned = 0
-        self.point_lookups = 0
-        self.statements = 0
-        self.subquery_evaluations = 0
-        self.subquery_cache_hits = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-        self.backend_pushdowns = 0
-        self.backend_fallbacks = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """Copy the counters into a plain dict (for reports)."""
-        return {
-            "rows_scanned": self.rows_scanned,
-            "point_lookups": self.point_lookups,
-            "statements": self.statements,
-            "subquery_evaluations": self.subquery_evaluations,
-            "subquery_cache_hits": self.subquery_cache_hits,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "backend_pushdowns": self.backend_pushdowns,
-            "backend_fallbacks": self.backend_fallbacks,
-        }
+        return asdict(self)

@@ -106,10 +106,6 @@ class Table:
         for tid, row in self._rows.items():
             _post(index, tuple(row[p] for p in key), tid)
         self._indexes[key] = index
-        # A new access path can change which plan the planner would pick;
-        # force cached statement plans to be rebuilt.
-        if self._changelog is not None:
-            self._changelog.invalidate_plans()
 
     def has_index(self, positions: Sequence[int]) -> bool:
         """Whether an index over exactly these positions exists."""

@@ -130,9 +130,6 @@ class RewritingEngine:
         self.db = db
         self.denials: list[DenialConstraint] = to_denial_constraints(constraints)
         self._schema = CatalogSchemaProvider(db.catalog)
-        # Same contract as HippoEngine: binding a constraint set drops
-        # cached statement plans, so classify-then-execute replans.
-        db.invalidate_plans()
 
     # -------------------------------------------------------------- public
 

@@ -91,6 +91,16 @@ class TestPlanAssignment:
         with pytest.raises(ConstraintError):
             plan_assignment([], workers=2, assignment={"r": 5})
 
+    def test_conflicting_pins_of_one_relation_rejected(self):
+        with pytest.raises(ConstraintError, match="'Emp'.*'emp'"):
+            plan_assignment(
+                [], 2, relations=["emp"], assignment={"Emp": 0, "emp": 1}
+            )
+        plan = plan_assignment(
+            [], 2, relations=["emp"], assignment={"Emp": 1, "emp": 1}
+        )
+        assert plan.topic_owner == {"emp": 1}
+
     def test_global_fk_cycle_rejected_at_plan_time(self):
         cyclic = [
             ForeignKeyConstraint("a", ["x"], "b", ["x"]),

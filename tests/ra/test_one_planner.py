@@ -3,8 +3,9 @@
 ``compile_core`` renders a core as a SELECT block and hands it to
 :class:`repro.engine.planner.Planner`; these tests pin what follows from
 that: the two entries produce the same operator tree, a restriction
-composes with every access path, and no other module builds joins or
-picks access paths.
+composes with every access path, a SELECT given as text runs through
+the same ``Database._execute_select`` as one given as an AST, and no
+other module builds joins or picks access paths.
 """
 
 import ast as python_ast
@@ -26,7 +27,7 @@ from repro.ra import (
     unrestricted,
 )
 from repro.sql import ast
-from repro.sql.parser import parse_query
+from repro.sql.parser import parse_query, parse_statement
 
 
 def tree_of(db, text):
@@ -139,6 +140,23 @@ def test_tid_pseudo_column_exists_only_in_provenance_mode(lr_db):
     star = ast.Query(ast.SelectCore((ast.Star(None),), (ast.TableRef("l", None),)))
     planned = Planner(lr_db.catalog, lr_db.stats, tids=unrestricted).plan_query(star)
     assert planned.columns == ["a", "b"]
+
+
+def test_text_and_ast_selects_take_one_path(lr_db, monkeypatch):
+    calls = []
+    original = Database._execute_select
+
+    def counted(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(Database, "_execute_select", counted)
+    text = "SELECT * FROM r WHERE r.b = 3"
+    expected = lr_db.execute_statement(parse_statement(text)).rows
+    assert lr_db.execute(text).rows == expected
+    assert lr_db.query(text).rows == expected
+    assert lr_db.execute(text).rows == expected  # a repeat plans afresh
+    assert len(calls) == 4
 
 
 JOIN_AND_ACCESS_PATH_NODES = {

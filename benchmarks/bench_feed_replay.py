@@ -321,8 +321,8 @@ def test_bootstrap_memory_is_bounded_by_the_segment_size(tmp_path):
 
 #: The compaction gate's shape: a few topics, each several sealed
 #: segments long, with a slow consumer group stuck half-way through the
-#: middle sealed segment of every topic -- the workload that pins whole
-#: segments under ``retention="truncate"`` but not under ``"compact"``.
+#: middle sealed segment of every topic -- the workload that would pin
+#: whole segments if a reclaim only deleted, never rewrote.
 COMPACT_SEGMENT_RECORDS = 8
 COMPACT_TABLES = 3
 COMPACT_ROUNDS = 24  # records per topic: 3 segments of 8

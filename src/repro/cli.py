@@ -23,13 +23,15 @@ Meta-commands (everything else is executed as SQL):
                        recovery points (snapshot floor, else committed)
 ``.feed tail DIR [S]`` live-tail another process's durable feed for S seconds
 ``.feed tail DIR S K/N``  tail only shard K of an N-way constraint-aware plan
-``.feed compact``      reclaim consumed feed segments (truncate + rewrite)
+``.feed compact``      reclaim what every recovery point has passed (delete
+                       sealed segments, rewrite the one a floor splits)
 ``.shards [N]``        the constraint-aware N-way shard plan (default 2)
 ``.shards --live [DIR]``  the *persisted* ownership manifest of a process
                        executor on DIR: owners, epoch, per-worker lag,
                        pending transfer packets
 ``.rebalance [DIR] [N]``  dry-run rebalance advisor: the topic move
-                       ``choose_move`` would make from live lag skew
+                       ``choose_move`` would make from lag skew alone
+                       (a live rebalance also weighs hypergraph edges)
 ``.checkpoint``        store a writer recovery snapshot (durable shells)
 ``.consistent SQL``    consistent answers to a query
 ``.possible SQL``      possible answers (true in some repair)
@@ -575,9 +577,10 @@ class HippoShell:
 
         Computes the single topic move
         :func:`repro.conflicts.shard.choose_move` would make from the
-        registered per-worker lag skew -- the same pure chooser the
-        shard coordinator calls, so the advice here is exactly the
-        move a live ``rebalance()`` would perform.  With ``DIR``, reads
+        registered per-worker lag skew alone.  A live ``rebalance()``
+        calls the same chooser but also weighs each worker's hypergraph
+        edge count, which lives in the workers' memory, not on disk --
+        so under edge skew it can pick another move.  With ``DIR``, reads
         that executor's manifest and feed; otherwise uses this shell's
         durable feed.  Constraints come from the shell (declare them
         first for a faithful plan).  Nothing is moved: this only prints
@@ -634,7 +637,8 @@ class HippoShell:
             if move is None:
                 self._print(
                     f"balanced: no single move improves the skew"
-                    f" ({workers} workers, {len(plan.topic_owner)} topics)"
+                    f" ({workers} workers, {len(plan.topic_owner)} topics;"
+                    " weighing lag only)"
                 )
             else:
                 self._print(
@@ -643,8 +647,8 @@ class HippoShell:
                     f" (skew {move.skew_before} -> {move.skew_after})"
                 )
                 self._print(
-                    "  (dry run -- a live executor applies it via"
-                    " rebalance())"
+                    "  (dry run, weighing lag only -- a live rebalance()"
+                    " also weighs hypergraph edges)"
                 )
         finally:
             if foreign:

@@ -29,14 +29,16 @@ own durable half is its consumer-group registration: resubscribing pins
 the adopted topic at the handoff cut, so retention floors follow
 ownership automatically.
 
-**Respawn.**  A respawned worker recovers like every other feed
+**Respawn.**  A worker process attaches through
+:func:`~repro.conflicts.shard.attach_worker`, the routine the
+in-process transport uses too: it recovers like every other feed
 participant (:func:`~repro.engine.database.recover_database`: its group
 snapshot plus the retained suffix, cost proportional to what it missed)
-and then *reconciles*: it re-attaches under the subscription
-its group actually has on disk (a crash mid-handoff leaves the
-registration ahead of or behind the plan) and reshapes to the plan's
-spec, adopting any pending transfer packets.  Every crash point of the
-handoff protocol therefore converges to the planned state after one
+under the subscription its group actually has on disk (a crash
+mid-handoff leaves the registration ahead of or behind the plan), then
+reshapes to the plan's spec, adopting any pending transfer packets.
+Every crash point of the handoff protocol therefore converges to the
+planned state after one
 :meth:`~repro.conflicts.shard.ShardCoordinator.supervise` pass.
 
 **Fault injection.**  ``fault_hooks`` hands a worker process a callable
@@ -57,22 +59,24 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from multiprocessing.process import BaseProcess
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
 from repro.conflicts.shard import (
+    FaultHook,
     Ownership,
     ShardCoordinator,
     ShardPlan,
     ShardSpec,
     ShardWorker,
+    attach_worker,
     serve,
 )
-from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, atomic_json
-from repro.errors import ExecutorError, FeedError
+from repro.engine.feed import ChangeFeed, atomic_json
+from repro.errors import ExecutorError
 
 #: The ownership manifest inside the feed directory.
 OWNERSHIP_FILE = "shards.json"
@@ -80,9 +84,6 @@ OWNERSHIP_FILE = "shards.json"
 HEARTBEAT_INTERVAL = 0.25
 #: Records per bounded worker sync between control-channel polls.
 SYNC_LIMIT = 512
-
-#: A worker's crash-phase hook: ``hook(phase, topic)``.
-FaultHook = Callable[[str, Optional[str]], None]
 
 
 def load_ownership(directory: str | os.PathLike) -> Optional[Ownership]:
@@ -123,70 +124,6 @@ def store_ownership(directory: str | os.PathLike, ownership: Ownership) -> None:
 
 
 # --------------------------------------------------------------- worker side
-
-
-def _construct(
-    feed: ChangeFeed,
-    spec: ShardSpec,
-    plan: ShardPlan,
-    group: str,
-    fault: Optional[FaultHook],
-) -> ShardWorker:
-    worker = ShardWorker(feed, spec, plan, group=group)
-    if fault is not None:
-        # Rebind this instance's (no-op) crash-phase seam to the hook.
-        worker._mark = fault  # type: ignore[method-assign]
-    return worker
-
-
-def _attach_worker(
-    feed: ChangeFeed,
-    spec: ShardSpec,
-    plan: ShardPlan,
-    group: str,
-    fault: Optional[FaultHook],
-    respawn: bool,
-) -> ShardWorker:
-    """Attach (or re-attach) the shard worker, reconciling a respawn.
-
-    The worker bootstraps under the subscription its group actually has
-    *on disk* -- a crash mid-handoff leaves the registration ahead of
-    or behind the plan -- and then reshapes to the target spec,
-    adopting pending transfer packets.  A registered topic that can
-    neither replay (history reclaimed) nor restore from the group
-    snapshot (the worker died between resubscribing and its first
-    checkpoint) is dropped from the registration and re-adopted from
-    its still-pending packet, which has pinned the suffix all along.
-    """
-    target = frozenset(spec.subscribed)
-    point = feed.recovery_points().get(group)
-    boot_topics = target
-    if point is not None and point.topics is not None:
-        boot_topics = frozenset(point.topics) | {SCHEMA_TOPIC}
-    boot_spec = replace(spec, subscribed=tuple(sorted(boot_topics)))
-    try:
-        worker = _construct(feed, boot_spec, plan, group, fault)
-    except FeedError:
-        pending = set(feed.transfers())
-        reduced = frozenset(
-            name for name in boot_topics if name not in pending
-        )
-        if reduced == boot_topics:
-            raise  # nothing in flight explains the failure
-        feed.update_subscription(group, reduced)
-        boot_spec = replace(spec, subscribed=tuple(sorted(reduced)))
-        worker = _construct(feed, boot_spec, plan, group, fault)
-    if frozenset(worker.topics or ()) != target:
-        worker.reshape(spec, plan)
-        return worker
-    worker.spec = spec
-    worker.constraints = list(spec.constraints)
-    if respawn:
-        # A respawn that needed no reshape still re-establishes its
-        # floor: the fresh checkpoint covers topics adopted by a
-        # crashed handoff, letting the supervisor sweep their packets.
-        worker.checkpoint()
-    return worker
 
 
 def _handle(worker: ShardWorker, conn: Connection, message: dict) -> bool:
@@ -231,7 +168,7 @@ def _worker_main(
     directory)."""
     feed = ChangeFeed(directory)
     try:
-        worker = _attach_worker(feed, spec, plan, group, fault, respawn)
+        worker = attach_worker(feed, spec, plan, group, respawn, fault=fault)
         conn.send({"kind": "heartbeat"})
         _serve_loop(worker, conn)
     except (EOFError, BrokenPipeError):

@@ -422,7 +422,7 @@ class IncrementalDetector:
             if record.op != OP_INSERT:
                 continue
             for constraint in self._by_relation.get(v.relation, ()):
-                matcher = self._matcher(constraint)
+                matcher = self._matchers[constraint.name]
                 for bound_index in matcher.atom_positions(v.relation):
                     for edge in matcher.new_edges(
                         bound_index, v.tid, record.row
@@ -455,13 +455,6 @@ class IncrementalDetector:
         return stats
 
     # ------------------------------------------------------------ plumbing
-
-    def _matcher(self, constraint: DenialConstraint) -> _DenialMatcher:
-        matcher = self._matchers.get(constraint.name)
-        if matcher is None:
-            matcher = _DenialMatcher(self.db, constraint)
-            self._matchers[constraint.name] = matcher
-        return matcher
 
     def _check_restricted(self, edge: frozenset[Vertex]) -> None:
         """The same restricted-FK class check full detection performs."""

@@ -37,13 +37,14 @@ the last commit, where full detection reconstructs whatever the
 incremental layer had not persisted (the hypergraph itself is derived
 state and is never written to disk).
 
-**Retention.**  When the feed truncates sealed segments
-(``retention="truncate"``), a re-attaching replica may find its
-committed prefix gone.  What keeps it recoverable is the group
-*snapshot*: a serialized copy of the replica database stored at a
+**Retention.**  When the feed reclaims its history
+(``retention="compact"`` or an explicit
+:meth:`~repro.engine.feed.ChangeFeed.compact`), a re-attaching replica
+may find its committed prefix gone.  What keeps it recoverable is the
+group *snapshot*: a serialized copy of the replica database stored at a
 committed cut (:meth:`ReplicaHypergraph.checkpoint`, and automatically
 on :meth:`ReplicaHypergraph.close`).  Recovery restores it and replays
-only the still-retained gap -- the feed never truncates past a group's
+only the still-retained gap -- the feed never reclaims past a group's
 snapshot, so the gap is always readable.  The snapshot wire format
 lives in :mod:`repro.engine.snapshot` and is shared with the durable
 writer's own checkpoints
@@ -116,9 +117,7 @@ class ReplicaHypergraph:
         snapshots: whether to persist recovery snapshots (on
             :meth:`close` and :meth:`checkpoint`); meaningless on
             in-memory feeds.  Snapshots are what let the replica
-            re-attach after feed retention truncated its prefix.
-        checkpoint_records: when set, automatically checkpoint after
-            this many records have been committed since the last one.
+            re-attach after feed retention reclaimed its prefix.
         topics: subscribe to a subset of the feed's topics (relation
             names; the ``_schema`` topic is always included so DDL
             replicates).  The replica then maintains a *partial*
@@ -133,7 +132,7 @@ class ReplicaHypergraph:
     Raises:
         FeedError: when the committed prefix is no longer retained and
             no snapshot covers it (an in-memory feed overflowed, or a
-            durable feed truncated past a group that never
+            durable feed reclaimed past a group that never
             checkpointed).
     """
 
@@ -143,7 +142,6 @@ class ReplicaHypergraph:
         constraints: Iterable[object],
         group: str = "replica",
         snapshots: bool = True,
-        checkpoint_records: Optional[int] = None,
         topics: Optional[Iterable[str]] = None,
         extra_referenced: Iterable[str] = (),
     ) -> None:
@@ -178,8 +176,6 @@ class ReplicaHypergraph:
                 " durable feed"
             )
         self._snapshots = snapshots and feed.durable
-        self.checkpoint_records = checkpoint_records
-        self._since_checkpoint = 0
         self._closed = False
         self._consumer = feed.consumer(
             group, start="beginning", topics=self.topics
@@ -231,7 +227,7 @@ class ReplicaHypergraph:
         A group with no committed offsets wants the history from offset
         0 -- which retention may have reclaimed long before the group
         existed.  The writer's checkpoint (kept in the feed directory,
-        and never truncated past) carries exactly the state at its cut:
+        and never reclaimed past) carries exactly the state at its cut:
         restore it, commit the group at that cut, and consume the
         retained records from there.  Returns whether seeding happened
         (False on in-memory feeds, unreclaimed feeds, or when no writer
@@ -290,7 +286,7 @@ class ReplicaHypergraph:
         """Persist a recovery snapshot of the replica database at the
         group's current committed cut.
 
-        The feed never truncates past a group's snapshot, so after a
+        The feed never reclaims past a group's snapshot, so after a
         checkpoint the segments below the cut become reclaimable -- and
         a later re-attach restores the snapshot instead of replaying
         them.
@@ -300,7 +296,6 @@ class ReplicaHypergraph:
         """
         self._mark("checkpoint")
         self._consumer.store_snapshot(snapshot_database(self.db))
-        self._since_checkpoint = 0
 
     # ----------------------------------------------------------- consuming
 
@@ -340,7 +335,7 @@ class ReplicaHypergraph:
 
         Raises:
             FeedError: when the feed dropped history this replica never
-                consumed (in-memory overflow, or a truncation that
+                consumed (in-memory overflow, or a reclaim that
                 outran this group) -- the replica can no longer converge
                 and must be rebuilt from a fresh feed.
             ConstraintError: when the new state leaves the restricted
@@ -379,13 +374,6 @@ class ReplicaHypergraph:
         # 2) Commit the cut: a crash from here on re-attaches *after*
         #    these records, and full detection rebuilds the graph.
         self._consumer.commit()
-        self._since_checkpoint += len(records)
-        if (
-            self._snapshots
-            and self.checkpoint_records is not None
-            and self._since_checkpoint >= self.checkpoint_records
-        ):
-            self.checkpoint()
         # 3) Advance the hypergraph: incrementally when possible, by
         #    full re-detection across DDL or after a failed apply.
         sync = ReplicaSync(records=len(records))
@@ -424,25 +412,24 @@ class ReplicaHypergraph:
         poll_interval: float = 0.1,
         max_seconds: Optional[float] = None,
         idle_limit: Optional[int] = None,
-        limit: Optional[int] = None,
         on_sync: Optional[Callable[[ReplicaSync], None]] = None,
     ) -> ReplicaFollow:
         """Continuously drain *and live-tail* the feed.
 
-        Each iteration syncs (bounded by ``limit`` records when given);
-        when nothing was pending the loop sleeps ``poll_interval`` and
-        re-polls -- on a reader feed instance that re-scans the
-        directory, so appends from the writer process stream in as they
-        are flushed.  The loop ends after ``idle_limit`` consecutive
-        empty polls, or once ``max_seconds`` elapsed; with neither set
-        it follows forever (the daemon form).  ``on_sync`` is called
-        with each non-empty :class:`ReplicaSync`.
+        Each iteration syncs everything pending; when nothing was
+        pending the loop sleeps ``poll_interval`` and re-polls -- on a
+        reader feed instance that re-scans the directory, so appends
+        from the writer process stream in as they are flushed.  The loop
+        ends after ``idle_limit`` consecutive empty polls, or once
+        ``max_seconds`` elapsed; with neither set it follows forever
+        (the daemon form).  ``on_sync`` is called with each non-empty
+        :class:`ReplicaSync`.
         """
         started = time.perf_counter()
         summary = ReplicaFollow()
         idle = 0
         while True:
-            sync = self.sync(limit)
+            sync = self.sync()
             if sync.records:
                 idle = 0
                 summary.syncs += 1
@@ -474,7 +461,7 @@ class ReplicaHypergraph:
 
         The group's durable committed offsets -- and its snapshot --
         survive, so re-attaching under the same name resumes the
-        replica even after retention truncated the raw prefix.
+        replica even after retention reclaimed the raw prefix.
         """
         if self._closed:
             return

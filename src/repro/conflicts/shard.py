@@ -49,7 +49,9 @@ body mentions.  So:
   workers only through a :class:`WorkerTransport` -- requests against
   the op table :func:`serve` -- so the same state machine runs over
   in-process workers (:class:`LocalTransport`, here) and one OS process
-  per worker (:class:`~repro.conflicts.executor.PipeTransport`).
+  per worker (:class:`~repro.conflicts.executor.PipeTransport`).  Both
+  start, respawn and re-adopt their workers through one routine,
+  :func:`attach_worker`.
 
 The maintained invariant -- pinned by
 ``tests/property/test_shard_equivalence.py`` -- is that at every
@@ -62,7 +64,7 @@ cross-shard edge produced exactly once.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -294,8 +296,10 @@ def choose_move(
     owned topics; the move minimizing the resulting skew wins (ties
     break on topic name), and None is returned when the skew is within
     threshold or no single move strictly improves it.  Pure and
-    deterministic, so the coordinator and the CLI's dry-run advisor
-    agree on the same move.
+    deterministic.  The CLI's dry-run advisor (``.rebalance``) calls it
+    without ``edges`` -- edge counts live in the workers' memory, not on
+    disk -- so its advice weighs lag only, and can differ from the move
+    a live :meth:`ShardCoordinator.rebalance` makes with both signals.
     """
     workers = len(plan.shards)
     if workers < 2:
@@ -672,6 +676,81 @@ class ShardWorker(ReplicaHypergraph):
             table.delete(tid)
 
 
+#: A worker's crash-phase hook: ``hook(phase, topic)``.
+FaultHook = Callable[[str, Optional[str]], None]
+
+
+def attach_worker(
+    feed: ChangeFeed,
+    spec: ShardSpec,
+    plan: ShardPlan,
+    group: str,
+    respawn: bool = False,
+    snapshots: bool = True,
+    fault: Optional[FaultHook] = None,
+) -> ShardWorker:
+    """Attach (or re-attach) the shard worker for ``spec`` under
+    ``group`` -- the one routine every transport starts, respawns and
+    re-adopts workers with.
+
+    The worker boots under the subscription its group actually has
+    *registered* -- a crash mid-handoff leaves the registration ahead
+    of or behind the plan -- and then reshapes to the target spec,
+    adopting pending transfer packets.  A registered topic that can
+    neither replay (history reclaimed) nor restore from the group
+    snapshot (the worker died between resubscribing and its first
+    checkpoint) is dropped from the registration and re-adopted from
+    its still-pending packet, which has pinned the suffix all along.
+    A respawn that needed no reshape still checkpoints (with
+    ``snapshots``), re-establishing its floor.  ``fault`` is bound to
+    the worker's crash-phase seam
+    (:meth:`~repro.conflicts.replica.ReplicaHypergraph._mark`).
+
+    Raises:
+        FeedError: when the registered history is unrecoverable and no
+            pending transfer packet explains it.
+    """
+    target = frozenset(spec.subscribed)
+    point = feed.recovery_points().get(group)
+    boot_topics = target
+    if point is not None and point.topics is not None:
+        boot_topics = frozenset(point.topics) | {SCHEMA_TOPIC}
+
+    def boot(topics: frozenset[str]) -> ShardWorker:
+        worker = ShardWorker(
+            feed,
+            replace(spec, subscribed=tuple(sorted(topics))),
+            plan,
+            group=group,
+            snapshots=snapshots,
+        )
+        if fault is not None:
+            # Rebind this instance's (no-op) crash-phase seam to the hook.
+            worker._mark = fault  # type: ignore[method-assign]
+        return worker
+
+    try:
+        worker = boot(boot_topics)
+    except FeedError:
+        pending = set(feed.transfers())
+        reduced = frozenset(
+            name for name in boot_topics if name not in pending
+        )
+        if reduced == boot_topics:
+            raise  # nothing in flight explains the failure
+        feed.update_subscription(group, reduced)
+        worker = boot(reduced)
+    if frozenset(worker.topics or ()) != target:
+        worker.reshape(spec, plan)
+        return worker
+    worker.spec = spec
+    if respawn and worker._snapshots:
+        # The fresh checkpoint covers topics adopted by a crashed
+        # handoff, letting the supervisor sweep their packets.
+        worker.checkpoint()
+    return worker
+
+
 def _status_payload(worker: ShardWorker) -> dict[str, Any]:
     """The worker-side fields of a :class:`ShardStatus` row."""
     return {
@@ -804,10 +883,9 @@ class LocalTransport:
     def start(
         self, spec: ShardSpec, plan: ShardPlan, group: str, respawn: bool = False
     ) -> None:
-        """Attach a fresh worker under ``group``; it bootstraps from
-        the group's registration (snapshot / committed cut)."""
-        worker = ShardWorker(
-            self.feed, spec, plan, group=group, snapshots=self._snapshots
+        """Attach the worker in this process (:func:`attach_worker`)."""
+        worker = attach_worker(
+            self.feed, spec, plan, group, respawn, snapshots=self._snapshots
         )
         if spec.index < len(self.workers):
             self.workers[spec.index] = worker

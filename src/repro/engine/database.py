@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: (snapshot of catalog + tables bound to a committed cut) is the
 #: writer's *recovery point*: retention never reclaims past it, and
 #: before the first checkpoint the registration pins the whole history
-#: -- a writer can never truncate records it would need to reopen.
+#: -- retention never reclaims records the writer would need to reopen.
 WRITER_GROUP = "__writer__"
 
 #: Batch size for streamed feed replay: large enough to amortize
@@ -104,9 +104,8 @@ class Database:
         feed: an explicit :class:`~repro.engine.feed.ChangeFeed` to
             publish to (mutually exclusive with ``durable``); if it
             already holds history, the database is restored from it.
-        retention: forwarded to the feed ``durable`` creates (``"keep"``
-            / ``"truncate"`` / ``"compact"``); only valid with
-            ``durable``.
+            Pass ``feed=ChangeFeed(directory, retention="compact")``
+            for a durable database that reclaims its own history.
         checkpoint_records: when set, automatically :meth:`checkpoint`
             once at least this many new feed records have been published
             since the last one (checked after each executed statement
@@ -117,18 +116,12 @@ class Database:
         self,
         durable: Optional[str] = None,
         feed: Optional[ChangeFeed] = None,
-        retention: Optional[str] = None,
         checkpoint_records: Optional[int] = None,
     ) -> None:
         if durable is not None and feed is not None:
             raise ExecutionError("pass either durable= or feed=, not both")
-        if feed is None and durable is not None:
-            feed = ChangeFeed(
-                directory=durable,
-                **({} if retention is None else {"retention": retention}),
-            )
-        elif retention is not None:
-            raise ExecutionError("retention= requires durable=")
+        if durable is not None:
+            feed = ChangeFeed(directory=durable)
         #: row-mutation feed consumed by incremental conflict detection;
         #: an in-memory feed buffers nothing until a cursor is opened.
         self.changes = ChangeLog(feed=feed) if feed is not None else ChangeLog()
@@ -212,7 +205,7 @@ class Database:
                 history and no writer checkpoint covers it -- the
                 directory belonged to a writer that never called
                 :meth:`checkpoint` (or whose :data:`WRITER_GROUP`
-                registration was dropped) while something else truncated
+                registration was dropped) while something else reclaimed
                 the feed.
         """
         feed = self.changes.feed

@@ -31,10 +31,13 @@ store picked once, at construction, from ``directory``.
   consumed them, capped at ``max_retained``; past the cap the buffer is
   dropped wholesale and lagging groups observe ``lost=True`` (the
   consumer's cue to fall back to full re-detection).  Durable feeds
-  never lose an unconsumed record; under ``retention="truncate"`` /
-  ``"compact"`` a consumer that re-attaches needing reclaimed offsets
-  gets the ``no longer retained`` error and must bootstrap from its
-  snapshot instead (see :meth:`FeedConsumer.load_snapshot` and
+  never lose an unconsumed record, and reclaim by one rule
+  (:meth:`ChangeFeed.compact`): sealed segments below every recovery
+  point are deleted, and the oldest one a recovery point falls inside
+  is rewritten down to its surviving records.  A consumer that
+  re-attaches needing reclaimed offsets gets the ``no longer retained``
+  error and must bootstrap from its snapshot instead (see
+  :meth:`FeedConsumer.load_snapshot` and
   :class:`~repro.conflicts.replica.ReplicaHypergraph`).
 """
 
@@ -103,9 +106,10 @@ class ChangeFeed:
         fsync: ``"rotate"`` (default; appends are buffered and made
             durable at segment rotation, :meth:`flush` and
             :meth:`close`) or ``"always"`` (flush + fsync every append).
-        retention: ``"keep"`` (default; sealed segments live forever),
-            ``"truncate"`` (see :meth:`truncate`) or ``"compact"`` (see
-            :meth:`compact`), applied after every commit.
+        retention: ``"keep"`` (default; sealed segments live forever)
+            or ``"compact"``: :meth:`compact` after every commit, once
+            a recovery point is at least half a segment into the oldest
+            retained segment or past it.
     """
 
     def __init__(
@@ -119,7 +123,7 @@ class ChangeFeed:
     ) -> None:
         if fsync not in ("rotate", "always"):
             raise FeedError(f"unknown fsync policy {fsync!r}")
-        if retention not in ("keep", "truncate", "compact"):
+        if retention not in ("keep", "compact"):
             raise FeedError(f"unknown retention policy {retention!r}")
         # The one place the storage kind is chosen.
         self.directory: Optional[Path] = None
@@ -290,7 +294,7 @@ class ChangeFeed:
         (omitted = offset 0, a full replay); dropped topics leave the
         registration entirely, releasing their retention hold.  The
         rewrite is persisted under the manifest lock, so a concurrent
-        truncation sees either the old floor set or the new one --
+        reclaim sees either the old floor set or the new one --
         never a torn mixture.  This is the shard-handoff primitive:
         transferring a topic is exactly a resubscription pair (the new
         owner pins the topic at the handoff cut, then the old owner
@@ -369,7 +373,7 @@ class ChangeFeed:
 
         Raises:
             FeedError: when part of the requested range is no longer
-                retained (in-memory overflow, or durable truncation), or
+                retained (in-memory overflow, or a durable reclaim), or
                 lies past the end of the history.
         """
         lows = dict(start or {})
@@ -489,29 +493,24 @@ class ChangeFeed:
 
     # ----------------------------------------------------------- retention
 
-    def truncate(self) -> dict[str, int]:
-        """Delete sealed segments every registered group has passed.
+    def compact(self) -> dict[str, int]:
+        """Reclaim what every registered group has passed, whatever the
+        configured ``retention``: sealed segments below the floor are
+        deleted, and the oldest sealed segment the floor falls inside is
+        rewritten down to its surviving records, however few it drops.
 
-        A group's retention floor is its *recovery point*: the committed
-        offsets of its latest snapshot when it has one (it can rebuild
-        from there and replay forward), its committed offsets otherwise.
+        A group's floor is its *recovery point*: the committed offsets
+        of its latest snapshot when it has one (it can rebuild from
+        there and replay forward), its committed offsets otherwise.
         Registered groups on disk (other processes included) and this
         instance's in-memory groups (ephemeral cursors included) all
         hold segments.  Rules and crash-safe write order:
         :meth:`~repro.engine.feed.segments.SegmentLog.reclaim`.
 
-        Returns the new ``base`` per truncated topic (empty when nothing
-        was deleted, and always on an in-memory feed).
+        Returns the new ``base`` per reclaimed topic (empty when nothing
+        was reclaimed, and always on an in-memory feed).
         """
-        return self._log.reclaim(False, 0, self._store.registered_floors)
-
-    def compact(self) -> dict[str, int]:
-        """:meth:`truncate`, then rewrite the oldest straddling sealed
-        segment (a group mid-way through it) down to its surviving
-        records -- reclaiming the consumed prefix a whole-segment policy
-        would keep pinned.  Returns the new ``base`` per reclaimed topic.
-        """
-        return self._log.reclaim(True, 0, self._store.registered_floors)
+        return self._log.reclaim(0, self._store.registered_floors)
 
     def recovery_points(self) -> dict[str, GroupRecovery]:
         """Every registered group's recovery point -- its snapshot
@@ -527,7 +526,7 @@ class ChangeFeed:
 
     def refresh(self) -> bool:
         """Live tailing: pick up what another process appended, rotated
-        or truncated since the last scan (a no-op on writers and
+        or reclaimed since the last scan (a no-op on writers and
         in-memory feeds).  Returns whether anything changed."""
         return self._log.refresh()
 
@@ -708,7 +707,7 @@ class FeedConsumer:
         try:
             records = self.feed._poll(self._positions, limit, self.topics)
         except FeedRetentionError:
-            # A foreign truncation deleted segments between our _lost
+            # A foreign reclaim deleted segments between our _lost
             # check and the read (writers never re-scan, so their base
             # can be stale until the miss).  Same contract as any other
             # retention loss: reposition at the end, report lost.
@@ -734,7 +733,7 @@ class FeedConsumer:
         """Persist ``payload`` as this group's recovery snapshot, bound
         to its *committed* offsets.  Retention keeps every record past
         the snapshot, so the group can always restore the payload and
-        replay forward -- even after its committed prefix is truncated.
+        replay forward -- even after its committed prefix is reclaimed.
 
         Raises:
             FeedError: on an in-memory feed or an ephemeral group.

@@ -135,7 +135,7 @@ class DurableGroupStore(GroupStore):
 
     Named groups survive restarts (``consumers/``); a group may store a
     *snapshot* -- an opaque payload bound to committed offsets, its
-    recovery point once retention truncated the prefix it would
+    recovery point once retention reclaimed the prefix it would
     otherwise replay (``snapshots/``).  Transfer packets are snapshots
     of reserved ``__transfer__.<topic>`` pseudo-groups, so the ordinary
     floor scan pins their topic for as long as they exist.  ``lock`` is

@@ -127,7 +127,6 @@ class MemoryLog:
 
     def reclaim(
         self,
-        rewrite: bool,
         min_reclaim: int,
         floors: Callable[[], Mapping[str, GroupRecovery]],
     ) -> dict[str, int]:

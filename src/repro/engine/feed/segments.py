@@ -135,7 +135,7 @@ class SegmentTopic:
         self.name = name
         self.directory = directory  # topics/<name>/
         self.records: list[FeedRecord] = []
-        self.base = 0  # oldest retained offset (truncation point)
+        self.base = 0  # oldest retained offset (reclaim point)
         self.tail_start = 0  # first offset of the newest segment
         self.resident_start = 0  # offset of records[0]
         self.end = 0  # one past the newest offset
@@ -221,7 +221,7 @@ class SegmentLog:
         self._streaming = 0  # records held by in-flight stream chunks
         self._manifest_lock_depth = 0
         #: (st_mtime_ns, st_size) of the manifest at last read -- lets
-        #: refresh() skip the JSON parse when nothing rotated/truncated.
+        #: refresh() skip the JSON parse when nothing rotated/reclaimed.
         self._manifest_stat: Optional[tuple[int, int]] = None
         #: high-water mark of records resident in this instance (tails +
         #: segment cache + streaming chunks) -- the bounded-memory gate.
@@ -509,7 +509,7 @@ class SegmentLog:
         except FileNotFoundError:
             if sealed:
                 # Almost certainly a foreign process's retention
-                # truncation (writers never re-scan the manifest, so
+                # reclaim (writers never re-scan the manifest, so
                 # their base can be stale): fold the disk state in --
                 # later lost checks then see the raised base -- and
                 # signal retention loss, which consumers map to the
@@ -586,8 +586,8 @@ class SegmentLog:
         local: Callable[[], list[Contribution]],
         floors: Callable[[], Mapping[str, GroupRecovery]],
     ) -> None:
-        """Bound residency by consumer lag, then apply the retention
-        policy, after a group moved.
+        """Bound residency by consumer lag, then reclaim (under
+        ``retention="compact"``), after a group moved.
 
         Residency follows :meth:`MemoryLog.release
         <repro.engine.feed.memory.MemoryLog.release>`: tail records and
@@ -608,39 +608,35 @@ class SegmentLog:
                     del self._cache[owner, segment]
         if self.retention == "keep":
             return
-        rewrite = self.retention == "compact"
-        # Hysteresis for automatic compaction: a group inching through a
-        # segment must not trigger an O(segment) rewrite on every commit.
-        min_reclaim = max(self.segment_records // 2, 1) if rewrite else 0
+        # Hysteresis: a group inching through a segment must not trigger
+        # an O(segment) rewrite on every commit.
+        min_reclaim = max(self.segment_records // 2, 1)
         if groups:
             for name, topic in self.topics.items():
                 if len(topic.segments) < 2:
                     continue
                 floor = floor_of(name, groups)
-                if _segment_start(topic.segments[1]) <= floor:
-                    break
                 if (
-                    rewrite
-                    and floor - _segment_start(topic.segments[0])
-                    >= min_reclaim
+                    _segment_start(topic.segments[1]) <= floor
+                    or floor - _segment_start(topic.segments[0]) >= min_reclaim
                 ):
                     break
             else:
                 return
-        self.reclaim(rewrite, min_reclaim, floors)
+        self.reclaim(min_reclaim, floors)
 
     def reclaim(
         self,
-        rewrite: bool,
         min_reclaim: int,
         floors: Callable[[], Mapping[str, GroupRecovery]],
     ) -> dict[str, int]:
-        """Delete the sealed segments every floor has passed; with
-        ``rewrite``, also rewrite the oldest segment a floor falls
-        *inside* down to its surviving records ``[floor, end)``, under
-        a name carrying ``floor`` (offsets and seqs are unchanged, only
-        the file boundary moves) -- when that reclaims ``min_reclaim``
-        records or more.
+        """Delete the sealed segments every floor has passed, and
+        rewrite the oldest segment a floor falls *inside* down to its
+        surviving records ``[floor, end)``, under a name carrying
+        ``floor`` (offsets and seqs are unchanged, only the file
+        boundary moves) -- when that drops ``min_reclaim`` records or
+        more (half a segment on the automatic path, any amount on an
+        explicit compact).
 
         ``floors`` is called *under the manifest lock, after a refresh*
         and names every registered group (other processes' included): a
@@ -688,8 +684,7 @@ class SegmentLog:
                     keep += 1
                 survivors: Optional[list[FeedRecord]] = None
                 if (
-                    rewrite
-                    and keep + 1 < len(topic.segments)
+                    keep + 1 < len(topic.segments)
                     and starts[keep] < floor < starts[keep + 1]
                     and floor - starts[keep] >= max(min_reclaim, 1)
                 ):
@@ -765,7 +760,7 @@ class SegmentLog:
         """Re-scan the manifest and active segments for new records.
 
         Live tailing: a *reader* instance (this process never appended)
-        picks up appends, rotations, new topics, and truncations another
+        picks up appends, rotations, new topics, and reclaims another
         process performed since the last scan.  A writer is
         authoritative in memory, so the call is a no-op there.  Returns
         whether anything changed.
@@ -780,7 +775,7 @@ class SegmentLog:
         signature = (stat.st_mtime_ns, stat.st_size)
         changed = False
         if signature != self._manifest_stat:
-            # Something rotated or truncated since the last scan (else
+            # Something rotated or reclaimed since the last scan (else
             # the JSON parse is skipped and only the tails are checked).
             try:
                 topics = self._manifest_topics()
@@ -803,7 +798,7 @@ class SegmentLog:
                     topic.segments = segments
                     if not same_tail:
                         # Rotation / first sight: re-point at the new
-                        # tail (after a truncation only, the old tail
+                        # tail (after a reclaim only, the old tail
                         # still applies).
                         topic.point_at_newest()
                     changed = True
@@ -851,8 +846,8 @@ class SegmentLog:
     def manifest_lock(self) -> Iterator[None]:
         """Advisory exclusive lock over manifest read-modify-write.
 
-        Truncation (in a consumer process) and rotation (in the writer)
-        both read the manifest, fold the other side's changes in, and
+        Reclaim (possibly in a consumer process) and rotation (in the
+        writer) both read the manifest, fold the other side's changes in, and
         write it back; without mutual exclusion one could overwrite the
         other's update in the read-to-write window -- e.g. a rotating
         writer resurrecting just-deleted segment names.  ``flock`` is
@@ -908,14 +903,14 @@ class SegmentLog:
     def _merge_disk_retention(self) -> None:
         """Fold another instance's retention reclaim into our view.
 
-        Truncation / compaction may run in a *consumer* process; a
-        writer that rotates afterwards must not resurrect the deleted
-        segments when it stores its own (stale) manifest.  The on-disk
-        ``base`` only ever grows, so taking the max and pruning segments
-        below it is always safe.  A foreign *compaction* additionally
-        rewrites the straddling segment under a new start-offset name
-        our stale list does not know: the disk names preceding our kept
-        suffix are adopted, so the surviving records stay reachable."""
+        A reclaim may run in a *consumer* process; a writer that
+        rotates afterwards must not resurrect the deleted segments when
+        it stores its own (stale) manifest.  The on-disk ``base`` only
+        ever grows, so taking the max and pruning segments below it is
+        always safe.  A foreign reclaim may also rewrite the straddling
+        segment under a new start-offset name our stale list does not
+        know: the disk names preceding our kept suffix are adopted, so
+        the surviving records stay reachable."""
         try:
             topics = self._manifest_topics()
         except (OSError, FeedError):
@@ -943,7 +938,7 @@ class SegmentLog:
         """Open (or create) the feed directory -- lazily.
 
         Nothing is parsed here: the manifest names each topic's segments
-        and truncation base, the newest segment of each topic is
+        and reclaim base, the newest segment of each topic is
         line-counted to learn the end offset (and the repair point for a
         future writer), and everything else -- record bodies, the global
         sequence -- is recovered on demand.
@@ -954,7 +949,7 @@ class SegmentLog:
             self._store_manifest()
             return
         # The manifest read and the orphan sweep share the manifest
-        # lock: a foreign compaction commits its rewritten segment and
+        # lock: a foreign reclaim commits its rewritten segment and
         # the manifest naming it atomically with respect to us, so the
         # sweep can never mistake a live rewrite for a crashed one.
         with self.manifest_lock():
@@ -970,11 +965,11 @@ class SegmentLog:
     def _sweep_orphans(self, topic: SegmentTopic) -> None:
         """Delete segment files a crashed retention reclaim left behind.
 
-        Truncation commits the manifest first and unlinks after, so a
+        A reclaim commits the manifest first and unlinks after, so a
         crash between the two leaves victim files no manifest entry
-        names (their offsets are below ``base``).  Compaction writes its
-        rewritten segment *before* the manifest commit, so a crash in
-        between leaves a temporary whose start offset falls inside a
+        names (their offsets are below ``base``).  It writes a rewritten
+        segment *before* the manifest commit, so a crash in between
+        leaves a temporary whose start offset falls inside a
         still-named segment's range.  Either way: any file the manifest
         does not name whose start lies below the newest named segment's
         start is dead weight.  Files at or past that start are left

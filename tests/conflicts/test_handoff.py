@@ -31,8 +31,8 @@ def fd(relation):
 FOUR_TOPICS = ("r", "s", "u", "w")
 
 
-def build_primary(directory, hot=12, quiet_w=False):
-    feed = ChangeFeed(directory)
+def build_primary(directory, hot=12, quiet_w=False, **feed_options):
+    feed = ChangeFeed(directory, **feed_options)
     db = Database(feed=feed)
     for name in FOUR_TOPICS:
         db.execute(f"CREATE TABLE {name} (id INTEGER, v INTEGER)")
@@ -154,6 +154,21 @@ class TestChooseMove:
         )
         assert move is not None and move.topic == "s"
         assert move.skew_after == 0
+
+    def test_edge_skew_changes_the_lag_only_advice(self):
+        # The CLI's dry-run advisor reads lag from disk and passes no
+        # edge counts; the live trigger passes both.  Under edge skew
+        # the two pick different moves.
+        ends = {"r": 4, "s": 0, "u": 10, "w": 2}
+        lag_only = choose_move(self.plan(), [{}, {}], ends)
+        weighted = choose_move(self.plan(), [{}, {}], ends, edges=[0, 30])
+        assert lag_only is not None and weighted is not None
+        assert (lag_only.topic, lag_only.source, lag_only.target) == (
+            "r", 0, 1,
+        )
+        assert (weighted.topic, weighted.source, weighted.target) == (
+            "w", 1, 0,
+        )
 
     def test_deterministic_tie_breaks(self):
         plan = self.plan()
@@ -329,6 +344,35 @@ class TestCoordinatorHandoff:
         assert shards.plan.topic_owner["u"] == move.target
         shards.drain()
         assert shards.graph.as_dict() == monolith(db)
+
+    def test_crash_after_the_grant_over_a_reclaimed_prefix_converges(
+        self, primary, coordinator
+    ):
+        # The handoff dies right after its ownership commit, and topic
+        # u's prefix is already reclaimed.  The restarted adopter must
+        # boot under its registered subscription and re-adopt u from
+        # the pending packet -- on both transports, which attach
+        # workers through one routine.
+        feed, db = primary(segment_records=2, retention="compact")
+        shards = coordinator(feed)
+        shards.drain()
+        shards.checkpoint()
+        db.checkpoint()  # every floor moved: u's sealed prefix goes
+        (u,) = [t for t in feed.topics() if t.name == "u"]
+        assert u.start > 0
+
+        def crash(step):
+            if step == "granted":
+                raise RuntimeError("coordinator crash after the grant")
+
+        with pytest.raises(RuntimeError):
+            shards.handoff("u", 1, on_step=crash)
+        shards.kill(1)
+        shards.supervise()
+        shards.reconcile()
+        shards.drain()
+        assert shards.graph.as_dict() == monolith(db)
+        assert feed.transfers() == {}
 
     def test_database_and_engine_answer_from_the_shards(
         self, primary, coordinator

@@ -221,7 +221,7 @@ class TestRetentionRecovery:
 
     def test_reattach_from_snapshot_after_truncation(self, tmp_path):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db, fd = self.primary(feed)
         replica = ReplicaHypergraph(feed, [fd], group="replica")
         replica.sync()
@@ -231,7 +231,7 @@ class TestRetentionRecovery:
         # otherwise pin the whole history), retention can reclaim every
         # sealed segment below both recovery points.
         db.checkpoint()
-        feed.truncate()
+        feed.compact()
         (emp,) = [t for t in feed.topics() if t.name == "emp"]
         assert emp.start > 0  # sealed prefix actually reclaimed
         with pytest.raises(FeedError, match="no longer retained"):
@@ -248,7 +248,7 @@ class TestRetentionRecovery:
         # Snapshot taken strictly *before* the committed cut: bootstrap
         # restores it and replays the still-retained gap on top.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db, fd = self.primary(feed)
         replica = ReplicaHypergraph(feed, [fd], group="replica")
         replica.sync(limit=4)
@@ -259,7 +259,7 @@ class TestRetentionRecovery:
         assert snapshot_cut != committed
         replica._consumer.close()  # detach *without* a fresh checkpoint
         db.checkpoint()  # release the writer's pin (and reclaim)
-        feed.truncate()
+        feed.compact()
         (emp,) = [t for t in feed.topics() if t.name == "emp"]
         assert 0 < emp.start  # the replica's snapshot cut, not its
         assert emp.start <= snapshot_cut["emp"]  # committed cut, bounds
@@ -298,13 +298,13 @@ class TestRetentionRecovery:
 
     def test_reattach_without_snapshot_fails_loudly(self, tmp_path):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db, fd = self.primary(feed)
         replica = ReplicaHypergraph(feed, [fd], group="replica", snapshots=False)
         replica.sync()
         replica.close()  # no snapshot written
         db.checkpoint()  # the writer can recover -- the replica cannot
-        feed.truncate()
+        feed.compact()
         feed.close()
 
         reopened = ChangeFeed(directory, segment_records=2)
@@ -314,17 +314,16 @@ class TestRetentionRecovery:
 
     def test_periodic_checkpoints_bound_recovery(self, tmp_path):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db, fd = self.primary(feed)
-        replica = ReplicaHypergraph(
-            feed, [fd], group="replica", checkpoint_records=3
-        )
+        replica = ReplicaHypergraph(feed, [fd], group="replica")
         db.checkpoint()  # release the writer's pin so retention can act
         while replica.lag:
             replica.sync(limit=3)
+            replica.checkpoint()  # the caller's cadence: every 3 records
         assert replica._consumer.load_snapshot() is not None
         replica._consumer.close()  # crash-style detach: rely on the
-        feed.close()  # auto-checkpoints alone
+        feed.close()  # periodic checkpoints alone
 
         reopened = ChangeFeed(directory, segment_records=2)
         resumed = ReplicaHypergraph(reopened, [fd], group="replica")
@@ -339,7 +338,7 @@ class TestFreshGroupSeeding:
         # state at its cut, so a fresh replica seeds from it and
         # consumes only the retained records.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
         db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
@@ -367,7 +366,7 @@ class TestFreshGroupSeeding:
         # bases are stale zeros, so seeding must judge replayability
         # from the live directory, not from memory.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
         db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
@@ -393,7 +392,7 @@ class TestFreshGroupSeeding:
         # No writer checkpoint to seed from: the fresh group must keep
         # failing loudly rather than silently starting empty.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
         db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
@@ -423,7 +422,7 @@ class TestMixedCaseNames:
         # the declared mixed case.  A snapshot restore followed by a
         # gap replay must resolve one onto the other.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE Emp (Name TEXT, Salary INTEGER)")
         db.execute("INSERT INTO Emp VALUES ('ann', 10), ('ann', 20)")
@@ -435,7 +434,7 @@ class TestMixedCaseNames:
         replica.sync()
         replica._consumer.close()  # keep the *older* snapshot cut
         db.checkpoint()
-        feed.truncate()
+        feed.compact()
         feed.close()
 
         reopened = ChangeFeed(directory, segment_records=2)
@@ -446,6 +445,23 @@ class TestMixedCaseNames:
 
 
 class TestReplicaFailureModes:
+    def test_replica_takes_no_checkpoint_records_argument(self):
+        # Replicas checkpoint on close() and on request only.
+        feed = ChangeFeed()
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        with pytest.raises(TypeError):
+            ReplicaHypergraph(  # type: ignore[call-arg]
+                feed, [fd], group="replica", checkpoint_records=3
+            )
+        assert feed.groups() == {}  # nothing attached
+
+    def test_follow_takes_no_limit_argument(self):
+        feed = ChangeFeed()
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        replica = ReplicaHypergraph(feed, [fd], group="replica")
+        with pytest.raises(TypeError):
+            replica.follow(idle_limit=1, limit=1)  # type: ignore[call-arg]
+
     def test_late_attach_to_lossy_inmemory_feed_is_rejected(self):
         # Records published before any consumer group exist are dropped
         # (zero-cost idle feed): a replica attaching afterwards could

@@ -425,11 +425,31 @@ class TestCheckpointRestart:
         coordinator.close()
         feed.close()
 
+    def test_respawn_without_snapshots_writes_no_snapshot(self, tmp_path):
+        feed, db = build_primary(tmp_path / "feed", TWO_TABLE_SETUP)
+        constraints = [fd("c", ["id"], ["v"])]
+        coordinator = ShardCoordinator(
+            feed,
+            constraints,
+            workers=2,
+            assignment={"c": 0, "p": 1},
+            snapshots=False,
+        )
+        coordinator.drain()
+        before = coordinator.graph.as_dict()
+        coordinator.restart(0)  # the respawn path checkpoints -- or not
+        assert coordinator.workers[0].lag == 0
+        assert coordinator.graph.as_dict() == before
+        assert feed.load_snapshot("shard-0") is None
+        coordinator.close()
+        assert feed.load_snapshot("shard-0") is None
+        feed.close()
+
     def test_worker_restarts_from_shard_checkpoint_after_truncation(
         self, tmp_path
     ):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         for statement in TWO_TABLE_SETUP:
             db.execute(statement)
@@ -452,7 +472,7 @@ class TestCheckpointRestart:
         coordinator.drain()
         coordinator.checkpoint()
         db.checkpoint()
-        assert any(t.start > 0 for t in feed.topics())  # truncation ran
+        assert any(t.start > 0 for t in feed.topics())  # reclaim ran
         before = coordinator.graph.as_dict()
         for index in range(2):
             coordinator.restart(index)

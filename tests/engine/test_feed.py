@@ -596,11 +596,11 @@ class TestLiveTailing:
 
 
 class TestRetentionTruncation:
-    """``retention="truncate"``: sealed segments die once consumed."""
+    """Whole sealed segments die once every group passed them."""
 
     def build(self, directory, records=6, **kwargs):
         feed = ChangeFeed(
-            directory, segment_records=2, retention="truncate", **kwargs
+            directory, segment_records=2, retention="compact", **kwargs
         )
         consumer = feed.consumer("g", start="beginning")
         for tid in range(records):
@@ -729,7 +729,7 @@ class TestRetentionTruncation:
         assert len(list((directory / "topics" / "r").glob("*.jsonl"))) == 3
         feed.drop_group("stuck")
         assert not (directory / "consumers" / "stuck.json").exists()
-        feed.truncate()
+        feed.compact()
         assert len(list((directory / "topics" / "r").glob("*.jsonl"))) == 1
         feed.close()
 
@@ -744,7 +744,7 @@ class TestRetentionTruncation:
         for tid in range(6):
             publish(writer, "r", tid, tid)
         writer.flush()
-        consumer_side = ChangeFeed(directory, retention="truncate")
+        consumer_side = ChangeFeed(directory, retention="compact")
         consumer = consumer_side.consumer("g", start="beginning")
         consumer.poll()
         consumer.commit()  # truncates [0, 4) from the consumer process
@@ -782,7 +782,7 @@ class TestRetentionTruncation:
         # Age the writer's resident copies out so the poll must go to
         # disk: the LRU holds the rotation-time segments.
         writer._log._cache.clear()
-        foreign = ChangeFeed(directory, retention="truncate")
+        foreign = ChangeFeed(directory, retention="compact")
         consumer = foreign.consumer("g", start="beginning")
         consumer.poll()
         consumer.commit()  # deletes the sealed segments
@@ -919,17 +919,18 @@ class TestSegmentCompaction:
         ]
         feed.close()
 
-    def test_explicit_compact_reclaims_any_amount(self, tmp_path):
+    @pytest.mark.parametrize("retention", ["keep", "compact"])
+    def test_explicit_compact_reclaims_any_amount(self, tmp_path, retention):
         # compact() on demand (the CLI's `.feed compact`) works on any
         # durable feed -- whatever its configured retention policy --
         # and has no hysteresis: a single reclaimable record counts.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=4)  # retention="keep"
+        feed = ChangeFeed(directory, segment_records=4, retention=retention)
         consumer = feed.consumer("g", start="beginning")
         for tid in range(8):
             publish(feed, "r", tid, tid)
         consumer.poll(limit=1)
-        consumer.commit()  # keep policy: nothing reclaimed automatically
+        consumer.commit()  # 1 of 4: nothing reclaimed automatically
         assert len(segment_names(directory)) == 2
         reclaimed = feed.compact()
         assert reclaimed == {"r": 1}
@@ -1006,6 +1007,64 @@ class TestSegmentCompaction:
             range(3, 9)
         )
         writer.close()
+
+
+class TestOneReclaimRule:
+    """What a reclaim rewrites is decided by what it observes: the
+    automatic path rewrites once a floor is half a segment into the
+    oldest retained segment (an explicit ``compact()`` rewrites any
+    amount: ``TestSegmentCompaction``)."""
+
+    def build(self, directory):
+        feed = ChangeFeed(directory, segment_records=8, retention="compact")
+        consumer = feed.consumer("g", start="beginning")
+        for tid in range(24):
+            publish(feed, "r", tid, tid)  # sealed segments at 0, 8, 16
+        return feed, consumer
+
+    def segment_bytes(self, directory):
+        return {
+            name: (directory / "topics" / "r" / name).read_bytes()
+            for name in segment_names(directory)
+        }
+
+    def test_floor_under_half_a_segment_rewrites_nothing(self, tmp_path):
+        directory = tmp_path / "feed"
+        feed, consumer = self.build(directory)
+        before = self.segment_bytes(directory)
+        consumer.poll(limit=3)
+        consumer.commit()  # 3 of 8 into the oldest segment
+        assert self.segment_bytes(directory) == before
+        consumer.poll(limit=8)
+        consumer.commit()  # [0, 8) passed; 3 of 8 into [8, 16)
+        after = self.segment_bytes(directory)
+        assert sorted(after) == ["000000000008.jsonl", "000000000016.jsonl"]
+        assert all(after[name] == before[name] for name in after)
+        (topic,) = feed.topics()
+        assert topic.start == 8
+        feed.close()
+
+    def test_half_a_segment_rewrites_exactly_that_segment(self, tmp_path):
+        directory = tmp_path / "feed"
+        feed, consumer = self.build(directory)
+        before = self.segment_bytes(directory)
+        consumer.poll(limit=12)
+        consumer.commit()  # [0, 8) passed; 4 of 8 into [8, 16)
+        after = self.segment_bytes(directory)
+        assert sorted(after) == ["000000000012.jsonl", "000000000016.jsonl"]
+        assert after["000000000016.jsonl"] == before["000000000016.jsonl"]
+        manifest = json.loads((directory / MANIFEST).read_text())
+        assert manifest["topics"]["r"]["base"] == 12
+        assert [r.tid for r in feed.iter_records(start={"r": 12})] == list(
+            range(12, 24)
+        )
+        feed.close()
+
+    def test_truncate_is_not_a_retention_policy(self, tmp_path):
+        with pytest.raises(FeedError, match="unknown retention policy"):
+            ChangeFeed(tmp_path / "feed", retention="truncate")
+        assert not (tmp_path / "feed").exists()
+        assert not hasattr(ChangeFeed, "truncate")
 
 
 class TestCompactionCrashSafety:
@@ -1162,7 +1221,7 @@ class TestWriterRecovery:
         # checkpoints existed the writer's own reopen then raised
         # FeedError out of the full replay.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = self.primary(feed)
         cut = db.checkpoint()
         db.execute("INSERT INTO emp VALUES ('erin', 3)")
@@ -1178,7 +1237,7 @@ class TestWriterRecovery:
         feed.close()
 
         reopened_feed = ChangeFeed(
-            directory, segment_records=2, retention="truncate"
+            directory, segment_records=2, retention="compact"
         )
         restored = Database(feed=reopened_feed)
         assert restored.restore_mode == "snapshot"
@@ -1192,7 +1251,7 @@ class TestWriterRecovery:
 
     def test_truncated_and_never_checkpointed_is_unrecoverable(self, tmp_path):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = self.primary(feed)
         consumer = feed.consumer("g", start="beginning")
         consumer.poll()
@@ -1214,13 +1273,13 @@ class TestWriterRecovery:
         # letting a fully-caught-up group (or an ephemeral engine
         # cursor) truncate history the writer itself still needed.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = self.primary(feed)
         consumer = feed.consumer("g", start="beginning")
         consumer.poll()
         consumer.commit()  # fully caught up -- but the writer is not
         assert len(segment_names(directory, "emp")) == 4  # nothing died
-        assert feed.truncate() == {}  # even explicitly
+        assert feed.compact() == {}  # even explicitly
         db.checkpoint()  # the checkpoint *is* the writer's floor
         assert len(segment_names(directory, "emp")) == 1
         feed.close()
@@ -1233,7 +1292,7 @@ class TestWriterRecovery:
 
     def test_checkpoint_cadence(self, tmp_path):
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed, checkpoint_records=4)
         db.execute("CREATE TABLE r (a INTEGER)")
         assert feed.load_snapshot(WRITER_GROUP) is None
@@ -1260,15 +1319,22 @@ class TestWriterRecovery:
             Database().checkpoint()
         with pytest.raises(ExecutionError, match="durable"):
             Database(checkpoint_records=5)
-        with pytest.raises(ExecutionError, match="retention"):
-            Database(feed=ChangeFeed(), retention="truncate")
+
+    def test_database_takes_no_retention_argument(self, tmp_path):
+        # Retention belongs to the feed: Database(feed=ChangeFeed(dir,
+        # retention="compact")) is the one spelling.
+        with pytest.raises(TypeError):
+            Database(  # type: ignore[call-arg]
+                durable=str(tmp_path / "feed"), retention="compact"
+            )
+        assert not (tmp_path / "feed").exists()
 
     def test_mixed_case_table_survives_the_checkpoint_path(self, tmp_path):
         # Feed topics are lower-cased relation names while the catalog
         # (and the snapshot's serialized schemas) keep declared case:
         # the snapshot + suffix-replay path must bridge the two.
         directory = tmp_path / "feed"
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE Emp (Name TEXT, Salary INTEGER)")
         db.execute("INSERT INTO Emp VALUES ('ann', 10), ('bob', 20)")

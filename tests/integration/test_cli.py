@@ -297,7 +297,7 @@ class TestDurableShell:
         from repro.engine.feed import ChangeFeed
 
         directory = str(tmp_path / "db")
-        feed = ChangeFeed(directory, segment_records=2, retention="truncate")
+        feed = ChangeFeed(directory, segment_records=2, retention="compact")
         db = Database(feed=feed)
         db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
         db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
@@ -525,7 +525,7 @@ class TestDurableShell:
         )
         output = run_shell(f".rebalance {directory}")
         assert "advice: move topic a from worker 0 to worker 1" in output
-        assert "dry run" in output
+        assert "dry run, weighing lag only" in output
 
     def test_rebalance_reports_balance(self, tmp_path):
         from repro.conflicts import Ownership, store_ownership

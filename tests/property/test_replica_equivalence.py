@@ -7,7 +7,7 @@ after fully catching up with the primary, after a simulated process
 restart (a fresh feed instance on the same directory, re-attached from
 the group's committed offsets), for a *reader* feed instance that
 attached before the writer appended anything (live tailing), and across
-retention truncation + snapshot recovery.
+retention reclaim + snapshot recovery.
 """
 
 from __future__ import annotations
@@ -132,14 +132,14 @@ def test_live_reader_with_truncation_equals_full_detection(
 ):
     """The cross-process shape: a reader feed instance attached *before*
     the writer appends tails it live, stays exact at every cut, survives
-    retention truncation (its checkpoints are the recovery points), and
+    retention reclaim (its checkpoints are the recovery points), and
     re-attaches exactly after a restart."""
     directory = tmp_path_factory.mktemp("feed") / "segments"
     constraints = constraint_set()
     writer = ChangeFeed(directory, segment_records=4)
-    # The *reader* instance runs the truncating compaction: its commits
+    # The *reader* instance runs the compaction: its commits
     # are the only ones that move the retention floor here.
-    reader = ChangeFeed(directory, segment_records=4, retention="truncate")
+    reader = ChangeFeed(directory, segment_records=4, retention="compact")
     replica = ReplicaHypergraph(reader, constraints, group="replica")
     assert not replica.ready  # attached before any append
 
@@ -160,7 +160,7 @@ def test_live_reader_with_truncation_equals_full_detection(
                 # Checkpoint both recovery participants: the replica's
                 # snapshot *and* the writer's (whose registration would
                 # otherwise pin the whole history) let later commits
-                # truncate the prefix.
+                # reclaim the prefix.
                 replica.checkpoint()
                 db.checkpoint()
 
@@ -172,14 +172,14 @@ def test_live_reader_with_truncation_equals_full_detection(
     primary_full = detect_conflicts(db, constraints)
     assert replica.graph.as_dict() == primary_full.hypergraph.as_dict()
 
-    # Restart after (possible) truncation: the snapshot written on
+    # Restart after (possible) reclaim: the snapshot written on
     # close is the recovery point; the re-attached replica must come
     # back exactly where it left off.
     before = replica.graph.as_dict()
     replica.close()
     reader.close()
     writer.close()
-    reopened = ChangeFeed(directory, segment_records=4, retention="truncate")
+    reopened = ChangeFeed(directory, segment_records=4, retention="compact")
     resumed = ReplicaHypergraph(reopened, constraints, group="replica")
     assert resumed.graph.as_dict() == before
     reopened.close()
@@ -189,10 +189,9 @@ def test_live_reader_with_truncation_equals_full_detection(
 @given(
     sequence=ops,
     checkpoint_every=st.integers(min_value=1, max_value=8),
-    retention=st.sampled_from(["truncate", "compact"]),
 )
 def test_writer_reopen_after_retention_equals_untruncated_replay(
-    tmp_path_factory, sequence, checkpoint_every, retention
+    tmp_path_factory, sequence, checkpoint_every
 ):
     """The writer-side recovery shape: a durable database whose own
     retention policy reclaims sealed segments behind its checkpoints
@@ -207,7 +206,7 @@ def test_writer_reopen_after_retention_equals_untruncated_replay(
         database.execute("INSERT INTO p VALUES (0), (1)")
         database.execute("INSERT INTO c VALUES (0, 0, 2), (1, 5, 2), (2, 1, 0)")
 
-    feed = ChangeFeed(base / "reclaimed", segment_records=2, retention=retention)
+    feed = ChangeFeed(base / "reclaimed", segment_records=2, retention="compact")
     db = Database(feed=feed)
     shadow_feed = ChangeFeed(base / "keep", segment_records=2)  # never reclaims
     shadow = Database(feed=shadow_feed)
@@ -224,7 +223,7 @@ def test_writer_reopen_after_retention_equals_untruncated_replay(
         db.checkpoint()  # lets retention reclaim below this cut...
         feed.close()  # ...then simulate a crash + reopen
         feed = ChangeFeed(
-            base / "reclaimed", segment_records=2, retention=retention
+            base / "reclaimed", segment_records=2, retention="compact"
         )
         db = Database(feed=feed)
         assert db.restore_mode == "snapshot"

@@ -8,7 +8,7 @@ replica's graph at every aligned committed cut, and each worker's
 partial graph must equal full re-detection over its partial database at
 every *worker-local* cut.  The invariant survives killing a worker and
 restarting it from its shard checkpoint, and -- in the second test --
-retention truncation with checkpoint-based recovery (mirroring the
+retention reclaim with checkpoint-based recovery (mirroring the
 twin-feed pattern from ``test_replica_equivalence.py``).  The third
 test holds the aligned-cut invariant across live handoffs for the one
 coordinator over *both* worker transports: in-process workers (tier-1)
@@ -200,7 +200,7 @@ def test_shards_survive_truncation_and_restart_from_checkpoints(
     tmp_path_factory, sequence, assignment, checkpoint_every
 ):
     """The retention shape: workers checkpoint their shards, the feed
-    truncates behind every participant's floor, and a full restart of
+    reclaims behind every participant's floor, and a full restart of
     every worker (plus the monolith) comes back exactly -- the shard
     checkpoints are the recovery points once the raw prefix is gone."""
     directory = tmp_path_factory.mktemp("feed") / "segments"
@@ -210,7 +210,7 @@ def test_shards_survive_truncation_and_restart_from_checkpoints(
     seed(db)
     feed.flush()
 
-    reader = ChangeFeed(directory, segment_records=4, retention="truncate")
+    reader = ChangeFeed(directory, segment_records=4, retention="compact")
     monolith = ReplicaHypergraph(reader, constraints, group="monolith")
     coordinator = ShardCoordinator(
         reader,
@@ -229,7 +229,7 @@ def test_shards_survive_truncation_and_restart_from_checkpoints(
         steps += 1
         if steps % checkpoint_every == 0:
             # Move every recovery participant's floor so later commits
-            # can truncate the prefix behind them.
+            # can reclaim the prefix behind them.
             coordinator.checkpoint()
             monolith.checkpoint()
             db.checkpoint()

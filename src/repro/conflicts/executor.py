@@ -82,6 +82,9 @@ from repro.errors import ExecutorError
 OWNERSHIP_FILE = "shards.json"
 #: Worker heartbeat cadence, seconds.
 HEARTBEAT_INTERVAL = 0.25
+#: Parent-side deadline per control request, seconds (covers bootstrap:
+#: the first request blocks until the worker finishes attaching).
+REQUEST_TIMEOUT = 60.0
 #: Records per bounded worker sync between control-channel polls.
 SYNC_LIMIT = 512
 
@@ -210,12 +213,10 @@ class PipeTransport:
         directory: str | os.PathLike,
         mp_context: str,
         heartbeat_timeout: float,
-        request_timeout: float,
         fault_hooks: Mapping[int, FaultHook],
     ) -> None:
         self.directory = Path(directory)
         self.heartbeat_timeout = heartbeat_timeout
-        self.request_timeout = request_timeout
         self._fault_hooks = dict(fault_hooks)
         self._ctx = multiprocessing.get_context(mp_context)
         self._next_request = 0
@@ -267,7 +268,7 @@ class PipeTransport:
             raise ExecutorError(
                 f"worker {index} is dead (cannot send {op!r})"
             ) from exc
-        deadline = time.monotonic() + self.request_timeout
+        deadline = time.monotonic() + REQUEST_TIMEOUT
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -368,18 +369,15 @@ class ProcessShardExecutor(ShardCoordinator):
         workers: worker-process count.  Ignored when ``shards.json``
             already exists in the directory -- the persisted ownership
             (its worker count and group prefix included) is
-            authoritative on re-attach.
-        relations / assignment: initial plan inputs (see
+            authoritative on re-attach; a fresh directory's groups are
+            ``shard-<index>``.
+        assignment: initial relation -> worker pinning (see
             :func:`~repro.conflicts.shard.plan_assignment`); ignored on
             re-attach for the same reason.
-        group_prefix: consumer groups are named ``{prefix}-{index}``.
         mp_context: ``"spawn"`` (default; the production shape) or
             ``"fork"`` (cheap starts for respawn-heavy test schedules).
         heartbeat_timeout: a live process silent this long is declared
             hung, SIGKILLed and respawned by ``supervise()``.
-        request_timeout: parent-side deadline per control request
-            (covers bootstrap: the first request blocks until the
-            worker finishes attaching).
         fault_hooks: ``{worker index: hook(phase, topic)}``, each a
             picklable callable bound to that worker's crash-phase seam
             at first spawn only (respawns come up clean).
@@ -390,12 +388,9 @@ class ProcessShardExecutor(ShardCoordinator):
         directory: str | os.PathLike,
         constraints: Iterable[object],
         workers: int = 2,
-        relations: Iterable[str] = (),
         assignment: Optional[Dict[str, int]] = None,
-        group_prefix: str = "shard",
         mp_context: str = "spawn",
         heartbeat_timeout: float = 10.0,
-        request_timeout: float = 60.0,
         fault_hooks: Optional[Mapping[int, FaultHook]] = None,
     ) -> None:
         self._open(
@@ -403,12 +398,10 @@ class ProcessShardExecutor(ShardCoordinator):
                 directory,
                 mp_context,
                 heartbeat_timeout,
-                request_timeout,
                 fault_hooks or {},
             ),
             constraints,
             workers,
-            relations,
             assignment,
-            group_prefix,
+            "shard",
         )

@@ -939,9 +939,6 @@ class ShardCoordinator:
         constraints: the full constraint set (split across workers by
             the plan).
         workers: number of shard workers.
-        relations: extra topics to assign that no constraint mentions
-            and the feed has not seen yet (lets the coordinator attach
-            before the writer creates its tables).
         assignment: explicit relation -> worker pinning (see
             :func:`plan_assignment`).
         group_prefix: consumer groups are named ``{prefix}-{index}``.
@@ -960,7 +957,6 @@ class ShardCoordinator:
         feed: ChangeFeed,
         constraints: Iterable[object],
         workers: int = 2,
-        relations: Iterable[str] = (),
         assignment: Optional[Dict[str, int]] = None,
         group_prefix: str = "shard",
         snapshots: bool = True,
@@ -969,7 +965,6 @@ class ShardCoordinator:
             LocalTransport(feed, snapshots),
             constraints,
             workers,
-            relations,
             assignment,
             group_prefix,
         )
@@ -979,7 +974,6 @@ class ShardCoordinator:
         transport: WorkerTransport,
         constraints: Iterable[object],
         workers: int,
-        relations: Iterable[str],
         assignment: Optional[Dict[str, int]],
         group_prefix: str,
     ) -> None:
@@ -1003,7 +997,7 @@ class ShardCoordinator:
             self.plan = plan_assignment(
                 self.constraints,
                 seed.workers,
-                relations=[*discovered, *(() if persisted else relations)],
+                relations=discovered,
                 assignment=seed.owner,
             )
             self._respawns = [0] * seed.workers

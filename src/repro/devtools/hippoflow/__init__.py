@@ -7,9 +7,8 @@ Layers, bottom up:
   ``with``/``finally`` cleanup regions.
 * :mod:`repro.devtools.hippoflow.dataflow` -- a worklist fixpoint
   engine parameterized by pluggable abstract domains.
-* :mod:`repro.devtools.hippoflow.domains` -- reaching definitions,
-  resource/ownership state machines, lock-held tracking, and string
-  interpolation taint.
+* :mod:`repro.devtools.hippoflow.domains` -- resource/ownership state
+  machines, lock-held tracking, and string interpolation taint.
 * :mod:`repro.devtools.hippoflow.layering` -- the import-graph layer
   contract and cycle detection (also a standalone CLI).
 
@@ -40,7 +39,6 @@ from repro.devtools.hippoflow.domains import (
     AcquisitionSpec,
     LockDomain,
     LockState,
-    ReachingDefinitions,
     Resource,
     ResourceDomain,
     ResourceState,
@@ -66,7 +64,6 @@ __all__ = [
     "AcquisitionSpec",
     "LockDomain",
     "LockState",
-    "ReachingDefinitions",
     "Resource",
     "ResourceDomain",
     "ResourceState",

@@ -2,8 +2,6 @@
 
 Three families of analyses run over per-function CFGs:
 
-* :class:`ReachingDefinitions` -- which assignments may reach a point
-  (the textbook may-analysis; also the template for adding domains).
 * :class:`ResourceDomain` -- a resource/ownership state machine: sites
   acquired by configurable calls must reach ``close()``, a ``with``
   block, or an ownership escape (returned, passed on, stored) on every
@@ -103,69 +101,6 @@ def _target_names(target: ast.expr) -> list[str]:
     if isinstance(target, ast.Starred):
         return _target_names(target.value)
     return []
-
-
-# ----------------------------------------------------- reaching definitions
-
-
-class ReachingDefinitions(Domain):
-    """Which ``(name, lineno)`` definitions may reach each point.
-
-    State: ``frozenset[tuple[str, int]]``.  A definition is any binding
-    statement -- assignment, loop target, ``with ... as``, ``except
-    ... as``, ``import``, ``def``/``class``.
-    """
-
-    def initial(self) -> frozenset[tuple[str, int]]:
-        return frozenset()
-
-    def join(
-        self,
-        left: frozenset[tuple[str, int]],
-        right: frozenset[tuple[str, int]],
-    ) -> frozenset[tuple[str, int]]:
-        return left | right
-
-    def transfer(
-        self, element: Element, state: frozenset[tuple[str, int]]
-    ) -> frozenset[tuple[str, int]]:
-        bound = self._bound_names(element)
-        if not bound:
-            return state
-        lineno = getattr(element, "lineno", 0)
-        kept = frozenset(d for d in state if d[0] not in bound)
-        return kept | frozenset((name, lineno) for name in bound)
-
-    def _bound_names(self, element: Element) -> set[str]:
-        names: set[str] = set()
-        if isinstance(element, ast.Assign):
-            for target in element.targets:
-                names.update(_target_names(target))
-        elif isinstance(element, (ast.AnnAssign, ast.AugAssign)):
-            names.update(_target_names(element.target))
-        elif isinstance(element, (ast.For, ast.AsyncFor)):
-            names.update(_target_names(element.target))
-        elif isinstance(element, ast.ExceptHandler):
-            if element.name:
-                names.add(element.name)
-        elif isinstance(element, WithEnter):
-            if element.item.optional_vars is not None:
-                names.update(_target_names(element.item.optional_vars))
-        elif isinstance(element, (ast.Import, ast.ImportFrom)):
-            for alias in element.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(
-            element, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            names.add(element.name)
-        return names
-
-    @staticmethod
-    def definitions_of(
-        state: frozenset[tuple[str, int]], name: str
-    ) -> set[int]:
-        """The line numbers of ``name``'s reaching definitions."""
-        return {lineno for bound, lineno in state if bound == name}
 
 
 # ------------------------------------------------------------ resource leaks

@@ -361,20 +361,24 @@ class ChangeFeed:
     ) -> Iterator[FeedRecord]:
         """Stream records with ``start <= offset < upto`` in seq order.
 
-        This is the bounded-memory replay primitive: durable topics are
-        read one segment at a time straight from disk (no tail loading,
-        no LRU pollution) and the per-topic streams are merged by global
-        ``seq``, so replaying an arbitrarily long history keeps at most
-        one segment per topic resident.  ``start`` defaults to the
-        beginning, ``upto`` to the current end offsets.
+        This is the bounded-memory replay primitive: each topic is read
+        lazily by the log's one reader -- the same as :meth:`_poll`'s --
+        and the per-topic reads are merged by global ``seq``.  A durable
+        topic's sealed segments come straight from their files, a line
+        at a time, and are kept nowhere, so replaying an arbitrarily
+        long history keeps at most the active tail of each topic
+        resident.  ``start`` defaults to the beginning, ``upto`` to the
+        current end offsets.
 
         Validation happens eagerly (before the first record is
         yielded), so a caller never applies half a prefix:
 
         Raises:
-            FeedError: when part of the requested range is no longer
-                retained (in-memory overflow, or a durable reclaim), or
-                lies past the end of the history.
+            FeedError: when part of the requested range lies past the
+                end of the history (a topic the feed does not know ends
+                at 0).
+            FeedRetentionError: when part of it is no longer retained
+                (in-memory overflow, or a durable reclaim).
         """
         lows = dict(start or {})
         highs = dict(upto) if upto is not None else self.end_offsets()
@@ -384,21 +388,22 @@ class ChangeFeed:
             if high <= 0 or high <= low:
                 continue
             topic = self._log.topics.get(name)
-            if topic is None or low < topic.base:
+            if topic is not None and low < topic.base:
                 raise FeedRetentionError(
                     f"topic {name!r}: committed prefix up to offset"
                     f" {high} is no longer retained"
                 )
-            if high > topic.end:
+            end = 0 if topic is None else topic.end
+            if high > end:
                 # A commit that outlived its records (e.g. a crash that
                 # tore away more history than the offsets acknowledge).
                 raise FeedError(
                     f"topic {name!r}: committed offset {high} is past the"
-                    f" end of the durable history ({topic.end})"
+                    f" end of the durable history ({end})"
                 )
             plans.append((name, low, high))
         iterators = [
-            self._log.stream(name, low, high) for name, low, high in plans
+            self._log.read(name, low, high) for name, low, high in plans
         ]
         return heapq.merge(*iterators, key=seq_of)
 
@@ -406,9 +411,9 @@ class ChangeFeed:
 
     def resident_records(self) -> int:
         """Feed records currently resident in this instance's memory
-        (durable: active tails + the sealed-segment LRU + in-flight
-        stream chunks); every commit releases what all of this
-        instance's groups have passed."""
+        (durable: the active tails, plus on a writer the unreleased rest
+        of a segment sealed since); every commit releases what all of
+        this instance's groups have passed."""
         return self._log.resident_records()
 
     @property

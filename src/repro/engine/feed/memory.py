@@ -93,8 +93,6 @@ class MemoryLog:
             self.materialized += 1
             yield record
 
-    stream = read  # replay and poll read the same resident list
-
     def resident_records(self) -> int:
         """Records currently retained."""
         return sum(len(t.records) for t in self.topics.values())

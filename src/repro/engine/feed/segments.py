@@ -12,9 +12,10 @@ Every record is appended to its topic's active segment; at
 ``segment_records`` records the segment is fsync'd and sealed and a
 fresh one becomes active.  Only the **active tail** of each topic is
 resident, and of it only what some group attached to this instance has
-yet to commit (:meth:`SegmentLog.release`): sealed segments are read
-back lazily through a small LRU, and opening a log parses nothing
-(:meth:`SegmentLog._open`).  A torn final
+yet to commit (:meth:`SegmentLog.release`).  Every other offset is read
+back from its segment file by the one reader, :meth:`SegmentLog.read`,
+which decodes only the lines its caller pulls; opening a log parses
+nothing (:meth:`SegmentLog._open`).  A torn final
 line (crash mid append) is ignored on read and truncated away when a
 writer re-opens the segment, so replay converges on the longest durable
 prefix.  One process writes, any number tail
@@ -29,7 +30,6 @@ import contextlib
 import io
 import json
 import os
-from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -43,9 +43,6 @@ from repro.errors import FeedError, FeedRetentionError
 
 #: Manifest file name inside a feed directory.
 MANIFEST = "manifest.json"
-
-#: Capacity of the parsed-sealed-segment LRU (segments, not records).
-SEGMENT_CACHE_CAPACITY = 4
 
 
 def check_component(kind: str, name: str) -> None:
@@ -101,10 +98,9 @@ def _count_lines(data: bytes) -> tuple[int, int]:
     return count, good_bytes
 
 
-def _parse_lines(
-    data: bytes, repair: bool, where: Path
-) -> tuple[list[FeedRecord], int]:
-    """Parse JSONL bytes; on a torn tail, stop (``repair``) or raise."""
+def _parse_lines(data: bytes) -> tuple[list[FeedRecord], int]:
+    """Parse the active segment's JSONL bytes up to a torn tail: the
+    records and the bytes they span."""
     records: list[FeedRecord] = []
     good_bytes = 0
     for line in data.splitlines(keepends=True):
@@ -115,8 +111,6 @@ def _parse_lines(
         except FeedError:
             break  # garbage tail (e.g. partial line + later append)
         good_bytes += len(line)
-    if good_bytes < len(data) and not repair:
-        raise FeedError(f"corrupt record inside sealed segment {where}")
     return records, good_bytes
 
 
@@ -212,19 +206,12 @@ class SegmentLog:
         #: tailing); the single writer's memory is authoritative, so
         #: writers never re-scan.
         self._published = False
-        #: LRU of parsed sealed segments by (topic, file name).  Sealed
-        #: segments are immutable, so entries never go stale; eviction is
-        #: purely a memory bound, and reclaim discards what it deletes.
-        self._cache: "OrderedDict[tuple[str, str], list[FeedRecord]]" = (
-            OrderedDict()
-        )
-        self._streaming = 0  # records held by in-flight stream chunks
         self._manifest_lock_depth = 0
         #: (st_mtime_ns, st_size) of the manifest at last read -- lets
         #: refresh() skip the JSON parse when nothing rotated/reclaimed.
         self._manifest_stat: Optional[tuple[int, int]] = None
-        #: high-water mark of records resident in this instance (tails +
-        #: segment cache + streaming chunks) -- the bounded-memory gate.
+        #: high-water mark of records resident in this instance (the
+        #: tails) -- the bounded-memory gate.
         self.peak_resident_records = 0
         #: records the current poll pulled out of topic storage.
         self.materialized = 0
@@ -312,13 +299,10 @@ class SegmentLog:
                 self._load_tail(topic)
             else:
                 # The previous newest segment is sealed by this cut.
-                # Resident in full, it moves to the LRU for in-process
-                # readers; partly released, what is left of it stays in
+                # Resident in full, it leaves memory (its file has it);
+                # partly released, what is left of it stays in
                 # ``records`` until its readers commit past it.
-                whole = topic.tail_start - topic.resident_start
-                if whole >= 0:
-                    if topic.records:
-                        self._cache_put((topic.name, last), topic.records[whole:])
+                if topic.tail_start >= topic.resident_start:
                     topic.records = []
                     topic.resident_start = next_offset
                 topic.tail_loaded = True
@@ -360,148 +344,85 @@ class SegmentLog:
         """Flush and close the segment writers (idempotent)."""
         for name in list(self._writers):
             self._seal(name)
-        self._cache.clear()
         for topic in self.topics.values():
             topic.release(topic.end)
 
     # --------------------------------------------------------------- reading
 
     def resident_records(self) -> int:
-        """Records resident in this instance's memory: active tails +
-        the sealed-segment LRU + in-flight stream chunks."""
-        return (
-            sum(len(t.records) for t in self.topics.values())
-            + sum(len(records) for records in self._cache.values())
-            + self._streaming
-        )
-
-    def _cache_put(self, key: tuple[str, str], records: list[FeedRecord]) -> None:
-        self._cache[key] = records
-        self._cache.move_to_end(key)
-        while len(self._cache) > SEGMENT_CACHE_CAPACITY:
-            self._cache.popitem(last=False)
+        """Records resident in this instance's memory: the active tails
+        (plus, on a writer, the unreleased rest of a segment sealed
+        since)."""
+        return sum(len(t.records) for t in self.topics.values())
 
     def _note_peak(self) -> None:
         resident = self.resident_records()
         if resident > self.peak_resident_records:
             self.peak_resident_records = resident
 
-    def read(self, name: str, start: int) -> Iterator[FeedRecord]:
-        """Lazily yield topic ``name`` from offset ``start`` (poll path).
+    def read(
+        self, name: str, start: int, upto: Optional[int] = None
+    ) -> Iterator[FeedRecord]:
+        """Lazily yield ``[start, upto)`` of topic ``name`` -- the one
+        reader behind polls, replays, reclaim and sequence recovery.
 
-        Sealed segments go through the LRU (repeated small polls inside
-        the same segment parse it once); the tail is served resident.
+        A resident offset is served from memory; the newest segment is
+        parsed into the resident tail the first time a read reaches it.
+        Any other offset is read from its segment file
+        (:meth:`_read_segment`), decoding only the lines the caller
+        pulls, and kept nowhere.
         """
         topic = self.topics[name]
-        end = topic.end
+        end = topic.end if upto is None else min(upto, topic.end)
         position = max(start, topic.base)
         index: Optional[int] = None
-        while position < min(topic.tail_start, topic.resident_start, end):
+        while position < end:
+            if position >= topic.tail_start:
+                self._load_tail(topic)
+                end = min(end, topic.end)  # a torn tail may shrink on parse
+            if position >= topic.resident_start:
+                records = topic.records
+                for i in range(position - topic.resident_start, len(records)):
+                    record = records[i]
+                    if record.offset >= end:
+                        return
+                    self.materialized += 1
+                    yield record
+                return
             # The walk is strictly sequential: bisect once, then carry
-            # the segment index forward (catch-up over S sealed
-            # segments is O(S), not O(S^2) name re-parses).
-            if index is None:
-                index = self._segment_index(topic, position)
-            else:
-                index += 1
-            records = self._segment_records(topic, index)
-            first = _segment_start(topic.segments[index])
-            for record in records[position - first :]:
-                if record.offset >= end:
-                    return
+            # the segment index forward (catch-up over S segments is
+            # O(S), not O(S^2) name re-parses).
+            index = (
+                self._segment_index(topic, position)
+                if index is None
+                else index + 1
+            )
+            stop = min(end, topic.resident_start)
+            if index + 1 < len(topic.segments):
+                stop = min(stop, _segment_start(topic.segments[index + 1]))
+            for record in self._read_segment(topic, index, position, stop):
                 self.materialized += 1
                 yield record
-            position = first + len(records)
-        if position >= end:
-            return
-        self._load_tail(topic)
-        end = min(end, topic.end)  # a torn tail may shrink on parse
-        records, first = topic.records, topic.resident_start
-        if position < first:
-            # Released (every local group committed past it): the
-            # file still has it.
-            records, first = self._read_active(topic), topic.tail_start
-        for index in range(position - first, len(records)):
-            record = records[index]
-            if record.offset >= end:
-                return
-            self.materialized += 1
-            yield record
-
-    def stream(self, name: str, start: int, upto: int) -> Iterator[FeedRecord]:
-        """Stream ``[start, upto)`` reading segment files directly.
-
-        The bounded-memory replay path: no tail residency, no LRU
-        pollution -- each segment's records are dropped as soon as the
-        stream moves past them.
-        """
-        topic = self.topics[name]
-        position = max(start, topic.base)
-        for index, segment in enumerate(topic.segments):
-            last = index == len(topic.segments) - 1
-            first = _segment_start(segment)
-            seg_end = (
-                topic.end
-                if last
-                else _segment_start(topic.segments[index + 1])
-            )
-            if seg_end <= position:
-                continue
-            if first >= upto:
-                return
-            if last and topic.tail_loaded and position >= topic.resident_start:
-                # The tail is already resident (writer, or a prior
-                # poll): serve it from memory.
-                for i in range(position - topic.resident_start, len(topic.records)):
-                    record = topic.records[i]
-                    if record.offset >= upto:
-                        return
-                    yield record
-                return
-            records = self._read_segment(
-                topic, segment, first, seg_end - first, sealed=not last
-            )
-            self._streaming += len(records)
-            self._note_peak()
-            try:
-                for record in records[position - first :]:
-                    if record.offset >= upto:
-                        return
-                    yield record
-            finally:
-                self._streaming -= len(records)
-            position = seg_end
+            position = stop
 
     def _segment_index(self, topic: SegmentTopic, offset: int) -> int:
         starts = [_segment_start(name) for name in topic.segments]
         return max(bisect.bisect_right(starts, offset) - 1, 0)
 
-    def _segment_records(
-        self, topic: SegmentTopic, index: int
-    ) -> list[FeedRecord]:
-        """A sealed segment's parsed records, through the LRU."""
-        name = topic.segments[index]
-        key = (topic.name, name)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            return cached
-        first = _segment_start(name)
-        expected = _segment_start(topic.segments[index + 1]) - first
-        records = self._read_segment(topic, name, first, expected, sealed=True)
-        self._cache_put(key, records)
-        self._note_peak()
-        return records
-
     def _read_segment(
-        self,
-        topic: SegmentTopic,
-        name: str,
-        first: int,
-        expected: int,
-        sealed: bool,
-    ) -> list[FeedRecord]:
+        self, topic: SegmentTopic, index: int, start: int, stop: int
+    ) -> Iterator[FeedRecord]:
+        """Yield offsets ``[start, stop)`` from segment file ``index``.
+
+        Lines before ``start`` are skipped undecoded.  A sealed segment
+        must hold exactly the offsets up to its successor's first and
+        every decoded record its own offset, else :class:`FeedError`;
+        the newest segment may end in a torn line (the read stops).
+        """
+        name = topic.segments[index]
         path = topic.directory / name
+        first = _segment_start(name)
+        sealed = index + 1 < len(topic.segments)
         if not sealed and topic.name in self._writers:
             self._writers[topic.name].flush()  # the file lags our appends
         try:
@@ -522,24 +443,33 @@ class SegmentLog:
                     f"topic {topic.name!r}: sealed segment {name} is"
                     " missing -- its offsets are no longer retained"
                 ) from None
-            return []  # rotation crashed before the first append
-        records, _good = _parse_lines(data, repair=not sealed, where=path)
+            return  # rotation crashed before the first append
+        lines = data.splitlines(keepends=True)
         if sealed:
-            if len(records) != expected or any(
-                record.offset != first + i for i, record in enumerate(records)
-            ):
+            expected = _segment_start(topic.segments[index + 1]) - first
+            if len(lines) != expected or not data.endswith(b"\n"):
                 raise FeedError(
                     f"corrupt sealed segment {path}: expected {expected}"
                     f" records from offset {first}"
                 )
-        return records
-
-    def _read_active(self, topic: SegmentTopic) -> list[FeedRecord]:
-        """The newest segment parsed from its file, ``tail_start`` on:
-        what a read below ``resident_start`` costs.  Not kept resident."""
-        return self._read_segment(
-            topic, topic.segments[-1], topic.tail_start, 0, sealed=False
-        )
+        for line in lines[start - first : stop - first]:
+            if not line.endswith(b"\n"):
+                return  # torn tail: the crash cut this append short
+            try:
+                record = FeedRecord.from_json(line.decode("utf-8"))
+            except (FeedError, UnicodeDecodeError):
+                if sealed:
+                    raise FeedError(
+                        f"corrupt record inside sealed segment {path}"
+                    ) from None
+                return  # garbage tail (e.g. partial line + later append)
+            if record.offset != start:
+                raise FeedError(
+                    f"corrupt segment {path}: the record at offset {start}"
+                    f" says {record.offset}"
+                )
+            start += 1
+            yield record
 
     def _load_tail(self, topic: SegmentTopic) -> None:
         """Parse the newest segment into the resident tail (idempotent)."""
@@ -550,7 +480,7 @@ class SegmentLog:
             data = path.read_bytes()
         except FileNotFoundError:
             data = b""
-        records, good = _parse_lines(data, repair=True, where=path)
+        records, good = _parse_lines(data)
         topic.records = records
         topic.tail_loaded = True
         topic.tail_bytes = good
@@ -567,17 +497,8 @@ class SegmentLog:
         return best
 
     def _last_record(self, topic: SegmentTopic) -> Optional[FeedRecord]:
-        self._load_tail(topic)
-        records = topic.records
-        if not records and topic.end > topic.tail_start:
-            records = self._read_active(topic)  # released, not absent
-        if records:
-            return records[-1]
-        for index in range(len(topic.segments) - 2, -1, -1):
-            records = self._segment_records(topic, index)
-            if records:
-                return records[-1]
-        return None
+        self._load_tail(topic)  # a torn tail settles the end first
+        return next(self.read(topic.name, topic.end - 1), None)
 
     # ------------------------------------------------------------- retention
 
@@ -590,11 +511,11 @@ class SegmentLog:
         ``retention="compact"``), after a group moved.
 
         Residency follows :meth:`MemoryLog.release
-        <repro.engine.feed.memory.MemoryLog.release>`: tail records and
-        cached sealed segments below the lowest committed offset of this
-        instance's groups (``local``) are dropped from memory -- with no
-        group at all, everything is; the files keep them, so a later
-        read below that floor re-reads its segment.  :meth:`reclaim`
+        <repro.engine.feed.memory.MemoryLog.release>`: tail records
+        below the lowest committed offset of this instance's groups
+        (``local``) are dropped from memory -- with no group at all,
+        everything is; the files keep them, so a later read below that
+        floor re-reads its segment.  :meth:`reclaim`
         then runs only when those groups already allow reclaiming
         something: the full scan behind ``floors`` reads every
         consumer/snapshot file, so it is not paid on every commit.
@@ -603,9 +524,6 @@ class SegmentLog:
         for name, topic in self.topics.items():
             floor = floor_of(name, groups) if groups else topic.end
             topic.release(floor)
-            for (owner, segment), records in list(self._cache.items()):
-                if owner == name and _segment_start(segment) + len(records) <= floor:
-                    del self._cache[owner, segment]
         if self.retention == "keep":
             return
         # Hysteresis: a group inching through a segment must not trigger
@@ -689,11 +607,11 @@ class SegmentLog:
                     and floor - starts[keep] >= max(min_reclaim, 1)
                 ):
                     try:
-                        records = self._segment_records(topic, keep)
+                        survivors = list(
+                            self.read(name, floor, starts[keep + 1])
+                        )
                     except FeedRetentionError:
-                        records = None  # a foreign reclaim beat us here
-                    if records is not None:
-                        survivors = records[floor - starts[keep] :]
+                        pass  # a foreign reclaim beat us here
                 if keep or survivors is not None:
                     plans.append((topic, keep, floor, starts, survivors))
             if not plans:
@@ -709,7 +627,6 @@ class SegmentLog:
             ]
             reclaimed: dict[str, int] = {}
             removed: list[tuple[str, str]] = []
-            added: list[tuple[str, str]] = []
             try:
                 for topic, keep, floor, starts, survivors in plans:
                     if keep:
@@ -724,7 +641,6 @@ class SegmentLog:
                         removed.append((topic.name, topic.segments[0]))
                         name = _segment_name(floor)
                         self._write_sealed(topic, name, survivors)
-                        added.append((topic.name, name))
                         topic.segments[0] = name
                         topic.base = floor
                         reclaimed[topic.name] = floor
@@ -733,11 +649,8 @@ class SegmentLog:
                 for topic, segments, base in saved:
                     topic.segments = segments
                     topic.base = base
-                for key in added:
-                    self._cache.pop(key, None)
                 raise
         for name, victim in removed:
-            self._cache.pop((name, victim), None)
             with contextlib.suppress(OSError):
                 (self.topics[name].directory / victim).unlink()
         return reclaimed
@@ -745,14 +658,13 @@ class SegmentLog:
     def _write_sealed(
         self, topic: SegmentTopic, name: str, records: list[FeedRecord]
     ) -> None:
-        """Write a complete sealed segment file (fsync'd) and cache it."""
+        """Write a complete sealed segment file (fsync'd)."""
         path = topic.directory / name
         with open(path, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(record.to_json() + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        self._cache_put((topic.name, name), records)
 
     # --------------------------------------------------------------- tailing
 
@@ -829,7 +741,7 @@ class SegmentLog:
             handle.seek(topic.tail_bytes)
             data = handle.read()
         if topic.tail_loaded:
-            records, good = _parse_lines(data, repair=True, where=path)
+            records, good = _parse_lines(data)
             topic.records.extend(records)
             topic.end = topic.resident_start + len(topic.records)
             topic.tail_bytes += good

@@ -183,7 +183,6 @@ def make_executor(
         kwargs.setdefault("assignment", dict(SKEWED))
         kwargs.setdefault("mp_context", "fork")
         kwargs.setdefault("heartbeat_timeout", 10.0)
-        kwargs.setdefault("request_timeout", 30.0)
         ex = ProcessShardExecutor(
             tmp_path / "feed", constraint_set(), **kwargs
         )

@@ -61,7 +61,6 @@ def make_executor(tmp_path):
             assignment=SKEWED,
             mp_context="fork",
             heartbeat_timeout=10.0,
-            request_timeout=30.0,
         )
         options.update(overrides)
         ex = ProcessShardExecutor(

@@ -99,7 +99,6 @@ def coordinator(tmp_path, transport):
                     workers=2,
                     assignment=SKEWED,
                     mp_context="fork",
-                    request_timeout=30.0,
                 )
             )
         return made[-1]

@@ -209,9 +209,7 @@ class TestShardWorkers:
     def test_in_memory_feed_coordinator(self):
         db = Database()
         constraints = [fd("c", ["id"], ["v"])]
-        coordinator = ShardCoordinator(
-            db.changes.feed, constraints, workers=2, relations=["p"]
-        )
+        coordinator = ShardCoordinator(db.changes.feed, constraints, workers=2)
         for statement in TWO_TABLE_SETUP:
             db.execute(statement)
         coordinator.drain()

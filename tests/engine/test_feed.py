@@ -22,7 +22,6 @@ from repro.engine.feed import (
     ChangeFeed,
     FeedRecord,
 )
-from repro.engine.feed.segments import SEGMENT_CACHE_CAPACITY
 from repro.errors import FeedError, FeedRetentionError
 
 
@@ -374,12 +373,13 @@ class TestLazyOpen:
         consumer = reopened.consumer("g", start="beginning")
         records, _ = consumer.poll()
         assert [r.tid for r in records] == list(range(10))
-        # Tail (1 record) + the sealed-segment LRU; never the full 10.
-        assert reopened.resident_records() <= 1 + 3 * SEGMENT_CACHE_CAPACITY
+        # The tail (1 record) alone: sealed segments are read from their
+        # files and kept nowhere.
+        assert reopened.resident_records() == 1
 
-    def test_streaming_replay_is_segment_bounded(self, tmp_path):
-        # The acceptance bar: over a history of >= 16 sealed segments,
-        # replaying retains at most 2x segment_records records.
+    def test_replay_keeps_only_the_tail_resident(self, tmp_path):
+        # Over a history of >= 16 sealed segments, replaying retains at
+        # most segment_records records: the tail, never the history.
         directory = tmp_path / "feed"
         self.build(directory, records=51, segment_records=3)
         reopened = ChangeFeed(directory, segment_records=3)
@@ -387,9 +387,8 @@ class TestLazyOpen:
         assert topic.segments - 1 >= 16  # sealed segments
         tids = [r.tid for r in reopened.iter_records()]
         assert tids == list(range(51))
-        # Streaming holds one segment chunk (3) at a time, never the
-        # LRU, never the history.
-        assert reopened.peak_resident_records <= 2 * 3
+        # Sealed segments are read a line at a time and kept nowhere.
+        assert reopened.peak_resident_records <= 3
 
     def test_next_seq_recovered_lazily(self, tmp_path):
         directory = tmp_path / "feed"
@@ -399,6 +398,91 @@ class TestLazyOpen:
         publish(reopened, "r", 9, 9)
         assert reopened.end_offsets() == {"r": 6}
         reopened.close()
+
+    def test_small_polls_inside_a_sealed_segment_decode_a_bounded_batch(
+        self, tmp_path, monkeypatch
+    ):
+        # A poll of ``limit`` k decodes at most k + 1 bodies per topic
+        # (the merge's look-ahead), not the whole segment it starts in.
+        directory = tmp_path / "feed"
+        with ChangeFeed(directory, segment_records=8) as feed:
+            for tid in range(40):
+                publish(feed, "rs"[tid % 2], tid // 2, tid)  # sealed: 0, 8
+        decoded: list[str] = []
+        real = FeedRecord.from_json
+
+        def counting(line):
+            record = real(line)
+            decoded.append(record.topic)
+            return record
+
+        monkeypatch.setattr(FeedRecord, "from_json", staticmethod(counting))
+        reopened = ChangeFeed(directory, segment_records=8)
+        consumer = reopened.consumer("g", start="beginning")
+        consumer.seek({"r": 2, "s": 2})
+        for limit in (1, 3):
+            decoded.clear()
+            records, _ = consumer.poll(limit=limit)
+            assert len(records) == limit
+            assert decoded.count("r") <= limit + 1
+            assert decoded.count("s") <= limit + 1
+
+
+def _shift_offset(line: bytes) -> bytes:
+    payload = json.loads(line)
+    payload["offset"] += 1
+    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+
+
+class TestCorruptSegments:
+    """Corruption is loud: a damaged sealed segment raises ``FeedError``
+    out of polls and replays alike -- never mistaken for a retention
+    loss (``lost``) or a torn tail (a silently shorter history)."""
+
+    #: name -> (rewrite of the sealed segment's lines, error message).
+    CORRUPTIONS = {
+        "missing line": (
+            lambda lines: lines[:1] + lines[2:],
+            "corrupt sealed segment",
+        ),
+        "garbage middle line": (
+            lambda lines: lines[:1] + [b"not a record\n"] + lines[2:],
+            "corrupt record inside sealed segment",
+        ),
+        "wrong offsets": (
+            lambda lines: [_shift_offset(line) for line in lines],
+            "corrupt segment",
+        ),
+    }
+
+    def build(self, directory):
+        with ChangeFeed(directory, segment_records=4) as feed:
+            for tid in range(10):
+                publish(feed, "r", tid, tid)  # sealed: 0, 4; active: 8
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_poll_and_replay_raise(self, tmp_path, corruption):
+        directory = tmp_path / "feed"
+        self.build(directory)
+        rewrite, message = self.CORRUPTIONS[corruption]
+        segment = directory / "topics" / "r" / "000000000004.jsonl"
+        lines = segment.read_bytes().splitlines(keepends=True)
+        segment.write_bytes(b"".join(rewrite(lines)))
+        feed = ChangeFeed(directory, segment_records=4)
+        consumer = feed.consumer("g", start="beginning")
+        with pytest.raises(FeedError, match=message) as polled:
+            consumer.poll()
+        assert not isinstance(polled.value, FeedRetentionError)
+        with pytest.raises(FeedError, match=message) as replayed:
+            list(feed.iter_records())
+        assert not isinstance(replayed.value, FeedRetentionError)
+
+    def test_corrupt_manifest_raises_on_open(self, tmp_path):
+        directory = tmp_path / "feed"
+        self.build(directory)
+        (directory / MANIFEST).write_text('{"version": 2, "topics": ')
+        with pytest.raises(FeedError, match="corrupt manifest"):
+            ChangeFeed(directory)
 
 
 class TestReleasedHistory:
@@ -467,10 +551,10 @@ class TestReleasedHistory:
         assert [r.tid for r in consumer.poll()[0]] == [3, 4, 5]
         assert feed.peak_resident_records == 3
         # A consumer that then stalls for a whole segment gets the usual
-        # bound (the full segment moves to the LRU, the older rest goes).
+        # bound (the full segment and the older rest leave memory).
         for tid in range(6, 10):
             publish(feed, "r", tid, tid)
-        assert feed.resident_records() <= 2 * 4
+        assert feed.resident_records() <= 4
         consumer.seek(consumer.committed)
         assert [r.tid for r in consumer.poll()[0]] == list(range(3, 10))
         feed.close()
@@ -495,7 +579,7 @@ class TestReleasedHistory:
         consumer = feed.consumer("g")
         for tid in range(6):
             publish(feed, "r", tid, tid)
-        assert feed.resident_records() == 6
+        assert feed.resident_records() == 2  # [0, 4) left at its rotation
         feed.close()
         assert feed.resident_records() == 0
         records, _ = consumer.poll()
@@ -781,7 +865,6 @@ class TestRetentionTruncation:
         writer.flush()
         # Age the writer's resident copies out so the poll must go to
         # disk: the LRU holds the rotation-time segments.
-        writer._log._cache.clear()
         foreign = ChangeFeed(directory, retention="compact")
         consumer = foreign.consumer("g", start="beginning")
         consumer.poll()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
-from repro.errors import FeedError
+from repro.errors import FeedError, FeedRetentionError
 
 
 SEGMENT_RECORDS = 2
@@ -121,6 +121,15 @@ class TestPublishPoll:
         with pytest.raises(FeedError, match="past the end"):
             feed.iter_records(upto={"r": 9})
 
+    def test_iter_records_past_the_end_of_an_unknown_topic(self, feed):
+        # A topic the feed never saw ends at offset 0: asking for records
+        # of it is past the end of the history, not a retention loss.
+        feed.consumer("g")
+        publish(feed, "r", 0, 1)
+        with pytest.raises(FeedError, match=r"past the end .*\(0\)") as raised:
+            feed.iter_records(upto={"x": 2})
+        assert not isinstance(raised.value, FeedRetentionError)
+
 
 class TestCommit:
     def test_poll_without_commit_redelivers_on_reattach(self, feed):
@@ -220,7 +229,9 @@ class TestResidency:
         consumer = feed.consumer("g")
         for tid in range(2 * SEGMENT_RECORDS + 1):
             publish(feed, "r", tid, tid)
-        assert feed.resident_records() == 2 * SEGMENT_RECORDS + 1
+        # All of it unreleased; a segment log keeps only the active tail.
+        expected = 1 if feed.durable else 2 * SEGMENT_RECORDS + 1
+        assert feed.resident_records() == expected
         consumer.close()
         assert feed.resident_records() == 0
 

@@ -291,7 +291,6 @@ def test_coordinator_matches_monolith_across_handoffs(
             workers=2,
             assignment=pinned,
             mp_context="fork",
-            request_timeout=30.0,
         )
     try:
         for step in sequence:

@@ -2,8 +2,10 @@
 
 An option that only tests set is a fork the product never takes: each
 keyword option of :class:`~repro.engine.feed.ChangeFeed`,
-:class:`~repro.engine.database.Database` and
-:class:`~repro.conflicts.replica.ReplicaHypergraph` must be passed --
+:class:`~repro.engine.database.Database`,
+:class:`~repro.conflicts.replica.ReplicaHypergraph`,
+:class:`~repro.conflicts.shard.ShardCoordinator` and
+:class:`~repro.conflicts.executor.ProcessShardExecutor` must be passed --
 by keyword or by position -- somewhere under ``src/``, ``benchmarks/``
 or ``examples/``.  The exceptions are listed with their reason.
 """
@@ -14,12 +16,22 @@ import ast as python_ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import repro
+from repro.conflicts.executor import ProcessShardExecutor
 from repro.conflicts.replica import ReplicaHypergraph
+from repro.conflicts.shard import ShardCoordinator
 from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed
 
-CLASSES = (ChangeFeed, Database, ReplicaHypergraph)
+CLASSES = (
+    ChangeFeed,
+    Database,
+    ReplicaHypergraph,
+    ShardCoordinator,
+    ProcessShardExecutor,
+)
 ROOT = Path(repro.__file__).resolve().parents[2]
 CALLER_TREES = ("src", "benchmarks", "examples")
 
@@ -27,6 +39,17 @@ CALLER_TREES = ("src", "benchmarks", "examples")
 ALLOWED = {
     ("ChangeFeed", "fsync"): "a durability mode: the default is the product setting",
     ("ChangeFeed", "max_retained"): "a memory bound: overflow tests need small values",
+    ("ShardCoordinator", "assignment"): (
+        "the operator's pin: the product sets it on ProcessShardExecutor,"
+        " in-process handoff tests need the same skewed start"
+    ),
+    ("ProcessShardExecutor", "heartbeat_timeout"): (
+        "a supervision deadline: the default is the product setting,"
+        " the hang test needs a short one"
+    ),
+    ("ProcessShardExecutor", "fault_hooks"): (
+        "the chaos tier's crash-injection seam: a product run never arms it"
+    ),
 }
 
 
@@ -77,3 +100,13 @@ def test_the_allowlist_names_real_options():
     for (name, option), reason in ALLOWED.items():
         (cls,) = [cls for cls in CLASSES if cls.__name__ == name]
         assert option in _options(cls) and reason
+
+
+def test_deleted_shard_options_are_refused(tmp_path):
+    # Refused before any worker process (or feed directory) exists.
+    for option in ("relations", "group_prefix", "request_timeout"):
+        with pytest.raises(TypeError):
+            ProcessShardExecutor(tmp_path / "feed", [], **{option: None})
+    with pytest.raises(TypeError):
+        ShardCoordinator(ChangeFeed(), [], relations=["r"])
+    assert not (tmp_path / "feed").exists()

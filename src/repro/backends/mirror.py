@@ -32,7 +32,7 @@ never silent.
 
 All SQL text handed to the driver comes from
 :mod:`repro.ra.to_sql` (parameterized rendering and quoting helpers);
-no interpolated SQL is built here (hippolint HL012).
+no interpolated SQL is built here (hippolint HL015).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ Meta-commands (everything else is executed as SQL):
                        recovery points (snapshot floor, else committed)
 ``.feed tail DIR [S]`` live-tail another process's durable feed for S seconds
 ``.feed tail DIR S K/N``  tail only shard K of an N-way constraint-aware plan
+                       (the owners in DIR's shards.json, when present)
 ``.feed compact``      reclaim what every recovery point has passed (delete
                        sealed segments, rewrite the one a floor splits)
 ``.shards [N]``        the constraint-aware N-way shard plan (default 2)
@@ -690,7 +691,10 @@ class HippoShell:
         ``K/N`` the tail follows only shard ``K`` of an N-way
         constraint-aware plan over the feed's topics: the shard's topic
         subset and constraint slice, exactly what the corresponding
-        :class:`~repro.conflicts.shard.ShardWorker` would consume.  The
+        :class:`~repro.conflicts.shard.ShardWorker` would consume.  When
+        a process executor's ownership manifest (``shards.json``) is in
+        DIR, the plan follows its topic owners, and ``N`` must be its
+        worker count.  The
         follower leaves no state behind: its consumer group (named per
         process, so concurrent tails cannot collide) is dropped on
         exit.
@@ -698,6 +702,7 @@ class HippoShell:
         import os
         from pathlib import Path
 
+        from repro.conflicts.executor import load_ownership
         from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
         from repro.conflicts.shard import plan_assignment
         from repro.engine.feed import MANIFEST, SCHEMA_TOPIC, ChangeFeed
@@ -728,6 +733,21 @@ class HippoShell:
         if not (Path(directory) / MANIFEST).exists():
             self._print(f"error: no change feed at {directory}")
             return True
+        assignment = None
+        if shard is not None:
+            try:
+                ownership = load_ownership(directory)
+            except ReproError as error:
+                self._print(f"error: {error}")
+                return True
+            if ownership is not None:
+                if ownership.workers != shard[1]:
+                    self._print(
+                        f"error: the ownership manifest in {directory} has"
+                        f" {ownership.workers} workers, not {shard[1]}"
+                    )
+                    return True
+                assignment = dict(ownership.owner)
         feed = ChangeFeed(directory)
         group = f"cli-tail-{os.getpid()}"
         constraints = self.constraints
@@ -738,7 +758,10 @@ class HippoShell:
                 t.name for t in feed.topics() if t.name != SCHEMA_TOPIC
             ]
             plan = plan_assignment(
-                constraints, shard[1], relations=relations
+                constraints,
+                shard[1],
+                relations=relations,
+                assignment=assignment,
             )
             spec = plan.shards[shard[0]]
             constraints = list(spec.constraints)
@@ -798,11 +821,9 @@ class HippoShell:
 
     # ----------------------------------------------------------------- loop
 
-    def run(self, lines: Iterable[str], interactive: bool = False) -> None:
+    def run(self, lines: Iterable[str]) -> None:
         """Drive the shell over an iterable of input lines."""
         for line in lines:
-            if interactive:
-                pass  # prompt handled by caller
             if not self.handle(line):
                 return
         try:

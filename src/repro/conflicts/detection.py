@@ -249,7 +249,7 @@ def dangling_child_tids(
     dangling: list[int] = []
     for tid, row in child.items():
         key = tuple(row[i] for i in child_indexes)
-        if not fk.match_nulls and any(part is None for part in key):
+        if None in key:
             continue  # MATCH SIMPLE: NULL keys reference nothing
         if key in surviving_keys:
             continue

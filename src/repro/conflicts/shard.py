@@ -1198,11 +1198,7 @@ class ShardCoordinator:
             reshapes = self._transition(new_plan, on_step or (lambda step: None))
         return HandoffReport(plan=self.plan, reshapes=reshapes)
 
-    def rebalance(
-        self,
-        threshold: int = 0,
-        on_step: Optional[Callable[[str], None]] = None,
-    ) -> Optional[RebalanceMove]:
+    def rebalance(self, threshold: int = 0) -> Optional[RebalanceMove]:
         """Trigger at most one ownership move when per-worker load skew
         (pending records over owned topics, plus hypergraph edge
         counts, from live status) exceeds ``threshold``.  Returns the
@@ -1218,7 +1214,7 @@ class ShardCoordinator:
             edges=[row.edges for row in rows],
         )
         if move is not None:
-            self.handoff(move.topic, move.target, on_step=on_step)
+            self.handoff(move.topic, move.target)
         return move
 
     def _transition(

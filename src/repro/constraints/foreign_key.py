@@ -46,16 +46,15 @@ class ForeignKeyConstraint:
         columns: child columns, in order.
         referenced: the parent relation.
         ref_columns: parent columns matched positionally with ``columns``.
-        match_nulls: when False (SQL's MATCH SIMPLE default), a child
-            tuple with a NULL in any key column references nothing and is
-            *not* a violation.
+
+    NULLs follow SQL's MATCH SIMPLE: a child tuple with a NULL in any key
+    column references nothing and is *not* a violation.
     """
 
     referencing: str
     columns: tuple[str, ...]
     referenced: str
     ref_columns: tuple[str, ...]
-    match_nulls: bool = False
 
     def __init__(
         self,
@@ -63,13 +62,11 @@ class ForeignKeyConstraint:
         columns: Sequence[str],
         referenced: str,
         ref_columns: Sequence[str],
-        match_nulls: bool = False,
     ) -> None:
         object.__setattr__(self, "referencing", referencing)
         object.__setattr__(self, "columns", tuple(columns))
         object.__setattr__(self, "referenced", referenced)
         object.__setattr__(self, "ref_columns", tuple(ref_columns))
-        object.__setattr__(self, "match_nulls", match_nulls)
         if not self.columns:
             raise ConstraintError("foreign key needs at least one column")
         if len(self.columns) != len(self.ref_columns):

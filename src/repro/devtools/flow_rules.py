@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, TypeGuard
 
 from repro.devtools.framework import Finding, Rule, SourceModule, register
 from repro.devtools.hippoflow.cfg import FuncDef, build_cfg
@@ -175,19 +175,25 @@ class LockStateRule(Rule):
 
 @register
 class TaintedSQLRule(Rule):
-    """HL015: interpolated SQL must not *flow* into an executor.
+    """HL015: SQL handed to an executor is never assembled by string
+    interpolation.
 
-    HL012 flags interpolation at the execute call site itself; this
-    rule tracks taint through intermediate local variables, so
-    ``query = f"..."; ...; cursor.execute(query)`` is caught even when
-    the interpolation and the sink are many statements apart.
+    The backend layer's lowering contract (``ra/to_sql.py``) renders
+    every literal as a bound parameter and every identifier through the
+    quoting helpers; interpolated text bypasses both.  The rule flags an
+    execute call whose first argument is an f-string / ``%`` / ``+`` /
+    ``.format()`` expression, and tracks taint through local variables,
+    so ``query = f"..."; ...; cursor.execute(query)`` is caught even
+    when the interpolation and the sink are many statements apart.
+    ``ra/to_sql.py`` itself is the one sanctioned assembly point.
     """
 
     id = "HL015"
     name = "sql-taint"
     summary = (
-        "strings built by f-string/%/+/.format() interpolation must not"
-        " flow through variables into execute/executemany/query sinks"
+        "SQL built by f-string/%/+/.format() interpolation must not reach"
+        " execute/executemany/query sinks, written in the call or through"
+        " variables; render through ra/to_sql.py instead"
     )
     rationale = (
         "backend pushdown lowering contract; dynamic twin: the"
@@ -209,36 +215,48 @@ class TaintedSQLRule(Rule):
         )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
+        domain = TaintDomain()
+        reported: set[ast.Call] = set()
         for func in _functions(module.tree):
-            if not any(
-                terminal_name(call.func) in self.EXECUTORS
-                and call.args
-                and isinstance(call.args[0], ast.Name)
-                for call in _executed_calls(func)
-            ):
+            if not any(self._is_sink(call) for call in _executed_calls(func)):
                 continue
             cfg = build_cfg(func)
-            domain = TaintDomain()
             in_states = analyze(cfg, domain)
             for element, state in replay(cfg, domain, in_states):
                 if not isinstance(element, ast.AST):
                     continue
                 for node in evaluated_nodes(element):
-                    if (
-                        isinstance(node, ast.Call)
-                        and terminal_name(node.func) in self.EXECUTORS
-                        and node.args
-                        and isinstance(node.args[0], ast.Name)
-                        and node.args[0].id in state
+                    if self._is_sink(node) and domain.taints(
+                        node.args[0], state
                     ):
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"variable '{node.args[0].id}' holds"
-                            " interpolated SQL and reaches an execute"
-                            " sink; render through ra/to_sql.py"
-                            " parameterization instead",
-                        )
+                        reported.add(node)
+                        yield self._finding(node)
+        # Sinks no function CFG evaluates (module and class bodies,
+        # lambdas, unreachable code) can only be tainted by interpolation
+        # written in the call itself.
+        for node in ast.walk(module.tree):
+            if (
+                self._is_sink(node)
+                and node not in reported
+                and domain.taints(node.args[0], frozenset())
+            ):
+                yield self._finding(node)
+
+    def _is_sink(self, node: ast.AST) -> TypeGuard[ast.Call]:
+        return (
+            isinstance(node, ast.Call)
+            and terminal_name(node.func) in self.EXECUTORS
+            and bool(node.args)
+        )
+
+    @staticmethod
+    def _finding(node: ast.Call) -> Finding:
+        return (
+            node.lineno,
+            node.col_offset,
+            "SQL built by interpolation reaches an execute sink; render"
+            " through ra/to_sql.py parameterization instead",
+        )
 
 
 @register

@@ -55,20 +55,6 @@ LAYERS: dict[str, frozenset[str]] = {
         {"constraints", "core", "engine", "errors", "ra", "sql"}
     ),
     "backends": frozenset({"engine", "errors", "ra", "sql"}),
-    "smoke": frozenset(
-        {
-            "backends",
-            "conflicts",
-            "constraints",
-            "core",
-            "engine",
-            "errors",
-            "ra",
-            "repairs",
-            "rewriting",
-            "sql",
-        }
-    ),
     "cli": frozenset(
         {
             "backends",

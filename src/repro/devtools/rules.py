@@ -617,22 +617,19 @@ class TypedDefsRule(Rule):
 class NoPrintRule(Rule):
     """HL010: library code never prints.
 
-    Only the interactive shell and the smoke benchmark write to stdout;
-    a stray ``print`` in the engine corrupts the shell protocol and hides
-    in test output.
+    Only the interactive shell writes to stdout; a stray ``print`` in the
+    engine corrupts the shell protocol and hides in test output.
     """
 
     id = "HL010"
     name = "no-print"
-    summary = "print() only in cli.py, smoke.py and devtools/"
+    summary = "print() only in cli.py and devtools/"
     rationale = "shell protocol hygiene; keeps engine output machine-clean"
-
-    EXEMPT_MODULES = ("cli.py", "smoke.py", "benchmarks/smoke.py")
 
     def applies_to(self, module: SourceModule) -> bool:
         return (
             module.in_package()
-            and not module.is_module(*self.EXEMPT_MODULES)
+            and not module.is_module("cli.py")
             and not module.under("devtools/")
         )
 
@@ -706,93 +703,3 @@ class PublicDocstringsRule(Rule):
                 )
             if isinstance(node, ast.ClassDef):
                 yield from self._walk(node.body)
-
-
-@register
-class NoInterpolatedSQLRule(Rule):
-    """HL012: SQL handed to an executor is never assembled by string
-    interpolation.
-
-    The backend layer's lowering contract (``ra/to_sql.py``) renders
-    every literal as a bound parameter and every identifier through the
-    quoting helpers; an f-string / ``%`` / ``+`` / ``.format()`` first
-    argument at an execute call site bypasses both, reintroducing
-    injection and type-fidelity bugs the differential oracle suite
-    exists to rule out.  ``ra/to_sql.py`` itself is the one sanctioned
-    assembly point.
-    """
-
-    id = "HL012"
-    name = "no-interpolated-sql"
-    summary = (
-        "execute/executemany/query call sites in src/repro never build"
-        " SQL via f-string, %, + or .format(); render through"
-        " ra/to_sql.py instead"
-    )
-    rationale = (
-        "backend pushdown lowering contract; dynamic twin: the"
-        " differential oracle suite in tests/backends/ compares every"
-        " backend's answers against native execution"
-    )
-
-    EXECUTORS = (
-        "execute",
-        "executemany",
-        "executescript",
-        "execute_script",
-        "query",
-    )
-    EXEMPT_MODULES = ("ra/to_sql.py",)
-
-    def applies_to(self, module: SourceModule) -> bool:
-        return module.in_package() and not module.is_module(
-            *self.EXEMPT_MODULES
-        )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            if _terminal(node.func) not in self.EXECUTORS:
-                continue
-            how = self._interpolation(node.args[0])
-            if how is not None:
-                yield (
-                    node.lineno,
-                    node.col_offset,
-                    f"SQL built by {how} at an execute call site; use the"
-                    " parameterized renderers / quoting helpers in"
-                    " ra/to_sql.py",
-                )
-
-    def _interpolation(self, arg: ast.expr) -> str | None:
-        """How ``arg`` interpolates text, or None when it does not."""
-        if isinstance(arg, ast.JoinedStr) and any(
-            isinstance(part, ast.FormattedValue) for part in arg.values
-        ):
-            return "an f-string"
-        if isinstance(arg, ast.BinOp):
-            if isinstance(arg.op, ast.Mod) and self._stringish(arg.left):
-                return "%-formatting"
-            if isinstance(arg.op, ast.Add) and (
-                self._stringish(arg.left) or self._stringish(arg.right)
-            ):
-                return "+ concatenation"
-        if (
-            isinstance(arg, ast.Call)
-            and isinstance(arg.func, ast.Attribute)
-            and arg.func.attr == "format"
-            and self._stringish(arg.func.value)
-        ):
-            return ".format()"
-        return None
-
-    def _stringish(self, node: ast.expr) -> bool:
-        """Whether ``node`` is (or concatenates) string text."""
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, str)
-        if isinstance(node, ast.JoinedStr):
-            return True
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            return self._stringish(node.left) or self._stringish(node.right)
-        return False

@@ -8,7 +8,6 @@ lookups and execution statistics.
 from repro.engine.changelog import ChangeLog
 from repro.engine.database import Database, Result, apply_feed_record
 from repro.engine.feed import ChangeFeed, FeedConsumer, FeedRecord, TopicInfo
-from repro.engine.io import dump_csv, dump_sql, load_csv, restore_sql
 from repro.engine.schema import Column, TableSchema, make_schema
 from repro.engine.stats import ExecutionStats
 from repro.engine.storage import Table
@@ -23,10 +22,6 @@ __all__ = [
     "TopicInfo",
     "apply_feed_record",
     "Result",
-    "dump_csv",
-    "dump_sql",
-    "load_csv",
-    "restore_sql",
     "Column",
     "TableSchema",
     "make_schema",

@@ -70,11 +70,6 @@ _SCALAR: dict[str, Callable[..., SQLValue]] = {
 }
 
 
-def is_scalar_function(name: str) -> bool:
-    """Whether ``name`` is a known scalar function."""
-    return name.upper() in _SCALAR or name.upper() in _NULL_TOLERANT
-
-
 def call_scalar(name: str, args: Sequence[SQLValue]) -> SQLValue:
     """Invoke a scalar function with SQL NULL-propagation rules.
 

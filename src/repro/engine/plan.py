@@ -120,7 +120,7 @@ class IndexScan(PlanNode):
         stats: ExecutionStats,
         positions: Sequence[int],
         values: Sequence[SQLValue],
-        include_tid: bool = False,
+        include_tid: bool,
     ) -> None:
         self.table = table
         self.stats = stats
@@ -164,7 +164,7 @@ class ColumnEqScan(PlanNode):
         stats: ExecutionStats,
         positions: Sequence[int],
         values: Sequence[SQLValue],
-        include_tid: bool = False,
+        include_tid: bool,
     ) -> None:
         self.table = table
         self.stats = stats

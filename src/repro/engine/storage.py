@@ -156,10 +156,6 @@ class Table:
             self._changelog.record(self._key, tid, row, OP_INSERT)
         return tid
 
-    def insert_many(self, rows: Sequence[Sequence[SQLValue]]) -> list[int]:
-        """Insert several rows; returns their tids in order."""
-        return [self.insert(row) for row in rows]
-
     @property
     def next_tid(self) -> int:
         """The tid the next insert will receive.

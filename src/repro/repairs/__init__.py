@@ -14,7 +14,6 @@ from repro.repairs.enumerate import (
     Repair,
     TooManyRepairsError,
     all_repairs,
-    count_repairs,
     maximal_independent_sets,
     repair_restriction,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "Repair",
     "TooManyRepairsError",
     "all_repairs",
-    "count_repairs",
     "maximal_independent_sets",
     "repair_restriction",
 ]

@@ -47,8 +47,8 @@ def satisfies_constraints(
             if tid not in repair.get(fk.referencing.lower(), frozenset()):
                 continue
             key = tuple(row[i] for i in child_indexes)
-            if not fk.match_nulls and any(part is None for part in key):
-                continue
+            if None in key:
+                continue  # MATCH SIMPLE: NULL keys reference nothing
             if key not in parent_keys:
                 return False
     return True

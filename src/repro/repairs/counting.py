@@ -12,16 +12,19 @@ so
 Components are tiny in realistic workloads (an FD conflict cluster of k
 tuples is one k-clique), so the per-component enumeration is cheap even
 when the global count is astronomically large.  Counting is #P-hard in
-general, hence the per-component ``limit`` escape hatch.
+general, hence the per-component :data:`COMPONENT_LIMIT` escape hatch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
 from repro.repairs.enumerate import maximal_independent_sets
+
+#: Maximal independent sets enumerated per conflict component before
+#: :func:`count_repairs_exact` gives up with ``TooManyRepairsError``.
+COMPONENT_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,12 @@ def conflict_components(hypergraph: ConflictHypergraph) -> list[frozenset[Vertex
     return [frozenset(group) for group in groups.values()]
 
 
-def count_repairs_exact(
-    hypergraph: ConflictHypergraph,
-    limit_per_component: Optional[int] = 100_000,
-) -> RepairCount:
+def count_repairs_exact(hypergraph: ConflictHypergraph) -> RepairCount:
     """Count the repairs exactly (product over conflict components).
 
     Raises:
-        TooManyRepairsError: when a single component exceeds the limit --
+        TooManyRepairsError: when a single component exceeds
+            :data:`COMPONENT_LIMIT` --
             the count is then genuinely astronomical and the caller should
             report a bound instead.
     """
@@ -94,7 +95,7 @@ def count_repairs_exact(
         ]
         local = ConflictHypergraph(local_edges)
         local_count = len(
-            maximal_independent_sets(local, limit=limit_per_component)
+            maximal_independent_sets(local, limit=COMPONENT_LIMIT)
         )
         sizes.append(len(component))
         counts.append(local_count)

@@ -118,8 +118,3 @@ def repair_restriction(
         return repair.get(relation.lower(), frozenset())
 
     return restrict
-
-
-def count_repairs(db: Database, hypergraph: ConflictHypergraph) -> int:
-    """The number of repairs (enumerated; exponential -- small inputs only)."""
-    return len(all_repairs(db, hypergraph))

@@ -345,11 +345,3 @@ def split_conjuncts(expr: Optional[Expression]) -> list[Expression]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
-
-
-def disjunction(disjuncts: Sequence[Expression]) -> Optional[Expression]:
-    """OR together a sequence of expressions (None for an empty sequence)."""
-    result: Optional[Expression] = None
-    for disjunct in disjuncts:
-        result = disjunct if result is None else BinaryOp("OR", result, disjunct)
-    return result

@@ -23,12 +23,12 @@ class WorkloadQuery:
     rewriting_supported: bool
 
 
-def selection_query(table: str, threshold: int = 500_000) -> WorkloadQuery:
+def selection_query(table: str) -> WorkloadQuery:
     """S: one relation, one comparison."""
     return WorkloadQuery(
         "selection",
         "S",
-        f"SELECT * FROM {table} WHERE b0 < {threshold}",
+        f"SELECT * FROM {table} WHERE b0 < 500000",
         rewriting_supported=True,
     )
 

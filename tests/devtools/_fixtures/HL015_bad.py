@@ -1,5 +1,13 @@
 # hippolint-fixture: src/repro/engine/example.py
-"""Bad: interpolated SQL flows through variables into execute sinks."""
+"""Bad: interpolated SQL reaches execute sinks, in the call itself or
+through variables."""
+
+
+def store(db, conn, name, tid, row) -> None:
+    db.execute(f"INSERT INTO {name} VALUES ({tid})")
+    db.query("SELECT * FROM " + name)
+    conn.execute("DELETE FROM %s" % name)
+    conn.executemany("INSERT INTO {} VALUES (?)".format(name), [row])
 
 
 def fetch(conn: object, table: str) -> list:

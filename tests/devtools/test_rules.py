@@ -80,8 +80,37 @@ def test_lock_state_covers_the_plain_unlocked_call():
     assert lines == [7, 8, 9, 17]
 
 
+def test_sql_taint_covers_interpolation_in_the_call():
+    """HL015 absorbed the lexical interpolated-SQL rule: every call-site
+    form is flagged line by line next to the flows through variables."""
+    source, path = load_fixture("HL015_bad")
+    lines = sorted(d.line for d in findings_for("HL015", source, path))
+    assert lines == [7, 8, 9, 10, 15, 22]
+
+
+@pytest.mark.parametrize(
+    "argument",
+    [
+        'f"SELECT * FROM {name}"',
+        '"SELECT * FROM %s" % name',
+        '"SELECT * FROM " + name',
+        '"SELECT * FROM {}".format(name)',
+    ],
+    ids=["f-string", "percent", "plus", "format"],
+)
+@pytest.mark.parametrize(
+    "scope",
+    ["def run(db, name):\n    db.execute({})\n", "db.execute({})\n"],
+    ids=["function", "module"],
+)
+def test_sql_taint_flags_each_call_site_form(argument, scope):
+    path = "src/repro/engine/example.py"
+    found = findings_for("HL015", scope.format(argument), path)
+    assert [d.line for d in found] == [scope.count("\n")]
+
+
 def test_registry_is_complete():
-    assert len(RULE_IDS) == 15
+    assert len(RULE_IDS) == 14
     assert RULE_IDS == sorted(RULE_IDS)
     for rule in all_rules():
         assert rule.summary, f"{rule.id} lacks a summary"

@@ -863,8 +863,9 @@ class TestRetentionTruncation:
         for tid in range(6):
             publish(writer, "r", tid, tid)
         writer.flush()
-        # Age the writer's resident copies out so the poll must go to
-        # disk: the LRU holds the rotation-time segments.
+        # Only the active segment (offsets 4-5) stays resident: each
+        # rotation dropped its tail, which the sealed file holds, so the
+        # poll from offset 0 must read the sealed segments from disk.
         foreign = ChangeFeed(directory, retention="compact")
         consumer = foreign.consumer("g", start="beginning")
         consumer.poll()

@@ -617,6 +617,43 @@ class TestDurableShell:
         output = run_shell(f".feed tail {tmp_path} 0.1 5/2")
         assert "usage: .feed tail" in output
 
+    @staticmethod
+    def _feed_with_manifest(directory: str) -> None:
+        """Four one-row tables; a process executor's manifest puts r, s
+        and u on worker 0 and w on worker 1 (a fresh plan would deal
+        them out r, u -> 0 and s, w -> 1)."""
+        from repro.conflicts import Ownership, store_ownership
+        from repro.engine.database import Database
+        from repro.engine.feed import ChangeFeed
+
+        feed = ChangeFeed(directory)
+        db = Database(feed=feed)
+        for name in ("r", "s", "u", "w"):
+            db.execute(f"CREATE TABLE {name} (id INTEGER)")
+            db.execute(f"INSERT INTO {name} VALUES (1)")
+        feed.flush()
+        feed.close()
+        store_ownership(
+            directory,
+            Ownership(workers=2, owner={"r": 0, "s": 0, "u": 0, "w": 1}, epoch=3),
+        )
+
+    def test_feed_tail_follows_the_ownership_manifest(self, tmp_path):
+        directory = str(tmp_path / "db")
+        self._feed_with_manifest(directory)
+        output = run_shell(f".feed tail {directory} 0.1 1/2")
+        assert "shard 1/2: topics [w]" in output
+        output = run_shell(f".feed tail {directory} 0.1 0/2")
+        assert "shard 0/2: topics [r, s, u]" in output
+
+    def test_feed_tail_rejects_a_worker_count_the_manifest_lacks(self, tmp_path):
+        directory = str(tmp_path / "db")
+        self._feed_with_manifest(directory)
+        output = run_shell(f".feed tail {directory} 0.1 1/3")
+        assert "error: the ownership manifest" in output
+        assert "has 2 workers, not 3" in output
+        assert "shard 1/3" not in output
+
 
 class TestMultiLineStatements:
     def test_insert_spanning_lines(self):

@@ -1,39 +1,59 @@
-"""Every option of the durable stack has a caller outside the tests.
+"""Every constructor option has a caller outside the tests.
 
 An option that only tests set is a fork the product never takes: each
-keyword option of :class:`~repro.engine.feed.ChangeFeed`,
-:class:`~repro.engine.database.Database`,
-:class:`~repro.conflicts.replica.ReplicaHypergraph`,
-:class:`~repro.conflicts.shard.ShardCoordinator` and
-:class:`~repro.conflicts.executor.ProcessShardExecutor` must be passed --
-by keyword or by position -- somewhere under ``src/``, ``benchmarks/``
-or ``examples/``.  The exceptions are listed with their reason.
+keyword option of every public class under ``src/repro`` that writes
+its own ``__init__`` (dataclasses, protocols and the ``devtools/``
+analyzer excepted) must be passed -- by keyword or by position --
+somewhere under ``src/``, ``benchmarks/`` or ``examples/``.  The
+exceptions are listed with their reason.
 """
 
 from __future__ import annotations
 
 import ast as python_ast
+import dataclasses
+import importlib
 import inspect
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.cli import HippoShell
 from repro.conflicts.executor import ProcessShardExecutor
-from repro.conflicts.replica import ReplicaHypergraph
 from repro.conflicts.shard import ShardCoordinator
-from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed
 
-CLASSES = (
-    ChangeFeed,
-    Database,
-    ReplicaHypergraph,
-    ShardCoordinator,
-    ProcessShardExecutor,
-)
 ROOT = Path(repro.__file__).resolve().parents[2]
+PACKAGE = ROOT / "src" / "repro"
 CALLER_TREES = ("src", "benchmarks", "examples")
+
+
+def _constructed_classes() -> list[type]:
+    """Public non-dataclass, non-protocol classes under ``src/repro``
+    (``devtools/`` excluded) that define their own ``__init__``."""
+    found: list[type] = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        parts = path.relative_to(PACKAGE.parent).with_suffix("").parts
+        if "devtools" in parts or parts[-1] == "__main__":
+            continue
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        module = importlib.import_module(".".join(parts))
+        for name, obj in vars(module).items():
+            if (
+                inspect.isclass(obj)
+                and obj.__module__ == module.__name__
+                and not name.startswith("_")
+                and "__init__" in vars(obj)
+                and not dataclasses.is_dataclass(obj)
+                and not getattr(obj, "_is_protocol", False)
+            ):
+                found.append(obj)
+    return found
+
+
+CLASSES = _constructed_classes()
 
 #: (class, option) -> why no product caller needs to set it.
 ALLOWED = {
@@ -49,6 +69,10 @@ ALLOWED = {
     ),
     ("ProcessShardExecutor", "fault_hooks"): (
         "the chaos tier's crash-injection seam: a product run never arms it"
+    ),
+    ("HippoShell", "out"): (
+        "the shell's output seam: the product prints to stdout, tests"
+        " capture it"
     ),
 }
 
@@ -84,22 +108,31 @@ def _passed() -> dict[str, set[str]]:
     return passed
 
 
-def test_every_durable_stack_option_has_a_product_caller():
-    passed = _passed()
+PASSED = _passed()
+
+
+def test_the_scan_sees_every_constructor_once():
+    names = [cls.__name__ for cls in CLASSES]
+    assert len(names) == len(set(names)), "two classes share a name"
+    for cls in (ChangeFeed, ShardCoordinator, ProcessShardExecutor, HippoShell):
+        assert cls in CLASSES
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_every_option_has_a_product_caller(cls):
     unused = [
         f"{cls.__name__}({option}=)"
-        for cls in CLASSES
         for option in _options(cls)
-        if option not in passed[cls.__name__]
+        if option not in PASSED[cls.__name__]
         and (cls.__name__, option) not in ALLOWED
     ]
     assert unused == [], "options only tests set: " + ", ".join(unused)
 
 
 def test_the_allowlist_names_real_options():
+    by_name = {cls.__name__: cls for cls in CLASSES}
     for (name, option), reason in ALLOWED.items():
-        (cls,) = [cls for cls in CLASSES if cls.__name__ == name]
-        assert option in _options(cls) and reason
+        assert option in _options(by_name[name]) and reason
 
 
 def test_deleted_shard_options_are_refused(tmp_path):
@@ -110,3 +143,44 @@ def test_deleted_shard_options_are_refused(tmp_path):
     with pytest.raises(TypeError):
         ShardCoordinator(ChangeFeed(), [], relations=["r"])
     assert not (tmp_path / "feed").exists()
+
+
+def test_foreign_keys_take_no_match_nulls():
+    from repro.constraints import ForeignKeyConstraint
+
+    with pytest.raises(TypeError):
+        ForeignKeyConstraint("c", ["p"], "p", ["id"], match_nulls=True)
+
+
+def test_the_shell_run_takes_no_interactive_flag():
+    with pytest.raises(TypeError):
+        HippoShell().run([], interactive=True)
+
+
+def test_rebalance_takes_no_step_hook():
+    from repro.constraints import FunctionalDependency
+
+    coordinator = ShardCoordinator(
+        ChangeFeed(), [FunctionalDependency("r", ["a"], ["b"])], workers=1
+    )
+    try:
+        with pytest.raises(TypeError):
+            coordinator.rebalance(on_step=lambda step: None)
+    finally:
+        coordinator.close()
+
+
+def test_repair_counting_takes_no_component_limit():
+    from repro.conflicts.hypergraph import ConflictHypergraph
+    from repro.repairs import count_repairs_exact
+
+    with pytest.raises(TypeError):
+        count_repairs_exact(ConflictHypergraph(), limit_per_component=10)
+
+
+def test_the_selection_query_takes_no_threshold():
+    from repro.workloads import selection_query
+
+    assert selection_query("r").sql == "SELECT * FROM r WHERE b0 < 500000"
+    with pytest.raises(TypeError):
+        selection_query("r", threshold=10)

@@ -2,8 +2,8 @@
 
 The shard coordinator, run over one OS process per worker
 (:class:`~repro.conflicts.executor.ProcessShardExecutor`), rebalances
-by moving one hot topic between live workers through the checkpoint ->
-transfer -> resume handoff.  This benchmark prices that
+by moving one hot topic between live workers through the release
+checkpoint -> adopt -> resume handoff.  This benchmark prices that
 claim on a 4-topic workload where one topic carries most of the
 records and the initial assignment piles three topics onto worker 0:
 
@@ -17,8 +17,11 @@ records and the initial assignment piles three topics onto worker 0:
 
 Every run **asserts** the merged graph equals full re-detection on the
 writer both before and after the move (the rebalance never trades
-correctness), that the handoff resumed from the transfer packet rather
-than re-bootstrapping, and that the move strictly reduced the skew.
+correctness), that the adopting worker resumed ``hot`` from the
+releaser's snapshot rather than re-bootstrapping (after the post-move
+drain it has applied fewer ``hot`` records than the topic holds -- a
+fresh bootstrap replays all of them), and that the move strictly
+reduced the skew.
 
 Run: ``python -m pytest benchmarks/bench_rebalance.py -q``
 or standalone: ``python benchmarks/bench_rebalance.py``;
@@ -112,7 +115,12 @@ def run_once(directory: Path, db, constraints):
         assert executor.lag == 0  # lag converged
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
         assert executor.graph.as_dict() == expected
-        assert executor.feed.transfers() == {}  # packet adopted + swept
+        # Resumed from the release cut: a re-bootstrap would have
+        # replayed all of hot's history on the target.
+        target = executor.status()[move.target]
+        executor.feed.refresh()
+        hot_end = executor.feed.end_offsets()["hot"]
+        assert target.applied_records.get("hot", 0) < hot_end
         ownership = load_ownership(directory)
         assert ownership is not None and ownership.owner["hot"] == move.target
     return report

@@ -28,8 +28,8 @@ Meta-commands (everything else is executed as SQL):
                        sealed segments, rewrite the one a floor splits)
 ``.shards [N]``        the constraint-aware N-way shard plan (default 2)
 ``.shards --live [DIR]``  the *persisted* ownership manifest of a process
-                       executor on DIR: owners, epoch, per-worker lag,
-                       pending transfer packets
+                       executor on DIR: owners, epoch, per-worker lag
+                       and registered subscription
 ``.rebalance [DIR] [N]``  dry-run rebalance advisor: the topic move
                        ``choose_move`` would make from lag skew alone
                        (a live rebalance also weighs hypergraph edges)
@@ -464,9 +464,9 @@ class HippoShell:
 
         With ``--live``, reads the *persisted* state of a process
         executor on ``DIR`` (default: this shell's durable feed):
-        the ownership manifest (``shards.json``), each worker group's
-        registered lag against the feed ends, and any pending transfer
-        packets from an in-flight handoff.
+        the ownership manifest (``shards.json``) and each worker group's
+        registered lag against the feed ends and subscription (a topic
+        an in-flight handoff has not pruned yet shows on both workers).
         """
         from repro.conflicts.shard import plan_assignment
 
@@ -504,13 +504,14 @@ class HippoShell:
     def _shards_live(self, args: list[str]) -> bool:
         """``.shards --live [DIR]``: a process executor's durable state.
 
-        Reads the ownership manifest (``shards.json``), each worker
-        group's registered lag against the feed ends, and any pending
-        transfer packets -- all without attaching workers, so it is
-        safe to run against a live executor from another process.  A
-        worker that died between checkpoint and commit still shows here
-        as *lagging*: its group registration (and so its retention
-        floor) survives the crash.
+        Reads the ownership manifest (``shards.json``) and each worker
+        group's registration: its lag against the feed ends and its
+        subscription -- all without attaching workers, so it is safe to
+        run against a live executor from another process.  A worker
+        that died between checkpoint and commit still shows here as
+        *lagging*: its group registration (and so its retention floor)
+        survives the crash.  A handoff in flight shows as a topic on
+        both the new owner's and the old owner's subscription.
         """
         from repro.conflicts.executor import OWNERSHIP_FILE, load_ownership
         from repro.engine.feed import ChangeFeed
@@ -557,16 +558,13 @@ class HippoShell:
                 owned = sorted(
                     t for t, w in ownership.owner.items() if w == index
                 )
+                subscribed = ", ".join(sorted(point.topics or ())) or "all"
                 self._print(
                     f"  worker {index} ({group_name}):"
                     f" lag {point.lag(ends)},"
                     f" owns [{', '.join(owned) or '-'}],"
+                    f" subscribed [{subscribed}],"
                     f" recovery {point.source}"
-                )
-            for name, cut in sorted(feed.transfers().items()):
-                self._print(
-                    f"  transfer packet {name} @ {cut}"
-                    " (handoff in flight; pins retention)"
                 )
         finally:
             if foreign:

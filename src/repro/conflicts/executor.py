@@ -35,11 +35,15 @@ in-process transport uses too: it recovers like every other feed
 participant (:func:`~repro.engine.database.recover_database`: its group
 snapshot plus the retained suffix, cost proportional to what it missed)
 under the subscription its group actually has on disk (a crash
-mid-handoff leaves the registration ahead of or behind the plan), then
-reshapes to the plan's spec, adopting any pending transfer packets.
-Every crash point of the handoff protocol therefore converges to the
-planned state after one
-:meth:`~repro.conflicts.shard.ShardCoordinator.supervise` pass.
+mid-handoff leaves the registration ahead of or behind the plan; a
+registered topic its own snapshot cannot restore is dropped from it),
+then reshapes to the plan's spec, adopting each new topic from the
+newest other group's snapshot that covers it.  A worker lets a topic go
+only once such a snapshot exists, so processes that start concurrently
+-- a re-created executor mid-handoff -- never strand one.  Every crash
+point of the handoff protocol therefore converges to the planned state
+after one :meth:`~repro.conflicts.shard.ShardCoordinator.supervise`
+pass.
 
 **Fault injection.**  ``fault_hooks`` hands a worker process a callable
 bound to its crash-phase seam

@@ -291,8 +291,12 @@ class ReplicaHypergraph:
         a later re-attach restores the snapshot instead of replaying
         them.
 
+        An in-memory feed keeps it only until the group detaches (a
+        shard handoff's donor, never a recovery point).
+
         Raises:
-            FeedError: on an in-memory feed (nothing durable to bind to).
+            FeedError: when the replica's consumer was closed or
+                abandoned.
         """
         self._mark("checkpoint")
         self._consumer.store_snapshot(snapshot_database(self.db))

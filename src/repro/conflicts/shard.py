@@ -31,7 +31,8 @@ body mentions.  So:
   :class:`~repro.conflicts.incremental.IncrementalDetector` machinery,
   and checkpoints its shard through :mod:`repro.engine.snapshot`
   exactly the way the writer checkpoints the whole database -- its
-  retention floor pins only its subscribed topics.
+  retention floor pins only its subscribed topics.  A topic changes
+  hands through those checkpoints too (see :meth:`ShardWorker.reshape`).
 
 * :func:`merge_graphs` unions the shard graphs back into one view:
   duplicate edges (the same violation derived by constraints on two
@@ -41,7 +42,7 @@ body mentions.  So:
   among its own edges.
 
 * :class:`ShardCoordinator` is the *one* orchestrator: it owns the
-  plan and the ownership map, drives the five-step topic handoff,
+  plan and the ownership map, drives the four-step topic handoff,
   rebalances, supervises, merges the shard graphs, assembles a full
   database from the workers' owned slices, and hands
   :class:`~repro.core.hippo.HippoEngine` the merged view so consistent
@@ -186,13 +187,13 @@ class TopicResume:
 
     Attributes:
         topic: the adopted topic.
-        cut: the offset the worker resumed the topic from (the handoff
-            cut when a transfer packet existed, else 0).
+        cut: the offset the worker resumed the topic from (its donor's
+            snapshot cut, else 0).
         end: the topic's feed end at adoption time -- ``end - cut`` is
             the retained suffix the worker will replay through ordinary
             syncs (the "no full re-bootstrap" bound).
-        mode: ``"packet"`` (restored a transfer packet) or ``"replay"``
-            (no packet pending; the topic replays from offset 0).
+        mode: ``"snapshot"`` (restored from a donor's snapshot) or
+            ``"replay"`` (no donor; the topic replays from offset 0).
         baseline: the worker's ``applied_records`` count for the topic
             at adoption -- subtract it later to measure exactly how
             many records the resume replayed.
@@ -513,6 +514,27 @@ def merge_graphs(
     return merged
 
 
+def _donors(
+    points: Mapping[str, GroupRecovery],
+    starts: Mapping[str, int],
+    topic: str,
+    exclude: str,
+) -> list[str]:
+    """The groups other than ``exclude`` that can give ``topic`` back --
+    subscribed, with a still-retained snapshot cut for it -- newest cut
+    first.  Reads recovery points only, never a snapshot payload."""
+    cuts = {
+        group: point.snapshot[topic]
+        for group, point in points.items()
+        if group != exclude
+        and point.snapshot is not None
+        and topic in point.snapshot
+        and (point.topics is None or topic in point.topics)
+        and point.snapshot[topic] >= starts.get(topic, 0)
+    }
+    return sorted(cuts, key=lambda group: (-cuts[group], group))
+
+
 class ShardWorker(ReplicaHypergraph):
     """One consumer group maintaining one shard of the hypergraph.
 
@@ -546,92 +568,74 @@ class ShardWorker(ReplicaHypergraph):
 
     # ------------------------------------------------------------- handoff
 
-    def export_topic(self, topic: str) -> int:
-        """Store a transfer packet for ``topic`` at this worker's
-        committed cut: the *releasing* half of the handoff protocol.
-
-        Call at a sync boundary (between :meth:`sync` calls), where the
-        worker's database reflects its committed offsets exactly -- the
-        packet it stores then *is* the topic's state at the cut, and
-        the adopting worker resumes from it plus the retained suffix.
-        The packet itself pins the topic's retention at the cut, so the
-        suffix stays readable across the whole handoff window, whatever
-        order the two workers persist their resubscriptions in.  This
-        worker keeps serving the topic until :meth:`reshape` drops it.
-        Returns the cut offset.
-
-        Raises:
-            FeedError: when this worker does not subscribe the topic.
-        """
-        name = str(topic).lower()
-        if self.topics is not None and name not in self.topics:
-            raise FeedError(
-                f"worker group {self.group!r} does not subscribe {name!r}"
-            )
-        cut = self._consumer.committed.get(name, 0)
-        self.feed.store_transfer(
-            name, cut, snapshot_database(self.db, tables=[name])
-        )
-        self._mark("release", name)
-        return cut
-
     def reshape(self, spec: ShardSpec, plan: ShardPlan) -> ShardReshape:
         """Transition this worker to a new plan slice, in place.
 
-        The *adopting* half of the handoff protocol.  Every newly
-        subscribed topic resumes from its pending transfer packet --
-        the releasing worker's state at the handoff cut, restored
-        directly into the partial database -- so only the retained
-        suffix past the cut replays through ordinary syncs: no full
-        re-bootstrap.  The worker first drains what it already
-        subscribes, so the restored catalog never runs ahead of its
-        ``_schema`` position.  (With no packet pending, a new topic replays
-        its retained history from offset 0.)  Topics dropped from the
-        subscription release their rows and their retention hold.  The
-        worker's constraint slice and detector are rebuilt for the new
-        spec, and a checkpoint binds the result (durable feeds), after
-        which the packet and the releasing worker's floor no longer
-        pin retention.
+        The *adopting* half of the handoff protocol: each new topic is
+        restored from its newest *donor* -- another group whose snapshot
+        covers it, e.g. the releaser's -- at that snapshot's cut, so
+        only the retained suffix replays (no full re-bootstrap); with no
+        donor it replays from offset 0.  The worker first catches up on
+        what it subscribes, so the restored catalog never runs ahead of
+        its ``_schema`` position.  A topic leaving the slice is let go
+        (rows and retention hold released) only when its history starts
+        at offset 0 or a donor exists; until then the worker keeps it
+        and :meth:`ShardCoordinator.reconcile` retries.  Detection is
+        rebuilt for the new constraint slice, and a checkpoint binds the
+        result -- always after an adoption (making this worker the next
+        donor), otherwise with ``snapshots``.
 
         Raises:
-            FeedError: when a new topic has neither a transfer packet
-                nor its history retained from offset 0 -- adopting it
-                would silently lose records.
+            FeedError: when a new topic has no donor and part of its
+                history was reclaimed.
         """
-        new_topics = frozenset(
+        target = frozenset(
             {str(t).lower() for t in spec.subscribed} | {SCHEMA_TOPIC}
         )
-        old_topics = (
-            self.topics if self.topics is not None else new_topics
-        )
-        added = sorted(new_topics - old_topics)
-        dropped = sorted(old_topics - new_topics)
-        if added:
-            # Adopt from a caught-up position.  A packet restores the
-            # releasing worker's whole catalog; an adopter still behind
-            # on ``_schema`` would then replay CREATE TABLE records for
-            # tables the packet already brought, and die on each retry.
-            while self.lag:
-                self.sync()
+        old_topics = self.topics if self.topics is not None else target
+        added = sorted(target - old_topics)
         self.feed.refresh()
         starts = {t.name: t.start for t in self.feed.topics()}
+        points = self.feed.recovery_points()
+        kept = {
+            name
+            for name in old_topics - target
+            if starts.get(name, 0) > 0
+            and not _donors(points, starts, name, self.group)
+        }
+        dropped = sorted(old_topics - target - kept)
+        restores: dict[str, tuple[dict[str, int], dict]] = {}
+        for name in added:
+            for donor in _donors(points, starts, name, self.group):
+                # The donor may have checkpointed again since the scan:
+                # the cut is the loaded snapshot's own.
+                snapshot = self.feed.load_snapshot(donor)
+                if snapshot is not None and name in snapshot[0]:
+                    restores[name] = snapshot
+                    break
+            else:
+                if starts.get(name, 0) > 0:
+                    raise FeedError(
+                        f"cannot adopt topic {name!r}: no other group's"
+                        " snapshot covers it and its history below"
+                        f" offset {starts[name]} was reclaimed"
+                    )
+        if added:
+            # Catch up before restoring: a snapshot carries its group's
+            # whole catalog, and an adopter behind on ``_schema`` would
+            # replay CREATE TABLE records for tables the restore already
+            # brought -- and die on each retry.
+            while self.lag:
+                self.sync()
         ends = self.feed.end_offsets()
         positions: dict[str, int] = {}
         resumes: list[TopicResume] = []
         for name in added:
-            packet = self.feed.load_transfer(name)
-            if packet is not None:
-                cut, payload = packet
+            cut, mode = 0, "replay"
+            if name in restores:
+                committed, payload = restores[name]
                 restore_database(self.db, payload, tables=[name], merge=True)
-                mode = "packet"
-            elif starts.get(name, 0) > 0:
-                raise FeedError(
-                    f"cannot adopt topic {name!r}: no transfer packet is"
-                    f" pending and its history below offset"
-                    f" {starts[name]} was reclaimed"
-                )
-            else:
-                cut, mode = 0, "replay"
+                cut, mode = committed[name], "snapshot"
             positions[name] = cut
             resumes.append(
                 TopicResume(
@@ -648,8 +652,8 @@ class ShardWorker(ReplicaHypergraph):
         # The resubscription is the worker's durable half of the grant:
         # from here its registration pins the new topics at their cuts
         # and no longer pins the dropped ones.
-        self._consumer.resubscribe(new_topics, positions)
-        self.topics = new_topics
+        self.topics = target | kept
+        self._consumer.resubscribe(self.topics, positions)
         self.spec = spec
         self.constraints = list(spec.constraints)
         self.extra_referenced = plan.referenced
@@ -662,7 +666,7 @@ class ShardWorker(ReplicaHypergraph):
             self._full_detect()
         except CatalogError:
             pass  # stays deferred until the missing DDL replicates
-        if self._snapshots:
+        if added or self._snapshots:
             self.checkpoint()
         return ShardReshape(added=tuple(resumes), dropped=tuple(dropped))
 
@@ -696,57 +700,52 @@ def attach_worker(
     The worker boots under the subscription its group actually has
     *registered* -- a crash mid-handoff leaves the registration ahead
     of or behind the plan -- and then reshapes to the target spec,
-    adopting pending transfer packets.  A registered topic that can
-    neither replay (history reclaimed) nor restore from the group
-    snapshot (the worker died between resubscribing and its first
-    checkpoint) is dropped from the registration and re-adopted from
-    its still-pending packet, which has pinned the suffix all along.
-    A respawn that needed no reshape still checkpoints (with
+    adopting new topics from their donors (:meth:`ShardWorker.reshape`).
+    A registered topic the group can neither replay nor restore from its
+    own snapshot (it died between resubscribing and its first
+    checkpoint) is first dropped from the registration, to be adopted
+    again.  A respawn that needed no reshape still checkpoints (with
     ``snapshots``), re-establishing its floor.  ``fault`` is bound to
     the worker's crash-phase seam
     (:meth:`~repro.conflicts.replica.ReplicaHypergraph._mark`).
 
     Raises:
-        FeedError: when the registered history is unrecoverable and no
-            pending transfer packet explains it.
+        FeedError: when the group's ``_schema`` history is
+            unrecoverable, or a topic to adopt has neither a donor nor
+            its history from offset 0.
     """
     target = frozenset(spec.subscribed)
+    feed.refresh()
     point = feed.recovery_points().get(group)
     boot_topics = target
     if point is not None and point.topics is not None:
-        boot_topics = frozenset(point.topics) | {SCHEMA_TOPIC}
+        starts = {t.name: t.start for t in feed.topics()}
+        covered = point.snapshot or {}
+        boot_topics = frozenset(
+            name
+            for name in point.topics
+            if covered.get(name, 0) >= starts.get(name, 0)
+        ) | {SCHEMA_TOPIC}
+        if boot_topics != point.topics:
+            feed.update_subscription(group, boot_topics)
 
-    def boot(topics: frozenset[str]) -> ShardWorker:
-        worker = ShardWorker(
-            feed,
-            replace(spec, subscribed=tuple(sorted(topics))),
-            plan,
-            group=group,
-            snapshots=snapshots,
-        )
-        if fault is not None:
-            # Rebind this instance's (no-op) crash-phase seam to the hook.
-            worker._mark = fault  # type: ignore[method-assign]
-        return worker
-
-    try:
-        worker = boot(boot_topics)
-    except FeedError:
-        pending = set(feed.transfers())
-        reduced = frozenset(
-            name for name in boot_topics if name not in pending
-        )
-        if reduced == boot_topics:
-            raise  # nothing in flight explains the failure
-        feed.update_subscription(group, reduced)
-        worker = boot(reduced)
+    worker = ShardWorker(
+        feed,
+        replace(spec, subscribed=tuple(sorted(boot_topics))),
+        plan,
+        group=group,
+        snapshots=snapshots,
+    )
+    if fault is not None:
+        # Rebind this instance's (no-op) crash-phase seam to the hook.
+        worker._mark = fault  # type: ignore[method-assign]
     if frozenset(worker.topics or ()) != target:
         worker.reshape(spec, plan)
         return worker
     worker.spec = spec
     if respawn and worker._snapshots:
-        # The fresh checkpoint covers topics adopted by a crashed
-        # handoff, letting the supervisor sweep their packets.
+        # The fresh checkpoint covers topics a crashed handoff left
+        # this worker, so their releasers may let go.
         worker.checkpoint()
     return worker
 
@@ -791,8 +790,12 @@ def serve(worker: ShardWorker, op: str, **payload: Any) -> Any:
     if op == "checkpoint":
         worker.checkpoint()
         return worker.committed
-    if op == "export":
-        return worker.export_topic(str(payload["topic"]))
+    if op == "release":
+        # A handoff's releasing half: an ordinary checkpoint, pinned for
+        # as long as this worker subscribes the topic.
+        worker.checkpoint()
+        worker._mark("release", str(payload["topic"]))
+        return None
     if op == "reshape":
         return worker.reshape(payload["spec"], payload["plan"])
     if op == "graph":
@@ -948,8 +951,8 @@ class ShardCoordinator:
     :class:`LocalTransport`);
     :class:`~repro.conflicts.executor.ProcessShardExecutor` builds the
     same coordinator over one OS process per worker.  Either way it
-    returns once every worker finished bootstrapping and any transfer
-    packets a crashed previous run left behind are swept.
+    returns once every worker bootstrapped and was reconciled with the
+    plan (finishing a handoff a crashed previous run left in flight).
     """
 
     def __init__(
@@ -1005,8 +1008,9 @@ class ShardCoordinator:
                 transport.grant(self._ownership(self.plan, self.epoch))
             for spec in self.plan.shards:
                 transport.start(spec, self.plan, self._group(spec.index))
-            self.status()  # block until every worker bootstrapped
-            self.sweep_transfers()
+            # Waits for every worker, then retries what a releaser could
+            # not let go while its adopter was still starting.
+            self.reconcile()
         except BaseException:
             self.close()
             raise
@@ -1150,29 +1154,30 @@ class ShardCoordinator:
     ) -> HandoffReport:
         """Move ``topic``'s ownership to worker ``to``, live.
 
-        The five-step protocol (each step leaves a recoverable state;
+        The four-step protocol (each step leaves a recoverable state;
         ``on_step`` is called after each with its name -- the chaos
         suite's hook for killing the pipeline mid-handoff):
 
-        1. ``released`` -- the owning worker checkpoints the topic into
-           a transfer packet at its committed cut (it keeps serving).
+        1. ``released`` -- the owning worker checkpoints: its group
+           snapshot holds the topic at its committed cut, pinned for as
+           long as it subscribes the topic (it keeps serving).
         2. ``granted``  -- the coordinator commits the new ownership:
            the plan swap, which the transport persists where it keeps
            an ownership manifest.  The commit point.
         3. ``adopted``  -- workers gaining topics resubscribe: restore
-           the packet at the cut, pin their floors, re-detect,
-           checkpoint.
-        4. ``pruned``   -- workers losing topics resubscribe away,
-           releasing rows and retention holds.
-        5. ``cleared``  -- the transfer packets are deleted.
+           the newest snapshot covering each topic, pin their floors at
+           its cut, re-detect, checkpoint.
+        4. ``pruned``   -- workers losing topics resubscribe away (each
+           topic once someone else can give it back, see
+           :meth:`ShardWorker.reshape`), then drifted workers reconcile.
 
         Constraints follow their anchor relations: the new plan is
         recomputed with the full ownership map pinned, so cross-shard
         flags, foreign subscriptions and each worker's constraint slice
         all move consistently.  A worker death at any step converges
-        after :meth:`supervise`: the packets pin the suffix, the
-        registrations carry each worker's durable half, and restarted
-        workers reconcile against the committed plan.
+        after :meth:`supervise`: the registrations carry each worker's
+        durable half, and restarted workers reconcile against the
+        committed plan.
 
         Raises:
             ConstraintError: for an unknown topic or worker index.
@@ -1229,22 +1234,20 @@ class ShardCoordinator:
         for old, new in zip(old_subs, new_subs):
             needed |= new - old
         needed.discard(SCHEMA_TOPIC)
-        # 1) Release: every topic someone must acquire gets a transfer
-        #    packet from the worker currently serving it as owner.
+        # 1) Release: the worker currently serving each topic someone
+        #    must acquire checkpoints it -- its snapshot is the donor.
         for name in sorted(needed):
-            exporter = old_plan.topic_owner.get(name)
-            if exporter is not None and name in old_subs[exporter]:
-                self.transport.request(exporter, "export", topic=name)
+            releaser = old_plan.topic_owner.get(name)
+            if releaser is not None and name in old_subs[releaser]:
+                self.transport.request(releaser, "release", topic=name)
         on_step("released")
         # 2) Grant: the ownership commit.
         self.transport.grant(self._ownership(new_plan, self.epoch + 1))
         self.epoch += 1
         self.plan = new_plan
         on_step("granted")
-        # 3) Adopt before 4) prune: an adopter's registration pins its
-        #    new topics at their cuts before any releaser lets go, so
-        #    the retention floor never gaps (the packets cover the
-        #    window in between anyway).
+        # 3) Adopt before 4) prune: an adopter's checkpoint makes it a
+        #    donor, so the releasers can let go.
         adopters = [
             spec.index
             for spec in new_plan.shards
@@ -1257,12 +1260,8 @@ class ShardCoordinator:
         for spec in new_plan.shards:
             if spec.index not in adopters and spec != old_plan.shards[spec.index]:
                 reshapes[spec.index] = self._reshape(spec.index)
+        self.reconcile()
         on_step("pruned")
-        # 5) The adopters checkpointed past their cuts; the packets no
-        #    longer pin anything anyone needs.
-        for name in sorted(needed):
-            self.feed.clear_transfer(name)
-        on_step("cleared")
         return reshapes
 
     def _reshape(self, index: int) -> ShardReshape:
@@ -1270,30 +1269,6 @@ class ShardCoordinator:
         return self.transport.request(
             index, "reshape", spec=self.plan.shards[index], plan=self.plan
         )
-
-    def sweep_transfers(self) -> list[str]:
-        """Clear transfer packets whose adopting owner already
-        checkpointed at or past the handoff cut -- the leftovers of a
-        handoff that crashed between ``adopted`` and ``cleared``.
-        Packets still covering an un-adopted topic stay."""
-        cleared: list[str] = []
-        pending = self.feed.transfers()
-        if not pending:
-            return cleared
-        points = self.feed.recovery_points()
-        for name, cut in sorted(pending.items()):
-            owner = self.plan.topic_owner.get(name)
-            if owner is None:
-                continue
-            point = points.get(self._group(owner))
-            if (
-                point is not None
-                and point.snapshot is not None
-                and point.snapshot.get(name, -1) >= cut
-            ):
-                self.feed.clear_transfer(name)
-                cleared.append(name)
-        return cleared
 
     # ---------------------------------------------------------- supervisor
 
@@ -1321,21 +1296,21 @@ class ShardCoordinator:
     def supervise(self) -> list[WorkerEvent]:
         """One supervision pass: restart every worker that is dead or
         hung, then reconcile survivors whose subscriptions drifted from
-        the plan (a handoff that died mid-protocol) and sweep spent
-        transfer packets.  Returns the actions taken."""
+        the plan (a handoff that died mid-protocol).  Returns the
+        actions taken."""
         events: list[WorkerEvent] = []
         for spec in self.plan.shards:
             if not self.transport.alive(spec.index):
                 events.append(self.restart(spec.index))
         if events:
             self.reconcile()
-            self.sweep_transfers()
         return events
 
     def reconcile(self) -> list[int]:
         """Reshape live workers whose subscription drifted from the
-        plan (the survivors of a handoff that died mid-protocol).
-        Returns the reshaped worker indexes."""
+        plan: the survivors of a handoff that died mid-protocol, and
+        releasers still holding a topic nobody else could give back
+        yet.  Returns the reshaped worker indexes."""
         reshaped: list[int] = []
         for row in self.status():
             target = tuple(sorted(self.plan.shards[row.index].subscribed))

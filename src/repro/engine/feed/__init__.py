@@ -25,7 +25,10 @@ store picked once, at construction, from ``directory``.
   retention floor *only pins the topics it subscribes to*, which is
   what lets shard workers (:mod:`repro.conflicts.shard`) each own a
   slice of the relations without one slow shard pinning every other
-  shard's history.
+  shard's history.  A named group may also store a *snapshot* bound to
+  its committed offsets, on either kind: a durable feed keeps it as the
+  group's recovery point, and a shard handoff adopts a topic from
+  whichever group's snapshot covers it.
 
 * **Retention.**  In-memory feeds keep records until every group has
   consumed them, capped at ``max_retained``; past the cap the buffer is
@@ -55,7 +58,6 @@ from repro.engine.feed.records import (
     RECORD_CREATE_TABLE,
     RECORD_DROP_TABLE,
     SCHEMA_TOPIC,
-    TRANSFER_PREFIX,
     FeedRecord,
     GroupRecovery,
     TopicInfo,
@@ -78,7 +80,6 @@ __all__ = [
     "RECORD_CREATE_TABLE",
     "RECORD_DROP_TABLE",
     "SCHEMA_TOPIC",
-    "TRANSFER_PREFIX",
     "ChangeFeed",
     "FeedConsumer",
     "FeedRecord",
@@ -235,18 +236,13 @@ class ChangeFeed:
         registration; the value passed here wins).
 
         Raises:
-            FeedError: for a group name in the reserved
-                ``__transfer__.`` namespace, or -- on a durable feed --
-                one that is not a single path component.
+            FeedError: on a durable feed, for a group name that is not
+                a single path component.
         """
         store = self._store
         ephemeral = group is None
         if group is None:
             group = store.anonymous_name()
-        elif group.startswith(TRANSFER_PREFIX):
-            raise FeedError(
-                f"group name {group!r} is reserved for transfer packets"
-            )
         known = group in store.committed
         # Ephemeral groups never touch consumers/ on disk: their
         # position is meaningless to any other process, and a stale
@@ -296,9 +292,9 @@ class ChangeFeed:
         rewrite is persisted under the manifest lock, so a concurrent
         reclaim sees either the old floor set or the new one --
         never a torn mixture.  This is the shard-handoff primitive:
-        transferring a topic is exactly a resubscription pair (the new
-        owner pins the topic at the handoff cut, then the old owner
-        releases it).  Returns the group's new committed offsets.
+        moving a topic is exactly a resubscription pair (the new owner
+        pins the topic at its donor's snapshot cut, then the old owner
+        lets it go).  Returns the group's new committed offsets.
 
         Raises:
             FeedError: for an ephemeral (anonymous) group -- its
@@ -535,17 +531,19 @@ class ChangeFeed:
         in-memory feeds).  Returns whether anything changed."""
         return self._log.refresh()
 
-    # ------------------------------------------- snapshots, transfer packets
+    # ------------------------------------------------------------ snapshots
 
     def store_snapshot(
         self, group: str, committed: dict[str, int], payload: dict
     ) -> None:
         """Persist ``payload`` as ``group``'s recovery snapshot, bound to
         the ``committed`` offsets it captures (see
-        :meth:`FeedConsumer.store_snapshot`).
+        :meth:`FeedConsumer.store_snapshot`).  An in-memory feed keeps
+        it until the group detaches.
 
         Raises:
-            FeedError: on an in-memory feed.
+            FeedError: on an in-memory feed, for a group not attached to
+                this instance or an ephemeral one.
         """
         self._store.store_snapshot(group, committed, payload)
 
@@ -559,32 +557,6 @@ class ChangeFeed:
             FeedError: when the snapshot file is corrupt.
         """
         return self._store.load_snapshot(group)
-
-    def store_transfer(self, topic: str, cut: int, payload: dict) -> None:
-        """Persist a shard-handoff transfer packet for ``topic``: the
-        releasing worker's slice of the database for the topic at its
-        committed ``cut``.  The adopting worker restores it and replays
-        only the retained suffix past the cut (no full re-bootstrap),
-        which a durable feed pins for as long as the packet exists (see
-        :data:`TRANSFER_PREFIX`)."""
-        self._store.store_transfer(str(topic).lower(), int(cut), payload)
-
-    def load_transfer(self, topic: str) -> Optional[tuple[int, dict]]:
-        """The pending transfer packet for ``topic`` as ``(cut,
-        payload)``, or None when no handoff is in flight."""
-        return self._store.load_transfer(str(topic).lower())
-
-    def clear_transfer(self, topic: str) -> None:
-        """Delete ``topic``'s transfer packet (after the adopting worker
-        checkpointed past the handoff cut), releasing its retention
-        pin.  A no-op when no packet exists."""
-        self._store.clear_transfer(str(topic).lower())
-        self._release()
-
-    def transfers(self) -> dict[str, int]:
-        """Pending transfer packets: topic -> handoff cut (on-disk
-        packets of other processes included)."""
-        return self._store.transfers()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -741,10 +713,12 @@ class FeedConsumer:
         replay forward -- even after its committed prefix is reclaimed.
 
         Raises:
-            FeedError: on an in-memory feed or an ephemeral group.
+            FeedError: on a closed consumer or an ephemeral group.
         """
         if self._closed or self.group in self.feed._store.ephemeral:
-            raise FeedError("snapshots need a named group on a durable feed")
+            raise FeedError(
+                f"snapshots need an open named group, not {self.group!r}"
+            )
         self.feed.flush()
         self.feed.store_snapshot(self.group, self.committed, payload)
 

@@ -1,8 +1,10 @@
 """The group store: who consumes a feed, and from where.
 
-:class:`GroupStore` keeps one feed instance's registrations in memory;
-:class:`DurableGroupStore` adds the directory and is the *only* code
-that touches ``consumers/*.json`` and ``snapshots/*``::
+:class:`GroupStore` keeps one feed instance's registrations in memory,
+plus the latest snapshot of each attached named group (forgotten when
+the group detaches); :class:`DurableGroupStore` adds the directory and
+is the *only* code that touches ``consumers/*.json`` and
+``snapshots/*``::
 
     <dir>/consumers/<group>.json          {"group", "committed", ["topics"]}
     <dir>/snapshots/<group>.json          the same plus "payload"
@@ -14,13 +16,9 @@ from __future__ import annotations
 import contextlib
 import json
 from pathlib import Path
-from typing import Callable, ContextManager, Iterable, Mapping, Optional
+from typing import Callable, ContextManager, Mapping, Optional
 
-from repro.engine.feed.records import (
-    TRANSFER_PREFIX,
-    Contribution,
-    GroupRecovery,
-)
+from repro.engine.feed.records import Contribution, GroupRecovery
 from repro.engine.feed.segments import atomic_json, check_component
 from repro.errors import FeedError
 
@@ -28,13 +26,16 @@ from repro.errors import FeedError
 class GroupStore:
     """Consumer-group registrations of one feed instance, in memory:
     group -> ``committed`` offsets and -> ``subscriptions`` (None = all
-    topics); ``ephemeral`` names the anonymous groups."""
+    topics); ``ephemeral`` names the anonymous groups.  An attached
+    named group's latest snapshot lives here until it detaches: it is a
+    shard handoff's donor, never a retention floor (memory retention
+    follows the committed offsets alone)."""
 
     def __init__(self) -> None:
         self.committed: dict[str, dict[str, int]] = {}
         self.subscriptions: dict[str, Optional[frozenset[str]]] = {}
         self.ephemeral: set[str] = set()
-        self._transfers: dict[str, tuple[int, dict]] = {}
+        self._snapshots: dict[str, tuple[dict[str, int], dict]] = {}
         self._next_anonymous = 0
 
     def anonymous_name(self) -> str:
@@ -48,6 +49,7 @@ class GroupStore:
         self.committed.pop(group, None)
         self.subscriptions.pop(group, None)
         self.ephemeral.discard(group)
+        self._snapshots.pop(group, None)
 
     def drop(self, group: str) -> None:
         """Deregister a group everywhere this store keeps it."""
@@ -77,41 +79,36 @@ class GroupStore:
             group: GroupRecovery(
                 group=group,
                 committed=dict(committed),
+                snapshot=(
+                    dict(self._snapshots[group][0])
+                    if group in self._snapshots
+                    else None
+                ),
                 topics=self.subscriptions.get(group),
             )
             for group, committed in self.committed.items()
         }
 
     def store_snapshot(
-        self,
-        group: str,
-        committed: Mapping[str, int],
-        payload: dict,
-        topics: Optional[Iterable[str]] = None,
+        self, group: str, committed: Mapping[str, int], payload: dict
     ) -> None:
-        """Refused: there are no durable offsets to bind a payload to."""
-        raise FeedError("snapshots need a durable feed")
+        """Keep ``payload`` as ``group``'s snapshot, bound to the
+        ``committed`` offsets it captures.
+
+        Raises:
+            FeedError: for an ephemeral group, or one not attached here.
+        """
+        if group in self.ephemeral or group not in self.committed:
+            raise FeedError(
+                f"snapshots need an attached named group, not {group!r}"
+            )
+        self._snapshots[group] = (dict(committed), payload)
 
     def load_snapshot(self, group: str) -> Optional[tuple[dict[str, int], dict]]:
-        """None: no snapshot can have been stored."""
-        return None
-
-    def store_transfer(self, topic: str, cut: int, payload: dict) -> None:
-        """Keep a shard-handoff transfer packet for ``topic``."""
-        self._transfers[topic] = (cut, dict(payload))
-
-    def load_transfer(self, topic: str) -> Optional[tuple[int, dict]]:
-        """The pending packet for ``topic`` as ``(cut, payload)``."""
-        entry = self._transfers.get(topic)
-        return None if entry is None else (entry[0], dict(entry[1]))
-
-    def clear_transfer(self, topic: str) -> None:
-        """Forget ``topic``'s packet (a no-op when none exists)."""
-        self._transfers.pop(topic, None)
-
-    def transfers(self) -> dict[str, int]:
-        """Pending transfer packets: topic -> handoff cut."""
-        return {name: cut for name, (cut, _) in self._transfers.items()}
+        """The group's snapshot as ``(committed offsets, payload)``, or
+        None when it stored none since it attached."""
+        entry = self._snapshots.get(group)
+        return None if entry is None else (dict(entry[0]), entry[1])
 
 
 def _read_offsets(
@@ -136,10 +133,8 @@ class DurableGroupStore(GroupStore):
     Named groups survive restarts (``consumers/``); a group may store a
     *snapshot* -- an opaque payload bound to committed offsets, its
     recovery point once retention reclaimed the prefix it would
-    otherwise replay (``snapshots/``).  Transfer packets are snapshots
-    of reserved ``__transfer__.<topic>`` pseudo-groups, so the ordinary
-    floor scan pins their topic for as long as they exist.  ``lock`` is
-    the segment log's manifest lock.
+    otherwise replay (``snapshots/``).  ``lock`` is the segment log's
+    manifest lock.
     """
 
     def __init__(
@@ -147,7 +142,7 @@ class DurableGroupStore(GroupStore):
     ) -> None:
         super().__init__()
         self._consumers = directory / "consumers"
-        self._snapshots = directory / "snapshots"
+        self._snapshot_dir = directory / "snapshots"
         self._lock = lock
 
     def _consumer_path(self, group: str) -> Path:
@@ -158,8 +153,8 @@ class DurableGroupStore(GroupStore):
         """(payload file, offsets sidecar) of a group's snapshot."""
         check_component("group", group)
         return (
-            self._snapshots / f"{group}.json",
-            self._snapshots / f"{group}.offsets.json",
+            self._snapshot_dir / f"{group}.json",
+            self._snapshot_dir / f"{group}.offsets.json",
         )
 
     def load_committed(self, group: str) -> Optional[dict[str, int]]:
@@ -211,8 +206,8 @@ class DurableGroupStore(GroupStore):
                 by_group[path.stem] = GroupRecovery(
                     group=path.stem, committed=offsets, topics=topics
                 )
-        if self._snapshots.exists():
-            for path in sorted(self._snapshots.glob("*.offsets.json")):
+        if self._snapshot_dir.exists():
+            for path in sorted(self._snapshot_dir.glob("*.offsets.json")):
                 group = path.name[: -len(".offsets.json")]
                 offsets, topics = _read_offsets(path)
                 entry = by_group.get(group)
@@ -237,25 +232,13 @@ class DurableGroupStore(GroupStore):
         return by_group
 
     def store_snapshot(
-        self,
-        group: str,
-        committed: Mapping[str, int],
-        payload: dict,
-        topics: Optional[Iterable[str]] = None,
+        self, group: str, committed: Mapping[str, int], payload: dict
     ) -> None:
         """Persist ``payload`` bound to the ``committed`` offsets it
-        captures.  ``topics`` overrides the subscription recorded in the
-        sidecar (which otherwise comes from the group's live
-        registration) -- what a pseudo-group with no live consumer, like
-        a transfer packet, needs so its floor pins only the topics it
-        actually covers."""
+        captures; the sidecar records the group's live subscription."""
         payload_path, offsets_path = self._snapshot_paths(group)
-        self._snapshots.mkdir(parents=True, exist_ok=True)
-        subscription = (
-            frozenset(str(t).lower() for t in topics)
-            if topics is not None
-            else self.subscriptions.get(group)
-        )
+        self._snapshot_dir.mkdir(parents=True, exist_ok=True)
+        subscription = self.subscriptions.get(group)
         extra: dict[str, object] = (
             {} if subscription is None else {"topics": sorted(subscription)}
         )
@@ -291,35 +274,3 @@ class DurableGroupStore(GroupStore):
             return committed, data["payload"]
         except (ValueError, KeyError) as exc:
             raise FeedError(f"corrupt snapshot {path}") from exc
-
-    def store_transfer(self, topic: str, cut: int, payload: dict) -> None:
-        """Store the packet as the snapshot of ``__transfer__.<topic>``,
-        sidecar subscribed to ``topic`` alone: the floor scan then keeps
-        the suffix past ``cut`` readable while the packet exists."""
-        self.store_snapshot(
-            f"{TRANSFER_PREFIX}{topic}", {topic: cut}, payload, topics=(topic,)
-        )
-
-    def load_transfer(self, topic: str) -> Optional[tuple[int, dict]]:
-        """The pending packet for ``topic`` as ``(cut, payload)``."""
-        snapshot = self.load_snapshot(f"{TRANSFER_PREFIX}{topic}")
-        if snapshot is None:
-            return None
-        committed, payload = snapshot
-        return committed.get(topic, 0), payload
-
-    def clear_transfer(self, topic: str) -> None:
-        """Delete ``topic``'s packet, releasing its retention pin."""
-        for path in self._snapshot_paths(f"{TRANSFER_PREFIX}{topic}"):
-            with contextlib.suppress(OSError):
-                path.unlink()
-
-    def transfers(self) -> dict[str, int]:
-        """Pending packets: topic -> handoff cut (on-disk packets of
-        other processes included)."""
-        pending = {}
-        for group, recovery in self.registered_floors().items():
-            if group.startswith(TRANSFER_PREFIX):
-                name = group[len(TRANSFER_PREFIX) :]
-                pending[name] = recovery.floor.get(name, 0)
-        return pending

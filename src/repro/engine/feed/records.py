@@ -27,13 +27,6 @@ RECORD_DROP_TABLE = "drop_table"
 #: The topic DDL records are published to.
 SCHEMA_TOPIC = "_schema"
 
-#: Reserved pseudo-group prefix for shard-handoff transfer packets: a
-#: packet for topic ``t`` is stored as the snapshot of group
-#: ``__transfer__.t`` (sidecar subscribed to ``t`` only), so the
-#: ordinary retention floor scan pins the topic's records past the
-#: handoff cut for exactly as long as the packet exists.
-TRANSFER_PREFIX = "__transfer__."
-
 #: The non-finite floats JSON cannot carry, by their wire tag.
 _NONFINITE = {
     "nan": float("nan"),
@@ -174,7 +167,8 @@ class GroupRecovery:
         committed: committed offsets per topic.
         snapshot: the offsets of the group's snapshot, when it stored
             one -- then the group's recovery point (it rebuilds from
-            the snapshot and replays forward).
+            the snapshot and replays forward), and what makes it a
+            shard handoff's donor for the topics it subscribes.
         topics: the group's topic subscription (None = all topics);
             the group's floor only pins subscribed topics.
     """
@@ -186,8 +180,12 @@ class GroupRecovery:
 
     @property
     def floor(self) -> dict[str, int]:
-        """The offsets retention must keep for this group."""
-        return self.snapshot if self.snapshot is not None else self.committed
+        """The offsets retention must keep for this group: its recovery
+        point, over the topics it subscribes."""
+        offsets = self.snapshot if self.snapshot is not None else self.committed
+        if self.topics is None:
+            return offsets
+        return {n: o for n, o in offsets.items() if n in self.topics}
 
     @property
     def source(self) -> str:

@@ -83,8 +83,12 @@ def test_crash_schedule_reaches_every_aligned_cut(
         random_fault(ex, rng)
         settle(ex)
         assert ex.graph.as_dict() == monolith()
-    # Converged: no packets pending, ownership manifest consistent.
-    assert ex.feed.transfers() == {}
+    # Converged: no worker pins a topic outside its plan slice, and
+    # the ownership manifest is consistent.
+    points = ex.feed.recovery_points()
+    for spec in ex.plan.shards:
+        floor = points[f"shard-{spec.index}"].floor
+        assert set(floor) <= set(spec.subscribed)
     ownership = load_ownership(ex.feed.directory)
     assert ownership is not None
     assert set(ownership.owner) == set(TOPICS)

@@ -67,7 +67,7 @@ class TestHandoffKills:
         self, writer, make_executor, kill_at, monolith, settle
     ):
         feed, db = writer
-        # The exporter dies right after storing the transfer packet --
+        # The releaser dies right after its release checkpoint --
         # before the grant.  Ownership must NOT move.
         ex = make_executor(fault_hooks=kill_at(0, "release", topic="u"))
         ex.drain()
@@ -88,7 +88,9 @@ class TestHandoffKills:
         )
         ex.drain()
         assert ex.graph.as_dict() == monolith()
-        assert ex.feed.transfers() == {}
+        points = ex.feed.recovery_points()
+        assert "u" not in points["shard-0"].floor
+        assert "u" in points["shard-1"].floor
 
     def test_kill_adopter_after_ownership_commit(
         self, writer, make_executor, monolith, settle
@@ -96,7 +98,8 @@ class TestHandoffKills:
         feed, db = writer
         # Parent-side kill between the grant (shards.json persisted)
         # and the adopter's reshape: ownership HAS moved; supervision
-        # must finish the adoption from the pinned transfer packet.
+        # must finish the adoption from the releaser's snapshot, which
+        # pins the suffix until then.
         ex = make_executor()
         ex.drain()
 
@@ -107,14 +110,16 @@ class TestHandoffKills:
         with pytest.raises(ExecutorError):
             ex.handoff("u", 1, on_step=on_step)
         assert load_ownership(ex.feed.directory).owner["u"] == 1
-        assert "u" in ex.feed.transfers()  # the packet pins the suffix
+        # The releaser still holds u: its snapshot pins the suffix.
+        assert "u" in ex.feed.recovery_points()["shard-0"].floor
         events = ex.supervise()
         assert [e.index for e in events] == [1]
         rows = settle(ex)
         adopter = [r for r in rows if r.index == 1][0]
         assert "u" in adopter.committed
         assert ex.graph.as_dict() == monolith()
-        assert ex.feed.transfers() == {}  # swept once adoption stuck
+        # Let go once the adoption stuck.
+        assert "u" not in ex.feed.recovery_points()["shard-0"].floor
 
     def test_kill_adopter_mid_adopt_after_resubscribe(
         self, writer, make_executor, kill_at, monolith, settle
@@ -134,7 +139,9 @@ class TestHandoffKills:
         write_more(db, feed)
         settle(ex)
         assert ex.graph.as_dict() == monolith()
-        assert ex.feed.transfers() == {}
+        points = ex.feed.recovery_points()
+        assert "u" not in points["shard-0"].floor
+        assert "u" in points["shard-1"].floor
 
     def test_survivor_prune_completes_after_adopter_crash(
         self, writer, make_executor, kill_at, settle

@@ -1,7 +1,7 @@
-"""Tests for topic handoff: worker export/reshape, the rebalance
-chooser, and -- over *both* worker transports -- the coordinator's
-five-step protocol, rebalance, dead-worker status accounting and
-restart.  The ``coordinator`` fixture builds the same
+"""Tests for topic handoff: worker release/reshape and the let-go
+rule, the rebalance chooser, and -- over *both* worker transports --
+the coordinator's four-step protocol, re-opening mid-handoff,
+rebalance, dead-worker status accounting and restart.  The ``coordinator`` fixture builds the same
 :class:`ShardCoordinator` state machine over in-process workers
 (tier-1) and over one OS process per worker (``slow`` tier), so every
 case below proves one protocol, not one copy of it."""
@@ -19,7 +19,7 @@ from repro.conflicts import (
     plan_assignment,
 )
 from repro.constraints import FunctionalDependency
-from repro.engine.database import Database
+from repro.engine.database import WRITER_GROUP, Database
 from repro.engine.feed import ChangeFeed
 from repro.errors import ConstraintError, ExecutorError, FeedError
 
@@ -88,16 +88,22 @@ def coordinator(tmp_path, transport):
     feed, on the transport under test; closed at teardown."""
     made = []
 
-    def build(feed):
+    def build(feed, assignment=SKEWED):
+        # A process executor re-opened on the directory follows its
+        # persisted shards.json, not ``assignment``.
         if transport == "local":
-            made.append(skewed_coordinator(feed))
+            made.append(
+                ShardCoordinator(
+                    feed, constraints(), workers=2, assignment=assignment
+                )
+            )
         else:
             made.append(
                 ProcessShardExecutor(
                     tmp_path / "f",
                     constraints(),
                     workers=2,
-                    assignment=SKEWED,
+                    assignment=assignment,
                     mp_context="fork",
                 )
             )
@@ -177,47 +183,73 @@ class TestChooseMove:
         assert first == again
 
 
-class TestWorkerExportReshape:
-    def test_export_stores_a_packet_at_the_committed_cut(self, tmp_path):
+MOVED_U = {"r": 0, "s": 0, "u": 1, "w": 1}
+
+
+def reclaimed_primary(directory):
+    """The writer over a compacting feed whose topic u lost its prefix
+    (every floor moved past it), plus its skewed coordinator."""
+    feed, db = build_primary(directory, segment_records=2, retention="compact")
+    coordinator = skewed_coordinator(feed)
+    coordinator.drain()
+    coordinator.checkpoint()
+    db.checkpoint()
+    (u,) = [t for t in feed.topics() if t.name == "u"]
+    assert u.start > 0
+    return feed, db, coordinator
+
+
+class TestWorkerReleaseReshape:
+    def test_release_checkpoints_the_topic_at_the_committed_cut(
+        self, tmp_path
+    ):
         feed, db = build_primary(tmp_path / "f")
         coordinator = skewed_coordinator(feed)
         coordinator.drain()
         owner = coordinator.workers[0]
-        cut = owner.export_topic("u")
-        assert cut == owner.committed["u"]
-        assert feed.transfers() == {"u": cut}
-        stored_cut, payload = feed.load_transfer("u")
-        assert stored_cut == cut
-        # The partial snapshot carries rows for the released topic.
-        assert any("rows" in entry for entry in payload["tables"])
+        assert feed.recovery_points()["shard-0"].snapshot is None
+        coordinator.transport.request(0, "release", topic="u")
+        point = feed.recovery_points()["shard-0"]
+        assert point.snapshot is not None
+        assert point.snapshot["u"] == owner.committed["u"]
+        committed, payload = feed.load_snapshot("shard-0")
+        assert committed == point.snapshot
+        # The group snapshot carries rows for the released topic.
+        (u,) = [e for e in payload["tables"] if e["schema"]["name"] == "u"]
+        assert u["rows"]
         coordinator.close()
         feed.close()
 
-    def test_export_requires_subscription(self, tmp_path):
-        feed, db = build_primary(tmp_path / "f")
-        coordinator = skewed_coordinator(feed)
-        coordinator.drain()
-        with pytest.raises(FeedError):
-            coordinator.workers[0].export_topic("w")
+    def test_adopting_without_a_donor_over_a_reclaimed_prefix_raises(
+        self, tmp_path
+    ):
+        feed, db, coordinator = reclaimed_primary(tmp_path / "f")
+        # Nobody else holds u: not the writer, not its old owner.
+        coordinator.kill(0)
+        feed.drop_group("shard-0")
+        feed.drop_group(WRITER_GROUP)
+        plan = plan_assignment(constraints(), 2, assignment=MOVED_U)
+        adopter = coordinator.workers[1]
+        with pytest.raises(FeedError, match="no other group's snapshot"):
+            adopter.reshape(plan.shards[1], plan)
+        assert "u" not in (adopter.topics or ())
         coordinator.close()
         feed.close()
 
-    def test_reshape_resumes_from_packet_without_full_replay(self, tmp_path):
+    def test_reshape_resumes_from_the_releasers_snapshot(self, tmp_path):
         feed, db = build_primary(tmp_path / "f")
         coordinator = skewed_coordinator(feed)
         coordinator.drain()
-        coordinator.workers[0].export_topic("u")
+        coordinator.transport.request(0, "release", topic="u")
         # Write a suffix past the cut before the adopter reshapes.
         for i in range(4):
             db.execute(f"INSERT INTO u VALUES ({i}, {50 + i})")
         feed.flush()
-        new_plan = plan_assignment(
-            constraints(), 2, assignment={"r": 0, "s": 0, "u": 1, "w": 1}
-        )
+        new_plan = plan_assignment(constraints(), 2, assignment=MOVED_U)
         adopter = coordinator.workers[1]
         reshape = adopter.reshape(new_plan.shards[1], new_plan)
         (resume,) = [r for r in reshape.added if r.topic == "u"]
-        assert resume.mode == "packet"
+        assert resume.mode == "snapshot"
         assert resume.end - resume.cut == 4  # only the suffix remains
         while adopter.lag:
             adopter.sync()
@@ -226,11 +258,36 @@ class TestWorkerExportReshape:
         coordinator.close()
         feed.close()
 
+    def test_releaser_keeps_a_topic_nobody_else_can_give_back(
+        self, tmp_path
+    ):
+        feed, db, coordinator = reclaimed_primary(tmp_path / "f")
+        feed.drop_group(WRITER_GROUP)  # the writer is no donor either
+        plan = plan_assignment(constraints(), 2, assignment=MOVED_U)
+        releaser, adopter = coordinator.workers
+        # Pruned before the adopter covered u: letting go now would
+        # strand u's reclaimed prefix with nobody able to give it back.
+        held = releaser.reshape(plan.shards[0], plan)
+        assert held.dropped == ()
+        assert "u" in feed.recovery_points()["shard-0"].floor
+        adopted = adopter.reshape(plan.shards[1], plan)
+        assert [(r.topic, r.mode) for r in adopted.added] == [
+            ("u", "snapshot")
+        ]
+        # The adopter's checkpoint makes it a donor: now u can go.
+        released = releaser.reshape(plan.shards[0], plan)
+        assert released.dropped == ("u",)
+        assert "u" not in feed.recovery_points()["shard-0"].floor
+        assert not dict(releaser.db.table("u").items())
+        coordinator.drain()
+        assert coordinator.graph.as_dict() == monolith(db)
+        coordinator.close()
+        feed.close()
 
     def test_adopter_behind_on_schema_catches_up_before_adopting(
         self, tmp_path
     ):
-        # Regression: the packet restores the releaser's whole catalog.
+        # Regression: a snapshot restores its group's whole catalog.
         # An adopter that had not consumed ``_schema`` yet (here: never
         # synced; in the chaos tier: respawned after dying before its
         # first commit) then replayed CREATE TABLE for tables it
@@ -264,7 +321,7 @@ class TestCoordinatorHandoff:
         assert {t for row in rows for t in row.owned} == set(FOUR_TOPICS)
         assert [row.group for row in rows] == ["shard-0", "shard-1"]
 
-    def test_five_step_protocol_preserves_equivalence(
+    def test_four_step_protocol_preserves_equivalence(
         self, primary, coordinator
     ):
         feed, db = primary()
@@ -276,19 +333,28 @@ class TestCoordinatorHandoff:
         feed.flush()
         steps = []
         report = shards.handoff("u", 1, on_step=steps.append)
-        assert steps == [
-            "released", "granted", "adopted", "pruned", "cleared",
-        ]
+        assert steps == ["released", "granted", "adopted", "pruned"]
         assert isinstance(report, HandoffReport)
         assert report.plan is shards.plan
         assert shards.plan.topic_owner["u"] == 1
         (resume,) = [r for r in report.reshapes[1].added if r.topic == "u"]
-        assert resume.mode == "packet"
-        assert resume.end - resume.cut == 4  # only the retained suffix
+        assert resume.mode == "snapshot"
+        assert resume.cut > 0  # resumed from the cut: no re-bootstrap
+        if shards.workers:
+            # In-process workers do not sync on their own, so the cut
+            # sits exactly before the suffix.
+            assert resume.end - resume.cut == 4
         assert report.reshapes[0].dropped == ("u",)
         shards.drain()
         assert shards.graph.as_dict() == monolith(db)
-        assert shards.feed.transfers() == {}  # packets are spent
+        # The adopter replayed exactly the retained suffix past its cut
+        # (a worker process may have consumed the suffix before the
+        # release, which moves the cut, not the invariant).
+        adopter = shards.status()[1]
+        assert (
+            adopter.applied_records.get("u", 0) - resume.baseline
+            == resume.end - resume.cut
+        )
         # The old owner's rows and floor are gone.
         for worker in shards.workers[:1]:  # in-process workers only
             assert not dict(worker.db.table("u").items())
@@ -349,8 +415,8 @@ class TestCoordinatorHandoff:
     ):
         # The handoff dies right after its ownership commit, and topic
         # u's prefix is already reclaimed.  The restarted adopter must
-        # boot under its registered subscription and re-adopt u from
-        # the pending packet -- on both transports, which attach
+        # boot under its registered subscription and adopt u from the
+        # releaser's snapshot -- on both transports, which attach
         # workers through one routine.
         feed, db = primary(segment_records=2, retention="compact")
         shards = coordinator(feed)
@@ -371,7 +437,42 @@ class TestCoordinatorHandoff:
         shards.reconcile()
         shards.drain()
         assert shards.graph.as_dict() == monolith(db)
-        assert feed.transfers() == {}
+        points = feed.recovery_points()
+        assert "u" not in points["shard-0"].floor
+        assert "u" in points["shard-1"].floor
+
+    def test_reopen_after_a_crash_past_the_grant_converges(
+        self, primary, coordinator
+    ):
+        # The coordinator dies right after the grant, over a reclaimed
+        # prefix with no writer checkpoint: the old owner is the only
+        # group that can give u back.  A re-opened coordinator starts
+        # both workers (worker processes concurrently); the old owner
+        # must hold u until the adopter covered it, then let go.
+        feed, db = primary(segment_records=2, retention="compact")
+        shards = coordinator(feed)
+        shards.drain()
+        shards.checkpoint()
+        db.checkpoint()
+        (u,) = [t for t in feed.topics() if t.name == "u"]
+        assert u.start > 0
+        feed.drop_group(WRITER_GROUP)
+
+        def crash(step):
+            if step == "granted":
+                raise RuntimeError("coordinator crash after the grant")
+
+        with pytest.raises(RuntimeError):
+            shards.handoff("u", 1, on_step=crash)
+        shards.close()
+        reopened = coordinator(feed, assignment=MOVED_U)
+        assert reopened.plan.topic_owner["u"] == 1
+        reopened.drain()
+        assert reopened.graph.as_dict() == monolith(db)
+        for row in reopened.status():
+            spec = reopened.plan.shards[row.index]
+            assert row.subscribed == tuple(sorted(spec.subscribed))
+        assert "u" not in feed.recovery_points()["shard-0"].floor
 
     def test_database_and_engine_answer_from_the_shards(
         self, primary, coordinator

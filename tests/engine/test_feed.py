@@ -793,17 +793,6 @@ class TestRetentionTruncation:
         ]
         feed.close()
 
-    def test_snapshots_need_a_named_durable_group(self, tmp_path):
-        feed = ChangeFeed()
-        consumer = feed.consumer("g")
-        with pytest.raises(FeedError, match="durable"):
-            consumer.store_snapshot({})
-        durable = ChangeFeed(tmp_path / "feed")
-        anonymous = durable.consumer()
-        with pytest.raises(FeedError, match="named group"):
-            anonymous.store_snapshot({})
-        durable.close()
-
     def test_drop_group_releases_the_retention_hold(self, tmp_path):
         directory = tmp_path / "feed"
         feed, consumer = self.build(directory)

@@ -72,11 +72,15 @@ def test_in_memory_stack_runs_with_every_file_api_refusing(monkeypatch):
         db.execute("DELETE FROM r WHERE v = 2")
         db.execute("INSERT INTO r VALUES (2, 6)")
         assert len(converged()) == 1
-        # Handoff: the transfer packet lives in the instance, the
-        # resubscription in the in-memory registrations.
+        # Handoff: the releaser's snapshot lives in the instance, the
+        # resubscriptions in the in-memory registrations.
         report = shards.handoff("s", 0)
         assert [t.topic for t in report.reshapes[0].added] == ["s"]
-        assert report.plan.topic_owner["s"] == 0 and feed.transfers() == {}
+        assert report.reshapes[0].added[0].mode == "snapshot"
+        assert report.plan.topic_owner["s"] == 0
+        points = feed.recovery_points()
+        assert "s" in points["shard-0"].floor
+        assert "s" not in points["shard-1"].floor
         db.execute("INSERT INTO s VALUES (2, 7), (2, 8)")
         assert len(converged()) == 4  # r: one pair; s: three among id 2
         answers = engine.consistent_answers("SELECT * FROM s")

@@ -2,12 +2,14 @@
 
 Everything a consumer may rely on without knowing where the records
 live -- seq-ordered polls, ``limit``, commit / re-delivery, topic-subset
-subscriptions, resubscription, transfer packets, ``suspended()``, lag
+subscriptions, resubscription, group snapshots, ``suspended()``, lag
 and pending -- runs here against the memory log and against the segment
 log (at two records per segment, so every multi-record case crosses a
 rotation).  What is kind-specific stays in ``test_feed.py`` (overflow ->
 ``lost``; torn tails, rotation, tailing, truncation / compaction crash
 safety) and ``test_feed_transfer.py`` (what survives a fresh instance).
+A snapshot is where the kinds part ways: a durable one outlives the
+group's attach, a memory one is forgotten when the group detaches.
 """
 
 from __future__ import annotations
@@ -301,14 +303,28 @@ class TestSubscriptions:
             closed.resubscribe(("a",))
 
 
-class TestTransferPackets:
-    def test_roundtrip_and_clear(self, feed):
-        assert feed.transfers() == {} and feed.load_transfer("a") is None
-        feed.store_transfer("A", 2, {"rows": [1, 2]})  # topic lower-cased
-        feed.store_transfer("b", 5, {})
-        assert feed.transfers() == {"a": 2, "b": 5}
-        assert feed.load_transfer("a") == (2, {"rows": [1, 2]})
-        feed.clear_transfer("a")
-        feed.clear_transfer("a")  # idempotent
-        assert feed.transfers() == {"b": 5}
-        assert feed.load_transfer("a") is None
+class TestSnapshots:
+    def test_roundtrip_binds_the_committed_offsets(self, feed):
+        consumer = feed.consumer("g", topics=("a",))
+        publish(feed, "a", 0, 1)
+        publish(feed, "a", 1, 2)
+        consumer.poll()
+        consumer.commit()
+        assert consumer.load_snapshot() is None
+        consumer.store_snapshot({"rows": [1, 2]})
+        assert consumer.load_snapshot() == ({"a": 2}, {"rows": [1, 2]})
+        point = feed.recovery_points()["g"]
+        assert point.snapshot == {"a": 2} and point.source == "snapshot"
+        assert point.topics == frozenset({"a"})
+        consumer.close()
+        # A durable snapshot outlives the attach; a memory one does not.
+        assert (feed.load_snapshot("g") is not None) == feed.durable
+
+    def test_ephemeral_and_closed_groups_are_refused(self, feed):
+        with pytest.raises(FeedError, match="named group"):
+            feed.consumer().store_snapshot({})
+        closed = feed.consumer("c")
+        closed.close()
+        with pytest.raises(FeedError, match="named group"):
+            closed.store_snapshot({})
+        assert feed.load_snapshot("c") is None

@@ -13,7 +13,7 @@ import pytest
 
 from repro.conflicts import ReplicaHypergraph
 from repro.engine.database import Database
-from repro.engine.feed import SCHEMA_TOPIC, TRANSFER_PREFIX, ChangeFeed
+from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
 from repro.errors import CatalogError, FeedError
 
 BAD_COMPONENTS = ["../../evil", "..", ".", "", "a/b", "a\\b", "nul\0byte"]
@@ -98,18 +98,6 @@ def test_in_memory_feeds_build_no_paths_and_accept_any_name():
     feed.publish_change("a/b", 0, (1,), "insert")
     records, lost = consumer.poll()
     assert not lost and [r.topic for r in records] == ["a/b"]
-
-
-@pytest.mark.parametrize("durable", [False, True])
-def test_transfer_namespace_is_reserved(tmp_path, durable):
-    feed = ChangeFeed(tmp_path / "feed") if durable else ChangeFeed()
-    with pytest.raises(FeedError, match="reserved"):
-        feed.consumer(f"{TRANSFER_PREFIX}t")
-    assert feed.groups() == {}
-    # The packet API itself still owns the namespace.
-    feed.store_transfer("t", 3, {"rows": []})
-    assert feed.transfers() == {"t": 3}
-    feed.close()
 
 
 def test_schema_topic_is_not_a_relation_name(tmp_path):

@@ -1,19 +1,18 @@
-"""Tests for the handoff primitives: resubscription, transfer packets,
-and abandoned consumers.
+"""Tests for the handoff primitives: resubscription and abandoned
+consumers.
 
 These are the feed-level halves of shard handoff: a topic moves between
 consumer groups as a *resubscription pair* (the adopter pins the topic
-at the handoff cut before the releaser drops it), and the suffix in
-between is protected by a transfer packet whose pseudo-group snapshot
-pins the topic for the packet's lifetime.  The kind-independent half
-(resubscription semantics, packet round trip) is in
-``test_feed_contract.py``; here is what needs a directory.
+at its donor's snapshot cut before the releaser drops it), while the
+releaser's own snapshot pins the suffix in between.  The
+kind-independent half (resubscription semantics, snapshot round trip)
+is in ``test_feed_contract.py``; here is what needs a directory.
 """
 
 from __future__ import annotations
 
 from repro.engine.database import Database
-from repro.engine.feed import TRANSFER_PREFIX, ChangeFeed
+from repro.engine.feed import ChangeFeed
 
 
 def build(directory, statements):
@@ -90,25 +89,6 @@ class TestUpdateSubscription:
         assert point.topics == frozenset({"a", "b", "_schema"})
         fresh.close()
         feed.close()
-
-
-class TestTransferPackets:
-    def test_packet_pins_only_its_topic(self, tmp_path):
-        feed, db = build(tmp_path / "f", SETUP)
-        feed.store_transfer("a", 2, {})
-        point = feed.recovery_points()[f"{TRANSFER_PREFIX}a"]
-        assert point.topics == frozenset({"a"})
-        assert point.floor == {"a": 2}
-        feed.close()
-
-    def test_packet_survives_a_fresh_feed_instance(self, tmp_path):
-        feed, db = build(tmp_path / "f", SETUP)
-        feed.store_transfer("a", 2, {"x": 1})
-        feed.close()
-        fresh = ChangeFeed(tmp_path / "f")
-        assert fresh.transfers() == {"a": 2}
-        assert fresh.load_transfer("a") == (2, {"x": 1})
-        fresh.close()
 
 
 class TestAbandonedConsumers:

@@ -408,7 +408,9 @@ class TestDurableShell:
         output = run_shell(".shards two")
         assert "usage: .shards" in output
 
-    def test_shards_live_reports_manifest_lag_and_packets(self, tmp_path):
+    def test_shards_live_reports_manifest_lag_and_subscriptions(
+        self, tmp_path
+    ):
         from repro.conflicts import (
             Ownership,
             ShardCoordinator,
@@ -435,21 +437,29 @@ class TestDurableShell:
         coordinator.drain()
         coordinator.checkpoint()
         coordinator.close()
+        # A handoff of a to worker 1 in flight: granted, adopted, but
+        # the old owner has not let go yet.
         store_ownership(
-            directory, Ownership(workers=2, owner={"a": 0, "b": 1}, epoch=3)
+            directory, Ownership(workers=2, owner={"a": 1, "b": 1}, epoch=3)
         )
-        feed.store_transfer("a", 2, {})
+        feed.update_subscription("shard-1", ["_schema", "a", "b"], {"a": 2})
         db.execute("INSERT INTO b VALUES (2, 2)")  # post-checkpoint lag
         feed.flush()
         feed.close()
         output = run_shell(f".shards --live {directory}")
         assert "process executor: 2 workers, epoch 3" in output
-        assert "topic a -> worker 0" in output
+        assert "topic a -> worker 1" in output
         assert "topic b -> worker 1" in output
-        assert "worker 0 (shard-0): lag 0" in output
+        # Both registrations hold a, so the handoff is visible.
+        assert (
+            "worker 0 (shard-0): lag 0, owns [-], subscribed [_schema, a]"
+            in output
+        )
         # The crashed-or-lagging worker is *visible*, never absent.
-        assert "worker 1 (shard-1): lag 1" in output
-        assert "transfer packet a @ 2" in output
+        assert (
+            "worker 1 (shard-1): lag 1, owns [a, b],"
+            " subscribed [_schema, a, b]"
+        ) in output
 
     def test_shards_live_ignores_lookalike_groups(self, tmp_path):
         # Regression: worker groups were matched by a "-N" suffix, so an

@@ -307,7 +307,11 @@ def test_coordinator_matches_monolith_across_handoffs(
             coordinator.drain()
             expected = detect_conflicts(db, constraints).hypergraph.as_dict()
             assert coordinator.graph.as_dict() == expected
-        assert coordinator.feed.transfers() == {}
+        # Converged: no worker pins a topic outside its plan slice.
+        points = coordinator.feed.recovery_points()
+        for spec in coordinator.plan.shards:
+            floor = points[f"shard-{spec.index}"].floor
+            assert set(floor) <= set(spec.subscribed)
     finally:
         coordinator.close()
         if reader is not None:

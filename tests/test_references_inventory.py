@@ -73,6 +73,13 @@ def test_every_public_def_is_referenced():
         ("repro.engine.expressions", "Scope.columns_of"),
         ("repro.engine.storage", "Table.insert_many"),
         ("repro.ra.sjud", "SJUDCore.alias_of"),
+        ("repro.engine.feed", "ChangeFeed.store_transfer"),
+        ("repro.engine.feed", "ChangeFeed.load_transfer"),
+        ("repro.engine.feed", "ChangeFeed.clear_transfer"),
+        ("repro.engine.feed", "ChangeFeed.transfers"),
+        ("repro.engine.feed", "TRANSFER_PREFIX"),
+        ("repro.conflicts.shard", "ShardWorker.export_topic"),
+        ("repro.conflicts.shard", "ShardCoordinator.sweep_transfers"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

@@ -17,15 +17,16 @@ asymptotics so the benchmark comparison is fair rather than rigged).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Protocol
 
 from repro.engine import functions
 from repro.engine.types import (
+    SQLType,
     SQLValue,
     compare_values,
-    is_true,
     logic_and,
     logic_not,
     logic_or,
@@ -61,12 +62,15 @@ class Scope:
     query's scope for correlated references.  ``level`` is the absolute
     nesting depth (root query = 0); the planner uses it to translate
     scope-relative reference depths into absolute positions when keying
-    correlated-subquery caches.
+    correlated-subquery caches.  ``types``, when not empty, holds the
+    declared type of each entry that is a stored column (None for the
+    rest); the planner reads it through :meth:`declared_type`.
     """
 
     entries: list[tuple[Optional[str], str]] = field(default_factory=list)
     parent: Optional["Scope"] = None
     level: int = 0
+    types: list[Optional[SQLType]] = field(default_factory=list)
 
     def resolve(self, table: Optional[str], name: str) -> tuple[int, int]:
         """Resolve a column reference to ``(depth, index)``.
@@ -95,6 +99,20 @@ class Scope:
             scope = scope.parent
             depth += 1
         raise PlanError(f"unknown column: {ast.ColumnRef(table, name)}")
+
+    def declared_type(self, expr: ast.Expression) -> Optional[SQLType]:
+        """The declared type of the stored column ``expr`` names; None when
+        ``expr`` is not a column reference, or its type is not known."""
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        try:
+            depth, index = self.resolve(expr.table, expr.name)
+        except PlanError:
+            return None
+        scope = self
+        for _ in range(depth):
+            scope = scope.parent  # type: ignore[assignment]
+        return scope.types[index] if scope.types else None
 
     def width(self) -> int:
         """Number of slots in this scope."""
@@ -128,7 +146,24 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 
 
 _ARITHMETIC = {"+", "-", "*", "/", "%"}
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
+
+#: Each comparison operator as the test it applies to two operands of one
+#: exact type, or to :func:`compare_values`' result against 0.
+_COMPARISONS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: ``a op b`` is ``b mirror[op] a``.
+_MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+#: Python types whose own order and equality are SQL's between two values
+#: of that one type (float is not: NaN is unordered in Python).
+_EXACT = frozenset({int, str, bool})
 
 
 def _require_number(value: SQLValue, op: str) -> float | int:
@@ -163,25 +198,6 @@ def _apply_arithmetic(op: str, left: SQLValue, right: SQLValue) -> SQLValue:
             remainder = abs(lhs) % abs(rhs)
             return remainder if lhs >= 0 else -remainder
         raise TypeError_("% expects INTEGER operands")
-    raise AssertionError(op)
-
-
-def _apply_comparison(op: str, left: SQLValue, right: SQLValue) -> Optional[bool]:
-    cmp = compare_values(left, right)
-    if cmp is None:
-        return None
-    if op == "=":
-        return cmp == 0
-    if op == "<>":
-        return cmp != 0
-    if op == "<":
-        return cmp < 0
-    if op == "<=":
-        return cmp <= 0
-    if op == ">":
-        return cmp > 0
-    if op == ">=":
-        return cmp >= 0
     raise AssertionError(op)
 
 
@@ -220,11 +236,7 @@ class ExpressionCompiler:
     def compile_predicate(self, expr: ast.Expression) -> Callable[[Env], bool]:
         """Compile a condition; the result maps 3-valued output to bool."""
         evaluator = self.compile(expr)
-
-        def predicate(env: Env) -> bool:
-            return is_true(evaluator(env))
-
-        return predicate
+        return lambda env: evaluator(env) is True
 
     # ----------------------------------------------------------- leaf nodes
 
@@ -255,14 +267,14 @@ class ExpressionCompiler:
 
     def _compile_BinaryOp(self, expr: ast.BinaryOp) -> Evaluator:
         op = expr.op
+        if op in _COMPARISONS:
+            return self._compile_comparison(op, expr.left, expr.right)
         left = self.compile(expr.left)
         right = self.compile(expr.right)
         if op == "AND":
             return lambda env: logic_and(_as_bool(left(env)), _as_bool(right(env)))
         if op == "OR":
             return lambda env: logic_or(_as_bool(left(env)), _as_bool(right(env)))
-        if op in _COMPARISONS:
-            return lambda env: _apply_comparison(op, left(env), right(env))
         if op in _ARITHMETIC:
             return lambda env: _apply_arithmetic(op, left(env), right(env))
         if op == "||":
@@ -277,6 +289,49 @@ class ExpressionCompiler:
 
             return concat
         raise PlanError(f"unknown binary operator {op!r}")
+
+    def _compile_comparison(
+        self, op: str, left_expr: ast.Expression, right_expr: ast.Expression
+    ) -> Evaluator:
+        """``left op right``, the operator picked once, here.
+
+        Two values of one exact type compare natively; anything else --
+        NULL, REAL, mixed numerics, incomparable types -- goes through
+        :func:`compare_values`, which owns the rule (and raises).  A
+        literal operand is moved to the right and captured as a constant.
+        """
+        if isinstance(left_expr, ast.Literal) and not isinstance(
+            right_expr, ast.Literal
+        ):
+            op, left_expr, right_expr = _MIRRORED[op], right_expr, left_expr
+        test = _COMPARISONS[op]
+        left = self.compile(left_expr)
+        if isinstance(right_expr, ast.Literal) and type(right_expr.value) in _EXACT:
+            value = right_expr.value
+            kind = type(value)
+
+            def compare_constant(env: Env) -> Optional[bool]:
+                lhs = left(env)
+                if type(lhs) is kind:
+                    return test(lhs, value)
+                if lhs is None:
+                    return None
+                return test(compare_values(lhs, value), 0)
+
+            return compare_constant
+        right = self.compile(right_expr)
+
+        def compare(env: Env) -> Optional[bool]:
+            lhs = left(env)
+            rhs = right(env)
+            kind = type(lhs)
+            if kind is type(rhs) and kind in _EXACT:
+                return test(lhs, rhs)
+            if lhs is None or rhs is None:
+                return None
+            return test(compare_values(lhs, rhs), 0)
+
+        return compare
 
     def _compile_UnaryOp(self, expr: ast.UnaryOp) -> Evaluator:
         operand = self.compile(expr.operand)
@@ -323,17 +378,12 @@ class ExpressionCompiler:
         return contains
 
     def _compile_Between(self, expr: ast.Between) -> Evaluator:
-        operand = self.compile(expr.operand)
-        low = self.compile(expr.low)
-        high = self.compile(expr.high)
+        above = self._compile_comparison(">=", expr.operand, expr.low)
+        below = self._compile_comparison("<=", expr.operand, expr.high)
         negated = expr.negated
 
         def between(env: Env) -> Optional[bool]:
-            value = operand(env)
-            result = logic_and(
-                _apply_comparison(">=", value, low(env)),
-                _apply_comparison("<=", value, high(env)),
-            )
+            result = logic_and(above(env), below(env))
             return logic_not(result) if negated else result
 
         return between
@@ -379,7 +429,7 @@ class ExpressionCompiler:
                         return result(env)
             else:
                 for condition, result in whens:
-                    if is_true(_as_bool(condition(env))):
+                    if _as_bool(condition(env)) is True:
                         return result(env)
             return else_(env) if else_ is not None else None
 

@@ -53,7 +53,7 @@ class PlanNode:
 class Scan(PlanNode):
     """Full scan of a stored table.
 
-    Unrestricted scans run over the table's cached column-major batch
+    Unrestricted scans run over the table's cached row batch
     (:meth:`~repro.engine.storage.Table.columnar`): the whole batch is
     produced as one materialized list and ``rows_scanned`` is bumped
     once per batch rather than once per row -- a consumer that stops
@@ -141,55 +141,10 @@ class IndexScan(PlanNode):
                 yield row + (tid,) if include_tid else row
 
     def describe(self) -> str:
-        return _lookup_description(self)
-
-
-class ColumnEqScan(PlanNode):
-    """Vectorized constant-equality scan over the columnar batch.
-
-    The planner's fallback between :class:`IndexScan` (a hash index
-    covers the equality columns) and ``Filter(Scan(...))`` (arbitrary
-    predicates): when equality-with-constant conjuncts are present but
-    no index exists, the filter runs as a tight comparison loop over the
-    table's column arrays instead of a compiled predicate call per row.
-    Matching :class:`IndexScan`, ``=`` with NULL produces nothing, and
-    ``rows_scanned`` counts the rows *inspected* -- the full batch, since
-    a column filter reads every value of the filtered column.
-    ``include_tid`` selects from the tid-suffixed batch instead.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        stats: ExecutionStats,
-        positions: Sequence[int],
-        values: Sequence[SQLValue],
-        include_tid: bool,
-    ) -> None:
-        self.table = table
-        self.stats = stats
-        self.positions = tuple(positions)
-        self.values = tuple(values)
-        self.include_tid = include_tid
-        self.width = table.schema.arity + (1 if include_tid else 0)
-
-    def rows(self, env: Env) -> Iterator[Row]:
-        store = self.table.columnar()
-        self.stats.rows_scanned += len(store)
-        return iter(
-            store.select_equals(self.positions, self.values, self.include_tid)
-        )
-
-    def describe(self) -> str:
-        return _lookup_description(self)
-
-
-def _lookup_description(node: "IndexScan | ColumnEqScan") -> str:
-    """``Kind(table on [columns] +tid)`` -- the marker :class:`Scan` uses."""
-    names = node.table.schema.column_names
-    columns = ", ".join(names[p] for p in node.positions)
-    extra = " +tid" if node.include_tid else ""
-    return f"{type(node).__name__}({node.table.schema.name} on [{columns}]{extra})"
+        names = self.table.schema.column_names
+        columns = ", ".join(names[p] for p in self.positions)
+        extra = " +tid" if self.include_tid else ""
+        return f"IndexScan({self.table.schema.name} on [{columns}]{extra})"
 
 
 class Values(PlanNode):

@@ -9,8 +9,8 @@ needs to make the Hippo experiments meaningful:
   this to run in linear time, exactly as PostgreSQL would execute them);
 * remaining conjuncts become filters at the earliest point where all of
   their columns are available -- single-table ones directly under their
-  FROM item, where constant equalities pick an index or column-equality
-  scan instead;
+  FROM item, where constant equalities covering a hash index become an
+  index scan instead;
 * correlated EXISTS / IN subqueries are decorrelated into a hash table
   where an equality binds them to the outer row -- a top-level ``[NOT]
   EXISTS`` conjunct then runs as a hash semi / anti join under the FROM
@@ -40,13 +40,11 @@ from repro.engine.expressions import (
     bound_entries,
 )
 from repro.engine.stats import ExecutionStats
-from repro.engine.types import SQLType, SQLValue, infer_type
+from repro.engine.types import NAN, SQLType, comparable, infer_type
 from repro.errors import PlanError
 from repro.sql import ast
 
 _SENTINEL = object()
-
-_NUMERIC = frozenset({SQLType.INTEGER, SQLType.REAL})
 
 #: Maps a relation name to the tids a scan of it may produce (None = all).
 Restriction = Callable[[str], Optional[frozenset[int]]]
@@ -55,21 +53,12 @@ Restriction = Callable[[str], Optional[frozenset[int]]]
 TID = "#tid"
 
 
-def _eq_types_compatible(column_type: SQLType, value: SQLValue) -> bool:
-    """Whether ``column = literal`` is well-typed under SQL comparison rules.
-
-    Mirrors :func:`repro.engine.types.compare_values`: identical types or
-    numeric-with-numeric compare fine; everything else raises there, so
-    the vectorized equality path must decline and leave the conjunct to
-    the compiled predicate (which surfaces the error).  A NULL literal is
-    fine -- ``= NULL`` matches nothing on every path.
-    """
-    if value is None:
-        return True
-    value_type = infer_type(value)
-    if value_type is column_type:
-        return True
-    return value_type in _NUMERIC and column_type in _NUMERIC
+def _hashable(left: Optional[SQLType], right: Optional[SQLType]) -> bool:
+    """Whether an equality between columns declared ``left`` and ``right``
+    may be a hash key.  Python's hashing says ``1 = TRUE`` and never raises,
+    so an incomparable pair stays a conjunct evaluated per row, which
+    raises as a Filter does.  An unknown (None) type hashes."""
+    return left is None or right is None or comparable(left, right)
 
 
 class _AbortDecorrelation(Exception):
@@ -108,14 +97,21 @@ class PlannedQuery:
 class _Source:
     """A planned FROM item: its plan plus visible columns.
 
-    ``consumed`` records conjuncts already absorbed into the access path
-    (index lookups), so callers drop them instead of re-filtering.
+    ``types`` is parallel to ``entries``: a stored column's declared type,
+    None for the rest.  ``consumed`` records conjuncts already absorbed
+    into the access path (index lookups), so callers drop them instead of
+    re-filtering.
     """
 
     node: plan.PlanNode
     entries: list[tuple[Optional[str], str]]
     displays: list[str]
+    types: list[Optional[SQLType]]
     consumed: list[ast.Expression] = field(default_factory=list)
+
+    def scope(self, parent: Optional[Scope], level: int) -> Scope:
+        """The scope of this source's columns, under ``parent``."""
+        return Scope(list(self.entries), parent, level, list(self.types))
 
 
 class _Subplan:
@@ -356,7 +352,7 @@ class Planner:
             not lex, so only ASTs built in code reach it, and ``*`` skips
             it), and ``tids(relation)`` names the tids that scan may
             produce (``None`` = all).  A restricted source never takes an
-            index or column-equality path -- it stays
+            index path -- it stays
             ``Filter(Scan restricted)``, which touches only the kept rows.
     """
 
@@ -471,10 +467,10 @@ class Planner:
                 core.from_items, join_candidates, late_conjuncts, outer_scope, level
             )
         else:
-            source = _Source(plan.SingleRow(), [], [])
+            source = _Source(plan.SingleRow(), [], [], [])
             leftovers = join_candidates
 
-        from_scope = Scope(list(source.entries), outer_scope, level)
+        from_scope = source.scope(outer_scope, level)
         self._filter(source, leftovers + late_conjuncts, outer_scope, level)
         node = source.node
 
@@ -569,7 +565,7 @@ class Planner:
         """Put a :class:`~repro.engine.plan.Filter` for ``conjuncts`` (when
         any) over ``source``, compiled against the source's own columns."""
         if conjuncts:
-            scope = Scope(list(source.entries), outer_scope, level)
+            scope = source.scope(outer_scope, level)
             predicate = self._compiler(scope).compile_predicate(
                 ast.conjunction(conjuncts)  # type: ignore[arg-type]
             )
@@ -605,7 +601,7 @@ class Planner:
         # No parent scope: a reference to a sibling source or an enclosing
         # query fails to compile, so the conjunct waits for a wider source
         # (in the end, the per-row Filter over the whole FROM list).
-        site_scope = Scope(list(source.entries), None, level)
+        site_scope = source.scope(None, level)
         subplan = self._try_decorrelate(conjunct.query, site_scope)
         if subplan is None:
             return None
@@ -630,12 +626,14 @@ class Planner:
     def _try_index_scan(
         self, source: _Source, local: list[ast.Expression]
     ) -> list[ast.Expression]:
-        """Replace a plain scan with a better constant-equality access path.
+        """Replace a plain scan with an index lookup when it can.
 
-        Preference order: an :class:`~repro.engine.plan.IndexScan` when a
-        hash index covers the equality columns, else a vectorized
-        :class:`~repro.engine.plan.ColumnEqScan` over the columnar batch
-        (same NULL-never-matches semantics, no index required).  Consumed
+        An :class:`~repro.engine.plan.IndexScan` serves ``col = literal``
+        conjuncts covering a hash index; every other conjunct, and every
+        equality no index covers, stays in the ``Filter`` over the scan.
+        A lookup agrees with the filter only where the literal's type is
+        :func:`~repro.engine.types.comparable` with the column's (else the
+        filter raises); ``= NULL`` matches nothing either way.  Consumed
         conjuncts are recorded on the source so callers drop them.
         """
         node = source.node
@@ -651,26 +649,23 @@ class Planner:
             if not table.schema.has_column(ref.name):
                 continue
             position = table.schema.index_of(ref.name)
-            # Only where SQL comparison rules would not raise: a Filter
-            # rejects TEXT = INTEGER, so a lookup must too -- it leaves
-            # incomparable conjuncts to the compiled predicate.
-            if _eq_types_compatible(table.schema.columns[position].sql_type, value):
-                by_position.setdefault(position, (conjunct, value))
+            column_type = table.schema.columns[position].sql_type
+            if value is None or comparable(column_type, infer_type(value)):
+                # NaN is stored as the one NAN object the index hashes.
+                key = value if value == value else NAN
+                by_position.setdefault(position, (conjunct, key))
         best: Optional[tuple[int, ...]] = None
         for positions in table.indexed_column_sets():
             if all(p in by_position for p in positions):
                 if best is None or len(positions) > len(best):
                     best = positions
-        if not by_position:
-            return local
-        lookup: type[Union[plan.IndexScan, plan.ColumnEqScan]] = plan.IndexScan
         if best is None:
-            # No covering index: vectorized equality over the columnar
-            # batch still beats a per-row compiled predicate.
-            lookup, best = plan.ColumnEqScan, tuple(sorted(by_position))
+            return local
         consumed = [by_position[p][0] for p in best]
         values = [by_position[p][1] for p in best]
-        source.node = lookup(table, self.stats, best, values, node.include_tid)
+        source.node = plan.IndexScan(
+            table, self.stats, best, values, node.include_tid
+        )
         source.consumed.extend(consumed)
         return [c for c in local if c not in consumed]
 
@@ -678,13 +673,15 @@ class Planner:
         """A scan of one stored table; ``with_tid`` appends :data:`TID`."""
         table = self.catalog.table(item.name)
         displays = list(table.schema.column_names)
+        types: list[Optional[SQLType]] = [c.sql_type for c in table.schema.columns]
         if not with_tid:
             scan = plan.Scan(table, self.stats)
         else:
             displays.append(TID)
+            types.append(None)
             keep = None if self.tids is None else self.tids(item.name)
             scan = plan.Scan(table, self.stats, include_tid=True, keep_tids=keep)
-        return _Source(scan, bound_entries(item.binding, displays), displays)
+        return _Source(scan, bound_entries(item.binding, displays), displays, types)
 
     def _plan_from_item(
         self, item: ast.FromItem, outer_scope: Optional[Scope], level: int
@@ -694,7 +691,8 @@ class Planner:
         if isinstance(item, ast.DerivedTable):
             planned = self.plan_query(item.query, outer_scope)
             entries = bound_entries(item.alias, planned.columns)
-            return _Source(planned.plan, entries, list(planned.columns))
+            types = [None] * len(entries)
+            return _Source(planned.plan, entries, list(planned.columns), types)
         if isinstance(item, ast.Join):
             left = self._plan_from_item(item.left, outer_scope, level)
             right = self._plan_from_item(item.right, outer_scope, level)
@@ -721,13 +719,18 @@ class Planner:
         """Join two sources, picking a hash join when equi-keys exist."""
         entries = left.entries + right.entries
         displays = left.displays + right.displays
-        scope = Scope(list(entries), outer_scope, level)
+        types = left.types + right.types
+        scope = Scope(list(entries), outer_scope, level, list(types))
+        left_scope = left.scope(outer_scope, level)
+        right_scope = right.scope(outer_scope, level)
 
         equi_pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
         residual: list[ast.Expression] = []
         for conjunct in conjuncts:
             pair = self._equi_pair(conjunct, left, right)
-            if pair is not None:
+            if pair is not None and _hashable(
+                left_scope.declared_type(pair[0]), right_scope.declared_type(pair[1])
+            ):
                 equi_pairs.append(pair)
             else:
                 residual.append(conjunct)
@@ -740,8 +743,6 @@ class Planner:
             )
 
         if equi_pairs and kind in ("inner", "left"):
-            left_scope = Scope(list(left.entries), outer_scope, level)
-            right_scope = Scope(list(right.entries), outer_scope, level)
             left_keys = [
                 self._compiler(left_scope).compile(lref) for lref, _r in equi_pairs
             ]
@@ -751,11 +752,11 @@ class Planner:
             node: plan.PlanNode = plan.HashJoin(
                 left.node, right.node, left_keys, right_keys, residual_predicate, kind
             )
-            return _Source(node, entries, displays)
+            return _Source(node, entries, displays, types)
 
         join_kind = kind if kind != "inner" or residual_predicate else "cross"
         node = plan.NestedLoopJoin(left.node, right.node, residual_predicate, join_kind)
-        return _Source(node, entries, displays)
+        return _Source(node, entries, displays, types)
 
     def _equi_pair(
         self, conjunct: ast.Expression, left: _Source, right: _Source
@@ -981,11 +982,12 @@ class Planner:
     # -------------------------------------------------- EXISTS decorrelation
 
     @staticmethod
-    def _static_entries(
+    def _static_scope(
         from_items: Sequence[ast.FromItem], catalog: Catalog
-    ) -> Optional[list[tuple[Optional[str], str]]]:
-        """Visible columns of a FROM clause, without planning it."""
+    ) -> Optional[Scope]:
+        """The columns a FROM clause makes visible, without planning it."""
         entries: list[tuple[Optional[str], str]] = []
+        types: list[Optional[SQLType]] = []
 
         def visit(item: ast.FromItem) -> bool:
             if isinstance(item, ast.TableRef):
@@ -993,6 +995,7 @@ class Planner:
                     return False
                 table = catalog.table(item.name)
                 entries.extend(bound_entries(item.binding, table.schema.column_names))
+                types.extend(column.sql_type for column in table.schema.columns)
                 return True
             if isinstance(item, ast.Join):
                 return visit(item.left) and visit(item.right)
@@ -1001,7 +1004,7 @@ class Planner:
         for item in from_items:
             if not visit(item):
                 return None
-        return entries
+        return Scope(entries, types=types)
 
     def _try_decorrelate(
         self, query: ast.Query, site_scope: Scope
@@ -1022,10 +1025,10 @@ class Planner:
             return None
         if not body.from_items:
             return None
-        entries = self._static_entries(body.from_items, self.catalog)
-        if entries is None:
+        probe = self._static_scope(body.from_items, self.catalog)
+        if probe is None:
             return None
-        probe = Scope(list(entries))
+        entries = probe.entries
 
         def resolves_locally(ref: ast.ColumnRef) -> bool:
             try:
@@ -1077,6 +1080,9 @@ class Planner:
                         isinstance(outer, ast.ColumnRef)
                         and not resolves_locally(outer)
                         and is_local(inner)
+                        and _hashable(
+                            probe.declared_type(inner), site_scope.declared_type(outer)
+                        )
                     ):
                         inner_keys.append(inner)
                         outer_refs.append(outer)
@@ -1115,7 +1121,9 @@ class Planner:
         modified = ast.Query(
             ast.SelectCore(items, flat_sources, ast.conjunction(local_residual))
         )
-        local_scope = Scope(list(entries), site_scope, site_scope.level + 1)
+        local_scope = Scope(
+            list(entries), site_scope, site_scope.level + 1, list(probe.types)
+        )
         try:
             # The keys first: they are what fails, cheaply, when the site
             # cannot see the outer columns (see _semi_join).

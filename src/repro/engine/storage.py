@@ -84,7 +84,7 @@ class Table:
         self._next_tid = 0
         self._changelog = changelog
         self._key = schema.name.lower()
-        # Column-major snapshot for batch scans; dropped on any mutation.
+        # Row batch for unrestricted scans; dropped on any mutation.
         self._columnar: Optional[ColumnStore] = None
         # Monotone mutation counter; backends compare it against the
         # version they last mirrored to decide whether to re-sync.
@@ -328,17 +328,17 @@ class Table:
         return len(self._by_value) < len(self._rows)
 
     def columnar(self) -> ColumnStore:
-        """The column-major batch snapshot of the current rows.
+        """The batch snapshot of the current rows.
 
         Built lazily and cached; **any** mutation (insert / delete /
         update / replay) drops the cache, so the returned store always
-        reflects the table as of this call.  Scan/filter hot loops use
-        it to amortize per-row overhead into per-batch operations (see
+        reflects the table as of this call.  Unrestricted scans use it
+        to amortize per-row overhead into per-batch operations (see
         :mod:`repro.engine.columnar` for the full contract).
         """
         store = self._columnar
         if store is None:
-            store = ColumnStore(list(self._rows.items()), self.schema.arity)
+            store = ColumnStore(list(self._rows.items()))
             self._columnar = store
         return store
 

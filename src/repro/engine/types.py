@@ -13,12 +13,18 @@ SQL comparisons involving NULL yield *unknown*, which is also represented by
 :func:`logic_or`, :func:`logic_not`) propagate it the way SQL's WHERE clause
 requires.  A WHERE clause keeps a row only when its condition evaluates to
 ``True`` (not to ``None``).
+
+This module is the one owner of SQL's comparison rule: :func:`comparable`
+says which declared types compare at all, :func:`compare_values` decides
+``a op b`` (NaN equals NaN and sorts above every number), and every access
+path -- compiled predicates, hash joins, semi-joins, index lookups,
+ORDER BY, MIN / MAX -- agrees with it.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.errors import TypeError_
 
@@ -26,6 +32,11 @@ from repro.errors import TypeError_
 NULL = None
 
 SQLValue = Optional[object]
+
+#: The one NaN object the engine stores (see :func:`coerce_value`).  Hash
+#: lookups match on identity before ``==``, so joins, indexes, DISTINCT and
+#: GROUP BY treat NaN as equal to itself, as :func:`compare_values` does.
+NAN = float("nan")
 
 
 class SQLType(enum.Enum):
@@ -38,6 +49,9 @@ class SQLType(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+_NUMERIC = frozenset({SQLType.INTEGER, SQLType.REAL})
 
 
 _TYPE_SYNONYMS = {
@@ -102,12 +116,13 @@ def coerce_value(value: SQLValue, sql_type: SQLType) -> SQLValue:
     NULL is always accepted.  The only implicit conversions performed are
     the numeric widenings SQL allows (INTEGER -> REAL) and exact
     REAL -> INTEGER when the float is integral.  Anything else raises.
+    Every NaN is stored as :data:`NAN`.
     """
     if value is None:
         return None
     actual = infer_type(value)
     if actual is sql_type:
-        return value
+        return NAN if value != value else value
     if sql_type is SQLType.REAL and actual is SQLType.INTEGER:
         return float(value)
     if sql_type is SQLType.INTEGER and actual is SQLType.REAL:
@@ -117,17 +132,17 @@ def coerce_value(value: SQLValue, sql_type: SQLType) -> SQLValue:
     raise TypeError_(f"cannot store {actual} value {value!r} in {sql_type} column")
 
 
-def _comparable(left: Any, right: Any) -> bool:
-    """Whether two non-NULL values can be compared under SQL rules."""
-    lt, rt = infer_type(left), infer_type(right)
-    if lt is rt:
-        return True
-    numeric = {SQLType.INTEGER, SQLType.REAL}
-    return lt in numeric and rt in numeric
+def comparable(left: SQLType, right: SQLType) -> bool:
+    """Whether SQL compares values of these types: the same type, or both
+    numeric.  Anything else (TEXT vs INTEGER, BOOLEAN vs INTEGER, ...)
+    is a type error, as in PostgreSQL."""
+    return left is right or (left in _NUMERIC and right in _NUMERIC)
 
 
 def compare_values(left: SQLValue, right: SQLValue) -> Optional[int]:
     """SQL comparison: -1 / 0 / +1, or ``None`` when either side is NULL.
+
+    NaN equals NaN and sorts above every other number (PostgreSQL's rule).
 
     Raises:
         TypeError_: when the operands are non-NULL but of incomparable
@@ -135,20 +150,19 @@ def compare_values(left: SQLValue, right: SQLValue) -> Optional[int]:
     """
     if left is None or right is None:
         return None
-    if not _comparable(left, right):
+    if not comparable(infer_type(left), infer_type(right)):
         raise TypeError_(
             f"cannot compare {infer_type(left)} with {infer_type(right)}"
             f" ({left!r} vs {right!r})"
         )
     if left == right:
         return 0
-    return -1 if left < right else 1
-
-
-def values_equal(left: SQLValue, right: SQLValue) -> Optional[bool]:
-    """SQL ``=``: ``None`` when either side is NULL."""
-    cmp = compare_values(left, right)
-    return None if cmp is None else cmp == 0
+    if left < right:
+        return -1
+    if left > right:
+        return 1
+    # Unordered: at least one side is NaN (the only value unequal to itself).
+    return (left != left) - (right != right)
 
 
 def logic_and(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
@@ -183,33 +197,39 @@ def sort_key(value: SQLValue) -> tuple:
     """A total-order key for ORDER BY: NULLs first, then by type, then value.
 
     SQL leaves NULL ordering implementation-defined; we pin NULLS FIRST so
-    results are deterministic and testable.
+    results are deterministic and testable.  NaN sorts after every other
+    number, as :func:`compare_values` orders it.
     """
     if value is None:
         return (0, "", 0)
     if isinstance(value, bool):
         return (1, "", int(value))
     if isinstance(value, (int, float)):
-        return (2, "", value)
-    return (3, value, 0)
+        return (2, "", value) if value == value else (3, "", 0)
+    return (4, value, 0)
 
 
 def default_order(rows: Iterable[tuple]) -> list[tuple]:
     """``rows`` in the deterministic default order of an answer set.
 
     The order is that of each row's :func:`sort_key` tuples.  A column of
-    only numbers (bool is its own type) or only text, never NULL, orders
-    exactly as those keys do, so homogeneous rows sort on themselves.
+    only numbers (bool is its own type) without NaN, or only text, never
+    NULL, orders exactly as those keys do, so such rows sort on themselves.
     """
     ordered = list(rows)
-    if all(
-        kinds <= {int, float} or kinds == {str}
-        for kinds in (set(map(type, column)) for column in zip(*ordered))
-    ):
+    if all(_self_ordered(column) for column in zip(*ordered)):
         ordered.sort()
     else:
         ordered.sort(key=lambda row: tuple(sort_key(v) for v in row))
     return ordered
+
+
+def _self_ordered(column: tuple) -> bool:
+    """Whether Python's own order of ``column`` is its :func:`sort_key` order."""
+    kinds = set(map(type, column))
+    if kinds == {str} or kinds == {int}:
+        return True
+    return kinds <= {int, float} and all(value == value for value in column)
 
 
 def format_value(value: SQLValue) -> str:

@@ -205,6 +205,28 @@ class TestIncrementalDenials:
         assert ("ann", 10) in answers.rows  # recovered without refresh()
         assert engine.detection.mode == "incremental"
 
+    def test_nan_key_matches_full_detection(self):
+        # NaN equals NaN, so rows keyed NaN agree on the key: the
+        # incremental matcher's index must pair them as full detection's
+        # join does, whichever NaN object each insert carried.
+        db = Database()
+        db.execute("CREATE TABLE m (k REAL, v INTEGER)")
+        fd = FunctionalDependency("m", ["k"], ["v"])
+        engine = HippoEngine(db, [fd])
+        table = db.table("m")
+        tids = []
+        for row in [(float("nan"), 1), (1.0, 2), (float("nan"), 3), (-float("nan"), 4)]:
+            tids.append(table.insert(row))
+            engine.refresh()
+            assert engine.detection.mode == "incremental"
+            assert_equivalent(engine, db, [fd])
+        assert len(engine.hypergraph) == 3  # the three NaN-keyed rows pairwise
+        for tid in tids:
+            table.delete(tid)
+            engine.refresh()
+            assert_equivalent(engine, db, [fd])
+        assert len(engine.hypergraph) == 0
+
     def test_full_refresh_escape_hatch(self):
         db, engine, constraints = self.fd_engine()
         db.execute("INSERT INTO emp VALUES ('bob', 6)")

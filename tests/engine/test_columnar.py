@@ -1,7 +1,7 @@
 """Columnar batch execution: equivalence with the row-at-a-time paths.
 
-The column-major snapshot (:class:`ColumnStore`) sits *behind* the table
-API: every consumer must see exactly the answers the row paths produce,
+The scan batch (:class:`ColumnStore`) sits *behind* the table API:
+every consumer must see exactly the answers the row paths produce,
 the cached batch must be dropped on any mutation, and the batched change
 application (`Table.apply_changes` / `apply_feed_records`) must leave
 state identical to per-record replay -- including on failure.
@@ -34,43 +34,21 @@ class TestColumnStore:
     ITEMS = [(1, ("a", 10)), (3, ("b", 20)), (7, ("a", 30))]
 
     def test_rows_and_tids_preserve_order(self):
-        store = ColumnStore(self.ITEMS, arity=2)
+        store = ColumnStore(self.ITEMS)
         assert store.tids == (1, 3, 7)
         assert store.rows == [("a", 10), ("b", 20), ("a", 30)]
         assert len(store) == 3
 
-    def test_column_extraction_is_lazy_and_cached(self):
-        store = ColumnStore(self.ITEMS, arity=2)
-        first = store.column(0)
-        assert first == ["a", "b", "a"]
-        assert store.column(0) is first
-        assert store.column(1) == [10, 20, 30]
-
     def test_tid_rows_suffix_the_tid(self):
-        store = ColumnStore(self.ITEMS, arity=2)
+        store = ColumnStore(self.ITEMS)
         batch = store.tid_rows()
         assert batch == [("a", 10, 1), ("b", 20, 3), ("a", 30, 7)]
         assert store.tid_rows() is batch
 
-    def test_select_equals_single_column(self):
-        store = ColumnStore(self.ITEMS, arity=2)
-        assert store.select_equals((0,), ("a",)) == [("a", 10), ("a", 30)]
-        assert store.select_equals((0,), ("z",)) == []
-
-    def test_select_equals_multi_column(self):
-        store = ColumnStore(self.ITEMS, arity=2)
-        assert store.select_equals((0, 1), ("a", 30)) == [("a", 30)]
-
-    def test_select_equals_null_matches_nothing(self):
-        # SQL equality with NULL is never true -- same as IndexScan.
-        store = ColumnStore(self.ITEMS, arity=2)
-        assert store.select_equals((0,), (None,)) == []
-
     def test_empty_store(self):
-        store = ColumnStore([], arity=2)
+        store = ColumnStore([])
         assert store.rows == []
         assert store.tid_rows() == []
-        assert store.select_equals((0,), ("a",)) == []
 
 
 class TestTableColumnarCache:
@@ -119,19 +97,17 @@ class TestScanEquivalence:
         assert db.execute("SELECT COUNT(*) FROM emp").scalar() == 2
 
 
-class TestColumnEqScan:
-    def test_planner_uses_columnar_equality_without_an_index(self):
+class TestUnindexedEquality:
+    def test_equality_without_an_index_filters_the_scan(self):
         db = fresh_db()
         plan = db.explain("SELECT salary FROM emp WHERE name = 'ann'")
-        assert "ColumnEqScan" in plan
-        assert "IndexScan" not in plan
+        assert plan == "Project\n  Filter\n    Scan(emp)"
 
-    def test_index_beats_the_columnar_fallback(self):
+    def test_an_index_covering_the_equality_is_looked_up(self):
         db = fresh_db()
         db.execute("CREATE INDEX idx_name ON emp (name)")
         plan = db.explain("SELECT salary FROM emp WHERE name = 'ann'")
-        assert "IndexScan" in plan
-        assert "ColumnEqScan" not in plan
+        assert plan == "Project\n  IndexScan(emp on [name])"
 
     def test_answers_match_the_filter_path(self):
         db = fresh_db()

@@ -1,0 +1,234 @@
+"""One SQL comparison rule on every access path.
+
+``a op b`` is TRUE, unknown (NULL) or a type error, and which one is
+decided once, by :func:`repro.engine.types.compare_values`: values of the
+same type, or two numbers, compare; NULL makes the answer unknown; NaN
+equals NaN and sorts above every other number (PostgreSQL's rule).
+Anything else raises :class:`~repro.errors.TypeError_`.
+
+The table-driven test below stores one value in ``a.x`` and one in
+``b.y`` (each column declared with its value's type) and asks every
+path the engine has for each of the six operators -- a ``Filter`` over a
+literal, a nested-loop and a hash join, an index lookup, a decorrelated
+``EXISTS``, an ``IN`` list and ``IN (subquery)``, and each mirrored --
+and checks they all give the answer of an independent oracle.  The
+second test does the same for the orders the rule induces: ORDER BY,
+MIN / MAX, DISTINCT and GROUP BY over every insertion order.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import replace
+
+import pytest
+
+from repro.engine.database import Database
+from repro.errors import TypeError_
+from repro.sql import ast
+from repro.sql.parser import parse_statement
+
+NAN = float("nan")
+INF = float("inf")
+
+VALUES = [None, True, False, -1, 0, 1, -0.0, 1.0, INF, -INF, NAN, "", "a"]
+
+OPERATORS = ["=", "<>", "<", "<=", ">", ">="]
+MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+ERROR = "error"
+
+
+def declared(value) -> str:
+    """The column type a value is stored under (NULL: INTEGER)."""
+    if isinstance(value, bool):
+        return "BOOLEAN"
+    if isinstance(value, float):
+        return "REAL"
+    if isinstance(value, str):
+        return "TEXT"
+    return "INTEGER"
+
+
+def oracle(left, op, right):
+    """Whether ``left op right`` selects a row, or ERROR -- written from
+    the rule's statement, not from the engine's code."""
+    if left is None or right is None:
+        return False
+    numbers = (int, float)
+    both_numbers = (
+        isinstance(left, numbers)
+        and isinstance(right, numbers)
+        and not isinstance(left, bool)
+        and not isinstance(right, bool)
+    )
+    if type(left) is not type(right) and not both_numbers:
+        return ERROR
+
+    def key(value):
+        return (1, 0) if isinstance(value, float) and math.isnan(value) else (0, value)
+
+    lk, rk = key(left), key(right)
+    return {
+        "=": lk == rk,
+        "<>": lk != rk,
+        "<": lk < rk,
+        "<=": lk <= rk,
+        ">": lk > rk,
+        ">=": lk >= rk,
+    }[op]
+
+
+def outcome(db: Database, query) -> object:
+    """Whether the query returns a row, or ERROR when it raises."""
+    try:
+        if isinstance(query, str):
+            rows = db.execute(query).rows
+        else:
+            rows = db.execute_statement(query).rows
+    except TypeError_:
+        return ERROR
+    return bool(rows)
+
+
+def with_where(sql: str, condition: ast.Expression) -> ast.SelectStatement:
+    """``sql`` (a SELECT without WHERE) with ``condition`` as its WHERE;
+    the way to put a NaN or infinite literal in a query."""
+    statement = parse_statement(sql)
+    query = statement.query
+    body = replace(query.body, where=condition)
+    return replace(statement, query=replace(query, body=body))
+
+
+def make_db(left, right, indexed: bool = False) -> Database:
+    db = Database()
+    db.execute(f"CREATE TABLE a (k INTEGER, x {declared(left)})")
+    db.execute(f"CREATE TABLE b (k INTEGER, y {declared(right)})")
+    if indexed:
+        db.execute("CREATE INDEX a_x ON a (x)")
+    db.table("a").insert((1, left))
+    db.table("b").insert((2, right))
+    return db
+
+
+X = ast.ColumnRef("a", "x")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    list(itertools.product(VALUES, VALUES)),
+    ids=[f"{l!r}-{r!r}" for l, r in itertools.product(VALUES, VALUES)],
+)
+def test_every_path_gives_the_oracle_answer(left, right):
+    db = make_db(left, right)
+    indexed = make_db(left, right, indexed=True)
+    for op in OPERATORS:
+        mirror = MIRRORED[op]
+        literal = ast.Literal(right)
+        paths = {
+            "filter": with_where(
+                "SELECT a.k FROM a", ast.BinaryOp(op, X, literal)
+            ),
+            "filter mirrored": with_where(
+                "SELECT a.k FROM a", ast.BinaryOp(mirror, literal, X)
+            ),
+            "nested loop": f"SELECT a.k FROM a, b WHERE a.x {op} b.y OR a.k = 99",
+            "nested loop mirrored": (
+                f"SELECT a.k FROM a, b WHERE b.y {mirror} a.x OR a.k = 99"
+            ),
+            "join": f"SELECT a.k FROM a JOIN b ON a.x {op} b.y",
+            "join mirrored": f"SELECT a.k FROM a JOIN b ON b.y {mirror} a.x",
+            "exists": (
+                f"SELECT a.k FROM a WHERE EXISTS"
+                f" (SELECT * FROM b WHERE b.y {mirror} a.x)"
+            ),
+            "exists mirrored": (
+                f"SELECT a.k FROM a WHERE EXISTS"
+                f" (SELECT * FROM b WHERE a.x {op} b.y)"
+            ),
+        }
+        if op == "=":
+            paths["in list"] = with_where(
+                "SELECT a.k FROM a", ast.InList(X, (literal,))
+            )
+            paths["in subquery"] = "SELECT a.k FROM a WHERE a.x IN (SELECT y FROM b)"
+            paths["in subquery mirrored"] = (
+                "SELECT b.k FROM b WHERE b.y IN (SELECT x FROM a)"
+            )
+        expected = oracle(left, op, right)
+        answers = {name: outcome(db, query) for name, query in paths.items()}
+        answers["index"] = outcome(indexed, paths["filter"])
+        answers["index mirrored"] = outcome(indexed, paths["filter mirrored"])
+        assert answers == dict.fromkeys(answers, expected), op
+
+
+@pytest.mark.parametrize("left, right", [(1, True), (1, "1"), (1.0, "a"), (NAN, True)])
+def test_incomparable_column_types_are_never_hashed(left, right):
+    db = make_db(left, right)
+    join = "SELECT a.k FROM a JOIN b ON a.x = b.y"
+    exists = "SELECT a.k FROM a WHERE EXISTS (SELECT * FROM b WHERE b.y = a.x)"
+    assert "HashJoin" not in db.explain(join)
+    assert "HashSemiJoin" not in db.explain(exists)
+    for query in (join, exists):
+        with pytest.raises(TypeError_):
+            db.execute(query)
+
+
+# Two distinct NaN objects: storage keeps one NaN, so they still hash alike.
+@pytest.mark.parametrize("left, right", [(1, 1.0), (NAN, math.nan), ("a", "a")])
+def test_comparable_column_types_are_hashed(left, right):
+    db = make_db(left, right)
+    join = "SELECT a.k FROM a JOIN b ON a.x = b.y"
+    exists = "SELECT a.k FROM a WHERE EXISTS (SELECT * FROM b WHERE b.y = a.x)"
+    assert "HashJoin" in db.explain(join)
+    assert "HashSemiJoin" in db.explain(exists)
+    assert db.execute(join).rows == db.execute(exists).rows == [(1,)]
+
+
+def test_an_index_serves_only_a_comparable_literal():
+    db = make_db(1, 1, indexed=True)
+    assert "IndexScan" in db.explain("SELECT a.k FROM a WHERE a.x = 1.0")
+    assert "IndexScan" not in db.explain("SELECT a.k FROM a WHERE a.x = TRUE")
+    with pytest.raises(TypeError_):
+        db.execute("SELECT a.k FROM a WHERE a.x = TRUE")
+
+
+ORDERS = sorted(
+    set(itertools.permutations([1.0, NAN, 2.0, None, NAN])),
+    key=lambda order: [repr(value) for value in order],
+)
+
+
+def shown(rows) -> list:
+    """Rows as comparable text (NaN is unequal to itself as a float)."""
+    return [tuple(repr(value) for value in row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "order", ORDERS, ids=["-".join(map(repr, order)) for order in ORDERS]
+)
+def test_orders_do_not_depend_on_insertion_order(order):
+    db = Database()
+    db.execute("CREATE TABLE r (k INTEGER, x REAL)")
+    for k, value in enumerate(order):
+        db.table("r").insert((k, value))
+    assert shown(db.execute("SELECT x FROM r ORDER BY x").rows) == shown(
+        [(None,), (1.0,), (2.0,), (NAN,), (NAN,)]
+    )
+    assert shown(db.execute("SELECT x FROM r ORDER BY x DESC").rows) == shown(
+        [(NAN,), (NAN,), (2.0,), (1.0,), (None,)]
+    )
+    assert shown(db.execute("SELECT MIN(x), MAX(x) FROM r").rows) == shown(
+        [(1.0, NAN)]
+    )
+    assert sorted(shown(db.execute("SELECT DISTINCT x FROM r").rows)) == sorted(
+        shown([(None,), (1.0,), (2.0,), (NAN,)])
+    )
+    assert sorted(
+        shown(db.execute("SELECT x, COUNT(*) FROM r GROUP BY x").rows)
+    ) == sorted(shown([(None, 1), (1.0, 1), (2.0, 1), (NAN, 2)]))
+    nans = tuple(k for k, value in enumerate(order) if value != value)
+    for join in ("a.x = b.x", "(a.x = b.x OR a.k = 99)"):
+        pairs = f"SELECT a.k, b.k FROM r a JOIN r b ON {join} AND a.k < b.k"
+        assert db.execute(pairs).rows == [nans]

@@ -60,9 +60,9 @@ class TestPlanShape:
         assert db.execute(sql).rowcount == 2
         assert db.stats.rows_scanned - before == 5
 
-    def test_equality_without_an_index_is_a_column_scan(self):
+    def test_equality_without_an_index_is_a_filtered_scan(self):
         db = make_db(indexed=False)
-        assert db.explain("DELETE FROM t WHERE a = 5") == "ColumnEqScan(t on [a] +tid)"
+        assert db.explain("DELETE FROM t WHERE a = 5") == "Filter\n  Scan(t +tid)"
 
     def test_anything_else_filters_a_full_scan(self):
         db = make_db(indexed=True)

@@ -17,7 +17,6 @@ from repro.engine.types import (
     python_type_of,
     sort_key,
     type_from_name,
-    values_equal,
 )
 from repro.errors import TypeError_
 
@@ -80,7 +79,7 @@ class TestComparison:
     def test_null_comparisons_unknown(self):
         assert compare_values(None, 1) is None
         assert compare_values("x", None) is None
-        assert values_equal(None, None) is None
+        assert compare_values(None, None) is None
 
     def test_numeric_cross_type(self):
         assert compare_values(1, 1.0) == 0

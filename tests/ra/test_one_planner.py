@@ -163,7 +163,6 @@ JOIN_AND_ACCESS_PATH_NODES = {
     "HashJoin",
     "NestedLoopJoin",
     "IndexScan",
-    "ColumnEqScan",
     # A private ``Filter(Scan)`` is an access path too: DML WHERE
     # matching had one until it moved to ``Planner.plan_matching``.
     "Scan",

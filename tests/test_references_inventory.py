@@ -80,6 +80,11 @@ def test_every_public_def_is_referenced():
         ("repro.engine.feed", "TRANSFER_PREFIX"),
         ("repro.conflicts.shard", "ShardWorker.export_topic"),
         ("repro.conflicts.shard", "ShardCoordinator.sweep_transfers"),
+        ("repro.engine.plan", "ColumnEqScan"),
+        ("repro.engine.columnar", "ColumnStore.column"),
+        ("repro.engine.columnar", "ColumnStore.select_equals"),
+        ("repro.engine.types", "values_equal"),
+        ("repro.engine.expressions", "_apply_comparison"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

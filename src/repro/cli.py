@@ -46,7 +46,8 @@ Meta-commands (everything else is executed as SQL):
 ``.explain SQL``       show the envelope query handed to the RDBMS
                        (parameterized, with its bound arguments) and the
                        plan it gets per core (``up`` / ``down``); for an
-                       UPDATE / DELETE, the ``match plan`` of its WHERE
+                       UPDATE / DELETE, the ``match plan`` of its WHERE;
+                       for a SELECT outside the SJUD class, its native plan
 ``.why SQL ; TUPLE``   explain why a tuple is / is not consistent
 ``.repairs``           exact repair count (component factorization)
 ``.stats``             execution counters (statements, rows scanned,
@@ -65,7 +66,7 @@ from repro.constraints.parser import parse_constraint
 from repro.core.hippo import AnswerSet, HippoEngine
 from repro.engine.database import Database
 from repro.engine.types import format_value, literal_sql
-from repro.errors import ReproError
+from repro.errors import ReproError, UnsupportedQueryError
 from repro.ra import (
     CatalogSchemaProvider,
     compile_core,
@@ -393,7 +394,12 @@ class HippoShell:
                 self._print("match plan:\n" + self.db.explain(argument))
                 return True
             hippo = self._hippo()
-            tree, _ = hippo.parse(argument)
+            try:
+                tree, _ = hippo.parse(argument)
+            except UnsupportedQueryError as exc:
+                plan = self.db.explain(argument)
+                self._print(f"outside the SJUD class ({exc}); native plan:\n{plan}")
+                return True
             rendered = render_tree(tree)
             self._print("envelope: " + rendered.text)
             bound = ", ".join(literal_sql(v) for v in rendered.params)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, cast
 
 from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import (
@@ -113,9 +113,9 @@ class _DenialMatcher:
     (:meth:`ensure_indexes`) instead of lazily on the first delta, so
     the first post-bulk-load statement no longer absorbs an O(N) index
     build -- and, because they are ordinary storage hash indexes, the
-    query planner's index-scan selection
-    (``repro.engine.planner.Planner._try_index_scan``) picks the same
-    indexes up for free.
+    query planner's one access-path rule
+    (``repro.engine.planner.Planner._access``) picks the same indexes up
+    for free, and reads them through the same ``Table.probe``.
     """
 
     def __init__(self, db: Database, constraint: DenialConstraint) -> None:
@@ -216,8 +216,7 @@ class _DenialMatcher:
         O(N)) bootstrap instead of ambushing the first delta.
         """
         for table, positions in self.index_plans():
-            if not table.has_index(positions):
-                table.create_index(positions)
+            table.create_index(positions)
 
     def atom_positions(self, relation: str) -> list[int]:
         """Atom indexes whose relation matches (a delta can bind any)."""
@@ -260,14 +259,10 @@ class _DenialMatcher:
                 assignment[keys[position][0]][1][keys[position][1]]
                 for position in positions
             )
-            if any(value is None for value in values):
-                return  # '=' with NULL matches nothing
-            if not table.has_index(positions):
-                table.create_index(positions)  # safety net; planned eagerly
-            candidates = (
-                (candidate_tid, table.get(candidate_tid))
-                for candidate_tid in table.index_lookup(positions, values)
-            )
+            # Indexed at attach; a key holding NULL is filed nowhere.
+            probe = table.probe(positions, with_tid=True)
+            rows = probe(values[0] if len(values) == 1 else values)
+            candidates = [(cast(int, row[-1]), row[:-1]) for row in rows]
         for candidate in candidates:
             assignment[atom] = candidate
             yield from self._extend(assignment, plan, depth + 1)
@@ -325,8 +320,8 @@ class IncrementalDetector:
         # detector is only ever constructed next to an O(N) full
         # detection, so the index builds ride the bootstrap instead of
         # ambushing the first post-bulk-load delta.  The indexes are
-        # ordinary storage indexes, so the query planner's index-scan
-        # selection shares them.
+        # ordinary storage indexes, so the planner's access rule shares
+        # them.
         self._matchers: dict[str, _DenialMatcher] = {}
         for denial in self.denials:
             matcher = _DenialMatcher(db, denial)

@@ -467,13 +467,17 @@ class Database:
             (schema.index_of(column), compiler.compile(value))
             for column, value in statement.assignments
         ]
-        matches = self._plan_matching(statement).run()
-        for row in matches:
+        # Every new row is computed before the first mutation, so a
+        # subquery in SET reads the table as the statement found it.
+        updates = []
+        for row in self._plan_matching(statement).run():
             new_row = list(row[:-1])
             for index, evaluator in compiled:
                 new_row[index] = evaluator((row,))
-            table.update(row[-1], new_row)
-        return Result([], [], len(matches))
+            updates.append((row[-1], new_row))
+        for tid, new_row in updates:
+            table.update(tid, new_row)
+        return Result([], [], len(updates))
 
 
 def apply_feed_record(db: Database, record: FeedRecord) -> None:

@@ -26,6 +26,7 @@ from repro.engine import functions
 from repro.engine.types import (
     SQLType,
     SQLValue,
+    canonical,
     compare_values,
     logic_and,
     logic_not,
@@ -178,11 +179,11 @@ def _apply_arithmetic(op: str, left: SQLValue, right: SQLValue) -> SQLValue:
     lhs = _require_number(left, op)
     rhs = _require_number(right, op)
     if op == "+":
-        return lhs + rhs
+        return canonical(lhs + rhs)
     if op == "-":
-        return lhs - rhs
+        return canonical(lhs - rhs)
     if op == "*":
-        return lhs * rhs
+        return canonical(lhs * rhs)
     if op == "/":
         if rhs == 0:
             raise ExecutionError("division by zero")
@@ -190,7 +191,7 @@ def _apply_arithmetic(op: str, left: SQLValue, right: SQLValue) -> SQLValue:
         if isinstance(lhs, int) and isinstance(rhs, int):
             quotient = abs(lhs) // abs(rhs)
             return quotient if (lhs >= 0) == (rhs >= 0) else -quotient
-        return lhs / rhs
+        return canonical(lhs / rhs)
     if op == "%":
         if rhs == 0:
             raise ExecutionError("modulo by zero")
@@ -241,7 +242,7 @@ class ExpressionCompiler:
     # ----------------------------------------------------------- leaf nodes
 
     def _compile_Literal(self, expr: ast.Literal) -> Evaluator:
-        value = expr.value
+        value = canonical(expr.value)
         return lambda env: value
 
     def _compile_ColumnRef(self, expr: ast.ColumnRef) -> Evaluator:
@@ -341,7 +342,9 @@ class ExpressionCompiler:
 
             def negate(env: Env) -> SQLValue:
                 value = operand(env)
-                return None if value is None else -_require_number(value, "-")
+                if value is None:
+                    return None
+                return canonical(-_require_number(value, "-"))
 
             return negate
         if expr.op == "+":

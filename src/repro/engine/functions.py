@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
-from repro.engine.types import SQLValue, compare_values
+from repro.engine.types import SQLValue, canonical, compare_values
 from repro.errors import ExecutionError, TypeError_
 
 # --------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def call_scalar(name: str, args: Sequence[SQLValue]) -> SQLValue:
     if any(arg is None for arg in args):
         return None
     try:
-        return function(*args)
+        return canonical(function(*args))
     except TypeError as exc:  # wrong arity
         raise ExecutionError(f"bad arguments to {upper}: {exc}") from None
 
@@ -139,7 +139,7 @@ class _Sum(Aggregate):
         self.total = value if self.total is None else self.total + value
 
     def result(self) -> SQLValue:
-        return self.total
+        return canonical(self.total)
 
 
 class _Avg(Aggregate):
@@ -156,7 +156,7 @@ class _Avg(Aggregate):
         self.count += 1
 
     def result(self) -> SQLValue:
-        return self.total / self.count if self.count else None
+        return canonical(self.total / self.count) if self.count else None
 
 
 class _Min(Aggregate):

@@ -12,13 +12,13 @@ themselves are independent of the SQL AST.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Protocol, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import functions
 from repro.engine.expressions import Env, Evaluator
 from repro.engine.stats import ExecutionStats
-from repro.engine.storage import Table
-from repro.engine.types import SQLValue, sort_key
+from repro.engine.storage import Table, column_key
+from repro.engine.types import SQLType, SQLValue, canonical, comparable, sort_key
 
 Row = tuple
 Predicate = Callable[[Env], bool]
@@ -104,47 +104,129 @@ class Scan(PlanNode):
         return f"Scan({self.table.schema.name}{extra}{restricted})"
 
 
-class IndexScan(PlanNode):
-    """Point lookup through a secondary hash index.
+def hashable(left: Optional[SQLType], right: Optional[SQLType]) -> bool:
+    """Whether an equality between values declared ``left`` and ``right``
+    may be an :class:`Access` key.  Python's hashing says ``1 = TRUE`` and
+    never raises, so an incomparable pair stays a conjunct evaluated per
+    row, which raises as a Filter does.  An unknown (None) type hashes."""
+    return left is None or right is None or comparable(left, right)
 
-    Produced by the planner when equality-with-constant conjuncts cover
-    an index's columns; only the matching rows are touched (and counted),
-    which is how the engine models the index scans a disk-based RDBMS
-    would use for selective predicates.  ``include_tid`` appends the tid
-    as a trailing column, exactly as :class:`Scan` does.
+
+class Access(PlanNode):
+    """The rows of ``source`` whose key columns equal a probe key, in the
+    form ``Planner._access`` picks: :meth:`lookup` returns a function from
+    a key (a bare value for one column, a tuple for several) to its rows.
+
+    * **live index** (``index`` given): ``source`` is an unrestricted
+      :class:`Scan` and each probe reads the posting list of the table's
+      secondary index on exactly those positions
+      (:meth:`~repro.engine.storage.Table.probe`).  Nothing is built, and
+      nothing is scanned.
+    * **hash** (``keys`` given): the source's rows hashed on the key
+      evaluators, built per :meth:`lookup` call; :meth:`shared` keeps one
+      build for the statement.
+
+    Both follow SQL's ``=``.  A key holding NULL matches nothing: neither
+    a hash nor an index files one (:func:`~repro.engine.storage.column_key`),
+    so probing with one finds nothing.  A NaN key matches a NaN: every NaN
+    the engine stores or computes is the one object
+    :data:`~repro.engine.types.NAN`, and dict lookups match on identity
+    before ``==``.  Types are the planner's side: it keys only equalities
+    whose two sides are :func:`hashable`.
     """
 
     def __init__(
         self,
-        table: Table,
+        source: PlanNode,
         stats: ExecutionStats,
-        positions: Sequence[int],
-        values: Sequence[SQLValue],
-        include_tid: bool,
+        keys: Sequence[Evaluator] = (),
+        index: Sequence[int] = (),
     ) -> None:
-        self.table = table
+        self.source = source
         self.stats = stats
-        self.positions = tuple(positions)
-        self.values = tuple(values)
-        self.include_tid = include_tid
-        self.width = table.schema.arity + (1 if include_tid else 0)
+        self.keys = list(keys)
+        self.index = tuple(index)
+        self.width = source.width
+        self._shared: Optional[Callable[[object], Optional[Sequence[Row]]]] = None
 
     def rows(self, env: Env) -> Iterator[Row]:
-        if any(value is None for value in self.values):
-            return  # '=' with NULL matches nothing
-        include_tid = self.include_tid
-        tids = self.table.index_lookup(self.positions, self.values)
-        for tid in sorted(tids):
-            if self.table.has_tid(tid):
-                self.stats.rows_scanned += 1
-                row = self.table.get(tid)
-                yield row + (tid,) if include_tid else row
+        return self.source.rows(env)  # read whole, an access is its source
+
+    def lookup(self, env: Env) -> Callable[[object], Optional[Sequence[Row]]]:
+        """The probe function over the source as of ``env``."""
+        if self.index:
+            scan: Scan = self.source  # type: ignore[assignment]
+            return scan.table.probe(self.index, scan.include_tid)
+        key_of = self._key_of()
+        table: dict[object, list[Row]] = {}
+        for row in self.source.rows(env):
+            key = key_of(row)
+            if key is not None:
+                table.setdefault(key, []).append(row)
+        return table.get
+
+    def _key_of(self) -> Callable[[Row], object]:
+        """A source row's key, filed as an index files it
+        (:func:`~repro.engine.storage.column_key`): picked straight off the
+        row when every key is a plain column (the compiler marks those
+        with ``column_index``), else off the tuple of computed keys."""
+        picks = [getattr(key, "column_index", None) for key in self.keys]
+        if None not in picks:
+            return column_key(picks)  # type: ignore[arg-type]
+        keys, pick = self.keys, column_key(range(len(self.keys)))
+
+        def key_of(row: Row) -> object:
+            env = (row,)
+            return pick(tuple(key(env) for key in keys))
+
+        return key_of
+
+    def shared(self) -> Callable[[object], Optional[Sequence[Row]]]:
+        """:meth:`lookup` for an uncorrelated source, made on first use and
+        kept for the statement (a decorrelated subquery's partner); a
+        hash build counts one ``subquery_evaluations``."""
+        if self._shared is None:
+            if not self.index:
+                self.stats.subquery_evaluations += 1
+            self._shared = self.lookup(())
+        return self._shared
+
+    def children(self) -> Sequence[PlanNode]:
+        return () if self.index else (self.source,)
 
     def describe(self) -> str:
-        names = self.table.schema.column_names
-        columns = ", ".join(names[p] for p in self.positions)
-        extra = " +tid" if self.include_tid else ""
-        return f"IndexScan({self.table.schema.name} on [{columns}]{extra})"
+        if self.index:
+            return "IndexProbe" + self.index_label()
+        return f"Hash({len(self.keys)} keys)"
+
+    def index_label(self) -> str:
+        """``(table on [columns])`` of a live-index access, ``+tid`` marked."""
+        scan: Scan = self.source  # type: ignore[assignment]
+        names = scan.table.schema.column_names
+        columns = ", ".join(names[p] for p in self.index)
+        extra = " +tid" if scan.include_tid else ""
+        return f"({scan.table.schema.name} on [{columns}]{extra})"
+
+
+class IndexScan(PlanNode):
+    """A live-index :class:`Access` probed once, with constant values:
+    the rows ``col = literal`` conjuncts covering a secondary index
+    select, touching (and counting) only those."""
+
+    def __init__(self, access: Access, values: Sequence[SQLValue]) -> None:
+        self.access = access
+        self.width = access.width
+        # A literal NaN may be any NaN object; the index holds NAN.
+        key = tuple(canonical(value) for value in values)
+        self.key = key[0] if len(key) == 1 else key
+
+    def rows(self, env: Env) -> Iterator[Row]:
+        rows = self.access.lookup(env)(self.key) or ()
+        self.access.stats.rows_scanned += len(rows)
+        return iter(rows)
+
+    def describe(self) -> str:
+        return "IndexScan" + self.access.index_label()
 
 
 class Values(PlanNode):
@@ -265,53 +347,42 @@ class NestedLoopJoin(PlanNode):
 
 
 class HashJoin(PlanNode):
-    """Equi-join via a hash table built on the right input.
+    """Equi-join: each left row probes the right side's :class:`Access`
+    with its key columns (``left_positions``, in the access's key order).
 
-    NULL keys never match (SQL semantics).  ``residual`` is an extra
-    predicate applied to the concatenated row (for non-equi conjuncts).
+    ``residual`` is an extra predicate applied to the concatenated row
+    (the conjuncts that are not keys).
     """
 
     def __init__(
         self,
         left: PlanNode,
-        right: PlanNode,
-        left_keys: Sequence[Evaluator],
-        right_keys: Sequence[Evaluator],
+        right: Access,
+        left_positions: Sequence[int],
         residual: Optional[Predicate] = None,
         kind: str = "inner",
     ) -> None:
         if kind not in ("inner", "left"):
             raise ValueError(f"unsupported hash-join kind: {kind}")
-        if len(left_keys) != len(right_keys) or not left_keys:
-            raise ValueError("hash join requires matching, non-empty key lists")
         self.left = left
         self.right = right
-        self.left_keys = list(left_keys)
-        self.right_keys = list(right_keys)
+        self.left_positions = tuple(left_positions)
         self.residual = residual
         self.kind = kind
         self.width = left.width + right.width
 
     def rows(self, env: Env) -> Iterator[Row]:
-        buckets: dict[tuple, list[Row]] = {}
-        for right_row in self.right.rows(env):
-            inner_env = (right_row,) + env
-            key = tuple(evaluator(inner_env) for evaluator in self.right_keys)
-            if any(part is None for part in key):
-                continue
-            buckets.setdefault(key, []).append(right_row)
+        lookup = self.right.lookup(env)
+        key_of = itemgetter(*self.left_positions)
         residual = self.residual
         pad = (None,) * self.right.width
         for left_row in self.left.rows(env):
-            inner_env = (left_row,) + env
-            key = tuple(evaluator(inner_env) for evaluator in self.left_keys)
             matched = False
-            if not any(part is None for part in key):
-                for right_row in buckets.get(key, ()):
-                    combined = left_row + right_row
-                    if residual is None or residual((combined,) + env):
-                        matched = True
-                        yield combined
+            for right_row in lookup(key_of(left_row)) or ():
+                combined = left_row + right_row
+                if residual is None or residual((combined,) + env):
+                    matched = True
+                    yield combined
             if self.kind == "left" and not matched:
                 yield left_row + pad
 
@@ -319,66 +390,48 @@ class HashJoin(PlanNode):
         return (self.left, self.right)
 
     def describe(self) -> str:
-        return f"HashJoin({self.kind}, {len(self.left_keys)} keys)"
-
-
-class SemiJoinBuild(Protocol):
-    """The build side of a :class:`HashSemiJoin` (the planner's
-    ``_DecorrelatedSubplan``): a subquery stripped of its correlating
-    equalities, hashed once per statement."""
-
-    inner_plan: PlanNode
-    #: The conjuncts still correlated with the outer row, over
-    #: ``(inner row, outer row) + env``; None when there are none.
-    residual: Optional[Predicate]
-
-    def buckets(self) -> dict:
-        """Inner rows by key: the bare value for one key column, a tuple
-        for several (what ``itemgetter`` returns); no key holds a NULL."""
+        return f"HashJoin({self.kind}, {len(self.left_positions)} keys)"
 
 
 class HashSemiJoin(PlanNode):
-    """A top-level ``[NOT] EXISTS`` conjunct as a hash semi / anti join.
+    """A top-level ``[NOT] EXISTS`` conjunct as a semi / anti join.
 
     Keeps the child rows that have (``anti``: have no) partner in the
-    build's buckets passing its residual.  Per row that is one
-    ``itemgetter`` and one ``dict.get``; the residual runs only on
-    non-empty buckets.  A NULL in the child's key finds no bucket, so the
-    row has no partner -- ``=`` with NULL never matches.
+    decorrelated subquery's :class:`Access` passing ``residual`` (the
+    conjuncts still correlated with the outer row, over ``(partner,
+    row) + env``).  Per row that is one ``itemgetter`` and one probe; the
+    residual runs only on non-empty buckets.
 
     ``subquery_cache_hits`` counts one probe per child row consumed, added
-    once per pass; the build counts its own ``subquery_evaluations``.
+    once per pass; a hash build counts its own ``subquery_evaluations``.
     """
 
     def __init__(
         self,
         child: PlanNode,
-        build: SemiJoinBuild,
+        partner: Access,
         key_positions: Sequence[int],
+        residual: Optional[Predicate],
         anti: bool,
-        stats: ExecutionStats,
     ) -> None:
-        if not key_positions:
-            raise ValueError("hash semi-join requires at least one key")
         self.child = child
-        self.build = build
+        self.partner = partner
         self.key_positions = tuple(key_positions)
+        self.residual = residual
         self.anti = anti
-        self.stats = stats
         self.width = child.width
-        self._key_of = itemgetter(*self.key_positions)
 
     def rows(self, env: Env) -> Iterator[Row]:
-        lookup = self.build.buckets().get
-        residual = self.build.residual
-        key_of = self._key_of
+        lookup = self.partner.shared()
+        residual = self.residual
+        key_of = itemgetter(*self.key_positions)
         anti = self.anti
         probes = 0
         try:
             for row in self.child.rows(env):
                 probes += 1
                 bucket = lookup(key_of(row))
-                if bucket is None:
+                if not bucket:
                     found = False
                 elif residual is None:
                     found = True
@@ -392,10 +445,10 @@ class HashSemiJoin(PlanNode):
                 if found is not anti:
                     yield row
         finally:
-            self.stats.subquery_cache_hits += probes
+            self.partner.stats.subquery_cache_hits += probes
 
     def children(self) -> Sequence[PlanNode]:
-        return (self.child, self.build.inner_plan)
+        return (self.child, self.partner)
 
     def describe(self) -> str:
         kind = "anti" if self.anti else "semi"

@@ -4,18 +4,20 @@ The planner performs the classic minimal set of rewrites a real system
 needs to make the Hippo experiments meaningful:
 
 * WHERE clauses are split into conjuncts;
-* equality conjuncts linking two FROM sources become hash joins (the
-  paper's conflict-detection self-joins and the envelope queries rely on
-  this to run in linear time, exactly as PostgreSQL would execute them);
 * remaining conjuncts become filters at the earliest point where all of
   their columns are available -- single-table ones directly under their
-  FROM item, where constant equalities covering a hash index become an
-  index scan instead;
-* correlated EXISTS / IN subqueries are decorrelated into a hash table
-  where an equality binds them to the outer row -- a top-level ``[NOT]
-  EXISTS`` conjunct then runs as a hash semi / anti join under the FROM
-  item it is correlated with, which is how an RDBMS executes the rewriting
-  baseline's ``NOT EXISTS`` residues -- and otherwise compiled into
+  FROM item;
+* every keyed access goes through **one rule**, :meth:`Planner._access`,
+  keyed by the source's *bound* columns -- bound by a literal, by the
+  other side of an equi-join, or by the outer row of a decorrelated
+  ``[NOT] EXISTS`` / ``IN``: the table's live index when one is covered,
+  else one hash of the source per statement.  So constant equalities
+  become an index scan, equi-joins a hash join probing the right input
+  (the paper's conflict-detection self-joins and the envelope queries
+  rely on this to run in linear time, as PostgreSQL would), and a
+  top-level ``[NOT] EXISTS`` conjunct a semi / anti join under the FROM
+  item it is correlated with -- how an RDBMS executes the rewriting
+  baseline's ``NOT EXISTS`` residues; other subqueries are compiled into
   subplans with a memo cache keyed on the captured outer values.
 
 This is the only planner: SJUD cores (the envelope, cleaned answers,
@@ -26,9 +28,8 @@ UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Optional, Sequence, Union, cast
 
 from repro.engine import functions, plan
 from repro.engine.catalog import Catalog
@@ -40,7 +41,7 @@ from repro.engine.expressions import (
     bound_entries,
 )
 from repro.engine.stats import ExecutionStats
-from repro.engine.types import NAN, SQLType, comparable, infer_type
+from repro.engine.types import SQLType, infer_type
 from repro.errors import PlanError
 from repro.sql import ast
 
@@ -53,32 +54,62 @@ Restriction = Callable[[str], Optional[frozenset[int]]]
 TID = "#tid"
 
 
-def _hashable(left: Optional[SQLType], right: Optional[SQLType]) -> bool:
-    """Whether an equality between columns declared ``left`` and ``right``
-    may be a hash key.  Python's hashing says ``1 = TRUE`` and never raises,
-    so an incomparable pair stays a conjunct evaluated per row, which
-    raises as a Filter does.  An unknown (None) type hashes."""
-    return left is None or right is None or comparable(left, right)
+#: ``(conjunct, inner side, outer side)`` of a key equality.
+_KeyEquality = tuple[ast.Expression, ast.Expression, ast.Expression]
 
 
-class _AbortDecorrelation(Exception):
-    """Internal: the subquery shape cannot be decorrelated."""
+def _equalities(
+    conjuncts: Sequence[ast.Expression],
+    inner: Callable[[ast.Expression], bool],
+    outer: Callable[[ast.Expression], bool],
+    inner_scope: Scope,
+    outer_scope: Scope,
+) -> list[_KeyEquality]:
+    """The key equalities among ``conjuncts`` (the one equality matcher):
+    each ``a = b``, either way round, whose ``inner`` side is over the
+    source being accessed and whose ``outer`` side binds it -- a literal,
+    the other join input, or a decorrelated subquery's outer row -- with
+    :func:`~repro.engine.plan.hashable` declared types (a literal's own).
+    """
+
+    def declared(expr: ast.Expression, scope: Scope) -> Optional[SQLType]:
+        if isinstance(expr, ast.Literal):
+            return infer_type(expr.value)
+        return scope.declared_type(expr)
+
+    keys: list[_KeyEquality] = []
+    for conjunct in conjuncts:
+        if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
+            continue
+        for a, b in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+            if (
+                inner(a)
+                and outer(b)
+                and plan.hashable(declared(a, inner_scope), declared(b, outer_scope))
+            ):
+                keys.append((conjunct, a, b))
+                break
+    return keys
 
 
-def _flatten_from(from_items: Sequence[ast.FromItem]) -> tuple[ast.FromItem, ...]:
-    """Flatten explicit inner joins into plain comma sources."""
-    flat: list[ast.FromItem] = []
+def _flat_from(
+    from_items: Sequence[ast.FromItem],
+) -> Optional[tuple[list[ast.TableRef], list[ast.Expression]]]:
+    """The tables of a FROM list and the conditions of its inner joins,
+    or None when it holds a derived table or an outer join."""
+    tables: list[ast.TableRef] = []
+    conditions: list[ast.Expression] = []
 
-    def visit(item: ast.FromItem) -> None:
-        if isinstance(item, ast.Join):
-            visit(item.left)
-            visit(item.right)
-        else:
-            flat.append(item)
+    def visit(item: ast.FromItem) -> bool:
+        if isinstance(item, ast.TableRef):
+            tables.append(item)
+            return True
+        if isinstance(item, ast.Join) and item.kind != "left":
+            conditions.extend(ast.split_conjuncts(item.on))
+            return visit(item.left) and visit(item.right)
+        return False
 
-    for item in from_items:
-        visit(item)
-    return tuple(flat)
+    return (tables, conditions) if all(map(visit, from_items)) else None
 
 
 @dataclass
@@ -98,20 +129,24 @@ class _Source:
     """A planned FROM item: its plan plus visible columns.
 
     ``types`` is parallel to ``entries``: a stored column's declared type,
-    None for the rest.  ``consumed`` records conjuncts already absorbed
-    into the access path (index lookups), so callers drop them instead of
-    re-filtering.
+    None for the rest.
     """
 
     node: plan.PlanNode
     entries: list[tuple[Optional[str], str]]
     displays: list[str]
     types: list[Optional[SQLType]]
-    consumed: list[ast.Expression] = field(default_factory=list)
 
     def scope(self, parent: Optional[Scope], level: int) -> Scope:
         """The scope of this source's columns, under ``parent``."""
         return Scope(list(self.entries), parent, level, list(self.types))
+
+    def column(self, expr: ast.Expression) -> Optional[int]:
+        """The position of ``expr`` among the columns when it is a plain
+        column reference; None otherwise."""
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        return self.scope(None, 0).resolve(expr.table, expr.name)[1]
 
 
 class _Subplan:
@@ -165,81 +200,46 @@ class _Subplan:
 
 
 class _DecorrelatedSubplan:
-    """A correlated EXISTS / IN subquery decorrelated into a hash table.
+    """A correlated EXISTS / IN subquery, decorrelated.
 
     A real RDBMS answers a correlated ``NOT EXISTS`` residue with an index
-    scan per outer row; the equivalent here is decorrelation: the equality
-    conjuncts binding inner expressions to outer references are stripped
-    from the subquery, the remainder is evaluated **once** per statement
-    and its rows are hashed on the inner sides of those equalities.
-    Without this, the rewriting baseline would degrade to a quadratic
-    nested loop no real system would exhibit, skewing the paper's part-3
-    comparison in Hippo's favour.
+    scan per outer row; here the equalities binding inner expressions to
+    outer columns are stripped from the subquery, the rest is planned
+    **once**, uncorrelated, as one source, and the outer row's values
+    probe that source's :class:`~repro.engine.plan.Access`.  Without this
+    the rewriting baseline would degrade to a quadratic nested loop no
+    real system would exhibit, skewing the paper's part-3 comparison.
 
-    The table is probed in one of two forms:
-
-    * **set-at-a-time** -- a top-level ``[NOT] EXISTS`` conjunct of a
-      WHERE clause whose outer references are all plain columns of one
-      FROM source becomes a :class:`~repro.engine.plan.HashSemiJoin` over
-      that source (``Planner._semi_join``), which reads :meth:`buckets`
-      and :attr:`residual` directly: the shape of every residue the
-      rewriting emits.
-    * **per row** -- every other use (``EXISTS`` under ``OR`` / ``NOT`` or
-      in a select list, ``IN (subquery)``, outer keys that are computed or
-      belong to an enclosing query, UPDATE / DELETE conditions) is a
-      closure in a ``Filter`` / ``Project`` calling :meth:`has_rows` or
-      :meth:`first_column_values` with the row's environment.
-
-    Either way ``subquery_evaluations`` counts the one build and
-    ``subquery_cache_hits`` one per probe.
+    A top-level ``[NOT] EXISTS`` whose outer keys are plain columns of one
+    FROM source reads :attr:`partner` and :attr:`residual` as a
+    :class:`~repro.engine.plan.HashSemiJoin` (``Planner._semi_join``);
+    every other use calls :meth:`has_rows` / :meth:`first_column_values`
+    per row from a ``Filter`` / ``Project`` closure.  Either way a hash
+    build counts one ``subquery_evaluations`` (a live index builds
+    nothing) and every probe one ``subquery_cache_hits``.
     """
 
     def __init__(
         self,
-        inner_plan: plan.PlanNode,
-        n_keys: int,
+        partner: plan.Access,
         outer_keys: list[Evaluator],
         residual: Optional[Callable[[Env], bool]],
         value_evaluator: Evaluator,
         stats: ExecutionStats,
     ) -> None:
-        self.inner_plan = inner_plan
+        self.partner = partner
         self.outer_keys = outer_keys
         self.residual = residual
-        self._n_keys = n_keys
         self._value = value_evaluator
         self._stats = stats
-        self._index: Optional[dict] = None
-
-    def buckets(self) -> dict:
-        """Inner rows (minus the key columns) by key, built on first use.
-
-        A key is what ``itemgetter`` makes of the key columns -- the bare
-        value for one, a tuple for several -- and never holds a NULL
-        (``=`` with NULL never matches), so probing with one finds nothing.
-        """
-        if self._index is None:
-            self._stats.subquery_evaluations += 1
-            index: dict = {}
-            n_keys = self._n_keys
-            key_of = itemgetter(*range(n_keys))
-            for row in self.inner_plan.rows(()):
-                index.setdefault(key_of(row), []).append(row[n_keys:])
-            if n_keys == 1:
-                index.pop(None, None)
-            else:
-                for key in [key for key in index if None in key]:
-                    del index[key]
-            self._index = index
-        return self._index
 
     def _probe(self, env: Env) -> Sequence[tuple]:
-        buckets = self.buckets()
+        lookup = self.partner.shared()
         self._stats.subquery_cache_hits += 1
         outer_keys = self.outer_keys
         if len(outer_keys) == 1:
-            return buckets.get(outer_keys[0](env), ())
-        return buckets.get(tuple(evaluator(env) for evaluator in outer_keys), ())
+            return lookup(outer_keys[0](env)) or ()
+        return lookup(tuple(evaluator(env) for evaluator in outer_keys)) or ()
 
     def has_rows(self, env: Env) -> bool:
         residual = self.residual
@@ -532,7 +532,6 @@ class Planner:
                 combined, source, usable, "inner", outer_scope, level
             )
             unused = [c for c in unused if c not in usable]
-            unused = self._apply_local_filters(combined, unused, outer_scope, level)
             late = self._apply_semi_joins(combined, late, level)
         assert combined is not None
         return combined, unused, late
@@ -546,14 +545,30 @@ class Planner:
     ) -> list[ast.Expression]:
         """Filter ``source`` by the conjuncts it can already evaluate.
 
-        When the source is a bare table scan and constant-equality
-        conjuncts cover a secondary index, the scan is replaced by an
-        index lookup and those conjuncts are consumed.
+        ``col = literal`` conjuncts bind their columns: when
+        :meth:`_access` picks a live index for them, the scan becomes an
+        :class:`~repro.engine.plan.IndexScan` and the equalities it serves
+        are dropped; everything else stays in the ``Filter``.
         """
         local = [c for c in conjuncts if _resolvable(c, source.entries)]
-        local = self._try_index_scan(source, local)
-        self._filter(source, local, outer_scope, level)
-        return [c for c in conjuncts if c not in local and c not in source.consumed]
+        scope = source.scope(None, level)
+        keys = _equalities(
+            local,
+            lambda e: isinstance(e, ast.ColumnRef),
+            lambda e: isinstance(e, ast.Literal),
+            scope,
+            scope,
+        )
+        remaining = local
+        if keys:
+            partner, served = self._access(source, [k[1] for k in keys])
+            if partner.index:
+                values = [cast(ast.Literal, keys[i][2]).value for i in served]
+                source.node = plan.IndexScan(partner, values)
+                used = [keys[i][0] for i in served]
+                remaining = [c for c in local if c not in used]
+        self._filter(source, remaining, outer_scope, level)
+        return [c for c in conjuncts if c not in local]
 
     def _filter(
         self,
@@ -564,12 +579,20 @@ class Planner:
     ) -> None:
         """Put a :class:`~repro.engine.plan.Filter` for ``conjuncts`` (when
         any) over ``source``, compiled against the source's own columns."""
-        if conjuncts:
-            scope = source.scope(outer_scope, level)
-            predicate = self._compiler(scope).compile_predicate(
-                ast.conjunction(conjuncts)  # type: ignore[arg-type]
-            )
+        predicate = self._predicate(conjuncts, source.scope(outer_scope, level))
+        if predicate is not None:
             source.node = plan.Filter(source.node, predicate)
+
+    def _predicate(
+        self, conjuncts: list[ast.Expression], scope: Scope
+    ) -> Optional[Callable[[Env], bool]]:
+        """The conjunction of ``conjuncts`` compiled over ``scope``; None
+        when there are none."""
+        if not conjuncts:
+            return None
+        return self._compiler(scope).compile_predicate(
+            ast.conjunction(conjuncts)  # type: ignore[arg-type]
+        )
 
     def _apply_semi_joins(
         self, source: _Source, conjuncts: list[ast.Expression], level: int
@@ -607,67 +630,50 @@ class Planner:
             return None
         # Every outer key resolved in the source itself: a plain column.
         positions = [getattr(key, "column_index") for key in subplan.outer_keys]
-        return plan.HashSemiJoin(source.node, subplan, positions, anti, self.stats)
-
-    @staticmethod
-    def _constant_equality(
-        conjunct: ast.Expression,
-    ) -> Optional[tuple[ast.ColumnRef, object]]:
-        """Match ``col = literal`` (either orientation); None otherwise."""
-        if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
-            return None
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, ast.ColumnRef) and isinstance(right, ast.Literal):
-            return left, right.value
-        if isinstance(right, ast.ColumnRef) and isinstance(left, ast.Literal):
-            return right, left.value
-        return None
-
-    def _try_index_scan(
-        self, source: _Source, local: list[ast.Expression]
-    ) -> list[ast.Expression]:
-        """Replace a plain scan with an index lookup when it can.
-
-        An :class:`~repro.engine.plan.IndexScan` serves ``col = literal``
-        conjuncts covering a hash index; every other conjunct, and every
-        equality no index covers, stays in the ``Filter`` over the scan.
-        A lookup agrees with the filter only where the literal's type is
-        :func:`~repro.engine.types.comparable` with the column's (else the
-        filter raises); ``= NULL`` matches nothing either way.  Consumed
-        conjuncts are recorded on the source so callers drop them.
-        """
-        node = source.node
-        if not isinstance(node, plan.Scan) or node.keep_tids is not None:
-            return local
-        table = node.table
-        by_position: dict[int, tuple[ast.Expression, object]] = {}
-        for conjunct in local:
-            match = self._constant_equality(conjunct)
-            if match is None:
-                continue
-            ref, value = match
-            if not table.schema.has_column(ref.name):
-                continue
-            position = table.schema.index_of(ref.name)
-            column_type = table.schema.columns[position].sql_type
-            if value is None or comparable(column_type, infer_type(value)):
-                # NaN is stored as the one NAN object the index hashes.
-                key = value if value == value else NAN
-                by_position.setdefault(position, (conjunct, key))
-        best: Optional[tuple[int, ...]] = None
-        for positions in table.indexed_column_sets():
-            if all(p in by_position for p in positions):
-                if best is None or len(positions) > len(best):
-                    best = positions
-        if best is None:
-            return local
-        consumed = [by_position[p][0] for p in best]
-        values = [by_position[p][1] for p in best]
-        source.node = plan.IndexScan(
-            table, self.stats, best, values, node.include_tid
+        return plan.HashSemiJoin(
+            source.node, subplan.partner, positions, subplan.residual, anti
         )
-        source.consumed.extend(consumed)
-        return [c for c in local if c not in consumed]
+
+    def _access(
+        self, source: _Source, inner: Sequence[ast.Expression]
+    ) -> tuple[plan.Access, list[int]]:
+        """The one access-path rule: how the rows of ``source`` whose
+        ``inner`` key expressions equal bound values are found.
+
+        * The table's **live index**, when ``source`` is an unrestricted
+          scan of a stored table and every column of one of its secondary
+          indexes is an ``inner`` plain column (the widest such index
+          wins).  It serves those keys only.
+        * Otherwise **one hash** of the source's rows on every key, built
+          per statement: the only access of an unindexed, filtered,
+          tid-restricted or derived source.
+
+        Returns the access and the indices of the ``inner`` keys it is
+        keyed on, in key order; callers keep the other equalities as a
+        residual over the probed rows.  Keys bound only by literals are
+        probed once, and a hash probed once is a scan that also builds a
+        table: that caller keeps its ``Filter`` unless this is an index.
+        No option selects the access: the presence of an index does.
+        """
+        columns: dict[int, int] = {}
+        for number, expr in enumerate(inner):
+            position = source.column(expr)
+            if position is not None:
+                columns.setdefault(position, number)
+        node = source.node
+        if isinstance(node, plan.Scan) and node.keep_tids is None:
+            covered = [
+                positions
+                for positions in node.table.indexed_column_sets()
+                if all(p in columns for p in positions)
+            ]
+            if covered:
+                best = max(covered, key=len)
+                access = plan.Access(node, self.stats, index=best)
+                return access, [columns[p] for p in best]
+        compiler = self._compiler(source.scope(None, 0))
+        keys = [compiler.compile(expr) for expr in inner]
+        return plan.Access(node, self.stats, keys=keys), list(range(len(inner)))
 
     def _table_source(self, item: ast.TableRef, with_tid: bool) -> _Source:
         """A scan of one stored table; ``with_tid`` appends :data:`TID`."""
@@ -716,71 +722,43 @@ class Planner:
         outer_scope: Optional[Scope],
         level: int,
     ) -> _Source:
-        """Join two sources, picking a hash join when equi-keys exist."""
+        """Join two sources: a left column bound to a right one is a key,
+        and :meth:`_access` picks how the right side is probed."""
         entries = left.entries + right.entries
         displays = left.displays + right.displays
         types = left.types + right.types
         scope = Scope(list(entries), outer_scope, level, list(types))
-        left_scope = left.scope(outer_scope, level)
-        right_scope = right.scope(outer_scope, level)
 
-        equi_pairs: list[tuple[ast.ColumnRef, ast.ColumnRef]] = []
-        residual: list[ast.Expression] = []
-        for conjunct in conjuncts:
-            pair = self._equi_pair(conjunct, left, right)
-            if pair is not None and _hashable(
-                left_scope.declared_type(pair[0]), right_scope.declared_type(pair[1])
-            ):
-                equi_pairs.append(pair)
-            else:
-                residual.append(conjunct)
-
-        residual_predicate = None
-        if residual:
-            compiler = self._compiler(scope)
-            residual_predicate = compiler.compile_predicate(
-                ast.conjunction(residual)  # type: ignore[arg-type]
+        def side(this: _Source, other: _Source) -> Callable[[ast.Expression], bool]:
+            return lambda e: (
+                isinstance(e, ast.ColumnRef)
+                and _resolvable(e, this.entries)
+                and not _resolvable(e, other.entries)
             )
 
-        if equi_pairs and kind in ("inner", "left"):
-            left_keys = [
-                self._compiler(left_scope).compile(lref) for lref, _r in equi_pairs
-            ]
-            right_keys = [
-                self._compiler(right_scope).compile(rref) for _l, rref in equi_pairs
-            ]
-            node: plan.PlanNode = plan.HashJoin(
-                left.node, right.node, left_keys, right_keys, residual_predicate, kind
+        keys: list[_KeyEquality] = []
+        if kind in ("inner", "left"):
+            keys = _equalities(
+                conjuncts,
+                side(right, left),
+                side(left, right),
+                right.scope(outer_scope, level),
+                left.scope(outer_scope, level),
+            )
+        if not keys:
+            predicate = self._predicate(conjuncts, scope)
+            join_kind = kind if kind != "inner" or predicate else "cross"
+            node: plan.PlanNode = plan.NestedLoopJoin(
+                left.node, right.node, predicate, join_kind
             )
             return _Source(node, entries, displays, types)
-
-        join_kind = kind if kind != "inner" or residual_predicate else "cross"
-        node = plan.NestedLoopJoin(left.node, right.node, residual_predicate, join_kind)
+        partner, served = self._access(right, [inner for _c, inner, _o in keys])
+        used = [keys[i] for i in served]
+        positions = [cast(int, left.column(outer)) for _c, _i, outer in used]
+        residual = [c for c in conjuncts if c not in [k[0] for k in used]]
+        predicate = self._predicate(residual, scope)
+        node = plan.HashJoin(left.node, partner, positions, predicate, kind)
         return _Source(node, entries, displays, types)
-
-    def _equi_pair(
-        self, conjunct: ast.Expression, left: _Source, right: _Source
-    ) -> Optional[tuple[ast.ColumnRef, ast.ColumnRef]]:
-        """Detect ``left_col = right_col`` conjuncts linking the two sides."""
-        if not (
-            isinstance(conjunct, ast.BinaryOp)
-            and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
-            return None
-        lhs, rhs = conjunct.left, conjunct.right
-        if _resolvable(lhs, left.entries) and _resolvable(rhs, right.entries):
-            if not _resolvable(lhs, right.entries) and not _resolvable(
-                rhs, left.entries
-            ):
-                return (lhs, rhs)
-        if _resolvable(rhs, left.entries) and _resolvable(lhs, right.entries):
-            if not _resolvable(rhs, right.entries) and not _resolvable(
-                lhs, left.entries
-            ):
-                return (rhs, lhs)
-        return None
 
     # ------------------------------------------------------------ aggregates
 
@@ -981,54 +959,37 @@ class Planner:
 
     # -------------------------------------------------- EXISTS decorrelation
 
-    @staticmethod
-    def _static_scope(
-        from_items: Sequence[ast.FromItem], catalog: Catalog
-    ) -> Optional[Scope]:
-        """The columns a FROM clause makes visible, without planning it."""
-        entries: list[tuple[Optional[str], str]] = []
-        types: list[Optional[SQLType]] = []
-
-        def visit(item: ast.FromItem) -> bool:
-            if isinstance(item, ast.TableRef):
-                if not catalog.has_table(item.name):
-                    return False
-                table = catalog.table(item.name)
-                entries.extend(bound_entries(item.binding, table.schema.column_names))
-                types.extend(column.sql_type for column in table.schema.columns)
-                return True
-            if isinstance(item, ast.Join):
-                return visit(item.left) and visit(item.right)
-            return False  # derived tables: fall back to the generic path
-
-        for item in from_items:
-            if not visit(item):
-                return None
-        return Scope(entries, types=types)
-
     def _try_decorrelate(
         self, query: ast.Query, site_scope: Scope
     ) -> Optional[_DecorrelatedSubplan]:
-        """Compile a correlated subquery into a hash semi-join, if possible.
+        """Decorrelate a subquery into a keyed probe of its partner, if possible.
 
         Returns None (and lets the generic memoized path handle the query)
         whenever the shape does not match: set operations, grouping,
-        ORDER BY / LIMIT, derived tables, or no equality conjunct linking
-        an inner expression to an outer column.
+        ORDER BY / LIMIT, derived tables, outer joins, or no equality
+        conjunct binding an inner expression to an outer column.
         """
         body = query.body
-        if not isinstance(body, ast.SelectCore):
+        if (
+            not isinstance(body, ast.SelectCore)
+            or body.group_by
+            or body.having
+            or query.order_by
+            or query.limit is not None
+            or query.offset is not None
+        ):
             return None
-        if body.group_by or body.having or query.order_by:
+        flat = _flat_from(body.from_items)
+        if flat is None or not flat[0]:
             return None
-        if query.limit is not None or query.offset is not None:
+        tables, on = flat
+        if not all(self.catalog.has_table(t.name) for t in tables):
             return None
-        if not body.from_items:
-            return None
-        probe = self._static_scope(body.from_items, self.catalog)
-        if probe is None:
-            return None
-        entries = probe.entries
+        schemas = [(t.binding, self.catalog.table(t.name).schema) for t in tables]
+        probe = Scope(
+            [e for b, schema in schemas for e in bound_entries(b, schema.column_names)],
+            types=[c.sql_type for _b, schema in schemas for c in schema.columns],
+        )
 
         def resolves_locally(ref: ast.ColumnRef) -> bool:
             try:
@@ -1043,109 +1004,42 @@ class Planner:
         def is_local(expr: ast.Expression) -> bool:
             return all(resolves_locally(ref) for ref in column_refs(expr))
 
-        inner_keys: list[ast.Expression] = []
-        outer_refs: list[ast.ColumnRef] = []
-        residual: list[ast.Expression] = []
-        join_conjuncts: list[ast.Expression] = []
-
-        def collect_on(item: ast.FromItem) -> None:
-            if isinstance(item, ast.Join):
-                collect_on(item.left)
-                collect_on(item.right)
-                if item.on is not None:
-                    if item.kind == "left":
-                        raise _AbortDecorrelation
-                    join_conjuncts.extend(ast.split_conjuncts(item.on))
-
-        try:
-            for item in body.from_items:
-                collect_on(item)
-        except _AbortDecorrelation:
+        conjuncts = ast.split_conjuncts(body.where) + on
+        keys = _equalities(
+            conjuncts,
+            lambda e: is_local(e) and not contains_subquery(e),
+            lambda e: isinstance(e, ast.ColumnRef) and not resolves_locally(e),
+            probe,
+            site_scope,
+        )
+        if not keys:
             return None
-
-        local_residual: list[ast.Expression] = []
-        correlated_residual: list[ast.Expression] = []
-        for conjunct in ast.split_conjuncts(body.where) + join_conjuncts:
-            matched = False
-            if (
-                isinstance(conjunct, ast.BinaryOp)
-                and conjunct.op == "="
-                and not contains_subquery(conjunct)
-            ):
-                for inner, outer in (
-                    (conjunct.left, conjunct.right),
-                    (conjunct.right, conjunct.left),
-                ):
-                    if (
-                        isinstance(outer, ast.ColumnRef)
-                        and not resolves_locally(outer)
-                        and is_local(inner)
-                        and _hashable(
-                            probe.declared_type(inner), site_scope.declared_type(outer)
-                        )
-                    ):
-                        inner_keys.append(inner)
-                        outer_refs.append(outer)
-                        matched = True
-                        break
-            if matched:
-                continue
-            if is_local(conjunct) and not contains_subquery(conjunct):
-                local_residual.append(conjunct)
-            else:
-                correlated_residual.append(conjunct)
-        if not inner_keys:
-            return None
-
-        # The value column (for IN subqueries): the first select item.
-        first = body.items[0]
+        local = [c for c in conjuncts if is_local(c) and not contains_subquery(c)]
+        first = body.items[0]  # the value column of an IN subquery
         if isinstance(first, ast.Star):
-            binding, column = entries[0]
-            value_expr: ast.Expression = ast.ColumnRef(binding, column)
+            value_expr: ast.Expression = ast.ColumnRef(*probe.entries[0])
         else:
             value_expr = first.expr
-
-        # Inner rows carry the keys followed by *every* local column, so
-        # that correlated residual conjuncts and the value expression can
-        # be evaluated per probed row against the local scope layout.
-        items = tuple(
-            ast.SelectItem(key, f"k{index}") for index, key in enumerate(inner_keys)
-        ) + tuple(
-            ast.SelectItem(ast.ColumnRef(binding, column), f"c{index}")
-            for index, (binding, column) in enumerate(entries)
-        )
-        # Strip explicit JOIN ... ON conditions: they were folded into the
-        # conjunct analysis above, so re-planning uses plain cross sources
-        # plus the local residual WHERE.
-        flat_sources = _flatten_from(body.from_items)
-        modified = ast.Query(
-            ast.SelectCore(items, flat_sources, ast.conjunction(local_residual))
-        )
-        local_scope = Scope(
-            list(entries), site_scope, site_scope.level + 1, list(probe.types)
-        )
         try:
             # The keys first: they are what fails, cheaply, when the site
             # cannot see the outer columns (see _semi_join).
             site_compiler = self._compiler(site_scope)
-            outer_keys = [site_compiler.compile(ref) for ref in outer_refs]
-            planned = self.plan_query(modified, outer_scope=None)
-            local_compiler = self._compiler(local_scope)
-            residual_predicate = (
-                local_compiler.compile_predicate(
-                    ast.conjunction(correlated_residual)  # type: ignore[arg-type]
-                )
-                if correlated_residual
-                else None
-            )
-            value_evaluator = local_compiler.compile(value_expr)
+            outer_keys = [site_compiler.compile(outer) for _c, _i, outer in keys]
+            # The rest is planned once, uncorrelated, as one source.
+            source, leftovers, _late = self._plan_from_list(tables, local, [], None, 0)
+            self._filter(source, leftovers, None, 0)
+            partner, served = self._access(source, [k[1] for k in keys])
+            used = [keys[i][0] for i in served]
+            correlated = [c for c in conjuncts if c not in local and c not in used]
+            local_scope = source.scope(site_scope, site_scope.level + 1)
+            residual = self._predicate(correlated, local_scope)
+            value_evaluator = self._compiler(local_scope).compile(value_expr)
         except PlanError:
             return None  # oddly-shaped subquery: the generic path handles it
         return _DecorrelatedSubplan(
-            planned.plan,
-            len(inner_keys),
-            outer_keys,
-            residual_predicate,
+            partner,
+            [outer_keys[i] for i in served],
+            residual,
             value_evaluator,
             self.stats,
         )

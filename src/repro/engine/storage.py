@@ -15,6 +15,8 @@ appropriate membership queries on the database".
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple, Union
 
 from repro.engine.changelog import OP_DELETE, OP_INSERT, ChangeLog
@@ -27,10 +29,25 @@ Row = Tuple[SQLValue, ...]
 
 #: A posting list: key -> the tids stored under it.  The common single
 #: owner is a bare tid; only a key with several owners pays for a set.
-Postings = Dict[Tuple, Union[int, Set[int]]]
+Postings = Dict[object, Union[int, Set[int]]]
+
+def column_key(positions: Sequence[int]) -> Callable[[Row], object]:
+    """The key a row is filed under by the columns at ``positions``, in a
+    secondary index or a plan's hash: the bare value for one column, a
+    tuple for several (``itemgetter``'s form), or None -- filed nowhere --
+    when it holds a NULL, since ``=`` never matches a NULL."""
+    key_of = itemgetter(*positions)
+    if len(positions) == 1:
+        return key_of
+
+    def key(row: Row) -> object:
+        values = key_of(row)
+        return None if None in values else values
+
+    return key
 
 
-def _post(postings: Postings, key: Tuple, tid: int) -> None:
+def _post(postings: Postings, key: object, tid: int) -> None:
     """Make ``tid`` an owner of ``key`` (idempotent, like ``set.add``)."""
     owners = postings.get(key)
     if owners is None:
@@ -41,7 +58,7 @@ def _post(postings: Postings, key: Tuple, tid: int) -> None:
         postings[key] = {owners, tid}
 
 
-def _unpost(postings: Postings, key: Tuple, tid: int) -> None:
+def _unpost(postings: Postings, key: object, tid: int) -> None:
     """Stop ``tid`` owning ``key``; the last owner out removes the key."""
     owners = postings.get(key)
     if isinstance(owners, set):
@@ -79,8 +96,9 @@ class Table:
         self.schema = schema
         self._rows: Dict[int, Row] = {}
         self._by_value: Postings = {}
-        # Secondary hash indexes: column positions -> (key values -> tids).
-        self._indexes: Dict[Tuple[int, ...], Postings] = {}
+        # Secondary hash indexes: column positions -> (the key a row is
+        # filed under, key -> tids).
+        self._indexes: Dict[Tuple[int, ...], Tuple[Callable, Postings]] = {}
         self._next_tid = 0
         self._changelog = changelog
         self._key = schema.name.lower()
@@ -102,44 +120,61 @@ class Table:
             )
         if key in self._indexes:
             return
+        key_of = column_key(key)
         index: Postings = {}
         for tid, row in self._rows.items():
-            _post(index, tuple(row[p] for p in key), tid)
-        self._indexes[key] = index
-
-    def has_index(self, positions: Sequence[int]) -> bool:
-        """Whether an index over exactly these positions exists."""
-        return tuple(positions) in self._indexes
+            entry = key_of(row)
+            if entry is not None:
+                _post(index, entry, tid)
+        self._indexes[key] = (key_of, index)
 
     def indexed_column_sets(self) -> list[Tuple[int, ...]]:
         """The position tuples of all secondary indexes."""
         return list(self._indexes.keys())
 
-    def index_lookup(
-        self, positions: Sequence[int], values: Sequence[SQLValue]
-    ) -> frozenset[int]:
-        """Tids matching ``values`` on an existing index.
+    def probe(
+        self, positions: Tuple[int, ...], with_tid: bool = False
+    ) -> Callable[[object], Sequence[Row]]:
+        """The probe of the index on ``positions``: a key -> the live rows
+        holding it, in tid order, shaped as a scan makes them (``with_tid``
+        appends the tid), read off the posting list.
 
         Raises:
             ExecutionError: when no such index exists.
         """
-        index = self._indexes.get(tuple(positions))
-        if index is None:
+        if positions not in self._indexes:
             raise ExecutionError(
-                f"table {self.schema.name!r} has no index on {tuple(positions)}"
+                f"table {self.schema.name!r} has no index on {positions}"
             )
-        return _owners(index, tuple(values))
+        postings = self._indexes[positions][1]
+        rows = self._rows
+
+        def matching(key: object) -> Sequence[Row]:
+            found = postings.get(key)
+            if found is None:
+                return ()
+            if not isinstance(found, set):
+                return (rows[found] + (found,),) if with_tid else (rows[found],)
+            if with_tid:
+                return [rows[tid] + (tid,) for tid in sorted(found)]
+            return [rows[tid] for tid in sorted(found)]
+
+        return matching
 
     def _post_row(self, tid: int, row: Row) -> None:
         """Enter ``row`` into the value index and every secondary index."""
         _post(self._by_value, row, tid)
-        for positions, index in self._indexes.items():
-            _post(index, tuple(row[p] for p in positions), tid)
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            if key is not None:
+                _post(index, key, tid)
 
     def _unpost_row(self, tid: int, row: Row) -> None:
         _unpost(self._by_value, row, tid)
-        for positions, index in self._indexes.items():
-            _unpost(index, tuple(row[p] for p in positions), tid)
+        for key_of, index in self._indexes.values():
+            key = key_of(row)
+            if key is not None:
+                _unpost(index, key, tid)
 
     # ------------------------------------------------------------------ DML
 
@@ -298,10 +333,6 @@ class Table:
     def find(self, tid: int) -> Optional[Row]:
         """The row stored under ``tid``, or None when there is none."""
         return self._rows.get(tid)
-
-    def has_tid(self, tid: int) -> bool:
-        """Whether a row with this tid is currently stored."""
-        return tid in self._rows
 
     def tids(self) -> Iterator[int]:
         """All current tids (insertion order)."""

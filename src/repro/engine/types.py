@@ -33,10 +33,17 @@ NULL = None
 
 SQLValue = Optional[object]
 
-#: The one NaN object the engine stores (see :func:`coerce_value`).  Hash
-#: lookups match on identity before ``==``, so joins, indexes, DISTINCT and
-#: GROUP BY treat NaN as equal to itself, as :func:`compare_values` does.
+#: The one NaN object the engine stores (see :func:`coerce_value`) and
+#: computes (see :func:`canonical`).  Hash lookups match on identity before
+#: ``==``, so joins, indexes, DISTINCT and GROUP BY treat NaN as equal to
+#: itself, as :func:`compare_values` does.
 NAN = float("nan")
+
+
+def canonical(value: SQLValue) -> SQLValue:
+    """``value``, or :data:`NAN` when it is a NaN: every NaN the engine
+    stores or computes is the one object, so NaNs hash alike."""
+    return NAN if value != value else value
 
 
 class SQLType(enum.Enum):
@@ -122,7 +129,7 @@ def coerce_value(value: SQLValue, sql_type: SQLType) -> SQLValue:
         return None
     actual = infer_type(value)
     if actual is sql_type:
-        return NAN if value != value else value
+        return canonical(value)
     if sql_type is SQLType.REAL and actual is SQLType.INTEGER:
         return float(value)
     if sql_type is SQLType.INTEGER and actual is SQLType.REAL:

@@ -502,9 +502,9 @@ class TestDetectorInternals:
         db.execute("INSERT INTO r VALUES (1, 7), (1, 8)")
         fd = FunctionalDependency("r", ["a"], ["b"])
         table = db.table("r")
-        assert not table.has_index((0,))
+        assert (0,) not in table.indexed_column_sets()
         engine = HippoEngine(db, [fd])
-        assert table.has_index((0,))  # planned at attach, before any delta
+        assert (0,) in table.indexed_column_sets()  # planned at attach
         created = table.indexed_column_sets()
         db.execute("INSERT INTO r VALUES (2, 1)")
         engine.refresh()

@@ -13,7 +13,9 @@ literal, a nested-loop and a hash join, an index lookup, a decorrelated
 ``EXISTS``, an ``IN`` list and ``IN (subquery)``, and each mirrored --
 and checks they all give the answer of an independent oracle.  The
 second test does the same for the orders the rule induces: ORDER BY,
-MIN / MAX, DISTINCT and GROUP BY over every insertion order.
+MIN / MAX, DISTINCT and GROUP BY over every insertion order.  The third
+checks that a NaN an expression computes is one hash key with every
+other NaN, as a stored one is.
 """
 
 from __future__ import annotations
@@ -232,3 +234,44 @@ def test_orders_do_not_depend_on_insertion_order(order):
     for join in ("a.x = b.x", "(a.x = b.x OR a.k = 99)"):
         pairs = f"SELECT a.k, b.k FROM r a JOIN r b ON {join} AND a.k < b.k"
         assert db.execute(pairs).rows == [nans]
+
+
+@pytest.fixture
+def computed():
+    """``f``: two groups whose ``x * 10`` is +inf and -inf (so ``x * 10 -
+    x * 10``, their SUM and their AVG are NaN); ``n``: two stored NaNs."""
+    db = Database()
+    db.execute("CREATE TABLE f (k INTEGER, x REAL)")
+    db.execute(
+        "INSERT INTO f VALUES (1, 1e308), (1, -1e308), (2, 1e308), (2, -1e308)"
+    )
+    db.execute("CREATE TABLE n (k INTEGER, x REAL)")
+    db.table("n").insert((1, NAN))
+    db.table("n").insert((2, math.nan))
+    return db
+
+
+# (table, expression) pairs computing one NaN per row (or per group).
+COMPUTED_NANS = {
+    "arithmetic": ("f", "(x * 10) - (x * 10)"),
+    "negation": ("n", "-x"),
+    "ABS": ("n", "ABS(x)"),
+    "ROUND": ("n", "ROUND(x)"),
+    "SUM": ("(SELECT k, SUM(x * 10) AS x FROM f GROUP BY k) g", "x"),
+    "AVG": ("(SELECT k, AVG(x * 10) AS x FROM f GROUP BY k) g", "x"),
+}
+
+
+@pytest.mark.parametrize("case", COMPUTED_NANS)
+def test_a_computed_nan_is_one_hash_key(computed, case):
+    source, expr = COMPUTED_NANS[case]
+    select = f"SELECT {expr} FROM {source}"
+    rows = computed.execute(select).rows
+    assert len(rows) > 1 and all(value != value for (value,) in rows)
+    distinct = computed.execute(f"SELECT DISTINCT {expr} FROM {source}").rows
+    assert shown(distinct) == shown([(NAN,)])
+    grouped = f"SELECT {expr}, COUNT(*) FROM {source} GROUP BY {expr}"
+    assert shown(computed.execute(grouped).rows) == shown([(NAN, len(rows))])
+    counted = f"SELECT COUNT(DISTINCT {expr}) FROM {source}"
+    assert computed.execute(counted).rows == [(1,)]
+    assert computed.execute(f"{select} EXCEPT {select}").rows == []

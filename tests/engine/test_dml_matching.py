@@ -115,6 +115,25 @@ class TestSemantics:
         assert db.execute(sql.replace("a = 3", "a = 2")).rowcount == 0
         assert len(db.query("SELECT * FROM t WHERE b = -1")) == 6
 
+    @pytest.mark.parametrize(
+        "key", ["t2.a = t.a", "t2.a = t.a + 0"], ids=["decorrelated", "generic"]
+    )
+    def test_a_subquery_in_set_reads_the_table_as_the_statement_found_it(
+        self, indexed, key
+    ):
+        # Each row asks whether its key holds a larger b.  Read live, the
+        # update of (1,20) to (1,0) would hide it from (1,10): (1,0) twice.
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+        db.execute("INSERT INTO t VALUES (1, 20), (1, 10), (2, 5)")
+        if indexed:
+            db.execute("CREATE INDEX t_a ON t (a)")
+        db.execute(
+            "UPDATE t SET b = CASE WHEN EXISTS (SELECT * FROM t t2"
+            f" WHERE {key} AND t2.b > t.b) THEN 1 ELSE 0 END"
+        )
+        assert sorted(db.table("t").rows()) == [(1, 0), (1, 1), (2, 0)]
+
     def test_unknown_column_fails_before_anything_changes(self, indexed):
         db = make_db(indexed)
         with pytest.raises(ReproError):

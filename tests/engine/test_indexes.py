@@ -7,6 +7,12 @@ from repro.engine import Database
 from repro.errors import CatalogError, ExecutionError
 
 
+def probed(table, positions, key):
+    """The tids ``Table.probe`` reads off the index on ``positions``."""
+    probe = table.probe(tuple(positions), with_tid=True)
+    return frozenset(row[-1] for row in probe(key[0] if len(key) == 1 else tuple(key)))
+
+
 @pytest.fixture
 def db():
     database = Database()
@@ -22,29 +28,29 @@ class TestStorageIndexes:
     def test_create_and_lookup(self, db):
         table = db.table("t")
         table.create_index([0])
-        assert table.has_index([0])
-        assert len(table.index_lookup([0], [1])) == 2
-        assert table.index_lookup([0], [9]) == frozenset()
+        assert table.indexed_column_sets() == [(0,)]
+        assert len(probed(table, [0], [1])) == 2
+        assert probed(table, [0], [9]) == frozenset()
 
     def test_index_tracks_insert_delete_update(self, db):
         table = db.table("t")
         table.create_index([1])
         tid = table.insert((7, 99, "new"))
-        assert tid in table.index_lookup([1], [99])
+        assert tid in probed(table, [1], [99])
         table.update(tid, (7, 77, "new"))
-        assert table.index_lookup([1], [99]) == frozenset()
-        assert tid in table.index_lookup([1], [77])
+        assert probed(table, [1], [99]) == frozenset()
+        assert tid in probed(table, [1], [77])
         table.delete(tid)
-        assert table.index_lookup([1], [77]) == frozenset()
+        assert probed(table, [1], [77]) == frozenset()
 
     def test_multi_column_index(self, db):
         table = db.table("t")
         table.create_index([0, 1])
-        assert len(table.index_lookup([0, 1], [1, 10])) == 1
+        assert len(probed(table, [0, 1], [1, 10])) == 1
 
     def test_missing_index_lookup_raises(self, db):
         with pytest.raises(ExecutionError):
-            db.table("t").index_lookup([2], ["x"])
+            probed(db.table("t"), [2], ["x"])
 
     def test_bad_positions_rejected(self, db):
         with pytest.raises(ExecutionError):
@@ -52,10 +58,19 @@ class TestStorageIndexes:
         with pytest.raises(ExecutionError):
             db.table("t").create_index([])
 
-    def test_null_keys_indexed(self, db):
+    def test_null_keys_are_filed_nowhere(self, db):
+        # '=' never matches a NULL: no index files a key holding one.
         table = db.table("t")
         table.create_index([0])
-        assert len(table.index_lookup([0], [None])) == 1
+        table.create_index([0, 1])
+        assert probed(table, [0], [None]) == frozenset()
+        assert probed(table, [0, 1], [None, 10]) == frozenset()
+        assert len(probed(table, [0, 1], [1, 10])) == 1
+        tid = table.insert((None, 5, "n"))
+        table.update(tid, (4, 5, "n"))
+        assert probed(table, [0], [4]) == {tid}
+        table.update(tid, (None, 5, "n"))
+        assert probed(table, [0], [4]) == frozenset()
 
 
 class TestPostings:
@@ -104,14 +119,14 @@ class TestPostings:
             from repro.engine.snapshot import restore_database, snapshot_database
 
             assert table.lookup(row) == owners
-            assert table.index_lookup([0], [1]) == owners
+            assert probed(table, [0], [1]) == owners
             assert (row in table) == bool(owners)
             assert table.has_duplicates() == (len(owners) > 1)
             copy = Database()
             restore_database(copy, snapshot_database(database))
             assert copy.table("t").lookup(row) == owners
             copy.table("t").create_index([0])  # built over the stored rows
-            assert copy.table("t").index_lookup([0], [1]) == owners
+            assert probed(copy.table("t"), [0], [1]) == owners
             rows = database.query("SELECT * FROM t WHERE a = 1").rows
             assert rows == [row] * len(owners)
 
@@ -124,7 +139,7 @@ class TestPostings:
         check({5})
         table.update(5, (1, 3))  # leaves the value posting, stays in the index
         assert table.lookup(row) == frozenset()
-        assert table.index_lookup([0], [1]) == {5}
+        assert probed(table, [0], [1]) == {5}
         table.update(5, row)
         step(5, "delete")
         check(frozenset())
@@ -134,7 +149,7 @@ class TestCreateIndexSQL:
     def test_create_and_registry(self, db):
         db.execute("CREATE INDEX idx_a ON t (a)")
         assert db.indexes() == {"idx_a": ("t", ("a",))}
-        assert db.table("t").has_index([0])
+        assert db.table("t").indexed_column_sets() == [(0,)]
 
     def test_duplicate_name_rejected(self, db):
         db.execute("CREATE INDEX idx_a ON t (a)")

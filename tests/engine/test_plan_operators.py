@@ -4,6 +4,7 @@ import pytest
 
 from repro.engine.database import Database
 from repro.engine.plan import (
+    Access,
     Aggregate,
     Distinct,
     Except,
@@ -36,6 +37,11 @@ def table_ab(rows):
 
 def col(i):
     return lambda env: env[0][i]
+
+
+def hashed(node):
+    """``node`` as a hash access keyed on its first column."""
+    return Access(node, ExecutionStats(), keys=[col(0)])
 
 
 class TestScan:
@@ -130,9 +136,7 @@ class TestJoins:
     def test_hash_join_matches_nested_loop(self):
         left = [(i % 5, i) for i in range(20)]
         right = [(i % 7, i * 10) for i in range(20)]
-        hash_rows = run_plan(
-            HashJoin(Values(left, 2), Values(right, 2), [col(0)], [col(0)])
-        )
+        hash_rows = run_plan(HashJoin(Values(left, 2), hashed(Values(right, 2)), [0]))
         loop_rows = run_plan(
             NestedLoopJoin(
                 Values(left, 2),
@@ -146,25 +150,23 @@ class TestJoins:
     def test_hash_join_null_keys_never_match(self):
         node = HashJoin(
             Values([(None, 1), (2, 2)], 2),
-            Values([(None, 9), (2, 8)], 2),
-            [col(0)],
-            [col(0)],
+            hashed(Values([(None, 9), (2, 8)], 2)),
+            [0],
         )
         assert run_plan(node) == [(2, 2, 2, 8)]
 
     def test_hash_join_residual(self):
         node = HashJoin(
             Values([(1, 5), (1, 6)], 2),
-            Values([(1, 6)], 2),
-            [col(0)],
-            [col(0)],
+            hashed(Values([(1, 6)], 2)),
+            [0],
             residual=lambda env: env[0][1] == env[0][3],
         )
         assert run_plan(node) == [(1, 6, 1, 6)]
 
     def test_left_hash_join_pads(self):
         node = HashJoin(
-            Values([(1,), (2,)], 1), Values([(1,)], 1), [col(0)], [col(0)], kind="left"
+            Values([(1,), (2,)], 1), hashed(Values([(1,)], 1)), [0], kind="left"
         )
         assert run_plan(node) == [(1, 1), (2, None)]
 
@@ -172,7 +174,7 @@ class TestJoins:
         with pytest.raises(ValueError):
             NestedLoopJoin(Values([], 1), Values([], 1), kind="full")
         with pytest.raises(ValueError):
-            HashJoin(Values([], 1), Values([], 1), [col(0)], [col(0)], kind="cross")
+            HashJoin(Values([], 1), hashed(Values([], 1)), [0], kind="cross")
 
 
 class TestSetOperators:

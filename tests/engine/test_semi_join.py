@@ -3,6 +3,8 @@
 The reference is the generic memoized subplan: the same SQL with the
 correlating equality written ``inner = outer + 0``, which the
 decorrelator declines (a computed outer key), evaluated per outer row.
+Each case runs once with an index on the key columns (the node probes
+the partner's live index) and once without (it hashes the partner).
 """
 
 import pytest
@@ -30,9 +32,18 @@ SHAPES = {
     "residual on the outer row": ("s", [("s.a", "r.a")], ["s.b <> r.b"]),
     "residual with null operands": ("s", [("s.a", "r.a")], ["s.b < r.b"]),
     "local filter": ("s", [("s.a", "r.a")], ["s.b > 5"]),
+    "computed inner key": ("s", [("s.a + 1", "r.a")], []),
+    "computed multi-column key": ("s", [("s.a + 1", "r.a"), ("s.b", "r.b")], []),
     "self partner (the FD residue)": ("r t", [("t.a", "r.a")], ["t.b <> r.b"]),
     "empty inner": ("e", [("e.a", "r.a")], []),
 }
+
+
+# A filtered partner is no longer a bare scan of its table, and a
+# computed key is no column of an index: both hash, indexed or not.  The
+# computed multi-column key probes the index on s.b instead, and its
+# computed equality stays a residual.
+HASHED = {"local filter", "computed inner key"}
 
 
 def _query(shape: str, negated: bool, hidden: bool) -> str:
@@ -45,11 +56,23 @@ def _query(shape: str, negated: bool, hidden: bool) -> str:
     )
 
 
+def index_keys(database):
+    """An index on every column a shape keys on: the live-index access."""
+    for table, column in (("r", "a"), ("s", "a"), ("s", "b"), ("e", "a")):
+        database.execute(f"CREATE INDEX {table}_{column} ON {table} ({column})")
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
 @pytest.mark.parametrize("negated", [False, True], ids=["exists", "not-exists"])
 @pytest.mark.parametrize("shape", SHAPES)
-def test_semi_join_matches_generic_subplan(db, shape, negated):
+def test_semi_join_matches_generic_subplan(db, shape, negated, indexed):
+    if indexed:
+        index_keys(db)
     node, reference = _query(shape, negated, False), _query(shape, negated, True)
-    assert "HashSemiJoin" in db.explain(node)
+    plan = db.explain(node)
+    assert "HashSemiJoin" in plan
+    probed = indexed and shape not in HASHED
+    assert ("IndexProbe" in plan) is probed and ("Hash(" in plan) is not probed
     assert "HashSemiJoin" not in db.explain(reference)
     # Same rows in the same (scan) order: the node only drops rows.
     assert db.query(node).rows == db.query(reference).rows
@@ -61,28 +84,44 @@ def test_expected_rows_of_the_fd_residue(db):
 
 
 def test_randomized_differential(rng):
-    domain = [None, 0, 1, 2, 3]
-    database = Database()
-    for table in ("r", "s"):
-        database.execute(f"CREATE TABLE {table} (a INTEGER, b INTEGER)")
-        database.insert_rows(
-            table,
-            [(rng.choice(domain), rng.choice(domain)) for _ in range(40)],
-        )
+    # REAL columns, so keys hold NULLs and NaNs as well as numbers.
+    domain = [None, float("nan"), 0.0, 1.0, 2.0, 3.0]
+    data = {
+        table: [(rng.choice(domain), rng.choice(domain)) for _ in range(40)]
+        for table in ("r", "s")
+    }
+    hashed, indexed = Database(), Database()
+    for database in (hashed, indexed):
+        for table in ("r", "s", "e"):
+            database.execute(f"CREATE TABLE {table} (a REAL, b REAL)")
+        for table, rows in data.items():
+            database.insert_rows(table, rows)
+    index_keys(indexed)
     for shape in SHAPES:
         if shape == "empty inner":
             continue
         for negated in (False, True):
             node, reference = (_query(shape, negated, h) for h in (False, True))
-            assert database.query(node).rows == database.query(reference).rows, node
+            probed = shape not in HASHED
+            assert ("IndexProbe" in indexed.explain(node)) is probed
+            assert "IndexProbe" not in hashed.explain(node)
+            expected = hashed.query(reference).rows
+            assert hashed.query(node).rows == expected, node
+            assert indexed.query(node).rows == expected, node
+            assert indexed.query(reference).rows == expected, node
 
 
-def test_counters_stay_exact(db):
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
+def test_counters_stay_exact(db, indexed):
+    if indexed:
+        index_keys(db)
     db.stats.reset()
     db.query(_query("residual on the outer row", True, False))
-    # One hash build; one probe per outer row, whatever its bucket held.
-    assert db.stats.subquery_evaluations == 1
+    # One hash build (a live index builds nothing, and a probe of it scans
+    # nothing); one probe per outer row, whatever its bucket held.
+    assert db.stats.subquery_evaluations == (0 if indexed else 1)
     assert db.stats.subquery_cache_hits == 6
+    assert db.stats.rows_scanned == (6 if indexed else 6 + 5)
     # A pass that stops early counts the rows it consumed (Limit pulls
     # one row past its bound before it returns).
     db.stats.reset()
@@ -91,16 +130,28 @@ def test_counters_stay_exact(db):
     assert db.stats.subquery_cache_hits == 2
 
 
-def test_each_node_sits_over_its_own_scan_below_the_join():
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
+def test_each_node_sits_over_its_own_scan_below_the_join(indexed):
     database = Database()
     database.execute("CREATE TABLE jl (a INTEGER, b0 INTEGER)")
     database.execute("CREATE TABLE jr (a INTEGER, b0 INTEGER)")
     database.execute("INSERT INTO jl VALUES (1,1), (1,2), (2,3), (3,4)")
     database.execute("INSERT INTO jr VALUES (1,7), (3,8), (3,9), (4,0)")
+    if indexed:
+        database.execute("CREATE INDEX jl_a ON jl (a)")
+        database.execute("CREATE INDEX jr_a ON jr (a)")
     sql = (
         "SELECT l.a, l.b0, r.b0 FROM jl l, jr r WHERE l.b0 = r.a"
         " AND NOT EXISTS (SELECT * FROM jl t WHERE t.a = l.a AND t.b0 <> l.b0)"
         " AND NOT EXISTS (SELECT * FROM jr t WHERE t.a = r.a AND t.b0 <> r.b0)"
+    )
+    # Each residue probes its partner's index on the key when there is
+    # one, else one hash of it.  The join's right input is a semi join,
+    # not a scan, so the join hashes it either way.
+    partners = (
+        ["IndexProbe(jl on [a])", "IndexProbe(jr on [a])"]
+        if indexed
+        else ["Hash(1 keys)\n        Scan(jl)", "Hash(1 keys)\n          Scan(jr)"]
     )
     assert database.explain(sql) == "\n".join(
         [
@@ -108,12 +159,11 @@ def test_each_node_sits_over_its_own_scan_below_the_join():
             "  HashJoin(inner, 1 keys)",
             "    HashSemiJoin(anti, 1 keys)",
             "      Scan(jl)",
-            "      Project",
-            "        Scan(jl)",
-            "    HashSemiJoin(anti, 1 keys)",
-            "      Scan(jr)",
-            "      Project",
+            "      " + partners[0],
+            "    Hash(1 keys)",
+            "      HashSemiJoin(anti, 1 keys)",
             "        Scan(jr)",
+            "        " + partners[1],
         ]
     )
     assert database.query(sql).rows == [(3, 4, 0)]

@@ -72,6 +72,25 @@ class TestShellCommands:
         assert "match plan:\nFilter\n  IndexScan(emp on [name] +tid)" in output
         assert "envelope" not in output
 
+    def test_explain_prints_the_native_plan_outside_sjud(self):
+        residue = (
+            ".explain SELECT * FROM emp e WHERE NOT EXISTS"
+            " (SELECT * FROM emp t WHERE t.{0} = e.{0} AND t.{1} <> e.{1});"
+        )
+        output = run_shell(
+            SETUP
+            + residue.format("name", "salary")
+            + "\n"
+            + residue.format("salary", "name")
+        )
+        assert "error" not in output and "envelope" not in output
+        assert output.count("outside the SJUD class (subqueries in WHERE") == 2
+        # The FD's detector indexes emp(name): that residue probes the
+        # live index; salary has none, so its partner is hashed.
+        plan = "native plan:\nProject\n  HashSemiJoin(anti, 1 keys)\n    Scan(emp)\n"
+        assert plan + "    IndexProbe(emp on [name])\n" in output
+        assert plan + "    Hash(1 keys)\n      Scan(emp)\n" in output
+
     def test_why_consistent(self):
         output = run_shell(SETUP + ".why SELECT * FROM emp ; 'bob', 5")
         assert "consistent" in output

@@ -34,19 +34,27 @@ def tree_of(db, text):
     return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
 
 
-@pytest.fixture
-def lr_db():
-    """``l(a, b)`` and ``r(a, b)`` with a secondary index on ``r(b)``."""
+def make_lr_db(indexed: bool) -> Database:
+    """``l(a, b)`` and ``r(a, b)`` with a secondary index on ``r(b)``; the
+    join column ``a`` is REAL and holds NULLs and NaNs, and ``indexed``
+    adds an index on it in both tables (the live-index access)."""
     db = Database()
-    db.execute("CREATE TABLE l (a INTEGER, b INTEGER)")
-    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE l (a REAL, b INTEGER)")
+    db.execute("CREATE TABLE r (a REAL, b INTEGER)")
     db.execute("CREATE INDEX r_b ON r (b)")
+    if indexed:
+        db.execute("CREATE INDEX l_a ON l (a)")
+        db.execute("CREATE INDEX r_a ON r (a)")
     rng = random.Random(16)
+    keys = [None, float("nan"), *range(12)]
     for name in ("l", "r"):
-        db.insert_rows(
-            name, [(rng.randrange(12), rng.randrange(6)) for _ in range(60)]
-        )
+        db.insert_rows(name, [(rng.choice(keys), rng.randrange(6)) for _ in range(60)])
     return db
+
+
+@pytest.fixture(params=[False, True], ids=["hash", "live-index"])
+def lr_db(request):
+    return make_lr_db(request.param)
 
 
 PARITY_QUERIES = [
@@ -70,16 +78,37 @@ def test_sql_and_core_get_the_same_plan(lr_db, text):
 
 def test_the_join_reaches_the_index_on_both_entries(lr_db):
     text = PARITY_QUERIES[0]
-    shape = r"HashJoin.*\n\s+Filter\n\s+Scan\(l.*\n\s+IndexScan\(r on \[b\]"
+    shape = (
+        r"HashJoin.*\n\s+Filter\n\s+Scan\(l.*\n\s+Hash\(1 keys\)\n"
+        r"\s+IndexScan\(r on \[b\]"
+    )
     assert re.search(shape, lr_db.explain(text))
     assert re.search(shape, compile_core(tree_of(lr_db, text), lr_db).explain())
+
+
+def shown(rows):
+    """Rows as sortable text (NaN is unequal to itself as a float)."""
+    return sorted(repr(row) for row in rows)
+
+
+@pytest.mark.parametrize("text", PARITY_QUERIES)
+def test_both_accesses_return_the_same_rows(text):
+    hashed, indexed = make_lr_db(False), make_lr_db(True)
+    assert ("IndexProbe" in indexed.explain(text)) is ("x.a = Y.a" in text)
+    assert "IndexProbe" not in hashed.explain(text)
+    expected = shown(hashed.query(text).rows)
+    assert shown(indexed.query(text).rows) == expected
+    for db in (hashed, indexed):
+        tree = tree_of(db, text)
+        witnesses = compile_core(tree, db).rows(())
+        assert shown(row[: len(tree.outputs)] for row in witnesses) == expected
 
 
 @pytest.mark.parametrize("text", PARITY_QUERIES)
 def test_restriction_filters_the_unrestricted_result(lr_db, text):
     tree = tree_of(lr_db, text)
     # A tid deleted after the index was built must not resurface.
-    victim = next(iter(lr_db.table("r").index_lookup((1,), (3,))))
+    victim = lr_db.table("r").probe((1,), with_tid=True)(3)[0][-1]
     lr_db.table("r").delete(victim)
     rng = random.Random(text)
     keep = {
@@ -107,6 +136,7 @@ def test_restriction_filters_the_unrestricted_result(lr_db, text):
     restricted = compile_core(tree, lr_db, restrict)
     assert witnesses(restricted) == expected
     assert "IndexScan" not in restricted.explain()
+    assert "IndexProbe" not in restricted.explain()
     assert set(evaluate_core(tree, lr_db, restrict)) == {v for v, _p in expected}
 
 
@@ -161,7 +191,11 @@ def test_text_and_ast_selects_take_one_path(lr_db, monkeypatch):
 
 JOIN_AND_ACCESS_PATH_NODES = {
     "HashJoin",
+    "HashSemiJoin",
     "NestedLoopJoin",
+    # The one keyed access (a live index or a per-statement hash) and its
+    # constant-key form.
+    "Access",
     "IndexScan",
     # A private ``Filter(Scan)`` is an access path too: DML WHERE
     # matching had one until it moved to ``Planner.plan_matching``.
@@ -170,14 +204,31 @@ JOIN_AND_ACCESS_PATH_NODES = {
 }
 
 
-def test_only_the_planner_builds_joins_and_access_paths():
+def test_join_and_access_path_nodes_cover_the_plan_module():
+    from repro.engine import plan
+
+    keyed = {
+        name
+        for name, value in vars(plan).items()
+        if isinstance(value, type)
+        and issubclass(value, plan.PlanNode)
+        and ("Join" in name or "Scan" in name or "Access" in name)
+    }
+    assert keyed <= JOIN_AND_ACCESS_PATH_NODES
+
+
+def _src_modules():
     root = Path(repro.__file__).parent
-    offenders = []
     for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root).as_posix()
+        yield path.relative_to(root).as_posix(), python_ast.parse(path.read_text())
+
+
+def test_only_the_planner_builds_joins_and_access_paths():
+    offenders = []
+    for relative, module in _src_modules():
         if relative == "engine/planner.py":
             continue
-        for node in python_ast.walk(python_ast.parse(path.read_text())):
+        for node in python_ast.walk(module):
             if not isinstance(node, python_ast.Call):
                 continue
             callee = node.func
@@ -185,3 +236,15 @@ def test_only_the_planner_builds_joins_and_access_paths():
             if name in JOIN_AND_ACCESS_PATH_NODES:
                 offenders.append(f"{relative}:{node.lineno}: {name}(...)")
     assert offenders == []
+
+
+def test_only_the_access_and_the_detector_read_index_postings():
+    # ``Table.probe`` is the one read of a live posting list: plan.Access
+    # behind every planned lookup, and the incremental detector's matcher.
+    readers = {
+        relative
+        for relative, module in _src_modules()
+        for node in python_ast.walk(module)
+        if isinstance(node, python_ast.Attribute) and node.attr == "probe"
+    }
+    assert readers == {"engine/plan.py", "conflicts/incremental.py"}

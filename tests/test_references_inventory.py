@@ -85,6 +85,15 @@ def test_every_public_def_is_referenced():
         ("repro.engine.columnar", "ColumnStore.select_equals"),
         ("repro.engine.types", "values_equal"),
         ("repro.engine.expressions", "_apply_comparison"),
+        ("repro.engine.plan", "SemiJoinBuild"),
+        ("repro.engine.planner", "_DecorrelatedSubplan.buckets"),
+        ("repro.engine.planner", "Planner._try_index_scan"),
+        ("repro.engine.planner", "Planner._constant_equality"),
+        ("repro.engine.planner", "Planner._equi_pair"),
+        ("repro.engine.planner", "_hashable"),
+        ("repro.engine.storage", "Table.index_lookup"),
+        ("repro.engine.storage", "Table.has_tid"),
+        ("repro.engine.storage", "Table.has_index"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

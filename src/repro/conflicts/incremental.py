@@ -24,9 +24,10 @@ For a batch of deltas the maintainer:
    vertex can no longer witness a violation; an updated tuple's old
    edges are stale);
 2. **re-derives** violations for inserted/updated tuples by binding one
-   atom of each denial constraint to the delta tuple and evaluating the
-   residual self-join through hash-index lookups on the equality
-   conjuncts (the same join keys full detection hashes on);
+   atom of each denial constraint to the delta tuple and running the
+   residual join over the other atoms -- planned once, at attach, by the
+   engine's one planner with the bound tuple as its outer row, so its
+   joins, index probes and comparisons are the ones full detection runs;
 3. **re-derives** the dangling chains of restricted foreign keys for the
    reference-graph components a delta (or a changed singleton denial
    edge) touches.
@@ -73,8 +74,12 @@ from repro.conflicts.hypergraph import ConflictHypergraph, Vertex, vertex
 from repro.engine.changelog import OP_INSERT
 from repro.engine.feed import RECORD_CHANGE, FeedRecord
 from repro.engine.database import Database
-from repro.engine.expressions import ExpressionCompiler, Scope
-from repro.engine.storage import Table
+from repro.engine.expressions import Scope, bound_entries
+from repro.engine.plan import PlanNode
+from repro.engine.planner import TID, Planner
+from repro.ra.compile import unrestricted
+from repro.ra.sjud import Atom, SJUDCore
+from repro.ra.to_sql import core_to_select
 from repro.sql import ast
 
 
@@ -95,128 +100,78 @@ class DeltaStats:
 
 
 class _DenialMatcher:
-    """Evaluates one denial constraint's body around a bound tuple.
+    """One denial constraint's body, planned around each atom a delta binds.
 
-    Compiled once per constraint: the body's condition becomes a
-    predicate over the concatenated atom rows, and its equality
-    conjuncts between different atoms become join *links*.  To find the
-    violations a new tuple participates in, the matcher binds one atom
-    to that tuple and walks the remaining atoms, fetching candidates
-    through hash-index lookups on the linked columns -- falling back to
-    a scan only for atoms the condition leaves unlinked.
+    For every atom, the body over the *other* atoms is rendered as a
+    residual-join SELECT (:func:`~repro.ra.to_sql.core_to_select`, one
+    tid column per atom) and planned once, here, by the engine's one
+    :class:`~repro.engine.planner.Planner`, with the bound atom's columns
+    as the outer row.  An equality to a bound column picks an index the
+    way a literal does, the other atoms join through the planner's
+    ordinary access rule, and every other conjunct is a filter -- the
+    same evaluation full detection runs.  A delta runs the plan on its
+    row; each result row is the tids of one violation's other atoms.
 
-    The binding order depends only on *which* atoms are bound, never on
-    their values, so it is planned **statically** here: one ordered
-    step list per possible bound atom, each step naming the atom to
-    extend with and the index columns that feed it.  The indexes those
-    plans need are created eagerly at detector attach time
-    (:meth:`ensure_indexes`) instead of lazily on the first delta, so
-    the first post-bulk-load statement no longer absorbs an O(N) index
-    build -- and, because they are ordinary storage hash indexes, the
-    query planner's one access-path rule
-    (``repro.engine.planner.Planner._access``) picks the same indexes up
-    for free, and reads them through the same ``Table.probe``.
+    The FROM order puts each atom after one it is ``=``-linked to (the
+    bound atom or an earlier one) wherever that is possible, since the
+    planner joins in FROM order.  The indexes those joins probe -- one
+    per atom and linked partner, on the linked columns (an FD's left
+    side) -- are created before planning, at detector attach, so the
+    first post-bulk-load delta builds nothing.
     """
 
     def __init__(self, db: Database, constraint: DenialConstraint) -> None:
-        self.constraint = constraint
-        self.relations = [a.relation.lower() for a in constraint.atoms]
-        self.tables: list[Table] = [
-            db.catalog.table(a.relation) for a in constraint.atoms
-        ]
-        alias_to_atom = {
-            a.alias.lower(): index for index, a in enumerate(constraint.atoms)
-        }
-        entries: list[tuple[Optional[str], str]] = []
-        for atom, table in zip(constraint.atoms, self.tables):
-            for column in table.schema.column_names:
-                entries.append((atom.alias.lower(), column.lower()))
-        self._predicate = None
-        if constraint.condition is not None:
-            self._predicate = ExpressionCompiler(
-                Scope(entries)
-            ).compile_predicate(constraint.condition)
-        # Equality links: (atom_a, pos_a, atom_b, pos_b) for conjuncts of
-        # the form ``a.col = b.col`` across two different atoms.
-        self._links: list[tuple[int, int, int, int]] = []
+        atoms = constraint.atoms
+        self.relations = [a.relation.lower() for a in atoms]
+        tables = [db.catalog.table(a.relation) for a in atoms]
+        number = {a.alias.lower(): i for i, a in enumerate(atoms)}
+
+        def end(ref: ast.ColumnRef) -> tuple[int, int]:
+            atom = number[cast(str, ref.table).lower()]  # validated qualified
+            return atom, tables[atom].schema.index_of(ref.name)
+
+        # (atom, linked atom) -> the atom's columns the condition equates.
+        linked: dict[tuple[int, int], set[int]] = {}
         for conjunct in ast.split_conjuncts(constraint.condition):
-            if not (
+            if (
                 isinstance(conjunct, ast.BinaryOp)
                 and conjunct.op == "="
                 and isinstance(conjunct.left, ast.ColumnRef)
                 and isinstance(conjunct.right, ast.ColumnRef)
-                and conjunct.left.table is not None
-                and conjunct.right.table is not None
             ):
-                continue
-            left_atom = alias_to_atom.get(conjunct.left.table.lower())
-            right_atom = alias_to_atom.get(conjunct.right.table.lower())
-            if left_atom is None or right_atom is None or left_atom == right_atom:
-                continue
-            self._links.append(
-                (
-                    left_atom,
-                    self.tables[left_atom].schema.index_of(conjunct.left.name),
-                    right_atom,
-                    self.tables[right_atom].schema.index_of(conjunct.right.name),
+                (a, left), (b, right) = end(conjunct.left), end(conjunct.right)
+                if a != b:
+                    linked.setdefault((a, b), set()).add(left)
+                    linked.setdefault((b, a), set()).add(right)
+        for (atom, _other), positions in linked.items():
+            tables[atom].create_index(sorted(positions))
+
+        planner = Planner(db.catalog, db.stats, tids=unrestricted)
+        self._plans: list[tuple[PlanNode, list[str]]] = []
+        for bound, atom in enumerate(atoms):
+            order = [bound]
+            while len(order) < len(atoms):
+                # The atom linked to most of those placed (first on a tie).
+                order.append(
+                    max(
+                        (i for i in range(len(atoms)) if i not in order),
+                        key=lambda i: sum((i, j) in linked for j in order),
+                    )
                 )
+            others = tuple(Atom(atoms[i].alias, atoms[i].relation) for i in order[1:])
+            select = core_to_select(
+                SJUDCore(others, constraint.condition, ()),
+                distinct=False,
+                tid_column=TID,
             )
-        # Static binding plans: for each possible bound atom, the order
-        # in which the remaining atoms are extended and the key columns
-        # (with their value sources) each extension reads.
-        self._plans: list[list[tuple[int, Optional[dict[int, tuple[int, int]]]]]] = [
-            self._plan(bound) for bound in range(len(self.tables))
-        ]
-
-    def _plan(
-        self, bound_index: int
-    ) -> list[tuple[int, Optional[dict[int, tuple[int, int]]]]]:
-        """Greedy extension order starting from one bound atom.
-
-        Each step is ``(atom, keys)`` where ``keys`` maps a column
-        position on ``atom`` to the ``(source atom, source position)``
-        whose value constrains it -- or None when the atom is unlinked
-        from everything bound so far (scan fallback).  Mirrors the
-        most-links-first choice the dynamic walk used to make per
-        candidate, which depended only on the bound *set*, never on
-        values.
-        """
-        bound = [atom == bound_index for atom in range(len(self.tables))]
-        steps: list[tuple[int, Optional[dict[int, tuple[int, int]]]]] = []
-        for _ in range(len(self.tables) - 1):
-            best_atom, best_keys = -1, None
-            for atom in range(len(self.tables)):
-                if bound[atom]:
-                    continue
-                keys: dict[int, tuple[int, int]] = {}
-                for atom_a, pos_a, atom_b, pos_b in self._links:
-                    if atom_a == atom and bound[atom_b]:
-                        keys.setdefault(pos_a, (atom_b, pos_b))
-                    elif atom_b == atom and bound[atom_a]:
-                        keys.setdefault(pos_b, (atom_a, pos_a))
-                if best_atom < 0 or len(keys) > len(best_keys or {}):
-                    best_atom, best_keys = atom, (keys or None)
-            bound[best_atom] = True
-            steps.append((best_atom, best_keys))
-        return steps
-
-    def index_plans(self) -> list[tuple[Table, tuple[int, ...]]]:
-        """Every ``(table, column positions)`` index the plans can use."""
-        plans: list[tuple[Table, tuple[int, ...]]] = []
-        for steps in self._plans:
-            for atom, keys in steps:
-                if keys:
-                    plans.append((self.tables[atom], tuple(sorted(keys))))
-        return plans
-
-    def ensure_indexes(self) -> None:
-        """Create every index the binding plans will look up.
-
-        Called at detector attach time, so index builds ride the (already
-        O(N)) bootstrap instead of ambushing the first delta.
-        """
-        for table, positions in self.index_plans():
-            table.create_index(positions)
+            schema = tables[bound].schema
+            outer = Scope(
+                bound_entries(atom.alias, schema.column_names),
+                types=[column.sql_type for column in schema.columns],
+            )
+            planned = planner.plan_query(ast.Query(select), outer_scope=outer)
+            relations = [self.relations[i] for i in order[1:]]
+            self._plans.append((planned.plan, relations))
 
     def atom_positions(self, relation: str) -> list[int]:
         """Atom indexes whose relation matches (a delta can bind any)."""
@@ -228,45 +183,10 @@ class _DenialMatcher:
         self, bound_index: int, tid: int, row: tuple
     ) -> Iterator[frozenset[Vertex]]:
         """Violation sets containing ``(tid, row)`` at atom ``bound_index``."""
-        assignment: list[Optional[tuple[int, tuple]]] = [None] * len(self.tables)
-        assignment[bound_index] = (tid, row)
-        yield from self._extend(assignment, self._plans[bound_index], 0)
-
-    def _extend(
-        self, assignment: list, plan: list, depth: int
-    ) -> Iterator[frozenset[Vertex]]:
-        if depth == len(plan):
-            if self._predicate is not None:
-                env_row = tuple(
-                    value
-                    for _tid, bound_row in assignment  # type: ignore[misc]
-                    for value in bound_row
-                )
-                if not self._predicate((env_row,)):
-                    return
-            yield frozenset(
-                vertex(relation, tid)
-                for relation, (tid, _row) in zip(self.relations, assignment)
-            )
-            return
-        atom, keys = plan[depth]
-        table = self.tables[atom]
-        if keys is None:
-            candidates: Iterable[tuple[int, tuple]] = table.items()
-        else:
-            positions = tuple(sorted(keys))
-            values = tuple(
-                assignment[keys[position][0]][1][keys[position][1]]
-                for position in positions
-            )
-            # Indexed at attach; a key holding NULL is filed nowhere.
-            probe = table.probe(positions, with_tid=True)
-            rows = probe(values[0] if len(values) == 1 else values)
-            candidates = [(cast(int, row[-1]), row[:-1]) for row in rows]
-        for candidate in candidates:
-            assignment[atom] = candidate
-            yield from self._extend(assignment, plan, depth + 1)
-            assignment[atom] = None
+        node, relations = self._plans[bound_index]
+        bound = vertex(self.relations[bound_index], tid)
+        for tids in node.rows((row,)):
+            yield frozenset((bound, *map(vertex, relations, tids)))
 
 
 class IncrementalDetector:
@@ -315,18 +235,13 @@ class IncrementalDetector:
                 a.relation.lower() for a in denial.atoms
             ):
                 self._by_relation.setdefault(relation, []).append(denial)
-        # Matchers (and the hash indexes their binding plans read) are
-        # planned eagerly from the constraint set at attach time: the
-        # detector is only ever constructed next to an O(N) full
-        # detection, so the index builds ride the bootstrap instead of
-        # ambushing the first post-bulk-load delta.  The indexes are
-        # ordinary storage indexes, so the planner's access rule shares
-        # them.
-        self._matchers: dict[str, _DenialMatcher] = {}
-        for denial in self.denials:
-            matcher = _DenialMatcher(db, denial)
-            matcher.ensure_indexes()
-            self._matchers[denial.name] = matcher
+        # Matchers are planned (and the indexes their plans probe built)
+        # eagerly from the constraint set at attach time: the detector is
+        # only ever constructed next to an O(N) full detection, so the
+        # index builds ride the bootstrap instead of ambushing the first
+        # post-bulk-load delta.  The indexes are ordinary storage indexes,
+        # so every other plan's access rule shares them.
+        self._matchers = {d.name: _DenialMatcher(db, d) for d in self.denials}
         self._build_fk_components()
         # Shadow store: every *current* raw violation, minimal or not.
         # edge -> (primary label, set of supporting constraint labels).

@@ -39,7 +39,7 @@ from repro.core.grounding import GroundQuery
 from repro.core.membership import make_membership
 from repro.core.prover import Prover
 from repro.engine.database import Database
-from repro.engine.feed import FeedConsumer
+from repro.engine.feed import RECORD_CHANGE, FeedConsumer
 from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
@@ -114,13 +114,15 @@ class HippoEngine:
     *incrementally*: the engine is a consumer group of the database's
     change feed, and row deltas only touch the hyperedges around changed
     tuples (see :mod:`repro.conflicts.incremental`; the detector plans
-    its matcher indexes eagerly at attach, so the first delta after a
-    bulk load pays no index build).  Queries fold pending deltas in
-    automatically; :meth:`refresh` does it explicitly, and
+    each constraint and builds its indexes at attach, so the first delta
+    after a bulk load pays no index build).  Queries fold pending deltas
+    in automatically; :meth:`refresh` does it explicitly, and
     ``refresh(full=True)`` is the escape hatch forcing complete
-    re-detection.  DDL, constraint-list changes and lost feed history
-    (in-memory overflow, or a durable feed's retention truncating past
-    the engine's cursor) all fall back to full detection on their own.
+    re-detection.  A DDL record in the polled batch and lost feed
+    history (in-memory overflow, or a durable feed's retention
+    truncating past the engine's cursor) fall back to full detection on
+    their own.  The constraints are fixed at construction: a different
+    set is a different engine.
 
     The engine always consumes its database's own feed: deltas from any
     other feed would describe another database's tables.
@@ -137,7 +139,7 @@ class HippoEngine:
         backend: Optional[Union["MirrorBackend", str]] = None,
     ) -> None:
         self.db = db
-        self.constraints = list(constraints)
+        self.constraints = tuple(constraints)
         self.membership_strategy = membership
         self.use_core = use_core
         self._schema = CatalogSchemaProvider(db.catalog)
@@ -148,8 +150,6 @@ class HippoEngine:
             # so no consumer, no incremental maintainer.
             self._consumer = None
             self._incremental = None
-            self._schema_version = db.changes.schema_version
-            self._constraints_snapshot = tuple(self.constraints)
             self.detection = DetectionReport(
                 hypergraph=hypergraph, mode="external"
             )
@@ -168,8 +168,6 @@ class HippoEngine:
             self._consumer_finalizer = weakref.finalize(
                 self, self._consumer.close
             )
-            self._schema_version = db.changes.schema_version
-            self._constraints_snapshot = tuple(self.constraints)
             self._incremental: Optional[IncrementalDetector] = None
             self.detection: DetectionReport = self._full_detection()
         except BaseException:
@@ -231,22 +229,21 @@ class HippoEngine:
 
         Incremental maintenance applies the change-log deltas in place;
         ``full=True`` forces complete re-detection (the always-correct
-        escape hatch).  Full detection also happens automatically when
-        the change log overflowed, DDL ran, or the constraint list was
-        modified since the last detection.
+        escape hatch).  Full detection also happens on its own when the
+        poll lost history or holds a DDL record, and when there is no
+        maintainer (a detached engine, or a failed last application).
         """
         records, lost = (
             self._consumer.poll() if self._consumer is not None else ([], True)
         )
-        if full or lost or self._needs_full_detection():
+        ddl = any(record.kind != RECORD_CHANGE for record in records)
+        if full or lost or ddl or self._incremental is None:
             # Forget the old maintainer first: if detection raises (e.g.
             # a constraint now references a dropped table), the next
             # refresh must retry full detection -- not resume applying
             # deltas with a detector built for the old schema.
             self._incremental = None
             self.detection = self._full_detection()
-            self._schema_version = self.db.changes.schema_version
-            self._constraints_snapshot = tuple(self.constraints)
             if self._consumer is not None:
                 self._consumer.commit()
         elif records:
@@ -279,21 +276,8 @@ class HippoEngine:
         """Bring the hypergraph up to date before answering a query."""
         if self._consumer is None:
             return  # detached: the engine is deliberately static
-        if (
-            self._consumer.pending
-            or self._consumer.lost
-            or self._needs_full_detection()
-        ):
+        if self._consumer.pending or self._consumer.lost or self._incremental is None:
             self.refresh()
-
-    def _needs_full_detection(self) -> bool:
-        """Whether deltas cannot update the graph: no maintainer (first
-        run, a failed application), DDL, or an edited constraint list."""
-        return (
-            self._incremental is None
-            or self.db.changes.schema_version != self._schema_version
-            or tuple(self.constraints) != self._constraints_snapshot
-        )
 
     def detach(self) -> None:
         """Stop consuming the change feed (the engine becomes static).

@@ -41,11 +41,6 @@ class ChangeLog:
         self.feed = feed if feed is not None else ChangeFeed()
 
     @property
-    def schema_version(self) -> int:
-        """Bumped by DDL; consumers with schema-derived state rebuild."""
-        return self.feed.schema_version
-
-    @property
     def end(self) -> int:
         """The global sequence number one past the newest record."""
         return self.feed.next_seq

@@ -18,7 +18,7 @@ from repro.engine import functions
 from repro.engine.expressions import Env, Evaluator
 from repro.engine.stats import ExecutionStats
 from repro.engine.storage import Table, column_key
-from repro.engine.types import SQLType, SQLValue, canonical, comparable, sort_key
+from repro.engine.types import SQLType, comparable, sort_key
 
 Row = tuple
 Predicate = Callable[[Env], bool]
@@ -209,19 +209,22 @@ class Access(PlanNode):
 
 
 class IndexScan(PlanNode):
-    """A live-index :class:`Access` probed once, with constant values:
-    the rows ``col = literal`` conjuncts covering a secondary index
-    select, touching (and counting) only those."""
+    """A live-index :class:`Access` probed once per execution with the
+    values its ``col = literal`` / ``col = outer column`` conjuncts bind:
+    the rows they select, touching (and counting) only those.  ``keys``
+    are evaluators over an empty row and the outer rows (a literal
+    compiles to a constant), in the access's key order."""
 
-    def __init__(self, access: Access, values: Sequence[SQLValue]) -> None:
+    def __init__(self, access: Access, keys: Sequence[Evaluator]) -> None:
         self.access = access
+        self.keys = list(keys)
         self.width = access.width
-        # A literal NaN may be any NaN object; the index holds NAN.
-        key = tuple(canonical(value) for value in values)
-        self.key = key[0] if len(key) == 1 else key
 
     def rows(self, env: Env) -> Iterator[Row]:
-        rows = self.access.lookup(env)(self.key) or ()
+        bound = ((),) + env
+        values = tuple(key(bound) for key in self.keys)
+        probe = self.access.lookup(env)
+        rows = probe(values[0] if len(values) == 1 else values) or ()
         self.access.stats.rows_scanned += len(rows)
         return iter(rows)
 

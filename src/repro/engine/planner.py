@@ -8,10 +8,12 @@ needs to make the Hippo experiments meaningful:
   their columns are available -- single-table ones directly under their
   FROM item;
 * every keyed access goes through **one rule**, :meth:`Planner._access`,
-  keyed by the source's *bound* columns -- bound by a literal, by the
-  other side of an equi-join, or by the outer row of a decorrelated
-  ``[NOT] EXISTS`` / ``IN``: the table's live index when one is covered,
-  else one hash of the source per statement.  So constant equalities
+  keyed by the source's *bound* columns -- bound by a literal, by a
+  column of the outer row (a correlated subquery's, or the tuple the
+  incremental conflict detector binds), by the other side of an
+  equi-join, or by the outer row of a decorrelated ``[NOT] EXISTS`` /
+  ``IN``: the table's live index when one is covered, else one hash of
+  the source per statement.  So constant and outer-bound equalities
   become an index scan, equi-joins a hash join probing the right input
   (the paper's conflict-detection self-joins and the envelope queries
   rely on this to run in linear time, as PostgreSQL would), and a
@@ -22,8 +24,10 @@ needs to make the Hippo experiments meaningful:
 
 This is the only planner: SJUD cores (the envelope, cleaned answers,
 detection's residual joins) are rendered to SELECT blocks by
-:mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``, and
-UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`.
+:mod:`repro.ra.compile` and planned here with ``Planner(tids=...)``,
+UPDATE / DELETE find their rows through :meth:`Planner.plan_matching`,
+and the incremental conflict detector plans each constraint's residual
+join around a bound tuple with ``plan_query(..., outer_scope=...)``.
 """
 
 from __future__ import annotations
@@ -410,7 +414,7 @@ class Planner:
         conjuncts = ast.split_conjuncts(where)
         late = [c for c in conjuncts if contains_subquery(c)]
         early = [c for c in conjuncts if not contains_subquery(c)]
-        leftovers = self._apply_local_filters(source, early, None, 0)
+        leftovers = self._apply_local_filters(source, early, source.scope(None, 0))
         self._filter(source, leftovers + late, None, 0)
         return PlannedQuery(source.node, source.displays)
 
@@ -512,13 +516,21 @@ class Planner:
         semi joins on the way are consumed too.  Returns the combined
         source and what is left of both lists.
         """
+        sources = [self._plan_from_item(i, outer_scope, level) for i in from_items]
+        # What the WHERE clause sees: a column no FROM item has is bound
+        # by the outer row.
+        here = Scope(
+            [e for s in sources for e in s.entries],
+            outer_scope,
+            level,
+            [t for s in sources for t in s.types],
+        )
         unused = list(candidates)
         combined: Optional[_Source] = None
-        for item in from_items:
-            source = self._plan_from_item(item, outer_scope, level)
+        for source in sources:
             # Single-source conjuncts go under their own FROM item
             # (pushdown), where they can also pick its access path.
-            unused = self._apply_local_filters(source, unused, outer_scope, level)
+            unused = self._apply_local_filters(source, unused, here)
             late = self._apply_semi_joins(source, late, level)
             if combined is None:
                 combined = source
@@ -537,38 +549,51 @@ class Planner:
         return combined, unused, late
 
     def _apply_local_filters(
-        self,
-        source: _Source,
-        conjuncts: list[ast.Expression],
-        outer_scope: Optional[Scope],
-        level: int,
+        self, source: _Source, conjuncts: list[ast.Expression], here: Scope
     ) -> list[ast.Expression]:
         """Filter ``source`` by the conjuncts it can already evaluate.
 
-        ``col = literal`` conjuncts bind their columns: when
-        :meth:`_access` picks a live index for them, the scan becomes an
-        :class:`~repro.engine.plan.IndexScan` and the equalities it serves
-        are dropped; everything else stays in the ``Filter``.
+        ``col = literal`` and ``col = outer column`` conjuncts bind their
+        columns (``here`` is the WHERE clause's scope, whose parent is the
+        outer row): when :meth:`_access` picks a live index for them, the
+        scan becomes an :class:`~repro.engine.plan.IndexScan` keyed by the
+        bound values and the equalities it serves are dropped.  The other
+        local conjuncts stay in the ``Filter``; the other conjuncts reading
+        the outer row stay above the source, whose bare scan a join can
+        then still key.
         """
         local = [c for c in conjuncts if _resolvable(c, source.entries)]
-        scope = source.scope(None, level)
+        own = source.scope(None, here.level)
+
+        def column_of(scope: Scope, expr: ast.Expression, outer: bool) -> bool:
+            """Whether ``expr`` is a column ``scope`` resolves, in its
+            parent (``outer``) or in itself."""
+            try:
+                return (
+                    isinstance(expr, ast.ColumnRef)
+                    and (scope.resolve(expr.table, expr.name)[0] > 0) == outer
+                )
+            except PlanError:
+                return False
+
         keys = _equalities(
-            local,
-            lambda e: isinstance(e, ast.ColumnRef),
-            lambda e: isinstance(e, ast.Literal),
-            scope,
-            scope,
+            conjuncts,
+            lambda e: column_of(own, e, False),
+            lambda e: isinstance(e, ast.Literal) or column_of(here, e, True),
+            own,
+            here,
         )
-        remaining = local
+        used: list[ast.Expression] = []
         if keys:
             partner, served = self._access(source, [k[1] for k in keys])
             if partner.index:
-                values = [cast(ast.Literal, keys[i][2]).value for i in served]
+                compiler = self._compiler(Scope([], here.parent, here.level))
+                values = [compiler.compile(keys[i][2]) for i in served]
                 source.node = plan.IndexScan(partner, values)
                 used = [keys[i][0] for i in served]
-                remaining = [c for c in local if c not in used]
-        self._filter(source, remaining, outer_scope, level)
-        return [c for c in conjuncts if c not in local]
+        remaining = [c for c in local if c not in used]
+        self._filter(source, remaining, here.parent, here.level)
+        return [c for c in conjuncts if c not in local and c not in used]
 
     def _filter(
         self,
@@ -650,9 +675,10 @@ class Planner:
 
         Returns the access and the indices of the ``inner`` keys it is
         keyed on, in key order; callers keep the other equalities as a
-        residual over the probed rows.  Keys bound only by literals are
-        probed once, and a hash probed once is a scan that also builds a
-        table: that caller keeps its ``Filter`` unless this is an index.
+        residual over the probed rows.  Keys bound only by literals or
+        the outer row are probed once per execution, and a hash probed
+        once is a scan that also builds a table: that caller keeps its
+        conjuncts unless this is an index.
         No option selects the access: the presence of an index does.
         """
         columns: dict[int, int] = {}

@@ -23,7 +23,7 @@ from repro.constraints import (
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.changelog import ChangeLog
 from repro.engine.feed import ChangeFeed
-from repro.errors import ConstraintError
+from repro.errors import ConstraintError, TypeError_
 from repro.sql.parser import parse_expression
 
 
@@ -105,10 +105,10 @@ class TestChangeLog:
 
     def test_ddl_bumps_schema_version(self):
         db = Database()
-        before = db.changes.schema_version
+        before = db.changes.feed.schema_version
         db.execute("CREATE TABLE r (a INTEGER)")
         db.execute("DROP TABLE r")
-        assert db.changes.schema_version == before + 2
+        assert db.changes.feed.schema_version == before + 2
 
 
 class TestMutableHypergraph:
@@ -246,13 +246,21 @@ class TestIncrementalDenials:
         assert_equivalent(engine, db, constraints)
 
     def test_constraint_change_falls_back_to_full(self):
-        db, engine, _ = self.fd_engine()
-        fd2 = FunctionalDependency("emp", ["salary"], ["name"])
-        engine.constraints.append(fd2)
+        # An engine's constraints are fixed at construction; a changed
+        # list is a new engine (the shell rebuilds its own), which starts
+        # from full detection and then maintains the new list.
+        db, engine, constraints = self.fd_engine()
+        engine.detach()
+        constraints = constraints + [
+            FunctionalDependency("emp", ["salary"], ["name"])
+        ]
+        engine = HippoEngine(db, constraints)
+        assert engine.constraints == tuple(constraints)
+        assert engine.detection.mode == "full"
         db.execute("INSERT INTO emp VALUES ('carol', 5)")
         engine.refresh()
-        assert engine.detection.mode == "full"
-        assert_equivalent(engine, db, engine.constraints)
+        assert engine.detection.mode == "incremental"
+        assert_equivalent(engine, db, constraints)
 
     def test_ddl_falls_back_to_full(self):
         db, engine, constraints = self.fd_engine()
@@ -294,6 +302,38 @@ class TestIncrementalDenials:
         assert engine.detection.mode == "incremental"
         assert_equivalent(engine, db, [denial])
         assert len(engine.hypergraph) == 2  # (1,20), (5,20)
+
+    def cross_type_engine(self, s_type):
+        db = Database()
+        db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+        db.execute(f"CREATE TABLE s (a {s_type}, b INTEGER)")
+        db.execute("INSERT INTO r VALUES (1, 2)")
+        denial = DenialConstraint(
+            "same-a",
+            (ConstraintAtom("t1", "r"), ConstraintAtom("t2", "s")),
+            parse_expression("t1.a = t2.a"),
+        )
+        return db, HippoEngine(db, [denial]), [denial]
+
+    def test_incomparable_link_raises_on_both_paths(self):
+        # INTEGER = TEXT is no index key: both paths compare per row and
+        # raise, as full detection always did -- no silent empty delta.
+        db, engine, constraints = self.cross_type_engine("TEXT")
+        db.execute("INSERT INTO s VALUES ('1', 2)")
+        with pytest.raises(TypeError_, match="cannot compare"):
+            detect_conflicts(db, constraints)
+        with pytest.raises(TypeError_, match="cannot compare"):
+            engine.refresh()
+
+    def test_comparable_cross_type_link_derives_the_same_edge(self):
+        db, engine, constraints = self.cross_type_engine("REAL")
+        db.execute("INSERT INTO s VALUES (1.0, 2)")
+        engine.refresh()
+        assert engine.detection.mode == "incremental"
+        assert engine.hypergraph.as_dict() == {
+            frozenset({vertex("r", 0), vertex("s", 0)}): "same-a"
+        }
+        assert_equivalent(engine, db, constraints)
 
 
 class TestSubsumption:
@@ -403,8 +443,9 @@ class TestForeignKeyCascades:
 
     def test_restricted_class_violation_raises(self):
         db, engine, constraints = self.chain()
-        engine.constraints.append(
-            FunctionalDependency("parent", ["id"], ["ok"])
+        engine.detach()
+        engine = HippoEngine(
+            db, constraints + [FunctionalDependency("parent", ["id"], ["ok"])]
         )
         db.execute("INSERT INTO parent VALUES (1, 0)")
         with pytest.raises(ConstraintError, match="restricted"):

@@ -51,6 +51,16 @@ class TestDenialConstraint:
                 "c", (ConstraintAtom("t", "r"),), parse_expression("zz.a > 0")
             )
 
+    def test_subquery_rejected(self):
+        # A denial body is quantifier-free; the incremental detector plans
+        # it once and runs that plan on every delta.
+        with pytest.raises(ConstraintError, match="quantifier-free"):
+            DenialConstraint(
+                "c",
+                (ConstraintAtom("t", "r"),),
+                parse_expression("EXISTS (SELECT * FROM s WHERE s.a = t.a)"),
+            )
+
     def test_str(self):
         constraint = DenialConstraint(
             "c", (ConstraintAtom("t", "r"),), parse_expression("t.a < 0")

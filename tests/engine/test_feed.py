@@ -243,7 +243,7 @@ class TestDurableDatabase:
 
         restored = Database(durable=str(directory))
         assert dict(restored.table("emp").items()) == tids
-        assert restored.changes.schema_version == db.changes.schema_version
+        assert restored.changes.feed.schema_version == db.changes.feed.schema_version
         # The restored database keeps appending where the old one left
         # off (replay must not have re-published history).
         end = restored.changes.end

@@ -109,7 +109,7 @@ def test_schema_topic_is_not_a_relation_name(tmp_path):
             db.execute(f"CREATE TABLE {name} (x INT)")
     assert db.catalog.table_names() == ["t"]
     db.execute("INSERT INTO t VALUES (1)")
-    writer_version = db.changes.schema_version
+    writer_version = db.changes.feed.schema_version
     db.changes.feed.flush()
     # A replica subscribed only to ``t`` sees t's rows and the DDL --
     # no relation's rows ride the DDL topic.
@@ -121,5 +121,5 @@ def test_schema_topic_is_not_a_relation_name(tmp_path):
     reader.close()
     db.changes.feed.close()
     reopened = Database(durable=directory)
-    assert reopened.changes.schema_version == writer_version == 1
+    assert reopened.changes.feed.schema_version == writer_version == 1
     reopened.changes.feed.close()

@@ -148,3 +148,26 @@ class TestGenericFallbackPath:
         )
         # The generic path memoizes on captures; none -> one evaluation.
         assert db.stats.subquery_evaluations == 1
+
+    def test_outer_bound_key_probes_a_live_index(self):
+        # GROUP BY keeps the subquery on the generic path.  Its
+        # ``t2.a = t.a`` is a key bound by the outer row, so it picks the
+        # index on ``a`` the way ``t2.a = 5`` would: 4 rows per outer row
+        # instead of a scan of all 200.
+        query = (
+            "SELECT a, b FROM t WHERE EXISTS (SELECT t2.a FROM t t2"
+            " WHERE t2.a = t.a AND t2.b > t.b GROUP BY t2.a)"
+        )
+        answers, scanned = [], []
+        for indexed in (False, True):
+            database = Database()
+            database.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
+            database.insert_rows("t", [(i % 50, i) for i in range(200)])
+            if indexed:
+                database.execute("CREATE INDEX t_a ON t (a)")
+            before = database.stats.rows_scanned
+            answers.append(sorted(database.query(query).rows))
+            scanned.append(database.stats.rows_scanned - before)
+        assert len(answers[0]) == 150
+        assert answers[1] == answers[0]
+        assert scanned == [200 + 200 * 200, 200 + 200 * 4]

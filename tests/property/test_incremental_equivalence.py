@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database, HippoEngine
@@ -100,46 +101,104 @@ class TestFunctionalDependencies:
         run_sequence(db, engine, constraints, "r", sequence, batch)
 
 
+# One randomized mutation step over ``r`` / ``s``: (kind, table, key, value).
+two_relation_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "update"]),
+        st.sampled_from(["r", "s"]),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=4),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+def run_two_relation_sequence(constraints, sequence, batch):
+    db = Database()
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
+    db.execute("INSERT INTO r VALUES (0, 0), (1, 1)")
+    db.execute("INSERT INTO s VALUES (1, 0), (2, 1)")
+    engine = HippoEngine(db, constraints)
+    applied = 0
+    for kind, table, key, value in sequence:
+        if kind == "insert":
+            db.execute(f"INSERT INTO {table} VALUES ({key}, {value})")
+        elif kind == "delete":
+            db.execute(f"DELETE FROM {table} WHERE a = {key}")
+        else:
+            db.execute(f"UPDATE {table} SET b = {value} WHERE a = {key}")
+        applied += 1
+        if applied % batch == 0:
+            engine.refresh()
+            assert_equivalent(engine, db, constraints)
+    engine.refresh()
+    assert_equivalent(engine, db, constraints)
+
+
 class TestExclusion:
     @settings(max_examples=20, deadline=None)
-    @given(
-        sequence=st.lists(
-            st.tuples(
-                st.sampled_from(["insert", "delete", "update"]),
-                st.sampled_from(["r", "s"]),
-                st.integers(min_value=0, max_value=6),
-                st.integers(min_value=0, max_value=4),
-            ),
-            min_size=1,
-            max_size=20,
-        ),
-        batch=batches,
-    )
+    @given(sequence=two_relation_ops, batch=batches)
     def test_exclusion_sequences(self, sequence, batch):
-        db = Database()
-        db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
-        db.execute("CREATE TABLE s (a INTEGER, b INTEGER)")
-        db.execute("INSERT INTO r VALUES (0, 0), (1, 1)")
-        db.execute("INSERT INTO s VALUES (1, 0), (2, 1)")
         constraints = [
             ExclusionConstraint("r", "s", [("a", "a")]),
             FunctionalDependency("r", ["a"], ["b"]),
         ]
-        engine = HippoEngine(db, constraints)
-        applied = 0
-        for kind, table, key, value in sequence:
-            if kind == "insert":
-                db.execute(f"INSERT INTO {table} VALUES ({key}, {value})")
-            elif kind == "delete":
-                db.execute(f"DELETE FROM {table} WHERE a = {key}")
-            else:
-                db.execute(f"UPDATE {table} SET b = {value} WHERE a = {key}")
-            applied += 1
-            if applied % batch == 0:
-                engine.refresh()
-                assert_equivalent(engine, db, constraints)
+        run_two_relation_sequence(constraints, sequence, batch)
+
+
+def three_atoms(name, condition):
+    """A denial over ``r t1, s t2, r t3``."""
+    atoms = (
+        ConstraintAtom("t1", "r"),
+        ConstraintAtom("t2", "s"),
+        ConstraintAtom("t3", "r"),
+    )
+    return DenialConstraint(name, atoms, parse_expression(condition))
+
+
+CHAIN = three_atoms("chain", "t1.a = t2.a AND t2.b = t3.b AND t1.b < t3.a")
+
+THREE_ATOM_SHAPES = {
+    "chain": CHAIN,
+    # t1 is the hub: t2 and t3 are linked to it alone.
+    "star": three_atoms("star", "t1.a = t2.a AND t1.b = t3.b AND t2.b <> t3.a"),
+    # t3 is tied to the others only by a non-equality.
+    "loose": three_atoms("loose", "t1.a = t2.a AND t2.b < t3.b"),
+}
+
+
+class TestThreeAtomDenials:
+    """Multi-atom FROM lists: each bound atom joins the other two."""
+
+    @pytest.mark.parametrize("shape", sorted(THREE_ATOM_SHAPES))
+    @settings(max_examples=20, deadline=None)
+    @given(sequence=two_relation_ops, batch=batches)
+    def test_three_atom_sequences(self, shape, sequence, batch):
+        constraints = [
+            THREE_ATOM_SHAPES[shape],
+            FunctionalDependency("s", ["a"], ["b"]),
+        ]
+        run_two_relation_sequence(constraints, sequence, batch)
+
+    @pytest.mark.parametrize("table, row, edges", [("r", (5, 0), 2), ("s", (7, 9), 1)])
+    def test_one_insert_costs_its_matches_not_the_tables(self, table, row, edges):
+        # r binds either end of the chain, s its middle: every other atom
+        # is reached through an index, so a delta scans the couple of
+        # rows it matches, not the 2,000 of either table.
+        db = Database()
+        for name in ("r", "s"):
+            db.execute(f"CREATE TABLE {name} (a INTEGER, b INTEGER)")
+            db.insert_rows(name, [(i, i) for i in range(2000)])
+        engine = HippoEngine(db, [CHAIN])
+        db.execute(f"INSERT INTO {table} VALUES {row}")
+        before = db.stats.rows_scanned
         engine.refresh()
-        assert_equivalent(engine, db, constraints)
+        assert db.stats.rows_scanned - before <= 4
+        assert engine.detection.mode == "incremental"
+        assert engine.detection.edges_added == edges
+        assert_equivalent(engine, db, [CHAIN])
 
 
 class TestForeignKeyChains:

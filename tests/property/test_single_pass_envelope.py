@@ -230,7 +230,8 @@ def test_every_core_is_planned_once(monkeypatch):
     monkeypatch.setattr(
         Planner,
         "plan_query",
-        lambda self, query: planned.append(query) or plan_query(self, query),
+        lambda self, query, outer_scope=None: planned.append(query)
+        or plan_query(self, query, outer_scope),
     )
     db = build_db([(1, 1), (1, 2)], [(1, 1)])
     hippo = HippoEngine(db, CONSTRAINT_SETS[0])

@@ -238,13 +238,13 @@ def test_only_the_planner_builds_joins_and_access_paths():
     assert offenders == []
 
 
-def test_only_the_access_and_the_detector_read_index_postings():
+def test_only_the_access_reads_index_postings():
     # ``Table.probe`` is the one read of a live posting list: plan.Access
-    # behind every planned lookup, and the incremental detector's matcher.
+    # behind every planned lookup, the incremental detector's included.
     readers = {
         relative
         for relative, module in _src_modules()
         for node in python_ast.walk(module)
         if isinstance(node, python_ast.Attribute) and node.attr == "probe"
     }
-    assert readers == {"engine/plan.py", "conflicts/incremental.py"}
+    assert readers == {"engine/plan.py"}

@@ -94,6 +94,12 @@ def test_every_public_def_is_referenced():
         ("repro.engine.storage", "Table.index_lookup"),
         ("repro.engine.storage", "Table.has_tid"),
         ("repro.engine.storage", "Table.has_index"),
+        ("repro.conflicts.incremental", "_DenialMatcher._plan"),
+        ("repro.conflicts.incremental", "_DenialMatcher.index_plans"),
+        ("repro.conflicts.incremental", "_DenialMatcher.ensure_indexes"),
+        ("repro.conflicts.incremental", "_DenialMatcher._extend"),
+        ("repro.engine.changelog", "ChangeLog.schema_version"),
+        ("repro.core.hippo", "HippoEngine._needs_full_detection"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

@@ -1,6 +1,11 @@
 """Conflict detection (full and incremental) and the conflict hypergraph."""
 
-from repro.conflicts.detection import DetectionReport, detect_conflicts, violations_of
+from repro.conflicts.detection import (
+    DetectionReport,
+    derivation_order,
+    detect_conflicts,
+    violations_of,
+)
 from repro.conflicts.executor import (
     ProcessShardExecutor,
     load_ownership,
@@ -9,10 +14,10 @@ from repro.conflicts.executor import (
 from repro.conflicts.hypergraph import (
     ConflictHypergraph,
     Vertex,
-    minimal_edges,
+    ViolationStore,
     vertex,
 )
-from repro.conflicts.incremental import DeltaStats, IncrementalDetector
+from repro.conflicts.incremental import IncrementalDetector
 from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
 from repro.conflicts.shard import (
     HandoffReport,
@@ -33,6 +38,7 @@ from repro.conflicts.shard import (
 
 __all__ = [
     "DetectionReport",
+    "derivation_order",
     "detect_conflicts",
     "violations_of",
     "ProcessShardExecutor",
@@ -40,9 +46,8 @@ __all__ = [
     "store_ownership",
     "ConflictHypergraph",
     "Vertex",
-    "minimal_edges",
+    "ViolationStore",
     "vertex",
-    "DeltaStats",
     "IncrementalDetector",
     "ReplicaHypergraph",
     "ReplicaSync",

@@ -7,8 +7,11 @@ body is structurally an SJ query over its atoms, so detection hands it
 to the very planner ordinary queries go through
 (:func:`~repro.ra.compile.compile_core`: self-joins become hash joins on
 the equality conjuncts -- e.g. an FD's ``t1.X = t2.X`` -- and constant
-conjuncts pick index or column-equality scans, which keeps detection
-near-linear when conflicts are sparse).
+conjuncts probe an index where one exists, which keeps detection
+near-linear when conflicts are sparse).  The violations go into a
+:class:`~repro.conflicts.hypergraph.ViolationStore`, which keeps the
+minimal ones as the hypergraph through incidence lookups; incremental
+maintenance then takes the same store over.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.constraints.foreign_key import ForeignKeyConstraint, topological_fk_o
 from repro.conflicts.hypergraph import (
     ConflictHypergraph,
     Vertex,
-    minimal_edges,
+    ViolationStore,
     vertex,
 )
 from repro.engine.database import Database
@@ -40,23 +43,23 @@ class DetectionReport:
 
     Attributes:
         hypergraph: the resulting conflict hypergraph.
-        per_constraint: constraint name -> number of violations *stored*
-            for it (after minimization).
+        per_constraint: constraint name -> number of edges *stored*
+            under it (after minimization), in derivation order.
         seconds: wall-clock detection time.
         subsumed: constraint name -> violations found for it that are
             **not** stored under its name, because minimization absorbed
-            them into a smaller edge or into an identical edge of another
-            constraint.  Without this, a constraint whose every violation
-            was absorbed silently reports 0 and benchmarks misread
-            minimization as "no violations".
+            them into a smaller edge or into an identical edge of an
+            earlier constraint.  Without this, a constraint whose every
+            violation was absorbed silently reports 0 and benchmarks
+            misread minimization as "no violations".
         mode: ``"full"`` (complete re-detection) or ``"incremental"``
             (delta maintenance applied to the existing hypergraph).
         deltas: number of change-log entries applied (incremental mode).
         edges_added / edges_retracted: hyperedge churn of the last
-            incremental application.
-        raw_edges / raw_labels: the pre-minimization violation stream,
-            kept only when detection is asked to (``keep_raw``) so the
-            incremental maintainer can bootstrap its shadow store.
+            incremental application (edges entering / leaving the graph).
+        store: the violation store behind ``hypergraph``, which an
+            :class:`~repro.conflicts.incremental.IncrementalDetector`
+            takes over (``None`` for an external hypergraph).
     """
 
     hypergraph: ConflictHypergraph
@@ -67,13 +70,42 @@ class DetectionReport:
     deltas: int = 0
     edges_added: int = 0
     edges_retracted: int = 0
-    raw_edges: list[frozenset[Vertex]] | None = None
-    raw_labels: list[str] | None = None
+    store: Optional[ViolationStore] = None
 
     @property
     def subsumed_total(self) -> int:
         """Total violations absorbed by minimization."""
         return sum(self.subsumed.values())
+
+
+def split_constraints(
+    constraints: Iterable[object],
+) -> tuple[list[DenialConstraint], list[ForeignKeyConstraint]]:
+    """Denial constraints (list order) and foreign keys (parents first):
+    the order detection derives violations in.
+
+    Raises:
+        ConstraintError: when the foreign keys reference cyclically.
+    """
+    constraint_list = list(constraints)
+    foreign_keys = topological_fk_order(
+        c for c in constraint_list if isinstance(c, ForeignKeyConstraint)
+    )
+    denials = to_denial_constraints(
+        c for c in constraint_list if not isinstance(c, ForeignKeyConstraint)
+    )
+    return denials, foreign_keys
+
+
+def derivation_order(constraints: Iterable[object]) -> tuple[str, ...]:
+    """Constraint labels in derivation order (:func:`split_constraints`).
+
+    A :class:`~repro.conflicts.hypergraph.ViolationStore` labels each
+    edge by its earliest supporter in this order -- in full detection,
+    incremental maintenance and the shard merge alike.
+    """
+    denials, foreign_keys = split_constraints(constraints)
+    return tuple(d.name for d in denials) + tuple(str(fk) for fk in foreign_keys)
 
 
 def violations_of(
@@ -118,7 +150,6 @@ def violations_of(
 def detect_conflicts(
     db: Database,
     constraints: Iterable[object],
-    keep_raw: bool = False,
     extra_referenced: Iterable[str] = (),
     backend: Optional["MirrorBackend"] = None,
 ) -> DetectionReport:
@@ -131,8 +162,6 @@ def detect_conflicts(
     singleton hyperedges.
 
     Args:
-        keep_raw: also return the pre-minimization violation stream on
-            the report (used to bootstrap incremental maintenance).
         extra_referenced: relations referenced by foreign keys *outside*
             ``constraints`` that the restricted-class check must still
             protect.  A shard worker evaluating only its own constraint
@@ -150,51 +179,25 @@ def detect_conflicts(
             in choice conflicts).
     """
     started = time.perf_counter()
-    foreign_keys = [c for c in constraints if isinstance(c, ForeignKeyConstraint)]
-    denials = to_denial_constraints(
-        c for c in constraints if not isinstance(c, ForeignKeyConstraint)
-    )
+    constraint_list = list(constraints)
+    denials, foreign_keys = split_constraints(constraint_list)
     referenced = {fk.referenced.lower() for fk in foreign_keys} | {
         relation.lower() for relation in extra_referenced
     }
-    edges: list[frozenset[Vertex]] = []
-    labels: list[str] = []
-    per_constraint: dict[str, int] = {}
-    for constraint in denials:
-        found = violations_of(db, constraint, backend=backend)
-        per_constraint[constraint.name] = len(found)
-        edges.extend(found)
-        labels.extend([constraint.name] * len(found))
-    if referenced:
+    found = [(d.name, violations_of(db, d, backend=backend)) for d in denials]
+    store = ViolationStore(derivation_order(constraint_list))
+    for name, edges in found:
         for edge in edges:
-            ensure_edge_in_restricted_class(edge, referenced)
-    if foreign_keys:
-        fk_edges, fk_labels, fk_counts = _foreign_key_violations(
-            db, foreign_keys, edges
-        )
-        edges.extend(fk_edges)
-        labels.extend(fk_labels)
-        per_constraint.update(fk_counts)
-    kept, kept_labels = minimal_edges(edges, labels)
-    hypergraph = ConflictHypergraph(kept, kept_labels)
-    # Re-count after minimization so the report reflects stored edges;
-    # the difference per constraint is what minimization absorbed.
-    found = dict(per_constraint)
-    stored: dict[str, int] = {}
-    for label in hypergraph.edge_labels:
-        stored[label] = stored.get(label, 0) + 1
-    subsumed: dict[str, int] = {}
-    for name in per_constraint:
-        per_constraint[name] = stored.get(name, 0)
-        subsumed[name] = found[name] - per_constraint[name]
-    elapsed = time.perf_counter() - started
+            if referenced:
+                ensure_edge_in_restricted_class(edge, referenced)
+            store.add(edge, name)
+    derive_danglings(db, store, foreign_keys)
     return DetectionReport(
-        hypergraph,
-        per_constraint,
-        elapsed,
-        subsumed=subsumed,
-        raw_edges=edges if keep_raw else None,
-        raw_labels=labels if keep_raw else None,
+        store.graph,
+        store.stored(),
+        time.perf_counter() - started,
+        subsumed=store.subsumed(),
+        store=store,
     )
 
 
@@ -223,67 +226,43 @@ def ensure_edge_in_restricted_class(
             )
 
 
-def dangling_child_tids(
-    db: Database, fk: ForeignKeyConstraint, deleted: dict[str, set[int]]
-) -> list[int]:
-    """Tids of ``fk.referencing`` rows whose key dangles, given ``deleted``.
+def derive_danglings(
+    db: Database, store: ViolationStore, foreign_keys: list[ForeignKeyConstraint]
+) -> None:
+    """Add the dangling tuples of ``foreign_keys`` to ``store`` as
+    singleton edges, one FK at a time in the given (parents-first) order.
 
-    ``deleted`` maps relation -> certainly-deleted tids (singleton denial
-    edges plus upstream danglings); the returned tids are appended to it,
-    so chained FKs processed in topological order cascade.  This is the
-    single implementation of the dangling semantics (MATCH SIMPLE NULLs,
-    surviving-key set) used by full detection and incremental
-    maintenance alike.
+    A child dangles when no *surviving* parent carries its key (MATCH
+    SIMPLE: a NULL key references nothing).  A parent survives unless it
+    is certainly deleted: a singleton edge already in the store (a
+    denial's, or an upstream FK's), so chained FKs cascade.  The caller
+    has withdrawn these FKs' own earlier danglings and checked the denial
+    edges against the restricted class
+    (:func:`ensure_edge_in_restricted_class`).  This is the one
+    implementation of the dangling semantics, shared by full detection
+    and incremental maintenance.
     """
-    child = db.catalog.table(fk.referencing)
-    parent = db.catalog.table(fk.referenced)
-    child_indexes = [child.schema.index_of(c) for c in fk.columns]
-    parent_indexes = [parent.schema.index_of(c) for c in fk.ref_columns]
-    parent_deleted = deleted.get(fk.referenced.lower(), set())
-    surviving_keys = {
-        tuple(row[i] for i in parent_indexes)
-        for tid, row in parent.items()
-        if tid not in parent_deleted
-    }
-    child_key = fk.referencing.lower()
-    dangling: list[int] = []
-    for tid, row in child.items():
-        key = tuple(row[i] for i in child_indexes)
-        if None in key:
-            continue  # MATCH SIMPLE: NULL keys reference nothing
-        if key in surviving_keys:
-            continue
-        dangling.append(tid)
-        deleted.setdefault(child_key, set()).add(tid)
-    return dangling
-
-
-def _foreign_key_violations(
-    db: Database,
-    foreign_keys: list[ForeignKeyConstraint],
-    denial_edges: list[frozenset[Vertex]],
-) -> tuple[list[frozenset[Vertex]], list[str], dict[str, int]]:
-    """Dangling tuples of restricted foreign keys, as singleton edges.
-
-    The caller has already verified the denial edges stay inside the
-    restricted class (:func:`ensure_edge_in_restricted_class`).
-    """
-    # Deterministic deletions seen so far: singleton denial edges.
     deleted: dict[str, set[int]] = {}
-    for edge in denial_edges:
+    for edge in store.graph.edges:
         if len(edge) == 1:
             (v,) = edge
             deleted.setdefault(v.relation, set()).add(v.tid)
-
-    edges: list[frozenset[Vertex]] = []
-    labels: list[str] = []
-    counts: dict[str, int] = {}
-    for fk in topological_fk_order(foreign_keys):
+    for fk in foreign_keys:
         label = str(fk)
+        child = db.catalog.table(fk.referencing)
+        parent = db.catalog.table(fk.referenced)
+        child_indexes = [child.schema.index_of(c) for c in fk.columns]
+        parent_indexes = [parent.schema.index_of(c) for c in fk.ref_columns]
+        parent_deleted = deleted.get(fk.referenced.lower(), set())
+        surviving_keys = {
+            tuple(row[i] for i in parent_indexes)
+            for tid, row in parent.items()
+            if tid not in parent_deleted
+        }
         child_key = fk.referencing.lower()
-        dangling = dangling_child_tids(db, fk, deleted)
-        counts[label] = len(dangling)
-        for tid in dangling:
-            edges.append(frozenset({vertex(child_key, tid)}))
-            labels.append(label)
-    return edges, labels, counts
+        for tid, row in child.items():
+            key = tuple(row[i] for i in child_indexes)
+            if None in key or key in surviving_keys:
+                continue
+            deleted.setdefault(child_key, set()).add(tid)
+            store.add(frozenset({vertex(child_key, tid)}), label)

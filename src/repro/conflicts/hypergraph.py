@@ -16,7 +16,7 @@ the hypergraph to be stored in main memory").
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class Vertex(NamedTuple):
@@ -34,10 +34,10 @@ def vertex(relation: str, tid: int) -> Vertex:
 class ConflictHypergraph:
     """The conflict hypergraph (mutable since incremental maintenance).
 
-    Conflict Detection builds it once; incremental maintenance then edits
-    it in place through :meth:`add_edge` / :meth:`remove_edge`, which keep
-    the per-vertex adjacency (``_incidence``) and ``edge_labels``
-    consistent with ``edges``.
+    A :class:`ViolationStore` decides which edges it holds and edits it
+    in place through :meth:`add_edge` / :meth:`remove_edge` /
+    :meth:`relabel`, which keep the per-vertex adjacency
+    (``_incidence``) and ``edge_labels`` consistent with ``edges``.
 
     Attributes:
         edges: the hyperedges (minimal violation sets), deduplicated.
@@ -45,20 +45,15 @@ class ConflictHypergraph:
             positionally aligned with ``edges``.
     """
 
-    def __init__(
-        self,
-        edges: Iterable[frozenset[Vertex]] = (),
-        edge_labels: Optional[Sequence[str]] = None,
-    ) -> None:
+    def __init__(self, edges: Iterable[frozenset[Vertex]] = ()) -> None:
         self.edges: list[frozenset[Vertex]] = []
         self.edge_labels: list[str] = []
         self._position: dict[frozenset[Vertex], int] = {}
         self._incidence: dict[Vertex, list[int]] = {}
         #: relation -> conflicting tids, dropped whenever an edge changes
         self._conflicting_tids: dict[str, frozenset[int]] = {}
-        labels = list(edge_labels) if edge_labels is not None else None
-        for position, edge in enumerate(edges):
-            self.add_edge(edge, labels[position] if labels else "")
+        for edge in edges:
+            self.add_edge(edge)
 
     # ----------------------------------------------------------- mutation
 
@@ -111,6 +106,14 @@ class ConflictHypergraph:
         self.edges.pop()
         self.edge_labels.pop()
         return True
+
+    def relabel(self, edge: frozenset[Vertex], label: str) -> None:
+        """Change a stored edge's label in place.
+
+        Raises:
+            KeyError: when the edge is not stored.
+        """
+        self.edge_labels[self._position[edge]] = label
 
     # ------------------------------------------------------------- queries
 
@@ -244,26 +247,163 @@ class ConflictHypergraph:
         )
 
 
-def minimal_edges(
-    edges: Iterable[frozenset[Vertex]],
-    labels: Optional[Sequence[str]] = None,
-) -> tuple[list[frozenset[Vertex]], list[str]]:
-    """Drop duplicate and non-minimal violation sets.
+class ViolationStore:
+    """Every current violation, and the minimal ones as the hypergraph.
 
-    A hyperedge that strictly contains another violation is redundant:
-    any repair already excludes part of the smaller violation.
+    The one place that decides which violation sets are hyperedges and
+    how each is labelled.  Full detection, incremental maintenance and
+    the shard merge all feed their violations in here:
+
+    * every *raw* violation is kept, minimal or not, with the set of
+      constraints that support (derived) it;
+    * :attr:`graph` holds exactly the supported edges that have no
+      supported strict subset, each labelled by its earliest supporter
+      in ``order`` (:func:`~repro.conflicts.detection.derivation_order`).
+
+    When a smaller violation appears, stored supersets are demoted to
+    the raw side; when it is withdrawn while its tuples survive (an FK
+    dangling cured by a parent insertion), they resurface.  Retracting a
+    vertex needs no resurrection: every raw superset of a retracted edge
+    contains the vertex too.  The raw side is indexed by vertex and by
+    label, and per-label stored counts are kept through every mutation,
+    so the report's counters cost O(constraints), not O(violations).
+
+    Attributes:
+        graph: the minimal hypergraph.
+        added / dropped: edges that entered / left :attr:`graph` so far
+            (relabels excluded) -- the churn incremental reports show.
     """
-    unique: dict[frozenset[Vertex], str] = {}
-    label_list = list(labels) if labels is not None else None
-    for position, edge in enumerate(edges):
-        if edge not in unique:
-            unique[edge] = label_list[position] if label_list else ""
-    ordered = sorted(unique.keys(), key=len)
-    kept: list[frozenset[Vertex]] = []
-    kept_labels: list[str] = []
-    for edge in ordered:
-        if any(smaller < edge for smaller in kept):
-            continue
-        kept.append(edge)
-        kept_labels.append(unique[edge])
-    return kept, kept_labels
+
+    def __init__(self, order: Sequence[str]) -> None:
+        self.graph = ConflictHypergraph()
+        self.added = 0
+        self.dropped = 0
+        labels = tuple(dict.fromkeys(order))
+        self._rank = {label: index for index, label in enumerate(labels)}
+        #: raw violation -> the labels supporting it
+        self._support: dict[frozenset[Vertex], set[str]] = {}
+        self._incidence: dict[Vertex, set[frozenset[Vertex]]] = {}
+        #: label -> the raw violations it supports (insertion-ordered)
+        self._by_label: dict[str, dict[frozenset[Vertex], None]] = {
+            label: {} for label in labels
+        }
+        self._stored = dict.fromkeys(labels, 0)
+
+    # ----------------------------------------------------------- mutation
+
+    def add(self, edge: frozenset[Vertex], label: str) -> None:
+        """Record that constraint ``label`` derives violation ``edge``.
+
+        Raises:
+            KeyError: for a label outside the store's order.
+        """
+        supported = self._by_label[label]
+        if edge in supported:
+            return
+        supported[edge] = None
+        supports = self._support.get(edge)
+        if supports is not None:
+            supports.add(label)
+            self._relabel(edge)
+            return
+        self._support[edge] = {label}
+        for v in edge:
+            self._incidence.setdefault(v, set()).add(edge)
+        if self.graph.subset_edges(edge):
+            return  # subsumed by a stored edge
+        for superset in self.graph.superset_edges(edge):
+            self._unstore(superset)  # resurfaces if ``edge`` is withdrawn
+        self._store(edge, label)
+
+    def withdraw(self, edge: frozenset[Vertex], labels: Iterable[str]) -> None:
+        """Withdraw some constraints' support for a raw violation.
+
+        An edge left without support is forgotten; if it was stored,
+        the raw supersets it subsumed are promoted back where minimal.
+        """
+        supports = self._support[edge]
+        for label in labels:
+            if label in supports:
+                supports.discard(label)
+                del self._by_label[label][edge]
+        if supports:
+            self._relabel(edge)
+            return
+        self._forget(edge)
+        if self.graph.contains_edge(edge):
+            self._unstore(edge)
+            self._resurrect(edge)
+
+    def retract(self, v: Vertex) -> None:
+        """Forget every violation containing ``v`` (a changed tuple)."""
+        for edge in list(self._incidence.get(v, ())):
+            for label in self._support[edge]:
+                del self._by_label[label][edge]
+            self._forget(edge)
+            if self.graph.contains_edge(edge):
+                self._unstore(edge)
+
+    # ------------------------------------------------------------- queries
+
+    def supported_by(self, label: str) -> list[frozenset[Vertex]]:
+        """The raw violations ``label`` supports (a copy)."""
+        return list(self._by_label[label])
+
+    def stored(self) -> dict[str, int]:
+        """label -> edges stored under it, in derivation order."""
+        return dict(self._stored)
+
+    def subsumed(self) -> dict[str, int]:
+        """label -> violations it supports that are *not* stored under
+        it: absorbed into a smaller edge, or into an identical edge of
+        an earlier constraint."""
+        return {
+            label: len(self._by_label[label]) - stored
+            for label, stored in self._stored.items()
+        }
+
+    # ------------------------------------------------------------ plumbing
+
+    def _store(self, edge: frozenset[Vertex], label: str) -> None:
+        self.graph.add_edge(edge, label)
+        self._stored[label] += 1
+        self.added += 1
+
+    def _unstore(self, edge: frozenset[Vertex]) -> None:
+        self._stored[self.graph.label_of(edge)] -= 1
+        self.graph.remove_edge(edge)
+        self.dropped += 1
+
+    def _relabel(self, edge: frozenset[Vertex]) -> None:
+        """Keep a stored edge labelled by its earliest supporter."""
+        if not self.graph.contains_edge(edge):
+            return
+        old, new = self.graph.label_of(edge), self._earliest(edge)
+        if new != old:
+            self._stored[old] -= 1
+            self._stored[new] += 1
+            self.graph.relabel(edge, new)
+
+    def _earliest(self, edge: frozenset[Vertex]) -> str:
+        return min(self._support[edge], key=self._rank.__getitem__)
+
+    def _forget(self, edge: frozenset[Vertex]) -> None:
+        del self._support[edge]
+        for v in edge:
+            owners = self._incidence[v]
+            owners.discard(edge)
+            if not owners:
+                del self._incidence[v]
+
+    def _resurrect(self, removed: frozenset[Vertex]) -> None:
+        """Promote raw supersets of a withdrawn stored edge that are now
+        minimal.  None of them has a stored superset (``removed`` was
+        below it), so promotion never demotes anything."""
+        probe = next(iter(removed))
+        candidates = sorted(
+            (edge for edge in self._incidence.get(probe, ()) if removed < edge),
+            key=len,
+        )
+        for edge in candidates:
+            if not self.graph.subset_edges(edge):
+                self._store(edge, self._earliest(edge))

@@ -57,9 +57,9 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from repro.conflicts.detection import detect_conflicts
+from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
-from repro.conflicts.incremental import DeltaStats, IncrementalDetector
+from repro.conflicts.incremental import IncrementalDetector
 from repro.engine.database import (
     WRITER_GROUP,
     Database,
@@ -82,14 +82,15 @@ class ReplicaSync:
             ``"deferred"`` (constraint tables still missing at the cut).
         lag: records still pending past this sync's commit.
         seconds: wall-clock time of the sync.
-        delta: incremental-apply statistics (incremental mode only).
+        delta: the incremental application's report (incremental mode
+            only).
     """
 
     records: int = 0
     mode: str = "noop"
     lag: int = 0
     seconds: float = 0.0
-    delta: Optional[DeltaStats] = None
+    delta: Optional[DetectionReport] = None
 
 
 @dataclass
@@ -269,15 +270,15 @@ class ReplicaHypergraph:
 
     def _full_detect(self) -> None:
         report = detect_conflicts(
-            self.db,
-            self.constraints,
-            keep_raw=True,
-            extra_referenced=self.extra_referenced,
-        )
-        self._detector = IncrementalDetector(
             self.db, self.constraints, extra_referenced=self.extra_referenced
         )
-        self._detector.bootstrap(report)
+        assert report.store is not None
+        self._detector = IncrementalDetector(
+            self.db,
+            self.constraints,
+            report.store,
+            extra_referenced=self.extra_referenced,
+        )
         self._needs_full = False
 
     # ----------------------------------------------------------- snapshots
@@ -310,8 +311,8 @@ class ReplicaHypergraph:
         Unavailable only between a deferred bootstrap (constraints whose
         tables have not replicated yet) and the first :meth:`sync`.
         """
-        assert self._detector is not None and self._detector.graph is not None
-        return self._detector.graph
+        assert self._detector is not None
+        return self._detector.store.graph
 
     @property
     def ready(self) -> bool:

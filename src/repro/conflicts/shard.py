@@ -34,12 +34,11 @@ body mentions.  So:
   retention floor pins only its subscribed topics.  A topic changes
   hands through those checkpoints too (see :meth:`ShardWorker.reshape`).
 
-* :func:`merge_graphs` unions the shard graphs back into one view:
-  duplicate edges (the same violation derived by constraints on two
-  workers) are deduplicated by edge key with the label resolved by
-  global constraint order, and subsumption is re-checked -- only
-  across shard boundaries, since each shard graph is already minimal
-  among its own edges.
+* :func:`merge_graphs` unions the shard graphs back into one view by
+  adding every worker's edges to a fresh
+  :class:`~repro.conflicts.hypergraph.ViolationStore` under the global
+  derivation order -- the rule that made each shard graph minimal and
+  labelled it also dedups and subsumes across shard boundaries.
 
 * :class:`ShardCoordinator` is the *one* orchestrator: it owns the
   plan and the ownership map, drives the four-step topic handoff,
@@ -78,13 +77,11 @@ from typing import (
     Sequence,
 )
 
-from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
+from repro.conflicts.detection import derivation_order
+from repro.conflicts.hypergraph import ConflictHypergraph, ViolationStore
 from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
 from repro.constraints.denial import to_denial_constraints
-from repro.constraints.foreign_key import (
-    ForeignKeyConstraint,
-    topological_fk_order,
-)
+from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.database import Database
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, GroupRecovery
 from repro.engine.snapshot import restore_database, snapshot_database
@@ -109,24 +106,6 @@ def constraint_relations(constraint: object) -> tuple[str, ...]:
         for atom in denial.atoms:
             ordered.setdefault(atom.relation.lower())
     return tuple(ordered)
-
-
-def global_constraint_names(constraints: Sequence[object]) -> tuple[str, ...]:
-    """Constraint labels in the monolith's derivation order.
-
-    Full detection derives denial violations in constraint-list order
-    and FK danglings after all of them (in topological order), and the
-    first deriving constraint becomes an edge's stored label.  The
-    shard merge resolves duplicate edges by this order, so merged
-    labels equal monolithic ones.
-    """
-    fks = [c for c in constraints if isinstance(c, ForeignKeyConstraint)]
-    denials = to_denial_constraints(
-        c for c in constraints if not isinstance(c, ForeignKeyConstraint)
-    )
-    return tuple(d.name for d in denials) + tuple(
-        str(fk) for fk in topological_fk_order(fks)
-    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +141,7 @@ class ShardPlan:
         shards: one :class:`ShardSpec` per worker.
         topic_owner: relation (topic) name -> owning worker index.
         constraint_names: global label order (see
-            :func:`global_constraint_names`).
+            :func:`~repro.conflicts.detection.derivation_order`).
         referenced: all FK-referenced relations, passed to every worker
             so the restricted-class check stays global.
     """
@@ -378,7 +357,7 @@ def plan_assignment(
         raise ConstraintError("a shard plan needs at least one worker")
     constraint_list = list(constraints)
     fks = [c for c in constraint_list if isinstance(c, ForeignKeyConstraint)]
-    topological_fk_order(fks)  # global acyclicity check, up front
+    names = derivation_order(constraint_list)  # global acyclicity check, up front
     per_constraint = [constraint_relations(c) for c in constraint_list]
 
     known: dict[str, None] = {}
@@ -477,41 +456,27 @@ def plan_assignment(
     return ShardPlan(
         shards=shards,
         topic_owner=owner,
-        constraint_names=global_constraint_names(constraint_list),
+        constraint_names=names,
         referenced=frozenset(fk.referenced.lower() for fk in fks),
     )
 
 
 def merge_graphs(
-    graphs: Iterable[ConflictHypergraph],
-    constraint_names: Sequence[str] = (),
+    graphs: Iterable[ConflictHypergraph], constraint_names: Sequence[str]
 ) -> ConflictHypergraph:
     """Union shard graphs into one minimal hypergraph.
 
-    Duplicate edges (the same violation derived by constraints on two
-    different workers) are deduplicated by edge key; the surviving
-    label is the supporting constraint earliest in
-    ``constraint_names`` -- the same tie-break the monolith's first-
-    derivation-wins rule produces.  Subsumption is then re-checked
-    smallest-edge-first; since each input graph is already minimal
-    among its own edges, every subsuming pair this pass finds is
-    necessarily cross-shard.
+    Every worker's edges go into one fresh
+    :class:`~repro.conflicts.hypergraph.ViolationStore` ordered by
+    ``constraint_names`` (the global derivation order), so a violation
+    two workers derived keeps the monolith's label and a cross-shard
+    superset is subsumed exactly as full detection would.
     """
-    rank = {name: index for index, name in enumerate(constraint_names)}
-    worst = len(rank)
-    best: dict[frozenset[Vertex], str] = {}
+    store = ViolationStore(constraint_names)
     for graph in graphs:
         for edge, label in zip(graph.edges, graph.edge_labels):
-            current = best.get(edge)
-            if current is None or rank.get(label, worst) < rank.get(
-                current, worst
-            ):
-                best[edge] = label
-    merged = ConflictHypergraph()
-    for edge in sorted(best, key=len):
-        if not merged.subset_edges(edge):
-            merged.add_edge(edge, best[edge])
-    return merged
+            store.add(edge, label)
+    return store.graph
 
 
 def _donors(

@@ -209,19 +209,12 @@ class HippoEngine:
 
     def _full_detection(self) -> DetectionReport:
         """Complete re-detection, re-seeding the incremental maintainer."""
-        if self._consumer is None:
-            # Detached engine: no deltas will ever arrive, so don't
-            # build (and keep) a shadow store nobody can consume.
-            return detect_conflicts(
-                self.db, self.constraints, backend=self.backend
+        report = detect_conflicts(self.db, self.constraints, backend=self.backend)
+        if self._consumer is not None:
+            assert report.store is not None
+            self._incremental = IncrementalDetector(
+                self.db, self.constraints, report.store
             )
-        report = detect_conflicts(
-            self.db, self.constraints, keep_raw=True, backend=self.backend
-        )
-        self._incremental = IncrementalDetector(self.db, self.constraints)
-        self._incremental.bootstrap(report)
-        report.raw_edges = None  # the shadow store owns the raw stream now
-        report.raw_labels = None
         return report
 
     def refresh(self, full: bool = False) -> None:
@@ -248,7 +241,7 @@ class HippoEngine:
                 self._consumer.commit()
         elif records:
             try:
-                stats = self._incremental.apply_records(records)
+                self.detection = self._incremental.apply_records(records)
             except Exception:
                 # A failed application (e.g. the data left the restricted
                 # FK class mid-batch) may leave the maintained graph
@@ -258,16 +251,6 @@ class HippoEngine:
                 self._incremental = None
                 raise
             self._consumer.commit()
-            self.detection = DetectionReport(
-                hypergraph=self._incremental.graph,
-                per_constraint=stats.per_constraint,
-                seconds=stats.seconds,
-                subsumed=stats.per_constraint_subsumed,
-                mode="incremental",
-                deltas=stats.deltas,
-                edges_added=stats.added + stats.resurrected,
-                edges_retracted=stats.retracted,
-            )
         else:
             return  # nothing pending; current state is already exact
         self._enveloper = Enveloper(self.db, self.hypergraph)

@@ -252,10 +252,10 @@ class ApplyThenCommitRule(Rule):
 class HypergraphEncapsulationRule(Rule):
     """HL004: ``ConflictHypergraph`` internals stay inside their module.
 
-    The incremental maintenance and shard merge paths must go through
-    ``add_edge``/``remove_edge`` so invariants (incidence maps, edge
-    labels, position index) stay in sync; poking ``_position`` or
-    ``_incidence`` from outside desynchronizes them silently.
+    The violation store must go through ``add_edge``/``remove_edge``/
+    ``relabel`` so invariants (incidence maps, edge labels, position
+    index) stay in sync; poking ``_position`` or ``_incidence`` from
+    outside desynchronizes them silently.
     """
 
     id = "HL004"
@@ -267,7 +267,7 @@ class HypergraphEncapsulationRule(Rule):
     )
     rationale = (
         "PR 5 shard merge audit; dynamic twin:"
-        " tests/conflicts/test_incremental.py shadow-graph equivalence"
+        " tests/property/test_violation_store.py"
     )
 
     PRIVATE = ("_position", "_incidence", "_edges")

@@ -5,7 +5,6 @@ import pytest
 from repro.conflicts import (
     ConflictHypergraph,
     detect_conflicts,
-    minimal_edges,
     vertex,
     violations_of,
 )
@@ -84,22 +83,6 @@ class TestDetection:
         for denial in denials:
             violations = violations_of(emp_db, denial)
             assert len(violations) == len(set(violations))
-
-
-class TestMinimality:
-    def test_supersets_dropped(self):
-        a, b, c = vertex("r", 1), vertex("r", 2), vertex("r", 3)
-        edges, labels = minimal_edges(
-            [frozenset({a, b, c}), frozenset({a, b}), frozenset({a, b})],
-            ["big", "small", "small-dup"],
-        )
-        assert edges == [frozenset({a, b})]
-        assert labels == ["small"]
-
-    def test_incomparable_edges_kept(self):
-        a, b, c = vertex("r", 1), vertex("r", 2), vertex("r", 3)
-        edges, _labels = minimal_edges([frozenset({a, b}), frozenset({b, c})])
-        assert len(edges) == 2
 
 
 class TestHypergraph:

@@ -9,11 +9,12 @@ re-derivation, subsumption bookkeeping and the engine-level fallbacks.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro import Database, HippoEngine
 from repro.conflicts import ConflictHypergraph, Vertex, detect_conflicts, vertex
-from repro.conflicts.incremental import IncrementalDetector
 from repro.constraints import (
     ConstraintAtom,
     DenialConstraint,
@@ -441,6 +442,35 @@ class TestForeignKeyCascades:
         assert [len(e) for e in engine.hypergraph.edges] == [2]
         assert_equivalent(engine, db, constraints)
 
+    def test_counters_list_constraints_in_derivation_order(self):
+        # Declared child-first; the derivation order resolves parents
+        # first.  An incremental refresh must list the FKs the way full
+        # detection does, or `.conflicts` reorders between refreshes.
+        db = Database()
+        db.execute("CREATE TABLE a (id INTEGER)")
+        db.execute("CREATE TABLE b (id INTEGER, a_id INTEGER)")
+        db.execute("CREATE TABLE c (id INTEGER, a_id INTEGER, b_id INTEGER)")
+        db.execute("INSERT INTO a VALUES (1)")
+        db.execute("INSERT INTO b VALUES (1, 1)")
+        db.execute("INSERT INTO c VALUES (1, 1, 1)")
+        constraints = [
+            ForeignKeyConstraint("c", ["b_id"], "b", ["id"]),
+            ForeignKeyConstraint("c", ["a_id"], "a", ["id"]),
+            ForeignKeyConstraint("b", ["a_id"], "a", ["id"]),
+        ]
+        engine = HippoEngine(db, constraints)
+        db.execute("DELETE FROM a")
+        engine.refresh()
+        assert engine.detection.mode == "incremental"
+        full = detect_conflicts(db, constraints)
+        assert list(engine.detection.per_constraint.items()) == list(
+            full.per_constraint.items()
+        )
+        assert list(engine.detection.subsumed.items()) == list(
+            full.subsumed.items()
+        )
+        assert_equivalent(engine, db, constraints)
+
     def test_restricted_class_violation_raises(self):
         db, engine, constraints = self.chain()
         engine.detach()
@@ -526,14 +556,6 @@ class TestForeignKeyCascades:
 
 
 class TestDetectorInternals:
-    def test_bootstrap_requires_raw(self):
-        db = Database()
-        db.execute("CREATE TABLE r (a INTEGER)")
-        detector = IncrementalDetector(db, [])
-        report = detect_conflicts(db, [])
-        with pytest.raises(ValueError, match="keep_raw"):
-            detector.bootstrap(report)
-
     def test_matcher_indexes_are_planned_eagerly_at_attach(self):
         # The first post-bulk-load delta must not absorb an O(N) index
         # build: attaching the engine (whose detector plans matcher
@@ -581,7 +603,7 @@ class TestDetectorInternals:
 
 class TestMaintainedCounters:
     """Per-constraint counters are maintained, not recounted (and the
-    shadow's label index stays consistent with them)."""
+    store's label index stays consistent with them)."""
 
     def build(self):
         db = Database()
@@ -597,19 +619,14 @@ class TestMaintainedCounters:
 
     def assert_counters_exact(self, engine, db, constraints):
         """Maintained counters == a brute-force recount == full detection."""
-        detector = engine._incremental
-        recount_stored: dict[str, int] = {}
-        for label in detector.graph.edge_labels:
-            recount_stored[label] = recount_stored.get(label, 0) + 1
-        for name in detector.constraint_names:
-            assert detector._stored.get(name, 0) == recount_stored.get(name, 0)
-            by_label = len(detector._shadow_by_label.get(name, {}))
-            recount_found = sum(
-                1
-                for _edge, (_primary, supports) in detector._shadow.items()
-                if name in supports
-            )
-            assert by_label == recount_found
+        store = engine._incremental.store
+        recount_stored = Counter(store.graph.edge_labels)
+        for name, stored in store.stored().items():
+            assert stored == recount_stored[name]
+            supported = {
+                edge for edge, supports in store._support.items() if name in supports
+            }
+            assert set(store.supported_by(name)) == supported
         full = detect_conflicts(db, constraints)
         assert engine.detection.per_constraint == full.per_constraint
         assert engine.detection.subsumed == full.subsumed

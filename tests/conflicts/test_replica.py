@@ -52,7 +52,7 @@ class TestReplicaFollowsPrimary:
         db.execute("INSERT INTO emp VALUES ('bob', 6)")
         sync = replica.sync()
         assert sync.mode == "incremental"
-        assert sync.delta is not None and sync.delta.added == 1
+        assert sync.delta is not None and sync.delta.edges_added == 1
         assert_converged(replica, db, [fd])
 
     def test_intermediate_cuts_are_exact(self):

@@ -6,13 +6,14 @@ import pytest
 
 from repro.conflicts import (
     ShardCoordinator,
+    derivation_order,
     detect_conflicts,
     merge_graphs,
     plan_assignment,
     vertex,
 )
 from repro.conflicts.hypergraph import ConflictHypergraph
-from repro.conflicts.shard import constraint_relations, global_constraint_names
+from repro.conflicts.shard import constraint_relations
 from repro.constraints import (
     ConstraintAtom,
     DenialConstraint,
@@ -115,21 +116,27 @@ class TestPlanAssignment:
         denial = cross_denial("x", "R", "S", "t1.a = t2.a")
         assert constraint_relations(denial) == ("r", "s")
 
-    def test_global_constraint_names_denials_before_fks(self):
+    def test_derivation_order_denials_before_fks(self):
         constraints = [
             ForeignKeyConstraint("c", ["pid"], "p", ["id"]),
             fd("c", ["id"], ["v"]),
         ]
-        names = global_constraint_names(constraints)
+        names = derivation_order(constraints)
         assert names[0].startswith("fd:")
         assert names[-1].startswith("FK ")
+
+
+def labelled(edge, label):
+    graph = ConflictHypergraph()
+    graph.add_edge(edge, label)
+    return graph
 
 
 class TestMergeGraphs:
     def test_duplicate_edges_dedup_to_the_earlier_label(self):
         edge = frozenset({vertex("r", 1), vertex("r", 2)})
-        first = ConflictHypergraph([edge], ["early"])
-        second = ConflictHypergraph([edge], ["late"])
+        first = labelled(edge, "early")
+        second = labelled(edge, "late")
         merged = merge_graphs([second, first], ["early", "late"])
         assert merged.as_dict() == {edge: "early"}
 
@@ -137,7 +144,7 @@ class TestMergeGraphs:
         small = frozenset({vertex("r", 1)})
         big = frozenset({vertex("r", 1), vertex("s", 2)})
         merged = merge_graphs(
-            [ConflictHypergraph([big], ["b"]), ConflictHypergraph([small], ["a"])],
+            [labelled(big, "b"), labelled(small, "a")],
             ["a", "b"],
         )
         assert merged.as_dict() == {small: "a"}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast as python_ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -100,6 +101,10 @@ def test_every_public_def_is_referenced():
         ("repro.conflicts.incremental", "_DenialMatcher._extend"),
         ("repro.engine.changelog", "ChangeLog.schema_version"),
         ("repro.core.hippo", "HippoEngine._needs_full_detection"),
+        ("repro.conflicts.hypergraph", "minimal_edges"),
+        ("repro.conflicts.incremental", "DeltaStats"),
+        ("repro.conflicts.incremental", "IncrementalDetector.bootstrap"),
+        ("repro.conflicts.shard", "global_constraint_names"),
     ],
 )
 def test_deleted_names_are_gone(module, name):
@@ -114,3 +119,14 @@ def test_deleted_names_are_gone(module, name):
 def test_deleted_modules_are_gone(module):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(module)
+
+
+def test_only_the_violation_store_edits_hypergraphs():
+    """Which violations are hyperedges, and under which label, is decided
+    in one place: ``conflicts/hypergraph.py`` (the ``ViolationStore``)."""
+    editors = sorted(
+        str(path.relative_to(ROOT))
+        for path in PACKAGE.rglob("*.py")
+        if re.search(r"\.(add_edge|remove_edge)\(", path.read_text(encoding="utf-8"))
+    )
+    assert editors == ["src/repro/conflicts/hypergraph.py"]

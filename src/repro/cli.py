@@ -427,6 +427,12 @@ class HippoShell:
                 else "not even possible"
             )
             self._print(f"{report['candidate']}: {verdict}")
+            if not report["produced"]:
+                self._print(
+                    "  no core of the query produces it over the database,"
+                    " so no repair does"
+                )
+                return True
             self._print(f"  depends on facts: {', '.join(report['facts'])}")
             if "falsifying_repair_excludes" in report:
                 self._print(

@@ -32,27 +32,32 @@ and ``down`` under-approximates certain truth, with the difference rules
 swapping the two (a tuple certainly in ``B`` is certainly not in
 ``A − B``; a tuple possibly in ``B`` cannot be *certainly* in ``A − B``).
 
-Envelope evaluation also records, per candidate, the witness tids that
-produced it (its *provenance*) -- the extended-envelope optimization uses
-them to answer the Prover's membership checks without database queries.
+Envelope evaluation also keeps every core's ``C(DB)`` with the witness
+tids of each value (its *provenance*): a core is conjunctive and every
+repair is a subset of the database, so a core that does not produce a
+candidate over the database is false in every repair, and one that does
+names the very tuples the Prover reasons about -- the extended-envelope
+optimization answers the Prover's membership checks from them without
+database queries.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Any, Collection, Optional, Sequence, cast
 
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
-from repro.core.facts import Fact
 from repro.engine.database import Database
-from repro.engine.storage import Table
-from repro.ra.compile import evaluate_core
+from repro.ra.compile import CoreWitnesses, evaluate_core
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 
-#: candidate value -> witness (relation, tid) pairs, or None if the
-#: witness came from a branch we did not track.
-Provenance = Optional[tuple[tuple[str, int], ...]]
+#: One core's witness for a candidate: a vertex per atom, or None when the
+#: core does not produce the candidate over the database.  The vertices
+#: are the plain ``(relation, tid)`` pairs :func:`evaluate_core` builds,
+#: which compare and hash as :class:`Vertex` does: unpack them, never read
+#: ``.relation`` / ``.tid``.
+Provenance = Optional[tuple[Vertex, ...]]
 
 
 @dataclass
@@ -60,13 +65,17 @@ class EnvelopeEvaluation:
     """The result of Enveloping + Evaluation for one query.
 
     Attributes:
-        candidates: envelope rows (``Q-up``) with their provenance.
+        candidates: envelope rows (``Q-up``), in evaluation order.
         certain: core rows (``Q-down``); guaranteed consistent answers.
+        witnesses: every core's ``C(DB)`` (value -> first witness), in
+            tree order -- the core numbering of
+            :class:`~repro.core.grounding.GroundQuery`.
         seconds: wall-clock time of the evaluation.
     """
 
-    candidates: dict[tuple, Provenance]
+    candidates: Collection[tuple]
     certain: frozenset[tuple]
+    witnesses: tuple[CoreWitnesses, ...]
     seconds: float = 0.0
 
     @property
@@ -100,52 +109,44 @@ class Enveloper:
     # ---------------------------------------------------------- evaluation
 
     def evaluate(self, tree: SJUDTree, compute_core: bool = True) -> EnvelopeEvaluation:
-        """Evaluate ``Q-up`` (with provenance) and optionally ``Q-down``."""
+        """Evaluate ``Q-up`` and every core's witnesses, optionally ``Q-down``."""
         started = time.perf_counter()
-        candidates, certain = self._evaluate(tree)
+        witnesses: list[CoreWitnesses] = []
+        up, down = self._evaluate(tree, witnesses)
         elapsed = time.perf_counter() - started
         return EnvelopeEvaluation(
-            candidates, frozenset(certain if compute_core else ()), elapsed
+            up.keys(),
+            frozenset(down if compute_core else ()),
+            tuple(witnesses),
+            elapsed,
         )
 
-    def _evaluate(self, tree: SJUDTree) -> tuple[dict[tuple, Provenance], set[tuple]]:
-        """``(up, down)`` of one node; every core is evaluated once."""
+    def _evaluate(
+        self, tree: SJUDTree, witnesses: list[CoreWitnesses]
+    ) -> tuple[dict[tuple, Any], set[tuple]]:
+        """``(up, down)`` of one node -- ``up``'s keys are the rows -- with
+        each core's witness map appended to ``witnesses``, left to right;
+        every core is evaluated once and its map is never modified."""
         if isinstance(tree, SJUDCore):
-            return evaluate_core(
+            up, down = evaluate_core(
                 tree, self._db, conflicting=self._hypergraph.conflicting_tids
             )
+            witnesses.append(up)
+            return up, down
         if not isinstance(tree, (Union_, Difference)):
             raise TypeError(f"cannot envelope {type(tree).__name__}")
-        up, down = self._evaluate(tree.left)
-        right_up, right_down = self._evaluate(tree.right)
+        up, down = self._evaluate(tree.left, witnesses)
+        right_up, right_down = self._evaluate(tree.right, witnesses)
         if isinstance(tree, Union_):
-            for value, provenance in right_up.items():
-                up.setdefault(value, provenance)
-            return up, down | right_down
-        kept = {
-            value: provenance
-            for value, provenance in up.items()
-            if value not in right_down
-        }
+            return up | right_up, down | right_down
+        kept = {value: None for value in up if value not in right_down}
         return kept, down.difference(right_up)
 
 
 def provenance_hints(
-    tables: Mapping[str, Table], provenance: Provenance
-) -> dict[Fact, Vertex]:
-    """Translate a candidate's provenance into membership hints.
-
-    Each witness tid is turned into the fact it stores, so the Prover's
-    positive membership checks about those facts are answered for free;
-    a tid that has vanished since the envelope ran gives no hint.
-    ``tables`` maps lower-case relation names to their tables (resolved
-    once per query by the caller, this runs once per candidate).
-    """
-    hints: dict[Fact, Vertex] = {}
-    for relation, tid in provenance or ():
-        row = tables[relation].find(tid)
-        if row is not None:
-            # Provenance relations are lower-cased by evaluate_core.
-            # hippolint: disable-next-line=HL005 -- relation already lower-case
-            hints[Fact(relation, row)] = Vertex(relation, tid)
-    return hints
+    witnesses: Sequence[CoreWitnesses], candidate: tuple
+) -> list[Provenance]:
+    """The candidate's witness in every core, None where the core does not
+    produce it: the answer to every membership check the Prover will ask
+    about this candidate, read off the envelope's own evaluation."""
+    return cast(list[Provenance], [core.get(candidate) for core in witnesses])

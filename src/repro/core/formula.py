@@ -16,8 +16,9 @@ stays polynomial.
 It is also why the conversion runs once per query, not once per
 candidate: a :class:`Template` is the formula over numbered *slots* with
 its DNF cached, and a :class:`Ground` formula -- what the Prover takes --
-is a template plus the fact each slot stands for.  The tree over facts
-(:attr:`Ground.formula`) is only materialised for explanations and tests.
+is a template plus the database tuple (hypergraph vertex) each slot
+stands for.  The tree over vertices (:attr:`Ground.formula`) is only
+materialised for explanations and tests.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from typing import (
     Hashable,
     Iterable,
     NamedTuple,
+    Optional,
     Sequence,
     TypeVar,
     Union,
 )
 
+from repro.conflicts.hypergraph import Vertex
 from repro.core.facts import Fact
 
 #: What an atom stands for: a ground :class:`Fact`, or -- in a query's
@@ -271,14 +274,14 @@ class Template:
     """A formula over slot numbers with the DNF of each polarity cached.
 
     A ground formula's shape depends only on the query (and on which of
-    its cores can produce the candidate), so one template serves every
-    candidate of that shape: the Prover substitutes the candidate's facts
-    into the cached disjuncts instead of normalising a fresh tree.
+    its cores produce the candidate), so one template serves every
+    candidate of that shape: the Prover substitutes the candidate's
+    vertices into the cached disjuncts instead of normalising a fresh tree.
 
-    Two slots may receive the same fact (one relation under two
-    branches).  The slot-level DNF then keeps disjuncts the fact-level
+    Two slots may receive the same tuple (one relation under two
+    branches).  The slot-level DNF then keeps disjuncts the tuple-level
     DNF would have merged, or dropped as contradictory.  That is sound:
-    substituting equal facts for distinct atoms preserves equivalence,
+    substituting equal tuples for distinct atoms preserves equivalence,
     and :meth:`~repro.core.prover.Prover.exists_repair` rejects a
     disjunct whose required and forbidden vertices meet.
     """
@@ -302,20 +305,23 @@ class Template:
 
 class Ground(NamedTuple):
     """A ground formula as the Prover takes it: ``template`` with
-    ``facts[slot]`` standing for every slot (slots the template does not
-    mention are ignored)."""
+    ``vertices[slot]`` standing for every slot (slots the template does
+    not mention are ignored; None is a fact the database does not hold)."""
 
     template: Template
-    facts: Sequence[Fact]
+    vertices: Sequence[Optional[Vertex]]
 
     @classmethod
-    def of(cls, formula: Formula[Fact]) -> "Ground":
-        """Compile a hand-built formula: its distinct facts become slots."""
+    def of(
+        cls, formula: Formula[Fact], resolve: Callable[[Fact], Optional[Vertex]]
+    ) -> "Ground":
+        """Compile a hand-built formula over facts: its distinct facts
+        become slots, each resolved to a vertex once."""
         slots: dict[Fact, int] = {}
         tree = rename(formula, lambda fact: slots.setdefault(fact, len(slots)))
-        return cls(Template(tree), tuple(slots))
+        return cls(Template(tree), [resolve(fact) for fact in slots])
 
     @property
-    def formula(self) -> Formula[Fact]:
-        """The formula as a tree over facts (explanations and tests)."""
-        return rename(self.template.tree, self.facts.__getitem__)
+    def formula(self) -> Formula[Optional[Vertex]]:
+        """The formula as a tree over vertices (explanations and tests)."""
+        return rename(self.template.tree, self.vertices.__getitem__)

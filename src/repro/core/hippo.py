@@ -31,12 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.backends.mirror import MirrorBackend
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts
-from repro.conflicts.hypergraph import ConflictHypergraph
+from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
 from repro.conflicts.incremental import IncrementalDetector
 from repro.core.envelope import Enveloper, provenance_hints
-from repro.core.formula import atoms_of
+from repro.core.facts import Fact
+from repro.core.formula import atoms_of, rename
 from repro.core.grounding import GroundQuery
-from repro.core.membership import make_membership
+from repro.core.membership import CachedMembership, make_membership
 from repro.core.prover import Prover
 from repro.engine.database import Database
 from repro.engine.feed import RECORD_CHANGE, FeedConsumer
@@ -48,6 +49,7 @@ from repro.ra.sjud import (
     SJUDTree,
     from_sql_query,
     output_names_of,
+    validate_tree,
 )
 from repro.sql import ast
 from repro.sql.parser import parse_query
@@ -288,6 +290,7 @@ class HippoEngine:
             order_by = query.order_by
             tree = from_sql_query(query, self._schema)
             return tree, order_by
+        validate_tree(query, self._schema)
         return query, ()
 
     # ------------------------------------------------------------- answers
@@ -321,33 +324,26 @@ class HippoEngine:
 
         envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
 
-        tables = {table.schema.name.lower(): table for table in self.db.catalog}
-        duplicate_free = not any(
-            table.has_duplicates() for table in tables.values()
-        )
-        membership = make_membership(
-            self.membership_strategy, self.db, duplicate_free
-        )
+        membership = make_membership(self.membership_strategy, self.db)
         prover = Prover(self.hypergraph, membership)
-        grounder = GroundQuery(tree, self._schema)
+        grounder = GroundQuery(tree)
         decide = (
             prover.is_possible_answer if possible else prover.is_consistent_answer
         )
 
         certain = envelope.certain  # empty without use_core
-        primed = self.membership_strategy == "provenance"
+        witnesses = envelope.witnesses
 
         answers: list[tuple] = []
         skipped_by_core = 0
         prover_started = time.perf_counter()
-        for candidate, provenance in envelope.candidates.items():
+        for candidate in envelope.candidates:
             if candidate in certain:
                 skipped_by_core += 1
                 answers.append(candidate)
                 continue
-            if primed:
-                membership.prime(provenance_hints(tables, provenance))
-            if decide(grounder.formula_for(candidate)):
+            provenance = provenance_hints(witnesses, candidate)
+            if decide(grounder.formula_for(provenance)):
                 answers.append(candidate)
         prover_seconds = time.perf_counter() - prover_started
 
@@ -369,10 +365,12 @@ class HippoEngine:
     def explain_candidate(self, query: QueryLike, candidate: tuple) -> dict:
         """Why a tuple is / is not a consistent answer.
 
-        Returns a report with the candidate's ground formula, whether it
-        is consistent and possible, and -- when it is not consistent --
-        one counterexample requirement: a (require, forbid) fact pair for
-        which a repair falsifying the formula exists.
+        Returns a report with the candidate's ground formula, whether some
+        core of the query produces it over the database at all
+        (``produced``; if none does it is true in no repair), whether it
+        is consistent and possible, and -- when it is produced but not
+        consistent -- one counterexample requirement: a (require, forbid)
+        fact pair for which a repair falsifying the formula exists.
         """
         self._sync()
         tree, _ = self.parse(query)
@@ -383,22 +381,35 @@ class HippoEngine:
                 f"candidate {candidate!r} has {len(candidate)} value(s); the"
                 f" query returns {len(columns)}: ({', '.join(columns)})"
             )
-        membership = make_membership("cached", self.db)
+        membership = CachedMembership(self.db)
         prover = Prover(self.hypergraph, membership)
-        phi = GroundQuery(tree, self._schema).formula_for(candidate)
+        witnesses = self._enveloper.evaluate(tree, compute_core=False).witnesses
+        provenance = provenance_hints(witnesses, candidate)
+        phi = GroundQuery(tree).formula_for(provenance)
         falsifier = prover.satisfying_disjunct(phi, negated=True)
-        formula = phi.formula
+
+        def fact_of(vertex: Optional[Vertex]) -> Fact:
+            assert vertex is not None  # witnesses are stored tuples
+            return membership.fact_of(vertex)
+
+        formula = rename(phi.formula, fact_of)
+        produced = any(witness is not None for witness in provenance)
         report: dict[str, object] = {
             "candidate": candidate,
             "formula": formula,
             "facts": sorted(str(f) for f in atoms_of(formula)),
+            "produced": produced,
             "consistent": falsifier is None,
             "possible": prover.is_possible_answer(phi),
         }
-        if falsifier is not None:
+        if falsifier is not None and produced:
             require, forbid = falsifier
-            report["falsifying_repair_requires"] = sorted({str(f) for f in require})
-            report["falsifying_repair_excludes"] = sorted({str(f) for f in forbid})
+            report["falsifying_repair_requires"] = sorted(
+                {str(fact_of(vertex)) for vertex in require}
+            )
+            report["falsifying_repair_excludes"] = sorted(
+                {str(fact_of(vertex)) for vertex in forbid}
+            )
         return report
 
     # ------------------------------------------------------------ baselines

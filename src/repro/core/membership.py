@@ -10,17 +10,24 @@ facts are in the database (and with which tids).  The paper:
     envelope ... the optimizations allow us to answer the required
     membership checks without executing any queries on the database."
 
-Three strategies reproduce that spectrum:
+Every check is about a *witness*: a database tuple (hypergraph vertex)
+the envelope's evaluation of some core produced the candidate from.  The
+question is which copy of its row to require, and which copies excluding
+it excludes.  Three strategies reproduce the paper's spectrum:
 
 * :class:`QueryMembership` -- the base system: every check is a point
-  query against the engine (counted in ``point_lookups``).
-* :class:`CachedMembership` -- batches/memoizes lookups, the moral
-  equivalent of prefetching all potentially needed facts once.
-* :class:`ProvenanceMembership` -- the extended-envelope optimization:
-  the envelope evaluation already carried each candidate's witness tids,
-  so positive checks about those facts are answered without touching the
-  database at all; only facts outside the provenance (e.g. from the
-  negative side of a difference) fall back to a cached lookup.
+  query for the witness row against the engine (counted in
+  ``point_lookups``).
+* :class:`CachedMembership` -- memoizes lookups, the moral equivalent of
+  prefetching all potentially needed facts once: one query per distinct
+  fact.
+* :class:`ProvenanceMembership` -- the extended-envelope optimization: a
+  witness is its own answer.  Only excluding a row of a relation that
+  holds duplicate rows needs the other copies, one cached query each.
+
+A hand-built formula over facts (no envelope behind it) resolves each of
+its facts to a vertex once, through :meth:`resolve`, before the Prover
+starts.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ class MembershipStats:
 
     Attributes:
         checks: membership questions asked by the Prover.
-        db_queries: checks that executed a database point query.
+        db_queries: database point queries issued.
         free_answers: checks answered from provenance / cache.
     """
 
@@ -49,22 +56,25 @@ class MembershipStats:
 
 
 class MembershipResolver(Protocol):
-    """What the Prover needs to know about facts."""
+    """What the Prover needs to know about database tuples."""
 
     stats: MembershipStats
 
-    def some_vertex(self, fact: Fact) -> Optional[Vertex]:
-        """Any one tid storing ``fact`` (None when absent).
+    def some_vertex(self, witness: Vertex) -> Optional[Vertex]:
+        """The copy of ``witness``'s row to require (None when absent).
 
-        Duplicate copies of a fact have value-symmetric conflict
-        neighbourhoods, so any copy serves as the *required* witness.
+        Duplicate copies of a row have value-symmetric conflict
+        neighbourhoods, so any copy serves -- as long as every slot
+        holding that row gets the same one.
         """
 
-    def all_vertices(self, fact: Fact) -> frozenset[Vertex]:
-        """Every tid storing ``fact`` (excluding a fact excludes them all)."""
+    def all_vertices(self, witness: Vertex) -> frozenset[Vertex]:
+        """Every copy of ``witness``'s row (excluding a fact excludes them
+        all)."""
 
-    def prime(self, provenance: dict[Fact, Vertex]) -> None:
-        """Install per-candidate provenance hints (no-op by default)."""
+    def resolve(self, fact: Fact) -> Optional[Vertex]:
+        """One tid storing ``fact`` (None when absent): the vertex a fact
+        of a hand-built formula stands for."""
 
 
 class QueryMembership:
@@ -74,100 +84,90 @@ class QueryMembership:
         self._db = db
         self.stats = MembershipStats()
 
-    def _lookup(self, fact: Fact) -> frozenset[Vertex]:
+    def _lookup(self, relation: str, row: tuple) -> frozenset[Vertex]:
         self.stats.db_queries += 1
-        tids = self._db.lookup(fact.relation, fact.values)
-        # Fact relations are built lower-case by the grounder.
+        tids = self._db.lookup(relation, row)
+        # Relations are lower-case: vertices' and fact()'s.
         # hippolint: disable-next-line=HL005 -- relation already lower-case
-        return frozenset(Vertex(fact.relation, tid) for tid in tids)
+        return frozenset(Vertex(relation, tid) for tid in tids)
 
-    def some_vertex(self, fact: Fact) -> Optional[Vertex]:
+    def _copies(self, witness: Vertex) -> frozenset[Vertex]:
+        relation, tid = witness  # provenance pairs are plain tuples
+        return self._lookup(relation, self._db.table(relation).get(tid))
+
+    def fact_of(self, witness: Vertex) -> Fact:
+        """The fact ``witness`` stores."""
+        relation, tid = witness
+        # hippolint: disable-next-line=HL005 -- vertex relations are lower-case
+        return Fact(relation, self._db.table(relation).get(tid))
+
+    def resolve(self, fact: Fact) -> Optional[Vertex]:
+        return min(self._lookup(fact.relation, fact.values), default=None)
+
+    def some_vertex(self, witness: Vertex) -> Optional[Vertex]:
         self.stats.checks += 1
-        vertices = self._lookup(fact)
-        return min(vertices) if vertices else None
+        return min(self._copies(witness), default=None)
 
-    def all_vertices(self, fact: Fact) -> frozenset[Vertex]:
+    def all_vertices(self, witness: Vertex) -> frozenset[Vertex]:
         self.stats.checks += 1
-        return self._lookup(fact)
-
-    def prime(self, provenance: dict[Fact, Vertex]) -> None:
-        """The base strategy ignores provenance."""
+        return self._copies(witness)
 
 
-class CachedMembership:
+class CachedMembership(QueryMembership):
     """Memoized lookups: each distinct fact costs at most one query."""
 
     def __init__(self, db: Database) -> None:
-        self._db = db
-        self._cache: dict[Fact, frozenset[Vertex]] = {}
-        self.stats = MembershipStats()
+        super().__init__(db)
+        self._cache: dict[tuple[str, tuple], frozenset[Vertex]] = {}
 
-    def _lookup(self, fact: Fact) -> frozenset[Vertex]:
-        cached = self._cache.get(fact)
+    def _lookup(self, relation: str, row: tuple) -> frozenset[Vertex]:
+        cached = self._cache.get((relation, row))
         if cached is not None:
             self.stats.free_answers += 1
             return cached
-        self.stats.db_queries += 1
-        tids = self._db.lookup(fact.relation, fact.values)
-        # Fact relations are built lower-case by the grounder.
-        # hippolint: disable-next-line=HL005 -- relation already lower-case
-        vertices = frozenset(Vertex(fact.relation, tid) for tid in tids)
-        self._cache[fact] = vertices
+        vertices = self._cache[relation, row] = super()._lookup(relation, row)
         return vertices
-
-    def some_vertex(self, fact: Fact) -> Optional[Vertex]:
-        self.stats.checks += 1
-        vertices = self._lookup(fact)
-        return min(vertices) if vertices else None
-
-    def all_vertices(self, fact: Fact) -> frozenset[Vertex]:
-        self.stats.checks += 1
-        return self._lookup(fact)
-
-    def prime(self, provenance: dict[Fact, Vertex]) -> None:
-        """The cached strategy ignores provenance."""
 
 
 class ProvenanceMembership:
-    """The extended-envelope strategy: provenance answers checks for free.
+    """The extended-envelope strategy: a witness answers its own checks.
 
-    Args:
-        db: the database (fallback lookups).
-        duplicate_free: when True (the common, set-semantics case --
-            verified by the caller), a provenance hint fully answers
-            ``all_vertices`` too; with duplicates it only answers
-            ``some_vertex`` and exclusion checks fall back to a lookup.
+    Relations holding duplicate rows are found once, at construction:
+    there ``some_vertex`` maps every copy of a row to the first one seen
+    and ``all_vertices`` looks the other copies up (cached); every other
+    relation's checks are free.
     """
 
-    def __init__(self, db: Database, duplicate_free: bool = True) -> None:
+    def __init__(self, db: Database) -> None:
         self._fallback = CachedMembership(db)
-        self._hints: dict[Fact, Vertex] = {}
-        self._duplicate_free = duplicate_free
         self.stats = self._fallback.stats  # shared counters
+        self._duplicated = frozenset(
+            table.schema.name.lower() for table in db.catalog if table.has_duplicates()
+        )
+        self._required_copy: dict[Fact, Vertex] = {}
 
-    def prime(self, provenance: dict[Fact, Vertex]) -> None:
-        self._hints = provenance
+    def resolve(self, fact: Fact) -> Optional[Vertex]:
+        return self._fallback.resolve(fact)
 
-    def some_vertex(self, fact: Fact) -> Optional[Vertex]:
-        hint = self._hints.get(fact)
-        if hint is not None:
-            self.stats.checks += 1
-            self.stats.free_answers += 1
-            return hint
-        return self._fallback.some_vertex(fact)
+    def some_vertex(self, witness: Vertex) -> Optional[Vertex]:
+        self.stats.checks += 1
+        self.stats.free_answers += 1
+        relation, _tid = witness
+        if relation not in self._duplicated:
+            return witness
+        fact = self._fallback.fact_of(witness)
+        return self._required_copy.setdefault(fact, witness)
 
-    def all_vertices(self, fact: Fact) -> frozenset[Vertex]:
-        hint = self._hints.get(fact)
-        if hint is not None and self._duplicate_free:
-            self.stats.checks += 1
-            self.stats.free_answers += 1
-            return frozenset([hint])
-        return self._fallback.all_vertices(fact)
+    def all_vertices(self, witness: Vertex) -> frozenset[Vertex]:
+        relation, _tid = witness
+        if relation in self._duplicated:
+            return self._fallback.all_vertices(witness)
+        self.stats.checks += 1
+        self.stats.free_answers += 1
+        return frozenset([witness])
 
 
-def make_membership(
-    strategy: str, db: Database, duplicate_free: bool = True
-) -> MembershipResolver:
+def make_membership(strategy: str, db: Database) -> MembershipResolver:
     """Factory: ``"query"``, ``"cached"`` or ``"provenance"``.
 
     Raises:
@@ -178,7 +178,7 @@ def make_membership(
     if strategy == "cached":
         return CachedMembership(db)
     if strategy == "provenance":
-        return ProvenanceMembership(db, duplicate_free)
+        return ProvenanceMembership(db)
     raise ValueError(
         f"unknown membership strategy {strategy!r}"
         " (expected 'query', 'cached' or 'provenance')"

@@ -20,8 +20,8 @@ A candidate ``t`` with ground formula ``Phi`` is a consistent answer iff
 *no* repair satisfies ``not Phi``; the Prover runs the repair-existence
 check on every disjunct of the DNF of ``not Phi``.  That DNF belongs to the
 query, not the candidate: it is computed once per
-:class:`~repro.core.formula.Template` and only the candidate's facts are
-substituted into it here.
+:class:`~repro.core.formula.Template` and only the candidate's witness
+vertices are substituted into it here.
 """
 
 from __future__ import annotations
@@ -86,20 +86,25 @@ class Prover:
 
     def satisfying_disjunct(
         self, phi: Union[fm.Ground, fm.Formula[Fact]], negated: bool
-    ) -> Optional[tuple[list[Fact], list[Fact]]]:
+    ) -> Optional[tuple[list[Optional[Vertex]], list[Optional[Vertex]]]]:
         """The first ``(require, forbid)`` disjunct of ``Phi`` -- ``negated``:
         of ``not Phi`` -- that some repair satisfies, or None.
 
         The disjuncts are the template's cached ones with the candidate's
-        facts substituted (a fact filling two slots is listed twice); a
-        hand-built tree is compiled here, once.
+        vertices substituted (a vertex filling two slots is listed twice);
+        a hand-built tree over facts is compiled here, once, each fact
+        resolved to a vertex (None when the database does not hold it).
         """
         self.stats.candidates_checked += 1
-        template, facts = fm.Ground.of(phi) if isinstance(phi, fm.Formula) else phi
+        template, vertices = (
+            fm.Ground.of(phi, self.membership.resolve)
+            if isinstance(phi, fm.Formula)
+            else phi
+        )
         for require_slots, forbid_slots in template.dnf(negated):
             self.stats.disjuncts_checked += 1
-            require = [facts[slot] for slot in require_slots]
-            forbid = [facts[slot] for slot in forbid_slots]
+            require = [vertices[slot] for slot in require_slots]
+            forbid = [vertices[slot] for slot in forbid_slots]
             if self.exists_repair(require, forbid):
                 return require, forbid
         return None
@@ -107,14 +112,18 @@ class Prover:
     # ------------------------------------------------------- repair search
 
     def exists_repair(
-        self, require: Iterable[Fact], forbid: Iterable[Fact]
+        self, require: Iterable[Optional[Vertex]], forbid: Iterable[Optional[Vertex]]
     ) -> bool:
-        """Is there a repair containing ``require`` and avoiding ``forbid``?"""
+        """Is there a repair containing ``require`` and avoiding ``forbid``?
+
+        Both name database tuples (a row's every copy, for ``forbid``);
+        None stands for a fact the database does not hold.
+        """
         self.stats.repair_searches += 1
 
         required_vertices: set[Vertex] = set()
-        for fact in require:
-            witness = self.membership.some_vertex(fact)
+        for vertex in require:
+            witness = None if vertex is None else self.membership.some_vertex(vertex)
             if witness is None:
                 return False  # the fact is not even in the database
             required_vertices.add(witness)
@@ -124,8 +133,9 @@ class Prover:
             return False
 
         forbidden_vertices: set[Vertex] = set()
-        for fact in forbid:
-            forbidden_vertices |= self.membership.all_vertices(fact)
+        for vertex in forbid:
+            if vertex is not None:
+                forbidden_vertices |= self.membership.all_vertices(vertex)
         # Facts absent from the database are trivially avoided.
         if not forbidden_vertices:
             return True

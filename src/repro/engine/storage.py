@@ -330,10 +330,6 @@ class Table:
                 f"table {self.schema.name!r} has no tuple with tid {tid}"
             ) from None
 
-    def find(self, tid: int) -> Optional[Row]:
-        """The row stored under ``tid``, or None when there is none."""
-        return self._rows.get(tid)
-
     def tids(self) -> Iterator[int]:
         """All current tids (insertion order)."""
         return iter(self._rows.keys())

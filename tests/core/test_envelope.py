@@ -5,7 +5,6 @@ import pytest
 from repro.conflicts import detect_conflicts
 from repro.constraints import FunctionalDependency
 from repro.core.envelope import Enveloper, provenance_hints
-from repro.core.facts import fact
 from repro.conflicts.hypergraph import vertex
 from repro.ra import CatalogSchemaProvider, from_sql_query
 from repro.repairs import ground_truth_consistent_answers
@@ -52,7 +51,7 @@ class TestEnvelopeBounds:
         tree = tree_of(db, text)
         evaluation = enveloper.evaluate(tree)
         truth = ground_truth_consistent_answers(db, graph, tree)
-        candidates = frozenset(evaluation.candidates.keys())
+        candidates = frozenset(evaluation.candidates)
         assert evaluation.certain <= truth, "core must be sound"
         assert truth <= candidates, "envelope must be complete"
 
@@ -75,7 +74,7 @@ class TestEnvelopeBounds:
         tree = tree_of(
             db, "SELECT * FROM emp EXCEPT SELECT * FROM emp WHERE salary <= 12"
         )
-        candidates = frozenset(enveloper.evaluate(tree).candidates.keys())
+        candidates = frozenset(enveloper.evaluate(tree).candidates)
         # ann's tuples conflict, so they are not *certainly* in the
         # right-hand side (not in down(right)); the envelope must keep
         # them as candidates even though raw evaluation would drop one.
@@ -88,35 +87,59 @@ class TestEnvelopeBounds:
 
 
 class TestProvenance:
-    def test_candidates_carry_witness_tids(self, setup):
+    def test_every_core_keeps_its_witness_tids(self, setup):
         db, _graph, enveloper = setup
         tree = tree_of(db, "SELECT * FROM emp WHERE salary = 15")
         evaluation = enveloper.evaluate(tree)
-        for value, provenance in evaluation.candidates.items():
-            assert provenance is not None
+        (witnesses,) = evaluation.witnesses
+        assert list(witnesses) == list(evaluation.candidates)
+        for value, provenance in witnesses.items():
             ((relation, tid),) = provenance
             assert relation == "emp"
             assert db.table("emp").get(tid) == value
 
+    def test_union_and_difference_keep_both_branches(self, setup):
+        """The right branch of a union is not folded into the left, and a
+        difference keeps ``up(B)`` although only ``down(B)`` bounds it."""
+        db, _graph, enveloper = setup
+        emp = db.table("emp")
+        for op in ("UNION", "EXCEPT"):
+            tree = tree_of(
+                db,
+                f"SELECT * FROM emp WHERE dept = 'cs' {op}"
+                " SELECT * FROM emp WHERE salary > 14",
+            )
+            left, right = enveloper.evaluate(tree).witnesses
+            assert {row[1] for row in left} == {"cs"}
+            assert all(row[2] > 14 for row in right)
+            assert right and all(
+                emp.get(tid) == row for row, ((_r, tid),) in right.items()
+            )
+
     def test_provenance_hints_translation(self, setup):
-        db, _graph, _enveloper = setup
+        db, _graph, enveloper = setup
+        tree = tree_of(db, "SELECT * FROM emp")
+        (witnesses,) = enveloper.evaluate(tree).witnesses
         tid = next(iter(db.table("emp").lookup(("bob", "ee", 20))))
-        hints = provenance_hints({"emp": db.table("emp")}, (("emp", tid),))
-        assert hints == {fact("emp", ("bob", "ee", 20)): vertex("emp", tid)}
+        hints = provenance_hints([witnesses], ("bob", "ee", 20))
+        assert hints == [(vertex("emp", tid),)]
 
     def test_provenance_hints_empty(self, setup):
-        db, _graph, _enveloper = setup
-        tables = {"emp": db.table("emp")}
-        assert provenance_hints(tables, None) == {}
-        assert provenance_hints(tables, ()) == {}
+        assert provenance_hints([], ("bob", "ee", 20)) == []
+        assert provenance_hints([{}], ("bob", "ee", 20)) == [None]
 
-    def test_provenance_hints_skip_a_deleted_witness(self, setup):
-        """A witness tid deleted after the envelope ran gives no hint (the
-        Prover then looks the fact up and finds it absent)."""
-        db, _graph, _enveloper = setup
-        emp = db.table("emp")
-        gone = next(iter(emp.lookup(("bob", "ee", 20))))
-        kept = next(iter(emp.lookup(("dave", "ee", 18))))
-        db.execute("DELETE FROM emp WHERE name = 'bob'")
-        hints = provenance_hints({"emp": emp}, (("emp", gone), ("emp", kept)))
-        assert hints == {fact("emp", ("dave", "ee", 18)): vertex("emp", kept)}
+    def test_provenance_hints_name_only_the_producing_cores(self, setup):
+        """A candidate of one union branch has no witness in the other: that
+        core is false for it in every repair, and nothing is looked up."""
+        db, _graph, enveloper = setup
+        tree = tree_of(
+            db,
+            "SELECT * FROM emp WHERE dept = 'cs'"
+            " UNION SELECT * FROM emp WHERE dept = 'ee'",
+        )
+        evaluation = enveloper.evaluate(tree)
+        lookups = db.stats.point_lookups
+        left, right = provenance_hints(evaluation.witnesses, ("bob", "ee", 20))
+        assert left is None
+        assert right == evaluation.witnesses[1][("bob", "ee", 20)]
+        assert db.stats.point_lookups == lookups

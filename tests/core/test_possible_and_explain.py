@@ -77,6 +77,16 @@ class TestExplainCandidate:
         assert not report["possible"]
         assert not report["consistent"]
 
+    def test_a_tuple_no_core_produces_is_reported_as_such(self, hippo):
+        """Not in the database, so false in every repair: no facts, no
+        counterexample -- the report says no core produces it."""
+        report = hippo.explain_candidate("SELECT * FROM emp", ("zoe", "cs", 1))
+        assert report["produced"] is False
+        assert report["facts"] == []
+        assert "falsifying_repair_excludes" not in report
+        produced = hippo.explain_candidate("SELECT * FROM emp", ("ann", "cs", 10))
+        assert produced["produced"] is True
+
     @pytest.mark.parametrize("candidate", [(2, 5, 6), (2,), ()])
     def test_wrong_arity_is_refused_naming_the_columns(
         self, two_table_db, candidate

@@ -5,7 +5,7 @@ import pytest
 from repro.conflicts import ConflictHypergraph, vertex
 from repro.core import formula as fm
 from repro.core.facts import fact
-from repro.core.membership import CachedMembership
+from repro.core.membership import CachedMembership, ProvenanceMembership
 from repro.core.prover import Prover
 from repro.engine import Database
 from repro.engine.types import SQLType
@@ -29,6 +29,12 @@ def f(value):
     return fact("r", (value,))
 
 
+def v(value):
+    """The tuple storing r(value) in ``setup`` (tids follow insertion from
+    0), None for a value it does not store."""
+    return vertex("r", value - 1) if 1 <= value <= 5 else None
+
+
 class TestExistsRepair:
     def test_empty_requirements_always_satisfiable(self, setup):
         _db, _graph, prover = setup
@@ -36,29 +42,29 @@ class TestExistsRepair:
 
     def test_require_absent_fact_fails(self, setup):
         _db, _graph, prover = setup
-        assert not prover.exists_repair([f(99)], [])
+        assert not prover.exists_repair([v(99)], [])
 
     def test_require_conflicting_pair_fails(self, setup):
         _db, _graph, prover = setup
-        assert not prover.exists_repair([f(1), f(2)], [])
+        assert not prover.exists_repair([v(1), v(2)], [])
 
     def test_require_independent_pair_succeeds(self, setup):
         _db, _graph, prover = setup
-        assert prover.exists_repair([f(1), f(3)], [])
+        assert prover.exists_repair([v(1), v(3)], [])
 
     def test_forbid_conflict_free_tuple_fails(self, setup):
         # 4 is in every repair: no repair avoids it.
         _db, _graph, prover = setup
-        assert not prover.exists_repair([], [f(4)])
+        assert not prover.exists_repair([], [v(4)])
 
     def test_forbid_absent_fact_trivially_succeeds(self, setup):
         _db, _graph, prover = setup
-        assert prover.exists_repair([], [f(99)])
+        assert prover.exists_repair([], [v(99)])
 
     def test_forbid_conflicting_tuple_succeeds(self, setup):
         # Excluding 2 works: the repair {1, 3, 4, 5}.
         _db, _graph, prover = setup
-        assert prover.exists_repair([], [f(2)])
+        assert prover.exists_repair([], [v(2)])
 
     def test_forbid_with_blocked_witness(self, setup):
         # Exclude 1: needs edge {1,2} with 2 kept.  Requiring 3 is fine
@@ -66,23 +72,23 @@ class TestExistsRepair:
         # together violates {2,3}).  So forbidding 1 while requiring 3
         # must fail: the only blocker for 1 is 2, and 2 conflicts with 3.
         _db, _graph, prover = setup
-        assert not prover.exists_repair([f(3)], [f(1)])
+        assert not prover.exists_repair([v(3)], [v(1)])
 
     def test_forbid_two_tuples_with_shared_blocker(self, setup):
         # Exclude both 1 and 3: blocked by 2 on both sides; {2,4,5} works.
         _db, _graph, prover = setup
-        assert prover.exists_repair([], [f(1), f(3)])
+        assert prover.exists_repair([], [v(1), v(3)])
 
     def test_forbid_adjacent_pair_fails(self, setup):
         # Exclude 1 and 2: 1's only blocking edge {1,2} has its remainder
         # {2} inside the forbidden set; 2's blockers {1},{3}: {3} works
         # for 2, but nothing blocks 1.  No such repair.
         _db, _graph, prover = setup
-        assert not prover.exists_repair([], [f(1), f(2)])
+        assert not prover.exists_repair([], [v(1), v(2)])
 
     def test_required_and_forbidden_same_fact_fails(self, setup):
         _db, _graph, prover = setup
-        assert not prover.exists_repair([f(1)], [f(1)])
+        assert not prover.exists_repair([v(1)], [v(1)])
 
 
 class TestIsConsistentAnswer:
@@ -161,6 +167,20 @@ class TestDuplicates:
         )
         prover = Prover(graph, CachedMembership(db))
         # A repair avoiding value 1 entirely exists: keep {2}.
-        assert prover.exists_repair([], [f(1)])
+        assert prover.exists_repair([], [vertex("r", t1)])
         # But a repair avoiding value 1 AND value 2 does not.
-        assert not prover.exists_repair([], [f(1), f(2)])
+        assert not prover.exists_repair([], [vertex("r", t2), vertex("r", t3)])
+
+    def test_two_slots_with_copies_of_one_row_require_one_copy(self):
+        """``r(1) AND r(1)`` witnessed by two copies that conflict with each
+        other: a repair keeping either copy satisfies it."""
+        db = Database()
+        db.create_table("r", [("a", SQLType.INTEGER)])
+        t1, t2 = db.insert_rows("r", [(1,), (1,)])
+        copies = [vertex("r", t1), vertex("r", t2)]
+        graph = ConflictHypergraph([frozenset(copies)])
+        both = fm.Ground(fm.Template(fm.conj([fm.AtomF(0), fm.AtomF(1)])), copies)
+        for membership in (ProvenanceMembership(db), CachedMembership(db)):
+            prover = Prover(graph, membership)
+            assert prover.is_possible_answer(both)
+            assert prover.is_consistent_answer(both)  # one copy is always kept

@@ -100,6 +100,13 @@ class TestShellCommands:
         assert "possible but not consistent" in output
         assert "excluding" in output
 
+    def test_why_a_tuple_no_core_produces(self):
+        output = run_shell(SETUP + ".why SELECT * FROM emp ; 'zoe', 1")
+        assert "not even possible" in output
+        assert "no core of the query produces it over the database" in output
+        assert "depends on facts" not in output
+        assert "falsifies" not in output
+
     def test_why_refuses_a_tuple_of_the_wrong_arity(self):
         for candidate in ("'bob', 5, 6", "'bob'"):
             output = run_shell(SETUP + f".why SELECT * FROM emp ; {candidate}")

@@ -1,20 +1,25 @@
 """The compiled ground formula against its two references.
 
 ``GroundQuery.formula_for`` hands the Prover a template compiled once per
-query (per liveness mask) plus the candidate's facts; the Prover substitutes
-the facts into the template's cached DNF.  Checked on random SJUD trees x
-constraint sets x small instances (duplicate rows included), for all three
-membership strategies and both modes:
+query (per liveness mask) plus the witness tids the envelope found for the
+candidate; the Prover substitutes them into the template's cached DNF.
+Checked on random SJUD trees x constraint sets x small instances
+(duplicate rows and NULLs included), for all three membership strategies
+and both modes:
 
 * the engine's answers == repair enumeration (the definition);
-* == the decision taken the way the code took it before: materialise the
-  candidate's ``Formula`` tree, run ``fm.to_dnf`` on it, one
+* == the decision taken the way the code took it before grounding read
+  the envelope's witnesses: every core's facts *reconstructed* from the
+  candidate (``reconstruction_map``), the core FALSE unless it produces
+  the candidate from them, the ``Formula`` tree over facts through
+  ``fm.to_dnf``, each fact looked up in the database, one
   ``exists_repair`` per fact-level disjunct.
 
 The trees put join cores, constants in the projection and *the same
 relation under two branches* side by side, so two slots regularly carry
 the same fact -- the case in which the slot-level DNF keeps disjuncts the
-fact-level DNF merges or drops.
+fact-level DNF merges or drops.  NULLs are where a liveness read off the
+database and one checked on a reconstruction could part ways.
 """
 
 from __future__ import annotations
@@ -27,10 +32,10 @@ from repro.conflicts import ConflictHypergraph, vertex
 from repro.constraints import FunctionalDependency
 from repro.constraints.parser import parse_constraint
 from repro.core import formula as fm
-from repro.core.envelope import Enveloper
+from repro.core.envelope import Enveloper, provenance_hints
 from repro.core.facts import fact
 from repro.core.grounding import GroundQuery
-from repro.core.membership import make_membership
+from repro.core.membership import CachedMembership, make_membership
 from repro.core.prover import Prover
 from repro.ra import (
     Atom,
@@ -39,7 +44,9 @@ from repro.ra import (
     OutputColumn,
     SJUDCore,
     Union_,
+    evaluate_core,
     evaluate_tree,
+    reconstruction_map,
 )
 from repro.repairs import (
     all_repairs,
@@ -50,8 +57,8 @@ from repro.sql import ast
 
 STRATEGIES = ("query", "cached", "provenance")
 
-value = st.integers(min_value=0, max_value=2)
-# <= 5 rows per relation over a 3x3 domain: duplicate rows are common.
+value = st.one_of(st.none(), st.integers(min_value=0, max_value=2))
+# <= 5 rows per relation over a 4x4 domain: duplicate rows are common.
 rows = st.lists(st.tuples(value, value), min_size=0, max_size=5)
 
 CONSTRAINT_SETS = [
@@ -168,17 +175,61 @@ def possible_truth(db, hypergraph, tree) -> frozenset[tuple]:
     return found
 
 
-def tree_decisions(engine: HippoEngine, tree) -> tuple[set[tuple], set[tuple]]:
-    """``(consistent, possible)`` decided per candidate from the materialised
-    ``Formula`` through ``fm.to_dnf`` -- no template, no cached DNF."""
-    grounder = GroundQuery(tree, CatalogSchemaProvider(engine.db.catalog))
-    prover = Prover(engine.hypergraph, make_membership("cached", engine.db))
+def reconstructed(tree, candidate: tuple, schema) -> fm.Formula:
+    """``candidate in Q(M)`` over facts rebuilt from the candidate alone: a
+    core's atoms per ``reconstruction_map``, the core FALSE unless it
+    produces the candidate from exactly those tuples."""
+    if isinstance(tree, SJUDCore):
+        sources = reconstruction_map(tree, schema)
+        facts = [
+            fact(
+                atom.relation,
+                tuple(
+                    candidate[payload] if kind == "slot" else payload
+                    for kind, payload in sources[atom.alias.lower()]
+                ),
+            )
+            for atom in tree.atoms
+        ]
+        alone = build_db(
+            [f.values for f in facts if f.relation == "r"],
+            [f.values for f in facts if f.relation == "s"],
+        )
+        if candidate not in evaluate_core(tree, alone):
+            return fm.FALSE
+        return fm.conj(fm.AtomF(f) for f in facts)
+    left = reconstructed(tree.left, candidate, schema)
+    right = reconstructed(tree.right, candidate, schema)
+    if isinstance(tree, Union_):
+        return fm.disj([left, right])
+    return fm.conj([left, fm.negate(right)])
+
+
+def reconstruction_decisions(engine: HippoEngine, tree) -> tuple[set, set]:
+    """``(consistent, possible)`` decided per candidate from the
+    reconstructed ``Formula`` through ``fm.to_dnf``, each fact looked up in
+    the database (one tid, None when absent) -- no witnesses, no template,
+    no cached DNF."""
+    db = engine.db
+    schema = CatalogSchemaProvider(db.catalog)
+    prover = Prover(engine.hypergraph, make_membership("cached", db))
+
+    def vertex_of(f):
+        tids = db.lookup(f.relation, f.values)
+        return vertex(f.relation, min(tids)) if tids else None
+
+    def holds_somewhere(dnf) -> bool:
+        return any(
+            prover.exists_repair(map(vertex_of, require), map(vertex_of, forbid))
+            for require, forbid in dnf
+        )
+
     consistent, possible = set(), set()
-    for candidate in Enveloper(engine.db, engine.hypergraph).evaluate(tree).candidates:
-        phi = grounder.formula_for(candidate).formula
-        if not any(prover.exists_repair(*d) for d in fm.to_dnf(fm.negate(phi))):
+    for candidate in Enveloper(db, engine.hypergraph).evaluate(tree).candidates:
+        phi = reconstructed(tree, candidate, schema)
+        if not holds_somewhere(fm.to_dnf(fm.negate(phi))):
             consistent.add(candidate)
-        if any(prover.exists_repair(*d) for d in fm.to_dnf(phi)):
+        if holds_somewhere(fm.to_dnf(phi)):
             possible.add(candidate)
     return consistent, possible
 
@@ -190,6 +241,9 @@ def tree_decisions(engine: HippoEngine, tree) -> tuple[set[tuple], set[tuple]]:
 @example([(1, 1), (1, 2), (1, 1)], [], CONSTRAINT_SETS[0], SAME_FACT_TREES[2], False)
 @example([(1, 1), (1, 2), (2, 1)], [], CONSTRAINT_SETS[0], SAME_FACT_TREES[3], False)
 @example([(1, 1)], [(1, 2), (1, 2)], CONSTRAINT_SETS[2], SAME_FACT_TREES[0], True)
+@example(
+    [(None, 1), (None, 2)], [(None, 1)], CONSTRAINT_SETS[2], SAME_FACT_TREES[3], False
+)
 def test_compiled_answers_match_enumeration_and_the_tree(
     r_rows, s_rows, ics, tree, use_core
 ):
@@ -201,7 +255,7 @@ def test_compiled_answers_match_enumeration_and_the_tree(
     hypergraph = engines["cached"].hypergraph
     consistent = ground_truth_consistent_answers(db, hypergraph, tree)
     possible = possible_truth(db, hypergraph, tree)
-    assert tree_decisions(engines["cached"], tree) == (consistent, possible)
+    assert reconstruction_decisions(engines["cached"], tree) == (consistent, possible)
     for strategy, engine in engines.items():
         assert engine.consistent_answers(tree).as_set() == consistent, strategy
         assert engine.possible_answers(tree).as_set() == possible, strategy
@@ -240,14 +294,21 @@ def test_equal_facts_in_distinct_slots_decide_as_the_fact_level_dnf(
     """Substituting equal (or absent) facts for distinct slots must not
     change a decision, although the slot-level DNF cannot merge them."""
     prover = chain_prover
-    compiled = fm.Ground(fm.Template(tree), facts)
-    by_fact = compiled.formula  # over facts: to_dnf merges what the slots kept apart
+    resolve = prover.membership.resolve
+    compiled = fm.Ground(fm.Template(tree), [resolve(f) for f in facts])
+    # Over facts: to_dnf merges what the slots kept apart.
+    by_fact = fm.rename(tree, facts.__getitem__)
+
+    def holds_somewhere(dnf) -> bool:
+        return any(
+            prover.exists_repair(map(resolve, require), map(resolve, forbid))
+            for require, forbid in dnf
+        )
+
     assert prover.is_consistent_answer(compiled) == (
-        not any(prover.exists_repair(*d) for d in fm.to_dnf(fm.negate(by_fact)))
+        not holds_somewhere(fm.to_dnf(fm.negate(by_fact)))
     )
-    assert prover.is_possible_answer(compiled) == any(
-        prover.exists_repair(*d) for d in fm.to_dnf(by_fact)
-    )
+    assert prover.is_possible_answer(compiled) == holds_somewhere(fm.to_dnf(by_fact))
     # A hand-built tree enters the same loop, compiled once.
     assert prover.is_consistent_answer(by_fact) == prover.is_consistent_answer(
         compiled
@@ -276,13 +337,13 @@ def test_dnf_runs_once_per_mask_and_polarity_not_per_candidate(monkeypatch):
     engine.possible_answers(query)
     assert len(calls) == 6  # a new query compiles anew: the positive polarity
     # Within one query both polarities of a template are computed once each.
-    grounder = GroundQuery(
-        engine.parse(query)[0], CatalogSchemaProvider(db.catalog)
-    )
+    tree = engine.parse(query)[0]
+    grounder = GroundQuery(tree)
+    witnesses = Enveloper(db, engine.hypergraph).evaluate(tree).witnesses
     prover = Prover(engine.hypergraph, make_membership("cached", db))
     calls.clear()
     for row in db.table("t").rows():
-        phi = grounder.formula_for(row)
+        phi = grounder.formula_for(provenance_hints(witnesses, row))
         prover.is_consistent_answer(phi)
         prover.is_possible_answer(phi)
     assert len(calls) == 6  # 3 masks x 2 polarities for 200 candidates
@@ -302,12 +363,15 @@ def test_candidates_of_other_branches_get_the_dead_core_template(strategy):
         ),
     )
     engine = HippoEngine(db, CONSTRAINT_SETS[0], membership=strategy)
-    grounder = GroundQuery(tree, CatalogSchemaProvider(db.catalog))
-    assert grounder.formula_for((0, 1)).formula == fm.AtomF(fact("r", (0, 1)))
-    assert fm.atoms_of(grounder.formula_for((0, 2)).formula) == {
-        fact("r", (0, 2)),
-        fact("s", (0, 2)),
-    }
+    witnesses = Enveloper(db, engine.hypergraph).evaluate(tree).witnesses
+    grounder = GroundQuery(tree)
+
+    def ground(candidate):
+        phi = grounder.formula_for(provenance_hints(witnesses, candidate))
+        return fm.rename(phi.formula, CachedMembership(db).fact_of)
+
+    assert ground((0, 1)) == fm.AtomF(fact("r", (0, 1)))
+    assert fm.atoms_of(ground((0, 2))) == {fact("r", (0, 2)), fact("s", (0, 2))}
     truth = ground_truth_consistent_answers(db, engine.hypergraph, tree)
     assert engine.consistent_answers(tree).as_set() == truth == frozenset()
     assert engine.possible_answers(tree).rows == [(0, 1)]

@@ -163,7 +163,7 @@ def test_envelope_sandwich(instance, constraints, query_case):
     evaluation = Enveloper(db, hippo.hypergraph).evaluate(tree)
     truth = oracle(db, hippo, text)
     assert evaluation.certain <= truth
-    assert truth <= frozenset(evaluation.candidates.keys())
+    assert truth <= frozenset(evaluation.candidates)
 
 
 @settings(max_examples=80, deadline=None)

@@ -31,6 +31,7 @@ from repro.ra import (
     OutputColumn,
     SJUDCore,
     Union_,
+    cores_of,
     evaluate_core,
 )
 from repro.repairs import ground_truth_consistent_answers
@@ -184,19 +185,22 @@ def test_single_pass_equals_restricted_second_pass(r_rows, s_rows, ics, tree):
 
     evaluation = enveloper.evaluate(tree)
     assert evaluation.certain == down
-    assert evaluation.candidates == up  # same first witnesses too
-    assert list(evaluation.candidates) == list(up)  # and the Prover's order
+    assert list(evaluation.candidates) == list(up)  # in the Prover's order
+    # Every core's own witnesses, first ones included, in tree order.
+    assert evaluation.witnesses == tuple(
+        evaluate_core(core, db) for core in cores_of(tree)
+    )
 
     without_core = enveloper.evaluate(tree, compute_core=False)
     assert without_core.certain == frozenset()
-    assert without_core.candidates == up
+    assert list(without_core.candidates) == list(up)
 
 
 def test_dirty_first_witness_clean_later_is_certain():
     db = build_db([(1, 2), (1, 3), (0, 2)], [])
     graph = detect_conflicts(db, CONSTRAINT_SETS[0]).hypergraph
     evaluation = Enveloper(db, graph).evaluate(_B_ONLY)
-    assert evaluation.candidates[(2, 2)] == (("r", 0),)  # first witness: dirty
+    assert evaluation.witnesses[0][(2, 2)] == (("r", 0),)  # first witness: dirty
     assert evaluation.certain == {(2, 2)}  # tid 2 vouches for it
 
 

@@ -58,13 +58,18 @@ Meta-commands (everything else is executed as SQL):
 
 from __future__ import annotations
 
+import contextlib
 import sys
-from typing import IO, Iterable, Optional
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional
+
+if TYPE_CHECKING:
+    from repro.conflicts.shard import Ownership
 
 from repro.backends import available_backends, create_backend
 from repro.constraints.parser import parse_constraint
 from repro.core.hippo import AnswerSet, HippoEngine
 from repro.engine.database import Database
+from repro.engine.feed import MANIFEST, ChangeFeed, GroupRecovery
 from repro.engine.types import format_value, literal_sql
 from repro.errors import ReproError, UnsupportedQueryError
 from repro.ra import (
@@ -293,18 +298,17 @@ class HippoShell:
                 )
             recovery = feed.recovery_points()
             attached = feed.groups()
+            ends = feed.end_offsets()
             for group_name in sorted(set(attached) | set(recovery)):
                 committed = attached.get(group_name)
                 point = recovery.get(group_name)
                 if committed is None:  # registered on disk only
                     committed = point.committed if point else {}
-                lag = sum(
-                    max(topic.end - committed.get(topic.name, 0), 0)
-                    for topic in topics
-                    if point is None
-                    or point.topics is None
-                    or topic.name in point.topics
-                )
+                lag = GroupRecovery(
+                    group_name,
+                    committed,
+                    topics=point.topics if point else None,
+                ).lag(ends)
                 positions = ", ".join(
                     f"{name}={offset}"
                     for name, offset in sorted(committed.items())
@@ -525,33 +529,20 @@ class HippoShell:
         survives the crash.  A handoff in flight shows as a topic on
         both the new owner's and the old owner's subscription.
         """
-        from repro.conflicts.executor import OWNERSHIP_FILE, load_ownership
-        from repro.engine.feed import ChangeFeed
+        from repro.conflicts.executor import OWNERSHIP_FILE
 
-        own = self.db.changes.feed
-        if args:
-            directory = args[0]
-        elif own.durable:
-            directory = str(own.directory)
-        else:
-            self._print(
-                "usage: .shards --live DIRECTORY"
-                " (this shell's feed is in-memory)"
-            )
+        found = self._executor_state(
+            args[0] if args else None, "usage: .shards --live DIRECTORY"
+        )
+        if found is None:
             return True
-        try:
-            ownership = load_ownership(directory)
-        except ReproError as error:
-            self._print(f"error: {error}")
-            return True
+        directory, ownership = found
         if ownership is None:
             self._print(
                 f"no ownership manifest ({OWNERSHIP_FILE}) in {directory}"
             )
             return True
-        foreign = not (own.durable and str(own.directory) == str(directory))
-        feed = ChangeFeed(directory) if foreign else own
-        try:
+        with self._feed_at(directory) as feed:
             self._print(
                 f"process executor: {ownership.workers} workers,"
                 f" epoch {ownership.epoch} ({directory})"
@@ -578,9 +569,6 @@ class HippoShell:
                     f" subscribed [{subscribed}],"
                     f" recovery {point.source}"
                 )
-        finally:
-            if foreign:
-                feed.close()
         return True
 
     def _rebalance(self, argument: str) -> bool:
@@ -597,9 +585,7 @@ class HippoShell:
         first for a faithful plan).  Nothing is moved: this only prints
         the advice.
         """
-        from repro.conflicts.executor import load_ownership
-        from repro.conflicts.shard import choose_move, plan_assignment
-        from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed
+        from repro.conflicts.shard import choose_move, plan_feed
 
         directory: Optional[str] = None
         workers: Optional[int] = None
@@ -608,34 +594,20 @@ class HippoShell:
                 workers = int(token)
             else:
                 directory = token
-        own = self.db.changes.feed
-        if directory is None:
-            if not own.durable:
-                self._print(
-                    "usage: .rebalance DIRECTORY [WORKERS]"
-                    " (this shell's feed is in-memory)"
-                )
-                return True
-            directory = str(own.directory)
-        foreign = not (own.durable and str(own.directory) == str(directory))
-        try:
-            ownership = load_ownership(directory)
-        except ReproError as error:
-            self._print(f"error: {error}")
+        found = self._executor_state(
+            directory, "usage: .rebalance DIRECTORY [WORKERS]"
+        )
+        if found is None:
             return True
-        feed = ChangeFeed(directory) if foreign else own
-        try:
+        directory, ownership = found
+        with self._feed_at(directory) as feed:
             if workers is None:
                 workers = ownership.workers if ownership else 2
-            assignment = dict(ownership.owner) if ownership else None
-            relations = [
-                t.name for t in feed.topics() if t.name != SCHEMA_TOPIC
-            ]
-            plan = plan_assignment(
+            plan = plan_feed(
                 self.constraints,
+                feed,
                 workers,
-                relations=relations,
-                assignment=assignment,
+                dict(ownership.owner) if ownership else None,
             )
             ends = feed.end_offsets()
             recovery = feed.recovery_points()
@@ -661,10 +633,43 @@ class HippoShell:
                     "  (dry run, weighing lag only -- a live rebalance()"
                     " also weighs hypergraph edges)"
                 )
-        finally:
-            if foreign:
-                feed.close()
         return True
+
+    def _executor_state(
+        self, directory: Optional[str], usage: str
+    ) -> Optional[tuple[str, Optional["Ownership"]]]:
+        """Resolve an operator view's ``DIR`` (default: this shell's
+        durable feed) and load the process executor's ownership
+        manifest there (None when no executor ran there).  Prints the
+        usage or the load error and returns None when there is nothing
+        to show."""
+        from repro.conflicts.executor import load_ownership
+
+        if directory is None:
+            own = self.db.changes.feed
+            if not own.durable:
+                self._print(f"{usage} (this shell's feed is in-memory)")
+                return None
+            directory = str(own.directory)
+        try:
+            return directory, load_ownership(directory)
+        except ReproError as error:
+            self._print(f"error: {error}")
+            return None
+
+    @contextlib.contextmanager
+    def _feed_at(self, directory: str) -> Iterator[ChangeFeed]:
+        """This shell's own feed when it is durable at ``directory``,
+        else a reader instance opened there (and closed on exit)."""
+        own = self.db.changes.feed
+        if own.durable and str(own.directory) == str(directory):
+            yield own
+            return
+        feed = ChangeFeed(directory)
+        try:
+            yield feed
+        finally:
+            feed.close()
 
     def _feed_compact(self) -> bool:
         """``.feed compact``: reclaim consumed segments on demand.
@@ -712,10 +717,8 @@ class HippoShell:
         import os
         from pathlib import Path
 
-        from repro.conflicts.executor import load_ownership
         from repro.conflicts.replica import ReplicaHypergraph, ReplicaSync
-        from repro.conflicts.shard import plan_assignment
-        from repro.engine.feed import MANIFEST, SCHEMA_TOPIC, ChangeFeed
+        from repro.conflicts.shard import plan_feed
 
         usage = "usage: .feed tail DIRECTORY [SECONDS] [SHARD/WORKERS]"
         if not arguments:
@@ -745,11 +748,10 @@ class HippoShell:
             return True
         assignment = None
         if shard is not None:
-            try:
-                ownership = load_ownership(directory)
-            except ReproError as error:
-                self._print(f"error: {error}")
+            found = self._executor_state(directory, usage)
+            if found is None:
                 return True
+            _, ownership = found
             if ownership is not None:
                 if ownership.workers != shard[1]:
                     self._print(
@@ -764,15 +766,7 @@ class HippoShell:
         topics = None
         referenced: tuple = ()
         if shard is not None:
-            relations = [
-                t.name for t in feed.topics() if t.name != SCHEMA_TOPIC
-            ]
-            plan = plan_assignment(
-                constraints,
-                shard[1],
-                relations=relations,
-                assignment=assignment,
-            )
+            plan = plan_feed(constraints, feed, shard[1], assignment)
             spec = plan.shards[shard[0]]
             constraints = list(spec.constraints)
             topics = spec.subscribed

@@ -46,15 +46,18 @@ which violations appeared, which tuples changed and which FK danglings
 were withdrawn.
 
 Deltas arrive in one shape, the change-feed record
-(:class:`~repro.engine.feed.FeedRecord`), through one entry point,
-:meth:`IncrementalDetector.apply_records` -- the in-process engine and
-:mod:`repro.conflicts.replica` both hand it their poll batches.
+(:class:`~repro.engine.feed.FeedRecord`), and every hypergraph follower
+-- the in-process engine, :mod:`repro.conflicts.replica` and the shard
+workers built on it -- hands its poll batches to one rule,
+:meth:`IncrementalDetector.advance`: fold the batch in as deltas
+(:meth:`IncrementalDetector.apply_records`) when the maintained graph is
+current and the batch holds change records only, re-detect otherwise.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, Sequence, cast
+from typing import Callable, Iterable, Iterator, Optional, Sequence, cast
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.foreign_key import ForeignKeyConstraint
@@ -64,7 +67,7 @@ from repro.conflicts.detection import (
     ensure_edge_in_restricted_class,
     split_constraints,
 )
-from repro.conflicts.hypergraph import Vertex, ViolationStore, vertex
+from repro.conflicts.hypergraph import Vertex, vertex
 from repro.engine.changelog import OP_INSERT
 from repro.engine.feed import RECORD_CHANGE, FeedRecord
 from repro.engine.database import Database
@@ -72,7 +75,7 @@ from repro.engine.expressions import Scope, bound_entries
 from repro.engine.plan import PlanNode
 from repro.engine.planner import TID, Planner
 from repro.ra.compile import unrestricted
-from repro.ra.sjud import Atom, SJUDCore
+from repro.ra.sjud import Atom, SJUDCore, UnionFind
 from repro.ra.to_sql import core_to_select
 from repro.sql import ast
 
@@ -170,32 +173,32 @@ class _DenialMatcher:
 class IncrementalDetector:
     """Maintains a conflict hypergraph under a stream of row deltas.
 
-    Takes over the :class:`~repro.conflicts.hypergraph.ViolationStore` of
-    a full :func:`~repro.conflicts.detection.detect_conflicts` run over
-    the same constraints, then folds poll batches of change records into
-    it through :meth:`apply_records`.  The maintained ``store.graph`` is
-    always equal to what full re-detection would produce on the current
-    database state (the equivalence suite asserts exactly that).
+    ``detect`` is the follower's full detection -- a zero-argument call
+    of :func:`~repro.conflicts.detection.detect_conflicts` over ``db``
+    and the same constraints.  :meth:`advance` decides, for every poll
+    batch, between folding it in as deltas and re-detecting; ``report``
+    holds the current :class:`~repro.conflicts.detection.DetectionReport`
+    and is None while a full detection is owed (before the first
+    :meth:`advance`, and after any that raised).  The maintained graph
+    is always equal to what full re-detection would produce on the
+    current database state (the equivalence suites assert exactly that).
 
-    Raises (from :meth:`apply_records`):
-        ConstraintError: when a delta pushes the database outside the
-            restricted foreign-key class -- exactly when full
-            re-detection on the new state would raise.
+    ``extra_referenced`` names FK-referenced relations owned by other
+    shard workers: the restricted-class check must reject a choice
+    conflict on them exactly like the monolith does.
     """
 
     def __init__(
         self,
         db: Database,
         constraints: Iterable[object],
-        store: ViolationStore,
+        detect: Callable[[], DetectionReport],
         extra_referenced: Iterable[str] = (),
     ) -> None:
         self.db = db
-        self.store = store
+        self.detect = detect
+        self.report: Optional[DetectionReport] = None
         self.denials, self.foreign_keys = split_constraints(constraints)
-        # ``extra_referenced``: FK-referenced relations owned by other
-        # shard workers -- the restricted-class check must reject a
-        # choice conflict on them exactly like the monolith does.
         self.referenced = frozenset(
             fk.referenced.lower() for fk in self.foreign_keys
         ) | frozenset(relation.lower() for relation in extra_referenced)
@@ -206,14 +209,51 @@ class IncrementalDetector:
                 a.relation.lower() for a in denial.atoms
             ):
                 self._by_relation.setdefault(relation, []).append(denial)
-        # Matchers are planned (and the indexes their plans probe built)
-        # eagerly from the constraint set at attach time: the detector is
-        # only ever constructed next to an O(N) full detection, so the
-        # index builds ride it instead of ambushing the first
-        # post-bulk-load delta.  The indexes are ordinary storage indexes,
-        # so every other plan's access rule shares them.
-        self._matchers = {d.name: _DenialMatcher(db, d) for d in self.denials}
+        self._matchers: dict[str, _DenialMatcher] = {}
         self._build_fk_components()
+
+    # ------------------------------------------------------------- advance
+
+    def advance(
+        self, records: Sequence[FeedRecord] = (), full: bool = False
+    ) -> DetectionReport:
+        """Bring the hypergraph past ``records`` -- already applied to
+        the database -- and return the new report.
+
+        The batch is folded in as deltas (:meth:`apply_records`) when a
+        report is current, ``full`` is false and every record is a
+        change record.  Otherwise -- DDL in the batch, lost history
+        (the caller passes ``full``), or no current report -- ``detect``
+        runs on the database as it is now, its store is taken over, and
+        the matchers are planned (their indexes built) against the
+        current catalog, so the first delta after a bulk load builds
+        nothing.
+
+        Any exception leaves ``report`` None and propagates: the graph
+        may be half-applied, and the next :meth:`advance` re-detects.
+
+        Raises:
+            ConstraintError: when the new state leaves the restricted
+                foreign-key class (full re-detection raises there too).
+            CatalogError: when a constraint names a missing table.
+        """
+        try:
+            if (
+                self.report is not None
+                and not full
+                and all(record.kind == RECORD_CHANGE for record in records)
+            ):
+                report = self.apply_records(records)
+            else:
+                report = self.detect()
+                self._matchers = {
+                    d.name: _DenialMatcher(self.db, d) for d in self.denials
+                }
+        except BaseException:
+            self.report = None
+            raise
+        self.report = report
+        return report
 
     # --------------------------------------------------------------- apply
 
@@ -221,16 +261,17 @@ class IncrementalDetector:
         """Fold a batch of change-feed records into the hypergraph.
 
         Records come straight from
-        :meth:`~repro.engine.feed.FeedConsumer.poll`.  The caller is
-        responsible for schema records (DDL means full re-detection,
-        not delta maintenance) -- they are rejected here, before
-        anything is touched.
+        :meth:`~repro.engine.feed.FeedConsumer.poll`, through
+        :meth:`advance`, which sends a batch with schema records to full
+        re-detection (DDL is not delta maintenance) -- they are rejected
+        here, before anything is touched.
 
         Raises:
             ValueError: when a non-change record is in the batch.
         """
         started = time.perf_counter()
-        store = self.store
+        assert self.report is not None and self.report.store is not None
+        store = self.report.store
         added, dropped = store.added, store.dropped
 
         # Net effect per tuple: only the last change matters (an UPDATE
@@ -306,24 +347,14 @@ class IncrementalDetector:
 
     def _build_fk_components(self) -> None:
         """Weakly-connected components of the FK reference graph."""
-        parent: dict[str, str] = {}
-
-        def find(relation: str) -> str:
-            root = relation
-            while parent.setdefault(root, root) != root:
-                root = parent[root]
-            parent[relation] = root
-            return root
-
+        classes: UnionFind[str] = UnionFind()
         for fk in self.foreign_keys:
-            left = find(fk.referencing.lower())
-            right = find(fk.referenced.lower())
-            if left != right:
-                parent[left] = right
-        roots = sorted({find(relation) for relation in parent})
+            classes.union(fk.referencing.lower(), fk.referenced.lower())
+        roots = sorted({classes.find(relation) for relation in classes})
         component_ids = {root: index for index, root in enumerate(roots)}
         self._component_of = {
-            relation: component_ids[find(relation)] for relation in parent
+            relation: component_ids[classes.find(relation)]
+            for relation in classes
         }
         self._component_fks: dict[int, list[ForeignKeyConstraint]] = {}
         for fk in self.foreign_keys:  # already parents first

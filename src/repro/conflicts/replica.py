@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph
@@ -66,7 +66,7 @@ from repro.engine.database import (
     recover_database,
     replay_feed_records,
 )
-from repro.engine.feed import RECORD_CHANGE, SCHEMA_TOPIC, ChangeFeed
+from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, FeedRecord
 from repro.engine.snapshot import restore_database, snapshot_database
 from repro.errors import CatalogError, FeedError
 
@@ -184,8 +184,7 @@ class ReplicaHypergraph:
         try:
             #: the replica's own database, rebuilt purely from the feed.
             self.db = Database()
-            self._detector: Optional[IncrementalDetector] = None
-            self._needs_full = False
+            self._plan_detection()
             self._bootstrap()
         except BaseException:
             # A failed bootstrap must release the consumer-group
@@ -213,14 +212,10 @@ class ReplicaHypergraph:
                 self.db, self.feed, self.group, upto=committed
             )
             self.restore_records = sum(self.applied_records.values())
-        try:
-            self._full_detect()
-        except CatalogError:
-            # A fresh replica attaches before the CREATE TABLE records
-            # its constraints need have replicated; the first sync (which
-            # carries that DDL) runs the deferred full detection.
-            self._detector = None
-            self._needs_full = True
+        # A fresh replica may attach before the CREATE TABLE records its
+        # constraints need have replicated; detection then stays
+        # deferred until a sync carries that DDL.
+        self._advance()
 
     def _seed_from_writer_checkpoint(self) -> bool:
         """Bootstrap a brand-new group over an already-reclaimed feed.
@@ -268,18 +263,29 @@ class ReplicaHypergraph:
         fault-injection suite can pin recovery at every boundary."""
         return None
 
-    def _full_detect(self) -> None:
-        report = detect_conflicts(
-            self.db, self.constraints, extra_referenced=self.extra_referenced
-        )
-        assert report.store is not None
+    def _plan_detection(self) -> None:
+        """A fresh detector for the current constraint slice; the next
+        :meth:`_advance` runs its full detection."""
+        db, constraints = self.db, self.constraints
+        extra = self.extra_referenced
+
+        def detect() -> DetectionReport:
+            return detect_conflicts(db, constraints, extra_referenced=extra)
+
         self._detector = IncrementalDetector(
-            self.db,
-            self.constraints,
-            report.store,
-            extra_referenced=self.extra_referenced,
+            db, constraints, detect, extra_referenced=extra
         )
-        self._needs_full = False
+
+    def _advance(
+        self, records: Sequence[FeedRecord] = ()
+    ) -> Optional[DetectionReport]:
+        """Advance the hypergraph past ``records`` (already replayed and
+        committed); None while detection is deferred because a
+        constraint's table has not replicated yet at this cut."""
+        try:
+            return self._detector.advance(records)
+        except CatalogError:
+            return None
 
     # ----------------------------------------------------------- snapshots
 
@@ -308,17 +314,17 @@ class ReplicaHypergraph:
     def graph(self) -> ConflictHypergraph:
         """The maintained conflict hypergraph.
 
-        Unavailable only between a deferred bootstrap (constraints whose
-        tables have not replicated yet) and the first :meth:`sync`.
+        Unavailable while :attr:`ready` is False.
         """
-        assert self._detector is not None
-        return self._detector.store.graph
+        assert self._detector.report is not None
+        return self._detector.report.hypergraph
 
     @property
     def ready(self) -> bool:
-        """Whether a hypergraph is maintained (False while detection is
-        deferred because constraint tables have not replicated yet)."""
-        return self._detector is not None
+        """Whether :attr:`graph` is full detection's over the replica
+        database: False while detection is deferred (constraint tables
+        not replicated yet) and after a sync that raised."""
+        return self._detector.report is not None
 
     @property
     def lag(self) -> int:
@@ -353,61 +359,23 @@ class ReplicaHypergraph:
                 f"replica group {self.group!r}: feed history was dropped"
                 " before it was consumed; the replica cannot converge"
             )
-        if not records:
-            if self._needs_full:  # recover from an earlier failed apply
-                try:
-                    self._full_detect()
-                    mode = "full"
-                except CatalogError:
-                    mode = "deferred"  # constraint tables still missing
-                return ReplicaSync(
-                    mode=mode,
-                    lag=self._consumer.lag,
-                    seconds=time.perf_counter() - started,
-                )
-            return ReplicaSync(
-                mode="noop",
-                lag=self._consumer.lag,
-                seconds=time.perf_counter() - started,
-            )
-        # 1) Advance the replica database (the durable part of the cut),
-        #    batched so a big poll amortizes per-record overhead.
-        ddl = any(record.kind != RECORD_CHANGE for record in records)
-        with self.db.changes.feed.suspended():
-            replay_feed_records(self.db, records, self.applied_records)
-        self._mark("apply")
-        # 2) Commit the cut: a crash from here on re-attaches *after*
-        #    these records, and full detection rebuilds the graph.
-        self._consumer.commit()
-        # 3) Advance the hypergraph: incrementally when possible, by
-        #    full re-detection across DDL or after a failed apply.
         sync = ReplicaSync(records=len(records))
-        if ddl or self._needs_full:
-            # Drop the pre-DDL detector before re-detecting: if full
-            # detection raises (e.g. the new state is outside the
-            # restricted FK class) the stale graph must not keep taking
-            # incremental deltas on later syncs.
-            self._detector = None
-            self._needs_full = True
-            try:
-                self._full_detect()  # clears _needs_full on success
-                sync.mode = "full"
-            except CatalogError:
-                # A cut can fall between DDL records, leaving constraint
-                # tables missing *at this cut*; stay deferred until the
-                # rest of the schema replicates.
-                sync.mode = "deferred"
-        else:
-            try:
-                # No DDL in the batch: every record is a change record.
-                assert self._detector is not None
-                sync.delta = self._detector.apply_records(records)
-            except Exception:
-                # The database already advanced; make the next sync (or
-                # the caller's retry) rebuild the graph from it.
-                self._needs_full = True
-                raise
-            sync.mode = "incremental"
+        if records:
+            # 1) Advance the replica database (the durable part of the
+            #    cut), batched so a big poll amortizes per-record overhead.
+            with self.db.changes.feed.suspended():
+                replay_feed_records(self.db, records, self.applied_records)
+            self._mark("apply")
+            # 2) Commit the cut: a crash from here on re-attaches *after*
+            #    these records, and full detection rebuilds the graph.
+            self._consumer.commit()
+        if records or not self.ready:
+            # 3) Advance the hypergraph (re-detecting across DDL and
+            #    after a failed sync).
+            report = self._advance(records)
+            sync.mode = "deferred" if report is None else report.mode
+            if sync.mode == "incremental":
+                sync.delta = report
         sync.lag = self._consumer.lag
         sync.seconds = time.perf_counter() - started
         return sync

@@ -85,7 +85,8 @@ from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.database import Database
 from repro.engine.feed import SCHEMA_TOPIC, ChangeFeed, GroupRecovery
 from repro.engine.snapshot import restore_database, snapshot_database
-from repro.errors import CatalogError, ConstraintError, ExecutorError, FeedError
+from repro.errors import ConstraintError, ExecutorError, FeedError
+from repro.ra.sjud import UnionFind
 
 if TYPE_CHECKING:
     from repro.core.hippo import HippoEngine
@@ -386,23 +387,13 @@ def plan_assignment(
         spelled.setdefault(key, relation)
 
     # Union-find over co-referenced relations: components place whole.
-    parent = {relation: relation for relation in known}
-
-    def find(relation: str) -> str:
-        root = relation
-        while parent[root] != root:
-            root = parent[root]
-        parent[relation] = root
-        return root
-
+    classes: UnionFind[str] = UnionFind()
     for rels in per_constraint:
         for other in rels[1:]:
-            left, right = find(rels[0]), find(other)
-            if left != right:
-                parent[left] = right
+            classes.union(rels[0], other)
     components: dict[str, list[str]] = {}
     for relation in sorted(known):
-        components.setdefault(find(relation), []).append(relation)
+        components.setdefault(classes.find(relation), []).append(relation)
 
     owner: dict[str, int] = dict(pinned)
     loads = [0] * workers
@@ -458,6 +449,21 @@ def plan_assignment(
         topic_owner=owner,
         constraint_names=names,
         referenced=frozenset(fk.referenced.lower() for fk in fks),
+    )
+
+
+def plan_feed(
+    constraints: Iterable[object],
+    feed: ChangeFeed,
+    workers: int,
+    assignment: Optional[Dict[str, int]] = None,
+) -> ShardPlan:
+    """:func:`plan_assignment` over every relation topic of ``feed``,
+    ``assignment`` (a persisted ownership's owners) pinned -- the plan a
+    coordinator opens with and the CLI's operator views show."""
+    relations = [t.name for t in feed.topics() if t.name != SCHEMA_TOPIC]
+    return plan_assignment(
+        constraints, workers, relations=relations, assignment=assignment
     )
 
 
@@ -624,13 +630,10 @@ class ShardWorker(ReplicaHypergraph):
         self.extra_referenced = plan.referenced
         self._mark("adopt", added[0] if added else None)
         # The constraint slice changed: rebuild detection over the new
-        # partial database (cheap -- in-memory, no feed replay).
-        self._detector = None
-        self._needs_full = True
-        try:
-            self._full_detect()
-        except CatalogError:
-            pass  # stays deferred until the missing DDL replicates
+        # partial database (cheap -- in-memory, no feed replay); it
+        # stays deferred until any missing DDL replicates.
+        self._plan_detection()
+        self._advance()
         if added or self._snapshots:
             self.checkpoint()
         return ShardReshape(added=tuple(resumes), dropped=tuple(dropped))
@@ -951,9 +954,6 @@ class ShardCoordinator:
         self._closed = False
         try:
             self.feed.refresh()
-            discovered = [
-                t.name for t in self.feed.topics() if t.name != SCHEMA_TOPIC
-            ]
             # A persisted map -- not the constructor arguments -- is
             # authoritative on re-attach; topics discovered since are
             # assigned around it.
@@ -962,11 +962,8 @@ class ShardCoordinator:
                 workers, dict(assignment or {}), 0, group_prefix
             )
             self.group_prefix, self.epoch = seed.group_prefix, seed.epoch
-            self.plan = plan_assignment(
-                self.constraints,
-                seed.workers,
-                relations=discovered,
-                assignment=seed.owner,
+            self.plan = plan_feed(
+                self.constraints, self.feed, seed.workers, seed.owner
             )
             self._respawns = [0] * seed.workers
             if persisted is None or persisted.owner != self.plan.topic_owner:

@@ -40,7 +40,7 @@ from repro.core.grounding import GroundQuery
 from repro.core.membership import CachedMembership, make_membership
 from repro.core.prover import Prover
 from repro.engine.database import Database
-from repro.engine.feed import RECORD_CHANGE, FeedConsumer
+from repro.engine.feed import FeedConsumer
 from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
@@ -91,10 +91,13 @@ class HippoEngine:
         membership: Prover membership strategy (``"provenance"`` default).
         use_core: skip the Prover for candidates in the certain core.
         group: consumer-group name for the engine's subscription.  With
-            a named group the engine's position is visible (and, on a
-            durable feed, persistent) under that name -- the CLI's
-            ``.feed`` command shows per-group lag; anonymous engines get
-            an ephemeral ``cursor-<n>`` group.
+            a named group the engine's position is visible under that
+            name while attached -- the CLI's ``.feed`` command shows
+            per-group lag; anonymous engines get an ephemeral
+            ``cursor-<n>`` group.  The engine never resumes from it (it
+            seeks to the end and re-detects), so :meth:`detach` and
+            garbage collection deregister the group everywhere, durable
+            registration included.
         hypergraph: a precomputed conflict hypergraph to answer from
             instead of running detection.  The engine is then *static*
             (detached: no feed subscription, no auto-sync) -- the shape
@@ -146,34 +149,41 @@ class HippoEngine:
         self.use_core = use_core
         self._schema = CatalogSchemaProvider(db.catalog)
         self.backend = self._resolve_backend(backend, db)
+        # Full detection closes over locals, not ``self``: an engine <->
+        # detector cycle would keep a dropped engine (and its feed
+        # registration) alive until the next cyclic collection.
+        constraints, backend = self.constraints, self.backend
+
+        def detect() -> DetectionReport:
+            return detect_conflicts(db, constraints, backend=backend)
+
+        self._detector = IncrementalDetector(db, constraints, detect)
+        self._consumer: Optional[FeedConsumer] = None
         if hypergraph is not None:
             # Externally-maintained detection (e.g. a merged shard
             # view): the engine answers from it statically -- detached,
-            # so no consumer, no incremental maintainer.
-            self._consumer = None
-            self._incremental = None
+            # so no consumer and nothing to advance until a refresh().
             self.detection = DetectionReport(
                 hypergraph=hypergraph, mode="external"
             )
             self._enveloper = Enveloper(db, self.hypergraph)
             return
-        self._consumer: Optional[FeedConsumer] = db.changes.feed.consumer(group)
+        feed = db.changes.feed
+        self._consumer = feed.consumer(group)
+        # An engine dropped without detach() must not pin the change
+        # feed forever (dbs commonly outlive engines, e.g. in tests and
+        # the CLI); runs once, from detach(), GC or a failed __init__.
+        self._release = weakref.finalize(
+            self, feed.drop_group, self._consumer.group
+        )
         try:
             # The engine is about to run full detection on the *current*
             # state: history before that (e.g. a resumed named group's
             # backlog) must not be re-applied on top of it.
             self._consumer.seek_to_end()
-            # An engine dropped without detach() must not pin the change
-            # feed forever (dbs commonly outlive engines, e.g. in tests
-            # and the CLI); closing is idempotent, so detach() and GC
-            # can both run.
-            self._consumer_finalizer = weakref.finalize(
-                self, self._consumer.close
-            )
-            self._incremental: Optional[IncrementalDetector] = None
-            self.detection: DetectionReport = self._full_detection()
+            self.detection: DetectionReport = self._detector.advance()
         except BaseException:
-            self._consumer.close()
+            self._release()
             raise
         self._enveloper = Enveloper(db, self.hypergraph)
 
@@ -209,71 +219,43 @@ class HippoEngine:
         """
         return self._consumer.lag if self._consumer is not None else 0
 
-    def _full_detection(self) -> DetectionReport:
-        """Complete re-detection, re-seeding the incremental maintainer."""
-        report = detect_conflicts(self.db, self.constraints, backend=self.backend)
-        if self._consumer is not None:
-            assert report.store is not None
-            self._incremental = IncrementalDetector(
-                self.db, self.constraints, report.store
-            )
-        return report
-
     def refresh(self, full: bool = False) -> None:
         """Fold pending data changes into the conflict hypergraph.
 
         Incremental maintenance applies the change-log deltas in place;
         ``full=True`` forces complete re-detection (the always-correct
-        escape hatch).  Full detection also happens on its own when the
-        poll lost history or holds a DDL record, and when there is no
-        maintainer (a detached engine, or a failed last application).
+        escape hatch), and so do lost history and a detached engine;
+        the detector re-detects on its own across DDL and after a failed
+        advance.  A poll whose advance raised stays uncommitted.
         """
         records, lost = (
             self._consumer.poll() if self._consumer is not None else ([], True)
         )
-        ddl = any(record.kind != RECORD_CHANGE for record in records)
-        if full or lost or ddl or self._incremental is None:
-            # Forget the old maintainer first: if detection raises (e.g.
-            # a constraint now references a dropped table), the next
-            # refresh must retry full detection -- not resume applying
-            # deltas with a detector built for the old schema.
-            self._incremental = None
-            self.detection = self._full_detection()
-            if self._consumer is not None:
-                self._consumer.commit()
-        elif records:
-            try:
-                self.detection = self._incremental.apply_records(records)
-            except Exception:
-                # A failed application (e.g. the data left the restricted
-                # FK class mid-batch) may leave the maintained graph
-                # partial: force full re-detection on the next refresh.
-                # The poll stays uncommitted -- the fallback recomputes
-                # from the database, not from the records.
-                self._incremental = None
-                raise
-            self._consumer.commit()
-        else:
+        if not (full or lost or records) and self._detector.report is not None:
             return  # nothing pending; current state is already exact
+        self.detection = self._detector.advance(records, full=full or lost)
+        if self._consumer is not None:
+            self._consumer.commit()
         self._enveloper = Enveloper(self.db, self.hypergraph)
 
     def _sync(self) -> None:
         """Bring the hypergraph up to date before answering a query."""
         if self._consumer is None:
             return  # detached: the engine is deliberately static
-        if self._consumer.pending or self._consumer.lost or self._incremental is None:
+        consumer = self._consumer
+        if consumer.pending or consumer.lost or self._detector.report is None:
             self.refresh()
 
     def detach(self) -> None:
         """Stop consuming the change feed (the engine becomes static).
 
-        Queries stop auto-syncing; an explicit :meth:`refresh` still
-        re-runs full detection.
+        The engine's consumer group is deregistered everywhere, so it
+        no longer pins feed retention.  Queries stop auto-syncing; an
+        explicit :meth:`refresh` still re-runs full detection.
         """
         if self._consumer is not None:
-            self._consumer.close()
+            self._release()
             self._consumer = None
-        self._incremental = None
 
     def parse(self, query: QueryLike) -> tuple[SJUDTree, tuple[ast.OrderItem, ...]]:
         """Normalize any supported query form to an SJUD tree.

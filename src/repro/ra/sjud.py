@@ -26,13 +26,24 @@ it with an explanation (as Hippo does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol, Sequence, Union
+from typing import (
+    TYPE_CHECKING,
+    Generic,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+    TypeVar,
+    Union,
+)
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
 
 from repro.errors import AlgebraError, UnsupportedQueryError
 from repro.sql import ast
+
+T = TypeVar("T")
 
 
 class SchemaProvider(Protocol):
@@ -133,13 +144,14 @@ def output_arity_of(tree: SJUDTree) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    """Union-find over hashable items (attribute names and constants)."""
+class UnionFind(Generic[T]):
+    """Union-find over hashable items; ``union(a, b)`` hangs ``a``'s
+    root under ``b``'s."""
 
     def __init__(self) -> None:
-        self._parent: dict[object, object] = {}
+        self._parent: dict[T, T] = {}
 
-    def find(self, item: object) -> object:
+    def find(self, item: T) -> T:
         parent = self._parent.setdefault(item, item)
         if parent == item:
             return item
@@ -147,10 +159,15 @@ class _UnionFind:
         self._parent[item] = root
         return root
 
-    def union(self, a: object, b: object) -> None:
+    def union(self, a: T, b: T) -> None:
         root_a, root_b = self.find(a), self.find(b)
         if root_a != root_b:
             self._parent[root_a] = root_b
+
+    def __iter__(self) -> Iterator[T]:
+        """Every item seen so far (a snapshot: ``find`` may run while
+        iterating)."""
+        return iter(list(self._parent))
 
 
 def _qualified(ref: ast.ColumnRef) -> str:
@@ -171,7 +188,7 @@ def reconstruction_map(
             the output -- i.e. the projection introduces an existential
             quantifier, which is outside Hippo's query class.
     """
-    classes = _UnionFind()
+    classes: UnionFind[object] = UnionFind()
 
     # Equality conjuncts of the condition merge attribute classes.
     for conjunct in ast.split_conjuncts(core.condition):
@@ -196,7 +213,7 @@ def reconstruction_map(
             # Constant outputs determine nothing about atom attributes.
             pass
     # Collect constants present in equality classes.
-    for item in list(classes._parent):
+    for item in classes:
         if isinstance(item, tuple) and item and item[0] == "const":
             const_of_class[classes.find(item)] = item[1]
 

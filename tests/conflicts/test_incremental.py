@@ -104,6 +104,33 @@ class TestChangeLog:
         db.execute("INSERT INTO r VALUES (1, 2)")
         assert db.changes.end == 0  # nobody listening, nothing buffered
 
+    @pytest.mark.parametrize("release", ["detach", "collect"])
+    def test_released_engine_stops_pinning_retention(self, tmp_path, release):
+        import gc
+
+        feed = ChangeFeed(tmp_path / "feed", segment_records=4)
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+        engine = HippoEngine(
+            db, [FunctionalDependency("r", ["a"], ["b"])], group="eng"
+        )
+        for a in range(3):
+            db.execute(f"INSERT INTO r VALUES ({a}, 0)")
+        engine.refresh()  # the group commits offset 3 on topic r
+        if release == "detach":
+            engine.detach()
+        else:
+            del engine
+            gc.collect()
+        for a in range(3, 20):
+            db.execute(f"INSERT INTO r VALUES ({a}, 0)")
+        db.checkpoint()
+        # Only the writer's checkpoint holds retention now: the engine
+        # never resumes from its position, so nothing pins offset 3.
+        assert "eng" not in feed.recovery_points()
+        assert feed.compact() == {"r": 16}  # every sealed segment
+        feed.close()
+
     def test_ddl_bumps_schema_version(self):
         db = Database()
         before = db.changes.feed.schema_version
@@ -619,7 +646,7 @@ class TestMaintainedCounters:
 
     def assert_counters_exact(self, engine, db, constraints):
         """Maintained counters == a brute-force recount == full detection."""
-        store = engine._incremental.store
+        store = engine._detector.report.store
         recount_stored = Counter(store.graph.edge_labels)
         for name, stored in store.stored().items():
             assert stored == recount_stored[name]

@@ -514,3 +514,32 @@ class TestReplicaFailureModes:
         sync = replica.sync()
         assert sync.mode == "full"
         assert_converged(replica, db, constraints)
+
+    def test_failed_delta_batch_leaves_the_replica_not_ready(self):
+        from repro.errors import ConstraintError
+
+        feed = ChangeFeed()
+        constraints = [
+            FunctionalDependency("p", ["id"], ["v"]),
+            ForeignKeyConstraint("c", ["pid"], "p", ["id"]),
+        ]
+        replica = ReplicaHypergraph(feed, constraints, group="replica")
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE p (id INTEGER, v INTEGER)")
+        db.execute("CREATE TABLE c (id INTEGER, pid INTEGER)")
+        db.execute("INSERT INTO p VALUES (1, 5)")
+        db.execute("INSERT INTO c VALUES (10, 1), (11, 2)")
+        replica.sync()
+        assert len(replica.graph) == 1  # the dangling child's FK edge
+        # One delta batch: the dangling child goes, and a second p row
+        # with id 1 makes a choice conflict on the referenced relation.
+        db.execute("DELETE FROM c WHERE pid = 2")
+        db.execute("INSERT INTO p VALUES (1, 6)")
+        with pytest.raises(ConstraintError):
+            replica.sync()
+        # The half-applied graph must not be served as current.
+        assert not replica.ready
+        db.execute("DELETE FROM p WHERE v = 6")
+        sync = replica.sync()
+        assert sync.mode == "full"
+        assert_converged(replica, db, constraints)

@@ -411,6 +411,40 @@ class TestCrossShardConstraints:
             coordinator.drain()
         feed.close()
 
+    def test_failed_delta_batch_leaves_the_worker_not_ready(self, tmp_path):
+        statements = [
+            "CREATE TABLE p (id INTEGER, v INTEGER)",
+            "CREATE TABLE c (id INTEGER, pid INTEGER)",
+            "INSERT INTO p VALUES (1, 5)",
+            "INSERT INTO c VALUES (10, 1), (11, 2)",
+        ]
+        feed, db = build_primary(tmp_path / "feed", statements)
+        constraints = [
+            fd("p", ["id"], ["v"]),
+            ForeignKeyConstraint("c", ["pid"], "p", ["id"]),
+        ]
+        coordinator = ShardCoordinator(feed, constraints, workers=1)
+        coordinator.drain()
+        assert len(coordinator.graph) == 1  # the dangling child's FK edge
+        # One delta batch: the dangling child goes, and a second p row
+        # with id 1 makes a choice conflict on the referenced relation.
+        db.execute("DELETE FROM c WHERE pid = 2")
+        db.execute("INSERT INTO p VALUES (1, 6)")
+        feed.flush()
+        with pytest.raises(ConstraintError, match="referenced"):
+            coordinator.drain()
+        # The half-applied graph must not be reported as current.
+        assert not coordinator.status()[0].ready
+        db.execute("DELETE FROM p WHERE v = 6")
+        feed.flush()
+        assert [sync.mode for sync in coordinator.sync()] == ["full"]
+        assert (
+            coordinator.graph.as_dict()
+            == detect_conflicts(db, constraints).hypergraph.as_dict()
+        )
+        coordinator.close()
+        feed.close()
+
 
 class TestCheckpointRestart:
     def test_worker_restarts_from_committed_cut(self, tmp_path):

@@ -7,12 +7,15 @@ after fully catching up with the primary, after a simulated process
 restart (a fresh feed instance on the same directory, re-attached from
 the group's committed offsets), for a *reader* feed instance that
 attached before the writer appended anything (live tailing), and across
-retention reclaim + snapshot recovery.
+retention reclaim + snapshot recovery.  Streams also carry batches that
+push the FK-referenced relation into a choice conflict: a sync may then
+raise, and a replica that still calls itself ``ready`` must hold exactly
+what full detection computes.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.conflicts import ReplicaHypergraph, detect_conflicts
 from repro.constraints import (
@@ -23,6 +26,7 @@ from repro.constraints import (
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed
+from repro.errors import ConstraintError
 from repro.sql.parser import parse_expression
 
 # One randomized mutation step over two FK-linked tables.
@@ -31,6 +35,7 @@ ops = st.lists(
         st.sampled_from(
             [
                 ("insert", "p"),
+                ("clash", "p"),
                 ("delete", "p"),
                 ("insert", "c"),
                 ("delete", "c"),
@@ -62,7 +67,9 @@ def constraint_set():
 def run_step(db: Database, step) -> None:
     (kind, table), key, value = step
     if kind == "insert" and table == "p":
-        db.execute(f"INSERT INTO p VALUES ({key})")
+        db.execute(f"INSERT INTO p VALUES ({key}, 0)")
+    elif kind == "clash":  # a p row disagreeing with any (key, 0) on w
+        db.execute(f"INSERT INTO p VALUES ({key}, {value + 1})")
     elif kind == "insert":
         db.execute(f"INSERT INTO c VALUES ({key}, {value}, {value})")
     elif kind == "update":
@@ -88,9 +95,9 @@ def test_replica_equals_full_detection_at_every_cut(
     constraints = constraint_set()
     feed = ChangeFeed(directory, segment_records=8)
     db = Database(feed=feed)
-    db.execute("CREATE TABLE p (id INTEGER)")
+    db.execute("CREATE TABLE p (id INTEGER, w INTEGER)")
     db.execute("CREATE TABLE c (id INTEGER, pid INTEGER, v INTEGER)")
-    db.execute("INSERT INTO p VALUES (0), (1)")
+    db.execute("INSERT INTO p VALUES (0, 0), (1, 0)")
     db.execute("INSERT INTO c VALUES (0, 0, 2), (1, 5, 2), (2, 1, 0)")
     for step in sequence:
         run_step(db, step)
@@ -144,9 +151,9 @@ def test_live_reader_with_truncation_equals_full_detection(
     assert not replica.ready  # attached before any append
 
     db = Database(feed=writer)
-    db.execute("CREATE TABLE p (id INTEGER)")
+    db.execute("CREATE TABLE p (id INTEGER, w INTEGER)")
     db.execute("CREATE TABLE c (id INTEGER, pid INTEGER, v INTEGER)")
-    db.execute("INSERT INTO p VALUES (0), (1)")
+    db.execute("INSERT INTO p VALUES (0, 0), (1, 0)")
     db.execute("INSERT INTO c VALUES (0, 0, 2), (1, 5, 2), (2, 1, 0)")
     synced = 0
     for step in sequence:
@@ -201,9 +208,9 @@ def test_writer_reopen_after_retention_equals_untruncated_replay(
     constraints = constraint_set()
 
     def seed(database: Database) -> None:
-        database.execute("CREATE TABLE p (id INTEGER)")
+        database.execute("CREATE TABLE p (id INTEGER, w INTEGER)")
         database.execute("CREATE TABLE c (id INTEGER, pid INTEGER, v INTEGER)")
-        database.execute("INSERT INTO p VALUES (0), (1)")
+        database.execute("INSERT INTO p VALUES (0, 0), (1, 0)")
         database.execute("INSERT INTO c VALUES (0, 0, 2), (1, 5, 2), (2, 1, 0)")
 
     feed = ChangeFeed(base / "reclaimed", segment_records=2, retention="compact")
@@ -248,3 +255,32 @@ def test_writer_reopen_after_retention_equals_untruncated_replay(
         assert dict(db.table(name).items()) == dict(shadow.table(name).items())
     feed.close()
     shadow_feed.close()
+
+
+@settings(max_examples=20, deadline=None)
+@given(sequence=ops, stride=strides)
+@example(sequence=[(("clash", "p"), 1, 0), (("delete", "p"), 1, 0)], stride=1)
+def test_ready_replica_is_exact_across_failed_syncs(sequence, stride):
+    """With an FD on the referenced relation ``p``, a clash makes the
+    state leave the restricted FK class and the sync carrying it raise.
+    After every sync, raising or not, ``ready`` must imply that full
+    detection over the replica database succeeds and equals the graph --
+    a half-applied batch is never served."""
+    constraints = constraint_set() + [FunctionalDependency("p", ["id"], ["w"])]
+    feed = ChangeFeed()
+    replica = ReplicaHypergraph(feed, constraints, group="replica")
+    db = Database(feed=feed)
+    db.execute("CREATE TABLE p (id INTEGER, w INTEGER)")
+    db.execute("CREATE TABLE c (id INTEGER, pid INTEGER, v INTEGER)")
+    db.execute("INSERT INTO p VALUES (0, 0), (1, 0)")
+    db.execute("INSERT INTO c VALUES (0, 0, 2), (1, 5, 2), (2, 1, 0)")
+    for step in sequence:
+        run_step(db, step)
+        while replica.lag:
+            try:
+                replica.sync(limit=stride)
+            except ConstraintError:
+                pass  # the cut was committed; the graph is owed
+            if replica.ready:
+                full = detect_conflicts(replica.db, constraints)
+                assert replica.graph.as_dict() == full.hypergraph.as_dict()

@@ -105,6 +105,9 @@ def test_every_public_def_is_referenced():
         ("repro.conflicts.incremental", "DeltaStats"),
         ("repro.conflicts.incremental", "IncrementalDetector.bootstrap"),
         ("repro.conflicts.shard", "global_constraint_names"),
+        ("repro.core.hippo", "HippoEngine._full_detection"),
+        ("repro.conflicts.replica", "ReplicaHypergraph._full_detect"),
+        ("repro.ra.sjud", "_UnionFind"),
     ],
 )
 def test_deleted_names_are_gone(module, name):

@@ -43,9 +43,9 @@ from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.storage import Table
-from repro.engine.types import SQLType, SQLValue, infer_type
+from repro.engine.types import SQLType, SQLValue
 from repro.errors import AlgebraError, BackendError
-from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
+from repro.ra.sjud import SJUDCore, SJUDTree, column_type, output_types_of
 from repro.ra.to_sql import (
     ParameterizedSQL,
     create_index_sql,
@@ -244,14 +244,10 @@ class MirrorBackend(ABC):
         return columns, rows
 
     @staticmethod
-    def _coerce_rows(
-        rows: list[tuple], types: Sequence[Optional[SQLType]]
-    ) -> list[tuple]:
-        if not any(t is SQLType.BOOLEAN for t in types):
+    def _coerce_rows(rows: list[tuple], boolean: Sequence[int]) -> list[tuple]:
+        """``rows`` with the values in the ``boolean`` columns made bool."""
+        if not boolean:
             return rows
-        boolean = [
-            index for index, t in enumerate(types) if t is SQLType.BOOLEAN
-        ]
         coerced = []
         for row in rows:
             values = list(row)
@@ -269,8 +265,11 @@ class MirrorBackend(ABC):
         except AlgebraError as exc:
             raise BackendError(f"cannot lower tree: {exc}") from exc
         _, rows = self._run(rendered)
-        types = tree_output_types(tree, self.db.catalog)
-        return frozenset(self._coerce_rows(rows, types))
+        types = output_types_of(tree, self.db.catalog)
+        boolean = [
+            i for i, kinds in enumerate(types) if kinds - {None} == {SQLType.BOOLEAN}
+        ]
+        return frozenset(self._coerce_rows(rows, boolean))
 
     def execute_query(
         self, query: ast.Query
@@ -289,9 +288,10 @@ class MirrorBackend(ABC):
             raise BackendError(f"cannot lower query: {exc}") from exc
         columns, rows = self._run(rendered)
         types = query_output_types(query, self.db.catalog)
-        if len(types) == 0 or (rows and len(types) != len(rows[0])):
+        if rows and len(types) != len(rows[0]):
             return columns, rows
-        return columns, self._coerce_rows(rows, types)
+        boolean = [i for i, kind in enumerate(types) if kind is SQLType.BOOLEAN]
+        return columns, self._coerce_rows(rows, boolean)
 
     def residual_join(self, core: SJUDCore) -> list[tuple[int, ...]]:
         """Evaluate a denial constraint's residual join here.
@@ -327,26 +327,6 @@ def _alias_map(from_items: Sequence[ast.FromItem]) -> dict[str, str]:
     return mapping
 
 
-def _column_type(
-    expr: ast.Expression, aliases: dict[str, str], catalog: Catalog
-) -> Optional[SQLType]:
-    if isinstance(expr, ast.Literal):
-        return None if expr.value is None else infer_type(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        candidates = (
-            [aliases[expr.table.lower()]]
-            if expr.table is not None and expr.table.lower() in aliases
-            else list(aliases.values())
-        )
-        for relation in candidates:
-            if not catalog.has_table(relation):
-                continue
-            schema = catalog.table(relation).schema
-            if schema.has_column(expr.name):
-                return schema.column(expr.name).sql_type
-    return None
-
-
 def query_output_types(
     query: ast.Query, catalog: Catalog
 ) -> tuple[Optional[SQLType], ...]:
@@ -374,21 +354,5 @@ def query_output_types(
                     schema = catalog.table(relation).schema
                     types.extend(c.sql_type for c in schema.columns)
             continue
-        types.append(_column_type(item.expr, aliases, catalog))
+        types.append(column_type(item.expr, aliases, catalog))
     return tuple(types)
-
-
-def tree_output_types(
-    tree: SJUDTree, catalog: Catalog
-) -> tuple[Optional[SQLType], ...]:
-    """Declared types of an SJUD tree's output columns, where derivable."""
-    core = tree
-    while isinstance(core, (Union_, Difference)):
-        core = core.left
-    aliases = {
-        atom.alias.lower(): atom.relation for atom in core.atoms
-    }
-    return tuple(
-        _column_type(column.source, aliases, catalog)
-        for column in core.outputs
-    )

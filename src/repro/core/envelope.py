@@ -45,19 +45,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Collection, Optional, Sequence, cast
+from itertools import filterfalse
+from typing import Any, Collection, Optional, Sequence
 
-from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
+from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.engine.database import Database
 from repro.ra.compile import CoreWitnesses, evaluate_core
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 
-#: One core's witness for a candidate: a vertex per atom, or None when the
-#: core does not produce the candidate over the database.  The vertices
-#: are the plain ``(relation, tid)`` pairs :func:`evaluate_core` builds,
-#: which compare and hash as :class:`Vertex` does: unpack them, never read
-#: ``.relation`` / ``.tid``.
-Provenance = Optional[tuple[Vertex, ...]]
+#: One core's witness for a candidate: a tid per atom, or None when the
+#: core does not produce the candidate over the database.
+Provenance = Optional[tuple[int, ...]]
 
 
 @dataclass
@@ -67,8 +65,8 @@ class EnvelopeEvaluation:
     Attributes:
         candidates: envelope rows (``Q-up``), in evaluation order.
         certain: core rows (``Q-down``); guaranteed consistent answers.
-        witnesses: every core's ``C(DB)`` (value -> first witness), in
-            tree order -- the core numbering of
+        witnesses: every core's ``C(DB)`` (value -> its first witness's
+            tids), in tree order -- the core numbering of
             :class:`~repro.core.grounding.GroundQuery`.
         seconds: wall-clock time of the evaluation.
     """
@@ -139,7 +137,7 @@ class Enveloper:
         right_up, right_down = self._evaluate(tree.right, witnesses)
         if isinstance(tree, Union_):
             return up | right_up, down | right_down
-        kept = {value: None for value in up if value not in right_down}
+        kept = dict.fromkeys(filterfalse(right_down.__contains__, up))
         return kept, down.difference(right_up)
 
 
@@ -149,4 +147,4 @@ def provenance_hints(
     """The candidate's witness in every core, None where the core does not
     produce it: the answer to every membership check the Prover will ask
     about this candidate, read off the envelope's own evaluation."""
-    return cast(list[Provenance], [core.get(candidate) for core in witnesses])
+    return [core.get(candidate) for core in witnesses]

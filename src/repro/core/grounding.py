@@ -29,7 +29,7 @@ only lays out the witness tids and picks the case.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence, Union, cast
 
 from repro.conflicts.hypergraph import Vertex
 from repro.core import formula as fm
@@ -49,18 +49,19 @@ class GroundQuery:
     live cores' atoms are numbered as *slots*, in core order, and the
     formula over slots is fixed by the liveness mask, so it is built --
     and normalised, see :class:`~repro.core.formula.Template` -- once per
-    mask, not once per candidate.
+    mask, not once per candidate.  So are the atoms' relations, paired
+    with the witness tids only here, for candidates that reach the Prover.
     """
 
     def __init__(self, tree: SJUDTree) -> None:
-        self._atoms: list[int] = []  # atoms per core, in tree order
+        self._relations: list[tuple[str, ...]] = []  # per core, tree order
         self._shape = self._prepare(tree)
         self._templates: dict[int, fm.Template] = {}
 
     def _prepare(self, tree: SJUDTree) -> _Shape:
         if isinstance(tree, SJUDCore):
-            self._atoms.append(len(tree.atoms))
-            return len(self._atoms) - 1
+            self._relations.append(tuple(a.relation.lower() for a in tree.atoms))
+            return len(self._relations) - 1
         if isinstance(tree, Union_):
             return ("union", self._prepare(tree.left), self._prepare(tree.right))
         if isinstance(tree, Difference):
@@ -76,10 +77,10 @@ class GroundQuery:
         bit mask over core numbers) produce the candidate."""
         first: dict[int, int] = {}
         slots = 0
-        for number, atoms in enumerate(self._atoms):
+        for number, relations in enumerate(self._relations):
             if live >> number & 1:
                 first[number] = slots
-                slots += atoms
+                slots += len(relations)
 
         def recurse(node: _Shape) -> fm.Formula[int]:
             if isinstance(node, int):
@@ -87,7 +88,8 @@ class GroundQuery:
                     return fm.FALSE
                 start = first[node]
                 return fm.conj(
-                    fm.AtomF(slot) for slot in range(start, start + self._atoms[node])
+                    fm.AtomF(slot)
+                    for slot in range(start, start + len(self._relations[node]))
                 )
             op, left, right = node
             if op == "union":
@@ -101,14 +103,17 @@ class GroundQuery:
         a candidate with this provenance (one entry per core, see
         :func:`~repro.core.envelope.provenance_hints`), compiled: the
         query's template for its live cores plus the witness vertex in
-        each slot (``.formula`` is the tree)."""
+        each slot (``.formula`` is the tree): plain ``(relation, tid)``
+        pairs, which compare and hash as :class:`Vertex` does -- unpack
+        them, never read ``.relation`` / ``.tid``."""
         live = 0
-        vertices: list[Vertex] = []
+        vertices: list[tuple[str, int]] = []
+        relations = self._relations
         for number, witness in enumerate(provenance):
             if witness is not None:
                 live |= 1 << number
-                vertices += witness
+                vertices += zip(relations[number], witness)
         template = self._templates.get(live)
         if template is None:
             template = self._templates[live] = self._template(live)
-        return fm.Ground(template, vertices)
+        return fm.Ground(template, cast(list[Vertex], vertices))

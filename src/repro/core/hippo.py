@@ -25,6 +25,7 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -49,6 +50,7 @@ from repro.ra.sjud import (
     SJUDTree,
     from_sql_query,
     output_names_of,
+    output_types_of,
     validate_tree,
 )
 from repro.sql import ast
@@ -315,26 +317,25 @@ class HippoEngine:
 
         certain = envelope.certain  # empty without use_core
         witnesses = envelope.witnesses
+        candidates = envelope.candidates
 
-        answers: list[tuple] = []
-        skipped_by_core = 0
         prover_started = time.perf_counter()
-        for candidate in envelope.candidates:
-            if candidate in certain:
-                skipped_by_core += 1
-                answers.append(candidate)
-                continue
-            provenance = provenance_hints(witnesses, candidate)
-            if decide(grounder.formula_for(provenance)):
-                answers.append(candidate)
+        undecided = list(filterfalse(certain.__contains__, candidates))
+        rejected = {
+            c
+            for c in undecided
+            if not decide(grounder.formula_for(provenance_hints(witnesses, c)))
+        }
+        # In candidate order, so ORDER BY ties keep it.
+        answers = filterfalse(rejected.__contains__, candidates)
         prover_seconds = time.perf_counter() - prover_started
 
-        rows = self._order(answers, columns, order_by)
+        rows = self._order(answers, columns, order_by, tree)
         total_seconds = time.perf_counter() - started
         stats: dict[str, object] = {
             "candidates": envelope.candidate_count,
             "certain": len(envelope.certain),
-            "skipped_by_core": skipped_by_core,
+            "skipped_by_core": len(candidates) - len(undecided),
             "answers": len(rows),
             "prover": prover.stats,
             "membership": membership.stats,
@@ -417,7 +418,7 @@ class HippoEngine:
                 lambda: evaluate_tree(tree, self.db),
             )
         )
-        ordered = self._order(rows, columns, order_by)
+        ordered = self._order(rows, columns, order_by, tree)
         return AnswerSet(
             columns, ordered, {"total_seconds": time.perf_counter() - started}
         )
@@ -435,7 +436,7 @@ class HippoEngine:
         tree, order_by = self.parse(query)
         columns = list(output_names_of(tree))
         rows = evaluate_tree(tree, self.db, self._enveloper.conflict_free_tids)
-        ordered = self._order(rows, columns, order_by)
+        ordered = self._order(rows, columns, order_by, tree)
         return AnswerSet(
             columns, ordered, {"total_seconds": time.perf_counter() - started}
         )
@@ -447,10 +448,12 @@ class HippoEngine:
         rows: Iterable[tuple],
         columns: Sequence[str],
         order_by: tuple[ast.OrderItem, ...],
+        tree: SJUDTree,
     ) -> list[tuple]:
-        """Apply top-level ORDER BY (or a deterministic default order)."""
+        """Apply top-level ORDER BY, or the default order (decided from the
+        output types of ``tree``)."""
         if not order_by:
-            return default_order(rows)
+            return default_order(rows, output_types_of(tree, self.db.catalog))
         materialized = list(rows)
         lowered = [column.lower() for column in columns]
         for item in reversed(order_by):

@@ -27,13 +27,16 @@ from repro.engine.types import (
     SQLType,
     SQLValue,
     canonical,
+    comparable,
     compare_values,
+    infer_type,
     logic_and,
     logic_not,
     logic_or,
 )
 from repro.errors import ExecutionError, PlanError, TypeError_
 from repro.sql import ast
+from repro.sql.formatter import format_expression
 
 Env = tuple
 Evaluator = Callable[[Env], SQLValue]
@@ -102,8 +105,10 @@ class Scope:
         raise PlanError(f"unknown column: {ast.ColumnRef(table, name)}")
 
     def declared_type(self, expr: ast.Expression) -> Optional[SQLType]:
-        """The declared type of the stored column ``expr`` names; None when
-        ``expr`` is not a column reference, or its type is not known."""
+        """The declared type of the stored column ``expr`` names, or a
+        literal's own; None for anything else, NULL, or an unknown type."""
+        if isinstance(expr, ast.Literal):
+            return infer_type(expr.value)
         if not isinstance(expr, ast.ColumnRef):
             return None
         try:
@@ -300,7 +305,9 @@ class ExpressionCompiler:
         NULL, REAL, mixed numerics, incomparable types -- goes through
         :func:`compare_values`, which owns the rule (and raises).  A
         literal operand is moved to the right and captured as a constant.
+        Known types that do not compare raise here (:meth:`_check_comparable`).
         """
+        self._check_comparable(left_expr, right_expr)
         if isinstance(left_expr, ast.Literal) and not isinstance(
             right_expr, ast.Literal
         ):
@@ -334,6 +341,18 @@ class ExpressionCompiler:
 
         return compare
 
+    def _check_comparable(self, left: ast.Expression, right: ast.Expression) -> None:
+        """Raise :func:`compare_values`' error before any row is read when
+        both operands' types are known (:meth:`Scope.declared_type`) and do
+        not compare; values of unknown types are checked per row."""
+        left_type = self.scope.declared_type(left)
+        right_type = self.scope.declared_type(right)
+        if left_type and right_type and not comparable(left_type, right_type):
+            raise TypeError_(
+                f"cannot compare {left_type} with {right_type}"
+                f" ({format_expression(left)} vs {format_expression(right)})"
+            )
+
     def _compile_UnaryOp(self, expr: ast.UnaryOp) -> Evaluator:
         operand = self.compile(expr.operand)
         if expr.op == "NOT":
@@ -358,6 +377,8 @@ class ExpressionCompiler:
         return lambda env: operand(env) is None
 
     def _compile_InList(self, expr: ast.InList) -> Evaluator:
+        for item in expr.items:
+            self._check_comparable(expr.operand, item)
         operand = self.compile(expr.operand)
         items = [self.compile(item) for item in expr.items]
         negated = expr.negated

@@ -107,8 +107,9 @@ class Scan(PlanNode):
 def hashable(left: Optional[SQLType], right: Optional[SQLType]) -> bool:
     """Whether an equality between values declared ``left`` and ``right``
     may be an :class:`Access` key.  Python's hashing says ``1 = TRUE`` and
-    never raises, so an incomparable pair stays a conjunct evaluated per
-    row, which raises as a Filter does.  An unknown (None) type hashes."""
+    never raises, so an incomparable pair stays a conjunct, whose compiled
+    comparison raises before any row is read.  An unknown (None) type
+    hashes."""
     return left is None or right is None or comparable(left, right)
 
 

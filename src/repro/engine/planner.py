@@ -45,7 +45,7 @@ from repro.engine.expressions import (
     bound_entries,
 )
 from repro.engine.stats import ExecutionStats
-from repro.engine.types import SQLType, infer_type
+from repro.engine.types import SQLType
 from repro.errors import PlanError
 from repro.sql import ast
 
@@ -76,11 +76,6 @@ def _equalities(
     :func:`~repro.engine.plan.hashable` declared types (a literal's own).
     """
 
-    def declared(expr: ast.Expression, scope: Scope) -> Optional[SQLType]:
-        if isinstance(expr, ast.Literal):
-            return infer_type(expr.value)
-        return scope.declared_type(expr)
-
     keys: list[_KeyEquality] = []
     for conjunct in conjuncts:
         if not isinstance(conjunct, ast.BinaryOp) or conjunct.op != "=":
@@ -89,7 +84,9 @@ def _equalities(
             if (
                 inner(a)
                 and outer(b)
-                and plan.hashable(declared(a, inner_scope), declared(b, outer_scope))
+                and plan.hashable(
+                    inner_scope.declared_type(a), outer_scope.declared_type(b)
+                )
             ):
                 keys.append((conjunct, a, b))
                 break

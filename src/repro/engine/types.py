@@ -24,7 +24,7 @@ ORDER BY, MIN / MAX -- agrees with it.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 from repro.errors import TypeError_
 
@@ -216,27 +216,33 @@ def sort_key(value: SQLValue) -> tuple:
     return (4, value, 0)
 
 
-def default_order(rows: Iterable[tuple]) -> list[tuple]:
-    """``rows`` in the deterministic default order of an answer set.
+def default_order(
+    rows: Iterable[tuple],
+    types: Optional[Sequence[Collection[Optional[SQLType]]]] = None,
+) -> list[tuple]:
+    """``rows`` in the deterministic default order of an answer set: that
+    of each row's :func:`sort_key` tuples (stable).
 
-    The order is that of each row's :func:`sort_key` tuples.  A column of
-    only numbers (bool is its own type) without NaN, or only text, never
-    NULL, orders exactly as those keys do, so such rows sort on themselves.
+    ``types`` holds the types each column's values can have (read off the
+    values when not given).  Python orders values as their keys do, or
+    raises (NULL against a value, TEXT against a number: then the keys
+    sort), except BOOLEAN against a number and NaN: a column mixing those
+    types, or a REAL one holding a NaN, sorts on the keys.
     """
     ordered = list(rows)
-    if all(_self_ordered(column) for column in zip(*ordered)):
-        ordered.sort()
-    else:
-        ordered.sort(key=lambda row: tuple(sort_key(v) for v in row))
+    if types is None:
+        types = [set(map(infer_type, column)) for column in zip(*ordered)]
+    if all(
+        not (SQLType.BOOLEAN in kinds and not _NUMERIC.isdisjoint(kinds))
+        and (SQLType.REAL not in kinds or all(row[i] == row[i] for row in ordered))
+        for i, kinds in enumerate(types)
+    ):
+        try:
+            return sorted(ordered)
+        except TypeError:
+            pass
+    ordered.sort(key=lambda row: tuple(map(sort_key, row)))
     return ordered
-
-
-def _self_ordered(column: tuple) -> bool:
-    """Whether Python's own order of ``column`` is its :func:`sort_key` order."""
-    kinds = set(map(type, column))
-    if kinds == {str} or kinds == {int}:
-        return True
-    return kinds <= {int, float} and all(value == value for value in column)
 
 
 def format_value(value: SQLValue) -> str:

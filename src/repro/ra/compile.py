@@ -22,6 +22,7 @@ never restricts: it reads ``Q-down`` off the tids of the unrestricted rows
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Collection, Optional, Union
 
 from repro.engine import plan as physical
@@ -32,8 +33,8 @@ from repro.sql import ast
 from repro.ra.sjud import Difference, SJUDCore, SJUDTree, Union_
 from repro.ra.to_sql import core_to_select
 
-#: A core's answers: value -> the (relation, tid) pairs of its first witness.
-CoreWitnesses = dict[tuple, tuple[tuple[str, int], ...]]
+#: A core's answers: value -> the tids of its first witness, one per atom.
+CoreWitnesses = dict[tuple, tuple[int, ...]]
 
 
 def unrestricted(_relation: str) -> Optional[frozenset[int]]:
@@ -69,44 +70,48 @@ def evaluate_core(
     restrict: Restriction = unrestricted,
     conflicting: Optional[Callable[[str], Collection[int]]] = None,
 ) -> Union[CoreWitnesses, tuple[CoreWitnesses, set[tuple]]]:
-    """Evaluate a core, returning ``answer -> witness provenance``.
-
-    Provenance is a tuple of ``(relation, tid)`` pairs, one per atom, of
-    the *first* witness found for that answer value (set semantics keeps
-    one witness; the Prover only needs facts known to be in the database).
+    """Evaluate a core, returning ``answer -> witness tids``: the tid tail
+    (one per atom) of the *first* row producing the answer, in first-seen
+    order (set semantics keeps one witness; the Prover only needs facts
+    known to be in the database).
 
     With ``conflicting`` (relation -> its tids in some conflict) the result
     is the pair ``(witnesses, certain)``: ``certain`` holds the answers with
     *a* witness -- any, not only the first -- free of conflicting tids, i.e.
-    the core over the conflict-free database, from the same pass.
+    the core over the conflict-free database, from the same rows, filtered
+    once per atom over a relation with conflicts.
     """
-    node = compile_core(core, db, restrict)
     arity = len(core.outputs)
-    results: CoreWitnesses = {}
-    relations = [atom.relation.lower() for atom in core.atoms]
+    rows = list(compile_core(core, db, restrict).rows(()))
+    value_of = itemgetter(slice(arity))
+    values = list(map(value_of, rows))
+    tails = list(map(itemgetter(slice(arity, None)), rows))
+    witnesses = dict(zip(values, tails))
+    if len(witnesses) < len(values):  # some value has several witnesses
+        # Re-assigning keeps each key's place; the last write is its first.
+        witnesses.update(zip(reversed(values), reversed(tails)))
     if conflicting is None:
-        for row in node.rows(()):
-            value = row[:arity]
-            if value not in results:
-                results[value] = tuple(zip(relations, row[arity:]))
-        return results
-    # Only atoms over a relation that has conflicts can disqualify a row.
+        return witnesses
     dirty = [
-        (arity + slot, tids)
-        for slot, tids in enumerate(map(conflicting, relations))
-        if tids
+        (slot, tids)
+        for slot, atom in enumerate(core.atoms, arity)
+        if (tids := conflicting(atom.relation.lower()))
     ]
-    certain: set[tuple] = set()
-    for row in node.rows(()):
-        value = row[:arity]
-        if value not in results:
-            results[value] = tuple(zip(relations, row[arity:]))
+    certain = set(witnesses)  # copies the keys with their stored hashes
+    if len(witnesses) == len(rows):
+        # One witness per value: a value is certain iff its one row is clean,
+        # so only the few dirty rows are sliced -- a third of the cost of
+        # filtering and re-slicing every row, which is the general rule.
         for slot, tids in dirty:
-            if row[slot] in tids:
-                break
-        else:
-            certain.add(value)
-    return results, certain
+            certain.difference_update(
+                [value_of(row) for row in rows if row[slot] in tids]
+            )
+    elif dirty:  # keep the values some clean row produces
+        clean = rows
+        for slot, tids in dirty:
+            clean = [row for row in clean if row[slot] not in tids]
+        certain = set(map(value_of, clean))
+    return witnesses, certain
 
 
 def evaluate_tree(
@@ -115,8 +120,9 @@ def evaluate_tree(
     restrict: Restriction = unrestricted,
 ) -> frozenset[tuple]:
     """Evaluate a full SJUD tree to a set of rows (set semantics)."""
-    if isinstance(tree, SJUDCore):
-        return frozenset(evaluate_core(tree, db, restrict).keys())
+    if isinstance(tree, SJUDCore):  # no witnesses: just the values
+        rows = compile_core(tree, db, restrict).rows(())
+        return frozenset(map(itemgetter(slice(len(tree.outputs))), rows))
     if isinstance(tree, Union_):
         return evaluate_tree(tree.left, db, restrict) | evaluate_tree(
             tree.right, db, restrict

@@ -40,6 +40,7 @@ from typing import (
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
 
+from repro.engine.types import SQLType, infer_type
 from repro.errors import AlgebraError, UnsupportedQueryError
 from repro.sql import ast
 
@@ -132,6 +133,43 @@ def output_names_of(tree: SJUDTree) -> tuple[str, ...]:
     if isinstance(tree, SJUDCore):
         return tree.output_names
     return output_names_of(tree.left)
+
+
+def output_types_of(
+    tree: SJUDTree, catalog: Catalog
+) -> list[set[Optional[SQLType]]]:
+    """The types each output column's values can have, over every core (see
+    :func:`column_type`; None for NULL)."""
+    types: list[set[Optional[SQLType]]] = [set() for _ in output_names_of(tree)]
+    for core in cores_of(tree):
+        aliases = {atom.alias.lower(): atom.relation for atom in core.atoms}
+        for kinds, column in zip(types, core.outputs):
+            kinds.add(column_type(column.source, aliases, catalog))
+    return types
+
+
+def column_type(
+    expr: ast.Expression, aliases: dict[str, str], catalog: Catalog
+) -> Optional[SQLType]:
+    """A literal's own type, or the declared type of the stored column
+    ``expr`` names (``aliases`` maps lower-case alias -> relation; an
+    unqualified name is looked up in each); None for NULL, an expression or
+    an unresolvable reference."""
+    if isinstance(expr, ast.Literal):
+        return infer_type(expr.value)
+    if isinstance(expr, ast.ColumnRef):
+        candidates = (
+            [aliases[expr.table.lower()]]
+            if expr.table is not None and expr.table.lower() in aliases
+            else list(aliases.values())
+        )
+        for relation in candidates:
+            if not catalog.has_table(relation):
+                continue
+            schema = catalog.table(relation).schema
+            if schema.has_column(expr.name):
+                return schema.column(expr.name).sql_type
+    return None
 
 
 def output_arity_of(tree: SJUDTree) -> int:

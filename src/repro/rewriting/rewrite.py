@@ -57,6 +57,7 @@ from repro.ra.sjud import (
     Union_,
     cores_of,
     from_sql_query,
+    output_types_of,
 )
 from repro.ra.to_sql import core_to_select
 from repro.sql import ast
@@ -178,7 +179,8 @@ class RewritingEngine:
                 (counted); None always runs natively.
         """
         started = time.perf_counter()
-        rewritten = self.rewrite(query)
+        tree = self._as_tree(query)
+        rewritten = self.rewrite(tree)
 
         def native() -> tuple[Sequence[str], list[tuple]]:
             result = self.db.execute_statement(ast.SelectStatement(rewritten))
@@ -189,7 +191,7 @@ class RewritingEngine:
             if backend is None
             else backend.pushdown(lambda: backend.execute_query(rewritten), native)
         )
-        rows = default_order(set(result_rows))
+        rows = default_order(set(result_rows), output_types_of(tree, self.db.catalog))
         elapsed = time.perf_counter() - started
         return AnswerSet(
             list(columns),

@@ -30,6 +30,7 @@ from repro.constraints import (
     FunctionalDependency,
 )
 from repro.core.hippo import HippoEngine
+from repro.engine.types import format_value
 from repro.errors import BackendError
 from repro.ra import (
     Atom,
@@ -166,6 +167,19 @@ class TestAnswerEquality:
         answers = backend.execute_tree(tree)
         assert answers == evaluate_tree(tree, db)
         assert all(isinstance(row[1], bool) for row in answers)
+        backend.close()
+
+    def test_boolean_union_null_literal_prints_as_boolean(self, db):
+        db.execute("CREATE TABLE t (a INTEGER, ok BOOLEAN)")
+        db.execute("INSERT INTO t VALUES (1, TRUE), (2, FALSE)")
+        query = "SELECT * FROM t UNION SELECT a, NULL FROM t WHERE ok = TRUE"
+        native = HippoEngine(db, []).raw_answers(query).rows
+        backend = SQLiteBackend()
+        pushed = HippoEngine(db, [], backend=backend).raw_answers(query).rows
+        assert db.stats.backend_fallbacks == 0
+        # (1,) == (True,) in Python: compare what prints, not the sets
+        assert [repr(row) for row in pushed] == [repr(row) for row in native]
+        assert [format_value(row[1]) for row in pushed] == ["NULL", "TRUE", "FALSE"]
         backend.close()
 
 

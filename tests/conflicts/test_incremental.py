@@ -15,6 +15,7 @@ import pytest
 
 from repro import Database, HippoEngine
 from repro.conflicts import ConflictHypergraph, Vertex, detect_conflicts, vertex
+from repro.conflicts.incremental import IncrementalDetector
 from repro.constraints import (
     ConstraintAtom,
     DenialConstraint,
@@ -331,7 +332,7 @@ class TestIncrementalDenials:
         assert_equivalent(engine, db, [denial])
         assert len(engine.hypergraph) == 2  # (1,20), (5,20)
 
-    def cross_type_engine(self, s_type):
+    def cross_type_db(self, s_type):
         db = Database()
         db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
         db.execute(f"CREATE TABLE s (a {s_type}, b INTEGER)")
@@ -341,17 +342,29 @@ class TestIncrementalDenials:
             (ConstraintAtom("t1", "r"), ConstraintAtom("t2", "s")),
             parse_expression("t1.a = t2.a"),
         )
-        return db, HippoEngine(db, [denial]), [denial]
+        return db, [denial]
+
+    def cross_type_engine(self, s_type):
+        db, constraints = self.cross_type_db(s_type)
+        return db, HippoEngine(db, constraints), constraints
 
     def test_incomparable_link_raises_on_both_paths(self):
-        # INTEGER = TEXT is no index key: both paths compare per row and
-        # raise, as full detection always did -- no silent empty delta.
-        db, engine, constraints = self.cross_type_engine("TEXT")
-        db.execute("INSERT INTO s VALUES ('1', 2)")
-        with pytest.raises(TypeError_, match="cannot compare"):
+        # INTEGER = TEXT is no index key but a comparison of known types:
+        # full detection and the incremental matchers both raise it when
+        # they plan -- s is still empty -- never a silent empty delta.
+        db, constraints = self.cross_type_db("TEXT")
+        with pytest.raises(TypeError_, match="cannot compare") as full:
             detect_conflicts(db, constraints)
         with pytest.raises(TypeError_, match="cannot compare"):
-            engine.refresh()
+            HippoEngine(db, constraints)
+        # Past a detection that never plans the denial, the matchers do.
+        detector = IncrementalDetector(
+            db, constraints, lambda: detect_conflicts(db, [])
+        )
+        with pytest.raises(TypeError_) as incremental:
+            detector.advance()
+        assert str(incremental.value) == str(full.value)
+        assert detector.report is None
 
     def test_comparable_cross_type_link_derives_the_same_edge(self):
         db, engine, constraints = self.cross_type_engine("REAL")

@@ -6,6 +6,7 @@ from repro.conflicts import detect_conflicts
 from repro.constraints import FunctionalDependency
 from repro.core.envelope import Enveloper, provenance_hints
 from repro.conflicts.hypergraph import vertex
+from repro.core.grounding import GroundQuery
 from repro.ra import CatalogSchemaProvider, from_sql_query
 from repro.repairs import ground_truth_consistent_answers
 from repro.sql.parser import parse_query
@@ -94,8 +95,7 @@ class TestProvenance:
         (witnesses,) = evaluation.witnesses
         assert list(witnesses) == list(evaluation.candidates)
         for value, provenance in witnesses.items():
-            ((relation, tid),) = provenance
-            assert relation == "emp"
+            (tid,) = provenance
             assert db.table("emp").get(tid) == value
 
     def test_union_and_difference_keep_both_branches(self, setup):
@@ -113,7 +113,7 @@ class TestProvenance:
             assert {row[1] for row in left} == {"cs"}
             assert all(row[2] > 14 for row in right)
             assert right and all(
-                emp.get(tid) == row for row, ((_r, tid),) in right.items()
+                emp.get(tid) == row for row, (tid,) in right.items()
             )
 
     def test_provenance_hints_translation(self, setup):
@@ -122,7 +122,9 @@ class TestProvenance:
         (witnesses,) = enveloper.evaluate(tree).witnesses
         tid = next(iter(db.table("emp").lookup(("bob", "ee", 20))))
         hints = provenance_hints([witnesses], ("bob", "ee", 20))
-        assert hints == [(vertex("emp", tid),)]
+        assert hints == [(tid,)]
+        # The grounder pairs each tid with its atom's relation.
+        assert GroundQuery(tree).formula_for(hints).vertices == [vertex("emp", tid)]
 
     def test_provenance_hints_empty(self, setup):
         assert provenance_hints([], ("bob", "ee", 20)) == []

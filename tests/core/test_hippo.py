@@ -9,6 +9,7 @@ from repro.constraints import (
     ExclusionConstraint,
     FunctionalDependency,
 )
+from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.repairs import ground_truth_consistent_answers
 from repro.sql.parser import parse_expression
@@ -232,16 +233,72 @@ class TestDefaultOrderPinnedToSortKey:
 
     @pytest.mark.parametrize("first", sorted(COLUMNS))
     @pytest.mark.parametrize("second", sorted(COLUMNS))
-    def test_equals_the_sort_key_order(self, hippo, first, second):
+    def test_equals_the_sort_key_order(self, first, second):
         rows = [(a, b) for a in self.COLUMNS[first] for b in self.COLUMNS[second]]
         rows += rows[:3]  # duplicates keep their relative order (stable)
-        assert hippo._order(iter(rows), ["a", "b"], ()) == self.reference(rows)
+        assert default_order(iter(rows)) == self.reference(rows)
 
-    def test_bool_among_ints_is_where_a_naive_sort_differs(self, hippo):
+    def test_bool_among_ints_is_where_a_naive_sort_differs(self):
         rows = [(2,), (True,), (0,)]
         assert sorted(rows) == [(0,), (True,), (2,)]
-        assert hippo._order(rows, ["a"], ()) == [(True,), (0,), (2,)]
+        assert default_order(rows) == [(True,), (0,), (2,)]
 
-    def test_empty_and_zero_width(self, hippo):
-        assert hippo._order([], ["a"], ()) == []
-        assert hippo._order([(), ()], [], ()) == [(), ()]
+    def test_empty_and_zero_width(self):
+        assert default_order([]) == []
+        assert default_order([(), ()]) == [(), ()]
+
+
+class TestTypedDefaultOrder:
+    """The engine decides the default order from the query's declared
+    output types; ``sort_key`` runs only where Python's own order could
+    differ from it or raises."""
+
+    @staticmethod
+    def answers(monkeypatch, create, rows, query):
+        import repro.engine.types as types
+
+        keyed = []
+        monkeypatch.setattr(
+            types, "sort_key", lambda value: keyed.append(value) or sort_key(value)
+        )
+        db = Database()
+        db.execute(create)
+        db.insert_rows("t", rows)
+        hippo = HippoEngine(db, [FunctionalDependency("t", ["k"], ["v"])])
+        return hippo.consistent_answers(query).rows, bool(keyed)
+
+    def test_a_null_against_a_value_falls_back_to_the_keys(self, monkeypatch):
+        rows, keyed = self.answers(
+            monkeypatch,
+            "CREATE TABLE t (k INTEGER, v TEXT)",
+            [(2, "x"), (1, None), (1, "y"), (3, None)],  # NULL is no conflict
+            "SELECT * FROM t",
+        )
+        assert keyed  # (1, None) < (1, 'y') raised TypeError
+        assert rows == [(1, None), (1, "y"), (2, "x"), (3, None)]
+
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_a_real_column_is_checked_for_nan(self, monkeypatch, nan):
+        values = [2.5, -0.0, float("nan") if nan else float("inf"), -1.0]
+        rows, keyed = self.answers(
+            monkeypatch,
+            "CREATE TABLE t (k INTEGER, v REAL)",
+            [(k, v) for k, v in enumerate(values)],
+            "SELECT v, k FROM t WHERE k = k",
+        )
+        assert keyed == nan
+        assert [repr(v) for v, _k in rows] == [
+            repr(v) for v in sorted(values, key=sort_key)
+        ]
+
+    def test_a_boolean_column_unioned_with_integers_uses_the_keys(
+        self, monkeypatch
+    ):
+        rows, keyed = self.answers(
+            monkeypatch,
+            "CREATE TABLE t (k INTEGER, v BOOLEAN)",
+            [(0, True), (2, False)],
+            "SELECT k, v FROM t UNION SELECT v, k FROM t",
+        )
+        assert keyed
+        assert rows == [(False, 2), (True, 0), (0, True), (2, False)]

@@ -1,8 +1,10 @@
 """Unit tests for the SQL value model and three-valued logic."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine.types import (
+    NAN,
     SQLType,
     coerce_value,
     compare_values,
@@ -121,6 +123,16 @@ class TestThreeValuedLogic:
         assert not is_true(False)
 
 
+INF = float("inf")
+TYPED_VALUES = {
+    SQLType.INTEGER: st.integers(min_value=-2, max_value=2),
+    # NAN is the one NaN object storage keeps.
+    SQLType.REAL: st.sampled_from([0.0, -0.0, 1.0, -1.5, 2.0, NAN, INF, -INF]),
+    SQLType.TEXT: st.sampled_from(["", "a", "B", "ab"]),
+    SQLType.BOOLEAN: st.booleans(),
+}
+
+
 class TestRendering:
     def test_sort_key_total_order(self):
         values = ["b", None, 2, True, 1.5, "a", False]
@@ -143,6 +155,27 @@ class TestRendering:
     def test_default_order_is_the_sort_key_order(self, rows):
         by_key = sorted(rows, key=lambda row: tuple(sort_key(v) for v in row))
         assert default_order(iter(rows)) == by_key
+
+    @given(st.data())
+    def test_typed_default_order_is_the_sort_key_order(self, data):
+        """Per column, one or two declared types (a union's branches may
+        differ) and NULL only where the column is nullable."""
+        width = data.draw(st.integers(min_value=1, max_value=3))
+        types = [
+            data.draw(st.sets(st.sampled_from(list(SQLType)), min_size=1, max_size=2))
+            for _ in range(width)
+        ]
+        columns = [
+            st.one_of(
+                [TYPED_VALUES[kind] for kind in sorted(kinds, key=str)]
+                + ([st.none()] if data.draw(st.booleans()) else [])
+            )
+            for kinds in types
+        ]
+        rows = data.draw(st.lists(st.tuples(*columns), max_size=12))
+        by_key = sorted(rows, key=lambda row: tuple(sort_key(v) for v in row))
+        # repr tells -0.0 from 0.0 and 1 from 1.0: stable means the same objects.
+        assert list(map(repr, default_order(rows, types))) == list(map(repr, by_key))
 
     def test_format_value(self):
         assert format_value(None) == "NULL"

@@ -34,6 +34,7 @@ from repro.ra import (
     cores_of,
     evaluate_core,
 )
+from repro.ra.compile import compile_core
 from repro.repairs import ground_truth_consistent_answers
 from repro.sql import ast
 
@@ -200,8 +201,68 @@ def test_dirty_first_witness_clean_later_is_certain():
     db = build_db([(1, 2), (1, 3), (0, 2)], [])
     graph = detect_conflicts(db, CONSTRAINT_SETS[0]).hypergraph
     evaluation = Enveloper(db, graph).evaluate(_B_ONLY)
-    assert evaluation.witnesses[0][(2, 2)] == (("r", 0),)  # first witness: dirty
+    assert evaluation.witnesses[0][(2, 2)] == (0,)  # first witness: dirty
     assert evaluation.certain == {(2, 2)}  # tid 2 vouches for it
+
+
+# ------------------------------------------- evaluate_core against a per-row loop
+
+
+def reference_core(core, db, conflicting):
+    """The per-row loop the set-shaped pass replaced: the first witness of
+    each value, in first-seen order, and a value is certain as soon as
+    one of its witnesses has no conflicting tid."""
+    arity = len(core.outputs)
+    relations = [atom.relation.lower() for atom in core.atoms]
+    witnesses, certain = {}, set()
+    for row in compile_core(core, db).rows(()):
+        value, tids = row[:arity], row[arity:]
+        witnesses.setdefault(value, tids)
+        if not any(tid in conflicting(r) for r, tid in zip(relations, tids)):
+            certain.add(value)
+    return witnesses, certain
+
+
+@st.composite
+def chain_cores(draw):
+    """``t1 x t2 x t3`` linked ``b = a``, any relations (self-joins
+    included), projected to the ends: three atoms, often all dirty, and
+    many witnesses per value."""
+    relations = [draw(st.sampled_from(["r", "s"])) for _ in range(3)]
+    return _core(
+        [Atom(f"t{i}", relation) for i, relation in enumerate(relations, 1)],
+        [_eq(_ref("t1", "b"), _ref("t2", "a")), _eq(_ref("t2", "b"), _ref("t3", "a"))],
+        [_ref("t1", "a"), _ref("t3", "b")],
+    )
+
+
+any_cores = st.one_of(
+    selections(), determined_joins(), existential_cores(), chain_cores()
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows, rows, constraint_sets, any_cores)
+@example(  # duplicate rows, and a value with a dirty and a clean witness
+    [(1, 2), (1, 2), (1, 3), (2, 1)], [(2, 1)], CONSTRAINT_SETS[0], _B_ONLY
+)
+@example(  # a self-join chain over two dirty relations
+    [(0, 1), (0, 2), (1, 1)], [(1, 0), (1, 3)], CONSTRAINT_SETS[0],
+    _core(
+        [Atom("t1", "r"), Atom("t2", "s"), Atom("t3", "r")],
+        [_eq(_ref("t1", "b"), _ref("t2", "a")), _eq(_ref("t2", "b"), _ref("t3", "a"))],
+        [_ref("t1", "a"), _ref("t3", "b")],
+    ),
+)
+def test_evaluate_core_equals_the_per_row_loop(r_rows, s_rows, ics, core):
+    db = build_db(r_rows, s_rows)
+    conflicting = detect_conflicts(db, ics).hypergraph.conflicting_tids
+    expected_witnesses, expected_certain = reference_core(core, db, conflicting)
+    witnesses, certain = evaluate_core(core, db, conflicting=conflicting)
+    # Same keys in the same order, each with its first witness.
+    assert list(witnesses.items()) == list(expected_witnesses.items())
+    assert certain == expected_certain
+    assert list(evaluate_core(core, db).items()) == list(witnesses.items())
 
 
 @settings(max_examples=120, deadline=None)

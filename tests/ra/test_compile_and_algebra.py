@@ -35,15 +35,17 @@ class TestEvaluateCore:
     def test_provenance_tids(self, two_table_db):
         tree = tree_of(two_table_db, "SELECT * FROM r WHERE a = 2")
         results = evaluate_core(tree, two_table_db)
-        assert results == {(2, 5): (("r", 2),)}
+        assert results == {(2, 5): (2,)}
 
     def test_join_provenance_has_both_tids(self, two_table_db):
         tree = tree_of(
             two_table_db, "SELECT r.a, r.b, s.b FROM r, s WHERE r.a = s.a"
         )
         results = evaluate_core(tree, two_table_db)
-        for provenance in results.values():
-            assert [relation for relation, _tid in provenance] == ["r", "s"]
+        assert results
+        for (a, r_b, s_b), (r_tid, s_tid) in results.items():  # atom order
+            assert two_table_db.table("r").get(r_tid) == (a, r_b)
+            assert two_table_db.table("s").get(s_tid)[0] == a
 
     def test_restriction(self, two_table_db):
         tree = tree_of(two_table_db, "SELECT * FROM r")
@@ -55,7 +57,7 @@ class TestEvaluateCore:
         two_table_db.execute("INSERT INTO r VALUES (1, 1)")  # duplicate value
         tree = tree_of(two_table_db, "SELECT * FROM r")
         results = evaluate_core(tree, two_table_db)
-        assert results[(1, 1)] == (("r", 0),)  # first witness kept
+        assert results[(1, 1)] == (0,)  # first witness kept
 
 
 class TestEvaluateTree:

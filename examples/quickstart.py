@@ -52,10 +52,11 @@ def main() -> None:
     for row in answers:
         print("   ", row)
     print(
-        "  pipeline: {candidates} candidates, {skipped_by_core} certain via"
-        " the core, prover checked {checked}".format(
+        "  pipeline: {candidates} candidates, {certain} certain and {refuted}"
+        " refuted by the envelope, prover checked {checked}".format(
             candidates=answers.stats["candidates"],
-            skipped_by_core=answers.stats["skipped_by_core"],
+            certain=answers.stats["certain"],
+            refuted=answers.stats["refuted"],
             checked=answers.stats["prover"].candidates_checked,
         )
     )

@@ -10,7 +10,7 @@ This module provides that loop for scripts, pipes and terminals::
     hippo> .constraint FD emp: name -> salary
     hippo> .consistent SELECT * FROM emp;
     ('bob', 5)
-    (1 consistent answer; 3 candidates, 1 via core)
+    (1 consistent answer; 3 candidates: 1 certain, 2 refuted)
 
 Meta-commands (everything else is executed as SQL):
 
@@ -132,10 +132,11 @@ class HippoShell:
         for row in answers.rows:
             self._print("  " + "(" + ", ".join(format_value(v) for v in row) + ")")
         extras = ""
-        if "candidates" in answers.stats:
+        stats = answers.stats
+        if "candidates" in stats:
             extras = (
-                f"; {answers.stats['candidates']} candidates"
-                f", {answers.stats.get('skipped_by_core', 0)} via core"
+                f"; {stats['candidates']} candidates:"
+                f" {stats['certain']} certain, {stats['refuted']} refuted"
             )
         plural = "" if len(answers.rows) == 1 else "s"
         self._print(f"({len(answers.rows)} {label}{plural}{extras})")
@@ -430,7 +431,9 @@ class HippoShell:
                 if report["possible"]
                 else "not even possible"
             )
-            self._print(f"{report['candidate']}: {verdict}")
+            self._print(
+                f"{report['candidate']}: {verdict}; decided by: {report['decided_by']}"
+            )
             if not report["produced"]:
                 self._print(
                     "  no core of the query produces it over the database,"

@@ -14,7 +14,9 @@ For every SJUD tree ``Q`` two approximations are evaluated:
   (hence certain consistent answers) -- candidates found here skip the
   Prover entirely, the paper's "expression selecting a subset of the set
   of consistent query answers ... significantly reduce[s] the number of
-  tuples that have to be processed by Prover".
+  tuples that have to be processed by Prover";
+* the **refuted** set ``Q-out``: candidates false in *some* repair, which
+  skip the Prover too when consistent answers are asked.
 
 Rules (C a conjunctive core, evaluated by the engine):
 
@@ -22,15 +24,24 @@ Rules (C a conjunctive core, evaluated by the engine):
     up(A ∪ B)  = up(A) ∪ up(B)              down(A ∪ B) = down(A) ∪ down(B)
     up(A − B)  = up(A) − down(B)            down(A − B) = down(A) − up(B)
 
-Both are computed in one recursion returning ``(up, down)`` per node, and a
-core is evaluated once: every row of ``C(DB)`` carries one tid per atom, and
-``C(conflict-free DB)`` is exactly the rows none of whose tids is
-conflicting -- any witness of a value counts, not only the first one kept.
+    out(C)     = values with exactly one row in C(DB), that row dirty
+    out(A ∪ B) = (out(A) − up(B)) ∪ (out(B) − up(A))
+    out(A − B) = out(A) − down(B)
+
+All three are computed in one recursion returning ``(up, down, out)`` per
+node, and a core is evaluated once: every row of ``C(DB)`` carries one tid
+per atom, and ``C(conflict-free DB)`` is exactly the rows none of whose
+tids is conflicting (not *dirty*) -- any witness of a value counts, not
+only the first one kept.
 
 Soundness is proved by induction: ``up`` over-approximates possible truth
 and ``down`` under-approximates certain truth, with the difference rules
 swapping the two (a tuple certainly in ``B`` is certainly not in
 ``A − B``; a tuple possibly in ``B`` cannot be *certainly* in ``A − B``).
+``out`` under-approximates "false in some repair": a dirty tid ``t`` lies
+in a stored edge ``e``, every stored edge is minimal, so ``e − {t}``
+extends to a repair without ``t`` -- and without the value's only row
+(docs/ARCHITECTURE.md, "The envelope: one pass per core").
 
 Envelope evaluation also keeps every core's ``C(DB)`` with the witness
 tids of each value (its *provenance*): a core is conjunctive and every
@@ -65,6 +76,7 @@ class EnvelopeEvaluation:
     Attributes:
         candidates: envelope rows (``Q-up``), in evaluation order.
         certain: core rows (``Q-down``); guaranteed consistent answers.
+        refuted: envelope rows false in some repair (``Q-out``).
         witnesses: every core's ``C(DB)`` (value -> its first witness's
             tids), in tree order -- the core numbering of
             :class:`~repro.core.grounding.GroundQuery`.
@@ -73,6 +85,7 @@ class EnvelopeEvaluation:
 
     candidates: Collection[tuple]
     certain: frozenset[tuple]
+    refuted: frozenset[tuple]
     witnesses: tuple[CoreWitnesses, ...]
     seconds: float = 0.0
 
@@ -107,38 +120,42 @@ class Enveloper:
     # ---------------------------------------------------------- evaluation
 
     def evaluate(self, tree: SJUDTree, compute_core: bool = True) -> EnvelopeEvaluation:
-        """Evaluate ``Q-up`` and every core's witnesses, optionally ``Q-down``."""
+        """Evaluate ``Q-up`` and every core's witnesses, optionally
+        ``Q-down`` and ``Q-out``."""
         started = time.perf_counter()
         witnesses: list[CoreWitnesses] = []
-        up, down = self._evaluate(tree, witnesses)
+        up, down, out = self._evaluate(tree, witnesses)
         elapsed = time.perf_counter() - started
         return EnvelopeEvaluation(
             up.keys(),
             frozenset(down if compute_core else ()),
+            frozenset(out if compute_core else ()),
             tuple(witnesses),
             elapsed,
         )
 
     def _evaluate(
         self, tree: SJUDTree, witnesses: list[CoreWitnesses]
-    ) -> tuple[dict[tuple, Any], set[tuple]]:
-        """``(up, down)`` of one node -- ``up``'s keys are the rows -- with
-        each core's witness map appended to ``witnesses``, left to right;
-        every core is evaluated once and its map is never modified."""
+    ) -> tuple[dict[tuple, Any], set[tuple], set[tuple]]:
+        """``(up, down, out)`` of one node -- ``up``'s keys are the rows --
+        with each core's witness map appended to ``witnesses``, left to
+        right; every core is evaluated once and its map is never modified."""
         if isinstance(tree, SJUDCore):
-            up, down = evaluate_core(
+            up, down, out = evaluate_core(
                 tree, self._db, conflicting=self._hypergraph.conflicting_tids
             )
             witnesses.append(up)
-            return up, down
+            return up, down, out
         if not isinstance(tree, (Union_, Difference)):
             raise TypeError(f"cannot envelope {type(tree).__name__}")
-        up, down = self._evaluate(tree.left, witnesses)
-        right_up, right_down = self._evaluate(tree.right, witnesses)
+        up, down, out = self._evaluate(tree.left, witnesses)
+        right_up, right_down, right_out = self._evaluate(tree.right, witnesses)
         if isinstance(tree, Union_):
-            return up | right_up, down | right_down
+            refuted = out.difference(right_up)
+            refuted.update(right_out.difference(up))
+            return up | right_up, down | right_down, refuted
         kept = dict.fromkeys(filterfalse(right_down.__contains__, up))
-        return kept, down.difference(right_up)
+        return kept, down.difference(right_up), out.difference(right_down)
 
 
 def provenance_hints(

@@ -16,8 +16,9 @@ constructor flags:
   (``"query"``: the base system's per-check point queries;
   ``"cached"``: batched; ``"provenance"``: the extended-envelope
   optimization answering checks without database queries);
-* ``use_core`` -- skip the Prover for candidates found in the
-  certain-answer core ``Q-down`` (read off the same pass as ``Q-up``).
+* ``use_core`` -- skip the Prover for candidates in the certain-answer
+  core ``Q-down`` (answers) and, for consistent answers, in the refuted
+  set ``Q-out`` (rejected); both are read off the same pass as ``Q-up``.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class HippoEngine:
             that is the point).
         constraints: denial constraints / FDs / keys / exclusions.
         membership: Prover membership strategy (``"provenance"`` default).
-        use_core: skip the Prover for candidates in the certain core.
+        use_core: skip the Prover for candidates in ``Q-down`` / ``Q-out``.
         group: consumer-group name for the engine's subscription.  With
             a named group the engine's position is visible under that
             name while attached -- the CLI's ``.feed`` command shows
@@ -101,7 +102,9 @@ class HippoEngine:
             garbage collection deregister the group everywhere, durable
             registration included.
         hypergraph: a precomputed conflict hypergraph to answer from
-            instead of running detection.  The engine is then *static*
+            instead of running detection.  It must hold only minimal
+            edges, as detection, incremental maintenance and
+            ``merge_graphs`` guarantee.  The engine is then *static*
             (detached: no feed subscription, no auto-sync) -- the shape
             :class:`~repro.conflicts.shard.ShardCoordinator.engine`
             uses to answer queries from a merged shard view.  An
@@ -284,8 +287,9 @@ class HippoEngine:
 
         The returned :class:`AnswerSet` carries statistics:
         ``candidates`` (envelope size), ``certain`` (core size),
-        ``prover_checked``, ``prover_rejected``, membership-check counts,
-        and per-stage wall-clock times.
+        ``refuted`` (0 for possible answers), ``skipped_by_core`` (certain
+        + refuted), the Prover's and membership counters, and per-stage
+        wall-clock times.
         """
         return self._proved_answers(query, possible=False)
 
@@ -300,7 +304,7 @@ class HippoEngine:
 
     def _proved_answers(self, query: QueryLike, possible: bool) -> AnswerSet:
         """Envelope, then the Prover on every candidate outside the core
-        (certain implies possible, so the core short-cuts both modes)."""
+        and, for consistent answers, outside the refuted set."""
         self._sync()
         started = time.perf_counter()
         tree, order_by = self.parse(query)
@@ -315,17 +319,18 @@ class HippoEngine:
             prover.is_possible_answer if possible else prover.is_consistent_answer
         )
 
-        certain = envelope.certain  # empty without use_core
+        certain = envelope.certain  # both empty without use_core
+        refuted = frozenset() if possible else envelope.refuted
         witnesses = envelope.witnesses
         candidates = envelope.candidates
 
         prover_started = time.perf_counter()
-        undecided = list(filterfalse(certain.__contains__, candidates))
-        rejected = {
+        undecided = [c for c in candidates if c not in certain and c not in refuted]
+        rejected = refuted.union(
             c
             for c in undecided
             if not decide(grounder.formula_for(provenance_hints(witnesses, c)))
-        }
+        )
         # In candidate order, so ORDER BY ties keep it.
         answers = filterfalse(rejected.__contains__, candidates)
         prover_seconds = time.perf_counter() - prover_started
@@ -335,6 +340,7 @@ class HippoEngine:
         stats: dict[str, object] = {
             "candidates": envelope.candidate_count,
             "certain": len(envelope.certain),
+            "refuted": len(refuted),
             "skipped_by_core": len(candidates) - len(undecided),
             "answers": len(rows),
             "prover": prover.stats,
@@ -351,9 +357,12 @@ class HippoEngine:
         Returns a report with the candidate's ground formula, whether some
         core of the query produces it over the database at all
         (``produced``; if none does it is true in no repair), whether it
-        is consistent and possible, and -- when it is produced but not
-        consistent -- one counterexample requirement: a (require, forbid)
-        fact pair for which a repair falsifying the formula exists.
+        is consistent and possible, what decides it in
+        :meth:`consistent_answers` (``decided_by``: ``"core"``,
+        ``"refuted"``, ``"prover"``, or ``"envelope"`` for a non-candidate),
+        and -- when it is produced but not consistent -- one counterexample
+        requirement: a (require, forbid) fact pair for which a repair
+        falsifying the formula exists.
         """
         self._sync()
         tree, _ = self.parse(query)
@@ -366,8 +375,8 @@ class HippoEngine:
             )
         membership = CachedMembership(self.db)
         prover = Prover(self.hypergraph, membership)
-        witnesses = self._enveloper.evaluate(tree, compute_core=False).witnesses
-        provenance = provenance_hints(witnesses, candidate)
+        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
+        provenance = provenance_hints(envelope.witnesses, candidate)
         phi = GroundQuery(tree).formula_for(provenance)
         falsifier = prover.satisfying_disjunct(phi, negated=True)
 
@@ -384,7 +393,12 @@ class HippoEngine:
             "produced": produced,
             "consistent": falsifier is None,
             "possible": prover.is_possible_answer(phi),
+            "decided_by": "prover" if candidate in envelope.candidates else "envelope",
         }
+        if candidate in envelope.certain:
+            report["decided_by"] = "core"
+        elif candidate in envelope.refuted:
+            report["decided_by"] = "refuted"
         if falsifier is not None and produced:
             require, forbid = falsifier
             report["falsifying_repair_requires"] = sorted(

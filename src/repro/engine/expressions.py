@@ -128,6 +128,9 @@ class Scope:
 class CompiledSubquery(Protocol):
     """What the planner returns when asked to compile a nested query."""
 
+    #: The first output column's :meth:`Scope.declared_type`.
+    first_type: Optional[SQLType]
+
     def first_column_values(self, env: Env) -> list[SQLValue]:
         """Evaluate the subquery, returning its first output column."""
 
@@ -341,12 +344,18 @@ class ExpressionCompiler:
 
         return compare
 
-    def _check_comparable(self, left: ast.Expression, right: ast.Expression) -> None:
+    def _check_comparable(
+        self,
+        left: ast.Expression,
+        right: ast.Expression,
+        right_type: Optional[SQLType] = None,
+    ) -> None:
         """Raise :func:`compare_values`' error before any row is read when
-        both operands' types are known (:meth:`Scope.declared_type`) and do
-        not compare; values of unknown types are checked per row."""
+        both operands' types are known (:meth:`Scope.declared_type`, or
+        ``right_type``: an ``IN`` subquery's first column) and do not
+        compare; values of unknown types are checked per row."""
         left_type = self.scope.declared_type(left)
-        right_type = self.scope.declared_type(right)
+        right_type = right_type or self.scope.declared_type(right)
         if left_type and right_type and not comparable(left_type, right_type):
             raise TypeError_(
                 f"cannot compare {left_type} with {right_type}"
@@ -494,6 +503,7 @@ class ExpressionCompiler:
 
     def _compile_InSubquery(self, expr: ast.InSubquery) -> Evaluator:
         compiled, _ = self._subquery(expr.query)
+        self._check_comparable(expr.operand, expr, compiled.first_type)
         operand = self.compile(expr.operand)
         negated = expr.negated
 

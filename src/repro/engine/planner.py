@@ -115,10 +115,11 @@ def _flat_from(
 
 @dataclass
 class PlannedQuery:
-    """A compiled query: physical plan + output column names."""
+    """A compiled query: physical plan + output column names and types."""
 
     plan: plan.PlanNode
     columns: list[str]
+    types: list[Optional[SQLType]]
 
     def run(self) -> list[tuple]:
         """Execute the plan with an empty outer environment."""
@@ -127,10 +128,10 @@ class PlannedQuery:
 
 @dataclass
 class _Source:
-    """A planned FROM item: its plan plus visible columns.
+    """A planned FROM item or query body: its plan plus visible columns.
 
-    ``types`` is parallel to ``entries``: a stored column's declared type,
-    None for the rest.
+    ``types`` is parallel to ``entries``: :meth:`Scope.declared_type` (a
+    stored column's or a literal's type), None for the rest.
     """
 
     node: plan.PlanNode
@@ -161,12 +162,13 @@ class _Subplan:
 
     def __init__(
         self,
-        node: plan.PlanNode,
+        planned: PlannedQuery,
         captures: list[tuple[int, int]],
         site_level: int,
         stats: ExecutionStats,
     ) -> None:
-        self._node = node
+        self._node = planned.plan
+        self.first_type = planned.types[0] if planned.types else None
         self._captures = captures
         self._site_level = site_level
         self._stats = stats
@@ -226,12 +228,14 @@ class _DecorrelatedSubplan:
         outer_keys: list[Evaluator],
         residual: Optional[Callable[[Env], bool]],
         value_evaluator: Evaluator,
+        first_type: Optional[SQLType],
         stats: ExecutionStats,
     ) -> None:
         self.partner = partner
         self.outer_keys = outer_keys
         self.residual = residual
         self._value = value_evaluator
+        self.first_type = first_type
         self._stats = stats
 
     def _probe(self, env: Env) -> Sequence[tuple]:
@@ -375,9 +379,10 @@ class Planner:
         self, query: ast.Query, outer_scope: Optional[Scope] = None
     ) -> PlannedQuery:
         """Plan a full query (body + ORDER BY + LIMIT)."""
-        node, entries, displays = self._plan_body(query.body, outer_scope)
+        body = self._plan_body(query.body, outer_scope)
+        node = body.node
         level = outer_scope.level + 1 if outer_scope is not None else 0
-        output_scope = Scope(list(entries), outer_scope, level)
+        output_scope = Scope(list(body.entries), outer_scope, level)
         if query.order_by:
             keys: list[tuple[Evaluator, bool]] = []
             for item in query.order_by:
@@ -395,7 +400,7 @@ class Planner:
             node = plan.Sort(node, keys)
         if query.limit is not None or query.offset is not None:
             node = plan.Limit(node, query.limit, query.offset)
-        return PlannedQuery(node, displays)
+        return PlannedQuery(node, body.displays, body.types)
 
     def plan_matching(
         self, table: str, where: Optional[ast.Expression]
@@ -413,7 +418,7 @@ class Planner:
         early = [c for c in conjuncts if not contains_subquery(c)]
         leftovers = self._apply_local_filters(source, early, source.scope(None, 0))
         self._filter(source, leftovers + late, None, 0)
-        return PlannedQuery(source.node, source.displays)
+        return PlannedQuery(source.node, source.displays, source.types)
 
     # ----------------------------------------------------------- query body
 
@@ -421,38 +426,37 @@ class Planner:
         self,
         body: Union[ast.SelectCore, ast.SetOperation],
         outer_scope: Optional[Scope],
-    ) -> tuple[plan.PlanNode, list[tuple[Optional[str], str]], list[str]]:
+    ) -> _Source:
         if isinstance(body, ast.SelectCore):
             return self._plan_select_core(body, outer_scope)
-        left_node, left_entries, left_displays = self._plan_body(body.left, outer_scope)
-        right_node, _right_entries, _right_displays = self._plan_body(
-            body.right, outer_scope
-        )
-        if left_node.width != right_node.width:
+        left = self._plan_body(body.left, outer_scope)
+        right = self._plan_body(body.right, outer_scope)
+        if left.node.width != right.node.width:
             raise PlanError(
                 f"{body.op.upper()} requires equal column counts"
-                f" ({left_node.width} vs {right_node.width})"
+                f" ({left.node.width} vs {right.node.width})"
             )
         if body.op == "union":
-            node: plan.PlanNode = plan.UnionAll([left_node, right_node])
+            node: plan.PlanNode = plan.UnionAll([left.node, right.node])
             if not body.all:
                 node = plan.Distinct(node)
         elif body.op == "except":
-            node = plan.Except(left_node, right_node, all=body.all)
+            node = plan.Except(left.node, right.node, all=body.all)
         elif body.op == "intersect":
-            node = plan.Intersect(left_node, right_node, all=body.all)
+            node = plan.Intersect(left.node, right.node, all=body.all)
         else:  # pragma: no cover - parser never emits other ops
             raise PlanError(f"unknown set operation {body.op!r}")
         # Column names come from the left input; bindings are dropped since
         # a set-operation result is not addressable through an alias.
-        entries = [(None, column) for _binding, column in left_entries]
-        return node, entries, left_displays
+        entries = [(None, column) for _binding, column in left.entries]
+        types = [t if t == u else None for t, u in zip(left.types, right.types)]
+        return _Source(node, entries, left.displays, types)
 
     # ---------------------------------------------------------- SELECT core
 
     def _plan_select_core(
         self, core: ast.SelectCore, outer_scope: Optional[Scope]
-    ) -> tuple[plan.PlanNode, list[tuple[Optional[str], str]], list[str]]:
+    ) -> _Source:
         level = outer_scope.level + 1 if outer_scope is not None else 0
 
         conjuncts = ast.split_conjuncts(core.where)
@@ -487,15 +491,17 @@ class Planner:
             node, entries, displays = self._plan_aggregate(
                 node, from_scope, core, select_items, aggregate_calls, level
             )
+            types: list[Optional[SQLType]] = [None] * len(entries)
         else:
             compiler = self._compiler(from_scope)
             evaluators = [compiler.compile(item.expr) for item in select_items]
             node = plan.Project(node, evaluators)
             entries, displays = self._output_columns(select_items, from_scope)
+            types = [from_scope.declared_type(item.expr) for item in select_items]
 
         if core.distinct:
             node = plan.Distinct(node)
-        return node, entries, displays
+        return _Source(node, entries, displays, types)
 
     # ------------------------------------------------------------- FROM list
 
@@ -978,7 +984,7 @@ class Planner:
             for outer_level, outer_collector in self._collectors:
                 if level <= outer_level:
                     outer_collector.add((level, index))
-        return _Subplan(planned.plan, sorted(collector), site_scope.level, self.stats)
+        return _Subplan(planned, sorted(collector), site_scope.level, self.stats)
 
     # -------------------------------------------------- EXISTS decorrelation
 
@@ -1057,6 +1063,7 @@ class Planner:
             local_scope = source.scope(site_scope, site_scope.level + 1)
             residual = self._predicate(correlated, local_scope)
             value_evaluator = self._compiler(local_scope).compile(value_expr)
+            value_type = local_scope.declared_type(value_expr)
         except PlanError:
             return None  # oddly-shaped subquery: the generic path handles it
         return _DecorrelatedSubplan(
@@ -1064,5 +1071,6 @@ class Planner:
             [outer_keys[i] for i in served],
             residual,
             value_evaluator,
+            value_type,
             self.stats,
         )

@@ -22,6 +22,7 @@ never restricts: it reads ``Q-down`` off the tids of the unrestricted rows
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Collection, Optional, Union
 
@@ -69,17 +70,18 @@ def evaluate_core(
     db: Database,
     restrict: Restriction = unrestricted,
     conflicting: Optional[Callable[[str], Collection[int]]] = None,
-) -> Union[CoreWitnesses, tuple[CoreWitnesses, set[tuple]]]:
+) -> Union[CoreWitnesses, tuple[CoreWitnesses, set[tuple], set[tuple]]]:
     """Evaluate a core, returning ``answer -> witness tids``: the tid tail
     (one per atom) of the *first* row producing the answer, in first-seen
     order (set semantics keeps one witness; the Prover only needs facts
     known to be in the database).
 
     With ``conflicting`` (relation -> its tids in some conflict) the result
-    is the pair ``(witnesses, certain)``: ``certain`` holds the answers with
-    *a* witness -- any, not only the first -- free of conflicting tids, i.e.
-    the core over the conflict-free database, from the same rows, filtered
-    once per atom over a relation with conflicts.
+    is ``(witnesses, certain, refuted)``, from the same rows: ``certain``
+    holds the answers with *a* witness -- any, not only the first -- free
+    of conflicting tids, i.e. the core over the conflict-free database;
+    ``refuted`` the answers with exactly one row, that row *dirty* (holding
+    a conflicting tid).
     """
     arity = len(core.outputs)
     rows = list(compile_core(core, db, restrict).rows(()))
@@ -97,21 +99,21 @@ def evaluate_core(
         for slot, atom in enumerate(core.atoms, arity)
         if (tids := conflicting(atom.relation.lower()))
     ]
-    certain = set(witnesses)  # copies the keys with their stored hashes
     if len(witnesses) == len(rows):
-        # One witness per value: a value is certain iff its one row is clean,
-        # so only the few dirty rows are sliced -- a third of the cost of
-        # filtering and re-slicing every row, which is the general rule.
-        for slot, tids in dirty:
-            certain.difference_update(
-                [value_of(row) for row in rows if row[slot] in tids]
-            )
-    elif dirty:  # keep the values some clean row produces
-        clean = rows
-        for slot, tids in dirty:
-            clean = [row for row in clean if row[slot] not in tids]
-        certain = set(map(value_of, clean))
-    return witnesses, certain
+        # One witness per value: certain iff clean, refuted iff dirty.  Only
+        # the few dirty rows are sliced, a third of the general rule's cost.
+        refuted = {
+            value_of(row) for slot, tids in dirty for row in rows if row[slot] in tids
+        }
+        certain = set(witnesses)  # copies the keys with their stored hashes
+        certain -= refuted
+        return witnesses, certain, refuted
+    clean = rows  # keep the values some clean row produces
+    for slot, tids in dirty:
+        clean = [row for row in clean if row[slot] not in tids]
+    certain = set(map(value_of, clean))
+    once = (value for value, count in Counter(values).items() if count == 1)
+    return witnesses, certain, set(once).difference(certain)
 
 
 def evaluate_tree(

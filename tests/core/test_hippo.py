@@ -106,6 +106,54 @@ class TestAnswers:
         assert hippo.hypergraph.summary()["edges"] == 2
 
 
+class TestRefutedSkipsTheProver:
+    """A candidate whose one witness row is dirty is rejected by the
+    envelope; the Prover sees only what that rule cannot decide."""
+
+    def test_a_key_conflict_scan_sends_nothing_to_the_prover(self):
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        db.insert_rows("t", [(i // 2, i) for i in range(20)] + [(100, 0)])
+        hippo = HippoEngine(db, [FunctionalDependency("t", ["k"], ["v"])])
+        answers = hippo.consistent_answers("SELECT * FROM t")
+        assert answers.rows == [(100, 0)]
+        stats = answers.stats
+        assert (stats["candidates"], stats["certain"], stats["refuted"]) == (21, 1, 20)
+        assert stats["skipped_by_core"] == 21
+        assert stats["prover"].candidates_checked == 0
+        # Possible answers cannot use a refutation: the 20 are proved.
+        possible = hippo.possible_answers("SELECT * FROM t").stats
+        assert possible["refuted"] == 0
+        assert possible["prover"].candidates_checked == 20
+
+    def test_a_city_union_still_reaches_the_prover(self):
+        """Each candidate has one dirty row in *each* branch: each branch
+        alone is falsified by some repair, the union by none."""
+        db = Database()
+        db.execute("CREATE TABLE lives (name TEXT, city TEXT, country TEXT)")
+        db.insert_rows(
+            "lives",
+            [
+                ("ann", "Paris", "FR"),
+                ("ann", "Lyon", "FR"),
+                ("bob", "Lyon", "FR"),
+                ("bob", "Paris", "FR"),
+            ],
+        )
+        fd = FunctionalDependency("lives", ["name"], ["city", "country"])
+        hippo = HippoEngine(db, [fd])
+        text = (
+            "SELECT name, country FROM lives WHERE city = 'Paris'"
+            " UNION SELECT name, country FROM lives WHERE city = 'Lyon'"
+        )
+        answers = hippo.consistent_answers(text)
+        assert answers.rows == [("ann", "FR"), ("bob", "FR")]
+        stats = answers.stats
+        assert (stats["candidates"], stats["certain"], stats["refuted"]) == (2, 0, 0)
+        assert stats["prover"].candidates_checked == 2
+        assert stats["prover"].consistent == 2
+
+
 class TestBaselines:
     def test_raw_answers(self, hippo):
         assert len(hippo.raw_answers("SELECT * FROM emp").rows) == 6

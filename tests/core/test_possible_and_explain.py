@@ -87,6 +87,25 @@ class TestExplainCandidate:
         produced = hippo.explain_candidate("SELECT * FROM emp", ("ann", "cs", 10))
         assert produced["produced"] is True
 
+    def test_decided_by_names_the_stage_that_decides(self, hippo, emp_db):
+        candidates = [("bob", "ee", 20), ("ann", "cs", 10), ("zoe", "cs", 1)]
+        decided = [
+            hippo.explain_candidate("SELECT * FROM emp", candidate)["decided_by"]
+            for candidate in candidates
+        ]
+        assert decided == ["core", "refuted", "envelope"]
+        # ann's two rows feed the two branches: neither rule decides it.
+        union = (
+            "SELECT name, dept FROM emp WHERE salary = 10"
+            " UNION SELECT name, dept FROM emp WHERE salary = 12"
+        )
+        report = hippo.explain_candidate(union, ("ann", "cs"))
+        assert report["consistent"] and report["decided_by"] == "prover"
+        fd = FunctionalDependency("emp", ["name"], ["dept", "salary"])
+        without_core = HippoEngine(emp_db, [fd], use_core=False)
+        report = without_core.explain_candidate("SELECT * FROM emp", ("bob", "ee", 20))
+        assert report["decided_by"] == "prover"
+
     @pytest.mark.parametrize("candidate", [(2, 5, 6), (2,), ()])
     def test_wrong_arity_is_refused_naming_the_columns(
         self, two_table_db, candidate

@@ -53,17 +53,18 @@ def declared(value) -> str:
     return "INTEGER"
 
 
-def oracle(left, op, right, typed=True, literal=False):
+def oracle(left, op, right, literal=False):
     """Whether ``left op right`` selects a row, or ERROR -- written from
     the rule's statement, not from the engine's code.
 
-    With ``typed`` both operands' types are known before any row is read
-    -- a column's declared type, or a literal's own (``literal``: the
-    right side is one; a NULL literal has no type) -- and types that do
-    not compare are an error whatever the values, a stored NULL included.
+    Both operands' types are known before any row is read -- a column's
+    declared type (an ``IN`` subquery's first output column included), or
+    a literal's own (``literal``: the right side is one; a NULL literal
+    has no type) -- and types that do not compare are an error whatever
+    the values, a stored NULL included.
     """
     types = {declared(left), declared(right)}
-    if typed and not (literal and right is None):
+    if not (literal and right is None):
         if len(types) > 1 and not types <= {"INTEGER", "REAL"}:
             return ERROR
     if left is None or right is None:
@@ -126,8 +127,6 @@ def make_db(left, right, indexed: bool = False) -> Database:
 
 X = ast.ColumnRef("a", "x")
 LITERAL_PATHS = {"filter", "filter mirrored", "in list", "index", "index mirrored"}
-# IN (subquery) learns the subquery column's type from its values only.
-UNTYPED_PATHS = {"in subquery", "in subquery mirrored"}
 
 
 @pytest.mark.parametrize(
@@ -175,13 +174,7 @@ def test_every_path_gives_the_oracle_answer(left, right):
         answers["index"] = outcome(indexed, paths["filter"])
         answers["index mirrored"] = outcome(indexed, paths["filter mirrored"])
         expected = {
-            name: oracle(
-                left,
-                op,
-                right,
-                typed=name not in UNTYPED_PATHS,
-                literal=name in LITERAL_PATHS,
-            )
+            name: oracle(left, op, right, literal=name in LITERAL_PATHS)
             for name in answers
         }
         assert answers == expected, op
@@ -223,7 +216,17 @@ def test_an_index_serves_only_a_comparable_literal():
 
 @pytest.mark.parametrize(
     "condition",
-    ["name < 1", "1 > name", "name = n", "n BETWEEN 'a' AND 'b'", "n IN (1, 'a')"],
+    [
+        "name < 1",
+        "1 > name",
+        "name = n",
+        "n BETWEEN 'a' AND 'b'",
+        "n IN (1, 'a')",
+        "name IN (SELECT n FROM t)",
+        "n IN (SELECT 'a' FROM t)",
+        "n IN (SELECT u.name FROM t u WHERE u.n = t.n)",
+        "n IN (SELECT name FROM t UNION SELECT name FROM t)",
+    ],
 )
 def test_known_incomparable_types_raise_at_plan_time(condition):
     """Declared and literal types decide before any row exists: the
@@ -238,11 +241,17 @@ def test_unknown_types_are_checked_per_row():
     db = Database()
     db.execute("CREATE TABLE t (name TEXT, n INTEGER)")
     computed = "SELECT * FROM t WHERE name < n + 0"  # no declared type
-    assert db.execute(computed).rows == []
+    subquery = "SELECT * FROM t WHERE name IN (SELECT n + 0 FROM t)"
+    # A union's column has a type only where both branches agree on one.
+    mixed = "SELECT * FROM t WHERE name IN (SELECT name FROM t UNION SELECT n FROM t)"
+    for query in (computed, subquery, mixed):
+        assert db.execute(query).rows == []
     assert db.execute("SELECT * FROM t WHERE name = NULL").rows == []
     db.execute("INSERT INTO t VALUES ('a', 1)")
-    with pytest.raises(TypeError_, match="cannot compare TEXT with INTEGER"):
-        db.execute(computed)
+    for query in (computed, subquery):
+        with pytest.raises(TypeError_, match="cannot compare TEXT with INTEGER"):
+            db.execute(query)
+    assert db.execute(mixed).rows == [("a", 1)]  # 'a' meets 'a' first
 
 
 ORDERS = sorted(

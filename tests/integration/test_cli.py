@@ -93,16 +93,16 @@ class TestShellCommands:
 
     def test_why_consistent(self):
         output = run_shell(SETUP + ".why SELECT * FROM emp ; 'bob', 5")
-        assert "consistent" in output
+        assert "consistent; decided by: core" in output
 
     def test_why_inconsistent_names_counterexample(self):
         output = run_shell(SETUP + ".why SELECT * FROM emp ; 'ann', 10")
-        assert "possible but not consistent" in output
+        assert "possible but not consistent; decided by: refuted" in output
         assert "excluding" in output
 
     def test_why_a_tuple_no_core_produces(self):
         output = run_shell(SETUP + ".why SELECT * FROM emp ; 'zoe', 1")
-        assert "not even possible" in output
+        assert "not even possible; decided by: envelope" in output
         assert "no core of the query produces it over the database" in output
         assert "depends on facts" not in output
         assert "falsifies" not in output

@@ -1,11 +1,14 @@
 """The single-pass envelope against its reference.
 
-``Enveloper.evaluate`` runs every core once and reads ``Q-down`` off the
-tids of the ``Q-up`` rows.  The reference is what the code did before: a
-second, tid-restricted evaluation of every core over the conflict-free
-database, folded by the ``down`` rules (and ``Q-up`` folded by the ``up``
-rules).  Restricted evaluation is still in the tree -- repairs and
-``cleaned_answers`` use it -- which is what makes it an oracle here.
+``Enveloper.evaluate`` runs every core once and reads ``Q-down`` and
+``Q-out`` off the tids of the ``Q-up`` rows.  The reference for ``Q-down``
+is what the code did before: a second, tid-restricted evaluation of every
+core over the conflict-free database, folded by the ``down`` rules (and
+``Q-up`` folded by the ``up`` rules).  Restricted evaluation is still in
+the tree -- repairs and ``cleaned_answers`` use it -- which is what makes
+it an oracle here.  ``Q-out`` is checked against a per-row loop folded by
+the ``out`` rules, and its meaning against repair enumeration and the
+Prover.
 
 Two layers are checked on random trees x instances:
 
@@ -14,6 +17,10 @@ Two layers are checked on random trees x instances:
   one clean must still land in ``certain``);
 * engine level, on valid SJUD trees: ``consistent_answers`` == repair
   enumeration, with and without ``use_core``.
+
+Three wrong ``out`` rules are pinned by ``@example`` s below: a union
+refuting what the other branch may produce, a difference refuting what
+its right side refutes, and a value refuted although it has two rows.
 """
 
 from __future__ import annotations
@@ -168,6 +175,18 @@ def reference_down(tree, db, clean):
     return left - frozenset(reference_up(tree.right, db, clean))
 
 
+def reference_out(tree, db, clean, conflicting):
+    if isinstance(tree, SJUDCore):
+        return reference_core(tree, db, conflicting)[2]
+    left = reference_out(tree.left, db, clean, conflicting)
+    if isinstance(tree, Difference):
+        return left - reference_down(tree.right, db, clean)
+    right = reference_out(tree.right, db, clean, conflicting)
+    return (left - set(reference_up(tree.right, db, clean))) | (
+        right - set(reference_up(tree.left, db, clean))
+    )
+
+
 # dirty first witness (tid 0, conflicts with tid 1), clean later one (tid 2)
 _B_ONLY = _core([Atom("t", "r")], [], [_ref("t", "b"), _ref("t", "b")])
 
@@ -180,12 +199,14 @@ _B_ONLY = _core([Atom("t", "r")], [], [_ref("t", "b"), _ref("t", "b")])
 ))
 def test_single_pass_equals_restricted_second_pass(r_rows, s_rows, ics, tree):
     db = build_db(r_rows, s_rows)
-    enveloper = Enveloper(db, detect_conflicts(db, ics).hypergraph)
+    graph = detect_conflicts(db, ics).hypergraph
+    enveloper = Enveloper(db, graph)
     clean = enveloper.conflict_free_tids
     up, down = reference_up(tree, db, clean), reference_down(tree, db, clean)
 
     evaluation = enveloper.evaluate(tree)
     assert evaluation.certain == down
+    assert evaluation.refuted == reference_out(tree, db, clean, graph.conflicting_tids)
     assert list(evaluation.candidates) == list(up)  # in the Prover's order
     # Every core's own witnesses, first ones included, in tree order.
     assert evaluation.witnesses == tuple(
@@ -193,7 +214,7 @@ def test_single_pass_equals_restricted_second_pass(r_rows, s_rows, ics, tree):
     )
 
     without_core = enveloper.evaluate(tree, compute_core=False)
-    assert without_core.certain == frozenset()
+    assert without_core.certain == without_core.refuted == frozenset()
     assert list(without_core.candidates) == list(up)
 
 
@@ -211,16 +232,21 @@ def test_dirty_first_witness_clean_later_is_certain():
 def reference_core(core, db, conflicting):
     """The per-row loop the set-shaped pass replaced: the first witness of
     each value, in first-seen order, and a value is certain as soon as
-    one of its witnesses has no conflicting tid."""
+    one of its witnesses has no conflicting tid; refuted when it has
+    exactly one row and that row a conflicting tid."""
     arity = len(core.outputs)
     relations = [atom.relation.lower() for atom in core.atoms]
-    witnesses, certain = {}, set()
+    witnesses, certain, rows, dirty = {}, set(), {}, set()
     for row in compile_core(core, db).rows(()):
         value, tids = row[:arity], row[arity:]
         witnesses.setdefault(value, tids)
-        if not any(tid in conflicting(r) for r, tid in zip(relations, tids)):
+        rows[value] = rows.get(value, 0) + 1
+        if any(tid in conflicting(r) for r, tid in zip(relations, tids)):
+            dirty.add(value)
+        else:
             certain.add(value)
-    return witnesses, certain
+    refuted = {value for value, count in rows.items() if count == 1} & dirty
+    return witnesses, certain, refuted
 
 
 @st.composite
@@ -257,11 +283,14 @@ any_cores = st.one_of(
 def test_evaluate_core_equals_the_per_row_loop(r_rows, s_rows, ics, core):
     db = build_db(r_rows, s_rows)
     conflicting = detect_conflicts(db, ics).hypergraph.conflicting_tids
-    expected_witnesses, expected_certain = reference_core(core, db, conflicting)
-    witnesses, certain = evaluate_core(core, db, conflicting=conflicting)
+    expected_witnesses, expected_certain, expected_refuted = reference_core(
+        core, db, conflicting
+    )
+    witnesses, certain, refuted = evaluate_core(core, db, conflicting=conflicting)
     # Same keys in the same order, each with its first witness.
     assert list(witnesses.items()) == list(expected_witnesses.items())
     assert certain == expected_certain
+    assert refuted == expected_refuted
     assert list(evaluate_core(core, db).items()) == list(witnesses.items())
 
 
@@ -272,6 +301,44 @@ def test_consistent_answers_match_enumeration(r_rows, s_rows, ics, tree, use_cor
     hippo = HippoEngine(db, ics, use_core=use_core)
     truth = ground_truth_consistent_answers(db, hippo.hypergraph, tree)
     assert hippo.consistent_answers(tree).as_set() == truth
+
+
+def _scan(relation: str) -> SJUDCore:
+    return _core([Atom("t", relation)], [], [_ref("t", "a"), _ref("t", "b")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows, rows, constraint_sets, any_trees)
+@example(  # (1, 2)'s one r row is dirty, but s holds it clean: certain
+    [(1, 2), (1, 3)], [(1, 2)], CONSTRAINT_SETS[0], Union_(_scan("r"), _scan("s"))
+)
+@example(  # s's (0, 2) is in no repair: refuted in s, certain in r - s
+    [(0, 2)], [(0, 2)], CONSTRAINT_SETS[1], Difference(_scan("r"), _scan("s"))
+)
+@example(  # pi_a over (1, 2), (1, 3): two dirty rows, one in every repair
+    [(1, 2), (1, 3)],
+    [],
+    CONSTRAINT_SETS[0],
+    _core([Atom("t", "r")], [], [_ref("t", "a"), _ref("t", "a")]),
+)
+def test_no_refuted_value_is_a_consistent_answer(r_rows, s_rows, ics, tree):
+    db = build_db(r_rows, s_rows)
+    graph = detect_conflicts(db, ics).hypergraph
+    evaluation = Enveloper(db, graph).evaluate(tree)
+    assert evaluation.refuted <= set(evaluation.candidates)
+    assert not evaluation.refuted & evaluation.certain
+    assert not evaluation.refuted & ground_truth_consistent_answers(db, graph, tree)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows, rows, constraint_sets, valid_trees)
+def test_the_prover_rejects_every_refuted_value(r_rows, s_rows, ics, tree):
+    db = build_db(r_rows, s_rows)
+    hippo = HippoEngine(db, ics, use_core=False)  # every candidate is proved
+    refuted = Enveloper(db, hippo.hypergraph).evaluate(tree).refuted
+    answers = hippo.consistent_answers(tree)
+    assert answers.stats["prover"].candidates_checked == answers.stats["candidates"]
+    assert not refuted & answers.as_set()
 
 
 # ------------------------------------------------------------ exact counts

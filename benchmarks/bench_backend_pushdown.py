@@ -4,9 +4,13 @@ The paper's rewriting baseline produces plain first-order SQL -- exactly
 the workload a pushdown backend exists for.  This suite times the two
 pushed shapes at N = 16k (consistent-query answering through the
 rewriting baseline, and conflict detection's residual joins) on the
-native engine and on the SQLite backend, and **gates correctness at
-bench scale**: the backend's consistent answers and conflict edges must
-equal the native oracle's exactly before any timing is reported.
+native engine and on the SQLite backend, plus the sustained-DML shape:
+a burst of ``BURST_ROWS`` single-key UPDATEs followed by one pushed
+consistent query, so every query pays the mirror's catch-up with the
+change feed.  It **gates correctness at bench scale**: the backend's
+consistent answers and conflict edges must equal the native oracle's
+exactly (after every burst, for the DML shape) before any timing is
+reported.
 
 Record a full run into ``BENCH_backend_pushdown.json`` (capped history,
 see :mod:`benchmarks.common`) with::
@@ -16,6 +20,7 @@ see :mod:`benchmarks.common`) with::
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -35,6 +40,9 @@ TRIALS = 3
 #: A rewritable consistent query (selection on the key-FD table).
 CQA_SQL = "SELECT a, b0 FROM r WHERE b0 >= 500000"
 
+#: Single-key UPDATEs per DML burst (a conflicting key moves two rows).
+BURST_ROWS = scaled(8, 4)
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -47,6 +55,30 @@ def setup():
     sqlite = SQLiteBackend()
     sqlite.attach(db)
     yield db, table, rewriting, sqlite
+    sqlite.close()
+
+
+@pytest.fixture(scope="module")
+def dml_setup():
+    """A second copy of the data, so DML bursts leave ``setup`` intact."""
+    db = Database()
+    table = generate_key_conflict_table(db, "r", N_TUPLES, CONFLICTS, seed=29)
+    db.execute("CREATE INDEX idx_r_key ON r (a)")
+    keys = sorted({row[0] for row in db.catalog.table("r").rows()})
+    rewriting = RewritingEngine(db, [table.fd])
+    sqlite = SQLiteBackend()
+    sqlite.attach(db)
+    sqlite.sync()  # the first mirror build is set-up
+    rng = random.Random(31)
+
+    def burst():
+        for _ in range(BURST_ROWS):
+            db.execute(
+                f"UPDATE r SET b0 = {rng.randrange(1_000_000)}"
+                f" WHERE a = {rng.choice(keys)}"
+            )
+
+    yield db, burst, rewriting, sqlite
     sqlite.close()
 
 
@@ -83,6 +115,18 @@ def test_gate_conflict_edges_match_oracle(setup):
     assert len(native.hypergraph.edges) > 0
 
 
+def test_gate_dml_then_pushdown_matches_oracle(dml_setup):
+    """After every burst, the pushed answers equal the native oracle's."""
+    db, burst, rewriting, sqlite = dml_setup
+    for _ in range(3):
+        burst()
+        pushed = rewriting.consistent_answers(CQA_SQL, backend=sqlite)
+        assert db.stats.backend_fallbacks == 0
+        native = rewriting.consistent_answers(CQA_SQL)
+        assert pushed.columns == native.columns
+        assert pushed.rows == native.rows
+
+
 # -------------------------------------------------------------- the timings
 
 
@@ -116,6 +160,28 @@ def test_detection_sqlite(benchmark, setup):
         lambda: detect_conflicts(db, [table.fd], backend=sqlite)
     )
     benchmark.extra_info["edges"] = len(report.hypergraph)
+
+
+@pytest.mark.benchmark(group="pushdown-dml")
+def test_dml_then_cqa_native(benchmark, dml_setup):
+    _db, burst, rewriting, _sqlite = dml_setup
+
+    def run():
+        burst()
+        return rewriting.consistent_answers(CQA_SQL)
+
+    benchmark.extra_info["rows"] = len(benchmark(run).rows)
+
+
+@pytest.mark.benchmark(group="pushdown-dml")
+def test_dml_then_cqa_sqlite(benchmark, dml_setup):
+    _db, burst, rewriting, sqlite = dml_setup
+
+    def run():
+        burst()
+        return rewriting.consistent_answers(CQA_SQL, backend=sqlite)
+
+    benchmark.extra_info["rows"] = len(benchmark(run).rows)
 
 
 def test_report_min_of_trials(setup, capsys):

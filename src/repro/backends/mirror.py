@@ -12,18 +12,28 @@ Subclasses differ only by driver
 :class:`~repro.backends.duckdb.DuckDBBackend`).
 
 Ownership rules: a backend never owns the data.  The native
-:class:`~repro.engine.database.Database` is the single source of truth;
-the backend keeps one mirror table per native relation and syncs
-lazily: every execution entry point first compares each native table's
-monotone mutation counter (:attr:`repro.engine.storage.Table.version`,
-plus its schema and index signature) against what the mirror last
-copied, and rebuilds only the relations that changed.  Tids survive the
-crossing -- subclasses either pin them into the engine's ``rowid``
-(SQLite) or store them in an explicit leading column (DuckDB) -- so
-residual-join results are directly usable as conflict-hypergraph
-vertices.  Answers flow back coerced to the native type system
-(booleans in particular), so every backend is exchangeable under the
-differential oracle suite (``tests/backends/test_differential.py``).
+:class:`~repro.engine.database.Database` is the single source of truth,
+and the backend keeps one mirror table per native relation.  A mirror
+follows its database's change feed exactly as the hypergraph engine
+does: :meth:`MirrorBackend.attach` opens an ephemeral consumer group at
+the feed's end, and every execution entry point first syncs -- it polls
+the group, folds each relation's change records to their net effect
+per tid (last op wins; an UPDATE is delete + insert under one tid) and
+applies that as one delete-by-tid batch plus one insert batch.  A
+table is copied whole (:meth:`MirrorBackend._rebuild_mirror`) only on
+its first sync, after a DDL record naming it, after lost feed history,
+when its schema or index shape changed, and when a mutation reached it
+without reaching the feed (replica replay, snapshot restore, a
+suspended feed) -- :attr:`repro.engine.storage.Table.version` moves by
+one per row mutation, so a version that moved further than the table's
+records in the batch exposes exactly that.  Tids survive the crossing
+-- subclasses either pin them into the engine's ``rowid`` (SQLite) or
+store them in an explicit leading column (DuckDB) -- so residual-join
+results are directly usable as conflict-hypergraph vertices, and a
+delta addresses its rows by tid.  Answers flow back coerced to the
+native type system (booleans in particular, derived tables included),
+so every backend is exchangeable under the differential oracle suite
+(``tests/backends/test_differential.py``).
 
 Every pushdown goes through :meth:`MirrorBackend.pushdown`: a call the
 backend declines (:class:`~repro.errors.BackendError`) is counted in
@@ -37,19 +47,25 @@ no interpolated SQL is built here (hippolint HL015).
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterator, Optional, Sequence, TypeVar
+from dataclasses import replace
+from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.engine.catalog import Catalog
+from repro.engine.changelog import OP_INSERT
 from repro.engine.database import Database
+from repro.engine.feed import RECORD_CHANGE, FeedConsumer
+from repro.engine.schema import TableSchema
 from repro.engine.storage import Table
-from repro.engine.types import SQLType, SQLValue
+from repro.engine.types import SQLType, infer_type
 from repro.errors import AlgebraError, BackendError
-from repro.ra.sjud import SJUDCore, SJUDTree, column_type, output_types_of
+from repro.ra.sjud import SJUDCore, SJUDTree, output_types_of
 from repro.ra.to_sql import (
     ParameterizedSQL,
     create_index_sql,
     create_table_sql,
+    delete_by_key_sql,
     drop_table_sql,
     insert_sql,
     render_core_tids,
@@ -58,13 +74,30 @@ from repro.ra.to_sql import (
 )
 from repro.sql import ast
 
-#: A mirror signature: source-table identity + mutation version +
-#: schema/index shape.  Any component changing forces a rebuild.
-MirrorSignature = tuple
-
 T = TypeVar("T")
 
 _MAX_EDGE_ARITY = 64
+
+
+class _Mirror(NamedTuple):
+    """What one mirror table was last synced from: the native table
+    (weakly -- a dropped table's id may be reused by its successor),
+    its :attr:`~repro.engine.storage.Table.version` and its shape."""
+
+    table: "weakref.ref[Table]"
+    version: int
+    shape: tuple
+
+
+def _shape(table: Table) -> tuple:
+    """Schema + index layout: a change means rebuild (``CREATE INDEX``
+    publishes no feed record)."""
+    schema = table.schema
+    return (
+        schema.column_names,
+        tuple(column.sql_type for column in schema.columns),
+        tuple(sorted(table.indexed_column_sets())),
+    )
 
 
 class MirrorBackend(ABC):
@@ -87,7 +120,11 @@ class MirrorBackend(ABC):
     def __init__(self) -> None:
         self._db: Optional[Database] = None
         self._conn: Optional[Any] = None
-        self._mirrored: dict[str, MirrorSignature] = {}
+        self._consumer: Optional[FeedConsumer] = None
+        self._release: Callable[[], object] = lambda: None
+        #: relation -> its mirror's sync state; None while the mirror
+        #: table may exist but must be rebuilt before use.
+        self._mirrored: dict[str, Optional[_Mirror]] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -104,7 +141,24 @@ class MirrorBackend(ABC):
         """The backend's column type name for a native :class:`SQLType`."""
 
     def attach(self, db: Database) -> None:
-        """Bind the backend to ``db`` (the oracle and source of truth)."""
+        """Bind the backend to ``db`` (the oracle and source of truth)
+        and follow its change feed.
+
+        Re-attaching to the same database keeps the mirrors; attaching
+        another one releases the old feed group and rebuilds every
+        mirror on the next sync.
+        """
+        if db is self._db:
+            return
+        self._release()
+        self._forget()
+        feed = db.changes.feed
+        # Ephemeral: its position means nothing to another process, so
+        # a durable feed writes nothing under consumers/ for it.
+        consumer = feed.consumer()
+        # A backend dropped without close() must not pin the feed.
+        self._release = weakref.finalize(self, feed.close_group, consumer.group)
+        self._consumer = consumer
         self._db = db
 
     @property
@@ -126,15 +180,18 @@ class MirrorBackend(ABC):
         return self._conn
 
     def close(self) -> None:
-        """Release the database, drop mirror state, close the driver."""
+        """Release the database and its feed group, drop mirror state,
+        close the driver."""
         try:
             if self._conn is not None:
                 self._conn.close()
         finally:
             # Even a failing driver close() must not leave the backend
             # half-alive: the next use would sync against stale mirror
-            # signatures over a dead connection.
+            # state over a dead connection.
+            self._release()
             self._conn = None
+            self._consumer = None
             self._mirrored.clear()
             self._db = None
 
@@ -154,48 +211,95 @@ class MirrorBackend(ABC):
 
     # ----------------------------------------------------------------- sync
 
-    def _signature(self, table: Table) -> MirrorSignature:
-        schema = table.schema
-        return (
-            id(table),
-            table.version,
-            schema.column_names,
-            tuple(column.sql_type.value for column in schema.columns),
-            tuple(sorted(table.indexed_column_sets())),
-        )
-
-    def _mirror_rows(self, table: Table) -> Iterator[tuple[SQLValue, ...]]:
-        for tid, row in table.items():
-            yield (tid,) + row
+    def _forget(self) -> None:
+        """Mark every mirror for rebuild (the tables stay until then)."""
+        self._mirrored = dict.fromkeys(self._mirrored)
 
     def sync(self) -> None:
         """Bring every mirror up to date with the attached database.
 
-        Rebuilds only relations whose signature changed; drops mirrors
-        of relations that no longer exist.  Called automatically by the
-        execution entry points.
+        Applies the polled change records as one delete-by-tid batch
+        and one insert batch per relation; rebuilds a relation only
+        when the batch cannot bring its mirror up to date (see the
+        module docstring); drops mirrors of relations that no longer
+        exist.  Called automatically by the execution entry points.
 
         Raises:
-            BackendError: on any driver failure.
+            BackendError: on any driver failure (the mirror state is
+                forgotten, so the next sync rebuilds everything).
         """
+        db = self.db
         conn = self.connection
-        live: set[str] = set()
+        consumer = self._consumer
+        assert consumer is not None  # attached
+        records, lost = consumer.poll()
+        if lost:
+            self._forget()
+        mirrored = self._mirrored
+        net: dict[str, dict[int, Optional[tuple]]] = {}
+        counts: dict[str, int] = {}
+        for record in records:
+            topic = record.topic
+            if record.kind == RECORD_CHANGE:
+                net.setdefault(topic, {})[record.tid] = (
+                    record.row if record.op == OP_INSERT else None
+                )
+                counts[topic] = counts.get(topic, 0) + 1
+            elif record.table in mirrored:
+                mirrored[record.table] = None
         try:
-            for table in self.db.catalog:
+            live: set[str] = set()
+            for table in db.catalog:
                 key = table.schema.name.lower()
                 live.add(key)
-                signature = self._signature(table)
-                if self._mirrored.get(key) == signature:
-                    continue
-                self._rebuild_mirror(conn, table)
-                self._mirrored[key] = signature
-            for key in sorted(set(self._mirrored) - live):
+                state = mirrored.get(key)
+                shape = _shape(table)
+                if (
+                    state is None
+                    or state.table() is not table
+                    or state.shape != shape
+                    or table.version - state.version != counts.get(key, 0)
+                ):
+                    self._rebuild_mirror(conn, table)
+                    mirrored[key] = _Mirror(weakref.ref(table), table.version, shape)
+                elif key in net:
+                    self._apply_changes(conn, table.schema, net[key])
+                    mirrored[key] = state._replace(version=table.version)
+            for key in sorted(set(mirrored) - live):
                 conn.execute(drop_table_sql(key))
-                del self._mirrored[key]
+                del mirrored[key]
+            conn.commit()
+            consumer.commit()
         except self._driver_errors() as exc:
+            # Native storage is the truth: the next sync rebuilds from
+            # it, never from re-delivered records.
+            self._forget()
             raise BackendError(
                 f"backend {self.name!r} failed to sync mirrors: {exc}"
             ) from exc
+
+    def _insert_sql(self, schema: TableSchema) -> str:
+        return insert_sql(
+            schema.name.lower(),
+            schema.arity + 1,
+            columns=(self.tid_column,) + schema.column_names,
+        )
+
+    def _apply_changes(
+        self,
+        conn: Any,
+        schema: TableSchema,
+        net: dict[int, Optional[tuple]],
+    ) -> None:
+        """Fold one relation's net changes (tid -> final row, None for
+        gone) into its mirror."""
+        conn.executemany(
+            delete_by_key_sql(schema.name.lower(), self.tid_column),
+            [(tid,) for tid in net],
+        )
+        rows = [(tid,) + row for tid, row in net.items() if row is not None]
+        if rows:
+            conn.executemany(self._insert_sql(schema), rows)
 
     def _rebuild_mirror(self, conn: Any, table: Table) -> None:
         schema = table.schema
@@ -214,10 +318,10 @@ class MirrorBackend(ABC):
             )
         conn.execute(drop_table_sql(key))
         conn.execute(create_table_sql(key, columns))
-        insert = insert_sql(
-            key, schema.arity + 1, columns=(self.tid_column,) + names
+        conn.executemany(
+            self._insert_sql(schema),
+            [(tid,) + row for tid, row in table.items()],
         )
-        conn.executemany(insert, self._mirror_rows(table))
         for number, positions in enumerate(table.indexed_column_sets()):
             conn.execute(
                 create_index_sql(
@@ -282,12 +386,15 @@ class MirrorBackend(ABC):
                 fallback).
         """
         self.sync()
+        catalog = self.db.catalog
         try:
-            rendered = render_query(query)
+            rendered = render_query(
+                query if self.tid_is_rowid else _spell_out_stars(query, catalog)
+            )
         except AlgebraError as exc:
             raise BackendError(f"cannot lower query: {exc}") from exc
         columns, rows = self._run(rendered)
-        types = query_output_types(query, self.db.catalog)
+        types = query_output_types(query, catalog)
         if rows and len(types) != len(rows[0]):
             return columns, rows
         boolean = [i for i, kind in enumerate(types) if kind is SQLType.BOOLEAN]
@@ -319,12 +426,71 @@ class MirrorBackend(ABC):
 # ---------------------------------------------------------------------------
 
 
-def _alias_map(from_items: Sequence[ast.FromItem]) -> dict[str, str]:
-    mapping: dict[str, str] = {}
+class _Source(NamedTuple):
+    """One FROM item as a pushed SELECT sees it: its alias, its output
+    columns as (name or None, declared type or None), and whether it is
+    a stored relation (whose mirror may carry an explicit tid column)."""
+
+    alias: str
+    columns: list[tuple[Optional[str], Optional[SQLType]]]
+    stored: bool
+
+    def covers(self, table: Optional[str]) -> bool:
+        """Whether ``table.*`` (``*`` for None) includes this source."""
+        return table is None or table.lower() == self.alias.lower()
+
+
+def _scope(from_items: Sequence[ast.FromItem], catalog: Catalog) -> list[_Source]:
+    scope: list[_Source] = []
     for item in from_items:
-        if isinstance(item, ast.TableRef):
-            mapping[(item.alias or item.name).lower()] = item.name
-    return mapping
+        if isinstance(item, ast.Join):
+            scope.extend(_scope((item.left, item.right), catalog))
+        elif isinstance(item, ast.DerivedTable):
+            columns = _output_columns(item.query, catalog)
+            scope.append(_Source(item.alias, columns, False))
+        elif isinstance(item, ast.TableRef) and catalog.has_table(item.name):
+            schema = catalog.table(item.name).schema
+            columns = [(c.name, c.sql_type) for c in schema.columns]
+            scope.append(_Source(item.alias or item.name, columns, True))
+    return scope
+
+
+def _expression_type(
+    expr: ast.Expression, scope: list[_Source]
+) -> Optional[SQLType]:
+    """A literal's own type, or the type of the scope column ``expr``
+    names (the first FROM item holding an unqualified name)."""
+    if isinstance(expr, ast.Literal):
+        return infer_type(expr.value)
+    if isinstance(expr, ast.ColumnRef):
+        name = expr.name.lower()
+        for source in scope:
+            if expr.table is not None and not source.covers(expr.table):
+                continue
+            for column, kind in source.columns:
+                if column is not None and column.lower() == name:
+                    return kind
+    return None
+
+
+def _output_columns(
+    query: ast.Query, catalog: Catalog
+) -> list[tuple[Optional[str], Optional[SQLType]]]:
+    body = query.body
+    while isinstance(body, ast.SetOperation):
+        body = body.left
+    scope = _scope(body.from_items, catalog)
+    columns: list[tuple[Optional[str], Optional[SQLType]]] = []
+    for item in body.items:
+        if isinstance(item, ast.Star):
+            for source in scope:
+                if source.covers(item.table):
+                    columns.extend(source.columns)
+            continue
+        expr = item.expr
+        name = item.alias or (expr.name if isinstance(expr, ast.ColumnRef) else None)
+        columns.append((name, _expression_type(expr, scope)))
+    return columns
 
 
 def query_output_types(
@@ -334,25 +500,59 @@ def query_output_types(
 
     ``None`` marks a column whose type cannot be resolved statically (an
     expression, or an unresolvable reference); backends leave those
-    values as the driver returned them.  Set operations take the left
+    values as the driver returned them.  A derived table's columns are
+    typed by recursing into its body -- from the AST and the catalog
+    alone, with no native planning.  Set operations take the left
     branch's types (both sides are union-compatible by construction).
     """
-    body = query.body
-    while isinstance(body, ast.SetOperation):
-        body = body.left
-    aliases = _alias_map(body.from_items)
-    types: list[Optional[SQLType]] = []
+    return tuple(kind for _, kind in _output_columns(query, catalog))
+
+
+def _spell_out_from(item: ast.FromItem, catalog: Catalog) -> ast.FromItem:
+    if isinstance(item, ast.DerivedTable):
+        return replace(item, query=_spell_out_stars(item.query, catalog))
+    if isinstance(item, ast.Join):
+        return replace(
+            item,
+            left=_spell_out_from(item.left, catalog),
+            right=_spell_out_from(item.right, catalog),
+        )
+    return item
+
+
+def _spell_out_body(
+    body: ast.SelectCore | ast.SetOperation, catalog: Catalog
+) -> ast.SelectCore | ast.SetOperation:
+    if isinstance(body, ast.SetOperation):
+        return replace(
+            body,
+            left=_spell_out_body(body.left, catalog),
+            right=_spell_out_body(body.right, catalog),
+        )
+    scope = _scope(body.from_items, catalog)
+    items: list[ast.SelectItem | ast.Star] = []
     for item in body.items:
-        if isinstance(item, ast.Star):
-            relations = (
-                [aliases[item.table.lower()]]
-                if item.table is not None and item.table.lower() in aliases
-                else list(aliases.values())
-            )
-            for relation in relations:
-                if catalog.has_table(relation):
-                    schema = catalog.table(relation).schema
-                    types.extend(c.sql_type for c in schema.columns)
+        if not isinstance(item, ast.Star):
+            items.append(item)
             continue
-        types.append(column_type(item.expr, aliases, catalog))
-    return tuple(types)
+        for source in scope:
+            if not source.covers(item.table):
+                continue
+            if source.stored:
+                items.extend(
+                    ast.SelectItem(ast.ColumnRef(source.alias, str(name)))
+                    for name, _ in source.columns
+                )
+            else:
+                items.append(ast.Star(source.alias))
+    from_items = tuple(_spell_out_from(item, catalog) for item in body.from_items)
+    return replace(body, items=tuple(items), from_items=from_items)
+
+
+def _spell_out_stars(query: ast.Query, catalog: Catalog) -> ast.Query:
+    """``query`` with every output ``*`` over a stored relation spelled
+    out as its declared columns: a mirror with an explicit tid column
+    would otherwise return that column too.  Stars in expression
+    subqueries stay: under ``EXISTS`` they produce no column, and under
+    ``IN`` the driver declines the extra one (a counted fallback)."""
+    return replace(query, body=_spell_out_body(query.body, catalog))

@@ -104,8 +104,14 @@ class Table:
         self._key = schema.name.lower()
         # Row batch for unrestricted scans; dropped on any mutation.
         self._columnar: Optional[ColumnStore] = None
-        # Monotone mutation counter; backends compare it against the
-        # version they last mirrored to decide whether to re-sync.
+        #: Row mutations ever applied: one step per row inserted,
+        #: deleted, restored or replayed (an UPDATE is two, delete +
+        #: insert).  Every published mutation is one change record, so
+        #: a feed consumer that saw fewer records for this table than
+        #: the version moved knows some mutation bypassed the feed
+        #: (:meth:`restore`, :meth:`apply_changes`, a suspended feed).
+        #: A failed replay also counts the change it failed on: an
+        #: over-count costs a mirror rebuild, an under-count a stale one.
         self.version = 0
 
     # -------------------------------------------------------------- indexes
@@ -248,8 +254,8 @@ class Table:
         coerce = self.schema.coerce_row
         next_tid = self._next_tid
         self._columnar = None
-        self.version += 1
         for tid, values, op in changes:
+            self.version += 1
             if op == OP_INSERT:
                 if tid in rows:
                     self._next_tid = next_tid
@@ -304,7 +310,7 @@ class Table:
         self._rows[tid] = new_row
         self._post_row(tid, new_row)
         self._columnar = None
-        self.version += 1
+        self.version += 2
         if self._changelog is not None:
             self._changelog.record(self._key, tid, old_row, OP_DELETE)
             self._changelog.record(self._key, tid, new_row, OP_INSERT)

@@ -189,6 +189,15 @@ def drop_table_sql(table: str) -> str:
     return f"DROP TABLE IF EXISTS {format_identifier(table)}"
 
 
+def delete_by_key_sql(table: str, column: str) -> str:
+    """Parameterized ``DELETE ... WHERE column = ?`` text for a backend
+    mirror (one row per bound key: how a feed delta retracts a tid)."""
+    return (
+        f"DELETE FROM {format_identifier(table)}"
+        f" WHERE {format_identifier(column)} = ?"
+    )
+
+
 def create_index_sql(
     index: str, table: str, columns: Sequence[str]
 ) -> str:

@@ -29,6 +29,7 @@ from repro.ra import (
 from repro.ra.to_sql import (
     create_index_sql,
     create_table_sql,
+    delete_by_key_sql,
     drop_table_sql,
     insert_sql,
     quote_identifier,
@@ -286,3 +287,8 @@ class TestQuotingHelpers:
     def test_insert_validates(self):
         with pytest.raises(AlgebraError, match="arity"):
             insert_sql("r", 2, columns=["a"])
+
+    def test_delete_by_key_binds_one_parameter(self):
+        sql = delete_by_key_sql("order", "rowid")
+        assert sql.startswith(f"DELETE FROM {quote_identifier('order')}")
+        assert sql.endswith("rowid = ?") and sql.count("?") == 1

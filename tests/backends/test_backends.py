@@ -1,7 +1,7 @@
 """Unit tests for the execution-backend layer.
 
 Covers the registry ("native" is no backend), the attach/close
-lifecycle, the versioned mirror sync, read-side type coercion, tid
+lifecycle, the feed-following mirror sync, read-side type coercion, tid
 pinning, the Database routing seam (pushdown, DML stays native) and
 fallback accounting at every pushdown entry point.  The native
 engine itself (``evaluate_tree``, ``db.execute_statement``,

@@ -4,12 +4,15 @@ The paper's rewriting baseline produces plain first-order SQL -- exactly
 the workload a pushdown backend exists for.  This suite times the two
 pushed shapes at N = 16k (consistent-query answering through the
 rewriting baseline, and conflict detection's residual joins) on the
-native engine and on the SQLite backend, plus the sustained-DML shape:
-a burst of ``BURST_ROWS`` single-key UPDATEs followed by one pushed
-consistent query, so every query pays the mirror's catch-up with the
-change feed.  It **gates correctness at bench scale**: the backend's
-consistent answers and conflict edges must equal the native oracle's
-exactly (after every burst, for the DML shape) before any timing is
+native engine and on the SQLite backend, plus two DML shapes, each
+followed by one pushed consistent query so every query pays the
+mirror's catch-up with the change feed: a burst of ``BURST_ROWS``
+single-key UPDATEs (the mirror applies the changed rows) and one bulk
+UPDATE of every row (the batch touches more than 40 % of the table, so
+the mirror is copied whole instead).  It
+**gates correctness at bench scale**: the backend's consistent answers
+and conflict edges must equal the native oracle's exactly (after every
+burst or bulk UPDATE, for the DML shapes) before any timing is
 reported.
 
 Record a full run into ``BENCH_backend_pushdown.json`` (capped history,
@@ -82,6 +85,17 @@ def dml_setup():
     sqlite.close()
 
 
+@pytest.fixture(scope="module")
+def bulk_setup(dml_setup):
+    """``dml_setup`` with a bulk UPDATE that changes every row."""
+    db, _burst, rewriting, sqlite = dml_setup
+
+    def bulk():
+        db.execute("UPDATE r SET b0 = 999999 - b0")
+
+    return db, bulk, rewriting, sqlite
+
+
 def min_of_trials(run):
     best = float("inf")
     for _ in range(TRIALS):
@@ -115,11 +129,13 @@ def test_gate_conflict_edges_match_oracle(setup):
     assert len(native.hypergraph.edges) > 0
 
 
-def test_gate_dml_then_pushdown_matches_oracle(dml_setup):
-    """After every burst, the pushed answers equal the native oracle's."""
-    db, burst, rewriting, sqlite = dml_setup
+@pytest.mark.parametrize("shape", ["dml_setup", "bulk_setup"])
+def test_gate_dml_then_pushdown_matches_oracle(shape, request):
+    """After every burst (or bulk UPDATE), the pushed answers equal the
+    native oracle's."""
+    db, change, rewriting, sqlite = request.getfixturevalue(shape)
     for _ in range(3):
-        burst()
+        change()
         pushed = rewriting.consistent_answers(CQA_SQL, backend=sqlite)
         assert db.stats.backend_fallbacks == 0
         native = rewriting.consistent_answers(CQA_SQL)
@@ -179,6 +195,28 @@ def test_dml_then_cqa_sqlite(benchmark, dml_setup):
 
     def run():
         burst()
+        return rewriting.consistent_answers(CQA_SQL, backend=sqlite)
+
+    benchmark.extra_info["rows"] = len(benchmark(run).rows)
+
+
+@pytest.mark.benchmark(group="pushdown-bulk-dml")
+def test_bulk_dml_then_cqa_native(benchmark, bulk_setup):
+    _db, bulk, rewriting, _sqlite = bulk_setup
+
+    def run():
+        bulk()
+        return rewriting.consistent_answers(CQA_SQL)
+
+    benchmark.extra_info["rows"] = len(benchmark(run).rows)
+
+
+@pytest.mark.benchmark(group="pushdown-bulk-dml")
+def test_bulk_dml_then_cqa_sqlite(benchmark, bulk_setup):
+    _db, bulk, rewriting, sqlite = bulk_setup
+
+    def run():
+        bulk()
         return rewriting.consistent_answers(CQA_SQL, backend=sqlite)
 
     benchmark.extra_info["rows"] = len(benchmark(run).rows)

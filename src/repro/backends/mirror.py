@@ -22,17 +22,19 @@ per tid (last op wins; an UPDATE is delete + insert under one tid) and
 applies that as one delete-by-tid batch plus one insert batch.  A
 table is copied whole (:meth:`MirrorBackend._rebuild_mirror`) only on
 its first sync, after a DDL record naming it, after lost feed history,
-when its schema or index shape changed, and when a mutation reached it
+when its schema or index shape changed, when a mutation reached it
 without reaching the feed (replica replay, snapshot restore, a
 suspended feed) -- :attr:`repro.engine.storage.Table.version` moves by
 one per row mutation, so a version that moved further than the table's
-records in the batch exposes exactly that.  Tids survive the crossing
--- subclasses either pin them into the engine's ``rowid`` (SQLite) or
-store them in an explicit leading column (DuckDB) -- so residual-join
-results are directly usable as conflict-hypergraph vertices, and a
-delta addresses its rows by tid.  Answers flow back coerced to the
-native type system (booleans in particular, derived tables included),
-so every backend is exchangeable under the differential oracle suite
+records in the batch exposes exactly that -- and when the batch touches
+so many of its rows (over 40 %) that copying them is cheaper.  Tids
+survive the crossing -- subclasses either pin them into the engine's
+``rowid`` (SQLite) or store them in an explicit, indexed leading
+column (DuckDB) -- so residual-join results are directly usable as
+conflict-hypergraph vertices, and a delta addresses its rows by tid.
+Answers flow back coerced to the native type system (booleans in
+particular, derived tables included), so every backend is
+exchangeable under the differential oracle suite
 (``tests/backends/test_differential.py``).
 
 Every pushdown goes through :meth:`MirrorBackend.pushdown`: a call the
@@ -58,9 +60,9 @@ from repro.engine.database import Database
 from repro.engine.feed import RECORD_CHANGE, FeedConsumer
 from repro.engine.schema import TableSchema
 from repro.engine.storage import Table
-from repro.engine.types import SQLType, infer_type
+from repro.engine.types import SQLType
 from repro.errors import AlgebraError, BackendError
-from repro.ra.sjud import SJUDCore, SJUDTree, output_types_of
+from repro.ra.sjud import SJUDCore, SJUDTree, column_type, output_types_of
 from repro.ra.to_sql import (
     ParameterizedSQL,
     create_index_sql,
@@ -77,6 +79,12 @@ from repro.sql import ast
 T = TypeVar("T")
 
 _MAX_EDGE_ARITY = 64
+
+#: A batch touching more tids than this share of a table's rows rebuilds
+#: the mirror instead of applying a delta: a delta costs per touched tid,
+#: a rebuild per row, and on SQLite (both tid layouts, N = 2k and 16k)
+#: the two cross between 0.4 and 0.5 of the rows.
+_REBUILD_SHARE = 0.4
 
 
 class _Mirror(NamedTuple):
@@ -219,10 +227,11 @@ class MirrorBackend(ABC):
         """Bring every mirror up to date with the attached database.
 
         Applies the polled change records as one delete-by-tid batch
-        and one insert batch per relation; rebuilds a relation only
-        when the batch cannot bring its mirror up to date (see the
-        module docstring); drops mirrors of relations that no longer
-        exist.  Called automatically by the execution entry points.
+        and one insert batch per relation; rebuilds a relation when the
+        batch cannot bring its mirror up to date (see the module
+        docstring) or touches so many of its rows that a copy is
+        cheaper; drops mirrors of relations that no longer exist.
+        Called automatically by the execution entry points.
 
         Raises:
             BackendError: on any driver failure (the mirror state is
@@ -254,16 +263,18 @@ class MirrorBackend(ABC):
                 live.add(key)
                 state = mirrored.get(key)
                 shape = _shape(table)
+                changes = net.get(key, {})
                 if (
                     state is None
                     or state.table() is not table
                     or state.shape != shape
                     or table.version - state.version != counts.get(key, 0)
+                    or len(changes) > _REBUILD_SHARE * len(table)
                 ):
                     self._rebuild_mirror(conn, table)
                     mirrored[key] = _Mirror(weakref.ref(table), table.version, shape)
-                elif key in net:
-                    self._apply_changes(conn, table.schema, net[key])
+                elif changes:
+                    self._apply_changes(conn, table.schema, changes)
                     mirrored[key] = state._replace(version=table.version)
             for key in sorted(set(mirrored) - live):
                 conn.execute(drop_table_sql(key))
@@ -330,6 +341,9 @@ class MirrorBackend(ABC):
                     [names[position] for position in positions],
                 )
             )
+        if not self.tid_is_rowid:
+            # A delta deletes by tid: without an index each one scans.
+            conn.execute(create_index_sql(f"idx_{key}_tid", key, [self.tid_column]))
 
     # ------------------------------------------------------------ execution
 
@@ -455,24 +469,6 @@ def _scope(from_items: Sequence[ast.FromItem], catalog: Catalog) -> list[_Source
     return scope
 
 
-def _expression_type(
-    expr: ast.Expression, scope: list[_Source]
-) -> Optional[SQLType]:
-    """A literal's own type, or the type of the scope column ``expr``
-    names (the first FROM item holding an unqualified name)."""
-    if isinstance(expr, ast.Literal):
-        return infer_type(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        name = expr.name.lower()
-        for source in scope:
-            if expr.table is not None and not source.covers(expr.table):
-                continue
-            for column, kind in source.columns:
-                if column is not None and column.lower() == name:
-                    return kind
-    return None
-
-
 def _output_columns(
     query: ast.Query, catalog: Catalog
 ) -> list[tuple[Optional[str], Optional[SQLType]]]:
@@ -480,6 +476,7 @@ def _output_columns(
     while isinstance(body, ast.SetOperation):
         body = body.left
     scope = _scope(body.from_items, catalog)
+    typing = [(source.alias, source.columns) for source in scope]
     columns: list[tuple[Optional[str], Optional[SQLType]]] = []
     for item in body.items:
         if isinstance(item, ast.Star):
@@ -489,7 +486,7 @@ def _output_columns(
             continue
         expr = item.expr
         name = item.alias or (expr.name if isinstance(expr, ast.ColumnRef) else None)
-        columns.append((name, _expression_type(expr, scope)))
+        columns.append((name, column_type(expr, typing)))
     return columns
 
 

@@ -52,6 +52,7 @@ class MemoryLog:
         #: history.
         self.dropped = 0
         self.peak_resident_records = 0  # high-water mark of retention
+        self._resident = 0  # records retained, over every topic
         self.materialized = 0  # records the current poll pulled out
 
     def append(self, name: str, kind: str, listening: bool, fields: tuple) -> None:
@@ -69,15 +70,16 @@ class MemoryLog:
         )
         self.next_seq += 1
         topic.end += 1
-        retained = self.resident_records()
-        if retained > self.peak_resident_records:
-            self.peak_resident_records = retained
-        if retained > self.max_retained:
+        self._resident += 1
+        if self._resident > self.peak_resident_records:
+            self.peak_resident_records = self._resident
+        if self._resident > self.max_retained:
             # Overflow: drop everything; lagging groups observe ``lost``
             # (positions below ``base``) and fall back to full
             # re-detection.
             for t in self.topics.values():
                 t.drop_retained()
+            self._resident = 0
 
     def read(
         self, name: str, start: int, upto: Optional[int] = None
@@ -95,7 +97,7 @@ class MemoryLog:
 
     def resident_records(self) -> int:
         """Records currently retained."""
-        return sum(len(t.records) for t in self.topics.values())
+        return self._resident
 
     def release(
         self,
@@ -118,6 +120,7 @@ class MemoryLog:
             if low > topic.base:
                 del topic.records[: low - topic.base]
                 topic.base = low
+        self._resident = sum(len(t.records) for t in self.topics.values())
 
     def refresh(self) -> bool:
         """Nothing to re-scan: this instance's memory is the log."""

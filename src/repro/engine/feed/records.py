@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from repro.engine.schema import Column, TableSchema
 from repro.engine.types import type_from_name
@@ -69,9 +69,12 @@ def decode_value(value: object) -> object:
     return value
 
 
-@dataclass(frozen=True)
-class FeedRecord:
+class FeedRecord(NamedTuple):
     """One record of the feed.
+
+    A named tuple rather than a frozen dataclass: every published row
+    mutation builds one, and a tuple is about four times cheaper to
+    build and is one object for the garbage collector, not two.
 
     Attributes:
         seq: global sequence number (total order across topics).

@@ -71,11 +71,6 @@ class TableSchema:
         """Number of columns."""
         return len(self.columns)
 
-    def has_column(self, name: str) -> bool:
-        """Case-insensitive column existence test."""
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
-
     def index_of(self, name: str) -> int:
         """Position of a column by (case-insensitive) name.
 

@@ -142,33 +142,45 @@ def output_types_of(
     :func:`column_type`; None for NULL)."""
     types: list[set[Optional[SQLType]]] = [set() for _ in output_names_of(tree)]
     for core in cores_of(tree):
-        aliases = {atom.alias.lower(): atom.relation for atom in core.atoms}
+        scope = [
+            (
+                atom.alias,
+                [
+                    (column.name, column.sql_type)
+                    for column in catalog.table(atom.relation).schema.columns
+                ],
+            )
+            for atom in core.atoms
+            if catalog.has_table(atom.relation)
+        ]
         for kinds, column in zip(types, core.outputs):
-            kinds.add(column_type(column.source, aliases, catalog))
+            kinds.add(column_type(column.source, scope))
     return types
 
 
-def column_type(
-    expr: ast.Expression, aliases: dict[str, str], catalog: Catalog
-) -> Optional[SQLType]:
-    """A literal's own type, or the declared type of the stored column
-    ``expr`` names (``aliases`` maps lower-case alias -> relation; an
-    unqualified name is looked up in each); None for NULL, an expression or
-    an unresolvable reference."""
+#: The FROM items a column reference can name, for typing: one
+#: ``(alias, columns)`` pair per item, each column ``(name, declared
+#: type)`` -- either may be None (an unnamed or untyped column).
+TypeScope = Sequence[
+    tuple[str, Sequence[tuple[Optional[str], Optional[SQLType]]]]
+]
+
+
+def column_type(expr: ast.Expression, scope: TypeScope) -> Optional[SQLType]:
+    """A literal's own type, or the declared type of the ``scope`` column
+    ``expr`` names (an unqualified name: the first item holding it); None
+    for NULL, an expression or an unresolvable reference."""
     if isinstance(expr, ast.Literal):
         return infer_type(expr.value)
     if isinstance(expr, ast.ColumnRef):
-        candidates = (
-            [aliases[expr.table.lower()]]
-            if expr.table is not None and expr.table.lower() in aliases
-            else list(aliases.values())
-        )
-        for relation in candidates:
-            if not catalog.has_table(relation):
+        name = expr.name.lower()
+        qualifier = None if expr.table is None else expr.table.lower()
+        for alias, columns in scope:
+            if qualifier is not None and qualifier != alias.lower():
                 continue
-            schema = catalog.table(relation).schema
-            if schema.has_column(expr.name):
-                return schema.column(expr.name).sql_type
+            for column, kind in columns:
+                if column is not None and column.lower() == name:
+                    return kind
     return None
 
 

@@ -179,9 +179,14 @@ class TestRandomWorkloads:
         rng = random.Random(seed)
         db = fresh_db(rng)
         native = HippoEngine(db, CONSTRAINTS).consistent_answers(CHECK_QUERIES[1])
-        pushed_engine = HippoEngine(
-            db, CONSTRAINTS, backend=make_backend(backend_name)
+        # A registered name goes through the engine's own create_backend
+        # branch; only the test-local layout is handed over ready-made.
+        spec = (
+            make_backend(backend_name)
+            if backend_name == "sqlite-explicit-tid"
+            else backend_name
         )
+        pushed_engine = HippoEngine(db, CONSTRAINTS, backend=spec)
         pushed = pushed_engine.consistent_answers(CHECK_QUERIES[1])
         assert pushed.columns == native.columns
         assert pushed.rows == native.rows

@@ -18,11 +18,12 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backends import SQLiteBackend
+from repro.backends import SQLiteBackend, mirror
 from repro.engine.database import Database
 from repro.engine.feed import ChangeFeed
 from repro.errors import BackendError
@@ -63,8 +64,10 @@ def assert_mirror_equal(db, backend):
     assert mirror_tables(backend) == names
     for name in names:
         assert mirror_rows(backend, name) == native_rows(db, name), name
-        indexes = db.catalog.table(name).indexed_column_sets()
-        assert mirror_index_count(backend, name) == len(indexes), name
+        indexes = len(db.catalog.table(name).indexed_column_sets())
+        if not backend.tid_is_rowid:
+            indexes += 1  # the explicit tid column's own index
+        assert mirror_index_count(backend, name) == indexes, name
 
 
 def counting_rebuilds(backend, monkeypatch):
@@ -87,6 +90,10 @@ def rs_db():
     db.execute("CREATE INDEX r_a ON r (a)")
     db.execute("INSERT INTO r VALUES (1, 1), (2, 2), (3, 3)")
     db.execute("INSERT INTO s VALUES (1, 10)")
+    # Filler, so a few changed tids stay a small share of each table
+    # (a batch touching most of a table rebuilds it).
+    db.insert_rows("r", [(key, key) for key in range(1000, 1020)])
+    db.insert_rows("s", [(key, key) for key in range(1000, 1010)])
     return db
 
 
@@ -104,6 +111,31 @@ class TestDeltas:
         rs_db.execute("DELETE FROM s WHERE a = 5")  # in and out again
         backend.sync()
         assert rebuilt == []
+        assert_mirror_equal(rs_db, backend)
+        backend.close()
+
+    def test_a_batch_touching_most_of_a_table_rebuilds_it(
+        self, rs_db, mirror_class, monkeypatch
+    ):
+        backend = mirror_class()
+        backend.attach(rs_db)
+        backend.sync()
+        rebuilt = counting_rebuilds(backend, monkeypatch)
+        size = len(rs_db.catalog.table("r"))
+        share = mirror._REBUILD_SHARE
+        # Within the share: a delta.
+        rs_db.insert_rows("r", [(2000 + key, 0) for key in range(int(share * size))])
+        backend.sync()
+        assert rebuilt == []
+        assert_mirror_equal(rs_db, backend)
+        rs_db.execute("UPDATE r SET b = b + 1")  # every row
+        rs_db.execute("INSERT INTO s VALUES (7, 70)")
+        backend.sync()
+        assert rebuilt == ["r"]
+        assert_mirror_equal(rs_db, backend)
+        rs_db.execute("DELETE FROM r WHERE a >= 1000")  # most rows gone
+        backend.sync()
+        assert rebuilt == ["r", "r"]
         assert_mirror_equal(rs_db, backend)
         backend.close()
 
@@ -211,6 +243,7 @@ class TestFeedGroup:
         db = Database(durable=str(tmp_path / "db"))
         db.execute(f"CREATE TABLE r {SCHEMA}")
         db.execute("INSERT INTO r VALUES (1, 1)")
+        db.insert_rows("r", [(key, key) for key in range(1000, 1010)])
         backend = SQLiteBackend()
         backend.attach(db)
         backend.sync()
@@ -311,10 +344,18 @@ def run_step(db, step, counter):
 
 @pytest.mark.parametrize("max_retained", [100_000, 6])
 @settings(max_examples=40, deadline=None)
-@given(sequence=steps)
-def test_mirror_equals_native_after_every_sync(mirror_class, max_retained, sequence):
+@given(
+    sequence=steps,
+    share=st.sampled_from([float("inf"), mirror._REBUILD_SHARE, 0.0]),
+)
+def test_mirror_equals_native_after_every_sync(
+    mirror_class, max_retained, sequence, share
+):
     """``max_retained=6`` makes the feed drop history a lagging mirror
-    never read, so lost history is exercised too."""
+    never read, so lost history is exercised too.  ``share`` runs every
+    batch as a delta (inf), as the default decides, or as a rebuild
+    (0.0): on these small tables the default rebuilds often, which
+    alone would hide a delta path that needed a rebuild."""
     db = Database(feed=ChangeFeed(max_retained=max_retained))
     db.execute(f"CREATE TABLE r {SCHEMA}")
     db.execute(f"CREATE TABLE s {SCHEMA}")
@@ -323,15 +364,16 @@ def test_mirror_equals_native_after_every_sync(mirror_class, max_retained, seque
     backend.attach(db)
     counter = itertools.count()
     try:
-        backend.sync()
-        assert_mirror_equal(db, backend)
-        for step in sequence:
-            if step[0] == "sync":
-                backend.sync()
-                assert_mirror_equal(db, backend)
-            else:
-                run_step(db, step, counter)
-        backend.sync()
-        assert_mirror_equal(db, backend)
+        with mock.patch.object(mirror, "_REBUILD_SHARE", share):
+            backend.sync()
+            assert_mirror_equal(db, backend)
+            for step in sequence:
+                if step[0] == "sync":
+                    backend.sync()
+                    assert_mirror_equal(db, backend)
+                else:
+                    run_step(db, step, counter)
+            backend.sync()
+            assert_mirror_equal(db, backend)
     finally:
         backend.close()

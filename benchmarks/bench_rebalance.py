@@ -104,7 +104,14 @@ def run_once(directory: Path, db, constraints):
         started = time.perf_counter()
         move = executor.rebalance()
         report["move_s"] = time.perf_counter() - started
-        assert move is not None and move.topic == "hot"
+        # No move means no lag skew was left: did the workers drain the
+        # hot suffix before the trigger read their lag?
+        assert move is not None, "rebalance() found no move; per worker " + ", ".join(
+            f"#{row.index}: lag={row.lag} edges={row.edges}"
+            f" applied_records={row.applied_records}"
+            for row in executor.status()
+        )
+        assert move.topic == "hot"
         assert move.skew_after < move.skew_before  # strictly reduced
         report["move"] = (move.topic, move.source, move.target)
         report["skew"] = (move.skew_before, move.skew_after)

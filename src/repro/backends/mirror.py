@@ -51,18 +51,19 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from dataclasses import replace
-from typing import Any, Callable, NamedTuple, Optional, Sequence, TypeVar
+from dataclasses import fields, replace
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from repro.engine.catalog import Catalog
 from repro.engine.changelog import OP_INSERT
 from repro.engine.database import Database
+from repro.engine.expressions import Scope, bound_entries
 from repro.engine.feed import RECORD_CHANGE, FeedConsumer
 from repro.engine.schema import TableSchema
 from repro.engine.storage import Table
 from repro.engine.types import SQLType
 from repro.errors import AlgebraError, BackendError
-from repro.ra.sjud import SJUDCore, SJUDTree, column_type, output_types_of
+from repro.ra.sjud import SJUDCore, SJUDTree, output_types_of
 from repro.ra.to_sql import (
     ParameterizedSQL,
     create_index_sql,
@@ -77,6 +78,7 @@ from repro.ra.to_sql import (
 from repro.sql import ast
 
 T = TypeVar("T")
+N = TypeVar("N", bound=ast.Node)
 
 _MAX_EDGE_ARITY = 64
 
@@ -408,9 +410,12 @@ class MirrorBackend(ABC):
         except AlgebraError as exc:
             raise BackendError(f"cannot lower query: {exc}") from exc
         columns, rows = self._run(rendered)
-        types = query_output_types(query, catalog)
-        if rows and len(types) != len(rows[0]):
-            return columns, rows
+        _, types = _body_columns(query.body, catalog)
+        if len(types) != len(columns):
+            raise BackendError(
+                f"pushed SELECT returned {len(columns)} columns, its typing"
+                f" {len(types)}"
+            )
         boolean = [i for i, kind in enumerate(types) if kind is SQLType.BOOLEAN]
         return columns, self._coerce_rows(rows, boolean)
 
@@ -440,116 +445,125 @@ class MirrorBackend(ABC):
 # ---------------------------------------------------------------------------
 
 
-class _Source(NamedTuple):
-    """One FROM item as a pushed SELECT sees it: its alias, its output
-    columns as (name or None, declared type or None), and whether it is
-    a stored relation (whose mirror may carry an explicit tid column)."""
-
-    alias: str
-    columns: list[tuple[Optional[str], Optional[SQLType]]]
-    stored: bool
-
-    def covers(self, table: Optional[str]) -> bool:
-        """Whether ``table.*`` (``*`` for None) includes this source."""
-        return table is None or table.lower() == self.alias.lower()
+def _cores(body: ast.SelectCore | ast.SetOperation) -> list[ast.SelectCore]:
+    """A SELECT body's cores, left to right."""
+    if isinstance(body, ast.SetOperation):
+        return _cores(body.left) + _cores(body.right)
+    return [body]
 
 
-def _scope(from_items: Sequence[ast.FromItem], catalog: Catalog) -> list[_Source]:
-    scope: list[_Source] = []
-    for item in from_items:
+def _from_tables(items: Sequence[ast.FromItem]) -> list[ast.FromItem]:
+    """The stored and derived tables a FROM list reads, joins flattened,
+    in scope order."""
+    tables: list[ast.FromItem] = []
+    for item in items:
         if isinstance(item, ast.Join):
-            scope.extend(_scope((item.left, item.right), catalog))
-        elif isinstance(item, ast.DerivedTable):
-            columns = _output_columns(item.query, catalog)
-            scope.append(_Source(item.alias, columns, False))
-        elif isinstance(item, ast.TableRef) and catalog.has_table(item.name):
+            tables.extend(_from_tables((item.left, item.right)))
+        else:
+            tables.append(item)
+    return tables
+
+
+def _covers(star: ast.Star, binding: str) -> bool:
+    """Whether ``star`` (``*`` or ``alias.*``) includes ``binding``'s columns."""
+    return star.table is None or star.table.lower() == binding.lower()
+
+
+def _core_scope(core: ast.SelectCore, catalog: Catalog) -> Scope:
+    """The typed scope a SELECT core's items resolve in: each stored
+    relation's declared columns and each derived table's body columns
+    (:func:`_body_columns`), bound by alias, in FROM order."""
+    entries: list[tuple[Optional[str], str]] = []
+    types: list[Optional[SQLType]] = []
+    for item in _from_tables(core.from_items):
+        if isinstance(item, ast.DerivedTable):
+            names, kinds = _body_columns(item.query.body, catalog)
+            entries.extend(bound_entries(item.alias, names))
+            types.extend(kinds)
+        elif isinstance(item, ast.TableRef):
             schema = catalog.table(item.name).schema
-            columns = [(c.name, c.sql_type) for c in schema.columns]
-            scope.append(_Source(item.alias or item.name, columns, True))
-    return scope
+            entries.extend(bound_entries(item.binding, schema.column_names))
+            types.extend(column.sql_type for column in schema.columns)
+    return Scope(entries, types=types)
 
 
-def _output_columns(
-    query: ast.Query, catalog: Catalog
-) -> list[tuple[Optional[str], Optional[SQLType]]]:
-    body = query.body
-    while isinstance(body, ast.SetOperation):
-        body = body.left
-    scope = _scope(body.from_items, catalog)
-    typing = [(source.alias, source.columns) for source in scope]
-    columns: list[tuple[Optional[str], Optional[SQLType]]] = []
-    for item in body.items:
+def _core_columns(
+    core: ast.SelectCore, catalog: Catalog
+) -> list[tuple[str, set[Optional[SQLType]]]]:
+    """Each output column of a SELECT core: its name ("" when it has
+    none) and the types its values can have -- none for a NULL literal,
+    else :meth:`~repro.engine.expressions.Scope.declared_type`."""
+    scope = _core_scope(core, catalog)
+    columns: list[tuple[str, set[Optional[SQLType]]]] = []
+    for item in core.items:
         if isinstance(item, ast.Star):
-            for source in scope:
-                if source.covers(item.table):
-                    columns.extend(source.columns)
+            columns.extend(
+                (column, {kind})
+                for (binding, column), kind in zip(scope.entries, scope.types)
+                if item.table is None or binding == item.table.lower()
+            )
             continue
         expr = item.expr
-        name = item.alias or (expr.name if isinstance(expr, ast.ColumnRef) else None)
-        columns.append((name, column_type(expr, typing)))
+        name = item.alias or (expr.name if isinstance(expr, ast.ColumnRef) else "")
+        null = isinstance(expr, ast.Literal) and expr.value is None
+        columns.append((name, set() if null else {scope.declared_type(expr)}))
     return columns
 
 
-def query_output_types(
-    query: ast.Query, catalog: Catalog
-) -> tuple[Optional[SQLType], ...]:
-    """Declared types of a query's output columns, where derivable.
-
-    ``None`` marks a column whose type cannot be resolved statically (an
-    expression, or an unresolvable reference); backends leave those
-    values as the driver returned them.  A derived table's columns are
-    typed by recursing into its body -- from the AST and the catalog
-    alone, with no native planning.  Set operations take the left
-    branch's types (both sides are union-compatible by construction).
-    """
-    return tuple(kind for _, kind in _output_columns(query, catalog))
-
-
-def _spell_out_from(item: ast.FromItem, catalog: Catalog) -> ast.FromItem:
-    if isinstance(item, ast.DerivedTable):
-        return replace(item, query=_spell_out_stars(item.query, catalog))
-    if isinstance(item, ast.Join):
-        return replace(
-            item,
-            left=_spell_out_from(item.left, catalog),
-            right=_spell_out_from(item.right, catalog),
-        )
-    return item
-
-
-def _spell_out_body(
+def _body_columns(
     body: ast.SelectCore | ast.SetOperation, catalog: Catalog
-) -> ast.SelectCore | ast.SetOperation:
-    if isinstance(body, ast.SetOperation):
-        return replace(
-            body,
-            left=_spell_out_body(body.left, catalog),
-            right=_spell_out_body(body.right, catalog),
-        )
-    scope = _scope(body.from_items, catalog)
-    items: list[ast.SelectItem | ast.Star] = []
-    for item in body.items:
+) -> tuple[list[str], list[Optional[SQLType]]]:
+    """A SELECT body's output column names (its first core's) and types,
+    from the AST and the catalog alone.  A column has the one type every
+    branch gives it (a NULL literal fits any); None when the branches
+    disagree or one is untyped -- backends leave such values as the
+    driver returned them."""
+    cores = [_core_columns(core, catalog) for core in _cores(body)]
+    types: list[Optional[SQLType]] = []
+    for column in zip(*cores):
+        kinds = set().union(*(kinds for _, kinds in column))
+        types.append(kinds.pop() if len(kinds) == 1 else None)
+    return [name for name, _ in cores[0]], types
+
+
+def _spelled_items(
+    core: ast.SelectCore, catalog: Catalog
+) -> Iterator[ast.SelectItem | ast.Star]:
+    """A core's select list with each ``*`` over a stored relation
+    spelled out as its declared columns; a derived table's stays."""
+    for item in core.items:
         if not isinstance(item, ast.Star):
-            items.append(item)
+            yield item
             continue
-        for source in scope:
-            if not source.covers(item.table):
-                continue
-            if source.stored:
-                items.extend(
-                    ast.SelectItem(ast.ColumnRef(source.alias, str(name)))
-                    for name, _ in source.columns
+        for table in _from_tables(core.from_items):
+            if isinstance(table, ast.DerivedTable):
+                if _covers(item, table.alias):
+                    yield ast.Star(table.alias)
+            elif isinstance(table, ast.TableRef) and _covers(item, table.binding):
+                names = catalog.table(table.name).schema.column_names
+                yield from (
+                    ast.SelectItem(ast.ColumnRef(table.binding, name))
+                    for name in names
                 )
-            else:
-                items.append(ast.Star(source.alias))
-    from_items = tuple(_spell_out_from(item, catalog) for item in body.from_items)
-    return replace(body, items=tuple(items), from_items=from_items)
 
 
-def _spell_out_stars(query: ast.Query, catalog: Catalog) -> ast.Query:
-    """``query`` with every output ``*`` over a stored relation spelled
-    out as its declared columns: a mirror with an explicit tid column
-    would otherwise return that column too.  Stars in expression
-    subqueries stay: under ``EXISTS`` they produce no column, and under
-    ``IN`` the driver declines the extra one (a counted fallback)."""
-    return replace(query, body=_spell_out_body(query.body, catalog))
+def _spell_out_stars(node: N, catalog: Catalog) -> N:
+    """``node`` with every SELECT core in it -- its own, derived tables'
+    and expression subqueries' -- spelled out by :func:`_spelled_items`:
+    a mirror with an explicit tid column would otherwise return that
+    column too (and an ``IN (SELECT * ...)`` one column too many)."""
+    if isinstance(node, ast.SelectCore):
+        node = replace(node, items=tuple(_spelled_items(node, catalog)))
+
+    def spell(value: Any) -> Any:
+        if isinstance(value, ast.Node):
+            return _spell_out_stars(value, catalog)
+        if isinstance(value, tuple):
+            return tuple(map(spell, value))
+        return value
+
+    spelled = {
+        field.name: spell(getattr(node, field.name))
+        for field in fields(node)  # type: ignore[arg-type]
+    }
+    return replace(node, **spelled)  # type: ignore[type-var]

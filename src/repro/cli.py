@@ -73,7 +73,6 @@ from repro.engine.feed import MANIFEST, ChangeFeed, GroupRecovery
 from repro.engine.types import format_value, literal_sql
 from repro.errors import ReproError, UnsupportedQueryError
 from repro.ra import (
-    CatalogSchemaProvider,
     compile_core,
     cores_of,
     render_tree,
@@ -212,8 +211,7 @@ class HippoShell:
             self._print(__doc__ or "")
             return True
         if command == ".constraint":
-            provider = CatalogSchemaProvider(self.db.catalog)
-            self.constraints.append(parse_constraint(argument, provider))
+            self.constraints.append(parse_constraint(argument, self.db.catalog))
             self._invalidate()
             self._print(f"added: {self.constraints[-1]}")
             return True

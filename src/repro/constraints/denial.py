@@ -61,14 +61,12 @@ class DenialConstraint:
             self._validate_refs(self.condition, seen)
 
     def _validate_refs(self, expr: ast.Expression, aliases: set[str]) -> None:
-        from repro.engine.planner import column_refs, contains_subquery
-
-        if contains_subquery(expr):
+        if ast.contains_subquery(expr):
             raise ConstraintError(
                 f"constraint {self.name!r}: the condition must be"
                 " quantifier-free (no subqueries)"
             )
-        for ref in column_refs(expr):
+        for ref in ast.column_refs(expr):
             if ref.table is None:
                 raise ConstraintError(
                     f"constraint {self.name!r}: reference {ref} must be"

@@ -25,7 +25,7 @@ from repro.errors import ConstraintError
 from repro.sql.parser import parse_expression
 
 if TYPE_CHECKING:
-    from repro.ra.sjud import SchemaProvider
+    from repro.engine.catalog import Catalog
 
 Constraint = Union[
     DenialConstraint,
@@ -36,18 +36,17 @@ Constraint = Union[
 
 
 def parse_constraints(
-    text: str, schema_provider: Optional[SchemaProvider] = None
+    text: str, catalog: Optional[Catalog] = None
 ) -> list[Constraint]:
     """Parse a multi-line constraint specification.
 
     Args:
         text: the specification (see module docstring for the syntax).
-        schema_provider: needed only for ``KEY`` constraints, whose RHS is
-            every non-key column; anything with a ``relation_columns(name)``
-            method (e.g. :class:`repro.ra.CatalogSchemaProvider`).
+        catalog: needed only for ``KEY`` constraints, whose RHS is every
+            non-key column of the relation.
 
     Raises:
-        ConstraintError: on syntax errors or a KEY without a provider.
+        ConstraintError: on syntax errors or a KEY without a catalog.
     """
     constraints: list[Constraint] = []
     for line_number, raw_line in enumerate(text.splitlines(), start=1):
@@ -55,20 +54,20 @@ def parse_constraints(
         if not line:
             continue
         try:
-            constraints.append(parse_constraint(line, schema_provider))
+            constraints.append(parse_constraint(line, catalog))
         except ConstraintError as exc:
             raise ConstraintError(f"line {line_number}: {exc}") from None
     return constraints
 
 
 def parse_constraint(
-    line: str, schema_provider: Optional[SchemaProvider] = None
+    line: str, catalog: Optional[Catalog] = None
 ) -> Constraint:
     """Parse a single constraint."""
     stripped = line.strip()
     upper = stripped.upper()
     if upper.startswith("KEY "):
-        return _parse_key(stripped[4:], schema_provider)
+        return _parse_key(stripped[4:], catalog)
     if upper.startswith("FD "):
         return _parse_fd(stripped[3:])
     if upper.startswith("FK "):
@@ -103,15 +102,15 @@ def _parse_relation_columns(text: str) -> tuple[str, list[str]]:
 
 
 def _parse_key(
-    text: str, schema_provider: Optional[SchemaProvider]
+    text: str, catalog: Optional[Catalog]
 ) -> FunctionalDependency:
     relation, key = _parse_relation_columns(text)
-    if schema_provider is None:
+    if catalog is None:
         raise ConstraintError(
-            "KEY constraints need a schema provider to determine the"
-            " dependent columns; pass schema_provider= or use FD"
+            "KEY constraints need a catalog to determine the"
+            " dependent columns; pass catalog= or use FD"
         )
-    columns = schema_provider.relation_columns(relation)
+    columns = catalog.table(relation).schema.column_names
     return key_constraint(relation, key, columns)
 
 

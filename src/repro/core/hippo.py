@@ -47,7 +47,6 @@ from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
 from repro.ra.sjud import (
-    CatalogSchemaProvider,
     SJUDTree,
     from_sql_query,
     output_names_of,
@@ -152,7 +151,6 @@ class HippoEngine:
         self.constraints = tuple(constraints)
         self.membership_strategy = membership
         self.use_core = use_core
-        self._schema = CatalogSchemaProvider(db.catalog)
         self.backend = self._resolve_backend(backend, db)
         # Full detection closes over locals, not ``self``: an engine <->
         # detector cycle would keep a dropped engine (and its feed
@@ -275,9 +273,9 @@ class HippoEngine:
             query = parse_query(query)
         if isinstance(query, ast.Query):
             order_by = query.order_by
-            tree = from_sql_query(query, self._schema)
+            tree = from_sql_query(query, self.db.catalog)
             return tree, order_by
-        validate_tree(query, self._schema)
+        validate_tree(query, self.db.catalog)
         return query, ()
 
     # ------------------------------------------------------------- answers

@@ -105,10 +105,17 @@ class Scope:
         raise PlanError(f"unknown column: {ast.ColumnRef(table, name)}")
 
     def declared_type(self, expr: ast.Expression) -> Optional[SQLType]:
-        """The declared type of the stored column ``expr`` names, or a
-        literal's own; None for anything else, NULL, or an unknown type."""
+        """The declared type of the stored column ``expr`` names, a
+        literal's own, or BOOLEAN for a predicate (a comparison, AND / OR
+        / NOT, IS NULL, IN, EXISTS, BETWEEN, LIKE); None for anything
+        else, NULL, or an unknown type."""
         if isinstance(expr, ast.Literal):
             return infer_type(expr.value)
+        if isinstance(expr, _PREDICATES) or (
+            isinstance(expr, (ast.BinaryOp, ast.UnaryOp))
+            and expr.op in _LOGICAL
+        ):
+            return SQLType.BOOLEAN
         if not isinstance(expr, ast.ColumnRef):
             return None
         try:
@@ -166,6 +173,19 @@ _COMPARISONS = {
     ">": operator.gt,
     ">=": operator.ge,
 }
+
+#: Operators whose result is a truth value.
+_LOGICAL = frozenset(_COMPARISONS) | {"AND", "OR", "NOT"}
+
+#: Expression nodes whose result is a truth value.
+_PREDICATES = (
+    ast.IsNull,
+    ast.InList,
+    ast.InSubquery,
+    ast.Exists,
+    ast.Between,
+    ast.Like,
+)
 
 #: ``a op b`` is ``b mirror[op] a``.
 _MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
@@ -310,7 +330,9 @@ class ExpressionCompiler:
         literal operand is moved to the right and captured as a constant.
         Known types that do not compare raise here (:meth:`_check_comparable`).
         """
-        self._check_comparable(left_expr, right_expr)
+        self._check_comparable(
+            left_expr, right_expr, self.scope.declared_type(right_expr)
+        )
         if isinstance(left_expr, ast.Literal) and not isinstance(
             right_expr, ast.Literal
         ):
@@ -348,14 +370,14 @@ class ExpressionCompiler:
         self,
         left: ast.Expression,
         right: ast.Expression,
-        right_type: Optional[SQLType] = None,
+        right_type: Optional[SQLType],
     ) -> None:
         """Raise :func:`compare_values`' error before any row is read when
-        both operands' types are known (:meth:`Scope.declared_type`, or
-        ``right_type``: an ``IN`` subquery's first column) and do not
-        compare; values of unknown types are checked per row."""
+        both operands' types are known (the left's
+        :meth:`Scope.declared_type`; ``right_type`` is the right's, or an
+        ``IN`` subquery's first column's) and do not compare; values of
+        unknown types are checked per row."""
         left_type = self.scope.declared_type(left)
-        right_type = right_type or self.scope.declared_type(right)
         if left_type and right_type and not comparable(left_type, right_type):
             raise TypeError_(
                 f"cannot compare {left_type} with {right_type}"
@@ -387,7 +409,7 @@ class ExpressionCompiler:
 
     def _compile_InList(self, expr: ast.InList) -> Evaluator:
         for item in expr.items:
-            self._check_comparable(expr.operand, item)
+            self._check_comparable(expr.operand, item, self.scope.declared_type(item))
         operand = self.compile(expr.operand)
         items = [self.compile(item) for item in expr.items]
         negated = expr.negated

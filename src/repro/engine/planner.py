@@ -32,8 +32,8 @@ join around a bound tuple with ``plan_query(..., outer_scope=...)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterator, Optional, Sequence, Union, cast
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union, cast
 
 from repro.engine import functions, plan
 from repro.engine.catalog import Catalog
@@ -262,71 +262,11 @@ class _DecorrelatedSubplan:
         ]
 
 
-def _walk_expressions(node: ast.Node) -> Iterator[ast.Node]:
-    """Yield every descendant node (including ``node``), skipping subqueries."""
-    yield node
-    for field_info in fields(node):  # type: ignore[arg-type]
-        value = getattr(node, field_info.name)
-        if isinstance(value, ast.Query):
-            continue
-        if isinstance(value, ast.Node):
-            yield from _walk_expressions(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, ast.Node):
-                    yield from _walk_expressions(item)
-                elif isinstance(item, tuple):
-                    for sub in item:
-                        if isinstance(sub, ast.Node):
-                            yield from _walk_expressions(sub)
-
-
-def map_children(
-    node: ast.Expression,
-    transform: Callable[[ast.Expression], ast.Expression],
-) -> ast.Expression:
-    """``node`` rebuilt with ``transform`` applied to each child expression
-    (nested subqueries are not entered)."""
-    updates = {}
-    for field_info in fields(node):  # type: ignore[arg-type]
-        value = getattr(node, field_info.name)
-        if isinstance(value, ast.Expression):
-            updates[field_info.name] = transform(value)
-        elif (
-            isinstance(value, tuple)
-            and value
-            and isinstance(value[0], ast.Expression)
-        ):
-            updates[field_info.name] = tuple(transform(item) for item in value)
-        elif (
-            isinstance(value, tuple)
-            and value
-            and isinstance(value[0], tuple)
-        ):
-            updates[field_info.name] = tuple(
-                tuple(transform(sub) for sub in item) for item in value
-            )
-    return replace(node, **updates) if updates else node
-
-
-def column_refs(expr: ast.Expression) -> list[ast.ColumnRef]:
-    """All column references in ``expr``, outside of nested subqueries."""
-    return [node for node in _walk_expressions(expr) if isinstance(node, ast.ColumnRef)]
-
-
-def contains_subquery(expr: ast.Expression) -> bool:
-    """Whether ``expr`` contains an EXISTS / IN-subquery node."""
-    return any(
-        isinstance(node, (ast.Exists, ast.InSubquery))
-        for node in _walk_expressions(expr)
-    )
-
-
 def find_aggregate_calls(expr: ast.Expression) -> list[ast.FunctionCall]:
     """Aggregate function calls appearing in ``expr`` (outside subqueries)."""
     return [
         node
-        for node in _walk_expressions(expr)
+        for node in ast.walk_expressions(expr)
         if isinstance(node, ast.FunctionCall)
         and (node.star or functions.is_aggregate_function(node.name))
     ]
@@ -335,7 +275,7 @@ def find_aggregate_calls(expr: ast.Expression) -> list[ast.FunctionCall]:
 def _resolvable(expr: ast.Expression, entries: list[tuple[Optional[str], str]]) -> bool:
     """Whether every column ref of ``expr`` resolves within ``entries``."""
     probe = Scope(list(entries))
-    for ref in column_refs(expr):
+    for ref in ast.column_refs(expr):
         try:
             probe.resolve(ref.table, ref.name)
         except PlanError:
@@ -414,8 +354,8 @@ class Planner:
         """
         source = self._table_source(ast.TableRef(table), True)
         conjuncts = ast.split_conjuncts(where)
-        late = [c for c in conjuncts if contains_subquery(c)]
-        early = [c for c in conjuncts if not contains_subquery(c)]
+        late = [c for c in conjuncts if ast.contains_subquery(c)]
+        early = [c for c in conjuncts if not ast.contains_subquery(c)]
         leftovers = self._apply_local_filters(source, early, source.scope(None, 0))
         self._filter(source, leftovers + late, None, 0)
         return PlannedQuery(source.node, source.displays, source.types)
@@ -464,8 +404,8 @@ class Planner:
         # full row scope exists (they may be correlated with anything) --
         # except a bare [NOT] EXISTS, which the FROM list runs as a semi
         # join under the lowest source it is correlated with, if it can.
-        join_candidates = [c for c in conjuncts if not contains_subquery(c)]
-        late_conjuncts = [c for c in conjuncts if contains_subquery(c)]
+        join_candidates = [c for c in conjuncts if not ast.contains_subquery(c)]
+        late_conjuncts = [c for c in conjuncts if ast.contains_subquery(c)]
 
         if core.from_items:
             source, leftovers, late_conjuncts = self._plan_from_list(
@@ -865,7 +805,7 @@ class Planner:
             if isinstance(node, ast.ColumnRef):
                 depth, index = scope.resolve(node.table, node.name)
                 return ast.ColumnRef("#resolved", f"{scope.level - depth}:{index}")
-            return map_children(node, transform)
+            return ast.map_children(node, transform)
 
         return transform(expr)
 
@@ -896,7 +836,7 @@ class Planner:
                 raise PlanError(
                     f"column {node} must appear in GROUP BY or inside an aggregate"
                 )
-            return map_children(node, transform)
+            return ast.map_children(node, transform)
 
         return transform(expr)
 
@@ -1031,19 +971,19 @@ class Planner:
                 return "ambiguous" in str(exc)
 
         def is_local(expr: ast.Expression) -> bool:
-            return all(resolves_locally(ref) for ref in column_refs(expr))
+            return all(resolves_locally(ref) for ref in ast.column_refs(expr))
 
         conjuncts = ast.split_conjuncts(body.where) + on
         keys = _equalities(
             conjuncts,
-            lambda e: is_local(e) and not contains_subquery(e),
+            lambda e: is_local(e) and not ast.contains_subquery(e),
             lambda e: isinstance(e, ast.ColumnRef) and not resolves_locally(e),
             probe,
             site_scope,
         )
         if not keys:
             return None
-        local = [c for c in conjuncts if is_local(c) and not contains_subquery(c)]
+        local = [c for c in conjuncts if is_local(c) and not ast.contains_subquery(c)]
         first = body.items[0]  # the value column of an IN subquery
         if isinstance(first, ast.Star):
             value_expr: ast.Expression = ast.ColumnRef(*probe.entries[0])

@@ -18,7 +18,6 @@ from repro.ra.compile import (
 )
 from repro.ra.sjud import (
     Atom,
-    CatalogSchemaProvider,
     Difference,
     OutputColumn,
     SJUDCore,
@@ -43,7 +42,6 @@ from repro.ra.to_sql import (
 
 __all__ = [
     "Atom",
-    "CatalogSchemaProvider",
     "Difference",
     "OutputColumn",
     "Restriction",

@@ -26,42 +26,17 @@ it with an explanation (as Hippo does).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Generic,
-    Iterator,
-    Optional,
-    Protocol,
-    Sequence,
-    TypeVar,
-    Union,
-)
+from typing import TYPE_CHECKING, Generic, Iterator, Optional, TypeVar, Union, cast
 
 if TYPE_CHECKING:
     from repro.engine.catalog import Catalog
 
-from repro.engine.types import SQLType, infer_type
-from repro.errors import AlgebraError, UnsupportedQueryError
+from repro.engine.expressions import Scope, bound_entries
+from repro.engine.types import SQLType
+from repro.errors import AlgebraError, PlanError, UnsupportedQueryError
 from repro.sql import ast
 
 T = TypeVar("T")
-
-
-class SchemaProvider(Protocol):
-    """Anything that can report the column names of a relation."""
-
-    def relation_columns(self, name: str) -> tuple[str, ...]:
-        """Column names of relation ``name`` (raises on unknown names)."""
-
-
-class CatalogSchemaProvider:
-    """Adapter from an engine :class:`~repro.engine.catalog.Catalog`."""
-
-    def __init__(self, catalog: Catalog) -> None:
-        self._catalog = catalog
-
-    def relation_columns(self, name: str) -> tuple[str, ...]:
-        return self._catalog.table(name).schema.column_names
 
 
 @dataclass(frozen=True)
@@ -138,50 +113,27 @@ def output_names_of(tree: SJUDTree) -> tuple[str, ...]:
 def output_types_of(
     tree: SJUDTree, catalog: Catalog
 ) -> list[set[Optional[SQLType]]]:
-    """The types each output column's values can have, over every core (see
-    :func:`column_type`; None for NULL)."""
+    """The types each output column's values can have, over every core
+    (:meth:`~repro.engine.expressions.Scope.declared_type`; None for
+    NULL)."""
     types: list[set[Optional[SQLType]]] = [set() for _ in output_names_of(tree)]
     for core in cores_of(tree):
-        scope = [
-            (
-                atom.alias,
-                [
-                    (column.name, column.sql_type)
-                    for column in catalog.table(atom.relation).schema.columns
-                ],
-            )
-            for atom in core.atoms
-            if catalog.has_table(atom.relation)
-        ]
+        scope = _atom_scope(core.atoms, catalog)
         for kinds, column in zip(types, core.outputs):
-            kinds.add(column_type(column.source, scope))
+            kinds.add(scope.declared_type(column.source))
     return types
 
 
-#: The FROM items a column reference can name, for typing: one
-#: ``(alias, columns)`` pair per item, each column ``(name, declared
-#: type)`` -- either may be None (an unnamed or untyped column).
-TypeScope = Sequence[
-    tuple[str, Sequence[tuple[Optional[str], Optional[SQLType]]]]
-]
-
-
-def column_type(expr: ast.Expression, scope: TypeScope) -> Optional[SQLType]:
-    """A literal's own type, or the declared type of the ``scope`` column
-    ``expr`` names (an unqualified name: the first item holding it); None
-    for NULL, an expression or an unresolvable reference."""
-    if isinstance(expr, ast.Literal):
-        return infer_type(expr.value)
-    if isinstance(expr, ast.ColumnRef):
-        name = expr.name.lower()
-        qualifier = None if expr.table is None else expr.table.lower()
-        for alias, columns in scope:
-            if qualifier is not None and qualifier != alias.lower():
-                continue
-            for column, kind in columns:
-                if column is not None and column.lower() == name:
-                    return kind
-    return None
+def _atom_scope(atoms: tuple[Atom, ...], catalog: Catalog) -> Scope:
+    """The typed :class:`~repro.engine.expressions.Scope` of a core's
+    atoms: every column of each atom's relation, bound by its alias."""
+    entries: list[tuple[Optional[str], str]] = []
+    types: list[Optional[SQLType]] = []
+    for atom in atoms:
+        schema = catalog.table(atom.relation).schema
+        entries.extend(bound_entries(atom.alias, schema.column_names))
+        types.extend(column.sql_type for column in schema.columns)
+    return Scope(entries, types=types)
 
 
 def output_arity_of(tree: SJUDTree) -> int:
@@ -202,11 +154,12 @@ class UnionFind(Generic[T]):
         self._parent: dict[T, T] = {}
 
     def find(self, item: T) -> T:
-        parent = self._parent.setdefault(item, item)
-        if parent == item:
-            return item
-        root = self.find(parent)
-        self._parent[item] = root
+        parent = self._parent
+        root = item
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[item] != root:  # path compression
+            parent[item], item = root, parent[item]
         return root
 
     def union(self, a: T, b: T) -> None:
@@ -226,7 +179,7 @@ def _qualified(ref: ast.ColumnRef) -> str:
 
 
 def reconstruction_map(
-    core: SJUDCore, schema: SchemaProvider
+    core: SJUDCore, catalog: Catalog
 ) -> dict[str, list[Source]]:
     """Per-atom reconstruction of base tuples from a candidate answer.
 
@@ -269,7 +222,7 @@ def reconstruction_map(
 
     result: dict[str, list[Source]] = {}
     for atom in core.atoms:
-        columns = schema.relation_columns(atom.relation)
+        columns = catalog.table(atom.relation).schema.column_names
         sources: list[Source] = []
         for column in columns:
             key = f"{atom.alias.lower()}.{column.lower()}"
@@ -289,7 +242,7 @@ def reconstruction_map(
     return result
 
 
-def validate_tree(tree: SJUDTree, schema: SchemaProvider) -> None:
+def validate_tree(tree: SJUDTree, catalog: Catalog) -> None:
     """Validate arities and projection restrictions across a whole tree.
 
     Raises:
@@ -297,7 +250,7 @@ def validate_tree(tree: SJUDTree, schema: SchemaProvider) -> None:
         UnsupportedQueryError: on an existential projection.
     """
     if isinstance(tree, SJUDCore):
-        reconstruction_map(tree, schema)
+        reconstruction_map(tree, catalog)
         return
     if output_arity_of(tree.left) != output_arity_of(tree.right):
         op = "UNION" if isinstance(tree, Union_) else "EXCEPT"
@@ -305,8 +258,8 @@ def validate_tree(tree: SJUDTree, schema: SchemaProvider) -> None:
             f"{op} branches have different arities"
             f" ({output_arity_of(tree.left)} vs {output_arity_of(tree.right)})"
         )
-    validate_tree(tree.left, schema)
-    validate_tree(tree.right, schema)
+    validate_tree(tree.left, catalog)
+    validate_tree(tree.right, catalog)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +267,7 @@ def validate_tree(tree: SJUDTree, schema: SchemaProvider) -> None:
 # ---------------------------------------------------------------------------
 
 
-def from_sql_query(query: ast.Query, schema: SchemaProvider) -> SJUDTree:
+def from_sql_query(query: ast.Query, catalog: Catalog) -> SJUDTree:
     """Convert a parsed SQL query into a validated SJUD tree.
 
     ORDER BY is ignored here (consistent answers form a set; the caller may
@@ -327,18 +280,18 @@ def from_sql_query(query: ast.Query, schema: SchemaProvider) -> SJUDTree:
         raise UnsupportedQueryError(
             "LIMIT/OFFSET are not meaningful for consistent query answers"
         )
-    tree = from_sql_body(query.body, schema)
-    validate_tree(tree, schema)
+    tree = from_sql_body(query.body, catalog)
+    validate_tree(tree, catalog)
     return tree
 
 
 def from_sql_body(
-    body: Union[ast.SelectCore, ast.SetOperation], schema: SchemaProvider
+    body: Union[ast.SelectCore, ast.SetOperation], catalog: Catalog
 ) -> SJUDTree:
     """Convert a SELECT body (without final validation)."""
     if isinstance(body, ast.SetOperation):
-        left = from_sql_body(body.left, schema)
-        right = from_sql_body(body.right, schema)
+        left = from_sql_body(body.left, catalog)
+        right = from_sql_body(body.right, catalog)
         if body.op == "union":
             return Union_(left, right)
         if body.op == "except":
@@ -355,10 +308,10 @@ def from_sql_body(
                 )
             return Difference(left, Difference(left, right))
         raise UnsupportedQueryError(f"unsupported set operation {body.op!r}")
-    return _core_from_select(body, schema)
+    return _core_from_select(body, catalog)
 
 
-def _core_from_select(core: ast.SelectCore, schema: SchemaProvider) -> SJUDCore:
+def _core_from_select(core: ast.SelectCore, catalog: Catalog) -> SJUDCore:
     if core.group_by or core.having:
         raise UnsupportedQueryError(
             "GROUP BY / HAVING (aggregation) is outside Hippo's SJUD class;"
@@ -372,7 +325,7 @@ def _core_from_select(core: ast.SelectCore, schema: SchemaProvider) -> SJUDCore:
 
     def add_from_item(item: ast.FromItem) -> None:
         if isinstance(item, ast.TableRef):
-            schema.relation_columns(item.name)  # existence check
+            catalog.table(item.name)  # existence check
             binding = item.binding
             if any(atom.alias.lower() == binding.lower() for atom in atoms):
                 raise AlgebraError(f"duplicate table alias {binding!r}")
@@ -397,47 +350,56 @@ def _core_from_select(core: ast.SelectCore, schema: SchemaProvider) -> SJUDCore:
     for item in core.from_items:
         add_from_item(item)
 
-    condition_parts = join_conjuncts + ast.split_conjuncts(core.where)
-    condition = ast.conjunction(condition_parts)
+    scope = _atom_scope(tuple(atoms), catalog)
+    aliases: dict[Optional[str], str] = {a.alias.lower(): a.alias for a in atoms}
+
+    def qualify(expr: ast.Expression) -> ast.Expression:
+        """``expr`` with each column reference qualified by its atom."""
+        if isinstance(expr, ast.ColumnRef):
+            _, index = scope.resolve(expr.table, expr.name)
+            return ast.ColumnRef(aliases[scope.entries[index][0]], expr.name)
+        return ast.map_children(expr, qualify)
+
+    condition = ast.conjunction(join_conjuncts + ast.split_conjuncts(core.where))
     if condition is not None:
         _check_condition(condition)
-        condition = _resolve_refs(condition, atoms, schema)
-
     outputs: list[OutputColumn] = []
-    for item in core.items:
-        if isinstance(item, ast.Star):
-            targets = (
-                [a for a in atoms if a.alias.lower() == item.table.lower()]
-                if item.table
-                else list(atoms)
-            )
-            if not targets:
-                raise AlgebraError(f"unknown alias in {item.table}.*")
-            for atom in targets:
-                for column in schema.relation_columns(atom.relation):
-                    outputs.append(
-                        OutputColumn(column, ast.ColumnRef(atom.alias, column))
-                    )
-            continue
-        expr = item.expr
-        if isinstance(expr, ast.ColumnRef):
-            resolved = _resolve_one_ref(expr, atoms, schema)
-            outputs.append(OutputColumn(item.alias or expr.name, resolved))
-        elif isinstance(expr, ast.Literal):
-            outputs.append(OutputColumn(item.alias or "const", expr))
-        else:
-            raise UnsupportedQueryError(
-                f"select item {type(expr).__name__} is not a plain column or"
-                " constant; computed columns are outside Hippo's class"
-            )
+    try:
+        condition = None if condition is None else qualify(condition)
+        for item in core.items:
+            if isinstance(item, ast.Star):
+                targets = [
+                    atom
+                    for atom in atoms
+                    if item.table is None or atom.alias.lower() == item.table.lower()
+                ]
+                if not targets:
+                    raise AlgebraError(f"unknown alias in {item.table}.*")
+                outputs.extend(
+                    OutputColumn(column, ast.ColumnRef(atom.alias, column))
+                    for atom in targets
+                    for column in catalog.table(atom.relation).schema.column_names
+                )
+                continue
+            expr = item.expr
+            if isinstance(expr, ast.ColumnRef):
+                resolved = cast(ast.ColumnRef, qualify(expr))
+                outputs.append(OutputColumn(item.alias or expr.name, resolved))
+            elif isinstance(expr, ast.Literal):
+                outputs.append(OutputColumn(item.alias or "const", expr))
+            else:
+                raise UnsupportedQueryError(
+                    f"select item {type(expr).__name__} is not a plain column or"
+                    " constant; computed columns are outside Hippo's class"
+                )
+    except PlanError as exc:
+        raise AlgebraError(str(exc)) from exc
     return SJUDCore(tuple(atoms), condition, tuple(outputs))
 
 
 def _check_condition(condition: ast.Expression) -> None:
     """Reject condition constructs outside the quantifier-free fragment."""
-    from repro.engine.planner import _walk_expressions  # shared AST walker
-
-    for node in _walk_expressions(condition):
+    for node in ast.walk_expressions(condition):
         if isinstance(node, (ast.Exists, ast.InSubquery)):
             raise UnsupportedQueryError(
                 "subqueries in WHERE are outside Hippo's SJUD class"
@@ -447,51 +409,3 @@ def _check_condition(condition: ast.Expression) -> None:
                 "function calls in WHERE are outside Hippo's class"
                 " (conditions must be quantifier-free comparisons)"
             )
-
-
-def _resolve_one_ref(
-    ref: ast.ColumnRef, atoms: Sequence[Atom], schema: SchemaProvider
-) -> ast.ColumnRef:
-    """Qualify a column reference with its (unique) owning atom alias."""
-    candidates = []
-    for atom in atoms:
-        columns = [c.lower() for c in schema.relation_columns(atom.relation)]
-        if ref.name.lower() in columns:
-            if ref.table is None or ref.table.lower() == atom.alias.lower():
-                candidates.append(atom)
-    if ref.table is not None and not candidates:
-        raise AlgebraError(f"unknown column reference {ref}")
-    if len(candidates) == 0:
-        raise AlgebraError(f"unknown column {ref.name!r}")
-    if len(candidates) > 1:
-        raise AlgebraError(f"ambiguous column reference {ref}")
-    return ast.ColumnRef(candidates[0].alias, ref.name)
-
-
-def _resolve_refs(
-    expr: ast.Expression, atoms: Sequence[Atom], schema: SchemaProvider
-) -> ast.Expression:
-    """Qualify every column reference in a condition."""
-    from dataclasses import fields, replace
-
-    if isinstance(expr, ast.ColumnRef):
-        return _resolve_one_ref(expr, atoms, schema)
-    updates = {}
-    for field_info in fields(expr):  # type: ignore[arg-type]
-        value = getattr(expr, field_info.name)
-        if isinstance(value, ast.Expression):
-            updates[field_info.name] = _resolve_refs(value, atoms, schema)
-        elif (
-            isinstance(value, tuple)
-            and value
-            and isinstance(value[0], ast.Expression)
-        ):
-            updates[field_info.name] = tuple(
-                _resolve_refs(item, atoms, schema) for item in value
-            )
-        elif isinstance(value, tuple) and value and isinstance(value[0], tuple):
-            updates[field_info.name] = tuple(
-                tuple(_resolve_refs(sub, atoms, schema) for sub in item)
-                for item in value
-            )
-    return replace(expr, **updates) if updates else expr

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
+from repro.ra.sjud import UnionFind
 from repro.repairs.enumerate import maximal_independent_sets
 
 #: Maximal independent sets enumerated per conflict component before
@@ -53,25 +54,16 @@ def conflict_components(hypergraph: ConflictHypergraph) -> list[frozenset[Vertex
     Conflict-free tuples belong to no component (they are in every
     repair and contribute a factor of 1).
     """
-    parent: dict[Vertex, Vertex] = {}
-
-    def find(v: Vertex) -> Vertex:
-        root = v
-        while parent.setdefault(root, root) != root:
-            root = parent[root]
-        while parent[v] != root:  # path compression
-            parent[v], v = root, parent[v]
-        return root
-
+    classes: UnionFind[Vertex] = UnionFind()
     for edge in hypergraph.edges:
         vertices = iter(edge)
-        first = find(next(vertices))
+        first = classes.find(next(vertices))
         for other in vertices:
-            parent[find(other)] = first
+            classes.union(other, first)
 
     groups: dict[Vertex, set[Vertex]] = {}
-    for v in parent:
-        groups.setdefault(find(v), set()).add(v)
+    for v in classes:
+        groups.setdefault(classes.find(v), set()).add(v)
     return [frozenset(group) for group in groups.values()]
 
 

@@ -44,14 +44,11 @@ from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.core.hippo import AnswerSet
 from repro.engine.database import Database
-from repro.engine.planner import map_children
 from repro.engine.types import default_order
 from repro.errors import RewritingError, UnsupportedQueryError
 from repro.ra.sjud import (
     Atom,
-    CatalogSchemaProvider,
     Difference,
-    SchemaProvider,
     SJUDCore,
     SJUDTree,
     Union_,
@@ -71,7 +68,7 @@ def _rebuild(
     expr: ast.Expression, visit: Callable[[ast.Expression], ast.Expression]
 ) -> ast.Expression:
     """``expr`` with ``visit`` applied bottom-up to every sub-expression."""
-    return visit(map_children(expr, lambda child: _rebuild(child, visit)))
+    return visit(ast.map_children(expr, lambda child: _rebuild(child, visit)))
 
 
 def _substitute_aliases(
@@ -130,7 +127,6 @@ class RewritingEngine:
     def __init__(self, db: Database, constraints: Iterable[object]) -> None:
         self.db = db
         self.denials: list[DenialConstraint] = to_denial_constraints(constraints)
-        self._schema = CatalogSchemaProvider(db.catalog)
 
     # -------------------------------------------------------------- public
 
@@ -205,7 +201,7 @@ class RewritingEngine:
         if isinstance(query, str):
             query = parse_query(query)
         if isinstance(query, ast.Query):
-            return from_sql_query(query, self._schema)
+            return from_sql_query(query, self.db.catalog)
         return query
 
     def _rewrite_tree(
@@ -379,7 +375,7 @@ def _violable_alone(constraint: DenialConstraint) -> bool:
 def classify(
     query: QueryLike,
     constraints: Iterable[object],
-    schema: Optional[object] = None,
+    schema: Optional[Database] = None,
 ) -> QueryClassification:
     """Statically decide which CQA path answers ``query`` -- no data access.
 
@@ -397,20 +393,12 @@ def classify(
         query: SQL text, a parsed query AST, or an SJUD tree.
         constraints: the integrity constraints (any mix of FDs, keys,
             exclusions, denial constraints and foreign keys).
-        schema: needed to resolve SQL input -- a
-            :class:`~repro.ra.sjud.SchemaProvider` or anything with a
-            ``catalog`` attribute (e.g. a Database).  SJUD-tree input
-            needs no schema.
+        schema: the database whose catalog SQL input resolves against;
+            SJUD-tree input needs none.
 
     Raises:
         RewritingError: when SQL input is given without a schema.
     """
-    provider: Optional[SchemaProvider]
-    catalog = getattr(schema, "catalog", None)
-    if catalog is not None:
-        provider = CatalogSchemaProvider(catalog)
-    else:
-        provider = schema  # type: ignore[assignment]
     foreign_keys = [
         c for c in constraints if isinstance(c, ForeignKeyConstraint)
     ]
@@ -420,13 +408,13 @@ def classify(
     if isinstance(query, str):
         query = parse_query(query)
     if isinstance(query, ast.Query):
-        if provider is None:
+        if schema is None:
             raise RewritingError(
                 "classifying SQL text needs a schema: pass schema= a"
-                " Database or SchemaProvider (SJUD trees need none)"
+                " Database (SJUD trees need none)"
             )
         try:
-            tree = from_sql_query(query, provider)
+            tree = from_sql_query(query, schema.catalog)
         except UnsupportedQueryError as exc:
             return QueryClassification(
                 path="unsupported",

@@ -13,8 +13,8 @@ calls, and which the CQA grounding step relies on to compare conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from repro.engine.types import SQLValue
 
@@ -345,3 +345,63 @@ def split_conjuncts(expr: Optional[Expression]) -> list[Expression]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+def walk_expressions(node: Node) -> Iterator[Node]:
+    """Yield every descendant node (including ``node``), skipping subqueries."""
+    yield node
+    for field_info in fields(node):  # type: ignore[arg-type]
+        value = getattr(node, field_info.name)
+        if isinstance(value, Query):
+            continue
+        if isinstance(value, Node):
+            yield from walk_expressions(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                if isinstance(item, Node):
+                    yield from walk_expressions(item)
+                elif isinstance(item, tuple):
+                    for sub in item:
+                        if isinstance(sub, Node):
+                            yield from walk_expressions(sub)
+
+
+def map_children(
+    node: Expression,
+    transform: Callable[[Expression], Expression],
+) -> Expression:
+    """``node`` rebuilt with ``transform`` applied to each child expression
+    (nested subqueries are not entered)."""
+    updates = {}
+    for field_info in fields(node):  # type: ignore[arg-type]
+        value = getattr(node, field_info.name)
+        if isinstance(value, Expression):
+            updates[field_info.name] = transform(value)
+        elif (
+            isinstance(value, tuple)
+            and value
+            and isinstance(value[0], Expression)
+        ):
+            updates[field_info.name] = tuple(transform(item) for item in value)
+        elif (
+            isinstance(value, tuple)
+            and value
+            and isinstance(value[0], tuple)
+        ):
+            updates[field_info.name] = tuple(
+                tuple(transform(sub) for sub in item) for item in value
+            )
+    return replace(node, **updates) if updates else node
+
+
+def column_refs(expr: Expression) -> list[ColumnRef]:
+    """All column references in ``expr``, outside of nested subqueries."""
+    return [node for node in walk_expressions(expr) if isinstance(node, ColumnRef)]
+
+
+def contains_subquery(expr: Expression) -> bool:
+    """Whether ``expr`` contains an EXISTS / IN-subquery node."""
+    return any(
+        isinstance(node, (Exists, InSubquery))
+        for node in walk_expressions(expr)
+    )

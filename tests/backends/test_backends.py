@@ -34,7 +34,6 @@ from repro.engine.types import format_value
 from repro.errors import BackendError
 from repro.ra import (
     Atom,
-    CatalogSchemaProvider,
     SJUDCore,
     compile_core,
     evaluate_tree,
@@ -47,7 +46,7 @@ from repro.sql.parser import parse_expression, parse_query
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 @pytest.fixture
@@ -309,6 +308,29 @@ class TestDatabaseSeam:
         two_table_db.detach_backend()
         assert set(two_table_db.query(sql).rows) == native
         assert two_table_db.stats.backend_pushdowns == 2
+
+    def test_typing_width_mismatch_falls_back(self, two_table_db, monkeypatch):
+        """Types for a different number of columns than the backend
+        returned decline the SELECT (a counted fallback), rather than
+        handing back uncoerced rows."""
+        from repro.backends import mirror
+
+        typed = mirror._body_columns
+
+        def one_short(body, catalog):
+            names, types = typed(body, catalog)
+            return names[:-1], types[:-1]
+
+        sql = "SELECT a, b FROM r WHERE b = 4"
+        native = two_table_db.query(sql)
+        two_table_db.attach_backend(SQLiteBackend())
+        monkeypatch.setattr(mirror, "_body_columns", one_short)
+        with pytest.raises(BackendError, match="2 columns, its typing 1"):
+            two_table_db.backend.execute_query(parse_query(sql))
+        result = two_table_db.query(sql)
+        assert two_table_db.stats.backend_fallbacks == 1
+        assert result.columns == native.columns
+        assert sorted(result.rows) == sorted(native.rows)
 
     def test_declined_select_falls_back_on_every_run(self, two_table_db):
         """A declined SELECT is offered to the backend again on every

@@ -25,7 +25,7 @@ from repro.constraints import (
 )
 from repro.core.hippo import HippoEngine
 from repro.engine.database import Database
-from repro.ra import CatalogSchemaProvider, evaluate_tree, from_sql_query
+from repro.ra import evaluate_tree, from_sql_query
 from repro.rewriting.rewrite import RewritingEngine, classify
 from repro.sql.parser import parse_expression, parse_query
 
@@ -130,7 +130,7 @@ def random_dml(db, rng):
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 def assert_cut_equal(db, backend):
@@ -210,28 +210,35 @@ def test_rewriting_pushdown_counts(backend_name, make_backend):
         backend.close()
 
 
-#: Pushed SELECTs whose output columns come out of a derived table.
+#: Pushed SELECTs whose output columns come out of a derived table, a
+#: set operation with a NULL branch, a predicate or a starred subquery.
 DERIVED_QUERIES = [
     "SELECT * FROM (SELECT a, flag FROM t) x",
     "SELECT x.flag FROM (SELECT flag FROM t) x",
     "SELECT y.a, y.flag FROM (SELECT * FROM (SELECT a, flag FROM t) x) y",
     "SELECT * FROM (SELECT a, flag FROM t) x JOIN t ON x.a = t.a",
+    "SELECT a, NULL FROM t WHERE a > 5 UNION SELECT a, flag FROM t",
+    "SELECT a, flag = TRUE FROM t",
+    "SELECT a FROM t WHERE a IN (SELECT * FROM s)",
 ]
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 @pytest.mark.parametrize("text", DERIVED_QUERIES)
 def test_derived_table_columns_keep_their_type(backend_name, text, make_backend):
-    """A BOOLEAN read through a derived table comes back a bool, not the
-    integer the driver stores it as."""
+    """A BOOLEAN output comes back a bool, not the integer the driver
+    stores it as, and every query runs on the backend (no fallback)."""
     db = Database()
     db.execute("CREATE TABLE t (a INTEGER, flag BOOLEAN)")
     db.execute("INSERT INTO t VALUES (1, TRUE), (2, FALSE), (3, NULL)")
+    db.execute("CREATE TABLE s (a INTEGER)")
+    db.execute("INSERT INTO s VALUES (1), (3)")
     native = db.query(text).rows
     db.attach_backend(make_backend(backend_name))
     try:
         pushed = db.query(text).rows
         assert db.stats.backend_pushdowns == 1
+        assert db.stats.backend_fallbacks == 0
         # (1,) == (True,) in Python: compare what prints
         assert sorted(map(repr, pushed)) == sorted(map(repr, native))
     finally:

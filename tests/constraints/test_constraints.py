@@ -14,7 +14,6 @@ from repro.constraints import (
     to_denial_constraints,
 )
 from repro.errors import ConstraintError
-from repro.ra import CatalogSchemaProvider
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 
@@ -155,10 +154,9 @@ class TestConstraintParser:
         assert fd.lhs == ("a", "b")
 
     def test_parse_key_needs_schema(self, emp_db):
-        provider = CatalogSchemaProvider(emp_db.catalog)
-        fd = parse_constraint("KEY emp(name)", provider)
+        fd = parse_constraint("KEY emp(name)", emp_db.catalog)
         assert set(fd.rhs) == {"dept", "salary"}
-        with pytest.raises(ConstraintError, match="schema provider"):
+        with pytest.raises(ConstraintError, match="need a catalog"):
             parse_constraint("KEY emp(name)")
 
     def test_parse_exclusion(self):
@@ -189,7 +187,6 @@ class TestConstraintParser:
             parse_constraint("DENIAL emp WHERE emp.a = 1")
 
     def test_parse_multi_line_with_comments(self, emp_db):
-        provider = CatalogSchemaProvider(emp_db.catalog)
         constraints = parse_constraints(
             """
             -- keys
@@ -197,7 +194,7 @@ class TestConstraintParser:
 
             FD emp: dept -> salary  -- departments pay flat salaries
             """,
-            provider,
+            emp_db.catalog,
         )
         assert len(constraints) == 2
 

@@ -7,7 +7,7 @@ from repro.constraints import FunctionalDependency
 from repro.core.envelope import Enveloper, provenance_hints
 from repro.conflicts.hypergraph import vertex
 from repro.core.grounding import GroundQuery
-from repro.ra import CatalogSchemaProvider, from_sql_query
+from repro.ra import from_sql_query
 from repro.repairs import ground_truth_consistent_answers
 from repro.sql.parser import parse_query
 
@@ -20,7 +20,7 @@ def setup(emp_db):
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 class TestConflictFreeTids:

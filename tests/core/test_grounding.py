@@ -6,14 +6,14 @@ from repro.core.envelope import Enveloper, provenance_hints
 from repro.core.facts import fact
 from repro.core.grounding import GroundQuery
 from repro.core.membership import CachedMembership
-from repro.ra import CatalogSchemaProvider, from_sql_query
+from repro.ra import from_sql_query
 from repro.sql.parser import parse_query
 
 
 def ground(db, text, candidate):
     """``candidate``'s formula under ``text``, grounded from the envelope's
     witnesses, as a tree over the facts those witnesses store."""
-    tree = from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    tree = from_sql_query(parse_query(text), db.catalog)
     witnesses = Enveloper(db, ConflictHypergraph()).evaluate(tree).witnesses
     phi = GroundQuery(tree).formula_for(provenance_hints(witnesses, candidate))
     return fm.rename(phi.formula, CachedMembership(db).fact_of)
@@ -106,7 +106,7 @@ class TestWitnessFacts:
         db = two_table_db
         tree = from_sql_query(
             parse_query("SELECT * FROM r EXCEPT SELECT * FROM s"),
-            CatalogSchemaProvider(db.catalog),
+            db.catalog,
         )
         witnesses = Enveloper(db, ConflictHypergraph()).evaluate(tree).witnesses
         phi = GroundQuery(tree).formula_for(provenance_hints(witnesses, (2, 5)))

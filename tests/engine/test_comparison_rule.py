@@ -226,6 +226,8 @@ def test_an_index_serves_only_a_comparable_literal():
         "n IN (SELECT 'a' FROM t)",
         "n IN (SELECT u.name FROM t u WHERE u.n = t.n)",
         "n IN (SELECT name FROM t UNION SELECT name FROM t)",
+        "(n > 1) = n",  # a predicate is BOOLEAN
+        "n IN (SELECT name IS NULL FROM t)",
     ],
 )
 def test_known_incomparable_types_raise_at_plan_time(condition):

@@ -39,7 +39,6 @@ from repro.core.membership import CachedMembership, make_membership
 from repro.core.prover import Prover
 from repro.ra import (
     Atom,
-    CatalogSchemaProvider,
     Difference,
     OutputColumn,
     SJUDCore,
@@ -211,7 +210,7 @@ def reconstruction_decisions(engine: HippoEngine, tree) -> tuple[set, set]:
     the database (one tid, None when absent) -- no witnesses, no template,
     no cached DNF."""
     db = engine.db
-    schema = CatalogSchemaProvider(db.catalog)
+    schema = db.catalog
     prover = Prover(engine.hypergraph, make_membership("cached", db))
 
     def vertex_of(f):

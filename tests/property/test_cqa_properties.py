@@ -20,7 +20,7 @@ from repro.constraints import (
     FunctionalDependency,
 )
 from repro.core.envelope import Enveloper
-from repro.ra import CatalogSchemaProvider, from_sql_query
+from repro.ra import from_sql_query
 from repro.repairs import (
     TooManyRepairsError,
     all_repairs,
@@ -158,7 +158,7 @@ def test_envelope_sandwich(instance, constraints, query_case):
     db = build_db(*instance)
     hippo = HippoEngine(db, constraints)
     tree = from_sql_query(
-        parse_query(text), CatalogSchemaProvider(db.catalog)
+        parse_query(text), db.catalog
     )
     evaluation = Enveloper(db, hippo.hypergraph).evaluate(tree)
     truth = oracle(db, hippo, text)

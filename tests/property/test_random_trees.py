@@ -18,7 +18,6 @@ from repro import Database, HippoEngine
 from repro.constraints import FunctionalDependency
 from repro.ra import (
     Atom,
-    CatalogSchemaProvider,
     Difference,
     OutputColumn,
     SJUDCore,
@@ -109,7 +108,7 @@ def test_random_tree_two_evaluators_agree(r_rows, s_rows, tree):
 def test_random_tree_sql_roundtrip_preserves_semantics(r_rows, s_rows, tree):
     db = build_db(r_rows, s_rows)
     sql = tree_to_sql(tree)
-    reparsed = from_sql_query(parse_query(sql), CatalogSchemaProvider(db.catalog))
+    reparsed = from_sql_query(parse_query(sql), db.catalog)
     assert evaluate_tree(reparsed, db) == evaluate_tree(tree, db)
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.engine.types import SQLType
 from repro.errors import AlgebraError
 from repro.ra import (
-    CatalogSchemaProvider,
     evaluate_core,
     evaluate_tree,
     from_sql_query,
@@ -28,7 +27,7 @@ from repro.sql.parser import parse_expression, parse_query
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 class TestEvaluateCore:

@@ -19,7 +19,6 @@ import repro
 from repro.engine.database import Database
 from repro.errors import AlgebraError
 from repro.ra import (
-    CatalogSchemaProvider,
     Restriction,
     compile_core,
     evaluate_core,
@@ -31,7 +30,7 @@ from repro.sql.parser import parse_query, parse_statement
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 def make_lr_db(indexed: bool) -> Database:

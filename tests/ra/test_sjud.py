@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import AlgebraError, UnsupportedQueryError
 from repro.ra import (
-    CatalogSchemaProvider,
     Difference,
     SJUDCore,
     Union_,
@@ -18,7 +17,7 @@ from repro.sql.parser import parse_query
 
 @pytest.fixture
 def schema(two_table_db):
-    return CatalogSchemaProvider(two_table_db.catalog)
+    return two_table_db.catalog
 
 
 def convert(text, schema):

@@ -13,7 +13,6 @@ import pytest
 from repro.errors import AlgebraError
 from repro.ra import (
     Atom,
-    CatalogSchemaProvider,
     Difference,
     OutputColumn,
     SJUDCore,
@@ -39,7 +38,7 @@ from repro.sql.parser import parse_query
 
 
 def tree_of(db, text):
-    return from_sql_query(parse_query(text), CatalogSchemaProvider(db.catalog))
+    return from_sql_query(parse_query(text), db.catalog)
 
 
 class TestRendering:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.conflicts import ConflictHypergraph, detect_conflicts, vertex
 from repro.constraints import ConstraintAtom, DenialConstraint, FunctionalDependency
-from repro.ra import CatalogSchemaProvider, from_sql_query
+from repro.ra import from_sql_query
 from repro.repairs import (
     TooManyRepairsError,
     all_repairs,
@@ -109,7 +109,7 @@ class TestGroundTruth:
         db, _fd, graph = emp_setup
         tree = from_sql_query(
             parse_query("SELECT * FROM emp WHERE salary >= 10"),
-            CatalogSchemaProvider(db.catalog),
+            db.catalog,
         )
         truth = ground_truth_consistent_answers(db, graph, tree)
         assert truth == {("bob", "ee", 20), ("dave", "ee", 18)}
@@ -121,7 +121,7 @@ class TestGroundTruth:
                 "SELECT name, dept FROM emp WHERE salary = 10"
                 " UNION SELECT name, dept FROM emp WHERE salary = 12"
             ),
-            CatalogSchemaProvider(db.catalog),
+            db.catalog,
         )
         truth = ground_truth_consistent_answers(db, graph, tree)
         assert truth == {("ann", "cs")}
@@ -130,7 +130,7 @@ class TestGroundTruth:
         db, _fd, graph = emp_setup
         tree = from_sql_query(
             parse_query("SELECT * FROM emp WHERE salary = 12"),
-            CatalogSchemaProvider(db.catalog),
+            db.catalog,
         )
         assert ground_truth_consistent_answers(db, graph, tree) == frozenset()
 
@@ -170,7 +170,7 @@ class TestMixedCaseNames:
         db, _fd, graph = self.build()
         tree = from_sql_query(
             parse_query("SELECT * FROM Emp WHERE Salary > 0"),
-            CatalogSchemaProvider(db.catalog),
+            db.catalog,
         )
         truth = ground_truth_consistent_answers(db, graph, tree)
         assert truth == {("bob", 5)}
@@ -238,9 +238,8 @@ class TestShardedGroundTruth:
         assert coordinator.graph.as_dict() == full.hypergraph.as_dict()
         sharded = coordinator.engine()
         primary = HippoEngine(db, constraints)
-        provider = CatalogSchemaProvider(db.catalog)
         for query in self.QUERIES:
-            tree = from_sql_query(parse_query(query), provider)
+            tree = from_sql_query(parse_query(query), db.catalog)
             truth = ground_truth_consistent_answers(
                 db, full.hypergraph, tree
             )

@@ -2,8 +2,8 @@
 
 See :mod:`repro.backends.mirror` for the protocol.  The registry here is
 the single place backends are named: ``create_backend("sqlite")`` and
-friends are what :class:`~repro.core.hippo.HippoEngine`, the rewriting
-baseline and the CLI use to resolve a ``backend=`` selection.  The name
+friends are what the CLI's ``.backend`` and the benchmarks use to
+resolve a backend name.  The name
 ``"native"`` resolves to ``None`` -- no backend, the in-memory engine.
 """
 

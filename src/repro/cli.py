@@ -114,12 +114,7 @@ class HippoShell:
         incrementally.  Only DDL and constraint changes rebuild it.
         """
         if self._engine is None:
-            self._engine = HippoEngine(
-                self.db,
-                self.constraints,
-                group="hippo-cli",
-                backend=self.db.backend,
-            )
+            self._engine = HippoEngine(self.db, self.constraints, group="hippo-cli")
         return self._engine
 
     def _invalidate(self) -> None:
@@ -371,7 +366,6 @@ class HippoShell:
                 self.db.detach_backend()
             else:
                 self.db.attach_backend(backend)
-            self._invalidate()
             self._print(f"backend: {self.db.backend_id}")
             return True
         if command == ".classify":

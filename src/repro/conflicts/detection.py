@@ -72,11 +72,6 @@ class DetectionReport:
     edges_retracted: int = 0
     store: Optional[ViolationStore] = None
 
-    @property
-    def subsumed_total(self) -> int:
-        """Total violations absorbed by minimization."""
-        return sum(self.subsumed.values())
-
 
 def split_constraints(
     constraints: Iterable[object],

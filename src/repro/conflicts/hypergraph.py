@@ -129,10 +129,6 @@ class ConflictHypergraph:
         """All tuples that participate in at least one conflict."""
         return iter(self._incidence.keys())
 
-    def is_conflicting(self, v: Vertex) -> bool:
-        """Whether a tuple participates in any conflict."""
-        return v in self._incidence
-
     def edges_of(self, v: Vertex) -> list[frozenset[Vertex]]:
         """The hyperedges containing ``v`` (empty when conflict-free)."""
         return [self.edges[index] for index in self._incidence.get(v, ())]
@@ -182,10 +178,6 @@ class ConflictHypergraph:
         """``edge -> label`` (the canonical, order-free representation)."""
         return dict(zip(self.edges, self.edge_labels))
 
-    def degree(self, v: Vertex) -> int:
-        """Number of hyperedges containing ``v``."""
-        return len(self._incidence.get(v, ()))
-
     def is_independent(self, vertices: Iterable[Vertex]) -> bool:
         """Whether no hyperedge is fully contained in ``vertices``.
 
@@ -214,16 +206,6 @@ class ConflictHypergraph:
                 v.tid for v in self._incidence if v.relation == key
             )
         return cached
-
-    def always_deleted(self) -> frozenset[Vertex]:
-        """Tuples in a singleton hyperedge: they belong to *no* repair.
-
-        (A single tuple can violate a denial constraint by itself, e.g.
-        a CHECK-style denial ``NOT (R(t) AND t.a < 0)``.)
-        """
-        return frozenset(
-            next(iter(edge)) for edge in self.edges if len(edge) == 1
-        )
 
     def summary(self) -> dict[str, object]:
         """Size statistics (reported by benchmarks and examples)."""

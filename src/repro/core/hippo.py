@@ -27,20 +27,22 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.backends.mirror import MirrorBackend
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
 from repro.conflicts.incremental import IncrementalDetector
-from repro.core.envelope import Enveloper, provenance_hints
+from repro.core.envelope import EnvelopeEvaluation, Enveloper, provenance_hints
 from repro.core.facts import Fact
 from repro.core.formula import atoms_of, rename
 from repro.core.grounding import GroundQuery
-from repro.core.membership import CachedMembership, make_membership
+from repro.core.membership import (
+    CachedMembership,
+    MembershipResolver,
+    make_membership,
+)
 from repro.core.prover import Prover
+from repro.engine.catalog import Catalog
 from repro.engine.database import Database
 from repro.engine.feed import FeedConsumer
 from repro.engine.types import default_order, sort_key
@@ -83,6 +85,81 @@ class AnswerSet:
         return frozenset(self.rows)
 
 
+def parse_sjud(
+    query: QueryLike, catalog: Catalog
+) -> tuple[SJUDTree, tuple[ast.OrderItem, ...]]:
+    """Normalize any supported query form to an SJUD tree.
+
+    Returns the tree plus any top-level ORDER BY items (consistent
+    answers are a set; :func:`order_answers` re-applies the ordering to
+    the final answers).
+
+    Raises:
+        UnsupportedQueryError: for queries outside Hippo's class.
+    """
+    if isinstance(query, str):
+        query = parse_query(query)
+    if isinstance(query, ast.Query):
+        return from_sql_query(query, catalog), query.order_by
+    validate_tree(query, catalog)
+    return query, ()
+
+
+def order_answers(
+    rows: Iterable[tuple],
+    columns: Sequence[str],
+    order_by: tuple[ast.OrderItem, ...],
+    tree: SJUDTree,
+    catalog: Catalog,
+) -> list[tuple]:
+    """The one answer order: the default order (decided from the output
+    types of ``tree``), then the top-level ORDER BY, if any, by stable
+    sorts -- so ties fall in the default order on every path.
+
+    Raises:
+        UnsupportedQueryError: when an ORDER BY item is neither an output
+            position nor an output column.
+    """
+    ordered = default_order(rows, output_types_of(tree, catalog))
+    lowered = [column.lower() for column in columns]
+    for item in reversed(order_by):
+        expr = item.expr
+        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+            if not 1 <= expr.value <= len(lowered):
+                raise UnsupportedQueryError(
+                    f"ORDER BY position {expr.value} out of range"
+                )
+            index = expr.value - 1
+        elif isinstance(expr, ast.ColumnRef) and expr.name.lower() in lowered:
+            index = lowered.index(expr.name.lower())
+        else:
+            raise UnsupportedQueryError(
+                "ORDER BY on consistent answers must reference an output column"
+            )
+        ordered.sort(key=lambda row: sort_key(row[index]), reverse=not item.ascending)
+    return ordered
+
+
+#: One answer kind's evaluation step: tree -> (answer rows, stats).
+Evaluation = Callable[[SJUDTree], tuple[Iterable[tuple], dict[str, object]]]
+
+
+def answer_query(query: QueryLike, catalog: Catalog, evaluate: Evaluation) -> AnswerSet:
+    """The answer pipeline every engine's answers go through: parse,
+    ``evaluate``, order, and build the :class:`AnswerSet`.
+
+    The stats are ``evaluate``'s own plus ``total_seconds`` over the
+    whole call.
+    """
+    started = time.perf_counter()
+    tree, order_by = parse_sjud(query, catalog)
+    columns = list(output_names_of(tree))
+    rows, stats = evaluate(tree)
+    ordered = order_answers(rows, columns, order_by, tree, catalog)
+    stats["total_seconds"] = time.perf_counter() - started
+    return AnswerSet(columns, ordered, stats)
+
+
 class HippoEngine:
     """Consistent query answering over one database + constraint set.
 
@@ -109,15 +186,15 @@ class HippoEngine:
             uses to answer queries from a merged shard view.  An
             explicit :meth:`refresh` still falls back to full
             detection.
-        backend: an execution backend (a registry name like
-            ``"sqlite"``, or a constructed
-            :class:`~repro.backends.mirror.MirrorBackend`) that full
-            detection pushes residual joins to and :meth:`raw_answers`
-            evaluates on.  The envelope/Prover pipeline itself stays
-            native -- its restriction-driven evaluation is not
-            SQL-expressible.  Work the backend declines falls back to
-            native execution and counts a ``backend_fallbacks``; None or
-            ``"native"`` (default None) runs everything natively.
+
+    Pushdown belongs to the database: with a backend attached
+    (:meth:`~repro.engine.database.Database.attach_backend`), full
+    detection pushes its residual joins there and :meth:`raw_answers`
+    evaluates there, whichever backend is attached at the time.  The
+    envelope/Prover pipeline itself stays native -- its
+    restriction-driven evaluation is not SQL-expressible.  Work the
+    backend declines falls back to native execution and counts a
+    ``backend_fallbacks``.
 
     The conflict hypergraph is built eagerly and then maintained
     *incrementally*: the engine is a consumer group of the database's
@@ -145,20 +222,18 @@ class HippoEngine:
         use_core: bool = True,
         group: Optional[str] = None,
         hypergraph: Optional[ConflictHypergraph] = None,
-        backend: Optional[Union["MirrorBackend", str]] = None,
     ) -> None:
         self.db = db
         self.constraints = tuple(constraints)
         self.membership_strategy = membership
         self.use_core = use_core
-        self.backend = self._resolve_backend(backend, db)
         # Full detection closes over locals, not ``self``: an engine <->
         # detector cycle would keep a dropped engine (and its feed
         # registration) alive until the next cyclic collection.
-        constraints, backend = self.constraints, self.backend
+        constraints = self.constraints
 
         def detect() -> DetectionReport:
-            return detect_conflicts(db, constraints, backend=backend)
+            return detect_conflicts(db, constraints, backend=db.backend)
 
         self._detector = IncrementalDetector(db, constraints, detect)
         self._consumer: Optional[FeedConsumer] = None
@@ -191,21 +266,6 @@ class HippoEngine:
         self._enveloper = Enveloper(db, self.hypergraph)
 
     # ------------------------------------------------------------ plumbing
-
-    @staticmethod
-    def _resolve_backend(
-        spec: Optional[Union["MirrorBackend", str]], db: Database
-    ) -> Optional["MirrorBackend"]:
-        """Resolve a ``backend=`` argument (``"native"`` is None) and
-        attach it to ``db``."""
-        if spec is None:
-            return None
-        if isinstance(spec, str):
-            from repro.backends import create_backend
-
-            return create_backend(spec, db)
-        spec.attach(db)
-        return spec
 
     @property
     def hypergraph(self) -> ConflictHypergraph:
@@ -261,22 +321,8 @@ class HippoEngine:
             self._consumer = None
 
     def parse(self, query: QueryLike) -> tuple[SJUDTree, tuple[ast.OrderItem, ...]]:
-        """Normalize any supported query form to an SJUD tree.
-
-        Returns the tree plus any top-level ORDER BY items (consistent
-        answers are a set; ordering is re-applied to the final answers).
-
-        Raises:
-            UnsupportedQueryError: for queries outside Hippo's class.
-        """
-        if isinstance(query, str):
-            query = parse_query(query)
-        if isinstance(query, ast.Query):
-            order_by = query.order_by
-            tree = from_sql_query(query, self.db.catalog)
-            return tree, order_by
-        validate_tree(query, self.db.catalog)
-        return query, ()
+        """:func:`parse_sjud` over this engine's database."""
+        return parse_sjud(query, self.db.catalog)
 
     # ------------------------------------------------------------- answers
 
@@ -300,54 +346,55 @@ class HippoEngine:
         """
         return self._proved_answers(query, possible=True)
 
+    def _prove(
+        self, tree: SJUDTree, membership: MembershipResolver
+    ) -> tuple[EnvelopeEvaluation, GroundQuery, Prover]:
+        """The envelope of ``tree``, its ground formulas and the Prover
+        that decides its candidates."""
+        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
+        return envelope, GroundQuery(tree), Prover(self.hypergraph, membership)
+
     def _proved_answers(self, query: QueryLike, possible: bool) -> AnswerSet:
         """Envelope, then the Prover on every candidate outside the core
         and, for consistent answers, outside the refuted set."""
         self._sync()
-        started = time.perf_counter()
-        tree, order_by = self.parse(query)
-        columns = list(output_names_of(tree))
 
-        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
+        def evaluate(tree: SJUDTree) -> tuple[list[tuple], dict[str, object]]:
+            membership = make_membership(self.membership_strategy, self.db)
+            envelope, grounder, prover = self._prove(tree, membership)
+            decide = (
+                prover.is_possible_answer if possible else prover.is_consistent_answer
+            )
+            certain = envelope.certain  # both empty without use_core
+            refuted = frozenset() if possible else envelope.refuted
+            witnesses = envelope.witnesses
+            candidates = envelope.candidates
 
-        membership = make_membership(self.membership_strategy, self.db)
-        prover = Prover(self.hypergraph, membership)
-        grounder = GroundQuery(tree)
-        decide = (
-            prover.is_possible_answer if possible else prover.is_consistent_answer
-        )
+            prover_started = time.perf_counter()
+            undecided = [
+                c for c in candidates if c not in certain and c not in refuted
+            ]
+            rejected = refuted.union(
+                c
+                for c in undecided
+                if not decide(grounder.formula_for(provenance_hints(witnesses, c)))
+            )
+            prover_seconds = time.perf_counter() - prover_started
 
-        certain = envelope.certain  # both empty without use_core
-        refuted = frozenset() if possible else envelope.refuted
-        witnesses = envelope.witnesses
-        candidates = envelope.candidates
+            answers = list(filterfalse(rejected.__contains__, candidates))
+            return answers, {
+                "candidates": envelope.candidate_count,
+                "certain": len(certain),
+                "refuted": len(refuted),
+                "skipped_by_core": len(candidates) - len(undecided),
+                "answers": len(answers),
+                "prover": prover.stats,
+                "membership": membership.stats,
+                "envelope_seconds": envelope.seconds,
+                "prover_seconds": prover_seconds,
+            }
 
-        prover_started = time.perf_counter()
-        undecided = [c for c in candidates if c not in certain and c not in refuted]
-        rejected = refuted.union(
-            c
-            for c in undecided
-            if not decide(grounder.formula_for(provenance_hints(witnesses, c)))
-        )
-        # In candidate order, so ORDER BY ties keep it.
-        answers = filterfalse(rejected.__contains__, candidates)
-        prover_seconds = time.perf_counter() - prover_started
-
-        rows = self._order(answers, columns, order_by, tree)
-        total_seconds = time.perf_counter() - started
-        stats: dict[str, object] = {
-            "candidates": envelope.candidate_count,
-            "certain": len(envelope.certain),
-            "refuted": len(refuted),
-            "skipped_by_core": len(candidates) - len(undecided),
-            "answers": len(rows),
-            "prover": prover.stats,
-            "membership": membership.stats,
-            "envelope_seconds": envelope.seconds,
-            "prover_seconds": prover_seconds,
-            "total_seconds": total_seconds,
-        }
-        return AnswerSet(columns, rows, stats)
+        return answer_query(query, self.db.catalog, evaluate)
 
     def explain_candidate(self, query: QueryLike, candidate: tuple) -> dict:
         """Why a tuple is / is not a consistent answer.
@@ -363,7 +410,7 @@ class HippoEngine:
         falsifying the formula exists.
         """
         self._sync()
-        tree, _ = self.parse(query)
+        tree, _ = parse_sjud(query, self.db.catalog)
         candidate = tuple(candidate)
         columns = output_names_of(tree)
         if len(candidate) != len(columns):
@@ -372,10 +419,9 @@ class HippoEngine:
                 f" query returns {len(columns)}: ({', '.join(columns)})"
             )
         membership = CachedMembership(self.db)
-        prover = Prover(self.hypergraph, membership)
-        envelope = self._enveloper.evaluate(tree, compute_core=self.use_core)
+        envelope, grounder, prover = self._prove(tree, membership)
         provenance = provenance_hints(envelope.witnesses, candidate)
-        phi = GroundQuery(tree).formula_for(provenance)
+        phi = grounder.formula_for(provenance)
         falsifier = prover.satisfying_disjunct(phi, negated=True)
 
         def fact_of(vertex: Optional[Vertex]) -> Fact:
@@ -414,26 +460,25 @@ class HippoEngine:
 
         This is the paper's "execution time of this query by the RDBMS
         backend ... the approach when we ignore the fact that the database
-        is inconsistent".  With a ``backend=`` bound to the engine, that
+        is inconsistent".  With a backend attached to the database, that
         RDBMS is literal: the tree is rendered to parameterized SQL and
         executed there (a decline falls back natively, counted).
         """
-        started = time.perf_counter()
-        tree, order_by = self.parse(query)
-        columns = list(output_names_of(tree))
-        backend = self.backend
-        rows = (
-            evaluate_tree(tree, self.db)
-            if backend is None
-            else backend.pushdown(
-                lambda: backend.execute_tree(tree),
-                lambda: evaluate_tree(tree, self.db),
+        db = self.db
+
+        def evaluate(tree: SJUDTree) -> tuple[Iterable[tuple], dict[str, object]]:
+            backend = db.backend
+            rows = (
+                evaluate_tree(tree, db)
+                if backend is None
+                else backend.pushdown(
+                    lambda: backend.execute_tree(tree),
+                    lambda: evaluate_tree(tree, db),
+                )
             )
-        )
-        ordered = self._order(rows, columns, order_by, tree)
-        return AnswerSet(
-            columns, ordered, {"total_seconds": time.perf_counter() - started}
-        )
+            return rows, {}
+
+        return answer_query(query, db.catalog, evaluate)
 
     def cleaned_answers(self, query: QueryLike) -> AnswerSet:
         """Evaluate over the database with all conflicting tuples removed.
@@ -444,46 +489,9 @@ class HippoEngine:
         plain wrong for queries with difference.
         """
         self._sync()
-        started = time.perf_counter()
-        tree, order_by = self.parse(query)
-        columns = list(output_names_of(tree))
-        rows = evaluate_tree(tree, self.db, self._enveloper.conflict_free_tids)
-        ordered = self._order(rows, columns, order_by, tree)
-        return AnswerSet(
-            columns, ordered, {"total_seconds": time.perf_counter() - started}
-        )
+        clean = self._enveloper.conflict_free_tids
 
-    # -------------------------------------------------------------- helpers
+        def evaluate(tree: SJUDTree) -> tuple[Iterable[tuple], dict[str, object]]:
+            return evaluate_tree(tree, self.db, clean), {}
 
-    def _order(
-        self,
-        rows: Iterable[tuple],
-        columns: Sequence[str],
-        order_by: tuple[ast.OrderItem, ...],
-        tree: SJUDTree,
-    ) -> list[tuple]:
-        """Apply top-level ORDER BY, or the default order (decided from the
-        output types of ``tree``)."""
-        if not order_by:
-            return default_order(rows, output_types_of(tree, self.db.catalog))
-        materialized = list(rows)
-        lowered = [column.lower() for column in columns]
-        for item in reversed(order_by):
-            index = self._order_index(item.expr, lowered)
-            materialized.sort(
-                key=lambda row: sort_key(row[index]),
-                reverse=not item.ascending,
-            )
-        return materialized
-
-    @staticmethod
-    def _order_index(expr: ast.Expression, columns: list[str]) -> int:
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            if 1 <= expr.value <= len(columns):
-                return expr.value - 1
-            raise UnsupportedQueryError(f"ORDER BY position {expr.value} out of range")
-        if isinstance(expr, ast.ColumnRef) and expr.name.lower() in columns:
-            return columns.index(expr.name.lower())
-        raise UnsupportedQueryError(
-            "ORDER BY on consistent answers must reference an output column"
-        )
+        return answer_query(query, self.db.catalog, evaluate)

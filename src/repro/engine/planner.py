@@ -666,8 +666,9 @@ class Planner:
         if isinstance(item, ast.DerivedTable):
             planned = self.plan_query(item.query, outer_scope)
             entries = bound_entries(item.alias, planned.columns)
-            types = [None] * len(entries)
-            return _Source(planned.plan, entries, list(planned.columns), types)
+            return _Source(
+                planned.plan, entries, list(planned.columns), list(planned.types)
+            )
         if isinstance(item, ast.Join):
             left = self._plan_from_item(item.left, outer_scope, level)
             right = self._plan_from_item(item.right, outer_scope, level)

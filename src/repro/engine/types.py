@@ -92,16 +92,6 @@ def type_from_name(name: str) -> SQLType:
         raise TypeError_(f"unknown SQL type: {name!r}") from None
 
 
-def python_type_of(sql_type: SQLType) -> type:
-    """Return the Python class used to store values of ``sql_type``."""
-    return {
-        SQLType.INTEGER: int,
-        SQLType.REAL: float,
-        SQLType.TEXT: str,
-        SQLType.BOOLEAN: bool,
-    }[sql_type]
-
-
 def infer_type(value: SQLValue) -> Optional[SQLType]:
     """Infer the :class:`SQLType` of a Python value (``None`` for NULL)."""
     if value is None:
@@ -193,11 +183,6 @@ def logic_or(left: Optional[bool], right: Optional[bool]) -> Optional[bool]:
 def logic_not(value: Optional[bool]) -> Optional[bool]:
     """Three-valued NOT."""
     return None if value is None else not value
-
-
-def is_true(value: Optional[bool]) -> bool:
-    """Whether a 3-valued condition result selects a row (TRUE only)."""
-    return value is True
 
 
 def sort_key(value: SQLValue) -> tuple:

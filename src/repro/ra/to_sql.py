@@ -166,11 +166,6 @@ def render_core_tids(core: SJUDCore, tid_column: str) -> ParameterizedSQL:
 # ---------------------------------------------------------------------------
 
 
-def quote_identifier(name: str) -> str:
-    """Quote an identifier for SQL text (re-export for backends)."""
-    return format_identifier(name)
-
-
 def create_table_sql(table: str, columns: Sequence[tuple[str, str]]) -> str:
     """``CREATE TABLE`` text for a backend mirror, identifiers quoted.
 

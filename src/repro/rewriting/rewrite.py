@@ -25,7 +25,6 @@ method on both axes reproduced here:
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -33,7 +32,6 @@ from typing import (
     Iterable,
     Iterator,
     Optional,
-    Sequence,
     Union,
 )
 
@@ -42,9 +40,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.constraints.denial import DenialConstraint, to_denial_constraints
 from repro.constraints.foreign_key import ForeignKeyConstraint
-from repro.core.hippo import AnswerSet
+from repro.core.hippo import AnswerSet, QueryLike, answer_query, parse_sjud
 from repro.engine.database import Database
-from repro.engine.types import default_order
 from repro.errors import RewritingError, UnsupportedQueryError
 from repro.ra.sjud import (
     Atom,
@@ -54,14 +51,11 @@ from repro.ra.sjud import (
     Union_,
     cores_of,
     from_sql_query,
-    output_types_of,
 )
 from repro.ra.to_sql import core_to_select
 from repro.sql import ast
 from repro.sql.formatter import format_query
 from repro.sql.parser import parse_query
-
-QueryLike = Union[str, ast.Query, SJUDTree]
 
 
 def _rebuild(
@@ -138,7 +132,7 @@ class RewritingEngine:
                 constraints outside the method's scope (its first reason
                 is the message).
         """
-        tree = self._as_tree(query)
+        tree, _ = parse_sjud(query, self.db.catalog)
         verdict = classify(tree, self.denials)
         if not verdict.rewritable:
             raise RewritingError(verdict.reasons[0])
@@ -164,45 +158,38 @@ class RewritingEngine:
     ) -> AnswerSet:
         """Evaluate the rewritten query on the RDBMS.
 
-        Returns an :class:`~repro.core.hippo.AnswerSet` so benchmarks can
-        treat all approaches uniformly.
+        Returns an :class:`~repro.core.hippo.AnswerSet` built by the same
+        pipeline as Hippo's (:func:`~repro.core.hippo.answer_query`), so
+        the query's ORDER BY and the default order apply alike and
+        benchmarks can treat all approaches uniformly.
 
         Args:
             backend: an execution backend to push the rewritten SQL to
                 (see :mod:`repro.backends`) -- the rewriting method's
                 "any RDBMS can evaluate Q'" claim made literal.  A query
                 the backend declines falls back to native execution
-                (counted); None always runs natively.
+                (counted); None runs the rewritten SELECT like any other,
+                on the database's attached backend if it has one.
         """
-        started = time.perf_counter()
-        tree = self._as_tree(query)
-        rewritten = self.rewrite(tree)
 
-        def native() -> tuple[Sequence[str], list[tuple]]:
-            result = self.db.execute_statement(ast.SelectStatement(rewritten))
-            return result.columns, result.rows
+        def evaluate(tree: SJUDTree) -> tuple[set[tuple], dict[str, object]]:
+            rewritten = self.rewrite(tree)
 
-        columns, result_rows = (
-            native()
-            if backend is None
-            else backend.pushdown(lambda: backend.execute_query(rewritten), native)
-        )
-        rows = default_order(set(result_rows), output_types_of(tree, self.db.catalog))
-        elapsed = time.perf_counter() - started
-        return AnswerSet(
-            list(columns),
-            rows,
-            {"total_seconds": elapsed, "rewritten_sql": format_query(rewritten)},
-        )
+            def native() -> list[tuple]:
+                return self.db.execute_statement(ast.SelectStatement(rewritten)).rows
+
+            rows = (
+                native()
+                if backend is None
+                else backend.pushdown(
+                    lambda: backend.execute_query(rewritten)[1], native
+                )
+            )
+            return set(rows), {"rewritten_sql": format_query(rewritten)}
+
+        return answer_query(query, self.db.catalog, evaluate)
 
     # ------------------------------------------------------------ internals
-
-    def _as_tree(self, query: QueryLike) -> SJUDTree:
-        if isinstance(query, str):
-            query = parse_query(query)
-        if isinstance(query, ast.Query):
-            return from_sql_query(query, self.db.catalog)
-        return query
 
     def _rewrite_tree(
         self, tree: SJUDTree, fresh: Iterator[str]

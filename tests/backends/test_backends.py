@@ -174,7 +174,9 @@ class TestAnswerEquality:
         query = "SELECT * FROM t UNION SELECT a, NULL FROM t WHERE ok = TRUE"
         native = HippoEngine(db, []).raw_answers(query).rows
         backend = SQLiteBackend()
-        pushed = HippoEngine(db, [], backend=backend).raw_answers(query).rows
+        db.attach_backend(backend)
+        pushed = HippoEngine(db, []).raw_answers(query).rows
+        assert db.stats.backend_pushdowns == 1
         assert db.stats.backend_fallbacks == 0
         # (1,) == (True,) in Python: compare what prints, not the sets
         assert [repr(row) for row in pushed] == [repr(row) for row in native]
@@ -275,11 +277,24 @@ class TestDatabaseSeam:
         assert set(pushed.rows) == set(native.rows)
 
     def test_native_engine_does_not_push(self, two_table_db):
-        engine = HippoEngine(two_table_db, [], backend="native")
-        assert engine.backend is None
-        engine.raw_answers("SELECT * FROM r")
+        assert two_table_db.backend is None
+        HippoEngine(two_table_db, []).raw_answers("SELECT * FROM r")
         two_table_db.query("SELECT a, b FROM r")
         assert two_table_db.stats.backend_pushdowns == 0
+
+    def test_engine_follows_the_attached_backend(self, two_table_db):
+        """An engine pushes wherever its database executes now: the
+        backend attached after it was built, and natively once detached."""
+        engine = HippoEngine(two_table_db, [])
+        native = engine.raw_answers("SELECT * FROM r")
+        two_table_db.attach_backend(SQLiteBackend())
+        pushed = engine.raw_answers("SELECT * FROM r")
+        assert two_table_db.stats.backend_pushdowns == 1
+        assert pushed.rows == native.rows
+        two_table_db.backend.close()
+        two_table_db.detach_backend()
+        assert engine.raw_answers("SELECT * FROM r").rows == native.rows
+        assert two_table_db.stats.backend_pushdowns == 1
 
     def test_fallback_on_backend_error(self, two_table_db):
         """A value outside SQLite's integer range falls back natively."""
@@ -379,13 +394,15 @@ class TestCountedFallbacks:
         assert pushed.rows == native.rows
 
     def test_raw_answers_fallback_is_counted(self, huge_db, backend):
-        engine = HippoEngine(huge_db, [self.FD], backend=backend)
+        native = HippoEngine(huge_db, [self.FD]).raw_answers("SELECT * FROM r")
+        huge_db.attach_backend(backend)
+        before = huge_db.stats.backend_fallbacks
+        engine = HippoEngine(huge_db, [self.FD])
+        assert huge_db.stats.backend_fallbacks == before + 1  # its detection
         before = huge_db.stats.backend_fallbacks
         pushed = engine.raw_answers("SELECT * FROM r")
         assert huge_db.stats.backend_fallbacks == before + 1
-        assert pushed.rows == HippoEngine(huge_db, [self.FD]).raw_answers(
-            "SELECT * FROM r"
-        ).rows
+        assert pushed.rows == native.rows
 
 
 def _caught_names(handler):

@@ -70,6 +70,17 @@ CHECK_QUERIES = [
     _JOIN + " EXCEPT " + _JOIN + " AND e.salary <= M.level",
 ]
 
+#: ORDER BY on a core and on a difference: every answering path (the
+#: prover, rewriting native and pushed, raw answers native and pushed)
+#: returns the same *list*, ties included.  Over ``mgr``, which only
+#: ``cap`` constrains, so several answers survive to be ordered.
+ORDERED_QUERIES = [
+    "SELECT name, dept, level FROM mgr ORDER BY 2 DESC",
+    "SELECT name, dept, level FROM mgr ORDER BY dept DESC, level",
+    "SELECT name, dept, level FROM mgr"
+    " EXCEPT SELECT name, dept, salary FROM emp ORDER BY level DESC",
+]
+
 CONSTRAINTS = [
     FunctionalDependency("emp", ["name"], ["salary"]),
     # Nobody out-earns a manager of their department: the residual join
@@ -146,11 +157,17 @@ def assert_cut_equal(db, backend):
         if classify(text, CONSTRAINTS, schema=db).rewritable
     ]
     assert rewritable[:3] == CHECK_QUERIES[:3] and len(rewritable) == 9
-    for text in rewritable:
-        pushed = rewriting.consistent_answers(text, backend=backend)
-        native = rewriting.consistent_answers(text)
-        assert pushed.columns == native.columns, text
-        assert pushed.rows == native.rows, text
+    assert all(classify(t, CONSTRAINTS, schema=db).rewritable for t in ORDERED_QUERIES)
+    hippo = HippoEngine(db, CONSTRAINTS)
+    try:
+        for text in rewritable + ORDERED_QUERIES:
+            pushed = rewriting.consistent_answers(text, backend=backend)
+            native = rewriting.consistent_answers(text)
+            proved = hippo.consistent_answers(text)
+            assert pushed.columns == native.columns == proved.columns, text
+            assert pushed.rows == native.rows == proved.rows, text
+    finally:
+        hippo.detach()
 
     pushed_report = detect_conflicts(db, CONSTRAINTS, backend=backend)
     native_report = detect_conflicts(db, CONSTRAINTS)
@@ -175,23 +192,33 @@ class TestRandomWorkloads:
             backend.close()
 
     def test_hippo_engine_end_to_end(self, backend_name, seed, make_backend):
-        """The full pipeline agrees regardless of the attached backend."""
+        """The full pipeline agrees regardless of the attached backend:
+        full detection and raw answers run there, and every answer list
+        equals the native one."""
         rng = random.Random(seed)
         db = fresh_db(rng)
-        native = HippoEngine(db, CONSTRAINTS).consistent_answers(CHECK_QUERIES[1])
-        # A registered name goes through the engine's own create_backend
-        # branch; only the test-local layout is handed over ready-made.
-        spec = (
-            make_backend(backend_name)
-            if backend_name == "sqlite-explicit-tid"
-            else backend_name
-        )
-        pushed_engine = HippoEngine(db, CONSTRAINTS, backend=spec)
-        pushed = pushed_engine.consistent_answers(CHECK_QUERIES[1])
-        assert pushed.columns == native.columns
-        assert pushed.rows == native.rows
-        assert db.stats.backend_pushdowns > 0
-        pushed_engine.backend.close()
+        queries = [CHECK_QUERIES[1], *ORDERED_QUERIES]
+        engine = HippoEngine(db, CONSTRAINTS)
+        native = [
+            (engine.consistent_answers(q), engine.raw_answers(q)) for q in queries
+        ]
+        engine.detach()
+        db.attach_backend(make_backend(backend_name))
+        try:
+            pushed_engine = HippoEngine(db, CONSTRAINTS)
+            assert db.stats.backend_pushdowns > 0  # full detection
+            for text, (consistent, raw) in zip(queries, native):
+                before = db.stats.backend_pushdowns
+                pushed_raw = pushed_engine.raw_answers(text)
+                assert db.stats.backend_pushdowns == before + 1, text
+                assert pushed_raw.columns == raw.columns, text
+                assert pushed_raw.rows == raw.rows, text
+                pushed = pushed_engine.consistent_answers(text)
+                assert pushed.columns == consistent.columns, text
+                assert pushed.rows == consistent.rows, text
+            assert db.stats.backend_fallbacks == 0
+        finally:
+            db.backend.close()
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)

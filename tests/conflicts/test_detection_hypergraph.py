@@ -53,7 +53,7 @@ class TestDetection:
         report = detect_conflicts(two_table_db, [denial])
         assert len(report.hypergraph) == 1
         assert report.hypergraph.summary()["singleton_edges"] == 1
-        assert len(report.hypergraph.always_deleted()) == 1
+        assert [len(edge) for edge in report.hypergraph.edges] == [1]
 
     def test_ternary_denial(self, two_table_db):
         denial = DenialConstraint(
@@ -86,15 +86,13 @@ class TestDetection:
 
 
 class TestHypergraph:
-    def test_incidence_and_degree(self):
+    def test_incidence(self):
         a, b, c = vertex("r", 1), vertex("r", 2), vertex("r", 3)
         graph = ConflictHypergraph([frozenset({a, b}), frozenset({b, c})])
-        assert graph.degree(b) == 2
-        assert graph.degree(a) == 1
-        assert graph.degree(vertex("r", 99)) == 0
-        assert graph.is_conflicting(a)
-        assert not graph.is_conflicting(vertex("r", 99))
         assert len(graph.edges_of(b)) == 2
+        assert graph.edges_of(a) == [frozenset({a, b})]
+        assert graph.edges_of(vertex("r", 99)) == []
+        assert set(graph.conflicting_vertices()) == {a, b, c}
 
     def test_independence(self):
         a, b, c = vertex("r", 1), vertex("r", 2), vertex("r", 3)

@@ -42,7 +42,7 @@ def assert_equivalent(engine: HippoEngine, db: Database, constraints) -> None:
     )
     for v in full.hypergraph.conflicting_vertices():
         assert set(maintained.edges_of(v)) == set(full.hypergraph.edges_of(v))
-        assert maintained.degree(v) == full.hypergraph.degree(v)
+        assert len(maintained.edges_of(v)) == len(full.hypergraph.edges_of(v))
 
 
 class TestChangeLog:
@@ -149,11 +149,11 @@ class TestMutableHypergraph:
         assert graph.add_edge(self.edge(1, 2), "c1")
         assert graph.add_edge(self.edge(2, 3), "c2")
         assert not graph.add_edge(self.edge(1, 2), "dup")
-        assert graph.degree(vertex("r", 2)) == 2
+        assert len(graph.edges_of(vertex("r", 2))) == 2
         assert graph.label_of(self.edge(2, 3)) == "c2"
         assert graph.remove_edge(self.edge(1, 2))
         assert not graph.remove_edge(self.edge(1, 2))
-        assert not graph.is_conflicting(vertex("r", 1))
+        assert graph.edges_of(vertex("r", 1)) == []
         assert graph.edges_of(vertex("r", 2)) == [self.edge(2, 3)]
         assert graph.edge_labels == ["c2"]
 
@@ -395,7 +395,7 @@ class TestSubsumption:
         assert engine.detection.mode == "incremental"
         assert_equivalent(engine, db, [fd, negative])
         assert engine.detection.subsumed["fd:r:a->b"] == 2
-        assert engine.detection.subsumed_total == 2
+        assert sum(engine.detection.subsumed.values()) == 2
 
     def test_full_detection_reports_subsumed(self):
         db = Database()

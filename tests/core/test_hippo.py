@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, HippoEngine
+from repro.backends import SQLiteBackend
 from repro.constraints import (
     ConstraintAtom,
     DenialConstraint,
@@ -12,6 +13,7 @@ from repro.constraints import (
 from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.repairs import ground_truth_consistent_answers
+from repro.rewriting.rewrite import RewritingEngine
 from repro.sql.parser import parse_expression
 
 
@@ -104,6 +106,39 @@ class TestAnswers:
         assert stats["total_seconds"] > 0
         assert "hypergraph" not in stats
         assert hippo.hypergraph.summary()["edges"] == 2
+
+
+class TestOneAnswerOrder:
+    """Every CQA path applies the query's ORDER BY to the same answer
+    list: the prover, and the rewriting natively and pushed to SQLite."""
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            ("SELECT a, b FROM r ORDER BY a DESC", [(5, 0), (4, 4), (3, 7), (2, 5)]),
+            ("SELECT a, b FROM r ORDER BY 2 DESC", [(3, 7), (2, 5), (4, 4), (5, 0)]),
+            ("SELECT a, b FROM r ORDER BY a DESC, b", [(5, 0), (4, 4), (3, 7), (2, 5)]),
+            (
+                "SELECT a, b FROM r EXCEPT SELECT a, b FROM s ORDER BY a DESC",
+                [(5, 0), (3, 7)],
+            ),
+        ],
+    )
+    def test_every_path_returns_the_same_list(self, two_table_db, query, expected):
+        two_table_db.execute("INSERT INTO r VALUES (5, 0)")
+        fd = FunctionalDependency("r", ["a"], ["b"])
+        rewriting = RewritingEngine(two_table_db, [fd])
+        backend = SQLiteBackend()
+        backend.attach(two_table_db)
+        try:
+            answers = [
+                HippoEngine(two_table_db, [fd]).consistent_answers(query),
+                rewriting.consistent_answers(query),
+                rewriting.consistent_answers(query, backend=backend),
+            ]
+            assert [a.rows for a in answers] == [expected] * 3
+        finally:
+            backend.close()
 
 
 class TestRefutedSkipsTheProver:

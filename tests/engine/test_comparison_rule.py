@@ -215,28 +215,33 @@ def test_an_index_serves_only_a_comparable_literal():
 
 
 @pytest.mark.parametrize(
-    "condition",
+    "query",
     [
-        "name < 1",
-        "1 > name",
-        "name = n",
-        "n BETWEEN 'a' AND 'b'",
-        "n IN (1, 'a')",
-        "name IN (SELECT n FROM t)",
-        "n IN (SELECT 'a' FROM t)",
-        "n IN (SELECT u.name FROM t u WHERE u.n = t.n)",
-        "n IN (SELECT name FROM t UNION SELECT name FROM t)",
-        "(n > 1) = n",  # a predicate is BOOLEAN
-        "n IN (SELECT name IS NULL FROM t)",
-    ],
+        f"SELECT * FROM t WHERE {condition}"
+        for condition in (
+            "name < 1",
+            "1 > name",
+            "name = n",
+            "n BETWEEN 'a' AND 'b'",
+            "n IN (1, 'a')",
+            "name IN (SELECT n FROM t)",
+            "n IN (SELECT 'a' FROM t)",
+            "n IN (SELECT u.name FROM t u WHERE u.n = t.n)",
+            "n IN (SELECT name FROM t UNION SELECT name FROM t)",
+            "(n > 1) = n",  # a predicate is BOOLEAN
+            "n IN (SELECT name IS NULL FROM t)",
+        )
+    ]
+    # A derived table's columns keep their declared types.
+    + ["SELECT * FROM (SELECT name FROM t) x WHERE x.name < 1"],
 )
-def test_known_incomparable_types_raise_at_plan_time(condition):
+def test_known_incomparable_types_raise_at_plan_time(query):
     """Declared and literal types decide before any row exists: the
     table is empty, and the error is the one a row would raise."""
     db = Database()
     db.execute("CREATE TABLE t (name TEXT, n INTEGER)")
     with pytest.raises(TypeError_, match=r"cannot compare \w+ with \w+ \("):
-        db.execute(f"SELECT * FROM t WHERE {condition}")
+        db.execute(query)
 
 
 def test_unknown_types_are_checked_per_row():

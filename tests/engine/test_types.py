@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.database import Database
 from repro.engine.types import (
     NAN,
     SQLType,
@@ -11,12 +12,10 @@ from repro.engine.types import (
     default_order,
     format_value,
     infer_type,
-    is_true,
     literal_sql,
     logic_and,
     logic_not,
     logic_or,
-    python_type_of,
     sort_key,
     type_from_name,
 )
@@ -34,9 +33,9 @@ class TestTypeNames:
         with pytest.raises(TypeError_):
             type_from_name("blob")
 
-    def test_python_types(self):
-        assert python_type_of(SQLType.INTEGER) is int
-        assert python_type_of(SQLType.TEXT) is str
+    def test_stored_python_types(self):
+        assert type(coerce_value(1.0, SQLType.INTEGER)) is int
+        assert type(coerce_value("a", SQLType.TEXT)) is str
 
 
 class TestInferType:
@@ -117,10 +116,11 @@ class TestThreeValuedLogic:
         assert logic_not(False) is True
         assert logic_not(None) is None
 
-    def test_is_true_selects_only_true(self):
-        assert is_true(True)
-        assert not is_true(None)
-        assert not is_true(False)
+    def test_where_selects_only_true(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a INTEGER, ok BOOLEAN)")
+        db.execute("INSERT INTO t VALUES (1, TRUE), (2, NULL), (3, FALSE)")
+        assert db.query("SELECT a FROM t WHERE ok").rows == [(1,)]
 
 
 INF = float("inf")

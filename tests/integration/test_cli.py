@@ -733,6 +733,17 @@ class TestBackendCommand:
         pushed = run_shell(SETUP + ".backend sqlite\n.consistent SELECT * FROM emp;")
         assert "(bob, 5)" in native and "(bob, 5)" in pushed
 
+    def test_switching_keeps_the_engine(self):
+        """The executor belongs to the database: the engine (and its
+        hypergraph) survives a switch, and its raw answers follow it."""
+        shell = HippoShell(out=io.StringIO())
+        shell.run((SETUP + ".consistent SELECT * FROM emp;").splitlines())
+        engine = shell._engine
+        shell.run([".backend sqlite", ".raw SELECT * FROM emp;"])
+        assert shell._engine is engine
+        assert shell.db.stats.backend_pushdowns == 1
+        shell.db.backend.close()
+
     def test_stats_show_pushdown_counters(self):
         output = run_shell(
             SETUP + ".backend sqlite\nSELECT * FROM emp;\n.stats"

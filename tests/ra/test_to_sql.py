@@ -31,9 +31,9 @@ from repro.ra.to_sql import (
     delete_by_key_sql,
     drop_table_sql,
     insert_sql,
-    quote_identifier,
 )
 from repro.sql import ast
+from repro.sql.formatter import format_identifier
 from repro.sql.parser import parse_query
 
 
@@ -264,8 +264,8 @@ class TestResidualJoinForm:
 class TestQuotingHelpers:
     def test_create_table_quotes_identifiers(self):
         sql = create_table_sql("order", [("from", "INTEGER"), ("b", "TEXT")])
-        assert quote_identifier("order") in sql
-        assert quote_identifier("from") in sql
+        assert format_identifier("order") in sql
+        assert format_identifier("from") in sql
         assert "INTEGER" in sql and "TEXT" in sql
 
     def test_drop_table_is_idempotent_form(self):
@@ -274,7 +274,7 @@ class TestQuotingHelpers:
     def test_create_index_names_all_columns(self):
         sql = create_index_sql("idx_r_0", "r", ["a", "b"])
         assert "CREATE INDEX" in sql
-        assert quote_identifier("a") in sql and quote_identifier("b") in sql
+        assert format_identifier("a") in sql and format_identifier("b") in sql
 
     def test_insert_placeholders(self):
         assert insert_sql("r", 2).endswith("VALUES (?, ?)")
@@ -289,5 +289,5 @@ class TestQuotingHelpers:
 
     def test_delete_by_key_binds_one_parameter(self):
         sql = delete_by_key_sql("order", "rowid")
-        assert sql.startswith(f"DELETE FROM {quote_identifier('order')}")
+        assert sql.startswith(f"DELETE FROM {format_identifier('order')}")
         assert sql.endswith("rowid = ?") and sql.count("?") == 1

@@ -183,15 +183,57 @@ def record_run(path: Path, run: dict, keep: int = HISTORY_KEEP) -> list[dict]:
     return history
 
 
+def record_suite(module: Path, result: Path) -> int:
+    """Run the benchmark module ``module`` at full size and append its run
+    to the history at ``result``.  Prints one ``bench record: OK`` or
+    ``bench record: FAIL (...)`` line and returns the exit status: the
+    suite's pytest status when it failed, 1 when it passed but timed
+    nothing (no ``benchmark`` fixture ran, so there is no run to keep)."""
+    import json
+    import subprocess
+    import tempfile
+
+    repo_root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo_root / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "run.json"
+        status = subprocess.call(
+            [
+                sys.executable,
+                "-m",
+                "pytest",
+                str(module),
+                "-q",
+                "-p",
+                "no:cacheprovider",
+                f"--benchmark-json={json_path}",
+            ],
+            cwd=repo_root,
+            env=env,
+        )
+        if status != 0:
+            print(f"bench record: FAIL (pytest exit {status})")
+            return status
+        try:
+            run = json.loads(json_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            run = {}
+    if not run.get("benchmarks"):
+        print(f"bench record: FAIL ({module.name} timed nothing)")
+        return 1
+    history = record_run(result, run)
+    print(f"bench record: OK ({result.name}, {len(history)} run(s) kept)")
+    return 0
+
+
 def main(argv=None) -> int:
     """The benchmark smoke gate and history recorder (see docstring)."""
     import argparse
-    import json
     import subprocess
-    import sys
-    import tempfile
     import time
-    from pathlib import Path
 
     parser = argparse.ArgumentParser(description="benchmark suite runner")
     parser.add_argument(
@@ -215,41 +257,10 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.record:
-        bench_dir = Path(__file__).resolve().parent
-        repo_root = bench_dir.parent
-        module = bench_dir / f"bench_{args.record}.py"
+        module = Path(__file__).resolve().parent / f"bench_{args.record}.py"
         if not module.is_file():
             parser.error(f"no such suite: {module.name}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo_root / "src") + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            json_path = Path(tmp) / "run.json"
-            status = subprocess.call(
-                [
-                    sys.executable,
-                    "-m",
-                    "pytest",
-                    str(module),
-                    "-q",
-                    "-p",
-                    "no:cacheprovider",
-                    f"--benchmark-json={json_path}",
-                ],
-                cwd=repo_root,
-                env=env,
-            )
-            if status != 0:
-                print(f"bench record: FAIL (pytest exit {status})")
-                return status
-            run = json.loads(json_path.read_text(encoding="utf-8"))
-        history = record_run(result_path(args.record), run)
-        print(
-            f"bench record: OK ({result_path(args.record).name},"
-            f" {len(history)} run(s) kept)"
-        )
-        return 0
+        return record_suite(module, result_path(args.record))
     if not args.smoke:
         parser.error(
             "pass --smoke (or --record SUITE; full runs go through"

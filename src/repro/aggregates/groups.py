@@ -74,26 +74,24 @@ def _group_contributions(
 def _ranges_from_contributions(
     per_key: _Contributions,
 ) -> dict[SQLValue, AggregateRange]:
-    groups: set[SQLValue] = {
-        group for options in per_key.values() for group, _value in options
-    }
-    result: dict[SQLValue, AggregateRange] = {}
-    for group in groups:
-        glb = 0.0
-        lub = 0.0
-        for options in per_key.values():
-            inside = [value for g, value in options if g == group]
-            if not inside:
-                continue
-            escapable = any(g != group for g, _value in options)
+    """One pass over the keys: each key adds its contribution extrema to
+    the groups its tuples fall in (per group, the keys are summed in the
+    same order as a walk over every key for that group would)."""
+    glb: dict[SQLValue, float] = {}
+    lub: dict[SQLValue, float] = {}
+    for options in per_key.values():
+        inside: dict[SQLValue, list[SQLValue]] = {}
+        for group, value in options:
+            inside.setdefault(group, []).append(value)
+        # Tuples in another group too: the key's choice may escape this one.
+        escapable = len(inside) > 1
+        for group, values in inside.items():
+            low, high = min(values), max(values)
             if escapable:
-                glb += min(0.0, min(inside))
-                lub += max(0.0, max(inside))
-            else:
-                glb += min(inside)
-                lub += max(inside)
-        result[group] = AggregateRange(glb, lub)
-    return result
+                low, high = min(0.0, low), max(0.0, high)
+            glb[group] = glb.get(group, 0.0) + low
+            lub[group] = lub.get(group, 0.0) + high
+    return {group: AggregateRange(glb[group], lub[group]) for group in glb}
 
 
 def grouped_count_range(

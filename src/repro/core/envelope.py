@@ -57,7 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Any, Collection, Optional, Sequence
+from typing import Any, KeysView, Optional, Sequence
 
 from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.engine.database import Database
@@ -83,7 +83,7 @@ class EnvelopeEvaluation:
         seconds: wall-clock time of the evaluation.
     """
 
-    candidates: Collection[tuple]
+    candidates: KeysView[tuple]
     certain: frozenset[tuple]
     refuted: frozenset[tuple]
     witnesses: tuple[CoreWitnesses, ...]

@@ -371,9 +371,8 @@ class HippoEngine:
             candidates = envelope.candidates
 
             prover_started = time.perf_counter()
-            undecided = [
-                c for c in candidates if c not in certain and c not in refuted
-            ]
+            # A set; the answers below still follow the candidates' order.
+            undecided = candidates - certain - refuted
             rejected = refuted.union(
                 c
                 for c in undecided

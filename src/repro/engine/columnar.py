@@ -5,7 +5,10 @@ which is the right shape for point mutations and membership lookups but
 pays per-row iterator and counter overhead in the scan hot loops.  A
 :class:`ColumnStore` is a *derived*, immutable snapshot of one table's
 rows as one list (one counter bump per batch instead of one per row),
-plus the same batch with each tid appended.  Filtering is not its job:
+its tids as one column, plus two derived forms built on first use: the
+batch with each tid appended, and each tid as a 1-tuple (the witness of
+a single-atom core, see :meth:`~repro.engine.plan.Project.split`).
+Filtering is not its job:
 an equality no hash index covers is a ``Filter`` over the scan, so every
 comparison goes through the one compiled rule.
 
@@ -20,8 +23,9 @@ Lifecycle and invalidation contract:
   stays internally consistent even if the table moves on (the operator
   sees the snapshot it started with, matching the iterator semantics of
   a dict scan that materialized its rows up front).
-* The tid-suffixed batch is built lazily, so tables that are only ever
-  scanned without tids never pay for it.
+* The tid-suffixed batch and the tid 1-tuples are built lazily, so
+  tables that are only ever scanned without tids (or whose cores never
+  need the form) never pay for it; they live and die with the store.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class ColumnStore:
         items: the ``(tid, row)`` pairs to snapshot, in storage order.
     """
 
-    __slots__ = ("tids", "rows", "_tid_rows")
+    __slots__ = ("tids", "rows", "_tid_rows", "_tid_tuples")
 
     def __init__(self, items: List[Tuple[int, Row]]) -> None:
         #: tids in storage (insertion) order, parallel to :attr:`rows`.
@@ -48,6 +52,7 @@ class ColumnStore:
         #: materialized row batch in storage order (the scan hot path).
         self.rows: List[Row] = [row for _tid, row in items]
         self._tid_rows: Optional[List[Row]] = None
+        self._tid_tuples: Optional[List[Tuple[int]]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -63,3 +68,10 @@ class ColumnStore:
                 row + (tid,) for tid, row in zip(self.tids, self.rows)
             ]
         return self._tid_rows
+
+    def tid_tuples(self) -> List[Tuple[int]]:
+        """Each tid as a 1-tuple, parallel to :attr:`rows`: the witness
+        tids of a single-atom core's rows; cached after first use."""
+        if self._tid_tuples is None:
+            self._tid_tuples = list(zip(self.tids))
+        return self._tid_tuples

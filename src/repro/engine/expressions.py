@@ -41,6 +41,11 @@ from repro.sql.formatter import format_expression
 Env = tuple
 Evaluator = Callable[[Env], SQLValue]
 
+#: A predicate decided on the bare current row, without an environment:
+#: True where the predicate is TRUE, False where it is FALSE or unknown.
+#: Compiled predicates that have one carry it as ``row_test``.
+RowTest = Callable[[tuple], bool]
+
 
 def bound_entries(
     binding: Optional[str], columns: Iterable[str]
@@ -194,6 +199,31 @@ _MIRRORED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 #: of that one type (float is not: NaN is unordered in Python).
 _EXACT = frozenset({int, str, bool})
 
+#: Declared types whose non-NULL values are all of one :data:`_EXACT`
+#: Python type (:func:`~repro.engine.types.coerce_value` stores nothing
+#: else in such a column); REAL is not one.
+_STORED_AS = {SQLType.INTEGER: int, SQLType.TEXT: str, SQLType.BOOLEAN: bool}
+
+#: ``row[i] op c`` as a :data:`RowTest`, for a column holding only
+#: ``type(c)`` or NULL: NULL is never TRUE, other values compare natively.
+_ROW_TESTS: dict[str, Callable[[int, SQLValue], RowTest]] = {
+    "=": lambda i, c: lambda row: (v := row[i]) is not None and v == c,
+    "<>": lambda i, c: lambda row: (v := row[i]) is not None and v != c,
+    "<": lambda i, c: lambda row: (v := row[i]) is not None and v < c,
+    "<=": lambda i, c: lambda row: (v := row[i]) is not None and v <= c,
+    ">": lambda i, c: lambda row: (v := row[i]) is not None and v > c,
+    ">=": lambda i, c: lambda row: (v := row[i]) is not None and v >= c,
+}
+
+
+def _both(first: Evaluator, second: Evaluator) -> Optional[RowTest]:
+    """The row test of ``first AND second``, when both have one."""
+    left = getattr(first, "row_test", None)
+    right = getattr(second, "row_test", None)
+    if left is None or right is None:
+        return None
+    return lambda row: left(row) and right(row)
+
 
 def _require_number(value: SQLValue, op: str) -> float | int:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -263,9 +293,17 @@ class ExpressionCompiler:
         return method(expr)
 
     def compile_predicate(self, expr: ast.Expression) -> Callable[[Env], bool]:
-        """Compile a condition; the result maps 3-valued output to bool."""
+        """Compile a condition; the result maps 3-valued output to bool
+        (and keeps the condition's :data:`RowTest`, if it has one)."""
         evaluator = self.compile(expr)
-        return lambda env: evaluator(env) is True
+
+        def predicate(env: Env) -> bool:
+            return evaluator(env) is True
+
+        test = getattr(evaluator, "row_test", None)
+        if test is not None:
+            predicate.row_test = test  # type: ignore[attr-defined]
+        return predicate
 
     # ----------------------------------------------------------- leaf nodes
 
@@ -301,7 +339,14 @@ class ExpressionCompiler:
         left = self.compile(expr.left)
         right = self.compile(expr.right)
         if op == "AND":
-            return lambda env: logic_and(_as_bool(left(env)), _as_bool(right(env)))
+
+            def conjunction(env: Env) -> Optional[bool]:
+                return logic_and(_as_bool(left(env)), _as_bool(right(env)))
+
+            test = _both(left, right)
+            if test is not None:
+                conjunction.row_test = test  # type: ignore[attr-defined]
+            return conjunction
         if op == "OR":
             return lambda env: logic_or(_as_bool(left(env)), _as_bool(right(env)))
         if op in _ARITHMETIC:
@@ -329,6 +374,12 @@ class ExpressionCompiler:
         :func:`compare_values`, which owns the rule (and raises).  A
         literal operand is moved to the right and captured as a constant.
         Known types that do not compare raise here (:meth:`_check_comparable`).
+
+        When the other operand is a local column declared with exactly the
+        constant's type (INTEGER / int, TEXT / str, BOOLEAN / bool), the
+        comparison also carries a :data:`RowTest`, ``row[i] is not None
+        and row[i] op c``: such a column stores only that type or NULL, so
+        the per-row type dispatch could never pick another branch.
         """
         self._check_comparable(
             left_expr, right_expr, self.scope.declared_type(right_expr)
@@ -351,6 +402,11 @@ class ExpressionCompiler:
                     return None
                 return test(compare_values(lhs, value), 0)
 
+            index = getattr(left, "column_index", None)
+            declared = self.scope.declared_type(left_expr)
+            if index is not None and declared and _STORED_AS.get(declared) is kind:
+                row_test = _ROW_TESTS[op](index, value)
+                compare_constant.row_test = row_test  # type: ignore[attr-defined]
             return compare_constant
         right = self.compile(right_expr)
 
@@ -441,6 +497,9 @@ class ExpressionCompiler:
             result = logic_and(above(env), below(env))
             return logic_not(result) if negated else result
 
+        test = None if negated else _both(above, below)
+        if test is not None:
+            between.row_test = test  # type: ignore[attr-defined]
         return between
 
     def _compile_Like(self, expr: ast.Like) -> Evaluator:

@@ -11,13 +11,15 @@ themselves are independent of the SQL AST.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
 
 from repro.engine import functions
-from repro.engine.expressions import Env, Evaluator
+from repro.engine.columnar import ColumnStore
+from repro.engine.expressions import Env, Evaluator, RowTest
 from repro.engine.stats import ExecutionStats
-from repro.engine.storage import Table, column_key
+from repro.engine.storage import IndexReader, Table, column_key, in_tid_order
 from repro.engine.types import SQLType, comparable, sort_key
 
 Row = tuple
@@ -85,11 +87,16 @@ class Scan(PlanNode):
 
     def rows(self, env: Env) -> Iterator[Row]:
         if self.keep_tids is None:
-            store = self.table.columnar()
-            batch = store.tid_rows() if self.include_tid else store.rows
-            self.stats.rows_scanned += len(batch)
-            return iter(batch)
+            store = self.store()
+            return iter(store.tid_rows() if self.include_tid else store.rows)
         return self._restricted(self.keep_tids)
+
+    def store(self) -> ColumnStore:
+        """The table's row batch, counted as scanned (unrestricted scans
+        only: a restricted scan touches just its kept rows)."""
+        store = self.table.columnar()
+        self.stats.rows_scanned += len(store)
+        return store
 
     def _restricted(self, keep: frozenset[int]) -> Iterator[Row]:
         include_tid = self.include_tid
@@ -182,6 +189,14 @@ class Access(PlanNode):
 
         return key_of
 
+    def index_reader(self) -> Optional[tuple[IndexReader, bool]]:
+        """A live-index access's :class:`~repro.engine.storage.IndexReader`
+        and whether its rows carry the tid; None for a hash."""
+        if not self.index:
+            return None
+        scan: Scan = self.source  # type: ignore[assignment]
+        return scan.table.index_reader(self.index), scan.include_tid
+
     def shared(self) -> Callable[[object], Optional[Sequence[Row]]]:
         """:meth:`lookup` for an uncorrelated source, made on first use and
         kept for the statement (a decorrelated subquery's partner); a
@@ -257,14 +272,28 @@ class SingleRow(PlanNode):
 
 
 class Filter(PlanNode):
-    """Keeps rows whose predicate evaluates to TRUE."""
+    """Keeps rows whose predicate evaluates to TRUE.
+
+    A predicate the compiler could decide on the bare row -- typed
+    column-vs-constant comparisons and conjunctions of them, see
+    :data:`~repro.engine.expressions.RowTest` -- carries that test as
+    ``row_test``, and the rows are then ``filter(row_test, rows)`` with no
+    per-row environment or 3-valued dispatch.  A row test reads only
+    columns with a declared type, never a scan's tid.
+    """
 
     def __init__(self, child: PlanNode, predicate: Predicate) -> None:
         self.child = child
         self.predicate = predicate
+        self.row_test: Optional[RowTest] = getattr(predicate, "row_test", None)
         self.width = child.width
 
     def rows(self, env: Env) -> Iterator[Row]:
+        if self.row_test is not None:
+            return filter(self.row_test, self.child.rows(env))
+        return self._interpreted(env)
+
+    def _interpreted(self, env: Env) -> Iterator[Row]:
         predicate = self.predicate
         for row in self.child.rows(env):
             if predicate((row,) + env):
@@ -302,6 +331,73 @@ class Project(PlanNode):
         for row in self.child.rows(env):
             inner_env = (row,) + env
             yield tuple(evaluator(inner_env) for evaluator in evaluators)
+
+    def split(
+        self, arity: int, env: Env
+    ) -> tuple[Sequence[Row], Sequence[Row], list[Sequence]]:
+        """The output rows as columns, cut after ``arity`` outputs: three
+        parallel sequences, ``values`` (each row's first ``arity``
+        outputs), ``tails`` (the rest, a tuple per row) and ``columns``
+        (the rest, one sequence per output) -- for a core, its answers,
+        their witness tids, and one tid column per atom.
+
+        When the child is an unrestricted scan with its tid, at most
+        filtered by a row test, and the values are the table's columns in
+        order, all three come off the table's
+        :class:`~repro.engine.columnar.ColumnStore`: the values are the
+        stored rows themselves and nothing is built per row.  Any other
+        shape picks (or evaluates) the values and tail columns off the
+        child's rows, one values tuple and one tail tuple per row.
+        """
+        scan, test = self._stored_source(arity)
+        if scan is not None:
+            store = scan.store()
+            rows, tails, tids = store.rows, store.tid_tuples(), store.tids
+            if test is None:
+                return rows, tails, [tids]
+            kept = list(map(test, rows))
+            return (
+                list(compress(rows, kept)),
+                list(compress(tails, kept)),
+                [list(compress(tids, kept))],
+            )
+        rows = list(self.child.rows(env))
+        evaluators, picks = self.evaluators, self._picks
+        if picks is not None:
+            picked = map(itemgetter(*picks[:arity]), rows)
+            # itemgetter with one index yields the bare value, not a 1-tuple.
+            values = list(picked if arity > 1 else zip(picked))
+            columns = [list(map(itemgetter(pick), rows)) for pick in picks[arity:]]
+        else:
+            values = [
+                tuple(evaluator((row,) + env) for evaluator in evaluators[:arity])
+                for row in rows
+            ]
+            columns = [
+                [evaluator((row,) + env) for row in rows]
+                for evaluator in evaluators[arity:]
+            ]
+        tails = list(zip(*columns)) if columns else [()] * len(rows)
+        return values, tails, columns
+
+    def _stored_source(
+        self, arity: int
+    ) -> tuple[Optional[Scan], Optional[RowTest]]:
+        """The unrestricted ``+tid`` scan (and the row test filtering it,
+        if any) whose stored rows are this projection's first ``arity``
+        outputs and whose tid is the last; ``(None, None)`` otherwise."""
+        node, test = self.child, None
+        if isinstance(node, Filter) and node.row_test is not None:
+            node, test = node.child, node.row_test
+        if (
+            isinstance(node, Scan)
+            and node.include_tid
+            and node.keep_tids is None
+            and node.table.schema.arity == arity
+            and self._picks == list(range(arity + 1))
+        ):
+            return node, test
+        return None, None
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
@@ -376,6 +472,50 @@ class HashJoin(PlanNode):
         self.width = left.width + right.width
 
     def rows(self, env: Env) -> Iterator[Row]:
+        reader = self.right.index_reader()
+        if reader is not None:
+            return self._index_rows(env, *reader)
+        return self._hashed_rows(env)
+
+    def _index_rows(
+        self, env: Env, reader: IndexReader, with_tid: bool
+    ) -> Iterator[Row]:
+        """The join over a live index in one pass: one posting read per
+        left row, and each joined row ``left + stored (+ (tid,))`` built
+        once, straight off the index (a single owner inline, several in
+        tid order, as :meth:`~repro.engine.storage.Table.probe` gives)."""
+        owners_of, stored = reader
+        key_of = itemgetter(*self.left_positions)
+        residual = self.residual
+        left_join = self.kind == "left"
+        pad = (None,) * self.right.width
+        for left_row in self.left.rows(env):
+            owners = owners_of(key_of(left_row))
+            if owners is None:
+                if left_join:
+                    yield left_row + pad
+                continue
+            if type(owners) is int:  # the common single owner
+                combined = left_row + stored[owners]
+                if with_tid:
+                    combined += (owners,)
+                if residual is None or residual((combined,) + env):
+                    yield combined
+                elif left_join:
+                    yield left_row + pad
+                continue
+            matched = False
+            for tid in in_tid_order(owners):
+                combined = left_row + stored[tid]
+                if with_tid:
+                    combined += (tid,)
+                if residual is None or residual((combined,) + env):
+                    matched = True
+                    yield combined
+            if left_join and not matched:
+                yield left_row + pad
+
+    def _hashed_rows(self, env: Env) -> Iterator[Row]:
         lookup = self.right.lookup(env)
         key_of = itemgetter(*self.left_positions)
         residual = self.residual

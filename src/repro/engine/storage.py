@@ -17,7 +17,18 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.engine.changelog import OP_DELETE, OP_INSERT, ChangeLog
 from repro.engine.columnar import ColumnStore
@@ -27,9 +38,29 @@ from repro.errors import ExecutionError
 
 Row = Tuple[SQLValue, ...]
 
-#: A posting list: key -> the tids stored under it.  The common single
-#: owner is a bare tid; only a key with several owners pays for a set.
-Postings = Dict[object, Union[int, Set[int]]]
+#: The tids stored under one key: the common single owner is a bare tid;
+#: only a key with several owners pays for a set.
+Owners = Union[int, Set[int]]
+
+#: A posting list: key -> its :data:`Owners`.
+Postings = Dict[object, Owners]
+
+
+class IndexReader(NamedTuple):
+    """Read access to one secondary index, for a probe that resolves many
+    keys in a loop (:meth:`Table.probe`, an index-probe join):
+    ``owners(key)`` is the key's :data:`Owners` or None, and ``rows`` the
+    table's tid -> row map those tids address.  Both are the live
+    structures, not copies: a reader reads them and never writes."""
+
+    owners: Callable[[object], Optional[Owners]]
+    rows: Mapping[int, Row]
+
+
+def in_tid_order(owners: Owners) -> Sequence[int]:
+    """The tids of one :data:`Owners` entry, in tid order."""
+    return (owners,) if isinstance(owners, int) else sorted(owners)
+
 
 def column_key(positions: Sequence[int]) -> Callable[[Row], object]:
     """The key a row is filed under by the columns at ``positions``, in a
@@ -138,6 +169,18 @@ class Table:
         """The position tuples of all secondary indexes."""
         return list(self._indexes.keys())
 
+    def index_reader(self, positions: Tuple[int, ...]) -> IndexReader:
+        """The :class:`IndexReader` of the index on ``positions``.
+
+        Raises:
+            ExecutionError: when no such index exists.
+        """
+        if positions not in self._indexes:
+            raise ExecutionError(
+                f"table {self.schema.name!r} has no index on {positions}"
+            )
+        return IndexReader(self._indexes[positions][1].get, self._rows)
+
     def probe(
         self, positions: Tuple[int, ...], with_tid: bool = False
     ) -> Callable[[object], Sequence[Row]]:
@@ -148,22 +191,17 @@ class Table:
         Raises:
             ExecutionError: when no such index exists.
         """
-        if positions not in self._indexes:
-            raise ExecutionError(
-                f"table {self.schema.name!r} has no index on {positions}"
-            )
-        postings = self._indexes[positions][1]
-        rows = self._rows
+        owners_of, rows = self.index_reader(positions)
 
         def matching(key: object) -> Sequence[Row]:
-            found = postings.get(key)
+            found = owners_of(key)
             if found is None:
                 return ()
-            if not isinstance(found, set):
+            if isinstance(found, int):
                 return (rows[found] + (found,),) if with_tid else (rows[found],)
             if with_tid:
-                return [rows[tid] + (tid,) for tid in sorted(found)]
-            return [rows[tid] for tid in sorted(found)]
+                return [rows[tid] + (tid,) for tid in in_tid_order(found)]
+            return [rows[tid] for tid in in_tid_order(found)]
 
         return matching
 

@@ -18,13 +18,20 @@ unrestricted sources run over the table's cached columnar batch or an
 index, restricted ones stay ``Filter(Scan restricted)``.  The envelope
 never restricts: it reads ``Q-down`` off the tids of the unrestricted rows
 (:func:`evaluate_core`, ``conflicting=``).
+
+A core is evaluated as columns, not rows: its plan's top projection hands
+over the answers and the tid columns in parallel
+(:meth:`~repro.engine.plan.Project.split`) -- for an unrestricted
+single-table core, the table's stored rows and tid column themselves --
+and ``Q-down`` / ``Q-out`` are ``compress`` es over those columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
-from typing import Callable, Collection, Optional, Union
+from itertools import compress
+from operator import not_, or_
+from typing import Callable, Collection, Iterable, Optional, Union, cast
 
 from repro.engine import plan as physical
 from repro.engine.database import Database
@@ -47,7 +54,7 @@ def compile_core(
     core: SJUDCore,
     db: Database,
     restrict: Restriction = unrestricted,
-) -> physical.PlanNode:
+) -> physical.Project:
     """Plan one core: its SELECT block, handed to the engine's planner.
 
     Output rows are ``output values + one tid per atom`` (atom order).
@@ -62,7 +69,8 @@ def compile_core(
         )
     except PlanError as exc:
         raise AlgebraError(f"cannot plan core: {exc}") from exc
-    return planned.plan
+    # A SELECT block without DISTINCT, GROUP BY or ORDER BY ends in a Project.
+    return cast(physical.Project, planned.plan)
 
 
 def evaluate_core(
@@ -83,35 +91,36 @@ def evaluate_core(
     ``refuted`` the answers with exactly one row, that row *dirty* (holding
     a conflicting tid).
     """
-    arity = len(core.outputs)
-    rows = list(compile_core(core, db, restrict).rows(()))
-    value_of = itemgetter(slice(arity))
-    values = list(map(value_of, rows))
-    tails = list(map(itemgetter(slice(arity, None)), rows))
+    values, tails, columns = compile_core(core, db, restrict).split(
+        len(core.outputs), ()
+    )
     witnesses = dict(zip(values, tails))
     if len(witnesses) < len(values):  # some value has several witnesses
         # Re-assigning keeps each key's place; the last write is its first.
         witnesses.update(zip(reversed(values), reversed(tails)))
     if conflicting is None:
         return witnesses
-    dirty = [
-        (slot, tids)
-        for slot, atom in enumerate(core.atoms, arity)
+    # Per atom with conflicting tids, which rows hold one (the row is dirty).
+    hits = [
+        map(tids.__contains__, column)
+        for column, atom in zip(columns, core.atoms)
         if (tids := conflicting(atom.relation.lower()))
     ]
-    if len(witnesses) == len(rows):
-        # One witness per value: certain iff clean, refuted iff dirty.  Only
-        # the few dirty rows are sliced, a third of the general rule's cost.
-        refuted = {
-            value_of(row) for slot, tids in dirty for row in rows if row[slot] in tids
-        }
+    if len(witnesses) == len(values):
+        # One witness per value: certain iff clean, refuted iff dirty.
+        refuted: set[tuple] = set()
+        for hit in hits:
+            refuted.update(compress(values, hit))
         certain = set(witnesses)  # copies the keys with their stored hashes
         certain -= refuted
         return witnesses, certain, refuted
-    clean = rows  # keep the values some clean row produces
-    for slot, tids in dirty:
-        clean = [row for row in clean if row[slot] not in tids]
-    certain = set(map(value_of, clean))
+    clean: Iterable[tuple] = values  # keep the values some clean row produces
+    if hits:
+        dirty = hits[0]
+        for hit in hits[1:]:
+            dirty = map(or_, dirty, hit)
+        clean = compress(values, map(not_, dirty))
+    certain = set(clean)
     once = (value for value, count in Counter(values).items() if count == 1)
     return witnesses, certain, set(once).difference(certain)
 
@@ -123,8 +132,10 @@ def evaluate_tree(
 ) -> frozenset[tuple]:
     """Evaluate a full SJUD tree to a set of rows (set semantics)."""
     if isinstance(tree, SJUDCore):  # no witnesses: just the values
-        rows = compile_core(tree, db, restrict).rows(())
-        return frozenset(map(itemgetter(slice(len(tree.outputs))), rows))
+        values, _tails, _columns = compile_core(tree, db, restrict).split(
+            len(tree.outputs), ()
+        )
+        return frozenset(values)
     if isinstance(tree, Union_):
         return evaluate_tree(tree.left, db, restrict) | evaluate_tree(
             tree.right, db, restrict

@@ -11,7 +11,11 @@ The table-driven test below stores one value in ``a.x`` and one in
 path the engine has for each of the six operators -- a ``Filter`` over a
 literal, a nested-loop and a hash join, an index lookup, a decorrelated
 ``EXISTS``, an ``IN`` list and ``IN (subquery)``, and each mirrored --
-and checks they all give the answer of an independent oracle.  The
+and checks they all give the answer of an independent oracle.  A column
+declared INTEGER, TEXT or BOOLEAN compared with a constant of exactly
+that type filters by a row test (no per-row dispatch); the matrix checks
+that the test is attached there and nowhere else, so the oracle covers
+both forms.  The
 second test does the same for the orders the rule induces: ORDER BY,
 MIN / MAX, DISTINCT and GROUP BY over every insertion order.  The third
 checks that a NaN an expression computes is one hash key with every
@@ -27,6 +31,7 @@ from dataclasses import replace
 import pytest
 
 from repro.engine.database import Database
+from repro.engine.plan import Filter
 from repro.errors import TypeError_
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -125,6 +130,29 @@ def make_db(left, right, indexed: bool = False) -> Database:
     return db
 
 
+def row_tested(db: Database, query) -> object:
+    """Whether the query's one ``Filter`` decides rows by a row test, or
+    ERROR when planning raises."""
+    statement = parse_statement(query) if isinstance(query, str) else query
+    try:
+        nodes = [db.plan(statement.query).plan]
+    except TypeError_:
+        return ERROR
+    filters = []
+    while nodes:
+        node = nodes.pop()
+        filters += [node] if isinstance(node, Filter) else []
+        nodes.extend(node.children())
+    assert len(filters) == 1
+    return filters[0].row_test is not None
+
+
+def has_row_test(left, right) -> bool:
+    """The rule: a column declared INTEGER, TEXT or BOOLEAN against a
+    constant of exactly that type (a NULL constant has none); REAL never."""
+    return right is not None and declared(left) == declared(right) != "REAL"
+
+
 X = ast.ColumnRef("a", "x")
 LITERAL_PATHS = {"filter", "filter mirrored", "in list", "index", "index mirrored"}
 
@@ -178,6 +206,42 @@ def test_every_path_gives_the_oracle_answer(left, right):
             for name in answers
         }
         assert answers == expected, op
+        for name in ("filter", "filter mirrored"):
+            tested = row_tested(db, paths[name])
+            rule = ERROR if expected[name] == ERROR else has_row_test(left, right)
+            assert tested == rule, (name, op)
+
+
+def test_row_tests_compose_only_where_every_part_has_one():
+    db = Database()
+    db.execute("CREATE TABLE t (n INTEGER, s TEXT, r REAL, f BOOLEAN)")
+    tested = {
+        "n < 3 AND s = 'a'": True,
+        "n BETWEEN 0 AND 2": True,
+        "f = TRUE AND n <> 1 AND s >= 'a'": True,
+        "n NOT BETWEEN 0 AND 2": False,
+        "n < 3 OR s = 'a'": False,
+        "n < 3 AND r < 1.0": False,
+        "n < 3 AND n + 0 < 3": False,
+        "n < 1.5": False,
+        "n <> n": False,
+    }
+    for condition, expected in tested.items():
+        query = f"SELECT * FROM t WHERE {condition}"
+        assert row_tested(db, query) is expected, condition
+    # A derived table's computed column has no declared type.
+    derived = "SELECT * FROM (SELECT n + 0 AS m FROM t) x WHERE x.m < 3"
+    assert row_tested(db, derived) is False
+    # Conjunctions and BETWEEN agree with the interpreted predicate.
+    values = [None, -1, 0, 1, 2, 3]
+    for n, s in itertools.product(values, [None, "", "a", "b"]):
+        db.execute("DELETE FROM t")
+        db.table("t").insert((n, s, None, None))
+        for condition in ("n < 3 AND s = 'a'", "n BETWEEN 0 AND 2", "s >= 'a'"):
+            query = f"SELECT * FROM t WHERE {condition}"
+            interpreted = f"SELECT * FROM t WHERE ({condition}) = TRUE"
+            assert row_tested(db, interpreted) is False
+            assert db.execute(query).rows == db.execute(interpreted).rows
 
 
 @pytest.mark.parametrize("left, right", [(1, True), (1, "1"), (1.0, "a"), (NAN, True)])

@@ -92,3 +92,36 @@ class TestRepoResultFiles:
             for run in payload["history"]:
                 for bench in run["benchmarks"]:
                     assert "data" not in bench["stats"]
+
+
+class TestRecordSuite:
+    """``--record`` on a suite: a run with nothing timed is a loud FAIL."""
+
+    def test_a_suite_that_timed_nothing_fails_loudly(self, tmp_path, capsys):
+        from common import record_suite
+
+        module = tmp_path / "bench_untimed.py"
+        module.write_text("def test_untimed():\n    assert True\n")
+        result = tmp_path / "BENCH_untimed.json"
+        assert record_suite(module, result) == 1
+        assert "bench record: FAIL (bench_untimed.py timed nothing)" in (
+            capsys.readouterr().out
+        )
+        assert not result.exists()
+
+    def test_a_timed_suite_is_recorded(self, tmp_path, capsys):
+        from common import record_suite
+
+        module = tmp_path / "bench_timed.py"
+        module.write_text(
+            "def test_timed(benchmark):\n"
+            "    benchmark.pedantic(sum, args=([1, 2],), rounds=1)\n"
+        )
+        result = tmp_path / "BENCH_timed.json"
+        assert record_suite(module, result) == 0
+        assert "bench record: OK (BENCH_timed.json, 1 run(s) kept)" in (
+            capsys.readouterr().out
+        )
+        assert [b["name"] for b in load_history(result)[0]["benchmarks"]] == [
+            "test_timed"
+        ]

@@ -5,6 +5,9 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
+from repro.ra import Atom, OutputColumn, SJUDCore, evaluate_core
+from repro.ra.compile import compile_core
+from repro.sql import ast
 
 value = st.integers(min_value=0, max_value=4)
 rows = st.lists(st.tuples(value, value), max_size=10)
@@ -117,3 +120,61 @@ def test_delete_then_count(r_rows):
     remaining = db.query("SELECT COUNT(*) FROM r").scalar()
     assert removed + remaining == len(r_rows)
     assert db.query("SELECT COUNT(*) FROM r WHERE a = 0").scalar() == 0
+
+
+# Index-probe joins read the posting lists in one pass; the same query over
+# a copy without the index takes the hash path.  Keys repeat (several
+# owners per posting), hold NULL (filed nowhere) and NaN (one stored
+# object, matched by identity).
+NAN = float("nan")
+join_key = st.sampled_from([None, 0.0, 1.0, NAN])
+join_rows = st.lists(st.tuples(value, join_key), max_size=8)
+
+INDEX_JOINS = [
+    "SELECT * FROM r JOIN s ON r.k = s.k",
+    "SELECT * FROM r JOIN s ON r.k = s.k AND r.a < s.a",
+    "SELECT * FROM r LEFT JOIN s ON r.k = s.k",
+    "SELECT * FROM r LEFT JOIN s ON r.k = s.k AND r.a <> s.a",
+    "SELECT r.a, s.a FROM r, s WHERE s.k = r.k AND s.a = r.a",
+]
+
+
+def build_keyed(r_rows, s_rows, deleted, indexed: bool) -> Database:
+    db = Database()
+    db.execute("CREATE TABLE r (a INTEGER, k REAL)")
+    db.execute("CREATE TABLE s (a INTEGER, k REAL)")
+    if indexed:
+        db.execute("CREATE INDEX s_k ON s (k)")
+        db.execute("CREATE INDEX s_ka ON s (k, a)")
+    db.insert_rows("r", r_rows)
+    db.insert_rows("s", s_rows)
+    db.execute(f"DELETE FROM s WHERE a = {deleted}")  # tids with gaps
+    db.execute(f"UPDATE s SET a = a + 1 WHERE a = {(deleted + 1) % 5}")
+    return db
+
+
+@settings(max_examples=100, deadline=None)
+@given(join_rows, join_rows, value)
+def test_index_join_equals_hash_join(r_rows, s_rows, deleted):
+    indexed = build_keyed(r_rows, s_rows, deleted, indexed=True)
+    hashed = build_keyed(r_rows, s_rows, deleted, indexed=False)
+    for sql in INDEX_JOINS:
+        assert "IndexProbe" in indexed.explain(sql)
+        assert "IndexProbe" not in hashed.explain(sql)
+        # Same rows in the same order; NaN is one object, so == holds.
+        assert indexed.query(sql).rows == hashed.query(sql).rows, sql
+    # The provenance form (+tid on both sides), as a core joins.
+    core = SJUDCore(
+        (Atom("x", "r"), Atom("y", "s")),
+        ast.BinaryOp("=", ast.ColumnRef("x", "k"), ast.ColumnRef("y", "k")),
+        tuple(
+            OutputColumn(f"c{i}", ast.ColumnRef(alias, column))
+            for i, (alias, column) in enumerate(
+                [("x", "a"), ("x", "k"), ("y", "a")]
+            )
+        ),
+    )
+    assert "IndexProbe(s on [k] +tid)" in compile_core(core, indexed).explain()
+    assert list(evaluate_core(core, indexed).items()) == list(
+        evaluate_core(core, hashed).items()
+    )

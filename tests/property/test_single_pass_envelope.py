@@ -375,3 +375,101 @@ def test_every_core_is_planned_once(monkeypatch):
     planned.clear()
     hippo.possible_answers("SELECT * FROM r UNION SELECT * FROM s")
     assert len(planned) == 2
+
+
+# ------------------------------------------------------ cores as columns
+#
+# A single-atom core over an unrestricted scan (optionally filtered by a
+# typed comparison with a constant) is read straight off the table's
+# ColumnStore: stored rows as answers, the tid column as witnesses.  The
+# shapes below take that path and the general one next to it; each is
+# checked against the per-row loop (``compile_core(...).rows``) and repair
+# enumeration, before and after DML, which drops the store.
+
+
+def _stored_path(core, db) -> bool:
+    """Whether ``core`` is answered with the table's stored rows."""
+    values, _tails, _columns = compile_core(core, db).split(len(core.outputs), ())
+    rows = list(db.table(core.atoms[0].relation).rows())
+    return bool(values) and all(
+        any(value is row for row in rows) for value in values
+    )
+
+
+COLUMN_SHAPES = {
+    "select *": _scan("r"),
+    "select * where": _core(
+        [Atom("t", "r")], [ast.BinaryOp("<", _ref("t", "b"), ast.Literal(2))],
+        [_ref("t", "a"), _ref("t", "b")],
+    ),
+    "select * where and": _core(
+        [Atom("t", "s")],
+        [
+            ast.BinaryOp(">=", _ref("t", "a"), ast.Literal(1)),
+            ast.BinaryOp("<>", ast.Literal(3), _ref("t", "b")),
+        ],
+        [_ref("t", "a"), _ref("t", "b")],
+    ),
+    "literal output": SJUDCore(  # SELECT a, b, 1 FROM r
+        (Atom("t", "r"),),
+        None,
+        (
+            OutputColumn("a", _ref("t", "a")),
+            OutputColumn("b", _ref("t", "b")),
+            OutputColumn("one", ast.Literal(1)),
+        ),
+    ),
+    "swapped columns": _core(
+        [Atom("t", "s")], [], [_ref("t", "b"), _ref("t", "a")]
+    ),
+}
+
+dml = st.lists(
+    st.one_of(
+        st.builds("INSERT INTO r VALUES ({}, {})".format, value, value),
+        st.builds("INSERT INTO s VALUES ({}, {})".format, value, value),
+        st.builds("DELETE FROM r WHERE a = {}".format, value),
+        st.builds("DELETE FROM s WHERE b = {}".format, value),
+        st.builds("UPDATE r SET b = {} WHERE a = {}".format, value, value),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _check_columns_path(core, db, ics):
+    conflicting = detect_conflicts(db, ics).hypergraph.conflicting_tids
+    expected = reference_core(core, db, conflicting)
+    witnesses, certain, refuted = evaluate_core(core, db, conflicting=conflicting)
+    assert list(witnesses.items()) == list(expected[0].items())
+    assert (certain, refuted) == expected[1:]
+    hippo = HippoEngine(db, ics)
+    truth = ground_truth_consistent_answers(db, hippo.hypergraph, core)
+    assert certain <= truth and not refuted & truth
+    assert hippo.consistent_answers(core).as_set() == truth
+    hippo.detach()
+
+
+@settings(max_examples=120, deadline=None)
+@given(rows, rows, constraint_sets, st.sampled_from(sorted(COLUMN_SHAPES)), dml)
+@example(  # duplicate rows: one answer, first witness tid 0
+    [(1, 1), (1, 1), (1, 2)], [], CONSTRAINT_SETS[0], "select *",
+    ["DELETE FROM r WHERE a = 1"],
+)
+def test_columns_path_equals_the_per_row_loop(r_rows, s_rows, ics, shape, statements):
+    core = COLUMN_SHAPES[shape]
+    db = build_db(r_rows, s_rows)
+    _check_columns_path(core, db, ics)  # builds (and caches) the stores
+    for sql in statements:  # each mutation drops its table's store
+        db.execute(sql)
+    _check_columns_path(core, db, ics)
+
+
+def test_single_atom_cores_take_the_stored_rows():
+    db = build_db([(1, 1), (1, 1), (2, 3)], [(0, 1), (1, 1)])
+    for shape in ("select *", "select * where", "select * where and"):
+        assert _stored_path(COLUMN_SHAPES[shape], db), shape
+    for shape in ("literal output", "swapped columns"):
+        assert not _stored_path(COLUMN_SHAPES[shape], db), shape
+    witnesses = evaluate_core(COLUMN_SHAPES["select *"], db)
+    assert witnesses == {(1, 1): (0,), (2, 3): (2,)}  # first witness wins

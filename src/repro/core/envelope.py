@@ -57,7 +57,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import filterfalse
-from typing import Any, KeysView, Optional, Sequence
+from typing import AbstractSet, Any, KeysView, Optional, Sequence
 
 from repro.conflicts.hypergraph import ConflictHypergraph
 from repro.engine.database import Database
@@ -77,6 +77,8 @@ class EnvelopeEvaluation:
         candidates: envelope rows (``Q-up``), in evaluation order.
         certain: core rows (``Q-down``); guaranteed consistent answers.
         refuted: envelope rows false in some repair (``Q-out``).
+            Both are subsets of ``candidates`` and disjoint, and each is
+            a set of its own, sharing no storage with a witness map.
         witnesses: every core's ``C(DB)`` (value -> its first witness's
             tids), in tree order -- the core numbering of
             :class:`~repro.core.grounding.GroundQuery`.
@@ -84,8 +86,8 @@ class EnvelopeEvaluation:
     """
 
     candidates: KeysView[tuple]
-    certain: frozenset[tuple]
-    refuted: frozenset[tuple]
+    certain: AbstractSet[tuple]
+    refuted: AbstractSet[tuple]
     witnesses: tuple[CoreWitnesses, ...]
     seconds: float = 0.0
 
@@ -126,13 +128,9 @@ class Enveloper:
         witnesses: list[CoreWitnesses] = []
         up, down, out = self._evaluate(tree, witnesses)
         elapsed = time.perf_counter() - started
-        return EnvelopeEvaluation(
-            up.keys(),
-            frozenset(down if compute_core else ()),
-            frozenset(out if compute_core else ()),
-            tuple(witnesses),
-            elapsed,
-        )
+        if not compute_core:
+            down, out = set(), set()
+        return EnvelopeEvaluation(up.keys(), down, out, tuple(witnesses), elapsed)
 
     def _evaluate(
         self, tree: SJUDTree, witnesses: list[CoreWitnesses]

@@ -27,7 +27,15 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import (
+    AbstractSet,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+)
 
 from repro.conflicts.detection import DetectionReport, detect_conflicts
 from repro.conflicts.hypergraph import ConflictHypergraph, Vertex
@@ -371,13 +379,17 @@ class HippoEngine:
             candidates = envelope.candidates
 
             prover_started = time.perf_counter()
-            # A set; the answers below still follow the candidates' order.
-            undecided = candidates - certain - refuted
-            rejected = refuted.union(
+            # certain and refuted are disjoint subsets of the candidates:
+            # when their sizes add up, the Prover has nothing to decide.
+            undecided: AbstractSet[tuple] = set()
+            if len(certain) + len(refuted) < len(candidates):
+                # A set; the answers below still follow the candidates' order.
+                undecided = candidates - certain - refuted
+            rejected = refuted | {
                 c
                 for c in undecided
                 if not decide(grounder.formula_for(provenance_hints(witnesses, c)))
-            )
+            }
             prover_seconds = time.perf_counter() - prover_started
 
             answers = list(filterfalse(rejected.__contains__, candidates))

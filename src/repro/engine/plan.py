@@ -11,9 +11,9 @@ themselves are independent of the SQL AST.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import compress, count, repeat
+from operator import is_not, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import functions
 from repro.engine.columnar import ColumnStore
@@ -345,9 +345,12 @@ class Project(PlanNode):
         filtered by a row test, and the values are the table's columns in
         order, all three come off the table's
         :class:`~repro.engine.columnar.ColumnStore`: the values are the
-        stored rows themselves and nothing is built per row.  Any other
-        shape picks (or evaluates) the values and tail columns off the
-        child's rows, one values tuple and one tail tuple per row.
+        stored rows themselves and nothing is built per row.  When the
+        child is an inner :class:`HashJoin` without residual of such a
+        scan with a live index carrying the tid, the join is read as
+        columns (:meth:`_join_columns`).  Any other shape picks (or
+        evaluates) the values and tail columns off the child's rows, one
+        values tuple and one tail tuple per row.
         """
         scan, test = self._stored_source(arity)
         if scan is not None:
@@ -361,6 +364,9 @@ class Project(PlanNode):
                 list(compress(tails, kept)),
                 [list(compress(tids, kept))],
             )
+        joined = self._join_columns(arity)
+        if joined is not None:
+            return joined
         rows = list(self.child.rows(env))
         evaluators, picks = self.evaluators, self._picks
         if picks is not None:
@@ -386,21 +392,121 @@ class Project(PlanNode):
         """The unrestricted ``+tid`` scan (and the row test filtering it,
         if any) whose stored rows are this projection's first ``arity``
         outputs and whose tid is the last; ``(None, None)`` otherwise."""
-        node, test = self.child, None
-        if isinstance(node, Filter) and node.row_test is not None:
-            node, test = node.child, node.row_test
+        scan, test = _stored_scan(self.child)
         if (
-            isinstance(node, Scan)
-            and node.include_tid
-            and node.keep_tids is None
-            and node.table.schema.arity == arity
+            scan is not None
+            and scan.table.schema.arity == arity
             and self._picks == list(range(arity + 1))
         ):
-            return node, test
+            return scan, test
         return None, None
+
+    def _join_columns(
+        self, arity: int
+    ) -> Optional[tuple[Sequence[Row], Sequence[Row], list[Sequence]]]:
+        """:meth:`split` of a projection over an inner, residual-free
+        :class:`HashJoin` whose left side :func:`_stored_scan` accepts and
+        whose right side is a live index carrying the tid; None for any
+        other shape.
+
+        The left store's key column is mapped through the index's owners
+        once, a key without owners drops its row and a multi-owner key
+        repeats it once per owner in tid order (:func:`_expand`): the
+        rows, in the order :meth:`HashJoin._index_rows` makes them, as
+        three parallel columns -- left row, left tid, right tid.  Every
+        output is then one ``itemgetter`` map over one side's rows (or
+        one of the tid columns), and no joined row is built."""
+        join, picks = self.child, self._picks
+        if (
+            picks is None
+            or not arity
+            or not isinstance(join, HashJoin)
+            or join.kind != "inner"
+            or join.residual is not None
+        ):
+            return None
+        scan, test = _stored_scan(join.left)
+        reader = join.right.index_reader()
+        if scan is None or reader is None or not reader[1]:
+            return None
+        owners_of, stored = reader[0]
+        left_arity = scan.table.schema.arity
+        if max(join.left_positions) >= left_arity:
+            return None  # a key on the tid: the row path decides it
+        store = scan.store()
+        lefts: Sequence[Row] = store.rows
+        tids: Sequence[int] = store.tids
+        if test is not None:
+            kept = list(map(test, lefts))
+            lefts, tids = list(compress(lefts, kept)), list(compress(tids, kept))
+        found: list = list(map(owners_of, map(itemgetter(*join.left_positions), lefts)))
+        irregular = list(compress(count(), map(is_not, map(type, found), repeat(int))))
+        if irregular:
+            lefts, tids, found = _expand(lefts, tids, found, irregular)
+        rights = list(map(stored.__getitem__, found))
+        right_tid = left_arity + join.right.width  # position in a joined row
+
+        def column(pick: int) -> Iterable:
+            """One output of the joined rows, a map over one side's rows
+            or one of the tid columns."""
+            if pick < left_arity:
+                return map(itemgetter(pick), lefts)
+            if pick == left_arity:
+                return tids
+            if pick < right_tid:
+                return map(itemgetter(pick - left_arity - 1), rights)
+            return found
+
+        values = list(zip(*map(column, picks[:arity])))
+        columns: list[Sequence] = [list(column(pick)) for pick in picks[arity:]]
+        tails = list(zip(*columns)) if columns else [()] * len(values)
+        return values, tails, columns
 
     def children(self) -> Sequence[PlanNode]:
         return (self.child,)
+
+
+def _stored_scan(node: PlanNode) -> tuple[Optional[Scan], Optional[RowTest]]:
+    """The unrestricted ``+tid`` scan ``node`` is, at most under a
+    row-tested :class:`Filter`, with that row test; ``(None, None)`` for
+    any other shape."""
+    test = None
+    if isinstance(node, Filter) and node.row_test is not None:
+        node, test = node.child, node.row_test
+    if isinstance(node, Scan) and node.include_tid and node.keep_tids is None:
+        return node, test
+    return None, None
+
+
+def _expand(
+    lefts: Sequence[Row],
+    tids: Sequence[int],
+    found: list,
+    irregular: list[int],
+) -> tuple[list[Row], list[int], list[int]]:
+    """The parallel left rows, left tids and owners with each
+    ``irregular`` position (one whose owners are not a single tid)
+    expanded in place: no owner drops the row, several repeat it once per
+    owner in tid order.  Runs of single owners are copied as slices."""
+    rows: list[Row] = []
+    row_tids: list[int] = []
+    owners: list[int] = []
+    start = 0
+    for at in irregular:
+        rows += lefts[start:at]
+        row_tids += tids[start:at]
+        owners += found[start:at]
+        several = found[at]
+        if several is not None:
+            ordered = in_tid_order(several)
+            owners += ordered
+            rows += [lefts[at]] * len(ordered)
+            row_tids += [tids[at]] * len(ordered)
+        start = at + 1
+    rows += lefts[start:]
+    row_tids += tids[start:]
+    owners += found[start:]
+    return rows, row_tids, owners
 
 
 class NestedLoopJoin(PlanNode):

@@ -468,6 +468,12 @@ class Planner:
             level,
             [t for s in sources for t in s.types],
         )
+        # Each conjunct resolves against the whole FROM list before it is
+        # pushed to one item: a column two items share is ambiguous, even
+        # though either item alone resolves it.
+        for conjunct in candidates:
+            for ref in ast.column_refs(conjunct):
+                here.resolve(ref.table, ref.name)
         unused = list(candidates)
         combined: Optional[_Source] = None
         for source in sources:

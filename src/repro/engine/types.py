@@ -24,6 +24,7 @@ ORDER BY, MIN / MAX -- agrees with it.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Collection, Iterable, Optional, Sequence
 
 from repro.errors import TypeError_
@@ -213,6 +214,14 @@ def default_order(
     raises (NULL against a value, TEXT against a number: then the keys
     sort), except BOOLEAN against a number and NaN: a column mixing those
     types, or a REAL one holding a NaN, sorts on the keys.
+
+    Python's order is ``sorted(rows)``, taken in two stable passes: on
+    the leading column alone, where CPython compares ints or strs with
+    its specialised compare, then on the whole rows, which are then
+    almost in order (in order when the leading column is distinct).
+    Rows tied on the whole row are tied on the leading column, so both
+    passes keep them in input order, as ``sorted`` does.  A pass that
+    raises works on a copy: the keys then sort the input.
     """
     ordered = list(rows)
     if types is None:
@@ -223,7 +232,11 @@ def default_order(
         for i, kinds in enumerate(types)
     ):
         try:
-            return sorted(ordered)
+            if not (ordered and ordered[0]):  # no rows, or rows of arity 0
+                return sorted(ordered)
+            python = sorted(ordered, key=itemgetter(0))
+            python.sort()
+            return python
         except TypeError:
             pass
     ordered.sort(key=lambda row: tuple(map(sort_key, row)))

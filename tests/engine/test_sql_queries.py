@@ -179,6 +179,24 @@ class TestErrors:
         with pytest.raises(PlanError, match="ambiguous"):
             db.query("SELECT name FROM emp, dept")
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT n FROM t, t s2",
+            # WHERE conjuncts resolve against the whole FROM list, not
+            # against the first item that has the column.
+            "SELECT * FROM t, t s2 WHERE n < 5",
+            "SELECT * FROM t, t s2 WHERE n < s2.n",
+        ],
+    )
+    def test_a_column_two_from_items_share_is_ambiguous(self, sql):
+        db = Database()
+        db.execute("CREATE TABLE t (n INTEGER)")
+        db.execute("INSERT INTO t VALUES (1), (2)")
+        with pytest.raises(PlanError, match="ambiguous column reference: n"):
+            db.query(sql)
+        assert db.query("SELECT * FROM t, t s2 WHERE t.n < s2.n").rows == [(1, 2)]
+
     def test_unknown_alias_star(self, db):
         with pytest.raises(PlanError):
             db.query("SELECT zz.* FROM emp")

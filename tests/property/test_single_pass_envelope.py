@@ -82,7 +82,7 @@ def _core(atoms, conjuncts, outputs) -> SJUDCore:
     return SJUDCore(
         tuple(atoms),
         ast.conjunction(conjuncts),
-        tuple(OutputColumn(name, source) for name, source in zip("ab", outputs)),
+        tuple(OutputColumn(name, source) for name, source in zip("abcd", outputs)),
     )
 
 
@@ -205,6 +205,10 @@ def test_single_pass_equals_restricted_second_pass(r_rows, s_rows, ics, tree):
     up, down = reference_up(tree, db, clean), reference_down(tree, db, clean)
 
     evaluation = enveloper.evaluate(tree)
+    # What lets the Prover skip its pass when the sizes add up.
+    assert evaluation.certain <= set(evaluation.candidates)
+    assert evaluation.refuted <= set(evaluation.candidates)
+    assert evaluation.certain.isdisjoint(evaluation.refuted)
     assert evaluation.certain == down
     assert evaluation.refuted == reference_out(tree, db, clean, graph.conflicting_tids)
     assert list(evaluation.candidates) == list(up)  # in the Prover's order
@@ -381,10 +385,13 @@ def test_every_core_is_planned_once(monkeypatch):
 #
 # A single-atom core over an unrestricted scan (optionally filtered by a
 # typed comparison with a constant) is read straight off the table's
-# ColumnStore: stored rows as answers, the tid column as witnesses.  The
-# shapes below take that path and the general one next to it; each is
-# checked against the per-row loop (``compile_core(...).rows``) and repair
-# enumeration, before and after DML, which drops the store.
+# ColumnStore: stored rows as answers, the tid column as witnesses.  A
+# two-atom core joining such a scan to a live index reads the join as
+# columns: the left store's key column mapped through the index's owners.
+# The shapes below take those paths and the general one next to them; each
+# is checked against the per-row loop (``compile_core(...).rows``) and
+# repair enumeration, before and after DML, which drops the store and
+# moves the postings.
 
 
 def _stored_path(core, db) -> bool:
@@ -424,6 +431,46 @@ COLUMN_SHAPES = {
     ),
 }
 
+#: Two-atom SJUD cores over the indexes :data:`INDEXES` makes: the right
+#: atom is probed on ``s (a)``, ``r (a)``, ``s (a, b)`` or ``r (b, a)``.
+JOIN_SHAPES = {
+    "join": _core(  # values off both sides
+        [Atom("t1", "r"), Atom("t2", "s")],
+        [_eq(_ref("t1", "b"), _ref("t2", "a"))],
+        [_ref("t1", "a"), _ref("t1", "b"), _ref("t2", "b")],
+    ),
+    "self join": _core(
+        [Atom("t1", "r"), Atom("t2", "r")],
+        [_eq(_ref("t1", "b"), _ref("t2", "a"))],
+        [_ref("t2", "b"), _ref("t1", "a"), _ref("t2", "a")],
+    ),
+    "join where": _core(  # a row-tested left filter
+        [Atom("t1", "r"), Atom("t2", "s")],
+        [
+            _eq(_ref("t1", "b"), _ref("t2", "a")),
+            ast.BinaryOp("<", _ref("t1", "a"), ast.Literal(2)),
+        ],
+        [_ref("t1", "a"), _ref("t1", "b"), _ref("t2", "b")],
+    ),
+    "two keys": _core(  # values off the left side only
+        [Atom("t1", "r"), Atom("t2", "s")],
+        [_eq(_ref("t1", "a"), _ref("t2", "a")), _eq(_ref("t1", "b"), _ref("t2", "b"))],
+        [_ref("t1", "a"), _ref("t1", "b")],
+    ),
+    "two keys right values": _core(  # values off the right side only
+        [Atom("t1", "s"), Atom("t2", "r")],
+        [_eq(_ref("t1", "a"), _ref("t2", "a")), _eq(_ref("t2", "b"), _ref("t1", "b"))],
+        [_ref("t2", "b"), _ref("t2", "a")],
+    ),
+}
+COLUMN_SHAPES.update(JOIN_SHAPES)
+INDEXES = (
+    "CREATE INDEX s_a ON s (a)",
+    "CREATE INDEX r_a ON r (a)",
+    "CREATE INDEX s_ab ON s (a, b)",
+    "CREATE INDEX r_ab ON r (b, a)",
+)
+
 dml = st.lists(
     st.one_of(
         st.builds("INSERT INTO r VALUES ({}, {})".format, value, value),
@@ -438,6 +485,14 @@ dml = st.lists(
 
 
 def _check_columns_path(core, db, ics):
+    arity = len(core.outputs)
+    joined = list(compile_core(core, db).rows(()))  # the per-row loop
+    values, tails, columns = compile_core(core, db).split(arity, ())
+    assert list(values) == [row[:arity] for row in joined]
+    assert list(tails) == [row[arity:] for row in joined]
+    assert [list(column) for column in columns] == [
+        [row[i] for row in joined] for i in range(arity, arity + len(core.atoms))
+    ]
     conflicting = detect_conflicts(db, ics).hypergraph.conflicting_tids
     expected = reference_core(core, db, conflicting)
     witnesses, certain, refuted = evaluate_core(core, db, conflicting=conflicting)
@@ -450,15 +505,30 @@ def _check_columns_path(core, db, ics):
     hippo.detach()
 
 
-@settings(max_examples=120, deadline=None)
-@given(rows, rows, constraint_sets, st.sampled_from(sorted(COLUMN_SHAPES)), dml)
+nullable = st.one_of(value, st.none())
+nullable_rows = st.lists(st.tuples(nullable, nullable), min_size=0, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    nullable_rows, nullable_rows, constraint_sets,
+    st.sampled_from(sorted(COLUMN_SHAPES)), dml,
+)
 @example(  # duplicate rows: one answer, first witness tid 0
     [(1, 1), (1, 1), (1, 2)], [], CONSTRAINT_SETS[0], "select *",
     ["DELETE FROM r WHERE a = 1"],
 )
+@example(  # one owner, two owners (tids 1, 3 in order), none, a NULL key
+    [(0, 1), (1, 2), (2, 3), (3, None)], [(1, 0), (2, 0), (0, 1), (2, 1)],
+    CONSTRAINT_SETS[0], "join", ["INSERT INTO s VALUES (1, 3)"],
+)
 def test_columns_path_equals_the_per_row_loop(r_rows, s_rows, ics, shape, statements):
     core = COLUMN_SHAPES[shape]
     db = build_db(r_rows, s_rows)
+    for sql in INDEXES:
+        db.execute(sql)
+    if shape in JOIN_SHAPES:
+        assert compile_core(core, db)._join_columns(len(core.outputs)) is not None
     _check_columns_path(core, db, ics)  # builds (and caches) the stores
     for sql in statements:  # each mutation drops its table's store
         db.execute(sql)
@@ -473,3 +543,64 @@ def test_single_atom_cores_take_the_stored_rows():
         assert not _stored_path(COLUMN_SHAPES[shape], db), shape
     witnesses = evaluate_core(COLUMN_SHAPES["select *"], db)
     assert witnesses == {(1, 1): (0,), (2, 3): (2,)}  # first witness wins
+
+
+_COLUMNS = [_ref(alias, column) for alias in ("t1", "t2") for column in "ab"]
+
+
+@st.composite
+def existential_joins(draw):
+    """``t1 join t2 on t1.b = t2.a`` (or on both columns), under any pick
+    of one to three of its four columns: each output off either side."""
+    left, right = draw(st.sampled_from(["r", "s"])), draw(st.sampled_from(["r", "s"]))
+    keys = [_eq(_ref("t1", "b"), _ref("t2", "a"))]
+    if draw(st.booleans()):
+        keys = [
+            _eq(_ref("t1", "a"), _ref("t2", "a")),
+            _eq(_ref("t1", "b"), _ref("t2", "b")),
+        ]
+    outputs = draw(st.lists(st.sampled_from(_COLUMNS), min_size=1, max_size=3))
+    return _core([Atom("t1", left), Atom("t2", right)], keys, outputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nullable_rows, nullable_rows, constraint_sets, existential_joins(), dml)
+def test_join_columns_equal_the_joined_rows(r_rows, s_rows, ics, core, statements):
+    db = build_db(r_rows, s_rows)
+    for sql in INDEXES:
+        db.execute(sql)
+    arity = len(core.outputs)
+    for _state in ("before", "after"):
+        plan = compile_core(core, db)
+        assert plan._join_columns(arity) is not None
+        joined = list(plan.rows(()))
+        values, tails, columns = plan.split(arity, ())
+        assert list(values) == [row[:arity] for row in joined]
+        assert list(tails) == [row[arity:] for row in joined]
+        assert [list(column) for column in columns] == [
+            [row[i] for row in joined] for i in (arity, arity + 1)
+        ]
+        conflicting = detect_conflicts(db, ics).hypergraph.conflicting_tids
+        witnesses, certain, refuted = evaluate_core(core, db, conflicting=conflicting)
+        expected = reference_core(core, db, conflicting)
+        assert list(witnesses.items()) == list(expected[0].items())
+        assert (certain, refuted) == expected[1:]
+        for sql in statements:
+            db.execute(sql)
+
+
+def test_join_cores_take_the_columns_only_over_a_live_index():
+    db = build_db([(1, 1), (2, 1), (0, 9)], [(1, 5), (1, 6)])
+    core = _core(
+        [Atom("t1", "r"), Atom("t2", "s")],
+        [_eq(_ref("t1", "b"), _ref("t2", "a"))],
+        [_ref("t1", "a"), _ref("t2", "b")],
+    )
+    assert compile_core(core, db)._join_columns(2) is None  # a hash join
+    db.execute(INDEXES[0])
+    assert compile_core(core, db)._join_columns(2) is not None
+    # Left rows in store order, each key's owners in tid order; (0, 9)
+    # has no partner.
+    assert evaluate_core(core, db) == {
+        (1, 5): (0, 0), (1, 6): (0, 1), (2, 5): (1, 0), (2, 6): (1, 1)
+    }

@@ -5,10 +5,9 @@ The lexical rules in :mod:`repro.devtools.rules` check what a line
 early returns and exception edges, by running abstract domains from
 :mod:`repro.devtools.hippoflow.domains` over per-function CFGs.
 
-Each rule pre-filters lexically (no CFG is built for a function that
-cannot possibly produce a finding), which keeps a full-tree run well
-inside the analyzer time budget asserted in
-``benchmarks/bench_hippolint.py``.
+Each rule pre-filters lexically over the calls of a function's body,
+read from the module's node index (no CFG is built for a function that
+cannot possibly produce a finding).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TypeGuard
 
 from repro.devtools.framework import Finding, Rule, SourceModule, register
-from repro.devtools.hippoflow.cfg import FuncDef, build_cfg
+from repro.devtools.hippoflow.cfg import build_cfg
 from repro.devtools.hippoflow.dataflow import analyze, replay
 from repro.devtools.hippoflow.domains import (
     AcquisitionSpec,
@@ -26,18 +25,8 @@ from repro.devtools.hippoflow.domains import (
     ResourceDomain,
     TaintDomain,
     evaluated_nodes,
-    executed_nodes,
     terminal_name,
 )
-from repro.devtools.rules import _functions
-
-
-def _executed_calls(func: FuncDef) -> Iterator[ast.Call]:
-    """Calls in ``func``'s own body (nested defs analyze separately)."""
-    for statement in func.body:
-        for node in executed_nodes(statement):
-            if isinstance(node, ast.Call):
-                yield node
 
 
 @register
@@ -76,8 +65,12 @@ class ResourceLeakRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for func in _functions(module.tree):
-            if not self._acquires_anything(func):
+        for func in module.functions:
+            if not any(
+                isinstance(node, ast.Call)
+                and self.SPEC.describe(node) is not None
+                for node in module.body_nodes(func)
+            ):
                 continue
             cfg = build_cfg(func)
             domain = ResourceDomain(self.SPEC, func)
@@ -95,12 +88,6 @@ class ResourceLeakRule(Rule):
                     f" {func.name}(); close it in try/finally or hand"
                     " ownership off before anything can raise",
                 )
-
-    def _acquires_anything(self, func: FuncDef) -> bool:
-        return any(
-            self.SPEC.describe(call) is not None
-            for call in _executed_calls(func)
-        )
 
 
 @register
@@ -136,10 +123,11 @@ class LockStateRule(Rule):
         return module.is_module("engine/feed/segments.py")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for func in _functions(module.tree):
+        for func in module.functions:
             if not any(
-                self._guarded_reason(call) is not None
-                for call in _executed_calls(func)
+                isinstance(node, ast.Call)
+                and self._guarded_reason(node) is not None
+                for node in module.body_nodes(func)
             ):
                 continue
             cfg = build_cfg(func)
@@ -217,8 +205,10 @@ class TaintedSQLRule(Rule):
     def check(self, module: SourceModule) -> Iterator[Finding]:
         domain = TaintDomain()
         reported: set[ast.Call] = set()
-        for func in _functions(module.tree):
-            if not any(self._is_sink(call) for call in _executed_calls(func)):
+        for func in module.functions:
+            if not any(
+                self._is_sink(node) for node in module.body_nodes(func)
+            ):
                 continue
             cfg = build_cfg(func)
             in_states = analyze(cfg, domain)
@@ -234,7 +224,7 @@ class TaintedSQLRule(Rule):
         # Sinks no function CFG evaluates (module and class bodies,
         # lambdas, unreachable code) can only be tainted by interpolation
         # written in the call itself.
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.Call):
             if (
                 self._is_sink(node)
                 and node not in reported

@@ -5,6 +5,11 @@ registered by id (``HL002`` ...) in a module-level registry; the driver
 parses each file once, asks every applicable rule for findings, and drops
 those covered by suppression comments.
 
+Rules never walk the tree themselves: :class:`SourceModule` indexes
+every node of a module in one traversal the first time a rule asks
+(:meth:`SourceModule.nodes`, :attr:`SourceModule.functions`, a
+function's own-scope nodes), and every rule reads that index.
+
 Paths are normalised to a *package path* -- the part under the ``repro``
 package (``engine/planner.py``, ``conflicts/shard.py``) -- so rules can scope
 themselves to the modules whose invariants they encode regardless of where
@@ -18,20 +23,69 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar
 
 from repro.devtools.diagnostics import (
     Diagnostic,
     Suppressions,
     parse_suppressions,
 )
+from repro.devtools.hippoflow.cfg import SCOPES, FuncDef
 
 #: Pseudo rule id for files that fail to parse.
 PARSE_ERROR_ID = "HL000"
 
 #: A finding as yielded by a rule: (line, col, message).
 Finding = tuple[int, int, str]
+
+_Node = TypeVar("_Node", bound=ast.AST)
+
+
+class _NodeIndex:
+    """Every node of one module, gathered in one depth-first traversal.
+
+    ``walk`` lists the nodes in :func:`ast.walk` order: the visit files
+    each node under its depth, and the levels concatenate to that
+    breadth-first order.  ``local`` maps each def to its own-scope nodes
+    in pre-order -- what :func:`~repro.devtools.hippoflow.cfg.executed_nodes`
+    yields under the def's children -- and ``body`` to the slice of that
+    list that is ``func.body``.
+    """
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.levels: list[list[ast.AST]] = []
+        self.local: dict[ast.AST, list[ast.AST]] = {}
+        self.body: dict[ast.AST, slice] = {}
+        self._visit(tree, 0, None)
+        self.walk = [node for level in self.levels for node in level]
+        self.by_types: dict[tuple[type, ...], list[ast.AST]] = {}
+
+    def _visit(
+        self, node: ast.AST, depth: int, scope: Optional[list[ast.AST]]
+    ) -> None:
+        if depth == len(self.levels):
+            self.levels.append([])
+        self.levels[depth].append(node)
+        if scope is not None:
+            scope.append(node)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own: list[ast.AST] = []
+            self.local[node] = own
+            start = end = 0
+            for child in ast.iter_child_nodes(node):
+                if child is node.body[0]:
+                    start = len(own)
+                self._visit(child, depth + 1, own)
+                if child is node.body[-1]:
+                    end = len(own)
+            self.body[node] = slice(start, end)
+            return
+        if isinstance(node, SCOPES):
+            scope = None
+        for child in ast.iter_child_nodes(node):
+            self._visit(child, depth + 1, scope)
 
 
 @dataclass
@@ -42,6 +96,37 @@ class SourceModule:
     source: str
     tree: ast.Module
     suppressions: Suppressions
+
+    @cached_property
+    def _index(self) -> _NodeIndex:
+        return _NodeIndex(self.tree)
+
+    def nodes(self, *types: type[_Node]) -> Sequence[_Node]:
+        """Every node that is an instance of ``types``, in
+        :func:`ast.walk` order."""
+        index = self._index
+        found = index.by_types.get(types)
+        if found is None:
+            found = [node for node in index.walk if isinstance(node, types)]
+            index.by_types[types] = found
+        return found  # type: ignore[return-value]
+
+    @property
+    def functions(self) -> Sequence[FuncDef]:
+        """Every ``def`` and ``async def``, nested ones included."""
+        functions = self.nodes(ast.FunctionDef, ast.AsyncFunctionDef)
+        return functions  # type: ignore[return-value]
+
+    def local_nodes(self, func: FuncDef) -> Sequence[ast.AST]:
+        """The whole def's own-scope nodes in pre-order: decorators,
+        defaults and annotations included; a nested def, class or lambda
+        is listed but its body is not."""
+        return self._index.local[func]
+
+    def body_nodes(self, func: FuncDef) -> Sequence[ast.AST]:
+        """:meth:`local_nodes` restricted to the statements of
+        ``func.body`` -- the code a CFG of ``func`` executes."""
+        return self._index.local[func][self._index.body[func]]
 
     @property
     def package_path(self) -> str:

@@ -15,57 +15,5 @@ Layers, bottom up:
 Nothing in this package imports the ``repro`` runtime it analyzes --
 the ``devtools`` layer of the contract in
 :data:`~repro.devtools.hippoflow.layering.LAYERS` enforces that.
+Import from the submodules; the package re-exports nothing.
 """
-
-from __future__ import annotations
-
-from repro.devtools.hippoflow.cfg import (
-    CFG,
-    Block,
-    Element,
-    WithEnter,
-    WithExit,
-    build_cfg,
-    may_raise,
-)
-from repro.devtools.hippoflow.dataflow import (
-    Domain,
-    State,
-    analyze,
-    flow_block,
-    replay,
-)
-from repro.devtools.hippoflow.domains import (
-    AcquisitionSpec,
-    LockDomain,
-    LockState,
-    Resource,
-    ResourceDomain,
-    ResourceState,
-    TaintDomain,
-)
-# Deliberately no re-export of ``layering``: the module doubles as a
-# ``python -m`` CLI, and importing it here would make runpy warn about
-# the double import on every standalone run.
-
-__all__ = [
-    "CFG",
-    "Block",
-    "Element",
-    "WithEnter",
-    "WithExit",
-    "build_cfg",
-    "may_raise",
-    "Domain",
-    "State",
-    "analyze",
-    "flow_block",
-    "replay",
-    "AcquisitionSpec",
-    "LockDomain",
-    "LockState",
-    "Resource",
-    "ResourceDomain",
-    "ResourceState",
-    "TaintDomain",
-]

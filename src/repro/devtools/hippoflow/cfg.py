@@ -34,6 +34,9 @@ from typing import Iterator, Optional, Union
 #: The function node kinds a CFG is built for.
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
+#: Nodes whose bodies run in a scope of their own, not where they stand.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
 
 @dataclass(frozen=True)
 class WithEnter:
@@ -113,9 +116,9 @@ def may_raise(element: Element) -> bool:
         # the handler body is decomposed into its own elements.
         return element.type is not None and any(
             isinstance(node, ast.Call)
-            for node in _walk_executed(element.type)
+            for node in executed_nodes(element.type)
         )
-    return any(isinstance(node, ast.Call) for node in _walk_executed(element))
+    return any(isinstance(node, ast.Call) for node in executed_nodes(element))
 
 
 def _catches_all(handler: ast.ExceptHandler) -> bool:
@@ -133,15 +136,13 @@ def _catches_all(handler: ast.ExceptHandler) -> bool:
     return isinstance(node, ast.Name) and node.id == "BaseException"
 
 
-def _walk_executed(node: ast.AST) -> Iterator[ast.AST]:
+def executed_nodes(node: ast.AST) -> Iterator[ast.AST]:
     """Walk ``node`` skipping bodies that only run later (defs/lambdas)."""
     yield node
-    if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    ):
+    if isinstance(node, SCOPES):
         return
     for child in ast.iter_child_nodes(node):
-        yield from _walk_executed(child)
+        yield from executed_nodes(child)
 
 
 @dataclass

@@ -31,6 +31,7 @@ from repro.devtools.hippoflow.cfg import (
     FuncDef,
     WithEnter,
     WithExit,
+    executed_nodes,
 )
 from repro.devtools.hippoflow.dataflow import Domain
 
@@ -54,17 +55,6 @@ def access_path(node: ast.expr) -> Optional[str]:
         base = access_path(node.value)
         return f"{base}.{node.attr}" if base is not None else None
     return None
-
-
-def executed_nodes(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` skipping bodies that only run later (defs/lambdas)."""
-    yield node
-    if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    ):
-        return
-    for child in ast.iter_child_nodes(node):
-        yield from executed_nodes(child)
 
 
 def evaluated_nodes(element: Element) -> Iterator[ast.AST]:

@@ -5,14 +5,18 @@ one of the hardening passes (PRs 2-5) established the hard way.  The
 ``rationale`` strings name the dynamic harness that checks the same
 invariant at runtime; the rules here make the corresponding *structural*
 property cheap to check on every change.
+
+Rules read their nodes from the module's index (``module.nodes(...)``,
+``module.functions``, ``module.local_nodes(func)``); none walks the tree.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.devtools.framework import Finding, Rule, SourceModule, register
+from repro.devtools.hippoflow.domains import terminal_name
 
 # --------------------------------------------------------------- AST helpers
 
@@ -27,50 +31,11 @@ def _dotted(node: ast.expr) -> str:
     return ""
 
 
-def _terminal(node: ast.expr) -> str:
-    """The final attribute/name of a call target (``replace``, ``print``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
-
-
-def _walk_local(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into nested function/class bodies.
-
-    The nested definitions themselves are yielded (so callers see that a
-    closure exists) but their bodies belong to a different execution scope
-    and are analyzed on their own.
-    """
-    yield node
-    if isinstance(
-        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-    ):
-        return
-    for child in ast.iter_child_nodes(node):
-        yield from _walk_local(child)
-
-
-def _local_body(func: ast.AST) -> Iterator[ast.AST]:
-    """Nodes of a function's own body, excluding nested scopes."""
-    for child in ast.iter_child_nodes(func):
-        yield from _walk_local(child)
-
-
-def _functions(
-    tree: ast.Module,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def _calls_named(nodes: Iterator[ast.AST], *names: str) -> list[ast.Call]:
+def _calls_named(nodes: Iterable[ast.AST], *names: str) -> list[ast.Call]:
     return [
         node
         for node in nodes
-        if isinstance(node, ast.Call) and _terminal(node.func) in names
+        if isinstance(node, ast.Call) and terminal_name(node.func) in names
     ]
 
 
@@ -105,14 +70,15 @@ class FsyncBeforeRenameRule(Rule):
         return module.under("engine/", "conflicts/")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for func in _functions(module.tree):
+        for func in module.functions:
+            local = module.local_nodes(func)
             renames = [
                 call
-                for call in _calls_named(_local_body(func), "replace", "rename")
+                for call in _calls_named(local, "replace", "rename")
                 if _dotted(call.func) in ("os.replace", "os.rename")
             ]
             if renames:
-                fsyncs = _calls_named(_local_body(func), "fsync")
+                fsyncs = _calls_named(local, "fsync")
                 first_fsync = min(
                     (call.lineno for call in fsyncs), default=None
                 )
@@ -126,8 +92,8 @@ class FsyncBeforeRenameRule(Rule):
                             " os.fsync on the handle before renaming",
                         )
             if module.is_module("engine/feed/segments.py"):
-                seals = _calls_named(_local_body(func), "_write_sealed")
-                commits = _calls_named(_local_body(func), "_store_manifest")
+                seals = _calls_named(local, "_write_sealed")
+                commits = _calls_named(local, "_store_manifest")
                 if seals and commits:
                     first_seal = min(call.lineno for call in seals)
                     first_commit = min(call.lineno for call in commits)
@@ -175,28 +141,31 @@ class ApplyThenCommitRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for func in _functions(module.tree):
-            nodes = list(_local_body(func))
+        for func in module.functions:
+            nodes = module.local_nodes(func)
             polls: list[tuple[int, str, set[str]]] = []
-            for node in nodes:
+            for position, node in enumerate(nodes):
                 if (
                     isinstance(node, ast.Assign)
                     and isinstance(node.value, ast.Call)
-                    and _terminal(node.value.func) == "poll"
+                    and terminal_name(node.value.func) == "poll"
                     and isinstance(node.value.func, ast.Attribute)
                 ):
                     receiver = ast.unparse(node.value.func.value)
-                    targets: set[str] = set()
-                    for target in node.targets:
-                        for leaf in ast.walk(target):
-                            if isinstance(leaf, ast.Name):
-                                targets.add(leaf.id)
+                    # In pre-order the targets' nodes sit between the
+                    # assignment and its value.
+                    end = nodes.index(node.value, position)
+                    targets = {
+                        leaf.id
+                        for leaf in nodes[position + 1 : end]
+                        if isinstance(leaf, ast.Name)
+                    }
                     polls.append((node.lineno, receiver, targets))
             if not polls:
                 continue
             commits = [
                 call
-                for call in _calls_named(iter(nodes), "commit")
+                for call in _calls_named(nodes, "commit")
                 if isinstance(call.func, ast.Attribute)
             ]
             for commit in commits:
@@ -292,7 +261,7 @@ class HypergraphEncapsulationRule(Rule):
         )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.Attribute, ast.Call):
             if isinstance(node, ast.Attribute):
                 if node.attr in self.PRIVATE:
                     yield (
@@ -358,9 +327,9 @@ class NormalizedKeysRule(Rule):
         return module.in_package() and not module.is_module(*self.EXEMPT)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and _terminal(node.func) in self.RAW:
-                raw = _terminal(node.func)
+        for node in module.nodes(ast.Call):
+            if terminal_name(node.func) in self.RAW:
+                raw = terminal_name(node.func)
                 helper = raw.lower()
                 yield (
                     node.lineno,
@@ -397,7 +366,7 @@ class ExceptionDisciplineRule(Rule):
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         core = module.under("engine/", "conflicts/")
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.ExceptHandler, ast.Call):
             if isinstance(node, ast.ExceptHandler):
                 if node.type is None:
                     yield (
@@ -416,7 +385,7 @@ class ExceptionDisciplineRule(Rule):
             if (
                 core
                 and isinstance(node, ast.Call)
-                and _terminal(node.func) == "suppress"
+                and terminal_name(node.func) == "suppress"
                 and any(self._is_broad(arg) for arg in node.args)
             ):
                 yield (
@@ -429,7 +398,7 @@ class ExceptionDisciplineRule(Rule):
     def _is_broad(self, node: ast.expr) -> bool:
         if isinstance(node, ast.Tuple):
             return any(self._is_broad(elt) for elt in node.elts)
-        return _terminal(node) in self.BROAD
+        return terminal_name(node) in self.BROAD
 
     def _swallows(self, handler: ast.ExceptHandler) -> bool:
         for stmt in handler.body:
@@ -468,9 +437,7 @@ class StrictWireJsonRule(Rule):
         return module.under("engine/", "conflicts/")
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             if _dotted(node.func) not in ("json.dump", "json.dumps"):
                 continue
             strict = any(
@@ -533,7 +500,7 @@ class DeterministicPlanningRule(Rule):
         return module.is_module(*self.MODULES)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes(ast.Import, ast.ImportFrom, ast.Call):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     root = alias.name.split(".")[0]
@@ -592,7 +559,7 @@ class TypedDefsRule(Rule):
     )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for func in _functions(module.tree):
+        for func in module.functions:
             missing: list[str] = []
             args = func.args
             for arg in args.posonlyargs + args.args + args.kwonlyargs:
@@ -634,12 +601,8 @@ class NoPrintRule(Rule):
         )
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
+        for node in module.nodes(ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id == "print":
                 yield (
                     node.lineno,
                     node.col_offset,
@@ -681,17 +644,14 @@ class PublicDocstringsRule(Rule):
         return module.under("engine/feed/") or module.is_module(*self.MODULES)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        yield from self._walk(module.tree.body)
-
-    def _walk(self, body: list[ast.stmt]) -> Iterator[Finding]:
-        """Public defs at module/class level (nested functions are
-        implementation detail and exempt, as is anything underscored)."""
-        for node in body:
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                continue
-            if node.name.startswith("_"):
+        # Public defs at module/class level (nested functions are
+        # implementation detail and exempt, as is anything underscored).
+        # Walk order reaches a class before the statements of its body.
+        members: set[ast.AST] = set(module.tree.body)
+        for node in module.nodes(
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+        ):
+            if node not in members or node.name.startswith("_"):
                 continue
             kind = "class" if isinstance(node, ast.ClassDef) else "def"
             if ast.get_docstring(node) is None:
@@ -702,4 +662,4 @@ class PublicDocstringsRule(Rule):
                     " contract (concurrency, invalidation, errors)",
                 )
             if isinstance(node, ast.ClassDef):
-                yield from self._walk(node.body)
+                members.update(node.body)

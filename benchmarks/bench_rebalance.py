@@ -39,6 +39,7 @@ import pytest
 from repro import Database
 from repro.conflicts import (
     ProcessShardExecutor,
+    choose_move,
     detect_conflicts,
     load_ownership,
 )
@@ -95,23 +96,41 @@ def run_once(directory: Path, db, constraints):
         expected = detect_conflicts(db, constraints).hypergraph.as_dict()
         assert executor.graph.as_dict() == expected
 
-        # The writer keeps appending hot records, then the executor's
-        # own trigger picks and performs the move from live lag skew.
+        # The writer keeps appending hot records while the executor's own
+        # trigger picks and performs the move from live lag skew.  The
+        # suffix lands after the trigger has read the workers' committed
+        # offsets and before it reads the feed's ends, so the lag it
+        # weighs is the whole suffix: appended any earlier, the live
+        # workers may drain it first and leave no lag to move.
         suffix = max(len(rows) * 8, 16)
-        for i in range(suffix):
-            db.execute(f"INSERT INTO hot VALUES ({i}, {i})")
-        db.changes.feed.flush()
+        plan = executor.plan
+        seen: list = []
+        append_s = []
+
+        def status_then_append():
+            del executor.status  # one-shot: every later read is live
+            seen.extend(executor.status())
+            appending = time.perf_counter()
+            for i in range(suffix):
+                db.execute(f"INSERT INTO hot VALUES ({i}, {i})")
+            db.changes.feed.flush()
+            append_s.append(time.perf_counter() - appending)
+            return seen
+
+        executor.status = status_then_append
         started = time.perf_counter()
         move = executor.rebalance()
-        report["move_s"] = time.perf_counter() - started
-        # No move means no lag skew was left: did the workers drain the
-        # hot suffix before the trigger read their lag?
-        assert move is not None, "rebalance() found no move; per worker " + ", ".join(
-            f"#{row.index}: lag={row.lag} edges={row.edges}"
-            f" applied_records={row.applied_records}"
-            for row in executor.status()
-        )
-        assert move.topic == "hot"
+        report["move_s"] = time.perf_counter() - started - sum(append_s)
+        # The move is the one the trigger's own inputs give: the drained
+        # workers' offsets and edge counts, and the ends with the suffix.
+        executor.feed.refresh()
+        ends = executor.feed.end_offsets()
+        committed = [row.committed for row in seen]
+        assert [row.lag for row in seen] == [0] * len(seen)
+        assert ends["hot"] - committed[plan.topic_owner["hot"]]["hot"] == suffix
+        edges = [row.edges for row in seen]
+        assert move == choose_move(plan, committed, ends, edges=edges)
+        assert move is not None and move.topic == "hot"
         assert move.skew_after < move.skew_before  # strictly reduced
         report["move"] = (move.topic, move.source, move.target)
         report["skew"] = (move.skew_before, move.skew_after)

@@ -46,6 +46,12 @@ Evaluator = Callable[[Env], SQLValue]
 #: Compiled predicates that have one carry it as ``row_test``.
 RowTest = Callable[[tuple], bool]
 
+#: A predicate decided on a subquery's row and the one row it is
+#: correlated with, ``pair_test(inner, outer)`` -- the rows at depth 0 and
+#: 1 -- without an environment, True only where the predicate is TRUE.
+#: Compiled predicates that have one carry it as ``pair_test``.
+PairTest = Callable[[tuple, tuple], bool]
+
 
 def bound_entries(
     binding: Optional[str], columns: Iterable[str]
@@ -216,13 +222,66 @@ _ROW_TESTS: dict[str, Callable[[int, SQLValue], RowTest]] = {
 }
 
 
-def _both(first: Evaluator, second: Evaluator) -> Optional[RowTest]:
-    """The row test of ``first AND second``, when both have one."""
+#: ``row[i] op row[j]`` as a :data:`RowTest`, and ``inner[i] op outer[j]``
+#: as a :data:`PairTest`, for two columns holding only one :data:`_EXACT`
+#: type or NULL.
+_COLUMN_TESTS: dict[str, Callable[[int, int], RowTest]] = {
+    "=": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a == b
+    ),
+    "<>": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a != b
+    ),
+    "<": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a < b
+    ),
+    "<=": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a <= b
+    ),
+    ">": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a > b
+    ),
+    ">=": lambda i, j: lambda row: (
+        (a := row[i]) is not None and (b := row[j]) is not None and a >= b
+    ),
+}
+_PAIR_TESTS: dict[str, Callable[[int, int], PairTest]] = {
+    "=": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a == b
+    ),
+    "<>": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a != b
+    ),
+    "<": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a < b
+    ),
+    "<=": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a <= b
+    ),
+    ">": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a > b
+    ),
+    ">=": lambda i, j: lambda inner, outer: (
+        (a := inner[i]) is not None and (b := outer[j]) is not None and a >= b
+    ),
+}
+
+
+def _conjoin_tests(target: Evaluator, first: Evaluator, second: Evaluator) -> None:
+    """Give ``target``, which is ``first AND second``, the row test and the
+    pair test that both operands carry."""
     left = getattr(first, "row_test", None)
     right = getattr(second, "row_test", None)
-    if left is None or right is None:
-        return None
-    return lambda row: left(row) and right(row)
+    if left is not None and right is not None:
+        target.row_test = lambda row: (  # type: ignore[attr-defined]
+            left(row) and right(row)
+        )
+    pair_left = getattr(first, "pair_test", None)
+    pair_right = getattr(second, "pair_test", None)
+    if pair_left is not None and pair_right is not None:
+        target.pair_test = lambda inner, outer: (  # type: ignore[attr-defined]
+            pair_left(inner, outer) and pair_right(inner, outer)
+        )
 
 
 def _require_number(value: SQLValue, op: str) -> float | int:
@@ -294,15 +353,17 @@ class ExpressionCompiler:
 
     def compile_predicate(self, expr: ast.Expression) -> Callable[[Env], bool]:
         """Compile a condition; the result maps 3-valued output to bool
-        (and keeps the condition's :data:`RowTest`, if it has one)."""
+        (and keeps the condition's :data:`RowTest` and :data:`PairTest`,
+        if it has them)."""
         evaluator = self.compile(expr)
 
         def predicate(env: Env) -> bool:
             return evaluator(env) is True
 
-        test = getattr(evaluator, "row_test", None)
-        if test is not None:
-            predicate.row_test = test  # type: ignore[attr-defined]
+        for name in ("row_test", "pair_test"):
+            test = getattr(evaluator, name, None)
+            if test is not None:
+                setattr(predicate, name, test)
         return predicate
 
     # ----------------------------------------------------------- leaf nodes
@@ -343,9 +404,7 @@ class ExpressionCompiler:
             def conjunction(env: Env) -> Optional[bool]:
                 return logic_and(_as_bool(left(env)), _as_bool(right(env)))
 
-            test = _both(left, right)
-            if test is not None:
-                conjunction.row_test = test  # type: ignore[attr-defined]
+            _conjoin_tests(conjunction, left, right)
             return conjunction
         if op == "OR":
             return lambda env: logic_or(_as_bool(left(env)), _as_bool(right(env)))
@@ -379,7 +438,9 @@ class ExpressionCompiler:
         constant's type (INTEGER / int, TEXT / str, BOOLEAN / bool), the
         comparison also carries a :data:`RowTest`, ``row[i] is not None
         and row[i] op c``: such a column stores only that type or NULL, so
-        the per-row type dispatch could never pick another branch.
+        the per-row type dispatch could never pick another branch.  Two
+        columns declared with types stored as one such Python type carry
+        the same test over both (:meth:`_attach_column_tests`).
         """
         self._check_comparable(
             left_expr, right_expr, self.scope.declared_type(right_expr)
@@ -420,7 +481,52 @@ class ExpressionCompiler:
                 return None
             return test(compare_values(lhs, rhs), 0)
 
+        self._attach_column_tests(compare, op, left_expr, right_expr)
         return compare
+
+    def _attach_column_tests(
+        self,
+        compare: Evaluator,
+        op: str,
+        left_expr: ast.Expression,
+        right_expr: ast.Expression,
+    ) -> None:
+        """Give ``compare`` (``left op right``) the test that decides it
+        without dispatch, when both operands are columns whose declared
+        types are stored as one :data:`_EXACT` Python type (INTEGER /
+        INTEGER, TEXT / TEXT, BOOLEAN / BOOLEAN; never REAL, mixed numbers
+        or an unknown type):
+
+        * two columns of the current row: a :data:`RowTest`, ``row[i] op
+          row[j]`` where neither is NULL (one column compared with itself
+          keeps the interpreted form);
+        * one column of the current row and one of the row the query is
+          correlated with: a :data:`PairTest`, ``inner[i] op outer[j]``
+          where neither is NULL.
+
+        Sound for the reason the constant's row test is: such columns
+        store only that type or NULL, so the interpreted comparison could
+        only take its native branch, or return NULL (never TRUE)."""
+        if not (
+            isinstance(left_expr, ast.ColumnRef)
+            and isinstance(right_expr, ast.ColumnRef)
+        ):
+            return
+        left_kind, right_kind = (
+            _STORED_AS.get(declared) if declared else None
+            for declared in map(self.scope.declared_type, (left_expr, right_expr))
+        )
+        if left_kind is None or left_kind is not right_kind:
+            return
+        (depth, i), (other, j) = (
+            self.scope.resolve(ref.table, ref.name) for ref in (left_expr, right_expr)
+        )
+        if depth > other:
+            op, depth, i, other, j = _MIRRORED[op], other, j, depth, i
+        if (depth, other) == (0, 0) and i != j:
+            compare.row_test = _COLUMN_TESTS[op](i, j)  # type: ignore[attr-defined]
+        elif (depth, other) == (0, 1):
+            compare.pair_test = _PAIR_TESTS[op](i, j)  # type: ignore[attr-defined]
 
     def _check_comparable(
         self,
@@ -497,9 +603,8 @@ class ExpressionCompiler:
             result = logic_and(above(env), below(env))
             return logic_not(result) if negated else result
 
-        test = None if negated else _both(above, below)
-        if test is not None:
-            between.row_test = test  # type: ignore[attr-defined]
+        if not negated:
+            _conjoin_tests(between, above, below)
         return between
 
     def _compile_Like(self, expr: ast.Like) -> Evaluator:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.engine import functions
 from repro.engine.columnar import ColumnStore
-from repro.engine.expressions import Env, Evaluator, RowTest
+from repro.engine.expressions import Env, Evaluator, PairTest, RowTest
 from repro.engine.stats import ExecutionStats
 from repro.engine.storage import IndexReader, Table, column_key, in_tid_order
 from repro.engine.types import SQLType, comparable, sort_key
@@ -275,10 +275,10 @@ class Filter(PlanNode):
     """Keeps rows whose predicate evaluates to TRUE.
 
     A predicate the compiler could decide on the bare row -- typed
-    column-vs-constant comparisons and conjunctions of them, see
-    :data:`~repro.engine.expressions.RowTest` -- carries that test as
-    ``row_test``, and the rows are then ``filter(row_test, rows)`` with no
-    per-row environment or 3-valued dispatch.  A row test reads only
+    column-vs-constant and column-vs-column comparisons and conjunctions
+    of them, see :data:`~repro.engine.expressions.RowTest` -- carries that
+    test as ``row_test``, and the rows are then ``filter(row_test,
+    rows)`` with no per-row environment or 3-valued dispatch.  A row test reads only
     columns with a declared type, never a scan's tid.
     """
 
@@ -557,7 +557,9 @@ class HashJoin(PlanNode):
     with its key columns (``left_positions``, in the access's key order).
 
     ``residual`` is an extra predicate applied to the concatenated row
-    (the conjuncts that are not keys).
+    (the conjuncts that are not keys); one with a
+    :data:`~repro.engine.expressions.RowTest` runs as that test on the
+    concatenated row, as a :class:`Filter` does.
     """
 
     def __init__(
@@ -592,7 +594,7 @@ class HashJoin(PlanNode):
         tid order, as :meth:`~repro.engine.storage.Table.probe` gives)."""
         owners_of, stored = reader
         key_of = itemgetter(*self.left_positions)
-        residual = self.residual
+        passes = self._residual_test(env)
         left_join = self.kind == "left"
         pad = (None,) * self.right.width
         for left_row in self.left.rows(env):
@@ -605,7 +607,7 @@ class HashJoin(PlanNode):
                 combined = left_row + stored[owners]
                 if with_tid:
                     combined += (owners,)
-                if residual is None or residual((combined,) + env):
+                if passes is None or passes(combined):
                     yield combined
                 elif left_join:
                     yield left_row + pad
@@ -615,7 +617,7 @@ class HashJoin(PlanNode):
                 combined = left_row + stored[tid]
                 if with_tid:
                     combined += (tid,)
-                if residual is None or residual((combined,) + env):
+                if passes is None or passes(combined):
                     matched = True
                     yield combined
             if left_join and not matched:
@@ -624,17 +626,28 @@ class HashJoin(PlanNode):
     def _hashed_rows(self, env: Env) -> Iterator[Row]:
         lookup = self.right.lookup(env)
         key_of = itemgetter(*self.left_positions)
-        residual = self.residual
+        passes = self._residual_test(env)
         pad = (None,) * self.right.width
         for left_row in self.left.rows(env):
             matched = False
             for right_row in lookup(key_of(left_row)) or ():
                 combined = left_row + right_row
-                if residual is None or residual((combined,) + env):
+                if passes is None or passes(combined):
                     matched = True
                     yield combined
             if self.kind == "left" and not matched:
                 yield left_row + pad
+
+    def _residual_test(self, env: Env) -> Optional[RowTest]:
+        """The residual as a test of one joined row: its row test when it
+        has one, else the interpreted predicate over ``(row,) + env``."""
+        residual = self.residual
+        if residual is None:
+            return None
+        test = getattr(residual, "row_test", None)
+        if test is not None:
+            return test
+        return lambda combined: residual((combined,) + env)
 
     def children(self) -> Sequence[PlanNode]:
         return (self.left, self.right)
@@ -643,14 +656,74 @@ class HashJoin(PlanNode):
         return f"HashJoin({self.kind}, {len(self.left_positions)} keys)"
 
 
+#: ``exists(key, row, env)``: whether a decorrelated subquery's partner
+#: has a row filed under ``key`` that passes the residual against the
+#: outer row ``row`` (``env``: the rows enclosing ``row``).
+PartnerTest = Callable[[object, Row, Env], bool]
+
+
+def partner_exists(partner: Access, residual: Optional[Predicate]) -> PartnerTest:
+    """The one rule deciding whether an outer row has a partner, for a
+    :class:`HashSemiJoin` pass and a per-row ``EXISTS`` alike
+    (``_DecorrelatedSubplan.has_rows`` in the planner).
+
+    Over a live index, when there is no residual or it carries a
+    :data:`~repro.engine.expressions.PairTest`, the index reader is read
+    here, once, and each decision is one ``owners(key)``: a single owner
+    is checked as ``pair(stored[tid], row)``, several in any order until
+    one passes (existence does not depend on order).  Nothing is built
+    per probe.  A stored row stands in for a ``+tid`` partner row: a pair
+    test reads only columns with a declared type, never the tid.
+
+    Any other shape reads the buckets of :meth:`Access.shared` (a hash
+    build counts its ``subquery_evaluations`` there), checked by the pair
+    test when there is one, else by the interpreted residual over
+    ``(partner, row) + env``.  Probes are the caller's to count.
+    """
+    pair: Optional[PairTest] = getattr(residual, "pair_test", None)
+    reader = partner.index_reader()
+    if reader is not None and (residual is None or pair is not None):
+        owners_of, stored = reader[0]
+        if pair is None:
+            return lambda key, row, env: owners_of(key) is not None
+
+        def indexed(key: object, row: Row, env: Env) -> bool:
+            owners = owners_of(key)
+            if owners is None:
+                return False
+            if type(owners) is int:  # the common single owner
+                return pair(stored[owners], row)
+            for tid in owners:  # type: ignore[union-attr]
+                if pair(stored[tid], row):
+                    return True
+            return False
+
+        return indexed
+    lookup = partner.shared()
+
+    def bucketed(key: object, row: Row, env: Env) -> bool:
+        bucket = lookup(key)
+        if not bucket:
+            return False
+        if residual is None:
+            return True
+        if pair is not None:
+            return any(pair(inner, row) for inner in bucket)
+        outer = (row,) + env
+        return any(residual((inner,) + outer) for inner in bucket)
+
+    return bucketed
+
+
 class HashSemiJoin(PlanNode):
     """A top-level ``[NOT] EXISTS`` conjunct as a semi / anti join.
 
     Keeps the child rows that have (``anti``: have no) partner in the
     decorrelated subquery's :class:`Access` passing ``residual`` (the
     conjuncts still correlated with the outer row, over ``(partner,
-    row) + env``).  Per row that is one ``itemgetter`` and one probe; the
-    residual runs only on non-empty buckets.
+    row) + env``).  Per row that is one ``itemgetter`` and one decision
+    of :func:`partner_exists`, made once per pass: over a live index, one
+    posting read checked by the residual's pair test.
 
     ``subquery_cache_hits`` counts one probe per child row consumed, added
     once per pass; a hash build counts its own ``subquery_evaluations``.
@@ -672,27 +745,14 @@ class HashSemiJoin(PlanNode):
         self.width = child.width
 
     def rows(self, env: Env) -> Iterator[Row]:
-        lookup = self.partner.shared()
-        residual = self.residual
+        exists = partner_exists(self.partner, self.residual)
         key_of = itemgetter(*self.key_positions)
         anti = self.anti
         probes = 0
         try:
             for row in self.child.rows(env):
                 probes += 1
-                bucket = lookup(key_of(row))
-                if not bucket:
-                    found = False
-                elif residual is None:
-                    found = True
-                else:
-                    outer = (row,) + env
-                    found = False
-                    for inner in bucket:
-                        if residual((inner,) + outer):
-                            found = True
-                            break
-                if found is not anti:
+                if exists(key_of(row), row, env) is not anti:
                     yield row
         finally:
             self.partner.stats.subquery_cache_hits += probes

@@ -217,9 +217,11 @@ class _DecorrelatedSubplan:
     FROM source reads :attr:`partner` and :attr:`residual` as a
     :class:`~repro.engine.plan.HashSemiJoin` (``Planner._semi_join``);
     every other use calls :meth:`has_rows` / :meth:`first_column_values`
-    per row from a ``Filter`` / ``Project`` closure.  Either way a hash
-    build counts one ``subquery_evaluations`` (a live index builds
-    nothing) and every probe one ``subquery_cache_hits``.
+    per row from a ``Filter`` / ``Project`` closure.  ``has_rows`` and
+    the node decide existence by one rule,
+    :func:`~repro.engine.plan.partner_exists`.  Either way a hash build
+    counts one ``subquery_evaluations`` (a live index builds nothing) and
+    every probe one ``subquery_cache_hits``.
     """
 
     def __init__(
@@ -237,21 +239,25 @@ class _DecorrelatedSubplan:
         self._value = value_evaluator
         self.first_type = first_type
         self._stats = stats
+        self._exists: Optional[plan.PartnerTest] = None
+
+    def _key(self, env: Env) -> object:
+        outer_keys = self.outer_keys
+        if len(outer_keys) == 1:
+            return outer_keys[0](env)
+        return tuple(evaluator(env) for evaluator in outer_keys)
 
     def _probe(self, env: Env) -> Sequence[tuple]:
         lookup = self.partner.shared()
         self._stats.subquery_cache_hits += 1
-        outer_keys = self.outer_keys
-        if len(outer_keys) == 1:
-            return lookup(outer_keys[0](env)) or ()
-        return lookup(tuple(evaluator(env) for evaluator in outer_keys)) or ()
+        return lookup(self._key(env)) or ()
 
     def has_rows(self, env: Env) -> bool:
-        residual = self.residual
-        for local_row in self._probe(env):
-            if residual is None or residual((local_row,) + env):
-                return True
-        return False
+        # Made on first use and kept for the statement, as Access.shared is.
+        if self._exists is None:
+            self._exists = plan.partner_exists(self.partner, self.residual)
+        self._stats.subquery_cache_hits += 1
+        return self._exists(self._key(env), env[0], env[1:])
 
     def first_column_values(self, env: Env) -> list:
         residual = self.residual

@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine.database import Database
-from repro.engine.plan import Filter
+from repro.engine.expressions import ExpressionCompiler, Scope
+from repro.engine.plan import Filter, HashJoin
+from repro.engine.types import SQLType, compare_values
 from repro.errors import TypeError_
 from repro.sql import ast
 from repro.sql.parser import parse_statement
@@ -404,3 +408,100 @@ def test_a_computed_nan_is_one_hash_key(computed, case):
     counted = f"SELECT COUNT(DISTINCT {expr}) FROM {source}"
     assert computed.execute(counted).rows == [(1,)]
     assert computed.execute(f"{select} EXCEPT {select}").rows == []
+
+
+#: Values of each type a column stores as one exact Python type.
+STORED = {
+    SQLType.INTEGER: st.integers(-3, 3),
+    SQLType.TEXT: st.text("ab", max_size=2),
+    SQLType.BOOLEAN: st.booleans(),
+}
+
+
+@st.composite
+def column_values(draw):
+    """A declared type and two values such a column may hold (NULL too)."""
+    declared = draw(st.sampled_from(sorted(STORED, key=str)))
+    values = st.none() | STORED[declared]
+    return declared, draw(values), draw(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(column_values(), st.sampled_from(OPERATORS))
+def test_row_and_pair_tests_follow_compare_values(case, op):
+    """Two columns of one stored type compare by a row test (both in the
+    current row) or a pair test (one in the row a subquery is correlated
+    with), each TRUE exactly where ``compare_values`` says so."""
+    declared, left, right = case
+    truth = {
+        "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    }[op]
+
+    def expected(lhs, rhs):
+        if lhs is None or rhs is None:
+            return False
+        return truth(compare_values(lhs, rhs), 0)
+
+    x, y = ast.ColumnRef("t", "x"), ast.ColumnRef("t", "y")
+    o = ast.ColumnRef("o", "y")
+    row_scope = Scope([("t", "x"), ("t", "y")], types=[declared, declared])
+    compare = ExpressionCompiler(row_scope).compile(ast.BinaryOp(op, x, y))
+    assert compare.row_test((left, right)) is expected(left, right)
+    assert (compare(((left, right),)) is True) is expected(left, right)
+
+    outer = Scope([("o", "y")], types=[declared])
+    inner = Scope([("t", "x")], parent=outer, level=1, types=[declared])
+    for lhs, rhs, node in (
+        (left, right, ast.BinaryOp(op, x, o)),
+        (right, left, ast.BinaryOp(op, o, x)),  # the outer column first
+    ):
+        compare = ExpressionCompiler(inner).compile(node)
+        assert compare.pair_test((left,), (right,)) is expected(lhs, rhs)
+        assert (compare(((left,), (right,))) is True) is expected(lhs, rhs)
+
+
+def test_same_typed_columns_get_a_row_test_only_for_one_stored_type():
+    db = Database()
+    db.execute("CREATE TABLE t (n INTEGER, m INTEGER, s TEXT, u TEXT, r REAL, q REAL)")
+    tested = {
+        "n < m": True,
+        "s <> u": True,
+        "n < m AND s = 'a'": True,
+        "m BETWEEN n AND n": True,
+        "r <> q": False,
+        "n < r": False,
+        "n < m + 0": False,
+    }
+    for condition, expected in tested.items():
+        assert row_tested(db, f"SELECT * FROM t WHERE {condition}") is expected, (
+            condition
+        )
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
+def test_join_residual_runs_as_a_row_test(indexed):
+    db = Database()
+    db.execute("CREATE TABLE l (a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE r (a INTEGER, b INTEGER)")
+    db.execute("INSERT INTO l VALUES (1, 1), (1, 5), (2, NULL), (3, 3), (NULL, 1)")
+    db.execute("INSERT INTO r VALUES (1, 2), (1, 9), (2, 4), (3, NULL), (3, 1)")
+    if indexed:
+        db.execute("CREATE INDEX r_a ON r (a)")
+    sql = "SELECT l.a, l.b, r.b FROM l JOIN r ON l.a = r.a AND l.b < r.b"
+    interpreted = sql.replace("l.b < r.b", "(l.b < r.b) = TRUE")
+    joins = []
+    nodes = [db.plan(parse_statement(sql).query).plan]
+    while nodes:
+        node = nodes.pop()
+        joins += [node] if isinstance(node, HashJoin) else []
+        nodes.extend(node.children())
+    assert len(joins) == 1 and joins[0].residual.row_test is not None
+    assert ("IndexProbe" in db.explain(sql)) is indexed
+    assert db.execute(sql).rows == db.execute(interpreted).rows
+    assert db.execute(sql).rows == [(1, 1, 2), (1, 1, 9), (1, 5, 9)]
+    left = sql.replace(" JOIN ", " LEFT JOIN ")
+    assert "HashJoin(left" in db.explain(left)
+    assert db.execute(left).rows == db.execute(
+        interpreted.replace(" JOIN ", " LEFT JOIN ")
+    ).rows

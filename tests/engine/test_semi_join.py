@@ -7,9 +7,14 @@ Each case runs once with an index on the key columns (the node probes
 the partner's live index) and once without (it hashes the partner).
 """
 
+import itertools
+
 import pytest
 
 from repro.engine import Database
+from repro.engine.plan import HashSemiJoin
+from repro.errors import TypeError_
+from repro.sql.parser import parse_statement
 
 
 @pytest.fixture
@@ -220,3 +225,160 @@ def test_reference_to_an_enclosing_query_declines_the_node(db):
     assert db.explain(node).count("HashSemiJoin") == 1  # the outer EXISTS only
     assert db.query(node).rows == [(3, None)]
     assert db.query(reference).rows == [(3, None)]
+
+
+NAN = float("nan")
+
+
+@pytest.fixture
+def typed_db():
+    """``tr`` (outer) and ``ts`` (inner) with one column per declared type:
+    NULLs on either side, a NaN, and keys that several rows share, so a
+    bucket has several owners."""
+    database = Database()
+    for table in ("tr", "ts"):
+        database.execute(
+            f"CREATE TABLE {table}"
+            " (k INTEGER, n INTEGER, t TEXT, f BOOLEAN, x REAL)"
+        )
+    database.insert_rows(
+        "tr",
+        [
+            (1, 10, "a", True, 1.0),
+            (1, 20, "b", False, NAN),
+            (2, 5, None, True, None),
+            (2, None, "c", None, 2.0),
+            (3, 7, "a", False, 3.0),
+            (None, 7, "z", True, 0.0),
+            (4, 4, "d", True, 4.0),
+        ],
+    )
+    database.insert_rows(
+        "ts",
+        [
+            (1, 10, "a", True, 1.0),
+            (1, 11, "a", False, NAN),
+            (1, None, "b", None, 2.0),
+            (2, 5, "c", True, NAN),
+            (2, 6, None, False, None),
+            (3, 7, "a", False, 3.0),
+            (None, 1, "z", True, 0.0),
+            (5, 5, "e", True, 5.0),
+        ],
+    )
+    return database
+
+
+# (inner table, key equalities as (inner, outer) pairs, other conjuncts,
+# whether the residual is decided by a pair test): a pair test needs two
+# columns whose declared types are stored as one exact Python type.
+TYPED_SHAPES = {
+    "TEXT <>": ("ts", [("ts.k", "tr.k")], ["ts.t <> tr.t"], True),
+    "BOOLEAN <": ("ts", [("ts.k", "tr.k")], ["ts.f < tr.f"], True),
+    "INTEGER, the outer column first": (
+        "ts", [("ts.k", "tr.k")], ["tr.n >= ts.n"], True
+    ),
+    "BETWEEN two outer columns": (
+        "ts", [("ts.k", "tr.k")], ["ts.n BETWEEN tr.k AND tr.n"], True
+    ),
+    "two pair tests": (
+        "ts", [("ts.k", "tr.k")], ["ts.n <> tr.n", "ts.t <= tr.t"], True
+    ),
+    "self partner over duplicate keys": (
+        "tr t", [("t.k", "tr.k")], ["t.n <> tr.n"], True
+    ),
+    "a key left as residual": (
+        "ts", [("ts.k", "tr.k"), ("ts.n", "tr.n")], ["ts.t < tr.t"], True
+    ),
+    "REAL <> with NaN": ("ts", [("ts.k", "tr.k")], ["ts.x <> tr.x"], False),
+    "INTEGER vs REAL": ("ts", [("ts.k", "tr.k")], ["ts.n < tr.x"], False),
+    "a pair test and a REAL one": (
+        "ts", [("ts.k", "tr.k")], ["ts.n <> tr.n", "ts.x < tr.x"], False
+    ),
+    "a pair test and a computed one": (
+        "ts", [("ts.k", "tr.k")], ["ts.n <> tr.n", "ts.n + 0 > tr.n"], False
+    ),
+}
+
+
+def _typed_query(shape: str, negated: bool, hidden: bool) -> str:
+    inner, keys, others, _tested = TYPED_SHAPES[shape]
+    suffix = " + 0" if hidden else ""
+    conjuncts = [f"{left} = {right}{suffix}" for left, right in keys] + others
+    return (
+        f"SELECT tr.k, tr.n FROM tr WHERE {'NOT ' if negated else ''}EXISTS"
+        f" (SELECT * FROM {inner} WHERE {' AND '.join(conjuncts)})"
+    )
+
+
+def semi_join_of(database, sql):
+    """The one :class:`HashSemiJoin` of ``sql``'s plan."""
+    nodes = [database.plan(parse_statement(sql).query).plan]
+    found = []
+    while nodes:
+        node = nodes.pop()
+        found += [node] if isinstance(node, HashSemiJoin) else []
+        nodes.extend(node.children())
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
+@pytest.mark.parametrize("negated", [False, True], ids=["exists", "not-exists"])
+@pytest.mark.parametrize("shape", TYPED_SHAPES)
+def test_typed_residual_matches_generic_subplan(typed_db, shape, negated, indexed):
+    if indexed:
+        typed_db.execute("CREATE INDEX tr_k ON tr (k)")
+        typed_db.execute("CREATE INDEX ts_k ON ts (k)")
+    node, reference = (_typed_query(shape, negated, h) for h in (False, True))
+    residual = semi_join_of(typed_db, node).residual
+    assert (getattr(residual, "pair_test", None) is not None) is TYPED_SHAPES[shape][3]
+    assert ("IndexProbe" in typed_db.explain(node)) is indexed
+    assert "HashSemiJoin" not in typed_db.explain(reference)
+    expected = typed_db.query(reference).rows
+    assert typed_db.query(node).rows == expected
+    # The per-row form of the same subquery (EXISTS under OR) decides by
+    # the same rule.
+    per_row = node.replace(" WHERE ", " WHERE tr.k = -1 OR ", 1)
+    assert "HashSemiJoin" not in typed_db.explain(per_row)
+    assert typed_db.query(per_row).rows == expected
+
+
+def test_typed_residual_counters_stay_exact(typed_db):
+    typed_db.execute("CREATE INDEX ts_k ON ts (k)")
+    for sql in (
+        _typed_query("TEXT <>", True, False),
+        _typed_query("TEXT <>", True, False).replace(" WHERE ", " WHERE 1 = 0 OR ", 1),
+    ):
+        typed_db.stats.reset()
+        typed_db.query(sql)
+        # A live index builds nothing; one probe per outer row.
+        assert typed_db.stats.subquery_evaluations == 0
+        assert typed_db.stats.subquery_cache_hits == 7
+
+
+SAMPLES = {"INTEGER": 1, "TEXT": "a", "BOOLEAN": True, "REAL": 1.0}
+
+
+@pytest.mark.parametrize(
+    "inner, outer", list(itertools.product(SAMPLES, SAMPLES)),
+    ids=[f"{i}-{o}" for i, o in itertools.product(SAMPLES, SAMPLES)],
+)
+def test_pair_test_needs_one_stored_type(inner, outer):
+    database = Database()
+    database.execute(f"CREATE TABLE a (k INTEGER, x {outer})")
+    database.execute(f"CREATE TABLE b (k INTEGER, y {inner})")
+    database.insert_rows("a", [(1, SAMPLES[outer])])
+    database.insert_rows("b", [(1, SAMPLES[inner])])
+    sql = (
+        "SELECT a.k FROM a WHERE EXISTS"
+        " (SELECT * FROM b WHERE b.k = a.k AND b.y <= a.x)"
+    )
+    if inner != outer and {inner, outer} != {"INTEGER", "REAL"}:
+        with pytest.raises(TypeError_, match="cannot compare"):
+            database.explain(sql)
+        return
+    residual = semi_join_of(database, sql).residual
+    tested = getattr(residual, "pair_test", None) is not None
+    assert tested is (inner == outer != "REAL")
+    assert database.query(sql).rows == [(1,)]

@@ -122,16 +122,20 @@ def hashable(left: Optional[SQLType], right: Optional[SQLType]) -> bool:
 
 class Access(PlanNode):
     """The rows of ``source`` whose key columns equal a probe key, in the
-    form ``Planner._access`` picks: :meth:`lookup` returns a function from
-    a key (a bare value for one column, a tuple for several) to its rows.
+    form ``Planner._access`` picks.  Either form reads as one
+    :class:`~repro.engine.storage.IndexReader` and whether the rows read
+    off it carry the tid (:meth:`reader`), probed with a key (a bare value
+    for one column, a tuple for several):
 
     * **live index** (``index`` given): ``source`` is an unrestricted
-      :class:`Scan` and each probe reads the posting list of the table's
-      secondary index on exactly those positions
-      (:meth:`~repro.engine.storage.Table.probe`).  Nothing is built, and
-      nothing is scanned.
-    * **hash** (``keys`` given): the source's rows hashed on the key
-      evaluators, built per :meth:`lookup` call; :meth:`shared` keeps one
+      :class:`Scan` and the reader is the table's secondary index on
+      exactly those positions
+      (:meth:`~repro.engine.storage.Table.index_reader`).  Nothing is
+      built, and nothing is scanned.
+    * **hash** (``keys`` given): the source's rows, filed on the key
+      evaluators as an index files tids -- each key to its positions in
+      the list of rows, a single owner bare, several a list in source
+      order -- built per :meth:`reader` call; :meth:`shared` keeps one
       build for the statement.
 
     Both follow SQL's ``=``.  A key holding NULL matches nothing: neither
@@ -155,23 +159,31 @@ class Access(PlanNode):
         self.keys = list(keys)
         self.index = tuple(index)
         self.width = source.width
-        self._shared: Optional[Callable[[object], Optional[Sequence[Row]]]] = None
+        self._shared: Optional[tuple[IndexReader, bool]] = None
 
     def rows(self, env: Env) -> Iterator[Row]:
         return self.source.rows(env)  # read whole, an access is its source
 
-    def lookup(self, env: Env) -> Callable[[object], Optional[Sequence[Row]]]:
-        """The probe function over the source as of ``env``."""
+    def reader(self, env: Env) -> tuple[IndexReader, bool]:
+        """The access as of ``env``: its reader, and whether a row read off
+        it has the tid still to append (a live index's ``+tid`` scan; a
+        hash's rows are its source's, whole)."""
         if self.index:
             scan: Scan = self.source  # type: ignore[assignment]
-            return scan.table.probe(self.index, scan.include_tid)
-        key_of = self._key_of()
-        table: dict[object, list[Row]] = {}
-        for row in self.source.rows(env):
-            key = key_of(row)
-            if key is not None:
-                table.setdefault(key, []).append(row)
-        return table.get
+            return scan.table.index_reader(self.index), scan.include_tid
+        rows = list(self.source.rows(env))
+        postings: dict = {}
+        for position, key in enumerate(map(self._key_of(), rows)):
+            if key is None:
+                continue
+            owners = postings.get(key)
+            if owners is None:
+                postings[key] = position
+            elif type(owners) is int:
+                postings[key] = [owners, position]
+            else:
+                owners.append(position)
+        return IndexReader(postings.get, rows), False
 
     def _key_of(self) -> Callable[[Row], object]:
         """A source row's key, filed as an index files it
@@ -189,22 +201,14 @@ class Access(PlanNode):
 
         return key_of
 
-    def index_reader(self) -> Optional[tuple[IndexReader, bool]]:
-        """A live-index access's :class:`~repro.engine.storage.IndexReader`
-        and whether its rows carry the tid; None for a hash."""
-        if not self.index:
-            return None
-        scan: Scan = self.source  # type: ignore[assignment]
-        return scan.table.index_reader(self.index), scan.include_tid
-
-    def shared(self) -> Callable[[object], Optional[Sequence[Row]]]:
-        """:meth:`lookup` for an uncorrelated source, made on first use and
+    def shared(self) -> tuple[IndexReader, bool]:
+        """:meth:`reader` for an uncorrelated source, made on first use and
         kept for the statement (a decorrelated subquery's partner); a
         hash build counts one ``subquery_evaluations``."""
         if self._shared is None:
             if not self.index:
                 self.stats.subquery_evaluations += 1
-            self._shared = self.lookup(())
+            self._shared = self.reader(())
         return self._shared
 
     def children(self) -> Sequence[PlanNode]:
@@ -224,6 +228,21 @@ class Access(PlanNode):
         return f"({scan.table.schema.name} on [{columns}]{extra})"
 
 
+def owned_rows(reader: IndexReader, with_tid: bool, key: object) -> Sequence[Row]:
+    """The rows ``reader`` files under ``key``, in tid order (a hash's:
+    source order), shaped as a scan makes them: ``with_tid`` appends the
+    tid."""
+    owners_of, stored = reader
+    owners = owners_of(key)
+    if owners is None:
+        return ()
+    if type(owners) is int:
+        return (stored[owners] + (owners,),) if with_tid else (stored[owners],)
+    if with_tid:
+        return [stored[tid] + (tid,) for tid in in_tid_order(owners)]
+    return [stored[tid] for tid in in_tid_order(owners)]
+
+
 class IndexScan(PlanNode):
     """A live-index :class:`Access` probed once per execution with the
     values its ``col = literal`` / ``col = outer column`` conjuncts bind:
@@ -239,8 +258,8 @@ class IndexScan(PlanNode):
     def rows(self, env: Env) -> Iterator[Row]:
         bound = ((),) + env
         values = tuple(key(bound) for key in self.keys)
-        probe = self.access.lookup(env)
-        rows = probe(values[0] if len(values) == 1 else values) or ()
+        key = values[0] if len(values) == 1 else values
+        rows = owned_rows(*self.access.reader(env), key)
         self.access.stats.rows_scanned += len(rows)
         return iter(rows)
 
@@ -412,7 +431,7 @@ class Project(PlanNode):
         The left store's key column is mapped through the index's owners
         once, a key without owners drops its row and a multi-owner key
         repeats it once per owner in tid order (:func:`_expand`): the
-        rows, in the order :meth:`HashJoin._index_rows` makes them, as
+        rows, in the order :meth:`HashJoin.rows` makes them, as
         three parallel columns -- left row, left tid, right tid.  Every
         output is then one ``itemgetter`` map over one side's rows (or
         one of the tid columns), and no joined row is built."""
@@ -426,10 +445,11 @@ class Project(PlanNode):
         ):
             return None
         scan, test = _stored_scan(join.left)
-        reader = join.right.index_reader()
-        if scan is None or reader is None or not reader[1]:
+        if scan is None or not join.right.index:
+            return None  # a hash would be built to be declined
+        (owners_of, stored), with_tid = join.right.reader(())
+        if not with_tid:
             return None
-        owners_of, stored = reader[0]
         left_arity = scan.table.schema.arity
         if max(join.left_positions) >= left_arity:
             return None  # a key on the tid: the row path decides it
@@ -556,6 +576,11 @@ class HashJoin(PlanNode):
     """Equi-join: each left row probes the right side's :class:`Access`
     with its key columns (``left_positions``, in the access's key order).
 
+    One pass over the access's reader (a live index or the hash built
+    for this call alike): one ``owners(key)`` per left row, and each
+    joined row ``left + stored (+ (tid,))`` built once, a single owner
+    inline, several in tid order (a hash's: source order).
+
     ``residual`` is an extra predicate applied to the concatenated row
     (the conjuncts that are not keys); one with a
     :data:`~repro.engine.expressions.RowTest` runs as that test on the
@@ -580,19 +605,7 @@ class HashJoin(PlanNode):
         self.width = left.width + right.width
 
     def rows(self, env: Env) -> Iterator[Row]:
-        reader = self.right.index_reader()
-        if reader is not None:
-            return self._index_rows(env, *reader)
-        return self._hashed_rows(env)
-
-    def _index_rows(
-        self, env: Env, reader: IndexReader, with_tid: bool
-    ) -> Iterator[Row]:
-        """The join over a live index in one pass: one posting read per
-        left row, and each joined row ``left + stored (+ (tid,))`` built
-        once, straight off the index (a single owner inline, several in
-        tid order, as :meth:`~repro.engine.storage.Table.probe` gives)."""
-        owners_of, stored = reader
+        (owners_of, stored), with_tid = self.right.reader(env)
         key_of = itemgetter(*self.left_positions)
         passes = self._residual_test(env)
         left_join = self.kind == "left"
@@ -621,21 +634,6 @@ class HashJoin(PlanNode):
                     matched = True
                     yield combined
             if left_join and not matched:
-                yield left_row + pad
-
-    def _hashed_rows(self, env: Env) -> Iterator[Row]:
-        lookup = self.right.lookup(env)
-        key_of = itemgetter(*self.left_positions)
-        passes = self._residual_test(env)
-        pad = (None,) * self.right.width
-        for left_row in self.left.rows(env):
-            matched = False
-            for right_row in lookup(key_of(left_row)) or ():
-                combined = left_row + right_row
-                if passes is None or passes(combined):
-                    matched = True
-                    yield combined
-            if self.kind == "left" and not matched:
                 yield left_row + pad
 
     def _residual_test(self, env: Env) -> Optional[RowTest]:
@@ -667,52 +665,47 @@ def partner_exists(partner: Access, residual: Optional[Predicate]) -> PartnerTes
     :class:`HashSemiJoin` pass and a per-row ``EXISTS`` alike
     (``_DecorrelatedSubplan.has_rows`` in the planner).
 
-    Over a live index, when there is no residual or it carries a
-    :data:`~repro.engine.expressions.PairTest`, the index reader is read
-    here, once, and each decision is one ``owners(key)``: a single owner
-    is checked as ``pair(stored[tid], row)``, several in any order until
-    one passes (existence does not depend on order).  Nothing is built
-    per probe.  A stored row stands in for a ``+tid`` partner row: a pair
-    test reads only columns with a declared type, never the tid.
-
-    Any other shape reads the buckets of :meth:`Access.shared` (a hash
-    build counts its ``subquery_evaluations`` there), checked by the pair
-    test when there is one, else by the interpreted residual over
-    ``(partner, row) + env``.  Probes are the caller's to count.
+    The partner's reader (:meth:`Access.shared`: a live index, or a hash
+    built once for the statement, counting its ``subquery_evaluations``)
+    is read here, once, and each decision is one ``owners(key)``.  With
+    no residual that is the decision.  A residual carrying a
+    :data:`~repro.engine.expressions.PairTest` checks a single owner as
+    ``pair(stored[tid], row)``, several in any order until one passes
+    (existence does not depend on order); nothing is built per probe,
+    and a stored row stands in for a ``+tid`` partner row, since a pair
+    test reads only columns with a declared type, never the tid.  Any
+    other residual runs interpreted over ``(partner, row) + env``, the
+    partner rows built as a scan makes them, in tid order.  Probes are
+    the caller's to count.
     """
+    reader, with_tid = partner.shared()
+    owners_of, stored = reader
+    if residual is None:
+        return lambda key, row, env: owners_of(key) is not None
     pair: Optional[PairTest] = getattr(residual, "pair_test", None)
-    reader = partner.index_reader()
-    if reader is not None and (residual is None or pair is not None):
-        owners_of, stored = reader[0]
-        if pair is None:
-            return lambda key, row, env: owners_of(key) is not None
+    if pair is None:
 
-        def indexed(key: object, row: Row, env: Env) -> bool:
-            owners = owners_of(key)
-            if owners is None:
-                return False
-            if type(owners) is int:  # the common single owner
-                return pair(stored[owners], row)
-            for tid in owners:  # type: ignore[union-attr]
-                if pair(stored[tid], row):
-                    return True
+        def interpreted(key: object, row: Row, env: Env) -> bool:
+            outer = (row,) + env
+            return any(
+                residual((inner,) + outer)
+                for inner in owned_rows(reader, with_tid, key)
+            )
+
+        return interpreted
+
+    def paired(key: object, row: Row, env: Env) -> bool:
+        owners = owners_of(key)
+        if owners is None:
             return False
+        if type(owners) is int:  # the common single owner
+            return pair(stored[owners], row)
+        for tid in owners:  # type: ignore[union-attr]
+            if pair(stored[tid], row):
+                return True
+        return False
 
-        return indexed
-    lookup = partner.shared()
-
-    def bucketed(key: object, row: Row, env: Env) -> bool:
-        bucket = lookup(key)
-        if not bucket:
-            return False
-        if residual is None:
-            return True
-        if pair is not None:
-            return any(pair(inner, row) for inner in bucket)
-        outer = (row,) + env
-        return any(residual((inner,) + outer) for inner in bucket)
-
-    return bucketed
+    return paired
 
 
 class HashSemiJoin(PlanNode):
@@ -722,8 +715,8 @@ class HashSemiJoin(PlanNode):
     decorrelated subquery's :class:`Access` passing ``residual`` (the
     conjuncts still correlated with the outer row, over ``(partner,
     row) + env``).  Per row that is one ``itemgetter`` and one decision
-    of :func:`partner_exists`, made once per pass: over a live index, one
-    posting read checked by the residual's pair test.
+    of :func:`partner_exists`, made once per pass: one posting read,
+    checked by the residual's pair test when it has one.
 
     ``subquery_cache_hits`` counts one probe per child row consumed, added
     once per pass; a hash build counts its own ``subquery_evaluations``.

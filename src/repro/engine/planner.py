@@ -247,11 +247,6 @@ class _DecorrelatedSubplan:
             return outer_keys[0](env)
         return tuple(evaluator(env) for evaluator in outer_keys)
 
-    def _probe(self, env: Env) -> Sequence[tuple]:
-        lookup = self.partner.shared()
-        self._stats.subquery_cache_hits += 1
-        return lookup(self._key(env)) or ()
-
     def has_rows(self, env: Env) -> bool:
         # Made on first use and kept for the statement, as Access.shared is.
         if self._exists is None:
@@ -260,10 +255,12 @@ class _DecorrelatedSubplan:
         return self._exists(self._key(env), env[0], env[1:])
 
     def first_column_values(self, env: Env) -> list:
+        reader, with_tid = self.partner.shared()
+        self._stats.subquery_cache_hits += 1
         residual = self.residual
         return [
             self._value((local_row,) + env)
-            for local_row in self._probe(env)
+            for local_row in plan.owned_rows(reader, with_tid, self._key(env))
             if residual is None or residual((local_row,) + env)
         ]
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import itemgetter
 from typing import (
+    Collection,
     Dict,
     Iterable,
     Iterator,
@@ -47,18 +48,25 @@ Postings = Dict[object, Owners]
 
 
 class IndexReader(NamedTuple):
-    """Read access to one secondary index, for a probe that resolves many
-    keys in a loop (:meth:`Table.probe`, an index-probe join):
-    ``owners(key)`` is the key's :data:`Owners` or None, and ``rows`` the
-    table's tid -> row map those tids address.  Both are the live
-    structures, not copies: a reader reads them and never writes."""
+    """Read access to one posting list, the one shape every keyed read of
+    a plan takes (``plan.Access.reader``): ``owners(key)`` is the key's
+    owners or None -- a bare owner, or a collection of several -- and
+    ``rows`` what an owner addresses.
 
-    owners: Callable[[object], Optional[Owners]]
-    rows: Mapping[int, Row]
+    A secondary index reads as :meth:`Table.index_reader`: its
+    :data:`Owners` and the table's tid -> row map, the live structures,
+    not copies (a reader reads them and never writes).  A plan's hash
+    reads as postings filed the same way over the list of its source's
+    rows: an owner is a position in that list, several a list of
+    positions in source order."""
+
+    owners: Callable[[object], Optional[Union[int, Collection[int]]]]
+    rows: Union[Mapping[int, Row], Sequence[Row]]
 
 
-def in_tid_order(owners: Owners) -> Sequence[int]:
-    """The tids of one :data:`Owners` entry, in tid order."""
+def in_tid_order(owners: Union[int, Collection[int]]) -> Sequence[int]:
+    """The owners of one posting, in tid order (a hash's positions: in
+    source order)."""
     return (owners,) if isinstance(owners, int) else sorted(owners)
 
 
@@ -180,30 +188,6 @@ class Table:
                 f"table {self.schema.name!r} has no index on {positions}"
             )
         return IndexReader(self._indexes[positions][1].get, self._rows)
-
-    def probe(
-        self, positions: Tuple[int, ...], with_tid: bool = False
-    ) -> Callable[[object], Sequence[Row]]:
-        """The probe of the index on ``positions``: a key -> the live rows
-        holding it, in tid order, shaped as a scan makes them (``with_tid``
-        appends the tid), read off the posting list.
-
-        Raises:
-            ExecutionError: when no such index exists.
-        """
-        owners_of, rows = self.index_reader(positions)
-
-        def matching(key: object) -> Sequence[Row]:
-            found = owners_of(key)
-            if found is None:
-                return ()
-            if isinstance(found, int):
-                return (rows[found] + (found,),) if with_tid else (rows[found],)
-            if with_tid:
-                return [rows[tid] + (tid,) for tid in in_tid_order(found)]
-            return [rows[tid] for tid in in_tid_order(found)]
-
-        return matching
 
     def _post_row(self, tid: int, row: Row) -> None:
         """Enter ``row`` into the value index and every secondary index."""

@@ -185,7 +185,7 @@ class RewritingEngine:
                     lambda: backend.execute_query(rewritten)[1], native
                 )
             )
-            return set(rows), {"rewritten_sql": format_query(rewritten)}
+            return set(rows), {}
 
         return answer_query(query, self.db.catalog, evaluate)
 

@@ -4,13 +4,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import Database
+from repro.engine.storage import in_tid_order
 from repro.errors import CatalogError, ExecutionError
 
 
 def probed(table, positions, key):
-    """The tids ``Table.probe`` reads off the index on ``positions``."""
-    probe = table.probe(tuple(positions), with_tid=True)
-    return frozenset(row[-1] for row in probe(key[0] if len(key) == 1 else tuple(key)))
+    """The tids ``Table.index_reader`` reads off the index on ``positions``,
+    each of which must address a live row."""
+    owners_of, rows = table.index_reader(tuple(positions))
+    owners = owners_of(key[0] if len(key) == 1 else tuple(key))
+    tids = () if owners is None else in_tid_order(owners)
+    assert all(tid in rows for tid in tids)
+    return frozenset(tids)
 
 
 @pytest.fixture

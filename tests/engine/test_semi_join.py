@@ -136,6 +136,27 @@ def test_counters_stay_exact(db, indexed):
 
 
 @pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
+def test_join_and_in_counters_stay_exact(db, indexed):
+    # The other keyed reads of an access count as the node does: a hash
+    # scans its source once per build, a live index scans nothing.
+    if indexed:
+        index_keys(db)
+    db.stats.reset()
+    rows = db.query("SELECT r.a, s.b FROM r JOIN s ON r.a = s.a").rows
+    assert rows == [(1, 10), (1, 10), (2, 6), (3, None)]
+    assert db.stats.rows_scanned == (6 if indexed else 6 + 5)
+    assert db.stats.subquery_evaluations == 0
+    assert db.stats.subquery_cache_hits == 0
+    # IN: one build for the statement, one probe per non-NULL operand.
+    db.stats.reset()
+    sql = "SELECT r.a, r.b FROM r WHERE r.b IN (SELECT s.b FROM s WHERE s.a = r.a)"
+    assert db.query(sql).rows == [(1, 10)]
+    assert db.stats.rows_scanned == (6 if indexed else 6 + 5)
+    assert db.stats.subquery_evaluations == (0 if indexed else 1)
+    assert db.stats.subquery_cache_hits == 5
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["hash", "live-index"])
 def test_each_node_sits_over_its_own_scan_below_the_join(indexed):
     database = Database()
     database.execute("CREATE TABLE jl (a INTEGER, b0 INTEGER)")

@@ -130,12 +130,35 @@ NAN = float("nan")
 join_key = st.sampled_from([None, 0.0, 1.0, NAN])
 join_rows = st.lists(st.tuples(value, join_key), max_size=8)
 
+# Each keyed read, as (query, the access its indexed plan shows; None
+# where the plan shows none: ``IN`` probes its partner from a Filter).
 INDEX_JOINS = [
-    "SELECT * FROM r JOIN s ON r.k = s.k",
-    "SELECT * FROM r JOIN s ON r.k = s.k AND r.a < s.a",
-    "SELECT * FROM r LEFT JOIN s ON r.k = s.k",
-    "SELECT * FROM r LEFT JOIN s ON r.k = s.k AND r.a <> s.a",
-    "SELECT r.a, s.a FROM r, s WHERE s.k = r.k AND s.a = r.a",
+    ("SELECT * FROM r JOIN s ON r.k = s.k", "IndexProbe(s on [k])"),
+    ("SELECT * FROM r JOIN s ON r.k = s.k AND r.a < s.a", "IndexProbe(s on [k])"),
+    ("SELECT * FROM r LEFT JOIN s ON r.k = s.k", "IndexProbe(s on [k])"),
+    (
+        "SELECT * FROM r LEFT JOIN s ON r.k = s.k AND r.a <> s.a",
+        "IndexProbe(s on [k])",
+    ),
+    (
+        "SELECT r.a, s.a FROM r, s WHERE s.k = r.k AND s.a = r.a",
+        "IndexProbe(s on [k, a])",
+    ),
+    ("SELECT * FROM r WHERE r.a IN (SELECT s.a FROM s WHERE s.k = r.k)", None),
+    # A residual without a pair test runs interpreted over the partner rows.
+    (
+        "SELECT * FROM r WHERE EXISTS"
+        " (SELECT * FROM s WHERE s.k = r.k AND s.a + 0 > r.a)",
+        "IndexProbe(s on [k])",
+    ),
+    (
+        "SELECT * FROM r WHERE NOT EXISTS"
+        " (SELECT * FROM s WHERE s.k = r.k AND s.a + 0 > r.a)",
+        "IndexProbe(s on [k])",
+    ),
+    # A constant key: an IndexScan against its Filter(Scan).
+    ("SELECT * FROM s WHERE s.k = 1.0", "IndexScan(s on [k])"),
+    ("SELECT * FROM s WHERE s.k = 0.0 AND s.a = 2", "IndexScan(s on [k, a])"),
 ]
 
 
@@ -158,9 +181,10 @@ def build_keyed(r_rows, s_rows, deleted, indexed: bool) -> Database:
 def test_index_join_equals_hash_join(r_rows, s_rows, deleted):
     indexed = build_keyed(r_rows, s_rows, deleted, indexed=True)
     hashed = build_keyed(r_rows, s_rows, deleted, indexed=False)
-    for sql in INDEX_JOINS:
-        assert "IndexProbe" in indexed.explain(sql)
-        assert "IndexProbe" not in hashed.explain(sql)
+    for sql, access in INDEX_JOINS:
+        if access is not None:
+            assert access in indexed.explain(sql)
+        assert "Index" not in hashed.explain(sql)
         # Same rows in the same order; NaN is one object, so == holds.
         assert indexed.query(sql).rows == hashed.query(sql).rows, sql
     # The provenance form (+tid on both sides), as a core joins.

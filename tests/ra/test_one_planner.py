@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.engine.database import Database
+from repro.engine.storage import in_tid_order
 from repro.errors import AlgebraError
 from repro.ra import (
     Restriction,
@@ -107,7 +108,7 @@ def test_both_accesses_return_the_same_rows(text):
 def test_restriction_filters_the_unrestricted_result(lr_db, text):
     tree = tree_of(lr_db, text)
     # A tid deleted after the index was built must not resurface.
-    victim = lr_db.table("r").probe((1,), with_tid=True)(3)[0][-1]
+    victim = in_tid_order(lr_db.table("r").index_reader((1,)).owners(3))[0]
     lr_db.table("r").delete(victim)
     rng = random.Random(text)
     keep = {
@@ -238,12 +239,13 @@ def test_only_the_planner_builds_joins_and_access_paths():
 
 
 def test_only_the_access_reads_index_postings():
-    # ``Table.probe`` is the one read of a live posting list: plan.Access
-    # behind every planned lookup, the incremental detector's included.
+    # ``Table.index_reader`` is the one read of a live posting list:
+    # plan.Access behind every planned lookup, the incremental detector's
+    # included.
     readers = {
         relative
         for relative, module in _src_modules()
         for node in python_ast.walk(module)
-        if isinstance(node, python_ast.Attribute) and node.attr == "probe"
+        if isinstance(node, python_ast.Attribute) and node.attr == "index_reader"
     }
     assert readers == {"engine/plan.py"}

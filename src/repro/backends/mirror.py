@@ -58,7 +58,7 @@ from repro.engine.catalog import Catalog
 from repro.engine.changelog import OP_INSERT
 from repro.engine.database import Database
 from repro.engine.expressions import Scope, bound_entries
-from repro.engine.feed import RECORD_CHANGE, FeedConsumer
+from repro.engine.feed import RECORD_CHANGE, FeedConsumer, FeedRecord
 from repro.engine.schema import TableSchema
 from repro.engine.storage import Table
 from repro.engine.types import SQLType
@@ -240,10 +240,12 @@ class MirrorBackend(ABC):
                 forgotten, so the next sync rebuilds everything).
         """
         db = self.db
+        assert self._consumer is not None  # attached
+        self._consumer.consume(lambda records, lost: self._apply(db, records, lost))
+
+    def _apply(self, db: Database, records: list[FeedRecord], lost: bool) -> None:
+        """:meth:`sync`'s apply step over one polled batch."""
         conn = self.connection
-        consumer = self._consumer
-        assert consumer is not None  # attached
-        records, lost = consumer.poll()
         if lost:
             self._forget()
         mirrored = self._mirrored
@@ -282,10 +284,9 @@ class MirrorBackend(ABC):
                 conn.execute(drop_table_sql(key))
                 del mirrored[key]
             conn.commit()
-            consumer.commit()
         except self._driver_errors() as exc:
-            # Native storage is the truth: the next sync rebuilds from
-            # it, never from re-delivered records.
+            # Native storage is the truth: the next sync rebuilds every
+            # mirror from it, whatever records it is delivered again.
             self._forget()
             raise BackendError(
                 f"backend {self.name!r} failed to sync mirrors: {exc}"

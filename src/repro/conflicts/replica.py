@@ -81,7 +81,6 @@ class ReplicaSync:
             maintenance), ``"full"`` (re-detection; DDL or recovery) or
             ``"deferred"`` (constraint tables still missing at the cut).
         lag: records still pending past this sync's commit.
-        seconds: wall-clock time of the sync.
         delta: the incremental application's report (incremental mode
             only).
     """
@@ -89,7 +88,6 @@ class ReplicaSync:
     records: int = 0
     mode: str = "noop"
     lag: int = 0
-    seconds: float = 0.0
     delta: Optional[DetectionReport] = None
 
 
@@ -352,23 +350,10 @@ class ReplicaHypergraph:
             ConstraintError: when the new state leaves the restricted
                 foreign-key class (full re-detection would raise too).
         """
-        started = time.perf_counter()
-        records, lost = self._consumer.poll(limit)
-        if lost:
-            raise FeedError(
-                f"replica group {self.group!r}: feed history was dropped"
-                " before it was consumed; the replica cannot converge"
-            )
+        # 1) Replay and 2) commit the cut: a crash from here on re-attaches
+        #    *after* these records, and full detection rebuilds the graph.
+        records = self._consumer.consume(self._replay, limit)
         sync = ReplicaSync(records=len(records))
-        if records:
-            # 1) Advance the replica database (the durable part of the
-            #    cut), batched so a big poll amortizes per-record overhead.
-            with self.db.changes.feed.suspended():
-                replay_feed_records(self.db, records, self.applied_records)
-            self._mark("apply")
-            # 2) Commit the cut: a crash from here on re-attaches *after*
-            #    these records, and full detection rebuilds the graph.
-            self._consumer.commit()
         if records or not self.ready:
             # 3) Advance the hypergraph (re-detecting across DDL and
             #    after a failed sync).
@@ -377,8 +362,26 @@ class ReplicaHypergraph:
             if sync.mode == "incremental":
                 sync.delta = report
         sync.lag = self._consumer.lag
-        sync.seconds = time.perf_counter() - started
         return sync
+
+    def _replay(self, records: list[FeedRecord], lost: bool) -> None:
+        """:meth:`sync`'s apply step: advance the replica database (the
+        durable part of the cut), batched so a big poll amortizes
+        per-record overhead.  A replay that raised leaves the replica
+        not :attr:`ready`, and its records are delivered again."""
+        if lost:
+            raise FeedError(
+                f"replica group {self.group!r}: feed history was dropped"
+                " before it was consumed; the replica cannot converge"
+            )
+        if records:
+            try:
+                with self.db.changes.feed.suspended():
+                    replay_feed_records(self.db, records, self.applied_records)
+            except BaseException:
+                self._detector.report = None
+                raise
+            self._mark("apply")
 
     def follow(
         self,

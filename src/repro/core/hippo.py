@@ -52,7 +52,7 @@ from repro.core.membership import (
 from repro.core.prover import Prover
 from repro.engine.catalog import Catalog
 from repro.engine.database import Database
-from repro.engine.feed import FeedConsumer
+from repro.engine.feed import FeedConsumer, FeedRecord
 from repro.engine.types import default_order, sort_key
 from repro.errors import UnsupportedQueryError
 from repro.ra.compile import evaluate_tree
@@ -297,24 +297,22 @@ class HippoEngine:
         ``full=True`` forces complete re-detection (the always-correct
         escape hatch), and so do lost history and a detached engine;
         the detector re-detects on its own across DDL and after a failed
-        advance.  A poll whose advance raised stays uncommitted.
+        advance.  A poll whose advance raised is delivered again.
         """
-        records, lost = (
-            self._consumer.poll() if self._consumer is not None else ([], True)
-        )
-        if not (full or lost or records) and self._detector.report is not None:
-            return  # nothing pending; current state is already exact
-        self.detection = self._detector.advance(records, full=full or lost)
-        if self._consumer is not None:
-            self._consumer.commit()
-        self._enveloper = Enveloper(self.db, self.hypergraph)
+
+        def apply(records: list[FeedRecord], lost: bool) -> None:
+            if full or lost or records or self._detector.report is None:
+                self.detection = self._detector.advance(records, full=full or lost)
+                self._enveloper = Enveloper(self.db, self.hypergraph)
+
+        if self._consumer is None:
+            apply([], True)
+        else:
+            self._consumer.consume(apply)
 
     def _sync(self) -> None:
         """Bring the hypergraph up to date before answering a query."""
-        if self._consumer is None:
-            return  # detached: the engine is deliberately static
-        consumer = self._consumer
-        if consumer.pending or consumer.lost or self._detector.report is None:
+        if self._consumer is not None:  # a detached engine stays static
             self.refresh()
 
     def detach(self) -> None:

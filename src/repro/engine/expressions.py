@@ -399,15 +399,18 @@ class ExpressionCompiler:
             return self._compile_comparison(op, expr.left, expr.right)
         left = self.compile(expr.left)
         right = self.compile(expr.right)
-        if op == "AND":
+        if op in ("AND", "OR"):
+            # A deciding left operand (FALSE for AND, TRUE for OR) skips the right.
+            decides = op == "OR"
+            kleene = logic_or if decides else logic_and
 
-            def conjunction(env: Env) -> Optional[bool]:
-                return logic_and(_as_bool(left(env)), _as_bool(right(env)))
+            def connective(env: Env) -> Optional[bool]:
+                lhs = _as_bool(left(env))
+                return lhs if lhs is decides else kleene(lhs, _as_bool(right(env)))
 
-            _conjoin_tests(conjunction, left, right)
-            return conjunction
-        if op == "OR":
-            return lambda env: logic_or(_as_bool(left(env)), _as_bool(right(env)))
+            if op == "AND":
+                _conjoin_tests(connective, left, right)
+            return connective
         if op in _ARITHMETIC:
             return lambda env: _apply_arithmetic(op, left(env), right(env))
         if op == "||":

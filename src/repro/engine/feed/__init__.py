@@ -49,7 +49,7 @@ from __future__ import annotations
 import contextlib
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
 
 from repro.engine.feed.groups import DurableGroupStore, GroupStore
 from repro.engine.feed.memory import MemoryLog
@@ -583,8 +583,8 @@ class FeedConsumer:
     feed is).  A consumer that crashes between the two is re-delivered
     the uncommitted records on re-attach -- apply-then-commit therefore
     gives exactly-once effects for idempotent appliers.  On a reader
-    instance of a durable feed, every poll / lag / pending / lost check
-    first re-scans the directory (live tailing).
+    instance of a durable feed, every poll and lag check first re-scans
+    the directory (live tailing); followers take both via :meth:`consume`.
     """
 
     def __init__(self, feed: ChangeFeed, group: str) -> None:
@@ -616,22 +616,6 @@ class FeedConsumer:
         return self.feed._lag(
             self.feed._store.committed[self.group], self.topics
         )
-
-    @property
-    def pending(self) -> int:
-        """Records past the current *read* position."""
-        if self._closed:
-            return 0
-        self.feed.refresh()
-        return self.feed._lag(self._positions, self.topics)
-
-    @property
-    def lost(self) -> bool:
-        """Whether retention dropped records this consumer never read."""
-        if self._closed:
-            return False
-        self.feed.refresh()
-        return self.feed._lost(self._positions, self.topics)
 
     def resubscribe(
         self,
@@ -699,6 +683,27 @@ class FeedConsumer:
         if self._closed:
             return
         self.feed._commit(self.group, self._positions)
+
+    def consume(
+        self,
+        apply: Callable[[list[FeedRecord], bool], object],
+        limit: Optional[int] = None,
+    ) -> list[FeedRecord]:
+        """Poll, apply, commit: the one step every feed follower takes.
+
+        ``apply(records, lost)`` gets what :meth:`poll` returned; the commit
+        follows only if the position moved (records, or ``lost``).  If
+        ``apply`` raises, the position returns to the committed cut and the
+        records are delivered again, as after a restart.  Returns them."""
+        records, lost = self.poll(limit)
+        try:
+            apply(records, lost)
+        except BaseException:
+            self.seek(self.committed)
+            raise
+        if records or lost:
+            self.commit()
+        return records
 
     def seek_to_end(self) -> None:
         """Jump past all retained (subscribed) records and commit there."""

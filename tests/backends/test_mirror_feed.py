@@ -191,6 +191,25 @@ class TestDeltas:
         backend.close()
 
 
+    def test_a_failed_sync_is_followed_by_a_pushed_query_equal_to_native(
+        self, rs_db
+    ):
+        sql = "SELECT a, b FROM r WHERE a < 10"
+        rs_db.attach_backend(SQLiteBackend())
+        rs_db.query(sql)  # the first sync
+        rs_db.insert_rows("r", [(5, 2**70)])  # outside SQLite's integers
+        assert sorted(rs_db.query(sql).rows) == [(1, 1), (2, 2), (3, 3), (5, 2**70)]
+        assert rs_db.stats.backend_fallbacks == 1
+        rs_db.execute("DELETE FROM r WHERE a = 5")
+        pushdowns = rs_db.stats.backend_pushdowns
+        # The failed batch is delivered again, and the mirrors rebuild.
+        assert sorted(rs_db.query(sql).rows) == [(1, 1), (2, 2), (3, 3)]
+        assert rs_db.stats.backend_pushdowns == pushdowns + 1
+        assert rs_db.stats.backend_fallbacks == 1
+        assert_mirror_equal(rs_db, rs_db.backend)
+        rs_db.backend.close()
+
+
 class TestFeedGroup:
     def mirror_groups(self, db, before):
         return set(db.changes.feed.groups()) - before

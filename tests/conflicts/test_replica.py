@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.conflicts import ReplicaHypergraph, detect_conflicts
+import repro.conflicts.replica as replica_module
+from repro.conflicts import ReplicaHypergraph, ShardCoordinator, detect_conflicts
 from repro.constraints import FunctionalDependency
 from repro.constraints.foreign_key import ForeignKeyConstraint
 from repro.engine.database import Database
@@ -25,6 +26,17 @@ def fd_primary(feed: ChangeFeed) -> tuple[Database, FunctionalDependency]:
     db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
     db.execute("INSERT INTO emp VALUES ('ann', 10), ('ann', 20), ('bob', 5)")
     return db, FunctionalDependency("emp", ["name"], ["salary"])
+
+
+def fail_replay_once(monkeypatch) -> None:
+    """Make the replica's next record replay raise, once."""
+    replay = replica_module.replay_feed_records
+
+    def fail(*args):
+        monkeypatch.setattr(replica_module, "replay_feed_records", replay)
+        raise RuntimeError("replay failed")
+
+    monkeypatch.setattr(replica_module, "replay_feed_records", fail)
 
 
 def assert_converged(replica: ReplicaHypergraph, primary: Database, constraints):
@@ -543,3 +555,63 @@ class TestReplicaFailureModes:
         sync = replica.sync()
         assert sync.mode == "full"
         assert_converged(replica, db, constraints)
+
+
+class TestFailedReplay:
+    """A sync whose replay raised is loud: the replica is not ready, the
+    batch stays uncommitted, and the next sync delivers it again."""
+
+    def test_replica_converges_after_a_failed_replay(self, monkeypatch):
+        feed = ChangeFeed()
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        replica = ReplicaHypergraph(feed, [fd], group="replica")
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
+        db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
+        replica.sync()
+        db.execute("INSERT INTO emp VALUES ('ann', 20)")
+        assert replica.lag == 1
+        fail_replay_once(monkeypatch)
+        with pytest.raises(RuntimeError, match="replay failed"):
+            replica.sync()
+        assert not replica.ready
+        assert replica.lag == 1  # unchanged: the batch stays uncommitted
+        sync = replica.sync()
+        assert (sync.records, sync.mode, sync.lag) == (1, "full", 0)
+        assert replica.lag == 0
+        assert_converged(replica, db, [fd])
+        assert len(replica.graph) == 1
+
+    def test_shard_worker_converges_after_a_failed_replay(
+        self, tmp_path, monkeypatch
+    ):
+        feed = ChangeFeed(tmp_path / "feed")
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
+        db.execute("CREATE TABLE dept (name TEXT)")
+        db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
+        feed.flush()
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        coordinator = ShardCoordinator(
+            feed, [fd], workers=2, assignment={"emp": 0, "dept": 1}
+        )
+        coordinator.drain()
+        worker = coordinator.workers[0]
+        db.execute("INSERT INTO emp VALUES ('ann', 20)")
+        feed.flush()
+        assert worker.lag == 1
+        fail_replay_once(monkeypatch)
+        with pytest.raises(RuntimeError, match="replay failed"):
+            coordinator.sync()
+        assert not worker.ready
+        assert worker.lag == 1  # unchanged: the batch stays uncommitted
+        coordinator.sync()
+        assert worker.ready and worker.lag == 0 and coordinator.lag == 0
+        assert dict(worker.db.table("emp").items()) == dict(
+            db.table("emp").items()
+        )
+        full = detect_conflicts(db, [fd]).hypergraph.as_dict()
+        assert worker.graph.as_dict() == coordinator.graph.as_dict() == full
+        assert len(full) == 1
+        coordinator.close()
+        feed.close()

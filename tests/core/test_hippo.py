@@ -278,6 +278,27 @@ class TestRefresh:
         assert ("bob", "ee", 20) in before
         assert ("bob", "ee", 20) not in after
 
+    def test_a_failed_advance_is_delivered_again(self, hippo, monkeypatch):
+        from repro.conflicts.incremental import IncrementalDetector
+
+        apply_records = IncrementalDetector.apply_records
+
+        def fail_once(detector, records):
+            monkeypatch.setattr(IncrementalDetector, "apply_records", apply_records)
+            raise RuntimeError("apply failed")
+
+        monkeypatch.setattr(IncrementalDetector, "apply_records", fail_once)
+        hippo.db.execute("INSERT INTO emp VALUES ('bob', 'ee', 99)")
+        with pytest.raises(RuntimeError, match="apply failed"):
+            hippo.refresh()
+        assert hippo.feed_lag == 1  # the record stays uncommitted
+        text = "SELECT * FROM emp"
+        fresh = HippoEngine(hippo.db, hippo.constraints)
+        answers = hippo.consistent_answers(text)
+        assert answers.rows == fresh.consistent_answers(text).rows
+        assert hippo.hypergraph.as_dict() == fresh.hypergraph.as_dict()
+        assert hippo.feed_lag == 0
+
     def test_consistent_database_passthrough(self, two_table_db):
         fd = FunctionalDependency("s", ["a"], ["b"])
         hippo = HippoEngine(two_table_db, [fd])

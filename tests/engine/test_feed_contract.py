@@ -3,11 +3,12 @@
 Everything a consumer may rely on without knowing where the records
 live -- seq-ordered polls, ``limit``, commit / re-delivery, topic-subset
 subscriptions, resubscription, group snapshots, ``suspended()``, lag
-and pending -- runs here against the memory log and against the segment
-log (at two records per segment, so every multi-record case crosses a
-rotation).  What is kind-specific stays in ``test_feed.py`` (overflow ->
-``lost``; torn tails, rotation, tailing, truncation / compaction crash
-safety) and ``test_feed_transfer.py`` (what survives a fresh instance).
+and the ``consume`` step -- runs here against the memory log and
+against the segment log (at two records per segment, so every
+multi-record case crosses a rotation).  What is kind-specific stays in
+``test_feed.py`` (overflow -> ``lost``; torn tails, rotation, tailing,
+truncation / compaction crash safety) and ``test_feed_transfer.py``
+(what survives a fresh instance).
 A snapshot is where the kinds part ways: a durable one outlives the
 group's attach, a memory one is forgotten when the group detaches.
 """
@@ -167,10 +168,11 @@ class TestCommit:
         for tid in range(3):
             publish(feed, "r", tid, tid)
         consumer.poll(limit=1)
-        assert consumer.pending == 2  # past the read position
         assert consumer.lag == 3  # past the committed position
         consumer.commit()
-        assert consumer.lag == 2 and not consumer.lost
+        assert consumer.lag == 2
+        records, lost = consumer.poll()  # past the read position
+        assert [r.tid for r in records] == [1, 2] and not lost
 
     def test_new_groups_start_at_the_end_or_the_beginning(self, feed):
         feed.consumer("early")
@@ -187,9 +189,60 @@ class TestCommit:
         for consumer in (closed, abandoned):
             assert consumer.closed
             assert consumer.poll() == ([], False)
-            assert (consumer.lag, consumer.pending, consumer.lost) == (0, 0, False)
+            assert consumer.lag == 0
         # close() deregisters; abandon() is the crash: still registered.
         assert "c" not in feed.groups() and "a" in feed.groups()
+
+
+class TestConsume:
+    """``consume(apply)`` is poll -> apply -> commit, the one step every
+    follower takes."""
+
+    def test_commits_only_when_the_position_moved(self, feed, monkeypatch):
+        consumer = feed.consumer("g")
+        commits = []
+        commit = consumer.commit
+        monkeypatch.setattr(consumer, "commit", lambda: commits.append(commit()))
+        seen = []
+        assert consumer.consume(lambda *batch: seen.append(batch)) == []
+        assert seen == [([], False)] and commits == []
+        publish(feed, "r", 0, 1)
+        records = consumer.consume(lambda *batch: seen.append(batch))
+        assert [r.tid for r in records] == [0] and seen[-1] == (records, False)
+        assert len(commits) == 1 and consumer.committed == {"r": 1}
+
+    def test_a_raising_apply_is_delivered_again(self, feed):
+        consumer = feed.consumer("g")
+        for tid in range(3):
+            publish(feed, "r", tid, tid)
+        committed = consumer.committed
+
+        def fail(records, lost):
+            raise RuntimeError("apply failed")
+
+        with pytest.raises(RuntimeError, match="apply failed"):
+            consumer.consume(fail, limit=2)
+        assert consumer.committed == committed and consumer.lag == 3
+        records, lost = consumer.poll()
+        assert [r.tid for r in records] == [0, 1, 2] and not lost
+
+    def test_lost_reaches_apply_and_is_committed(self):
+        feed = ChangeFeed(max_retained=2)
+        consumer = feed.consumer("g")
+        for tid in range(4):
+            publish(feed, "r", tid, tid)
+        seen = []
+
+        def fail(records, lost):
+            seen.append((records, lost))
+            raise RuntimeError("apply failed")
+
+        with pytest.raises(RuntimeError):
+            consumer.consume(fail)
+        assert consumer.consume(lambda *batch: seen.append(batch)) == []
+        assert seen == [([], True), ([], True)]  # the loss, delivered again
+        assert consumer.committed == feed.end_offsets() == {"r": 4}
+        assert feed.consumer("g").poll() == ([], False)
 
 
 class TestResidency:

@@ -8,6 +8,7 @@ the partner's live index) and once without (it hashes the partner).
 """
 
 import itertools
+import sqlite3
 
 import pytest
 
@@ -403,3 +404,74 @@ def test_pair_test_needs_one_stored_type(inner, outer):
     tested = getattr(residual, "pair_test", None) is not None
     assert tested is (inner == outer != "REAL")
     assert database.query(sql).rows == [(1,)]
+
+
+def sqlite_rows(db, sql):
+    """``sql`` over the same ``r`` and ``s`` in stdlib sqlite3."""
+    conn = sqlite3.connect(":memory:")
+    for table in ("r", "s"):
+        conn.execute(f"CREATE TABLE {table} (a INTEGER, b INTEGER)")
+        conn.executemany(
+            f"INSERT INTO {table} VALUES (?, ?)",
+            [row for _tid, row in db.catalog.table(table).items()],
+        )
+    try:
+        return conn.execute(sql).fetchall()
+    finally:
+        conn.close()
+
+
+# (query, rows, probes): neither is lifted into a HashSemiJoin, so each
+# row that reaches the EXISTS probes the one hash build.
+DECIDED_ON_THE_LEFT = {
+    "OR": (
+        "SELECT r.a, r.b FROM r WHERE r.b > 0 OR EXISTS"
+        " (SELECT * FROM s WHERE s.a = r.a AND s.b + 0 > r.b)",
+        [(1, 10), (1, 20), (2, 5), (None, 7), (4, 4)],
+        1,  # only (3, NULL) leaves r.b > 0 undecided
+    ),
+    "AND under NOT": (
+        "SELECT r.a, r.b FROM r WHERE NOT (r.b < 6 AND EXISTS"
+        " (SELECT * FROM s WHERE s.a = r.a AND s.b + 0 > r.b))",
+        [(1, 10), (1, 20), (None, 7), (3, None), (4, 4)],
+        3,  # r.b < 6 is FALSE on the other three rows
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", DECIDED_ON_THE_LEFT)
+def test_a_decided_left_operand_skips_the_right(db, shape):
+    sql, expected, probes = DECIDED_ON_THE_LEFT[shape]
+    assert "HashSemiJoin" not in db.explain(sql)
+    db.stats.reset()
+    assert db.query(sql).rows == expected == sqlite_rows(db, sql)
+    assert db.stats.subquery_evaluations == 1
+    assert db.stats.subquery_cache_hits == probes
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [
+        "NULL AND FALSE",
+        "NOT (NULL AND FALSE)",
+        "FALSE AND NULL",
+        "NULL AND TRUE",
+        "NULL OR TRUE",
+        "TRUE OR NULL",
+        "NOT (NULL OR FALSE)",
+        "NOT (r.b > 5 AND r.a > 3)",
+        "r.b > 5 OR r.a = 3",
+    ],
+)
+def test_three_valued_connectives_match_sqlite(db, condition):
+    sql = f"SELECT r.a, r.b FROM r WHERE {condition}"
+    assert db.query(sql).rows == sqlite_rows(db, sql)
+
+
+def test_an_operand_the_left_decides_raises_nothing(db):
+    # r.a is no boolean: it raises wherever it is evaluated.
+    assert db.query("SELECT r.a FROM r WHERE r.a > 9 AND r.a").rows == []
+    rows = db.query("SELECT r.a FROM r WHERE r.b IS NULL OR r.b > 0 OR r.a").rows
+    assert len(rows) == 6
+    with pytest.raises(TypeError_, match="boolean"):
+        db.query("SELECT r.a FROM r WHERE r.a = 1 AND r.a")

@@ -16,7 +16,7 @@ the hypergraph to be stored in main memory").
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 
 class Vertex(NamedTuple):
@@ -36,24 +36,25 @@ class ConflictHypergraph:
 
     A :class:`ViolationStore` decides which edges it holds and edits it
     in place through :meth:`add_edge` / :meth:`remove_edge` /
-    :meth:`relabel`, which keep the per-vertex adjacency
-    (``_incidence``) and ``edge_labels`` consistent with ``edges``.
-
-    Attributes:
-        edges: the hyperedges (minimal violation sets), deduplicated.
-        edge_labels: the constraint name each edge was derived from,
-            positionally aligned with ``edges``.
+    :meth:`relabel`.  The stored edge is the key: ``_labels`` maps each
+    edge to the constraint it was derived from, and ``_incidence`` maps
+    each vertex to its incident edges, both in insertion order.  Nothing
+    is kept by position, so a removal moves no other edge.
     """
 
     def __init__(self, edges: Iterable[frozenset[Vertex]] = ()) -> None:
-        self.edges: list[frozenset[Vertex]] = []
-        self.edge_labels: list[str] = []
-        self._position: dict[frozenset[Vertex], int] = {}
-        self._incidence: dict[Vertex, list[int]] = {}
+        self._labels: dict[frozenset[Vertex], str] = {}
+        self._incidence: dict[Vertex, list[frozenset[Vertex]]] = {}
         #: relation -> conflicting tids, dropped whenever an edge changes
         self._conflicting_tids: dict[str, frozenset[int]] = {}
         for edge in edges:
             self.add_edge(edge)
+
+    @property
+    def edges(self) -> KeysView[frozenset[Vertex]]:
+        """The hyperedges (minimal violation sets) in insertion order: a
+        read-only live view, not a copy."""
+        return self._labels.keys()
 
     # ----------------------------------------------------------- mutation
 
@@ -66,45 +67,26 @@ class ConflictHypergraph:
         edge = frozenset(edge)
         if not edge:
             raise ValueError("hyperedges must be non-empty")
-        if edge in self._position:
+        if edge in self._labels:
             return False
         self._conflicting_tids.clear()
-        index = len(self.edges)
-        self._position[edge] = index
-        self.edges.append(edge)
-        self.edge_labels.append(label)
+        self._labels[edge] = label
         for v in edge:
-            self._incidence.setdefault(v, []).append(index)
+            self._incidence.setdefault(v, []).append(edge)
         return True
 
     def remove_edge(self, edge: Iterable[Vertex]) -> bool:
-        """Retract a hyperedge; returns whether it was stored.
-
-        The last edge is swapped into the vacated slot, so edge order is
-        not stable across removals (no consumer relies on it -- equality
-        of hypergraphs is by edge *set*, see :meth:`as_dict`).
-        """
+        """Retract a hyperedge; returns whether it was stored."""
         edge = frozenset(edge)
-        index = self._position.pop(edge, None)
-        if index is None:
+        if edge not in self._labels:
             return False
         self._conflicting_tids.clear()
+        del self._labels[edge]
         for v in edge:
             incident = self._incidence[v]
-            incident.remove(index)
+            incident.remove(edge)
             if not incident:
                 del self._incidence[v]
-        last = len(self.edges) - 1
-        if index != last:
-            moved = self.edges[last]
-            self.edges[index] = moved
-            self.edge_labels[index] = self.edge_labels[last]
-            self._position[moved] = index
-            for v in moved:
-                incident = self._incidence[v]
-                incident[incident.index(last)] = index
-        self.edges.pop()
-        self.edge_labels.pop()
         return True
 
     def relabel(self, edge: frozenset[Vertex], label: str) -> None:
@@ -113,12 +95,14 @@ class ConflictHypergraph:
         Raises:
             KeyError: when the edge is not stored.
         """
-        self.edge_labels[self._position[edge]] = label
+        if edge not in self._labels:
+            raise KeyError(edge)
+        self._labels[edge] = label
 
     # ------------------------------------------------------------- queries
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self._labels)
 
     @property
     def vertex_count(self) -> int:
@@ -131,11 +115,11 @@ class ConflictHypergraph:
 
     def edges_of(self, v: Vertex) -> list[frozenset[Vertex]]:
         """The hyperedges containing ``v`` (empty when conflict-free)."""
-        return [self.edges[index] for index in self._incidence.get(v, ())]
+        return list(self._incidence.get(v, ()))
 
     def contains_edge(self, edge: Iterable[Vertex]) -> bool:
         """Whether this exact hyperedge is stored."""
-        return frozenset(edge) in self._position
+        return frozenset(edge) in self._labels
 
     def label_of(self, edge: Iterable[Vertex]) -> str:
         """The label of a stored edge.
@@ -143,21 +127,17 @@ class ConflictHypergraph:
         Raises:
             KeyError: when the edge is not stored.
         """
-        return self.edge_labels[self._position[frozenset(edge)]]
+        return self._labels[frozenset(edge)]
 
     def subset_edges(self, vertices: Iterable[Vertex]) -> list[frozenset[Vertex]]:
         """Stored edges that are subsets of ``vertices`` (inclusive)."""
         vertex_set = frozenset(vertices)
-        found: list[frozenset[Vertex]] = []
-        checked: set[int] = set()
+        found: dict[frozenset[Vertex], None] = {}
         for v in vertex_set:
-            for index in self._incidence.get(v, ()):
-                if index in checked:
-                    continue
-                checked.add(index)
-                if self.edges[index] <= vertex_set:
-                    found.append(self.edges[index])
-        return found
+            for edge in self._incidence.get(v, ()):
+                if edge <= vertex_set:
+                    found[edge] = None
+        return list(found)
 
     def superset_edges(self, vertices: Iterable[Vertex]) -> list[frozenset[Vertex]]:
         """Stored edges strictly containing ``vertices``."""
@@ -169,14 +149,14 @@ class ConflictHypergraph:
             vertex_set, key=lambda u: len(self._incidence.get(u, ()))
         )
         return [
-            self.edges[index]
-            for index in self._incidence.get(probe, ())
-            if vertex_set < self.edges[index]
+            edge
+            for edge in self._incidence.get(probe, ())
+            if vertex_set < edge
         ]
 
     def as_dict(self) -> dict[frozenset[Vertex], str]:
         """``edge -> label`` (the canonical, order-free representation)."""
-        return dict(zip(self.edges, self.edge_labels))
+        return dict(self._labels)
 
     def is_independent(self, vertices: Iterable[Vertex]) -> bool:
         """Whether no hyperedge is fully contained in ``vertices``.
@@ -186,13 +166,9 @@ class ConflictHypergraph:
         positive facts and the chosen covering hyperedges).
         """
         vertex_set = set(vertices)
-        checked: set[int] = set()
         for v in vertex_set:
-            for index in self._incidence.get(v, ()):
-                if index in checked:
-                    continue
-                checked.add(index)
-                if self.edges[index] <= vertex_set:
+            for edge in self._incidence.get(v, ()):
+                if edge <= vertex_set:
                     return False
         return True
 
@@ -209,12 +185,12 @@ class ConflictHypergraph:
 
     def summary(self) -> dict[str, object]:
         """Size statistics (reported by benchmarks and examples)."""
-        sizes = [len(edge) for edge in self.edges]
+        sizes = [len(edge) for edge in self._labels]
         per_relation: dict[str, int] = {}
         for v in self._incidence:
             per_relation[v.relation] = per_relation.get(v.relation, 0) + 1
         return {
-            "edges": len(self.edges),
+            "edges": len(self._labels),
             "conflicting_tuples": len(self._incidence),
             "max_edge_size": max(sizes, default=0),
             "singleton_edges": sum(1 for size in sizes if size == 1),

@@ -176,13 +176,12 @@ class ReplicaHypergraph:
             )
         self._snapshots = snapshots and feed.durable
         self._closed = False
+        #: a replay raised half-way: the next sync rebuilds first
+        self._stale = False
         self._consumer = feed.consumer(
             group, start="beginning", topics=self.topics
         )
         try:
-            #: the replica's own database, rebuilt purely from the feed.
-            self.db = Database()
-            self._plan_detection()
             self._bootstrap()
         except BaseException:
             # A failed bootstrap must release the consumer-group
@@ -194,22 +193,27 @@ class ReplicaHypergraph:
     # ------------------------------------------------------------ bootstrap
 
     def _bootstrap(self) -> None:
-        """Recover the database at the committed cut, then full-detect.
+        """Recover a new database at the committed cut, then full-detect.
 
         A *fresh* group on a feed whose prefix is already gone (it has
         no snapshot of its own) seeds itself from the writer's
         checkpoint; every other attach is
         :func:`~repro.engine.database.recover_database` under this
-        group, up to its committed offsets.
+        group, up to its committed offsets.  Attaching runs it, and so
+        does the first :meth:`sync` after a replay raised half-way.
         """
+        #: the replica's own database, rebuilt purely from the feed.
+        self.db = Database()
+        self._plan_detection()
         committed = self._consumer.committed
         if not committed and self._seed_from_writer_checkpoint():
-            self.restore_mode = "seeded"
+            self.restore_mode, self.applied_records = "seeded", {}
         else:
             self.restore_mode, self.applied_records = recover_database(
                 self.db, self.feed, self.group, upto=committed
             )
             self.restore_records = sum(self.applied_records.values())
+        self._stale = False
         # A fresh replica may attach before the CREATE TABLE records its
         # constraints need have replicated; detection then stays
         # deferred until a sync carries that DDL.
@@ -342,6 +346,13 @@ class ReplicaHypergraph:
         intermediate cut); the commit happens at the batch boundary, so
         every return is a valid restart point.
 
+        A replay that raised may have applied part of its batch.  On a
+        durable feed this sync then first rebuilds the database and the
+        detector at the committed cut, as a restart does, and only then
+        takes the batch again.  An in-memory feed keeps no history below
+        the committed cut to rebuild from: there the batch is delivered
+        again onto the database as the failed replay left it.
+
         Raises:
             FeedError: when the feed dropped history this replica never
                 consumed (in-memory overflow, or a reclaim that
@@ -350,6 +361,8 @@ class ReplicaHypergraph:
             ConstraintError: when the new state leaves the restricted
                 foreign-key class (full re-detection would raise too).
         """
+        if self._stale:
+            self._bootstrap()
         # 1) Replay and 2) commit the cut: a crash from here on re-attaches
         #    *after* these records, and full detection rebuilds the graph.
         records = self._consumer.consume(self._replay, limit)
@@ -368,7 +381,8 @@ class ReplicaHypergraph:
         """:meth:`sync`'s apply step: advance the replica database (the
         durable part of the cut), batched so a big poll amortizes
         per-record overhead.  A replay that raised leaves the replica
-        not :attr:`ready`, and its records are delivered again."""
+        not :attr:`ready` (and stale on a durable feed), and its records
+        are delivered again."""
         if lost:
             raise FeedError(
                 f"replica group {self.group!r}: feed history was dropped"
@@ -380,6 +394,7 @@ class ReplicaHypergraph:
                     replay_feed_records(self.db, records, self.applied_records)
             except BaseException:
                 self._detector.report = None
+                self._stale = self.feed.durable
                 raise
             self._mark("apply")
 

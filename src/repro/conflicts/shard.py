@@ -480,7 +480,7 @@ def merge_graphs(
     """
     store = ViolationStore(constraint_names)
     for graph in graphs:
-        for edge, label in zip(graph.edges, graph.edge_labels):
+        for edge, label in graph.as_dict().items():
             store.add(edge, label)
     return store.graph
 

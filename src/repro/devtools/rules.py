@@ -222,25 +222,26 @@ class HypergraphEncapsulationRule(Rule):
     """HL004: ``ConflictHypergraph`` internals stay inside their module.
 
     The violation store must go through ``add_edge``/``remove_edge``/
-    ``relabel`` so invariants (incidence maps, edge labels, position
-    index) stay in sync; poking ``_position`` or ``_incidence`` from
-    outside desynchronizes them silently.
+    ``relabel`` so the edge -> label map (``_labels``) and the
+    per-vertex incident edges (``_incidence``) stay in sync; poking
+    either from outside desynchronizes them silently.  ``_position`` and
+    ``_edges`` name the retired positional layout and stay flagged.
     """
 
     id = "HL004"
     name = "hypergraph-encapsulation"
     summary = (
-        "ConflictHypergraph internals (_position/_incidence/_edges) are"
-        " only touched inside conflicts/hypergraph.py; edges/edge_labels"
-        " are not mutated from outside"
+        "ConflictHypergraph internals (_labels/_incidence) are only"
+        " touched inside conflicts/hypergraph.py; edges is not mutated"
+        " from outside"
     )
     rationale = (
         "PR 5 shard merge audit; dynamic twin:"
         " tests/property/test_violation_store.py"
     )
 
-    PRIVATE = ("_position", "_incidence", "_edges")
-    PUBLIC = ("edges", "edge_labels")
+    PRIVATE = ("_labels", "_incidence", "_position", "_edges")
+    PUBLIC = ("edges",)
     MUTATORS = (
         "append",
         "extend",

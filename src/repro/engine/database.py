@@ -8,6 +8,7 @@ execution statistics so the Hippo layer's optimizations are observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from repro.engine.catalog import Catalog
@@ -550,7 +551,7 @@ def replay_feed_records(
     db: Database, records: Iterable[FeedRecord], applied: dict[str, int]
 ) -> None:
     """Apply a record *stream* in bounded batches, counting the records
-    per topic into ``applied``.
+    per topic into ``applied`` once their batch was applied.
 
     The one replay loop (recovery and replica sync both call it):
     records accumulate up to :data:`REPLAY_BATCH_RECORDS`, then one
@@ -558,15 +559,11 @@ def replay_feed_records(
     overhead, and a lazy stream (feed segments read one at a time) is
     never materialized whole.
     """
-    batch: list[FeedRecord] = []
-    for record in records:
-        applied[record.topic] = applied.get(record.topic, 0) + 1
-        batch.append(record)
-        if len(batch) >= REPLAY_BATCH_RECORDS:
-            apply_feed_records(db, batch)
-            batch.clear()
-    if batch:
+    stream = iter(records)
+    while batch := list(islice(stream, REPLAY_BATCH_RECORDS)):
         apply_feed_records(db, batch)
+        for record in batch:
+            applied[record.topic] = applied.get(record.topic, 0) + 1
 
 
 def recover_database(

@@ -77,15 +77,16 @@ def count_repairs_exact(hypergraph: ConflictHypergraph) -> RepairCount:
             report a bound instead.
     """
     components = sorted(conflict_components(hypergraph), key=len, reverse=True)
+    # Each component's edges, in the hypergraph's order: one pass.
+    owner = {v: i for i, component in enumerate(components) for v in component}
+    local_edges: list[list[frozenset[Vertex]]] = [[] for _ in components]
+    for edge in hypergraph.edges:
+        local_edges[owner[next(iter(edge))]].append(edge)
     sizes = []
     counts = []
     total = 1
-    for component in components:
-        # Restrict the hypergraph to this component's edges.
-        local_edges = [
-            edge for edge in hypergraph.edges if edge <= component
-        ]
-        local = ConflictHypergraph(local_edges)
+    for component, edges in zip(components, local_edges):
+        local = ConflictHypergraph(edges)
         local_count = len(
             maximal_independent_sets(local, limit=COMPONENT_LIMIT)
         )

@@ -154,13 +154,14 @@ class TestMutableHypergraph:
         assert not graph.remove_edge(self.edge(1, 2))
         assert graph.edges_of(vertex("r", 1)) == []
         assert graph.edges_of(vertex("r", 2)) == [self.edge(2, 3)]
-        assert graph.edge_labels == ["c2"]
+        assert graph.as_dict() == {self.edge(2, 3): "c2"}
 
-    def test_swap_remove_remaps_positions(self):
+    def test_remove_keeps_the_other_edges_in_order(self):
         graph = ConflictHypergraph()
         for tids, label in [((1, 2), "a"), ((3, 4), "b"), ((4, 5), "c")]:
             graph.add_edge(self.edge(*tids), label)
-        graph.remove_edge(self.edge(1, 2))  # last edge swaps into slot 0
+        graph.remove_edge(self.edge(1, 2))  # nothing moves into its place
+        assert list(graph.edges) == [self.edge(3, 4), self.edge(4, 5)]
         assert graph.as_dict() == {
             self.edge(3, 4): "b",
             self.edge(4, 5): "c",
@@ -659,7 +660,7 @@ class TestMaintainedCounters:
     def assert_counters_exact(self, engine, db, constraints):
         """Maintained counters == a brute-force recount == full detection."""
         store = engine._detector.report.store
-        recount_stored = Counter(store.graph.edge_labels)
+        recount_stored = Counter(store.graph.as_dict().values())
         for name, stored in store.stored().items():
             assert stored == recount_stored[name]
             supported = {

@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 import repro.conflicts.replica as replica_module
+import repro.engine.database as database_module
 from repro.conflicts import ReplicaHypergraph, ShardCoordinator, detect_conflicts
 from repro.constraints import FunctionalDependency
 from repro.constraints.foreign_key import ForeignKeyConstraint
@@ -37,6 +38,18 @@ def fail_replay_once(monkeypatch) -> None:
         raise RuntimeError("replay failed")
 
     monkeypatch.setattr(replica_module, "replay_feed_records", fail)
+
+
+def fail_apply_half_way(monkeypatch) -> None:
+    """Make the next batch apply its first record and then raise, once."""
+    apply = database_module.apply_feed_records
+
+    def fail(db, records):
+        monkeypatch.setattr(database_module, "apply_feed_records", apply)
+        apply(db, records[:1])
+        raise RuntimeError("replay failed half-way")
+
+    monkeypatch.setattr(database_module, "apply_feed_records", fail)
 
 
 def assert_converged(replica: ReplicaHypergraph, primary: Database, constraints):
@@ -613,5 +626,69 @@ class TestFailedReplay:
         full = detect_conflicts(db, [fd]).hypergraph.as_dict()
         assert worker.graph.as_dict() == coordinator.graph.as_dict() == full
         assert len(full) == 1
+        coordinator.close()
+        feed.close()
+
+    def test_durable_replica_rebuilds_after_a_half_applied_replay(
+        self, tmp_path, monkeypatch
+    ):
+        feed = ChangeFeed(tmp_path / "feed")
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
+        db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        replica = ReplicaHypergraph(feed, [fd], group="replica")
+        replica.sync()
+        db.execute("INSERT INTO emp VALUES ('ann', 20), ('cat', 7)")
+        assert replica.lag == 2
+        fail_apply_half_way(monkeypatch)
+        with pytest.raises(RuntimeError, match="half-way"):
+            replica.sync()
+        assert not replica.ready
+        assert len(replica.db.table("emp")) == 3  # one record applied
+        replica.sync()
+        assert replica.ready and replica.lag == 0
+        assert_converged(replica, db, [fd])
+        assert len(replica.graph) == 1
+        # Each record is counted once: the half-applied one is not
+        # counted twice, and the rebuild did not count the history twice.
+        assert replica.applied_records == feed.end_offsets()
+        replica.close()
+        feed.close()
+
+    def test_shard_worker_rebuilds_after_a_half_applied_replay(
+        self, tmp_path, monkeypatch
+    ):
+        feed = ChangeFeed(tmp_path / "feed")
+        db = Database(feed=feed)
+        db.execute("CREATE TABLE emp (name TEXT, salary INTEGER)")
+        db.execute("CREATE TABLE dept (name TEXT)")
+        db.execute("INSERT INTO emp VALUES ('ann', 10), ('bob', 5)")
+        feed.flush()
+        fd = FunctionalDependency("emp", ["name"], ["salary"])
+        coordinator = ShardCoordinator(
+            feed, [fd], workers=2, assignment={"emp": 0, "dept": 1}
+        )
+        coordinator.drain()
+        worker = coordinator.workers[0]
+        db.execute("INSERT INTO emp VALUES ('ann', 20), ('cat', 7)")
+        feed.flush()
+        assert worker.lag == 2
+        fail_apply_half_way(monkeypatch)
+        with pytest.raises(RuntimeError, match="half-way"):
+            coordinator.drain()
+        assert not worker.ready
+        coordinator.drain()
+        assert worker.ready and worker.lag == 0 and coordinator.lag == 0
+        assert dict(worker.db.table("emp").items()) == dict(
+            db.table("emp").items()
+        )
+        full = detect_conflicts(db, [fd]).hypergraph.as_dict()
+        assert worker.graph.as_dict() == coordinator.graph.as_dict() == full
+        assert len(full) == 1
+        ends = feed.end_offsets()
+        assert worker.applied_records == {
+            topic: ends[topic] for topic in ("_schema", "emp")
+        }
         coordinator.close()
         feed.close()

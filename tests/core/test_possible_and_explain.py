@@ -1,5 +1,7 @@
 """Tests for possible answers, explanations and repair counting."""
 
+import math
+
 import pytest
 
 from repro import Database, HippoEngine
@@ -11,6 +13,7 @@ from repro.repairs import (
     all_repairs,
     conflict_components,
     count_repairs_exact,
+    maximal_independent_sets,
     repair_restriction,
 )
 from repro.workloads import generate_key_conflict_table
@@ -165,3 +168,23 @@ class TestRepairCounting:
         count = count_repairs_exact(graph)
         assert count.components == 200  # 400 conflicting tuples in pairs
         assert count.total == 2 ** 200
+
+    def test_grouped_edges_equal_a_scan_per_component(self):
+        """Each component's edges, as gathered with the components, give
+        the counts a scan of every edge per component gives."""
+        db = Database()
+        table = generate_key_conflict_table(
+            db, "r", 300, 0.5, seed=7, cluster_size=3
+        )
+        graph = detect_conflicts(db, [table.fd]).hypergraph
+        components = conflict_components(graph)
+        counts = [
+            len(maximal_independent_sets(ConflictHypergraph(
+                edge for edge in graph.edges if edge <= component
+            )))
+            for component in components
+        ]
+        count = count_repairs_exact(graph)
+        assert count.total == math.prod(counts) > 1
+        assert sorted(count.component_sizes) == sorted(map(len, components))
+        assert sorted(count.component_counts) == sorted(counts)

@@ -7,3 +7,4 @@ def patch(graph, vtx, edge) -> None:
     graph._incidence[vtx].add(edge)
     graph.edges.append(edge)
     del graph.edge_labels[edge]
+    graph._labels[edge] = "c"

@@ -4,5 +4,5 @@
 
 def summarize(graph) -> tuple:
     width = len(graph.edges)
-    labels = dict(graph.edge_labels)
+    labels = graph.as_dict()
     return width, labels

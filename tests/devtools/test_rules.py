@@ -66,6 +66,8 @@ EXPECTED_BAD_FINDINGS = {
         " outside conflicts/hypergraph.py; use add_edge()/remove_edge()",
         "8:4 HL004 mutating `edges.append()` outside conflicts/hypergraph.py"
         " bypasses add_edge()/remove_edge()",
+        "10:4 HL004 access to ConflictHypergraph internal `_labels` outside"
+        " conflicts/hypergraph.py; use add_edge()/remove_edge()",
     ),
     "HL005": (
         "4:0 HL016 layer 'repairs' must not import from 'core'"
